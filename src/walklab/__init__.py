@@ -30,7 +30,7 @@ from .training import (AdamState, FitResult, TrainConfig, TrainItem,
                        prepare_items)
 from .walks import (adjacency_counts, count_simple_cycles_brute,
                     diag_closed_walks, four_cycle_count, mat_power,
-                    power_apply, triangle_counts_per_node, triangle_total)
+                    triangle_counts_per_node, triangle_total)
 from .wl import (Coloring, Fingerprint, Verdict, augmented_distinguish,
                  canonical_form, cantor_pair, is_isomorphic_small,
                  lex_min_adjacency, wl_distinguish, wl_fingerprint, wl_refine)

@@ -101,12 +101,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_count(args) -> int:
     g = read_edge_list(args.graph)
+    per_node = triangle_counts_per_node(g)
     doc = {
         "n": g.n,
         "edges": g.edge_count,
-        "triangles": triangle_total(g),
+        "triangles": triangle_total(g, per_node),
         "four_cycles": four_cycle_count(g),
-        "triangles_per_node": [int(t) for t in triangle_counts_per_node(g)],
+        "triangles_per_node": per_node.tolist(),
     }
     _emit(doc, args.out)
     return EXIT_OK

@@ -15,12 +15,13 @@ For every root the regions nest: ``D_k ⊆ L_k ⊆ D_{k+1}``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 __all__ = [
     "Graph",
@@ -33,6 +34,7 @@ __all__ = [
     "disjoint_union",
     "relabel",
     "erdos_renyi",
+    "MAX_ER_NODES",
     "degrees",
     "bfs_distances",
     "extract_region",
@@ -57,23 +59,38 @@ class Graph:
     edge_count: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"graph needs at least one node, got n={self.n}")
-        if len(self.adjacency) != self.n:
+        n = self.n
+        if n < 1:
+            raise InputError(f"graph needs at least one node, got n={n}")
+        if len(self.adjacency) != n:
             raise InputError("adjacency length does not match node count")
-        seen = 0
-        for v, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise InputError(f"neighbour list of {v} is not sorted and duplicate-free")
-            for u in nbrs:
-                if not 0 <= u < self.n:
-                    raise InputError(f"node id {u} out of range 0..{self.n - 1}")
-                if u == v:
-                    raise InputError(f"self-loop at node {v}")
-                if v not in self.adjacency[u]:
-                    raise InputError(f"edge ({v}, {u}) is not symmetric")
-            seen += len(nbrs)
-        if seen != 2 * self.edge_count:
+        # The checks run on the flat row-major layout (one row id and one
+        # neighbour id per stored entry) and report the first bad entry.
+        deg = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=n)
+        nbr = np.array(list(itertools.chain.from_iterable(self.adjacency)))
+        if nbr.size and nbr.dtype.kind not in "iu":
+            raise InputError(f"node ids must be integers, got dtype {nbr.dtype}")
+        nbr = nbr.astype(np.int64)
+        row = np.repeat(np.arange(n), deg)
+        bad = np.flatnonzero((row[1:] == row[:-1]) & (nbr[1:] <= nbr[:-1]))
+        if bad.size:
+            raise InputError(f"neighbour list of {row[bad[0]]} is not sorted and duplicate-free")
+        bad = np.flatnonzero((nbr < 0) | (nbr >= n))
+        if bad.size:
+            raise InputError(f"node id {nbr[bad[0]]} out of range 0..{n - 1}")
+        bad = np.flatnonzero(nbr == row)
+        if bad.size:
+            raise InputError(f"self-loop at node {row[bad[0]]}")
+        # Rows ascend and are strictly increasing, so the keys are sorted
+        # and unique; the graph is symmetric when the reversed keys are a
+        # permutation of them.
+        key = row * n + nbr
+        rev = nbr * n + row
+        if not np.array_equal(np.sort(rev), key):
+            pos = np.searchsorted(key, rev).clip(max=key.size - 1)
+            i = np.flatnonzero(key[pos] != rev)[0]
+            raise InputError(f"edge ({row[i]}, {nbr[i]}) is not symmetric")
+        if nbr.size != 2 * self.edge_count:
             raise InputError("edge_count does not match adjacency")
 
     def edges(self) -> list[tuple[int, int]]:
@@ -96,9 +113,10 @@ def from_edge_list(n: int, edges) -> Graph:
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            continue
-        pairs.add((min(u, v), max(u, v)))
+        if u < v:
+            pairs.add((u, v))
+        elif v < u:
+            pairs.add((v, u))
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         nbrs[u].append(v)
@@ -135,15 +153,24 @@ def relabel(g: Graph, perm) -> Graph:
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+# Node limit of erdos_renyi: it draws one uniform per node pair and holds
+# the pair indices, about 25 bytes per pair, so ~200 MB at 4000 nodes.
+MAX_ER_NODES = 4000
+
+
 def erdos_renyi(n: int, p: float, seed) -> Graph:
     """G(n, p) sample; each of the C(n, 2) edges is kept with probability p.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; draws come
     from numpy's PCG64 stream, one uniform per node pair in row-major
     pair order, so samples are reproducible bit-for-bit across runs.
+    Memory is O(n^2), so ``n`` above :data:`MAX_ER_NODES` raises
+    :class:`CapacityError`.
     """
     if n < 1:
         raise InputError(f"graph needs at least one node, got n={n}")
+    if n > MAX_ER_NODES:
+        raise CapacityError(f"erdos_renyi supports n <= {MAX_ER_NODES}, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

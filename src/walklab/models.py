@@ -28,12 +28,11 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 from .errors import InputError, NumericError
 from .graphs import Graph, degrees
-from .walks import adjacency_counts, diag_closed_walks
+from .walks import adjacency_csr, diag_closed_walks
 
 __all__ = [
     "AggregationTerm",
@@ -204,16 +203,13 @@ class GraphOperators:
 
     def adjacency(self):
         if "adj" not in self._cache:
-            self._cache["adj"] = sparse.csr_array(
-                adjacency_counts(self.graph).astype(np.float64)
-            )
+            self._cache["adj"] = adjacency_csr(self.graph).astype(np.float64)
         return self._cache["adj"]
 
     def adjacency_with_loops(self):
         if "adj_loops" not in self._cache:
-            self._cache["adj_loops"] = sparse.csr_array(
-                adjacency_counts(self.graph, with_self_loops=True).astype(np.float64)
-            )
+            self._cache["adj_loops"] = adjacency_csr(
+                self.graph, with_self_loops=True).astype(np.float64)
         return self._cache["adj_loops"]
 
     def closed_walk_diag(self, m: int) -> np.ndarray:

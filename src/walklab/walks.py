@@ -8,6 +8,16 @@ number of 4-node simple cycles falls out of ``trace(A^4)`` after
 removing the degenerate closed 4-walks (edge back-and-forth and
 2-paths traversed both ways).
 
+Graph counts run on one sparse integer engine: the CSR adjacency is
+built straight from the sorted neighbour tuples, and because ``A`` is
+symmetric the closed m-walks of node v are the row sums of
+``A^floor(m/2) * A^ceil(m/2)`` (elementwise), so ``A^m`` itself is never
+formed. Triangles per node are ``rowsum(A * A^2) / 2`` and
+``trace(A^4)`` is the sum of the squared entries of ``A^2``. The work of
+``A @ A`` and the entries of ``A^2`` are both bounded by
+``sum_v d_v^2``, so a count costs O(sum_v d_v^2) time and memory; see
+:data:`MAX_PRODUCT_WORK` for the capacity limit.
+
 Counts are held in int64 matrices. Every multiplication first checks the
 conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
 :class:`CountOverflowError` instead of wrapping silently.
@@ -15,16 +25,20 @@ conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy import sparse
 
-from .errors import CapacityError, CountOverflowError, InputError
+from .errors import (CapacityError, CountOverflowError, InputError,
+                     InvariantViolation)
 from .graphs import Graph, degrees
 
 __all__ = [
+    "MAX_PRODUCT_WORK",
+    "adjacency_csr",
     "adjacency_counts",
     "mat_power",
-    "power_apply",
     "diag_closed_walks",
     "triangle_counts_per_node",
     "triangle_total",
@@ -34,15 +48,39 @@ __all__ = [
 
 _INT64_MAX = 2**63 - 1
 
+# Capacity limit on one sparse product X @ Y, counted as multiply-adds:
+# the sum over the stored entries (i, k) of X of the entries in row k of
+# Y. For A @ A that is sum_v d_v^2, which also bounds the entries of A^2,
+# so at the limit A^2 takes at most about 360 MB (int64 values plus int32
+# column indices). ER graphs with n = 10**5 and average degree 10 have
+# sum_v d_v^2 of about 1.1 * 10**7 and fit.
+MAX_PRODUCT_WORK = 3 * 10**7
+
+
+def adjacency_csr(g: Graph, with_self_loops: bool = False) -> sparse.csr_array:
+    """Sparse int64 adjacency matrix, optionally with the diagonal set to 1.
+
+    Built straight from the sorted neighbour tuples, which are already
+    the CSR row layout; the arrays equal those scipy builds from the
+    dense matrix.
+    """
+    n = g.n
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
+    nnz = int(deg.sum())
+    index_dtype = np.int32 if nnz + n < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(g.adjacency),
+                          dtype=index_dtype, count=nnz)
+    a = sparse.csr_array((np.ones(nnz, dtype=np.int64), indices, indptr), shape=(n, n))
+    if with_self_loops:
+        a = a + sparse.eye_array(n, dtype=np.int64, format="csr")
+    return a
+
 
 def adjacency_counts(g: Graph, with_self_loops: bool = False) -> np.ndarray:
     """Dense int64 adjacency matrix, optionally with the diagonal set to 1."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for v, nbrs in enumerate(g.adjacency):
-        a[v, list(nbrs)] = 1
-    if with_self_loops:
-        np.fill_diagonal(a, 1)
-    return a
+    return adjacency_csr(g, with_self_loops).toarray()
 
 
 def _as_count_matrix(a) -> np.ndarray:
@@ -56,14 +94,33 @@ def _as_count_matrix(a) -> np.ndarray:
     return m.astype(np.int64)
 
 
-def _checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _max_entry(x) -> int:
+    return int((x.data if sparse.issparse(x) else x).max(initial=0))
+
+
+def _check_product_bound(a, b) -> None:
     # Entries are nonnegative, so every product entry is at most
     # inner_dim * max(a) * max(b); reject before int64 could wrap.
-    bound = int(a.shape[1]) * int(a.max(initial=0)) * int(b.max(initial=0))
+    bound = int(a.shape[1]) * _max_entry(a) * _max_entry(b)
     if bound > _INT64_MAX:
         raise CountOverflowError(
             f"walk counts would exceed 2**63 - 1 (bound {bound})"
         )
+
+
+def _checked_matmul(a, b):
+    """``a @ b`` for two dense arrays or two CSR arrays, overflow-checked.
+
+    A sparse product is also held to :data:`MAX_PRODUCT_WORK`.
+    """
+    _check_product_bound(a, b)
+    if sparse.issparse(a):
+        work = int(np.diff(b.indptr)[a.indices].sum())
+        if work > MAX_PRODUCT_WORK:
+            raise CapacityError(
+                f"sparse walk product needs {work} multiply-adds (sum_v d_v^2 "
+                f"for A @ A); the limit is {MAX_PRODUCT_WORK}"
+            )
     return a @ b
 
 
@@ -78,66 +135,43 @@ def mat_power(a, k: int) -> np.ndarray:
     return out
 
 
-def power_apply(a, k: int, h) -> np.ndarray:
-    """Compute ``A^k @ h`` by k successive sparse applications.
-
-    ``A^k`` is never materialised; each step costs one sparse
-    matrix-vector (or matrix-block) product. Integer inputs stay exact
-    and are overflow-checked; float inputs come back as float64.
-    """
-    m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"matrix must be square 2-D, got shape {m.shape}")
-    if k < 1:
-        raise InputError(f"power must be >= 1, got {k}")
-    x = np.asarray(h)
-    vector_in = x.ndim == 1
-    if vector_in:
-        x = x[:, None]
-    if x.shape[0] != m.shape[0]:
-        raise InputError(f"operand rows {x.shape[0]} do not match matrix size {m.shape[0]}")
-    exact = np.issubdtype(m.dtype, np.integer) and np.issubdtype(x.dtype, np.integer)
-    if exact:
-        m = _as_count_matrix(m)
-        if (x < 0).any():
-            raise InputError("integer operand entries must be nonnegative")
-        x = x.astype(np.int64)
-        # Iterated conservative bound: entries grow by at most a factor
-        # of n * max(A) per application.
-        bound = int(x.max(initial=0))
-        factor = int(m.shape[0]) * int(m.max(initial=0))
-        for _ in range(k):
-            bound *= max(factor, 1)
-            if bound > _INT64_MAX:
-                raise CountOverflowError(
-                    f"walk counts would exceed 2**63 - 1 (bound {bound})"
-                )
-        s = sparse.csr_array(m)
-    else:
-        s = sparse.csr_array(m.astype(np.float64))
-        x = x.astype(np.float64)
-    for _ in range(k):
-        x = s @ x
-    return x[:, 0] if vector_in else x
-
-
 def diag_closed_walks(g: Graph, m: int) -> np.ndarray:
-    """Per-node count of closed walks of length exactly m (diagonal of A^m)."""
-    return np.diagonal(mat_power(adjacency_counts(g), m)).copy()
+    """Per-node count of closed walks of length exactly m (diagonal of A^m).
+
+    Computed as ``rowsum(A^floor(m/2) * A^ceil(m/2))``, which equals the
+    diagonal of ``A^m`` because ``A`` is symmetric.
+    """
+    if m < 1:
+        raise InputError(f"walk length must be >= 1, got {m}")
+    a = adjacency_csr(g)
+    half = a if m >= 2 else sparse.eye_array(g.n, dtype=np.int64, format="csr")
+    for _ in range(m // 2 - 1):
+        half = _checked_matmul(half, a)
+    other = half if m % 2 == 0 else _checked_matmul(half, a)
+    # The row sums are the diagonal of half @ other, under the same bound.
+    _check_product_bound(half, other)
+    return np.asarray(half.multiply(other).sum(axis=1), dtype=np.int64)
 
 
 def triangle_counts_per_node(g: Graph) -> np.ndarray:
     """Triangles through each node: half the node's closed 3-walks."""
     closed3 = diag_closed_walks(g, 3)
-    assert not (closed3 % 2).any()
+    if (closed3 % 2).any():
+        raise InvariantViolation("a closed 3-walk count is odd")
     return closed3 // 2
 
 
-def triangle_total(g: Graph) -> int:
-    """Number of triangle subgraphs; each is seen from its three nodes."""
-    per_node = triangle_counts_per_node(g)
+def triangle_total(g: Graph, per_node: np.ndarray | None = None) -> int:
+    """Number of triangle subgraphs; each is seen from its three nodes.
+
+    Pass ``per_node`` (from :func:`triangle_counts_per_node`) when it is
+    already at hand, so it is not computed again.
+    """
+    if per_node is None:
+        per_node = triangle_counts_per_node(g)
     total = int(per_node.sum())
-    assert total % 3 == 0
+    if total % 3:
+        raise InvariantViolation(f"per-node triangle counts sum to {total}, not a multiple of 3")
     return total // 3
 
 
@@ -150,13 +184,16 @@ def four_cycle_count(g: Graph) -> int:
 
         C4 = (trace(A^4) - 2 * edge_count - 4 * sum_v C(d_v, 2)) / 8.
     """
-    a2 = mat_power(adjacency_counts(g), 2)
-    # trace(A^4) = sum of squared entries of A^2; entries are at most n,
-    # so the int64 sum is safe for any graph that fits in memory.
-    trace4 = int((a2 * a2).sum())
+    a = adjacency_csr(g)
+    a2 = _checked_matmul(a, a)
+    # trace(A^4) = sum of squared entries of A^2. Those entries sum to
+    # sum_v d_v^2 and are each at most max_v d_v, so the int64 sum stays
+    # below MAX_PRODUCT_WORK**1.5.
+    trace4 = int(np.dot(a2.data, a2.data))
     paths2 = sum(d * (d - 1) // 2 for d in degrees(g))
     raw = trace4 - 2 * g.edge_count - 4 * paths2
-    assert raw >= 0 and raw % 8 == 0
+    if raw < 0 or raw % 8:
+        raise InvariantViolation(f"closed 4-walk remainder {raw} is not a nonnegative multiple of 8")
     return raw // 8
 
 
@@ -194,5 +231,6 @@ def count_simple_cycles_brute(g: Graph, length: int) -> int:
     for s in range(g.n):
         # Each cycle is found at its minimal node, once per direction.
         total += walks_back(s, length, s, {s})
-    assert total % 2 == 0
+    if total % 2:
+        raise InvariantViolation(f"directed cycle count {total} is odd")
     return total // 2

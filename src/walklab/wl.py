@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, InvariantViolation
 from .graphs import Graph, degrees
 from .walks import triangle_counts_per_node
 
@@ -112,7 +112,7 @@ def _refinement_run(g: Graph, initial) -> tuple[list[int], list[tuple], list[lis
         if key == prev_key:
             return colors, codebooks, histograms
         prev_key = key
-    raise RuntimeError("refinement did not stabilise within n rounds")
+    raise InvariantViolation("refinement did not stabilise within n rounds")
 
 
 def _default_labels(g: Graph) -> list[int]:
@@ -216,7 +216,8 @@ def lex_min_adjacency(matrix, guard: int = 8) -> tuple[int, ...]:
         else:
             if best is None or smaller:
                 best = rows
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("no permutation produced a canonical adjacency")
     return tuple(x for row in best for x in row)
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's closed forms and BFS
 shortcuts: walk counting by literal recursion, regions by dynamic
 programming over exact-length walk reachability, isomorphism by
-permutation search, triangles by neighbour-pair scans.
+permutation search, triangles by neighbour-pair scans and neighbour-set
+intersections, 4-cycles by co-degrees.
 """
 
 from __future__ import annotations
@@ -29,6 +30,39 @@ def triangles_at_node_brute(g: Graph, v: int) -> int:
         for j in range(i + 1, len(nbrs))
         if g.has_edge(nbrs[i], nbrs[j])
     )
+
+
+def triangles_per_node_by_intersection(g: Graph) -> list[int]:
+    """Triangles through each node, from neighbour-set intersections.
+
+    Each triangle u < v < w is found once, on its edge (u, v), as the
+    common neighbour w > v. Cost is O(sum over edges of the degrees).
+    """
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    counts = [0] * g.n
+    for u, v in g.edges():
+        for w in adj[u] & adj[v]:
+            if w > v:
+                counts[u] += 1
+                counts[v] += 1
+                counts[w] += 1
+    return counts
+
+
+def four_cycles_by_codegree(g: Graph) -> int:
+    """Number of 4-cycles from co-degrees of node pairs.
+
+    Two nodes with c common neighbours are opposite corners of C(c, 2)
+    4-cycles, and every 4-cycle has two pairs of opposite corners.
+    Co-degrees are tallied over each node's neighbour pairs, so the cost
+    is O(sum_v d_v^2).
+    """
+    codegree: dict[tuple[int, int], int] = {}
+    for nbrs in g.adjacency:
+        for a, b in itertools.combinations(nbrs, 2):
+            codegree[(a, b)] = codegree.get((a, b), 0) + 1
+    twice = sum(c * (c - 1) // 2 for c in codegree.values())
+    return twice // 2
 
 
 def region_by_walk_dp(g: Graph, v: int, max_len: int) -> tuple[set[int], set[tuple[int, int]]]:

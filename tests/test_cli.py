@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from walklab import walks
 from walklab.cli import main
-from walklab.graphs import (complete_graph, cycle_graph, disjoint_union,
-                            write_edge_list)
+from walklab.graphs import (MAX_ER_NODES, complete_graph, cycle_graph,
+                            disjoint_union, write_edge_list)
 
 
 def _graph_file(tmp_path, g, name):
@@ -75,6 +76,14 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_too_many_nodes_is_runtime_error(self, tmp_path, capsys):
+        code = main(["gen", "--graphs", "1", "--nodes", str(MAX_ER_NODES + 1),
+                     "--prob", "0.001", "--target", "triangles",
+                     "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: erdos_renyi supports")
+        assert not (tmp_path / "x.jsonl").exists()
+
 
 class TestCount:
     def test_complete_graph_counts(self, tmp_path, capsys):
@@ -96,6 +105,12 @@ class TestCount:
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["count", str(tmp_path / "absent.txt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_product_work_guard_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 10)
+        path = _graph_file(tmp_path, complete_graph(4), "k4.txt")
+        assert main(["count", path]) == 2
+        assert "error: sparse walk product" in capsys.readouterr().err
 
     def test_malformed_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -220,6 +235,16 @@ class TestModuleInvocation:
         assert proc.returncode == 0
         doc = json.loads((tmp_path / "demo.json").read_text())
         assert doc["augmented"] == "distinguishable"
+
+    def test_count_under_optimised_interpreter(self, tmp_path):
+        # python -O strips assert statements; invariants must not rely on them.
+        path = _graph_file(tmp_path, complete_graph(5), "k5.txt")
+        proc = subprocess.run([sys.executable, "-O", "-m", "walklab", "count", path],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["triangles"], doc["four_cycles"]) == (10, 15)
+        assert doc["triangles_per_node"] == [6] * 5
 
     def test_usage_failure_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "walklab", "count"],

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from walklab.errors import InputError
-from walklab.graphs import (Graph, RegionSpec, bfs_distances, complete_graph,
+from walklab.errors import CapacityError, InputError
+from walklab.graphs import (MAX_ER_NODES, Graph, RegionSpec, bfs_distances, complete_graph,
                             cycle_graph, degrees, disjoint_union, erdos_renyi,
                             extract_region, format_edge_list, from_edge_list,
                             parse_edge_list, path_graph, relabel)
@@ -29,6 +30,21 @@ class TestConstruction:
             from_edge_list(2, [(0, 5)])
         with pytest.raises(InputError):
             from_edge_list(0, [])
+
+    @pytest.mark.parametrize("adjacency, edge_count, message", [
+        (((1,), ()), 1, "edge (0, 1) is not symmetric"),
+        (((), (2,), ()), 1, "edge (1, 2) is not symmetric"),
+        (((1, 1), (0,)), 1, "neighbour list of 0 is not sorted"),
+        (((2, 1), (0,), (0,)), 2, "neighbour list of 0 is not sorted"),
+        (((5,), (0,)), 1, "node id 5 out of range"),
+        (((-1,), ()), 1, "node id -1 out of range"),
+        (((0,), ()), 1, "self-loop at node 0"),
+        (((1,), (0,)), 2, "edge_count does not match"),
+        (((1.5,), (0,)), 1, "node ids must be integers"),
+    ])
+    def test_each_fault_is_named(self, adjacency, edge_count, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Graph(n=len(adjacency), adjacency=adjacency, edge_count=edge_count)
 
     def test_direct_construction_validated(self):
         with pytest.raises(InputError):
@@ -64,6 +80,10 @@ class TestErdosRenyi:
     def test_bad_probability(self):
         with pytest.raises(InputError):
             erdos_renyi(5, 1.5, 0)
+
+    def test_node_limit(self):
+        with pytest.raises(CapacityError):
+            erdos_renyi(MAX_ER_NODES + 1, 0.001, 0)
 
 
 class TestBfs:

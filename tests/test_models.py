@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from walklab.errors import InputError, NumericError
 from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
@@ -65,6 +66,25 @@ class TestSpecs:
         for bad in ("GCN", "MLP-2L", "GCN-L9-1L", "GCN-0L"):
             with pytest.raises(InputError):
                 spec_from_model_name(bad)
+
+
+class TestOperators:
+    def test_csr_arrays_match_dense_build(self):
+        rng = np.random.default_rng(41)
+        graphs = [from_edge_list(1, []), from_edge_list(4, []), path_graph(3),
+                  complete_graph(5)]
+        graphs += [erdos_renyi(int(rng.integers(2, 60)), float(rng.uniform(0.05, 0.6)),
+                               int(rng.integers(1 << 30))) for _ in range(20)]
+        for g in graphs:
+            ops = GraphOperators(g)
+            for loops, got in ((False, ops.adjacency()), (True, ops.adjacency_with_loops())):
+                dense = np.eye(g.n) if loops else np.zeros((g.n, g.n))
+                for v, nbrs in enumerate(g.adjacency):
+                    dense[v, list(nbrs)] = 1.0
+                want = sparse.csr_array(dense)
+                for field in ("indptr", "indices", "data"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (g, loops, field)
 
 
 class TestBuild:

@@ -1,15 +1,31 @@
 import numpy as np
 import pytest
 
-from walklab.errors import CapacityError, CountOverflowError, InputError
+from walklab import walks, wl
+from walklab.errors import (CapacityError, CountOverflowError, InputError,
+                            InvariantViolation)
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
-                            disjoint_union, erdos_renyi, path_graph, relabel)
+                            disjoint_union, erdos_renyi, from_edge_list,
+                            path_graph, relabel)
 from walklab.walks import (adjacency_counts, count_simple_cycles_brute,
                            diag_closed_walks, four_cycle_count, mat_power,
-                           power_apply, triangle_counts_per_node,
-                           triangle_total)
+                           triangle_counts_per_node, triangle_total)
 
-from oracles import count_walks_recursive, triangles_at_node_brute
+from oracles import (count_walks_recursive, four_cycles_by_codegree,
+                     triangles_at_node_brute,
+                     triangles_per_node_by_intersection)
+
+
+def sparse_er(n, avg_degree, seed):
+    """G(n, p) with p = avg_degree / (n - 1), sampled in O(edges) memory."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.binomial(n * (n - 1) // 2, avg_degree / (n - 1)))
+    pairs = set()
+    while len(pairs) < m:
+        u, v = rng.integers(0, n, size=2).tolist()
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return from_edge_list(n, pairs)
 
 
 class TestMatPower:
@@ -59,38 +75,47 @@ class TestMatPower:
             mat_power(np.array([[1]]), 0)
 
 
-class TestPowerApply:
-    def test_path3_ones(self):
-        a = adjacency_counts(path_graph(3))
-        out = power_apply(a, 2, np.ones(3, dtype=np.int64))
-        assert out.tolist() == [2, 2, 2]
+class TestClosedWalks:
+    def test_k3_and_k4_diagonals(self):
+        assert diag_closed_walks(complete_graph(3), 3).tolist() == [2, 2, 2]
+        assert diag_closed_walks(complete_graph(4), 3).tolist() == [6, 6, 6, 6]
+
+    def test_path3_diagonals(self):
+        assert diag_closed_walks(path_graph(3), 1).tolist() == [0, 0, 0]
+        assert diag_closed_walks(path_graph(3), 2).tolist() == [1, 2, 1]
+        assert diag_closed_walks(path_graph(3), 4).tolist() == [2, 4, 2]
 
     def test_agrees_with_materialised_power(self):
         rng = np.random.default_rng(17)
         for trial in range(50):
             n = int(rng.integers(2, 12))
             g = erdos_renyi(n, float(rng.uniform(0.1, 0.8)), int(rng.integers(1 << 30)))
-            a = adjacency_counts(g)
-            k = int(rng.integers(1, 5))
-            h = rng.integers(0, 4, size=(n, 2))
-            assert np.array_equal(power_apply(a, k, h), mat_power(a, k) @ h)
+            m = int(rng.integers(1, 8))
+            assert np.array_equal(diag_closed_walks(g, m),
+                                  np.diagonal(mat_power(adjacency_counts(g), m)))
 
-    def test_float_features(self):
-        a = adjacency_counts(cycle_graph(5))
-        h = np.full((5, 1), 0.5)
-        assert np.allclose(power_apply(a, 3, h), mat_power(a, 3) @ h)
+    def test_entries_count_closed_walks(self):
+        rng = np.random.default_rng(19)
+        for trial in range(10):
+            g = erdos_renyi(7, 0.5, int(rng.integers(1 << 30)))
+            for m in (1, 2, 3, 4, 5):
+                assert diag_closed_walks(g, m).tolist() == [
+                    count_walks_recursive(g, v, v, m) for v in range(g.n)]
+
+    def test_complete_graph_closed_form(self):
+        # Closed m-walks at a node of K_k: ((k-1)^m + (k-1)(-1)^m) / k.
+        for k, m in ((3, 7), (5, 12), (10, 18)):
+            want = ((k - 1) ** m + (k - 1) * (-1) ** m) // k
+            assert diag_closed_walks(complete_graph(k), m).tolist() == [want] * k
 
     def test_overflow_detected(self):
-        a = np.full((40, 40), 3, dtype=np.int64)
-        h = np.full((40, 1), 10**9, dtype=np.int64)
+        # 9^25 / 10 closed 25-walks per node of K_10 do not fit in int64.
         with pytest.raises(CountOverflowError):
-            power_apply(a, 8, h)
+            diag_closed_walks(complete_graph(10), 25)
 
-
-class TestClosedWalks:
-    def test_k3_and_k4_diagonals(self):
-        assert diag_closed_walks(complete_graph(3), 3).tolist() == [2, 2, 2]
-        assert diag_closed_walks(complete_graph(4), 3).tolist() == [6, 6, 6, 6]
+    def test_walk_length_validation(self):
+        with pytest.raises(InputError):
+            diag_closed_walks(path_graph(3), 0)
 
     def test_triangle_free_zero(self):
         assert diag_closed_walks(cycle_graph(6), 3).tolist() == [0] * 6
@@ -155,6 +180,45 @@ class TestCycleCounts:
         assert four_cycle_count(g1) == 0
         g5 = from_edge_list(5, [])
         assert diag_closed_walks(g5, 3).tolist() == [0] * 5
+
+
+class TestLargeSparseGraphs:
+    @pytest.mark.parametrize("n, seed", [(100, 1), (1000, 2), (10_000, 3)])
+    def test_counts_match_oracles(self, n, seed):
+        g = sparse_er(n, 10, seed)
+        per = triangles_per_node_by_intersection(g)
+        assert triangle_counts_per_node(g).tolist() == per
+        assert triangle_total(g) == sum(per) // 3
+        assert four_cycle_count(g) == four_cycles_by_codegree(g)
+
+    def test_product_work_guard(self, monkeypatch):
+        g = sparse_er(200, 10, 4)
+        work = sum(d * d for d in degrees(g))
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work)
+        four_cycle_count(g)
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work - 1)
+        with pytest.raises(CapacityError):
+            four_cycle_count(g)
+        with pytest.raises(CapacityError):
+            triangle_counts_per_node(g)
+
+
+class TestInvariants:
+    def test_odd_closed_three_walks(self, monkeypatch):
+        monkeypatch.setattr(walks, "diag_closed_walks",
+                            lambda g, m: np.array([1, 2, 2], dtype=np.int64))
+        with pytest.raises(InvariantViolation):
+            triangle_counts_per_node(path_graph(3))
+
+    def test_triangle_total_not_divisible_by_three(self):
+        with pytest.raises(InvariantViolation):
+            triangle_total(path_graph(3), np.array([1, 0, 0]))
+
+    def test_refinement_that_never_stabilises(self, monkeypatch):
+        keys = iter(range(1000))
+        monkeypatch.setattr(wl, "_partition_key", lambda colors: next(keys))
+        with pytest.raises(InvariantViolation):
+            wl.wl_refine(path_graph(4))
 
 
 class TestSampledMoments:
