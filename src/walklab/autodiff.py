@@ -4,9 +4,12 @@ A :class:`Tensor` wraps a value plus a gradient slot; ops build a DAG of
 closures and :func:`backward` replays it in reverse topological order.
 The op set is exactly what the models need: dense and fixed-structure
 matrix products, broadcast add, leaky ReLU, sigmoid, scalar gating,
-row scaling, inverted dropout, row-sum readout, mean squared error and
-a sum-of-squares penalty. Structure matrices (adjacency and friends)
-are plain constants; no gradient ever flows into them.
+row scaling, inverted dropout, row-sum readout and mean squared error.
+Structure matrices (adjacency and friends) are plain constants; no
+gradient ever flows into them. Gradients accumulate in ``.grad`` until
+the caller sets it back to None. The L2 weight penalty is not on the
+tape: :func:`walklab.training.adam_step` adds its gradient (coupled L2)
+to the MLP and head weights and clears every gradient after the update.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "dropout",
     "row_sum",
     "mse",
-    "sum_sq",
     "backward",
 ]
 
@@ -58,9 +60,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.value.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -146,8 +145,8 @@ def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     v = x.value
     # Branch on sign so neither exp overflows; saturates cleanly to 0/1.
-    out_val = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                       np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    out_val = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(out_val, parents=(x,))
 
     def backward_fn(g: np.ndarray) -> None:
@@ -223,17 +222,6 @@ def mse(pred: Tensor, target) -> Tensor:
 
     def backward_fn(g: np.ndarray) -> None:
         pred._accumulate(float(g[0, 0]) * 2.0 * diff / diff.size)
-
-    out._backward = backward_fn
-    return out
-
-
-def sum_sq(x: Tensor) -> Tensor:
-    """Sum of squared entries; returns 1x1 (L2 penalty building block)."""
-    out = Tensor(np.array([[float((x.value * x.value).sum())]]), parents=(x,))
-
-    def backward_fn(g: np.ndarray) -> None:
-        x._accumulate(float(g[0, 0]) * 2.0 * x.value)
 
     out._backward = backward_fn
     return out

@@ -20,8 +20,7 @@ from .errors import (CapacityError, ConfigError, CountOverflowError,
                      InputError, InvariantViolation, NumericError,
                      TrainingError)
 from .experiments import demo_wl_gap, read_config, region_report, run_experiment, write_report
-from .graphs import read_edge_list
-from .models import atomic_write_text
+from .graphs import atomic_write_text, read_edge_list
 from .walks import four_cycle_count, triangle_counts_per_node, triangle_total
 from .wl import augmented_distinguish, is_isomorphic_small, wl_distinguish
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, erdos_renyi, from_edge_list
-from .models import atomic_write_text
+from .graphs import Graph, atomic_write_text, erdos_renyi, from_edge_list
 from .walks import four_cycle_count, triangle_total
 
 __all__ = [

@@ -38,10 +38,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, FoldPlan, baseline_mean, kfold_split, load_dataset
-from .errors import ConfigError, InputError, InvariantViolation, TrainingError
-from .graphs import (Graph, RegionSpec, cycle_graph, disjoint_union,
-                     extract_region)
-from .models import atomic_write_text, build_model, spec_from_model_name
+from .errors import (ConfigError, InputError, InvariantViolation, NumericError,
+                     TrainingError)
+from .graphs import (Graph, RegionSpec, atomic_write_text, cycle_graph,
+                     disjoint_union, extract_region)
+from .models import build_model, spec_from_model_name
 from .training import TrainConfig, evaluate, fit, prepare_items
 from .walks import triangle_counts_per_node
 from .wl import Verdict, augmented_distinguish, is_isomorphic_small, wl_distinguish
@@ -208,8 +209,9 @@ def _set_layer_depth(spec, depth: int):
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> ExperimentReport:
     """Train every configured model over every fold and aggregate.
 
-    A fold whose training diverges is recorded with NaN losses and
-    listed under ``failed_folds``; the remaining folds still aggregate.
+    A fold whose training diverges (a non-finite loss or non-finite
+    activations) is recorded with NaN losses and listed under
+    ``failed_folds``; the remaining folds still aggregate.
     """
     start = time.monotonic()
     ds = dataset if dataset is not None else load_dataset(cfg.dataset)
@@ -253,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
                     val_mse=result.best_val,
                     test_mse=evaluate(model, test_items),
                 ))
-            except TrainingError:
+            except (TrainingError, NumericError):
                 failed.setdefault(name, []).append(fold)
                 rows.append(Row(model=name, fold=fold, train_mse=float("nan"),
                                 val_mse=float("nan"), test_mse=float("nan")))

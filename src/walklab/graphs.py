@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,7 @@ __all__ = [
     "write_edge_list",
     "parse_edge_list",
     "format_edge_list",
+    "atomic_write_text",
 ]
 
 
@@ -300,5 +303,18 @@ def read_edge_list(path) -> Graph:
 
 
 def write_edge_list(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
+    atomic_write_text(path, format_edge_list(g))
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write a whole file via temp-and-rename so readers never see a torn file."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

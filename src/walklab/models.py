@@ -22,16 +22,15 @@ the pooling is available for inspection and tests.
 
 from __future__ import annotations
 
+import functools
 import json
-import os
-import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import InputError, NumericError
-from .graphs import Graph, degrees
+from .graphs import Graph, atomic_write_text, degrees
 from .walks import adjacency_csr, diag_closed_walks
 
 __all__ = [
@@ -230,22 +229,20 @@ class Model:
 
     ``params`` maps stable names (creation order is deterministic) to
     trainable tensors; freeze one by clearing its ``trainable`` flag.
+    ``weight_names`` lists the linear-map weight matrices, the parameters
+    the L2 penalty covers (gates and biases are not among them).
     """
 
     def __init__(self, spec: ModelSpec, input_dim: int, hidden_dim: int,
-                 params: dict[str, ad.Tensor]):
+                 params: dict[str, ad.Tensor], weight_names: tuple[str, ...]):
         self.spec = spec
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.params = params
+        self.weight_names = weight_names
 
     def trainable(self) -> dict[str, ad.Tensor]:
         return {k: p for k, p in self.params.items() if p.trainable}
-
-    def mlp_weight_tensors(self) -> list[ad.Tensor]:
-        """Weight matrices covered by the L2 penalty (gates and biases excluded)."""
-        return [p for k, p in self.params.items()
-                if k.endswith(".w0") or k.endswith(".w1") or k == "head.w"]
 
     def param_values(self) -> dict[str, np.ndarray]:
         return {k: p.value.copy() for k, p in self.params.items()}
@@ -274,9 +271,11 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
         raise InputError("input_dim and hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
     params: dict[str, ad.Tensor] = {}
+    weight_names: list[str] = []
 
     def linear(wname: str, bname: str, fan_in: int, fan_out: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)
+        weight_names.append(wname)
         params[wname] = ad.parameter(
             rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=wname)
         params[bname] = ad.parameter(
@@ -301,7 +300,8 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
         raise InputError(
             f"headless model ends with width {final_width}, expected output_dim {spec.output_dim}"
         )
-    return Model(spec=spec, input_dim=input_dim, hidden_dim=hidden_dim, params=params)
+    return Model(spec=spec, input_dim=input_dim, hidden_dim=hidden_dim, params=params,
+                 weight_names=tuple(weight_names))
 
 
 def _apply_term(term: AggregationTerm, ops: GraphOperators, h: ad.Tensor) -> ad.Tensor:
@@ -338,12 +338,10 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     h = ad.constant(xv, name="features")
     p = model.params
     for i, layer in enumerate(model.spec.layers):
-        mixed: ad.Tensor | None = None
-        for term in layer.terms:
-            gate = ad.sigmoid(p[f"layer{i}.theta{term.weight_index}"])
-            contrib = ad.scalar_mul(gate, _apply_term(term, ops, h))
-            mixed = contrib if mixed is None else ad.add(mixed, contrib)
-        assert mixed is not None
+        mixed = functools.reduce(ad.add, [
+            ad.scalar_mul(ad.sigmoid(p[f"layer{i}.theta{term.weight_index}"]),
+                          _apply_term(term, ops, h))
+            for term in layer.terms])
         if layer.degree_normalize:
             mixed = ad.row_scale(mixed, ops.inv_degree_plus_one())
         h = mixed
@@ -370,27 +368,6 @@ _CHECKPOINT_FORMAT = "walklab-model"
 _CHECKPOINT_VERSION = 1
 
 
-def _spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "layers": [
-            {
-                "terms": [
-                    {"op": t.op, "k": t.k, "weight_index": t.weight_index}
-                    for t in layer.terms
-                ],
-                "mlp_depth": layer.mlp_depth,
-                "mlp_hidden": layer.mlp_hidden,
-                "leaky_slope": layer.leaky_slope,
-                "degree_normalize": layer.degree_normalize,
-            }
-            for layer in spec.layers
-        ],
-        "readout": spec.readout,
-        "output_dim": spec.output_dim,
-        "head": spec.head,
-    }
-
-
 def _spec_from_dict(d: dict) -> ModelSpec:
     layers = tuple(
         LayerSpec(
@@ -406,20 +383,6 @@ def _spec_from_dict(d: dict) -> ModelSpec:
                      output_dim=d["output_dim"], head=d["head"])
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a whole file via temp-and-rename so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(model: Model, path) -> None:
     """Serialise parameters (shape + row-major values) and spec to JSON."""
     doc = {
@@ -427,7 +390,7 @@ def save_checkpoint(model: Model, path) -> None:
         "version": _CHECKPOINT_VERSION,
         "input_dim": model.input_dim,
         "hidden_dim": model.hidden_dim,
-        "spec": _spec_to_dict(model.spec),
+        "spec": asdict(model.spec),
         "params": {
             # Row-major values; json emits shortest reprs, which decode
             # back to bit-identical doubles.
@@ -442,18 +405,33 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from :func:`save_checkpoint` output, bit-exactly."""
+    """Rebuild a model from :func:`save_checkpoint` output, bit-exactly.
+
+    A file that is not a well-formed checkpoint raises :class:`InputError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise InputError(f"not a model checkpoint: {path}")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise InputError(f"unsupported checkpoint version {doc.get('version')}")
-    spec = _spec_from_dict(doc["spec"])
-    model = build_model(spec, doc["input_dim"], doc["hidden_dim"], seed=0)
-    if set(doc["params"]) != set(model.params):
-        raise InputError("checkpoint parameters do not match the stored spec")
-    for name, entry in doc["params"].items():
-        values = np.array(entry["data"], dtype=np.float64)
-        model.params[name].value = values.reshape(entry["shape"])
+    try:
+        model = build_model(_spec_from_dict(doc["spec"]), doc["input_dim"],
+                            doc["hidden_dim"], seed=0)
+        params = doc["params"]
+        if not isinstance(params, dict) or set(params) != set(model.params):
+            raise InputError("checkpoint parameters do not match the stored spec")
+        for name, entry in params.items():
+            values = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            if values.shape != model.params[name].shape:
+                raise InputError(f"checkpoint parameter {name!r} has shape {values.shape}, "
+                                 f"the stored spec needs {model.params[name].shape}")
+            model.params[name].value = values
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed checkpoint {path}: {exc!r}") from exc
     return model

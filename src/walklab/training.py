@@ -1,10 +1,14 @@
 """Full-batch-per-graph training with Adam, early stopping, and LR decay.
 
-One optimisation step consumes one graph: forward, mean squared error
-plus an L2 penalty on the MLP weight matrices (gates and biases are not
-penalised), backward, Adam update. Validation is scored before the
-first epoch and after every epoch; the best validation snapshot is what
-:func:`fit` returns.
+One optimisation step consumes one graph: forward, mean squared error,
+backward, Adam update. The tape holds the MSE only, and the divergence
+check reads it. :func:`adam_step` applies the L2 penalty
+``l2 * sum(w**2)`` to the MLP and head weight matrices (gates and biases
+are not penalised) as coupled L2: its gradient ``2 * l2 * w`` joins the
+data gradient before the Adam moments, unlike decoupled (AdamW) decay.
+It also clears every gradient it consumed. Validation is scored before
+the first epoch and after every epoch; the best validation snapshot is
+what :func:`fit` returns.
 
 The plateau schedule works in two stages governed by ``patience``: after
 ``patience`` epochs without a new best the learning rate is halved once,
@@ -105,14 +109,19 @@ def mse_loss(pred, target) -> float:
     return float((d * d).mean())
 
 
-class AdamState:
-    """First/second moment accumulators, one pair per parameter."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: dict[str, ad.Tensor],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+
+class AdamState:
+    """First/second moment accumulators, one pair per parameter, and the
+    L2 coefficient with the names of the parameters it applies to."""
+
+    def __init__(self, params: dict[str, ad.Tensor], l2: float = 0.0,
+                 decay_names: tuple[str, ...] = ()):
+        self.l2 = l2
+        self.decay_names = frozenset(decay_names)
         self.step_count = 0
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
@@ -121,19 +130,24 @@ class AdamState:
 def adam_step(state: AdamState, params: dict[str, ad.Tensor], lr: float) -> None:
     """One bias-corrected Adam update from each parameter's ``.grad``.
 
-    Parameters without an accumulated gradient are treated as zero-grad
-    and keep their value (their moments still decay deterministically).
+    Parameters named in ``state.decay_names`` first get the coupled L2
+    gradient ``2 * l2 * value`` added. Parameters without an accumulated
+    gradient are treated as zero-grad (their moments still decay
+    deterministically). Every gradient is cleared after the update.
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for key, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.value)
+        if state.l2 > 0 and key in state.decay_names:
+            g = g + (2.0 * state.l2) * p.value
         state.m[key] = b1 * state.m[key] + (1 - b1) * g
         state.v[key] = b2 * state.v[key] + (1 - b2) * (g * g)
         m_hat = state.m[key] / (1 - b1**t)
         v_hat = state.v[key] / (1 - b2**t)
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.grad = None
 
 
 @dataclass(frozen=True)
@@ -152,17 +166,12 @@ class FitResult:
     stop_reason: str
 
 
-def _graph_loss(model: Model, item: TrainItem, cfg: TrainConfig, *,
-                training: bool, rng=None) -> tuple[ad.Tensor, float]:
-    """Objective tensor (MSE + L2 penalty) and the bare MSE value."""
-    pred = forward(model, item.ops, item.features, training=training,
-                   dropout_rate=cfg.dropout if training else 0.0, rng=rng)
-    err = ad.mse(pred, item.target)
-    loss = err
-    if cfg.l2 > 0:
-        for w in model.mlp_weight_tensors():
-            loss = ad.add(loss, ad.scalar_mul(ad.constant(cfg.l2), ad.sum_sq(w)))
-    return loss, err.item()
+def _graph_loss(model: Model, item: TrainItem, *, dropout: float = 0.0,
+                rng=None) -> ad.Tensor:
+    """MSE of one graph's prediction, the 1x1 root of the tape."""
+    pred = forward(model, item.ops, item.features, training=dropout > 0.0,
+                   dropout_rate=dropout, rng=rng)
+    return ad.mse(pred, item.target)
 
 
 def evaluate(model: Model, items) -> float:
@@ -187,7 +196,7 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
     if not train_items or not val_items:
         raise InputError("fit needs nonempty train and validation splits")
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState(model.params)
+    state = AdamState(model.params, l2=cfg.l2, decay_names=model.weight_names)
     lr = cfg.lr
     best_val = evaluate(model, val_items)
     best_snapshot = model.param_values()
@@ -201,15 +210,12 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
         order = rng.permutation(len(train_items))
         train_mse_sum = 0.0
         for idx in order:
-            item = train_items[int(idx)]
-            for p in model.params.values():
-                p.zero_grad()
-            loss, err = _graph_loss(model, item, cfg, training=True, rng=rng)
+            loss = _graph_loss(model, train_items[int(idx)], dropout=cfg.dropout, rng=rng)
             if not np.isfinite(loss.value).all():
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             ad.backward(loss)
             adam_step(state, model.trainable(), lr)
-            train_mse_sum += err
+            train_mse_sum += loss.item()
         val = evaluate(model, val_items)
         if not np.isfinite(val):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
@@ -239,16 +245,17 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
                      best_val=best_val, stop_reason=stop_reason)
 
 
-def gradient_check(model: Model, item: TrainItem, cfg: TrainConfig | None = None,
-                   h: float = 1e-5, max_params: int = 20000) -> float:
+def gradient_check(model: Model, item: TrainItem, h: float = 1e-5,
+                   max_params: int = 20000) -> float:
     """Largest relative error between analytic and central-difference grads.
 
-    Inference-mode loss (dropout off) so the objective is deterministic.
-    Relative error uses a floor of 1e-3 in the denominator; coordinates
-    where both gradients are below 1e-10 count as exact. Returns 0.0
-    when the model has no trainable parameters.
+    The objective is the inference-mode MSE (dropout off), so it is
+    deterministic; the L2 penalty lives in :func:`adam_step`, not on the
+    tape. Relative error uses a floor of 1e-3 in the denominator;
+    coordinates where both gradients are below 1e-10 count as exact.
+    Returns 0.0 when the model has no trainable parameters. The
+    gradients it accumulates are cleared again before it returns.
     """
-    cfg = cfg or TrainConfig(dropout=0.0)
     trainable = model.trainable()
     coord_count = sum(p.value.size for p in trainable.values())
     if coord_count > max_params:
@@ -256,15 +263,14 @@ def gradient_check(model: Model, item: TrainItem, cfg: TrainConfig | None = None
             f"gradient check supports <= {max_params} coordinates, got {coord_count}")
     if coord_count == 0:
         return 0.0
-    for p in model.params.values():
-        p.zero_grad()
-    loss, _ = _graph_loss(model, item, cfg, training=False)
-    ad.backward(loss)
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
+    ad.backward(_graph_loss(model, item))
+    analytic = {k: (p.grad if p.grad is not None else np.zeros_like(p.value))
                 for k, p in trainable.items()}
+    for p in model.params.values():
+        p.grad = None
 
     def loss_value() -> float:
-        return _graph_loss(model, item, cfg, training=False)[0].item()
+        return _graph_loss(model, item).item()
 
     worst = 0.0
     for key, p in trainable.items():

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from walklab import walks
@@ -192,6 +193,19 @@ class TestTrain:
             outs.append((out_dir / "results.csv").read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    def test_diverging_model_still_writes_report(self, tmp_path, capsys):
+        ds = tmp_path / "er.jsonl"
+        assert main(["gen", "--graphs", "12", "--nodes", "20", "--prob", "0.2",
+                     "--target", "triangles", "--seed", "3", "--out", str(ds)]) == 0
+        cfg = _config_file(tmp_path, str(ds), lr="1e200")
+        out_dir = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            main(["train", "--config", cfg, "--out", str(out_dir)])
+        assert "non-finite activations" not in capsys.readouterr().err
+        doc = json.loads((out_dir / "summary.json").read_text())
+        assert doc["failed_folds"] == {"GCN-1L": [0, 1, 2]}
+        assert "GCN-1L,0,nan,nan,nan" in (out_dir / "results.csv").read_text()
 
     def test_seed_override_lands_in_summary(self, tmp_path, capsys):
         ds = tmp_path / "tiny.jsonl"

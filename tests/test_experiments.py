@@ -155,6 +155,18 @@ class TestRunExperiment:
         # baseline rows are untouched by the failure
         assert np.isfinite(report.summary["models"]["baseline"]["mean_test_mse"])
 
+    def test_diverging_cell_is_a_failed_fold(self, tmp_path):
+        # lr = 1e200 blows the weights up on the first step, so the next
+        # forward pass raises NumericError
+        path = tmp_path / "er.jsonl"
+        save_dataset(gen_dataset(12, 20, 0.2, "triangles", 3), path)
+        cfg = parse_config(_tiny_config(str(path), lr="1e200"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(cfg)
+        assert report.summary["failed_folds"] == {"GCN-1L": [0, 1, 2]}
+        assert "GCN-1L,2,nan,nan,nan" in report.results_csv()
+        assert np.isfinite(report.summary["models"]["baseline"]["mean_test_mse"])
+
 
 class TestWriteReport:
     def test_files_round_trip(self, tmp_path):

@@ -4,11 +4,13 @@ import re
 import numpy as np
 import pytest
 
+from walklab import graphs
 from walklab.errors import CapacityError, InputError
-from walklab.graphs import (MAX_ER_NODES, Graph, RegionSpec, bfs_distances, complete_graph,
-                            cycle_graph, degrees, disjoint_union, erdos_renyi,
-                            extract_region, format_edge_list, from_edge_list,
-                            parse_edge_list, path_graph, relabel)
+from walklab.graphs import (MAX_ER_NODES, Graph, RegionSpec, atomic_write_text,
+                            bfs_distances, complete_graph, cycle_graph, degrees,
+                            disjoint_union, erdos_renyi, extract_region,
+                            format_edge_list, from_edge_list, parse_edge_list,
+                            path_graph, read_edge_list, relabel, write_edge_list)
 
 from oracles import region_by_walk_dp, region_by_walk_enumeration
 
@@ -216,3 +218,29 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n")  # count mismatch
         with pytest.raises(InputError):
             parse_edge_list("2 1\n0 x\n")
+
+
+class TestAtomicWrite:
+    def test_failed_encode_keeps_old_file(self, tmp_path):
+        # a lone surrogate cannot be encoded as UTF-8, so the write fails
+        # after the temporary file exists
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "new\n\ud800")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_edge_list_write_is_not_torn(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        write_edge_list(path_graph(3), path)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(graphs.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_edge_list(complete_graph(4), path)
+        monkeypatch.undo()
+        assert read_edge_list(path) == path_graph(3)
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]

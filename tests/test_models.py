@@ -226,6 +226,16 @@ class TestForward:
             forward(m, path_graph(2), np.array([[np.inf], [1.0]]))
 
 
+class TestWeightNames:
+    def test_linear_weights_only(self):
+        m = build_model(gcn_d2_spec(2), 1, 8, seed=0)
+        assert m.weight_names == ("layer0.w0", "layer0.w1", "layer1.w0",
+                                  "layer1.w1", "head.w")
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0),), mlp_depth=1),),
+                         head=False, output_dim=4)
+        assert build_model(spec, 1, 4, seed=0).weight_names == ("layer0.w0",)
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         m = build_model(gcn_d2_spec(2), 1, 8, seed=13)
@@ -254,5 +264,83 @@ class TestCheckpoint:
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"something": 1}')
+        with pytest.raises(InputError):
+            load_checkpoint(path)
+
+    def test_spec_json_layout(self, tmp_path):
+        # checkpoint format 1: every field of every spec dataclass, in order
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0), diag_power(3, 1)),
+                                           mlp_depth=1, degree_normalize=True),),
+                         readout="node", output_dim=2, head=False)
+        m = build_model(spec, 1, 2, seed=0)
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        assert json.loads(path.read_text())["spec"] == {
+            "layers": [{
+                "terms": [{"op": "self_loop_adjacency", "k": 1, "weight_index": 0},
+                          {"op": "diag_power", "k": 3, "weight_index": 1}],
+                "mlp_depth": 1, "mlp_hidden": None, "leaky_slope": 0.01,
+                "degree_normalize": True,
+            }],
+            "readout": "node", "output_dim": 2, "head": False,
+        }
+        assert load_checkpoint(path).spec == spec
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set_shape(name, shape):
+    def edit(doc):
+        doc["params"][name]["shape"] = shape
+    return edit
+
+
+def _drop_layer_key(doc):
+    del doc["spec"]["layers"][0]["mlp_depth"]
+
+
+def _add_term_key(doc):
+    doc["spec"]["layers"][0]["terms"][0]["colour"] = "red"
+
+
+def _params_as_list(doc):
+    doc["params"] = list(doc["params"])
+
+
+def _wrap_in_list(doc):
+    return [doc]
+
+
+class TestMalformedCheckpoint:
+    # gcn_spec(1) at hidden width 8: head.w is 8 x 1
+    @pytest.mark.parametrize("edit", [
+        _drop("spec"),
+        _drop("input_dim"),
+        _drop("params"),
+        _set_shape("head.w", [3, 2]),   # 6 entries for 8 values
+        _set_shape("head.w", [1, 8]),   # right size, wrong shape
+        _drop_layer_key,
+        _add_term_key,
+        _params_as_list,
+        _wrap_in_list,
+    ], ids=["no spec", "no input_dim", "no params", "shape vs data",
+            "shape vs model", "no layer key", "unknown term key",
+            "params list", "top-level list"])
+    def test_typed_error(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_checkpoint(build_model(gcn_spec(1), 1, 8, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc = edit(doc) or doc
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            load_checkpoint(path)
+
+    def test_bad_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": ')
         with pytest.raises(InputError):
             load_checkpoint(path)

@@ -66,6 +66,56 @@ class TestAdam:
             traj.append(p.value.copy())
         assert np.array_equal(traj[0], traj[1])
 
+    def test_l2_is_coupled_into_the_gradient(self):
+        # a decayed step on data gradient g equals, bit for bit, a plain
+        # step on g + 2 * l2 * w (L2 before the moments, not AdamW decay)
+        rng = np.random.default_rng(5)
+        w0 = rng.normal(size=(3, 2))
+        grads = [rng.normal(size=(3, 2)) for _ in range(3)]
+        l2 = 5e-4
+        decayed = ad.parameter(w0.copy())
+        plain = ad.parameter(w0.copy())
+        s_decayed = AdamState({"w": decayed}, l2=l2, decay_names=("w",))
+        s_plain = AdamState({"w": plain})
+        for g in grads:
+            decayed.grad = g.copy()
+            plain.grad = g + (2.0 * l2) * plain.value
+            adam_step(s_decayed, {"w": decayed}, lr=0.01)
+            adam_step(s_plain, {"w": plain}, lr=0.01)
+            assert np.array_equal(decayed.value, plain.value)
+
+    def test_l2_skips_unlisted_params(self):
+        # gates and biases are not in the model's weight names
+        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        unlisted = [k for k in model.params if k not in model.weight_names]
+        assert unlisted == ["layer0.theta0", "layer0.b0", "layer0.b1", "head.b"]
+        runs = []
+        for l2 in (0.0, 0.5):
+            params = {k: ad.parameter(model.params[k].value.copy()) for k in model.params}
+            state = AdamState(params, l2=l2, decay_names=model.weight_names)
+            for p in params.values():
+                p.grad = np.ones_like(p.value)
+            adam_step(state, params, lr=0.01)
+            runs.append({k: p.value for k, p in params.items()})
+        for k in model.params:
+            same = np.array_equal(runs[0][k], runs[1][k])
+            assert same == (k in unlisted), k
+
+    def test_step_clears_every_gradient(self):
+        p = ad.parameter(np.array([[1.0]]))
+        q = ad.parameter(np.array([[2.0]]))
+        p.grad = np.array([[0.5]])
+        state = AdamState({"p": p, "q": q}, l2=0.1, decay_names=("p",))
+        adam_step(state, {"p": p, "q": q}, lr=0.1)
+        assert p.grad is None and q.grad is None
+
+    def test_fit_leaves_no_gradients(self):
+        graphs = [erdos_renyi(8, 0.4, s) for s in range(4)]
+        items = _ones_items(graphs, [1.0, 2.0, 3.0, 4.0])
+        model = build_model(gcn_l1_spec(1), input_dim=1, hidden_dim=4, seed=3)
+        fit(model, items[:3], items[3:], TrainConfig(max_epochs=2, seed=0))
+        assert all(p.grad is None for p in model.params.values())
+
 
 class TestTrainConfig:
     def test_defaults_match_protocol(self):
@@ -219,6 +269,14 @@ class TestGradientCheck:
         item = prepare_items([g], [rng.normal(size=(10, 1))],
                              [rng.normal()])[0]
         assert gradient_check(model, item) <= 1e-4
+
+    def test_repeated_check_is_stable(self):
+        g = erdos_renyi(9, 0.4, 3)
+        model = build_model(gcn_l1_spec(2), input_dim=1, hidden_dim=4, seed=4)
+        item = _ones_items([g], [2.0])[0]
+        first = gradient_check(model, item)
+        assert all(p.grad is None for p in model.params.values())
+        assert gradient_check(model, item) == first <= 1e-4
 
     def test_no_trainable_params_returns_zero(self):
         g = complete_graph(4)
