@@ -6,7 +6,8 @@ growth around a node), ``train`` (cross-validated experiment), and
 ``demo-wl-gap`` (the built-in separation example).
 
 Exit codes: 0 success, 1 bad usage or configuration, 2 runtime or
-training failure, 3 violated structural invariant.
+training failure (also when ``train`` wrote its reports but a model has
+no finite fold), 3 violated structural invariant.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ def _cmd_train(args) -> int:
     for name, stats in report.summary["models"].items():
         print(f"  {name}: test MSE {stats['mean_test_mse']:.4g}"
               f" +- {stats['std_test_mse']:.4g}")
+    failed = report.summary["failed_folds"]
+    hopeless = [name for name, stats in report.summary["models"].items()
+                if len(failed.get(name, ())) == len(stats["fold_test_mse"])]
+    if hopeless:
+        print(f"error: no finite fold for {', '.join(hopeless)}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ so regeneration from metadata reproduces every edge and target exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -114,9 +115,14 @@ def load_dataset(path) -> Dataset:
                 raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             try:
                 g = from_edge_list(rec["n"], rec["edges"])
-                items.append((g, float(rec["target"])))
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"{path}:{lineno}: missing dataset fields") from exc
+                target = float(rec["target"])
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: missing dataset field {exc}") from exc
+            except (TypeError, ValueError) as exc:  # InputError is a ValueError
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(target):
+                raise InputError(f"{path}:{lineno}: target {target} is not finite")
+            items.append((g, target))
     if not items:
         raise InputError(f"{path}: empty dataset")
     meta = None

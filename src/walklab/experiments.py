@@ -8,7 +8,7 @@ a comment). Recognised keys::
     folds          cross-validation folds (default 10)
     seed           master seed (default 0)
     hidden         hidden width (default 16)
-    mlp_depth      combine MLP depth, 1 or 2 (default 2)
+    mlp_depth      combine MLP depth, 0, 1 or 2 (default 2)
     lr             Adam learning rate (default 0.001)
     l2             weight penalty (default 0.0005)
     dropout        hidden-activation dropout (default 0.1)
@@ -24,7 +24,8 @@ Each (model, fold) cell trains from its own seed, derived as
 ``SeedSequence(seed, model_index, fold_index)``; results therefore
 depend only on the config contents. ``results.csv`` carries one row per
 cell and ``summary.json`` aggregates mean/std test MSE per model next to
-the mean-predictor baseline.
+the mean-predictor baseline. ``summary.json`` is strict JSON: a
+non-finite number is written as ``null``.
 """
 
 from __future__ import annotations
@@ -202,16 +203,13 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _set_layer_depth(spec, depth: int):
-    return replace(spec, layers=tuple(replace(l, mlp_depth=depth) for l in spec.layers))
-
-
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> ExperimentReport:
     """Train every configured model over every fold and aggregate.
 
     A fold whose training diverges (a non-finite loss or non-finite
-    activations) is recorded with NaN losses and listed under
-    ``failed_folds``; the remaining folds still aggregate.
+    activations) is recorded with NaN losses. Every cell with a
+    non-finite MSE is listed under ``failed_folds``; the remaining folds
+    still aggregate.
     """
     start = time.monotonic()
     ds = dataset if dataset is not None else load_dataset(cfg.dataset)
@@ -221,7 +219,6 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
     features = [np.ones((g.n, 1)) for g in graphs]
     items = prepare_items(graphs, features, targets)
     rows: list[Row] = []
-    failed: dict[str, list[int]] = {}
     for mi, name in enumerate(cfg.models):
         for fold in range(plan.k):
             train_idx, val_idx, test_idx = plan.round(fold)
@@ -235,8 +232,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
                 ))
                 continue
             spec = spec_from_model_name(name, degree_normalize=name in cfg.normalize)
-            if cfg.mlp_depth != 2:
-                spec = _set_layer_depth(spec, cfg.mlp_depth)
+            spec = replace(spec, layers=tuple(replace(layer, mlp_depth=cfg.mlp_depth)
+                                              for layer in spec.layers))
             ss = np.random.SeedSequence(cfg.seed, spawn_key=(mi, fold))
             build_seed, fit_seed = [int(s) for s in ss.generate_state(2)]
             model = build_model(spec, input_dim=1, hidden_dim=cfg.hidden,
@@ -256,9 +253,12 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
                     test_mse=evaluate(model, test_items),
                 ))
             except (TrainingError, NumericError):
-                failed.setdefault(name, []).append(fold)
                 rows.append(Row(model=name, fold=fold, train_mse=float("nan"),
                                 val_mse=float("nan"), test_mse=float("nan")))
+    failed: dict[str, list[int]] = {}
+    for r in rows:
+        if not np.isfinite([r.train_mse, r.val_mse, r.test_mse]).all():
+            failed.setdefault(r.model, []).append(r.fold)
     per_model = {}
     for name in cfg.models:
         tests = [r.test_mse for r in rows if r.model == name]
@@ -292,8 +292,17 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[str, str]:
         **report.summary,
         "wall_clock_seconds": report.wall_clock,
     }
-    atomic_write_text(json_path, json.dumps(doc, indent=1))
+    atomic_write_text(json_path, json.dumps(_nan_to_none(doc), indent=1, allow_nan=False))
     return csv_path, json_path
+
+
+def _nan_to_none(x):
+    """``x`` with every non-finite float in its dicts and lists as None."""
+    if isinstance(x, dict):
+        return {k: _nan_to_none(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_nan_to_none(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
 
 
 def demo_wl_gap() -> dict:

@@ -104,16 +104,30 @@ class Graph:
         return v in self.adjacency[u]
 
 
+_INT_IDS = (int, np.integer)
+
+
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph from an iterable of (u, v) pairs.
 
     Duplicate edges (in either order) collapse to one; self-loops are
-    dropped. Node ids outside ``0..n-1`` raise :class:`InputError`.
+    dropped. Node ids are Python or numpy integers (bool and float are
+    rejected); an id of another type, a pair that is not two ids, or an
+    id outside ``0..n-1`` raises :class:`InputError`.
     """
+    if n.__class__ is bool or not isinstance(n, _INT_IDS):
+        raise InputError(f"node count must be an integer, got {n!r}")
     if n < 1:
         raise InputError(f"graph needs at least one node, got n={n}")
     pairs = set()
-    for u, v in edges:
+    for pair in edges:
+        try:
+            u, v = pair
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"edge {pair!r} is not a (u, v) pair") from exc
+        if (u.__class__ is bool or v.__class__ is bool
+                or not isinstance(u, _INT_IDS) or not isinstance(v, _INT_IDS)):
+            raise InputError(f"edge ({u!r}, {v!r}) needs two integer node ids")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) out of range for n={n}")
         if u < v:

@@ -5,7 +5,8 @@ A layer forms its message matrix as a sum of gated structural terms,
     M = sum_t sigmoid(theta_t) * Op_t(H),
 
 optionally divides row v by (deg(v) + 1), and feeds the result through a
-small combine MLP with LeakyReLU units. Available structural operators:
+small combine MLP with LeakyReLU units (slope 0.01). Term t of layer i is
+scaled by the gate ``layer{i}.theta{t}``. Available structural operators:
 
 * ``self_loop_adjacency``: (A + I) @ H, the closed-neighbourhood sum;
 * ``power(k)``: A applied k times (walk counts of length k), computed
@@ -63,13 +64,11 @@ class AggregationTerm:
 
     ``k`` is the power exponent for ``power`` terms and the closed-walk
     length for ``diag_power`` terms (odd, >= 3, so the diagonal carries
-    cycle rather than degree information). ``weight_index`` selects the
-    layer gate that scales this term.
+    cycle rather than degree information).
     """
 
     op: str
     k: int = 1
-    weight_index: int = 0
 
     def __post_init__(self) -> None:
         if self.op not in (OP_SELF_LOOP, OP_POWER, OP_DIAG):
@@ -78,20 +77,18 @@ class AggregationTerm:
             raise InputError(f"power exponent must be >= 1, got {self.k}")
         if self.op == OP_DIAG and (self.k < 3 or self.k % 2 == 0):
             raise InputError(f"diag_power walk length must be odd and >= 3, got {self.k}")
-        if self.weight_index < 0:
-            raise InputError(f"weight_index must be >= 0, got {self.weight_index}")
 
 
-def self_loop_adjacency(weight_index: int = 0) -> AggregationTerm:
-    return AggregationTerm(op=OP_SELF_LOOP, k=1, weight_index=weight_index)
+def self_loop_adjacency() -> AggregationTerm:
+    return AggregationTerm(op=OP_SELF_LOOP)
 
 
-def power(k: int, weight_index: int = 0) -> AggregationTerm:
-    return AggregationTerm(op=OP_POWER, k=k, weight_index=weight_index)
+def power(k: int) -> AggregationTerm:
+    return AggregationTerm(op=OP_POWER, k=k)
 
 
-def diag_power(m: int, weight_index: int = 0) -> AggregationTerm:
-    return AggregationTerm(op=OP_DIAG, k=m, weight_index=weight_index)
+def diag_power(m: int) -> AggregationTerm:
+    return AggregationTerm(op=OP_DIAG, k=m)
 
 
 @dataclass(frozen=True)
@@ -99,15 +96,13 @@ class LayerSpec:
     """Terms plus the combine MLP shape.
 
     ``mlp_depth`` 0 means identity combine (no parameters); 1 is a single
-    linear map with LeakyReLU; 2 inserts a hidden layer of width
-    ``mlp_hidden`` (the model's hidden width when None). Dropout, when
-    enabled at training time, acts on the depth-2 hidden activations.
+    linear map with LeakyReLU; 2 inserts a hidden layer of the model's
+    hidden width. Dropout, when enabled at training time, acts on the
+    depth-2 hidden activations.
     """
 
     terms: tuple[AggregationTerm, ...]
     mlp_depth: int = 2
-    mlp_hidden: int | None = None
-    leaky_slope: float = 0.01
     degree_normalize: bool = False
 
     def __post_init__(self) -> None:
@@ -115,11 +110,6 @@ class LayerSpec:
             raise InputError("layer needs at least one aggregation term")
         if self.mlp_depth not in (0, 1, 2):
             raise InputError(f"mlp_depth must be 0, 1, or 2, got {self.mlp_depth}")
-        if self.mlp_hidden is not None and self.mlp_hidden < 1:
-            raise InputError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
-
-    def gate_count(self) -> int:
-        return max(t.weight_index for t in self.terms) + 1
 
 
 @dataclass(frozen=True)
@@ -146,14 +136,14 @@ class ModelSpec:
 
 def gcn_spec(num_layers: int = 2, degree_normalize: bool = False) -> ModelSpec:
     """Plain closed-neighbourhood model: each layer sums over N(v) + v."""
-    layer = LayerSpec(terms=(self_loop_adjacency(0),), degree_normalize=degree_normalize)
+    layer = LayerSpec(terms=(self_loop_adjacency(),), degree_normalize=degree_normalize)
     return ModelSpec(layers=(layer,) * num_layers)
 
 
 def gcn_l1_spec(num_layers: int = 1, degree_normalize: bool = False) -> ModelSpec:
     """Adds a closed-3-walk diagonal term next to the neighbourhood sum."""
     layer = LayerSpec(
-        terms=(self_loop_adjacency(0), diag_power(3, 1)),
+        terms=(self_loop_adjacency(), diag_power(3)),
         degree_normalize=degree_normalize,
     )
     return ModelSpec(layers=(layer,) * num_layers)
@@ -162,7 +152,7 @@ def gcn_l1_spec(num_layers: int = 1, degree_normalize: bool = False) -> ModelSpe
 def gcn_d2_spec(num_layers: int = 1, degree_normalize: bool = False) -> ModelSpec:
     """L1 terms plus a two-step walk term (A applied twice)."""
     layer = LayerSpec(
-        terms=(self_loop_adjacency(0), diag_power(3, 1), power(2, 2)),
+        terms=(self_loop_adjacency(), diag_power(3), power(2)),
         degree_normalize=degree_normalize,
     )
     return ModelSpec(layers=(layer,) * num_layers)
@@ -198,30 +188,24 @@ class GraphOperators:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._cache: dict = {}
+        self._closed_walks: dict[int, np.ndarray] = {}
 
+    @functools.cached_property
     def adjacency(self):
-        if "adj" not in self._cache:
-            self._cache["adj"] = adjacency_csr(self.graph).astype(np.float64)
-        return self._cache["adj"]
+        return adjacency_csr(self.graph).astype(np.float64)
 
+    @functools.cached_property
     def adjacency_with_loops(self):
-        if "adj_loops" not in self._cache:
-            self._cache["adj_loops"] = adjacency_csr(
-                self.graph, with_self_loops=True).astype(np.float64)
-        return self._cache["adj_loops"]
+        return adjacency_csr(self.graph, with_self_loops=True).astype(np.float64)
+
+    @functools.cached_property
+    def inv_degree_plus_one(self) -> np.ndarray:
+        return 1.0 / (np.asarray(degrees(self.graph), dtype=np.float64) + 1.0)
 
     def closed_walk_diag(self, m: int) -> np.ndarray:
-        key = ("diag", m)
-        if key not in self._cache:
-            self._cache[key] = diag_closed_walks(self.graph, m).astype(np.float64)
-        return self._cache[key]
-
-    def inv_degree_plus_one(self) -> np.ndarray:
-        if "inv_deg" not in self._cache:
-            d = np.asarray(degrees(self.graph), dtype=np.float64)
-            self._cache["inv_deg"] = 1.0 / (d + 1.0)
-        return self._cache["inv_deg"]
+        if m not in self._closed_walks:
+            self._closed_walks[m] = diag_closed_walks(self.graph, m).astype(np.float64)
+        return self._closed_walks[m]
 
 
 class Model:
@@ -252,13 +236,6 @@ class Model:
             self.params[k].value = np.array(v, dtype=np.float64)
 
 
-def _layer_widths(spec: ModelSpec, input_dim: int, hidden_dim: int) -> list[int]:
-    widths = [input_dim]
-    for layer in spec.layers:
-        widths.append(hidden_dim if layer.mlp_depth > 0 else widths[-1])
-    return widths
-
-
 def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model:
     """Create a model with fresh parameters.
 
@@ -281,24 +258,21 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
         params[bname] = ad.parameter(
             rng.uniform(-bound, bound, size=(1, fan_out)), name=bname)
 
-    widths = _layer_widths(spec, input_dim, hidden_dim)
+    width = input_dim
     for i, layer in enumerate(spec.layers):
-        for t in range(layer.gate_count()):
+        for t in range(len(layer.terms)):
             params[f"layer{i}.theta{t}"] = ad.parameter(
                 np.zeros((1, 1)), name=f"layer{i}.theta{t}")
-        in_dim = widths[i]
-        if layer.mlp_depth == 1:
-            linear(f"layer{i}.w0", f"layer{i}.b0", in_dim, hidden_dim)
-        elif layer.mlp_depth == 2:
-            mid = layer.mlp_hidden or hidden_dim
-            linear(f"layer{i}.w0", f"layer{i}.b0", in_dim, mid)
-            linear(f"layer{i}.w1", f"layer{i}.b1", mid, hidden_dim)
-    final_width = widths[-1]
+        if layer.mlp_depth >= 1:
+            linear(f"layer{i}.w0", f"layer{i}.b0", width, hidden_dim)
+            width = hidden_dim
+        if layer.mlp_depth == 2:
+            linear(f"layer{i}.w1", f"layer{i}.b1", hidden_dim, hidden_dim)
     if spec.head:
-        linear("head.w", "head.b", final_width, spec.output_dim)
-    elif final_width != spec.output_dim:
+        linear("head.w", "head.b", width, spec.output_dim)
+    elif width != spec.output_dim:
         raise InputError(
-            f"headless model ends with width {final_width}, expected output_dim {spec.output_dim}"
+            f"headless model ends with width {width}, expected output_dim {spec.output_dim}"
         )
     return Model(spec=spec, input_dim=input_dim, hidden_dim=hidden_dim, params=params,
                  weight_names=tuple(weight_names))
@@ -306,11 +280,11 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
 
 def _apply_term(term: AggregationTerm, ops: GraphOperators, h: ad.Tensor) -> ad.Tensor:
     if term.op == OP_SELF_LOOP:
-        return ad.struct_mul(ops.adjacency_with_loops(), h)
+        return ad.struct_mul(ops.adjacency_with_loops, h)
     if term.op == OP_POWER:
         out = h
         for _ in range(term.k):
-            out = ad.struct_mul(ops.adjacency(), out)
+            out = ad.struct_mul(ops.adjacency, out)
         return out
     return ad.row_scale(h, ops.closed_walk_diag(term.k))
 
@@ -339,20 +313,19 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     p = model.params
     for i, layer in enumerate(model.spec.layers):
         mixed = functools.reduce(ad.add, [
-            ad.scalar_mul(ad.sigmoid(p[f"layer{i}.theta{term.weight_index}"]),
-                          _apply_term(term, ops, h))
-            for term in layer.terms])
+            ad.scalar_mul(ad.sigmoid(p[f"layer{i}.theta{t}"]), _apply_term(term, ops, h))
+            for t, term in enumerate(layer.terms)])
         if layer.degree_normalize:
-            mixed = ad.row_scale(mixed, ops.inv_degree_plus_one())
+            mixed = ad.row_scale(mixed, ops.inv_degree_plus_one)
         h = mixed
         if layer.mlp_depth >= 1:
             h = ad.add(ad.matmul(h, p[f"layer{i}.w0"]), p[f"layer{i}.b0"])
-            h = ad.leaky_relu(h, layer.leaky_slope)
+            h = ad.leaky_relu(h)
             if layer.mlp_depth == 2:
                 if training and dropout_rate > 0.0:
                     h = ad.dropout(h, dropout_rate, rng)
                 h = ad.add(ad.matmul(h, p[f"layer{i}.w1"]), p[f"layer{i}.b1"])
-                h = ad.leaky_relu(h, layer.leaky_slope)
+                h = ad.leaky_relu(h)
         if not np.isfinite(h.value).all():
             raise NumericError(f"layer {i} produced non-finite activations")
     if model.spec.readout == "sum":
@@ -365,7 +338,7 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
 
 
 _CHECKPOINT_FORMAT = "walklab-model"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def _spec_from_dict(d: dict) -> ModelSpec:
@@ -373,8 +346,6 @@ def _spec_from_dict(d: dict) -> ModelSpec:
         LayerSpec(
             terms=tuple(AggregationTerm(**t) for t in layer["terms"]),
             mlp_depth=layer["mlp_depth"],
-            mlp_hidden=layer["mlp_hidden"],
-            leaky_slope=layer["leaky_slope"],
             degree_normalize=layer["degree_normalize"],
         )
         for layer in d["layers"]

@@ -10,10 +10,9 @@ It also clears every gradient it consumed. Validation is scored before
 the first epoch and after every epoch; the best validation snapshot is
 what :func:`fit` returns.
 
-The plateau schedule works in two stages governed by ``patience``: after
-``patience`` epochs without a new best the learning rate is halved once,
-and if ``patience`` further epochs still bring no improvement training
-stops. An improvement resets both stages.
+The plateau schedule counts the epochs since the last new best: at
+``patience`` of them the learning rate is multiplied by ``lr_factor``,
+and at ``2 * patience`` training stops. An improvement resets the count.
 """
 
 from __future__ import annotations
@@ -203,8 +202,6 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
     best_epoch = 0
     history = [EpochStats(epoch=0, train_loss=float("nan"), val_loss=best_val, lr=lr)]
     since_best = 0
-    lr_cut_done = False
-    since_cut = 0
     stop_reason = "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_items))
@@ -226,20 +223,13 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
             best_snapshot = model.param_values()
             best_epoch = epoch
             since_best = 0
-            lr_cut_done = False
-            since_cut = 0
             continue
         since_best += 1
-        if not lr_cut_done:
-            if since_best >= cfg.patience:
-                lr *= cfg.lr_factor
-                lr_cut_done = True
-                since_cut = 0
-        else:
-            since_cut += 1
-            if since_cut >= cfg.patience:
-                stop_reason = "early_stop"
-                break
+        if since_best == cfg.patience:
+            lr *= cfg.lr_factor
+        elif since_best == 2 * cfg.patience:
+            stop_reason = "early_stop"
+            break
     model.load_param_values(best_snapshot)
     return FitResult(history=history, best_epoch=best_epoch,
                      best_val=best_val, stop_reason=stop_reason)

@@ -18,7 +18,7 @@ formed. Triangles per node are ``rowsum(A * A^2) / 2`` and
 ``sum_v d_v^2``, so a count costs O(sum_v d_v^2) time and memory; see
 :data:`MAX_PRODUCT_WORK` for the capacity limit.
 
-Counts are held in int64 matrices. Every multiplication first checks the
+Counts are held in int64 CSR matrices. Every multiplication first checks the
 conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
 :class:`CountOverflowError` instead of wrapping silently.
 """
@@ -37,8 +37,6 @@ from .graphs import Graph, degrees
 __all__ = [
     "MAX_PRODUCT_WORK",
     "adjacency_csr",
-    "adjacency_counts",
-    "mat_power",
     "diag_closed_walks",
     "triangle_counts_per_node",
     "triangle_total",
@@ -78,30 +76,10 @@ def adjacency_csr(g: Graph, with_self_loops: bool = False) -> sparse.csr_array:
     return a
 
 
-def adjacency_counts(g: Graph, with_self_loops: bool = False) -> np.ndarray:
-    """Dense int64 adjacency matrix, optionally with the diagonal set to 1."""
-    return adjacency_csr(g, with_self_loops).toarray()
-
-
-def _as_count_matrix(a) -> np.ndarray:
-    m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"count matrix must be square 2-D, got shape {m.shape}")
-    if not np.issubdtype(m.dtype, np.integer):
-        raise InputError(f"count matrix must be integer, got dtype {m.dtype}")
-    if (m < 0).any():
-        raise InputError("count matrix entries must be nonnegative")
-    return m.astype(np.int64)
-
-
-def _max_entry(x) -> int:
-    return int((x.data if sparse.issparse(x) else x).max(initial=0))
-
-
 def _check_product_bound(a, b) -> None:
     # Entries are nonnegative, so every product entry is at most
     # inner_dim * max(a) * max(b); reject before int64 could wrap.
-    bound = int(a.shape[1]) * _max_entry(a) * _max_entry(b)
+    bound = int(a.shape[1]) * int(a.data.max(initial=0)) * int(b.data.max(initial=0))
     if bound > _INT64_MAX:
         raise CountOverflowError(
             f"walk counts would exceed 2**63 - 1 (bound {bound})"
@@ -109,30 +87,16 @@ def _check_product_bound(a, b) -> None:
 
 
 def _checked_matmul(a, b):
-    """``a @ b`` for two dense arrays or two CSR arrays, overflow-checked.
-
-    A sparse product is also held to :data:`MAX_PRODUCT_WORK`.
-    """
+    """``a @ b`` for two CSR count arrays, overflow-checked and held to
+    :data:`MAX_PRODUCT_WORK`."""
     _check_product_bound(a, b)
-    if sparse.issparse(a):
-        work = int(np.diff(b.indptr)[a.indices].sum())
-        if work > MAX_PRODUCT_WORK:
-            raise CapacityError(
-                f"sparse walk product needs {work} multiply-adds (sum_v d_v^2 "
-                f"for A @ A); the limit is {MAX_PRODUCT_WORK}"
-            )
+    work = int(np.diff(b.indptr)[a.indices].sum())
+    if work > MAX_PRODUCT_WORK:
+        raise CapacityError(
+            f"sparse walk product needs {work} multiply-adds (sum_v d_v^2 "
+            f"for A @ A); the limit is {MAX_PRODUCT_WORK}"
+        )
     return a @ b
-
-
-def mat_power(a, k: int) -> np.ndarray:
-    """Exact k-th power of a nonnegative integer matrix (k >= 1)."""
-    m = _as_count_matrix(a)
-    if k < 1:
-        raise InputError(f"power must be >= 1, got {k}")
-    out = m
-    for _ in range(k - 1):
-        out = _checked_matmul(out, m)
-    return out
 
 
 def diag_closed_walks(g: Graph, m: int) -> np.ndarray:

@@ -201,11 +201,30 @@ class TestTrain:
         cfg = _config_file(tmp_path, str(ds), lr="1e200")
         out_dir = tmp_path / "run"
         with np.errstate(over="ignore", invalid="ignore"):
-            main(["train", "--config", cfg, "--out", str(out_dir)])
-        assert "non-finite activations" not in capsys.readouterr().err
+            code = main(["train", "--config", cfg, "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert "non-finite activations" not in err
+        # both reports are written, then the run fails: GCN-1L has no finite fold
+        assert code == 2
+        assert "no finite fold for GCN-1L" in err
         doc = json.loads((out_dir / "summary.json").read_text())
         assert doc["failed_folds"] == {"GCN-1L": [0, 1, 2]}
+        assert doc["models"]["GCN-1L"]["mean_test_mse"] is None
         assert "GCN-1L,0,nan,nan,nan" in (out_dir / "results.csv").read_text()
+
+    @pytest.mark.parametrize("record", [
+        '{"n":3,"edges":[[0]],"target":1}',
+        '{"n":3,"edges":[[true,2]],"target":1}',
+        '{"n":3,"edges":[[1.0,2]],"target":1}',
+        '{"n":3,"edges":[[0,1]],"target":NaN}',
+    ])
+    def test_malformed_dataset_is_a_usage_error(self, tmp_path, capsys, record):
+        # an uncaught exception would escape main() and fail the test
+        ds = tmp_path / "bad.jsonl"
+        ds.write_text('{"n":3,"edges":[[0,1]],"target":0}\n' * 5 + record + "\n")
+        cfg = _config_file(tmp_path, str(ds))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "bad.jsonl:6:" in capsys.readouterr().err
 
     def test_seed_override_lands_in_summary(self, tmp_path, capsys):
         ds = tmp_path / "tiny.jsonl"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,24 @@ class TestRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"n":3,"edges":[]}\n')
         with pytest.raises(InputError, match="bad.jsonl:1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"n":3,"edges":[[0]],"target":0}', "is not a (u, v) pair"),
+        ('{"n":3,"edges":[[0,1.5]],"target":0}', "needs two integer node ids"),
+        ('{"n":3,"edges":[[0,true]],"target":0}', "needs two integer node ids"),
+        ('{"n":3,"edges":[[0,7]],"target":0}', "out of range"),
+        ('{"n":3.0,"edges":[],"target":0}', "node count must be an integer"),
+        ('{"n":3,"edges":5,"target":0}', "not iterable"),
+        ('{"n":3,"edges":[],"target":"many"}', "could not convert"),
+        ('{"n":3,"edges":[],"target":NaN}', "target nan is not finite"),
+        ('{"n":3,"edges":[],"target":-Infinity}', "target -inf is not finite"),
+        ('[3]', "list indices"),
+    ])
+    def test_load_rejects_malformed_record(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"n":3,"edges":[[0,1]],"target":0}\n' + record + "\n")
+        with pytest.raises(InputError, match=r"bad\.jsonl:2: .*" + re.escape(message)):
             load_dataset(path)
 
     def test_load_rejects_empty_file(self, tmp_path):

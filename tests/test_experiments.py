@@ -168,6 +168,19 @@ class TestRunExperiment:
         assert np.isfinite(report.summary["models"]["baseline"]["mean_test_mse"])
 
 
+    def test_non_finite_mse_is_a_failed_fold(self, tmp_path, monkeypatch):
+        # a cell can train yet score inf: every non-finite MSE is a failure
+        real_evaluate = ex.evaluate
+
+        def overflowing_evaluate(model, items):
+            return float("inf") if len(items) == 3 else real_evaluate(model, items)
+
+        monkeypatch.setattr(ex, "evaluate", overflowing_evaluate)
+        report = run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))
+        assert report.summary["failed_folds"] == {"GCN-1L": [0, 1, 2]}
+        assert "GCN-1L,0,nan," in report.results_csv()
+
+
 class TestWriteReport:
     def test_files_round_trip(self, tmp_path):
         cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path)))
@@ -180,6 +193,24 @@ class TestWriteReport:
         assert doc["dataset_size"] == 9
         assert "wall_clock_seconds" in doc
         assert set(doc["models"]) == {"baseline", "GCN-1L"}
+
+    def test_summary_is_strict_json_with_null(self, tmp_path, monkeypatch):
+        def exploding_fit(model, train_items, val_items, cfg):
+            raise TrainingError("non-finite training loss at epoch 1")
+
+        monkeypatch.setattr(ex, "fit", exploding_fit)
+        report = run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))
+        _, json_path = write_report(report, tmp_path / "run")
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(open(json_path).read(), parse_constant=reject)
+        stats = doc["models"]["GCN-1L"]
+        assert stats["fold_test_mse"] == [None, None, None]
+        assert stats["mean_test_mse"] is None and stats["std_test_mse"] is None
+        assert doc["failed_folds"] == {"GCN-1L": [0, 1, 2]}
+        assert isinstance(doc["models"]["baseline"]["mean_test_mse"], float)
 
 
 class TestDemoWlGap:

@@ -33,6 +33,28 @@ class TestConstruction:
         with pytest.raises(InputError):
             from_edge_list(0, [])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(True, 2)], "needs two integer node ids"),
+        ([(0, np.False_)], "needs two integer node ids"),
+        ([(1.0, 2)], "needs two integer node ids"),
+        ([(0, "1")], "needs two integer node ids"),
+        ([[0]], "is not a (u, v) pair"),
+        ([(0, 1, 2)], "is not a (u, v) pair"),
+        ([None], "is not a (u, v) pair"),
+    ])
+    def test_malformed_pairs_rejected(self, edges, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            from_edge_list(3, edges)
+
+    def test_node_count_must_be_an_int(self):
+        for n in (3.0, True, "3"):
+            with pytest.raises(InputError, match="node count must be an integer"):
+                from_edge_list(n, [])
+
+    def test_numpy_integer_ids_accepted(self):
+        g = from_edge_list(np.int64(3), [(np.int64(0), np.int32(2)), (1, np.uint8(2))])
+        assert g == from_edge_list(3, [(0, 2), (1, 2)])
+
     @pytest.mark.parametrize("adjacency, edge_count, message", [
         (((1,), ()), 1, "edge (0, 1) is not symmetric"),
         (((), (2,), ()), 1, "edge (1, 2) is not symmetric"),

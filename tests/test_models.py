@@ -12,7 +12,7 @@ from walklab.models import (AggregationTerm, GraphOperators, LayerSpec,
                             gcn_d2_spec, gcn_l1_spec, gcn_spec,
                             load_checkpoint, power, save_checkpoint,
                             self_loop_adjacency, spec_from_model_name)
-from walklab.walks import diag_closed_walks
+from walklab.walks import adjacency_csr, diag_closed_walks
 
 
 def identity_readout_model(terms, n_features=1):
@@ -57,7 +57,6 @@ class TestSpecs:
         d2 = gcn_d2_spec().layers[0]
         assert [t.op for t in d2.terms] == \
             ["self_loop_adjacency", "diag_power", "power"]
-        assert [t.weight_index for t in d2.terms] == [0, 1, 2]
 
     def test_name_parsing(self):
         assert spec_from_model_name("GCN-2L") == gcn_spec(2)
@@ -77,7 +76,7 @@ class TestOperators:
                                int(rng.integers(1 << 30))) for _ in range(20)]
         for g in graphs:
             ops = GraphOperators(g)
-            for loops, got in ((False, ops.adjacency()), (True, ops.adjacency_with_loops())):
+            for loops, got in ((False, ops.adjacency), (True, ops.adjacency_with_loops)):
                 dense = np.eye(g.n) if loops else np.zeros((g.n, g.n))
                 for v, nbrs in enumerate(g.adjacency):
                     dense[v, list(nbrs)] = 1.0
@@ -124,30 +123,30 @@ class TestForward:
     def test_k3_hand_value(self):
         # ones in, both gates at 1: row v gets (A+I) row sum + closed
         # 3-walks = 3 + 2 = 5
-        m = identity_readout_model((self_loop_adjacency(0), diag_power(3, 1)))
+        m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 1.0, 1.0)
         out = forward(m, complete_graph(3), np.ones((3, 1)))
         assert out.value.tolist() == [[5.0], [5.0], [5.0]]
 
     def test_diag_route_recovers_closed_walks_exactly(self):
-        m = identity_readout_model((self_loop_adjacency(0), diag_power(3, 1)))
+        m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 0.0, 1.0)
         for g in (complete_graph(4), cycle_graph(6), erdos_renyi(12, 0.4, 3)):
             out = forward(m, g, np.ones((g.n, 1)))
             assert out.value[:, 0].tolist() == diag_closed_walks(g, 3).astype(float).tolist()
 
     def test_power_term_applies_adjacency_twice(self):
-        m = identity_readout_model((power(2, 0),))
+        m = identity_readout_model((power(2),))
         set_gates(m, 1.0)
         g = path_graph(4)
         out = forward(m, g, np.ones((4, 1)))
-        from walklab.walks import adjacency_counts, mat_power
-        expected = mat_power(adjacency_counts(g), 2) @ np.ones((4, 1))
-        assert np.array_equal(out.value, expected.astype(float))
+        a = adjacency_csr(g).toarray()
+        expected = a @ (a @ np.ones((4, 1)))
+        assert np.array_equal(out.value, expected)
 
     def test_isolated_node_zero_params_zero_output(self):
         g = from_edge_list(1, [])
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0),), mlp_depth=2),))
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),), mlp_depth=2),))
         m = build_model(spec, 1, 4, seed=1)
         for k, p in m.params.items():
             if not k.endswith("theta0"):
@@ -158,7 +157,7 @@ class TestForward:
     def test_degree_normalization(self):
         # star centre degree 3: normalised self-loop row = (deg+1)/(deg+1) = 1
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0),),
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),),
                                            mlp_depth=0, degree_normalize=True),),
                          readout="node", output_dim=1, head=False)
         m = build_model(spec, 1, 1, seed=0)
@@ -201,7 +200,7 @@ class TestForward:
         # output row of node v must follow v under relabelling
         rng = np.random.default_rng(10)
         g = erdos_renyi(9, 0.4, 33)
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0), diag_power(3, 1)),
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(), diag_power(3)),
                                            mlp_depth=1),),
                          readout="node", output_dim=4, head=True)
         m = build_model(spec, 1, 4, seed=3)
@@ -220,7 +219,7 @@ class TestForward:
             forward(m, path_graph(3), np.ones((3, 1)))
 
     def test_nonfinite_detected(self):
-        m = identity_readout_model((self_loop_adjacency(0),))
+        m = identity_readout_model((self_loop_adjacency(),))
         set_gates(m, 1.0)
         with pytest.raises(NumericError):
             forward(m, path_graph(2), np.array([[np.inf], [1.0]]))
@@ -231,7 +230,7 @@ class TestWeightNames:
         m = build_model(gcn_d2_spec(2), 1, 8, seed=0)
         assert m.weight_names == ("layer0.w0", "layer0.w1", "layer1.w0",
                                   "layer1.w1", "head.w")
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0),), mlp_depth=1),),
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),), mlp_depth=1),),
                          head=False, output_dim=4)
         assert build_model(spec, 1, 4, seed=0).weight_names == ("layer0.w0",)
 
@@ -257,7 +256,7 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "walklab-model"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         for entry in doc["params"].values():
             assert list(np.array(entry["data"]).shape) == [int(np.prod(entry["shape"]))]
 
@@ -268,8 +267,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_spec_json_layout(self, tmp_path):
-        # checkpoint format 1: every field of every spec dataclass, in order
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0), diag_power(3, 1)),
+        # checkpoint format 2: every field of every spec dataclass, in order
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(), diag_power(3)),
                                            mlp_depth=1, degree_normalize=True),),
                          readout="node", output_dim=2, head=False)
         m = build_model(spec, 1, 2, seed=0)
@@ -277,10 +276,9 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         assert json.loads(path.read_text())["spec"] == {
             "layers": [{
-                "terms": [{"op": "self_loop_adjacency", "k": 1, "weight_index": 0},
-                          {"op": "diag_power", "k": 3, "weight_index": 1}],
-                "mlp_depth": 1, "mlp_hidden": None, "leaky_slope": 0.01,
-                "degree_normalize": True,
+                "terms": [{"op": "self_loop_adjacency", "k": 1},
+                          {"op": "diag_power", "k": 3}],
+                "mlp_depth": 1, "degree_normalize": True,
             }],
             "readout": "node", "output_dim": 2, "head": False,
         }
@@ -315,6 +313,14 @@ def _wrap_in_list(doc):
     return [doc]
 
 
+def _as_version_1(doc):
+    # the format-1 layout: per-term gate index and two more layer keys
+    doc["version"] = 1
+    for t, term in enumerate(doc["spec"]["layers"][0]["terms"]):
+        term["weight_index"] = t
+    doc["spec"]["layers"][0].update(mlp_hidden=None, leaky_slope=0.01)
+
+
 class TestMalformedCheckpoint:
     # gcn_spec(1) at hidden width 8: head.w is 8 x 1
     @pytest.mark.parametrize("edit", [
@@ -327,9 +333,10 @@ class TestMalformedCheckpoint:
         _add_term_key,
         _params_as_list,
         _wrap_in_list,
+        _as_version_1,
     ], ids=["no spec", "no input_dim", "no params", "shape vs data",
             "shape vs model", "no layer key", "unknown term key",
-            "params list", "top-level list"])
+            "params list", "top-level list", "version 1"])
     def test_typed_error(self, tmp_path, edit):
         path = tmp_path / "model.json"
         save_checkpoint(build_model(gcn_spec(1), 1, 8, seed=0), path)

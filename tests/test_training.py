@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from walklab import autodiff as ad
+from walklab import training
 from walklab.errors import InputError, TrainingError
 from walklab.graphs import complete_graph, erdos_renyi
 from walklab.models import (LayerSpec, ModelSpec, build_model, forward,
@@ -167,25 +168,44 @@ class TestPrepareItems:
 class TestFit:
     def test_worsening_validation_stops_after_two_epochs(self):
         # val target equals the initial prediction, train target pulls away:
-        # epoch 0 is already optimal, epoch 1 burns patience and halves the
-        # lr, epoch 2 exhausts the post-cut window
+        # epoch 0 is already optimal, the first `patience` epochs burn
+        # patience and halve the lr, the next `patience` exhaust the
+        # post-cut window (two epochs at patience 1)
         g = erdos_renyi(8, 0.5, 11)
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=2)
-        init = model.param_values()
         x = np.ones((8, 1))
-        pred0 = float(forward(model, g, x).value[0, 0])
-        train_items = _ones_items([g], [pred0 + 100.0])
-        val_items = _ones_items([g], [pred0])
-        cfg = TrainConfig(dropout=0.0, patience=1, max_epochs=50, seed=0)
-        result = fit(model, train_items, val_items, cfg)
+        for patience in (1, 2):
+            model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=2)
+            init = model.param_values()
+            pred0 = float(forward(model, g, x).value[0, 0])
+            train_items = _ones_items([g], [pred0 + 100.0])
+            val_items = _ones_items([g], [pred0])
+            cfg = TrainConfig(dropout=0.0, patience=patience, max_epochs=50, seed=0)
+            result = fit(model, train_items, val_items, cfg)
+            assert result.stop_reason == "early_stop"
+            assert [s.epoch for s in result.history] == list(range(2 * patience + 1))
+            assert result.best_epoch == 0
+            assert result.best_val == 0.0
+            assert [s.lr for s in result.history[1:]] == \
+                [cfg.lr] * patience + [cfg.lr * cfg.lr_factor] * patience
+            restored = model.param_values()
+            assert all(np.array_equal(restored[k], init[k]) for k in init)
+
+    def test_improvement_resets_the_plateau_count(self, monkeypatch):
+        # scripted validation losses, patience 2: epochs 1-2 plateau and
+        # cut the lr, epoch 3 is a new best, epochs 4-5 cut again and
+        # epochs 6-7 exhaust the window
+        vals = iter([10.0, 11.0, 12.0, 5.0, 6.0, 7.0, 8.0, 9.0, 1.0])
+        monkeypatch.setattr(training, "evaluate", lambda model, items: next(vals))
+        items = _ones_items([complete_graph(3)], [1.0])
+        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=50, seed=0)
+        result = fit(model, items, items, cfg)
         assert result.stop_reason == "early_stop"
-        assert [s.epoch for s in result.history] == [0, 1, 2]
-        assert result.best_epoch == 0
-        assert result.best_val == 0.0
-        assert result.history[1].lr == cfg.lr
-        assert result.history[2].lr == cfg.lr * cfg.lr_factor
-        restored = model.param_values()
-        assert all(np.array_equal(restored[k], init[k]) for k in init)
+        assert (result.best_epoch, result.best_val) == (3, 5.0)
+        assert [s.epoch for s in result.history] == list(range(8))
+        lr, f = cfg.lr, cfg.lr_factor
+        assert [s.lr for s in result.history[1:]] == \
+            [lr, lr, lr * f, lr * f, lr * f, lr * f * f, lr * f * f]
 
     def test_constant_target_converges(self):
         # one graph, constant target: the optimiser has to drive a single
@@ -280,7 +300,7 @@ class TestGradientCheck:
 
     def test_no_trainable_params_returns_zero(self):
         g = complete_graph(4)
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(0),),
+        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),),
                                            mlp_depth=0),),
                          readout="sum", output_dim=1, head=False)
         model = build_model(spec, input_dim=1, hidden_dim=4, seed=0)

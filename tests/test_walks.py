@@ -7,8 +7,8 @@ from walklab.errors import (CapacityError, CountOverflowError, InputError,
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
-from walklab.walks import (adjacency_counts, count_simple_cycles_brute,
-                           diag_closed_walks, four_cycle_count, mat_power,
+from walklab.walks import (adjacency_csr, count_simple_cycles_brute,
+                           diag_closed_walks, four_cycle_count,
                            triangle_counts_per_node, triangle_total)
 
 from oracles import (count_walks_recursive, four_cycles_by_codegree,
@@ -28,53 +28,6 @@ def sparse_er(n, avg_degree, seed):
     return from_edge_list(n, pairs)
 
 
-class TestMatPower:
-    def test_path3_squared(self):
-        a = adjacency_counts(path_graph(3))
-        assert mat_power(a, 2).tolist() == [[1, 0, 1], [0, 2, 0], [1, 0, 1]]
-
-    def test_k3_cubed(self):
-        a = adjacency_counts(complete_graph(3))
-        assert mat_power(a, 3).tolist() == [[2, 3, 3], [3, 2, 3], [3, 3, 2]]
-
-    def test_entries_count_walks(self):
-        rng = np.random.default_rng(5)
-        for trial in range(10):
-            g = erdos_renyi(6, 0.5, int(rng.integers(1 << 30)))
-            a = adjacency_counts(g)
-            for k in (1, 2, 3, 4):
-                p = mat_power(a, k)
-                for u in range(g.n):
-                    for v in range(g.n):
-                        assert p[u, v] == count_walks_recursive(g, u, v, k)
-
-    def test_power_additivity(self):
-        g = erdos_renyi(12, 0.4, 8)
-        a = adjacency_counts(g)
-        assert np.array_equal(mat_power(a, 5), mat_power(a, 2) @ mat_power(a, 3))
-
-    def test_self_loops_add_identity(self):
-        g = path_graph(4)
-        assert np.array_equal(
-            adjacency_counts(g, with_self_loops=True),
-            adjacency_counts(g) + np.eye(4, dtype=np.int64))
-
-    def test_overflow_detected(self):
-        huge = np.array([[2**22]], dtype=np.int64)
-        with pytest.raises(CountOverflowError):
-            mat_power(huge, 3)
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            mat_power(np.zeros((2, 3), dtype=np.int64), 2)
-        with pytest.raises(InputError):
-            mat_power(np.array([[0.5]]), 2)
-        with pytest.raises(InputError):
-            mat_power(np.array([[-1]]), 2)
-        with pytest.raises(InputError):
-            mat_power(np.array([[1]]), 0)
-
-
 class TestClosedWalks:
     def test_k3_and_k4_diagonals(self):
         assert diag_closed_walks(complete_graph(3), 3).tolist() == [2, 2, 2]
@@ -91,8 +44,9 @@ class TestClosedWalks:
             n = int(rng.integers(2, 12))
             g = erdos_renyi(n, float(rng.uniform(0.1, 0.8)), int(rng.integers(1 << 30)))
             m = int(rng.integers(1, 8))
+            a = adjacency_csr(g).toarray()
             assert np.array_equal(diag_closed_walks(g, m),
-                                  np.diagonal(mat_power(adjacency_counts(g), m)))
+                                  np.diagonal(np.linalg.matrix_power(a, m)))
 
     def test_entries_count_closed_walks(self):
         rng = np.random.default_rng(19)
