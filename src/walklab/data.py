@@ -13,6 +13,7 @@ so regeneration from metadata reproduces every edge and target exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -125,12 +126,36 @@ def load_dataset(path) -> Dataset:
             items.append((g, target))
     if not items:
         raise InputError(f"{path}: empty dataset")
-    meta = None
     meta_path = str(path) + ".meta.json"
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = DatasetMeta(**json.load(fh))
+    meta = _load_meta(meta_path) if os.path.exists(meta_path) else None
     return Dataset(items=items, meta=meta)
+
+
+# JSON types each DatasetMeta field accepts, by its annotation
+_META_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _load_meta(path: str) -> DatasetMeta:
+    """The sidecar at ``path``; any malformed document raises InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise InputError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    fields = {f.name: _META_TYPES[f.type] for f in dataclasses.fields(DatasetMeta)}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise InputError(f"{path}: unknown sidecar keys {unknown}")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise InputError(f"{path}: missing sidecar keys {missing}")
+    for name, kinds in fields.items():
+        value = doc[name]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise InputError(f"{path}: {name} must be {kinds[-1].__name__}, got {value!r}")
+    return DatasetMeta(**doc)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,14 @@ Unknown keys are hard errors. Node features are a single constant-one
 column, so everything a model learns comes from graph structure.
 
 Each (model, fold) cell trains from its own seed, derived as
-``SeedSequence(seed, model_index, fold_index)``; results therefore
-depend only on the config contents. ``results.csv`` carries one row per
+``SeedSequence(seed, model_index, fold_index)``, and no cell's result
+depends on another cell; results therefore depend only on the config
+contents, not on the order in which cells run. So the cells train in
+parallel: a pool of forked worker processes, one per usable core and
+never more, inherits the prepared graphs and returns the rows in cell
+order. With one usable core, or where the platform cannot fork, the
+same cell function runs in this process. Both reports are
+byte-identical for any core count. ``results.csv`` carries one row per
 cell and ``summary.json`` aggregates mean/std test MSE per model next to
 the mean-predictor baseline. ``summary.json`` is strict JSON: a
 non-finite number is written as ``null``.
@@ -101,6 +107,12 @@ class ExperimentConfig:
         d["normalize"] = list(self.normalize)
         return d
 
+    def train_config(self, seed: int = 0) -> TrainConfig:
+        """The optimisation settings of one cell, whose fit seed is ``seed``."""
+        return TrainConfig(lr=self.lr, l2=self.l2, dropout=self.dropout,
+                           patience=self.patience, lr_factor=self.lr_factor,
+                           max_epochs=self.max_epochs, seed=seed)
+
 
 def _convert(key: str, raw: str, kind):
     try:
@@ -137,7 +149,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
     seed = _convert("seed", values["seed"], int)
     if seed_override is not None:
         seed = seed_override
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         dataset=values["dataset"],
         models=models,
         folds=_convert("folds", values["folds"], int),
@@ -152,6 +164,11 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
         max_epochs=_convert("max_epochs", values["max_epochs"], int),
         normalize=normalize,
     )
+    try:
+        cfg.train_config()  # range checks now, not after the first cells train
+    except InputError as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    return cfg
 
 
 def read_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -203,14 +220,83 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
+def _worker_count(trained_cells: int) -> int:
+    """Pool size: at most one worker per usable core and per trained cell."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return max(1, min(usable, os.cpu_count() or 1, trained_cells))
+
+
+# (cfg, plan, items, targets) of the running experiment. run_experiment
+# sets it just before its workers fork, so they inherit every graph
+# instead of receiving it pickled.
+_RUN: tuple | None = None
+
+
+def _run_cell(cell: tuple[int, str, int]) -> Row:
+    """Train (or, for the baseline, score) model ``mi`` on fold ``fold``."""
+    mi, name, fold = cell
+    cfg, plan, items, targets = _RUN
+    train_idx, val_idx, test_idx = plan.round(fold)
+    if name.lower() == "baseline":
+        train_t = [targets[i] for i in train_idx]
+        return Row(model=name, fold=fold,
+                   train_mse=baseline_mean(train_t, train_t),
+                   val_mse=baseline_mean(train_t, [targets[i] for i in val_idx]),
+                   test_mse=baseline_mean(train_t, [targets[i] for i in test_idx]))
+    spec = spec_from_model_name(name, degree_normalize=name in cfg.normalize)
+    spec = replace(spec, layers=tuple(replace(layer, mlp_depth=cfg.mlp_depth)
+                                      for layer in spec.layers))
+    ss = np.random.SeedSequence(cfg.seed, spawn_key=(mi, fold))
+    build_seed, fit_seed = [int(s) for s in ss.generate_state(2)]
+    model = build_model(spec, input_dim=1, hidden_dim=cfg.hidden, seed=build_seed)
+    train_items = [items[i] for i in train_idx]
+    val_items = [items[i] for i in val_idx]
+    test_items = [items[i] for i in test_idx]
+    try:
+        result = fit(model, train_items, val_items, cfg.train_config(fit_seed))
+        return Row(model=name, fold=fold,
+                   train_mse=evaluate(model, train_items),
+                   val_mse=result.best_val,
+                   test_mse=evaluate(model, test_items))
+    except (TrainingError, NumericError):
+        return Row(model=name, fold=fold, train_mse=float("nan"),
+                   val_mse=float("nan"), test_mse=float("nan"))
+
+
+def _map_cells(cells: list[tuple[int, str, int]], workers: int) -> list[Row]:
+    """:func:`_run_cell` over ``cells``, in order, on ``workers`` forked
+    processes, or in this process when there is one worker or no fork."""
+    import multiprocessing
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(_run_cell, cells))
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a forked worker inherits _RUN, where a spawned one
+    # would re-import the package and unpickle every graph
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_cell, cells))
+    except BrokenProcessPool as exc:
+        raise TrainingError(f"a worker process died while training {len(cells)} cells") from exc
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> ExperimentReport:
     """Train every configured model over every fold and aggregate.
 
-    A fold whose training diverges (a non-finite loss or non-finite
-    activations) is recorded with NaN losses. Every cell with a
-    non-finite MSE is listed under ``failed_folds``; the remaining folds
-    still aggregate.
+    The (model, fold) cells run in a pool of forked processes, one per
+    usable core, and come back in cell order. A fold whose training
+    diverges (a non-finite loss or non-finite activations) is recorded
+    with NaN losses. Every cell with a non-finite MSE is listed under
+    ``failed_folds``; the remaining folds still aggregate. A worker that
+    dies raises :class:`TrainingError`; any other exception in a cell
+    reaches the caller with its type.
     """
+    global _RUN
     start = time.monotonic()
     ds = dataset if dataset is not None else load_dataset(cfg.dataset)
     plan: FoldPlan = kfold_split(len(ds), cfg.folds, cfg.seed)
@@ -218,43 +304,13 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
     targets = ds.targets()
     features = [np.ones((g.n, 1)) for g in graphs]
     items = prepare_items(graphs, features, targets)
-    rows: list[Row] = []
-    for mi, name in enumerate(cfg.models):
-        for fold in range(plan.k):
-            train_idx, val_idx, test_idx = plan.round(fold)
-            if name.lower() == "baseline":
-                train_t = [targets[i] for i in train_idx]
-                rows.append(Row(
-                    model=name, fold=fold,
-                    train_mse=baseline_mean(train_t, train_t),
-                    val_mse=baseline_mean(train_t, [targets[i] for i in val_idx]),
-                    test_mse=baseline_mean(train_t, [targets[i] for i in test_idx]),
-                ))
-                continue
-            spec = spec_from_model_name(name, degree_normalize=name in cfg.normalize)
-            spec = replace(spec, layers=tuple(replace(layer, mlp_depth=cfg.mlp_depth)
-                                              for layer in spec.layers))
-            ss = np.random.SeedSequence(cfg.seed, spawn_key=(mi, fold))
-            build_seed, fit_seed = [int(s) for s in ss.generate_state(2)]
-            model = build_model(spec, input_dim=1, hidden_dim=cfg.hidden,
-                                seed=build_seed)
-            tc = TrainConfig(lr=cfg.lr, l2=cfg.l2, dropout=cfg.dropout,
-                             patience=cfg.patience, lr_factor=cfg.lr_factor,
-                             max_epochs=cfg.max_epochs, seed=fit_seed)
-            train_items = [items[i] for i in train_idx]
-            val_items = [items[i] for i in val_idx]
-            test_items = [items[i] for i in test_idx]
-            try:
-                result = fit(model, train_items, val_items, tc)
-                rows.append(Row(
-                    model=name, fold=fold,
-                    train_mse=evaluate(model, train_items),
-                    val_mse=result.best_val,
-                    test_mse=evaluate(model, test_items),
-                ))
-            except (TrainingError, NumericError):
-                rows.append(Row(model=name, fold=fold, train_mse=float("nan"),
-                                val_mse=float("nan"), test_mse=float("nan")))
+    cells = [(mi, name, fold) for mi, name in enumerate(cfg.models) for fold in range(plan.k)]
+    trained = sum(1 for _, name, _ in cells if name.lower() != "baseline")
+    _RUN = (cfg, plan, items, targets)
+    try:
+        rows = _map_cells(cells, _worker_count(trained))
+    finally:
+        _RUN = None
     failed: dict[str, list[int]] = {}
     for r in rows:
         if not np.isfinite([r.train_mse, r.val_mse, r.test_mse]).all():

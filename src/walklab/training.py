@@ -17,6 +17,7 @@ and at ``2 * patience`` training stops. An improvement resets the count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise InputError(f"lr must be positive, got {self.lr}")
-        if self.l2 < 0:
-            raise InputError(f"l2 must be nonnegative, got {self.l2}")
+        # every float check is written so that NaN fails it
+        if not 0.0 < self.lr < math.inf:
+            raise InputError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise InputError(f"l2 must be nonnegative and finite, got {self.l2}")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 1:

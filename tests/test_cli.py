@@ -1,12 +1,15 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from walklab import walks
+from walklab import experiments, walks
 from walklab.cli import main
+from walklab.errors import InputError
 from walklab.graphs import (MAX_ER_NODES, complete_graph, cycle_graph,
                             disjoint_union, write_edge_list)
 
@@ -225,6 +228,48 @@ class TestTrain:
         cfg = _config_file(tmp_path, str(ds))
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "bad.jsonl:6:" in capsys.readouterr().err
+
+    def test_malformed_sidecar_is_a_usage_error(self, tmp_path, capsys):
+        ds = tmp_path / "tiny.jsonl"
+        assert main(["gen", "--graphs", "6", "--nodes", "8", "--prob", "0.4",
+                     "--target", "triangles", "--out", str(ds)]) == 0
+        (tmp_path / "tiny.jsonl.meta.json").write_text('{"n_graphs": 6, "colour": 1}')
+        cfg = _config_file(tmp_path, str(ds))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "tiny.jsonl.meta.json: unknown sidecar keys ['colour']" in err
+        assert "Traceback" not in err
+
+    def test_infinite_lr_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"), lr="inf")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "lr must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    @pytest.mark.parametrize("fault,code,message", [
+        ("exit", 2, "error: a worker process died while training 6 cells"),
+        ("raise", 1, "error: rejected in a worker"),
+    ])
+    def test_worker_failure_exit_code(self, tmp_path, capsys, monkeypatch, fault, code, message):
+        def broken_fit(*args):
+            if fault == "exit":
+                os._exit(1)
+            raise InputError("rejected in a worker")
+
+        monkeypatch.setattr(experiments, "_worker_count", lambda trained: 2)
+        monkeypatch.setattr(experiments, "fit", broken_fit)
+        ds = tmp_path / "tiny.jsonl"
+        assert main(["gen", "--graphs", "9", "--nodes", "8", "--prob", "0.4",
+                     "--target", "triangles", "--seed", "5", "--out", str(ds)]) == 0
+        cfg = _config_file(tmp_path, str(ds))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_seed_override_lands_in_summary(self, tmp_path, capsys):
         ds = tmp_path / "tiny.jsonl"

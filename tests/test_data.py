@@ -105,6 +105,34 @@ class TestRoundTrip:
         with pytest.raises(InputError, match="empty"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("sidecar", [
+        '{"n_graphs": 6',                                  # bad JSON
+        '\xff',                                            # not UTF-8 once encoded
+        '[6, 8, 0.5, "triangles", 1]',                     # not an object
+        '{"n_graphs": 6, "n_nodes": 8, "edge_prob": 0.5, "target": "triangles",'
+        ' "seed": 1, "colour": 1}',                        # unknown key
+        '{"n_graphs": 6, "n_nodes": 8, "edge_prob": 0.5, "target": "triangles"}',
+        '{"n_graphs": "6", "n_nodes": 8, "edge_prob": 0.5, "target": "triangles", "seed": 1}',
+        '{"n_graphs": 6, "n_nodes": 8.0, "edge_prob": 0.5, "target": "triangles", "seed": 1}',
+        '{"n_graphs": 6, "n_nodes": 8, "edge_prob": "0.5", "target": "triangles", "seed": 1}',
+        '{"n_graphs": 6, "n_nodes": 8, "edge_prob": 0.5, "target": 3, "seed": 1}',
+        '{"n_graphs": 6, "n_nodes": 8, "edge_prob": 0.5, "target": "triangles", "seed": true}',
+    ])
+    def test_load_rejects_malformed_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"n":4,"edges":[[0,1]],"target":2}\n')
+        meta = tmp_path / "d.jsonl.meta.json"
+        meta.write_bytes(sidecar.encode("latin-1"))
+        with pytest.raises(InputError, match=re.escape(str(meta))):
+            load_dataset(path)
+
+    def test_integral_edge_prob_sidecar_accepted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"n":4,"edges":[[0,1]],"target":2}\n')
+        (tmp_path / "d.jsonl.meta.json").write_text(
+            '{"n_graphs": 1, "n_nodes": 4, "edge_prob": 1, "target": "triangles", "seed": 1}')
+        assert load_dataset(path).meta.edge_prob == 1
+
     def test_load_without_sidecar_has_no_meta(self, tmp_path):
         path = tmp_path / "plain.jsonl"
         path.write_text('{"n":4,"edges":[[0,1]],"target":2.5}\n')

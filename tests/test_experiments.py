@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -81,6 +83,14 @@ class TestConfigParsing:
         path.write_text("dataset = d\nmodels = MLP-2L\n")
         with pytest.raises(ConfigError):
             read_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "inf"), ("lr", "nan"), ("l2", "inf"), ("l2", "nan"),
+        ("dropout", "nan"), ("lr_factor", "inf"), ("lr", "-1"), ("max_epochs", "0"),
+    ])
+    def test_bad_hyperparameter_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(_tiny_config("d.jsonl", **{key: value}))
 
     def test_read_config_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -179,6 +189,73 @@ class TestRunExperiment:
         report = run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))
         assert report.summary["failed_folds"] == {"GCN-1L": [0, 1, 2]}
         assert "GCN-1L,0,nan," in report.results_csv()
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+
+
+class TestWorkerPool:
+    def test_worker_count_is_capped_by_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ex._worker_count(40) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert ex._worker_count(40) == 2
+        assert ex._worker_count(1) == 1
+        assert ex._worker_count(0) == 1
+
+    @needs_fork
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path), models="GCN-1L,GCN-L1-1L"))
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ex, "_worker_count", lambda trained, w=workers: w)
+            reports.append(run_experiment(cfg))
+        one, two = reports
+        assert one.results_csv() == two.results_csv()
+        assert one.summary == two.summary
+        assert len(one.rows) == 6 and one.summary["failed_folds"] == {}
+
+    @needs_fork
+    def test_cells_run_in_worker_processes(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real_fit = ex.fit
+
+        def recording_fit(*args):
+            if os.getpid() == parent:
+                raise AssertionError("a trained cell ran in the parent process")
+            return real_fit(*args)
+
+        monkeypatch.setattr(ex, "_worker_count", lambda trained: 2)
+        monkeypatch.setattr(ex, "fit", recording_fit)
+        report = run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))
+        assert report.summary["failed_folds"] == {}
+        assert ex._RUN is None
+
+    @needs_fork
+    def test_dead_worker_is_a_training_error(self, tmp_path, monkeypatch):
+        def dying_fit(*args):
+            os._exit(1)
+
+        monkeypatch.setattr(ex, "_worker_count", lambda trained: 2)
+        monkeypatch.setattr(ex, "fit", dying_fit)
+        cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path)))
+        with pytest.raises(TrainingError, match="6 cells"):
+            run_experiment(cfg)
+        assert ex._RUN is None
+
+    @needs_fork
+    def test_cell_exception_keeps_its_type(self, tmp_path, monkeypatch):
+        def rejecting_fit(*args):
+            raise InputError("rejected in a worker")
+
+        monkeypatch.setattr(ex, "_worker_count", lambda trained: 2)
+        monkeypatch.setattr(ex, "fit", rejecting_fit)
+        cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path)))
+        with pytest.raises(InputError, match="rejected in a worker"):
+            run_experiment(cfg)
 
 
 class TestWriteReport:

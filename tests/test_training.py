@@ -138,6 +138,12 @@ class TestTrainConfig:
         with pytest.raises(InputError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["lr", "l2", "dropout", "lr_factor"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_values(self, key, value):
+        with pytest.raises(InputError, match=key):
+            TrainConfig(**{key: value})
+
 
 class TestEvaluate:
     def test_mean_over_items_with_zeroed_model(self):
