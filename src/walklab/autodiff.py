@@ -1,15 +1,14 @@
 """Minimal reverse-mode automatic differentiation over 2-D float64 arrays.
 
-A :class:`Tensor` wraps a value plus a gradient slot; ops build a DAG of
-closures and :func:`backward` replays it in reverse topological order.
-The op set is exactly what the models need: dense and fixed-structure
-matrix products, broadcast add, leaky ReLU, sigmoid, scalar gating,
-row scaling, inverted dropout, row-sum readout and mean squared error.
-Structure matrices (adjacency and friends) are plain constants; no
-gradient ever flows into them. Gradients accumulate in ``.grad`` until
-the caller sets it back to None. The L2 weight penalty is not on the
-tape: :func:`walklab.training.adam_step` adds its gradient (coupled L2)
-to the MLP and head weights and clears every gradient after the update.
+The reference the tests check :func:`walklab.models.backward` against;
+no module of the package imports it. A :class:`Tensor` wraps a value
+plus a gradient slot; ops build a DAG of closures and :func:`backward`
+replays it in reverse topological order. The op set is exactly what the
+models need: dense and fixed-structure matrix products, broadcast add,
+leaky ReLU, sigmoid, scalar gating, row scaling, inverted dropout,
+row-sum readout and mean squared error. Structure matrices (adjacency
+and friends) are plain constants; no gradient ever flows into them.
+Gradients accumulate in ``.grad`` until the caller sets it back to None.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ a comment). Recognised keys::
 
     dataset        path to a JSONL dataset (required)
     models         comma list: GCN-<n>L, GCN-L1-<n>L, GCN-D2-<n>L, baseline
+                   (each at most once, case-insensitively)
     folds          cross-validation folds (default 10)
     seed           master seed (default 0)
     hidden         hidden width (default 16)
@@ -140,7 +141,10 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
     if not models:
         raise ConfigError("config key 'models' names no models")
     normalize = tuple(m.strip() for m in values["normalize"].split(",") if m.strip())
-    for name in models:
+    for i, name in enumerate(models):
+        # compared case-insensitively, as spec_from_model_name reads names
+        if name.upper() in (m.upper() for m in models[:i]):
+            raise ConfigError(f"config key 'models' names {name!r} more than once")
         if name.lower() != "baseline":
             spec_from_model_name(name)  # validates; raises InputError on junk
     for name in normalize:

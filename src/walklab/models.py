@@ -19,19 +19,24 @@ in (0, 1); the raw gate parameters start at 0 (weight 0.5). After the
 last layer a Sum readout collapses node rows to one vector and a linear
 head maps it to the output dimension; a node-level readout that skips
 the pooling is available for inspection and tests.
+
+Parameters are plain float64 arrays. :func:`forward` serves inference
+and training and can keep the activations that :func:`backward` needs;
+``backward`` is the hand-written gradient of that same pass. Every
+structural operator is symmetric, so a term's backward pass is the term
+itself applied to the gated upstream gradient.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import InputError, NumericError
-from .graphs import Graph, atomic_write_text, degrees
+from .graphs import Graph, degrees
 from .walks import adjacency_csr, diag_closed_walks
 
 __all__ = [
@@ -49,8 +54,7 @@ __all__ = [
     "Model",
     "build_model",
     "forward",
-    "save_checkpoint",
-    "load_checkpoint",
+    "backward",
 ]
 
 OP_SELF_LOOP = "self_loop_adjacency"
@@ -212,28 +216,25 @@ class Model:
     """A spec bound to concrete parameters.
 
     ``params`` maps stable names (creation order is deterministic) to
-    trainable tensors; freeze one by clearing its ``trainable`` flag.
-    ``weight_names`` lists the linear-map weight matrices, the parameters
-    the L2 penalty covers (gates and biases are not among them).
+    float64 arrays. ``weight_names`` lists the linear-map weight
+    matrices, the parameters the L2 penalty covers (gates and biases are
+    not among them).
     """
 
     def __init__(self, spec: ModelSpec, input_dim: int, hidden_dim: int,
-                 params: dict[str, ad.Tensor], weight_names: tuple[str, ...]):
+                 params: dict[str, np.ndarray], weight_names: tuple[str, ...]):
         self.spec = spec
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.params = params
         self.weight_names = weight_names
 
-    def trainable(self) -> dict[str, ad.Tensor]:
-        return {k: p for k, p in self.params.items() if p.trainable}
-
     def param_values(self) -> dict[str, np.ndarray]:
-        return {k: p.value.copy() for k, p in self.params.items()}
+        return {k: v.copy() for k, v in self.params.items()}
 
     def load_param_values(self, values: dict[str, np.ndarray]) -> None:
         for k, v in values.items():
-            self.params[k].value = np.array(v, dtype=np.float64)
+            self.params[k] = np.array(v, dtype=np.float64)
 
 
 def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model:
@@ -247,22 +248,19 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
     if input_dim < 1 or hidden_dim < 1:
         raise InputError("input_dim and hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    params: dict[str, ad.Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     weight_names: list[str] = []
 
     def linear(wname: str, bname: str, fan_in: int, fan_out: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)
         weight_names.append(wname)
-        params[wname] = ad.parameter(
-            rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=wname)
-        params[bname] = ad.parameter(
-            rng.uniform(-bound, bound, size=(1, fan_out)), name=bname)
+        params[wname] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        params[bname] = rng.uniform(-bound, bound, size=(1, fan_out))
 
     width = input_dim
     for i, layer in enumerate(spec.layers):
         for t in range(len(layer.terms)):
-            params[f"layer{i}.theta{t}"] = ad.parameter(
-                np.zeros((1, 1)), name=f"layer{i}.theta{t}")
+            params[f"layer{i}.theta{t}"] = np.zeros((1, 1))
         if layer.mlp_depth >= 1:
             linear(f"layer{i}.w0", f"layer{i}.b0", width, hidden_dim)
             width = hidden_dim
@@ -278,26 +276,37 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
                  weight_names=tuple(weight_names))
 
 
-def _apply_term(term: AggregationTerm, ops: GraphOperators, h: ad.Tensor) -> ad.Tensor:
+LEAKY_SLOPE = 0.01
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    # Branch on sign so neither exp overflows; saturates cleanly to 0/1.
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _apply_term(term: AggregationTerm, ops: GraphOperators, h: np.ndarray) -> np.ndarray:
+    """Op_t(h); every operator is symmetric, so this is also its transpose."""
     if term.op == OP_SELF_LOOP:
-        return ad.struct_mul(ops.adjacency_with_loops, h)
+        return ops.adjacency_with_loops @ h
     if term.op == OP_POWER:
-        out = h
         for _ in range(term.k):
-            out = ad.struct_mul(ops.adjacency, out)
-        return out
-    return ad.row_scale(h, ops.closed_walk_diag(term.k))
+            h = ops.adjacency @ h
+        return h
+    return ops.closed_walk_diag(term.k).reshape(-1, 1) * h
 
 
 def forward(model: Model, ops: GraphOperators | Graph, x, *,
             training: bool = False, dropout_rate: float = 0.0,
-            rng: np.random.Generator | None = None) -> ad.Tensor:
+            rng: np.random.Generator | None = None,
+            saved: dict | None = None) -> np.ndarray:
     """Run the model on one graph's node features (n x input_dim).
 
     In training mode dropout masks are drawn from ``rng``; in inference
     mode the pass is deterministic and repeated calls return identical
-    values. Non-finite activations raise :class:`NumericError` naming
-    the layer.
+    values. When ``saved`` is a dict, the operators and activations
+    :func:`backward` needs are stored in it. Non-finite activations raise
+    :class:`NumericError` naming the layer.
     """
     if isinstance(ops, Graph):
         ops = GraphOperators(ops)
@@ -307,102 +316,89 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     if xv.shape != (ops.graph.n, model.input_dim):
         raise InputError(
             f"features must be {(ops.graph.n, model.input_dim)}, got {xv.shape}")
-    if training and dropout_rate > 0.0 and rng is None:
-        raise InputError("training with dropout needs an rng")
-    h = ad.constant(xv, name="features")
+    drop = training and dropout_rate > 0.0
+    if drop and (rng is None or not dropout_rate < 1.0):
+        raise InputError(f"training with dropout needs an rng and a rate below 1, "
+                         f"got rate {dropout_rate}")
+    h = xv
     p = model.params
+    layers = []
     for i, layer in enumerate(model.spec.layers):
-        mixed = functools.reduce(ad.add, [
-            ad.scalar_mul(ad.sigmoid(p[f"layer{i}.theta{t}"]), _apply_term(term, ops, h))
-            for t, term in enumerate(layer.terms)])
+        act = {"gates": [_sigmoid(p[f"layer{i}.theta{t}"]) for t in range(len(layer.terms))],
+               "terms": [_apply_term(term, ops, h) for term in layer.terms]}
+        h = functools.reduce(operator.add, [s * a for s, a in zip(act["gates"], act["terms"])])
         if layer.degree_normalize:
-            mixed = ad.row_scale(mixed, ops.inv_degree_plus_one)
-        h = mixed
+            h = ops.inv_degree_plus_one.reshape(-1, 1) * h
         if layer.mlp_depth >= 1:
-            h = ad.add(ad.matmul(h, p[f"layer{i}.w0"]), p[f"layer{i}.b0"])
-            h = ad.leaky_relu(h)
-            if layer.mlp_depth == 2:
-                if training and dropout_rate > 0.0:
-                    h = ad.dropout(h, dropout_rate, rng)
-                h = ad.add(ad.matmul(h, p[f"layer{i}.w1"]), p[f"layer{i}.b1"])
-                h = ad.leaky_relu(h)
-        if not np.isfinite(h.value).all():
+            h = _dense(p, f"layer{i}", 0, act, h)
+        if layer.mlp_depth == 2:
+            if drop:
+                act["keep"] = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
+                h = act["keep"] * h
+            h = _dense(p, f"layer{i}", 1, act, h)
+        if not np.isfinite(h).all():
             raise NumericError(f"layer {i} produced non-finite activations")
+        layers.append(act)
     if model.spec.readout == "sum":
-        h = ad.row_sum(h)
+        h = h.sum(axis=0, keepdims=True)
+    head_x = h
     if model.spec.head:
-        h = ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
-    if not np.isfinite(h.value).all():
+        h = h @ p["head.w"] + p["head.b"]
+    if not np.isfinite(h).all():
         raise NumericError("output head produced non-finite values")
+    if saved is not None:
+        saved.update(ops=ops, layers=layers, head_x=head_x)
     return h
 
 
-_CHECKPOINT_FORMAT = "walklab-model"
-_CHECKPOINT_VERSION = 2
+def _dense(p: dict, layer: str, j: int, act: dict, x: np.ndarray) -> np.ndarray:
+    """LeakyReLU(x @ w_j + b_j), keeping x and the pre-activation in ``act``."""
+    act[f"x{j}"] = x
+    z = act[f"z{j}"] = x @ p[f"{layer}.w{j}"] + p[f"{layer}.b{j}"]
+    return np.where(z >= 0, z, LEAKY_SLOPE * z)
 
 
-def _spec_from_dict(d: dict) -> ModelSpec:
-    layers = tuple(
-        LayerSpec(
-            terms=tuple(AggregationTerm(**t) for t in layer["terms"]),
-            mlp_depth=layer["mlp_depth"],
-            degree_normalize=layer["degree_normalize"],
-        )
-        for layer in d["layers"]
-    )
-    return ModelSpec(layers=layers, readout=d["readout"],
-                     output_dim=d["output_dim"], head=d["head"])
+def _dense_backward(p: dict, layer: str, j: int, act: dict, g: np.ndarray,
+                    grads: dict) -> np.ndarray:
+    """Back through :func:`_dense`: store the w_j and b_j gradients in
+    ``grads`` and return the gradient with respect to x."""
+    g = g * np.where(act[f"z{j}"] >= 0, 1.0, LEAKY_SLOPE)
+    grads[f"{layer}.w{j}"] = act[f"x{j}"].T @ g
+    grads[f"{layer}.b{j}"] = g.sum(axis=0, keepdims=True)
+    return g @ p[f"{layer}.w{j}"].T
 
 
-def save_checkpoint(model: Model, path) -> None:
-    """Serialise parameters (shape + row-major values) and spec to JSON."""
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "input_dim": model.input_dim,
-        "hidden_dim": model.hidden_dim,
-        "spec": asdict(model.spec),
-        "params": {
-            # Row-major values; json emits shortest reprs, which decode
-            # back to bit-identical doubles.
-            name: {
-                "shape": list(p.value.shape),
-                "data": p.value.reshape(-1).tolist(),
-            }
-            for name, p in model.params.items()
-        },
-    }
-    atomic_write_text(path, json.dumps(doc, indent=1))
+def backward(model: Model, saved: dict, d_out: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of a loss with respect to every parameter.
 
-
-def load_checkpoint(path) -> Model:
-    """Rebuild a model from :func:`save_checkpoint` output, bit-exactly.
-
-    A file that is not a well-formed checkpoint raises :class:`InputError`.
+    ``saved`` is what one :func:`forward` pass stored and ``d_out`` is
+    the loss gradient with respect to that pass's output. Each sum runs
+    in the order a reverse-mode tape over the same ops accumulates it
+    (the input gradient over the terms in term order), so the gradients
+    equal the tape's bit for bit.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InputError(f"{path}: bad JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
-        raise InputError(f"not a model checkpoint: {path}")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise InputError(f"unsupported checkpoint version {doc.get('version')}")
-    try:
-        model = build_model(_spec_from_dict(doc["spec"]), doc["input_dim"],
-                            doc["hidden_dim"], seed=0)
-        params = doc["params"]
-        if not isinstance(params, dict) or set(params) != set(model.params):
-            raise InputError("checkpoint parameters do not match the stored spec")
-        for name, entry in params.items():
-            values = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            if values.shape != model.params[name].shape:
-                raise InputError(f"checkpoint parameter {name!r} has shape {values.shape}, "
-                                 f"the stored spec needs {model.params[name].shape}")
-            model.params[name].value = values
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed checkpoint {path}: {exc!r}") from exc
-    return model
+    p, ops = model.params, saved["ops"]
+    grads: dict[str, np.ndarray] = {}
+    g = d_out
+    if model.spec.head:
+        grads["head.w"] = saved["head_x"].T @ g
+        grads["head.b"] = g.sum(axis=0, keepdims=True)
+        g = g @ p["head.w"].T
+    if model.spec.readout == "sum":
+        g = np.repeat(g, ops.graph.n, axis=0)
+    for i in reversed(range(len(model.spec.layers))):
+        layer, act = model.spec.layers[i], saved["layers"][i]
+        if layer.mlp_depth == 2:
+            g = _dense_backward(p, f"layer{i}", 1, act, g, grads)
+            if "keep" in act:
+                g = act["keep"] * g
+        if layer.mlp_depth >= 1:
+            g = _dense_backward(p, f"layer{i}", 0, act, g, grads)
+        if layer.degree_normalize:
+            g = ops.inv_degree_plus_one.reshape(-1, 1) * g
+        for t, (s, a) in enumerate(zip(act["gates"], act["terms"])):
+            grads[f"layer{i}.theta{t}"] = (g * a).sum() * s * (1.0 - s)
+        if i > 0:
+            g = functools.reduce(operator.add, [
+                _apply_term(term, ops, s * g) for term, s in zip(layer.terms, act["gates"])])
+    return grads

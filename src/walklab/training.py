@@ -1,14 +1,15 @@
 """Full-batch-per-graph training with Adam, early stopping, and LR decay.
 
-One optimisation step consumes one graph: forward, mean squared error,
-backward, Adam update. The tape holds the MSE only, and the divergence
-check reads it. :func:`adam_step` applies the L2 penalty
-``l2 * sum(w**2)`` to the MLP and head weight matrices (gates and biases
-are not penalised) as coupled L2: its gradient ``2 * l2 * w`` joins the
-data gradient before the Adam moments, unlike decoupled (AdamW) decay.
-It also clears every gradient it consumed. Validation is scored before
-the first epoch and after every epoch; the best validation snapshot is
-what :func:`fit` returns.
+One optimisation step consumes one graph: :func:`walklab.models.forward`,
+the mean squared error and its gradient with respect to the prediction,
+:func:`walklab.models.backward`, and an Adam update from the returned
+gradient arrays. The divergence check reads the MSE. :func:`adam_step`
+applies the L2 penalty ``l2 * sum(w**2)`` to the MLP and head weight
+matrices (gates and biases are not penalised) as coupled L2: its
+gradient ``2 * l2 * w`` joins the data gradient before the Adam moments,
+unlike decoupled (AdamW) decay. Validation is scored before the first
+epoch and after every epoch; the best validation snapshot is what
+:func:`fit` returns.
 
 The plateau schedule counts the epochs since the last new best: at
 ``patience`` of them the learning rate is multiplied by ``lr_factor``,
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import CapacityError, InputError, TrainingError
 from .graphs import Graph
-from .models import GraphOperators, Model, forward
+from .models import GraphOperators, Model, backward, forward
 
 __all__ = [
     "TrainConfig",
@@ -80,18 +80,19 @@ class TrainItem:
 
 
 def prepare_items(graphs, features, targets) -> list[TrainItem]:
-    """Bundle graphs with features and scalar or vector targets.
+    """Bundle graphs with features and scalar or per-node targets.
 
-    Structure matrices are computed once per graph here and reused by
-    every subsequent forward pass.
+    A scalar target becomes 1 x 1 and a 1-D target a column. Each item's
+    :class:`GraphOperators` builds a structure matrix on first use and
+    keeps it for every later pass on that graph.
     """
     items = []
     for g, x, y in zip(graphs, features, targets):
         if not isinstance(g, Graph):
             raise InputError("prepare_items expects Graph instances")
         t = np.asarray(y, dtype=np.float64)
-        if t.ndim == 0:
-            t = t.reshape(1, 1)
+        if t.ndim < 2:
+            t = t.reshape(-1, 1)
         items.append(TrainItem(ops=GraphOperators(g),
                                features=np.asarray(x, dtype=np.float64),
                                target=t))
@@ -119,36 +120,35 @@ class AdamState:
     """First/second moment accumulators, one pair per parameter, and the
     L2 coefficient with the names of the parameters it applies to."""
 
-    def __init__(self, params: dict[str, ad.Tensor], l2: float = 0.0,
+    def __init__(self, params: dict[str, np.ndarray], l2: float = 0.0,
                  decay_names: tuple[str, ...] = ()):
         self.l2 = l2
         self.decay_names = frozenset(decay_names)
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def adam_step(state: AdamState, params: dict[str, ad.Tensor], lr: float) -> None:
-    """One bias-corrected Adam update from each parameter's ``.grad``.
+def adam_step(state: AdamState, params: dict[str, np.ndarray],
+              grads: dict[str, np.ndarray], lr: float) -> None:
+    """One bias-corrected Adam update of every parameter from its gradient.
 
     Parameters named in ``state.decay_names`` first get the coupled L2
-    gradient ``2 * l2 * value`` added. Parameters without an accumulated
-    gradient are treated as zero-grad (their moments still decay
-    deterministically). Every gradient is cleared after the update.
+    gradient ``2 * l2 * value`` added. Each updated array replaces its
+    entry in ``params``; ``grads`` is not modified.
     """
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for key, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+    for key, w in params.items():
+        g = grads[key]
         if state.l2 > 0 and key in state.decay_names:
-            g = g + (2.0 * state.l2) * p.value
+            g = g + (2.0 * state.l2) * w
         state.m[key] = b1 * state.m[key] + (1 - b1) * g
         state.v[key] = b2 * state.v[key] + (1 - b2) * (g * g)
         m_hat = state.m[key] / (1 - b1**t)
         v_hat = state.v[key] / (1 - b2**t)
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p.grad = None
+        params[key] = w - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,12 @@ class FitResult:
     stop_reason: str
 
 
-def _graph_loss(model: Model, item: TrainItem, *, dropout: float = 0.0,
-                rng=None) -> ad.Tensor:
-    """MSE of one graph's prediction, the 1x1 root of the tape."""
-    pred = forward(model, item.ops, item.features, training=dropout > 0.0,
-                   dropout_rate=dropout, rng=rng)
-    return ad.mse(pred, item.target)
+def _mse_with_gradient(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """MSE of one prediction and its gradient with respect to the prediction."""
+    if pred.shape != target.shape:
+        raise InputError(f"target shape {target.shape} does not match prediction {pred.shape}")
+    diff = pred - target
+    return float((diff * diff).mean()), 2.0 * diff / diff.size
 
 
 def evaluate(model: Model, items) -> float:
@@ -182,7 +182,7 @@ def evaluate(model: Model, items) -> float:
     total = 0.0
     for item in items:
         pred = forward(model, item.ops, item.features)
-        total += mse_loss(pred.value, item.target)
+        total += mse_loss(pred, item.target)
     return total / len(items)
 
 
@@ -209,12 +209,15 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
         order = rng.permutation(len(train_items))
         train_mse_sum = 0.0
         for idx in order:
-            loss = _graph_loss(model, train_items[int(idx)], dropout=cfg.dropout, rng=rng)
-            if not np.isfinite(loss.value).all():
+            item = train_items[int(idx)]
+            saved: dict = {}
+            pred = forward(model, item.ops, item.features, training=cfg.dropout > 0.0,
+                           dropout_rate=cfg.dropout, rng=rng, saved=saved)
+            loss, d_pred = _mse_with_gradient(pred, item.target)
+            if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            ad.backward(loss)
-            adam_step(state, model.trainable(), lr)
-            train_mse_sum += loss.item()
+            adam_step(state, model.params, backward(model, saved, d_pred), lr)
+            train_mse_sum += loss
         val = evaluate(model, val_items)
         if not np.isfinite(val):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
@@ -242,31 +245,24 @@ def gradient_check(model: Model, item: TrainItem, h: float = 1e-5,
     """Largest relative error between analytic and central-difference grads.
 
     The objective is the inference-mode MSE (dropout off), so it is
-    deterministic; the L2 penalty lives in :func:`adam_step`, not on the
-    tape. Relative error uses a floor of 1e-3 in the denominator;
+    deterministic; the L2 penalty lives in :func:`adam_step`, not in the
+    loss. Relative error uses a floor of 1e-3 in the denominator;
     coordinates where both gradients are below 1e-10 count as exact.
-    Returns 0.0 when the model has no trainable parameters. The
-    gradients it accumulates are cleared again before it returns.
     """
-    trainable = model.trainable()
-    coord_count = sum(p.value.size for p in trainable.values())
+    coord_count = sum(p.size for p in model.params.values())
     if coord_count > max_params:
         raise CapacityError(
             f"gradient check supports <= {max_params} coordinates, got {coord_count}")
-    if coord_count == 0:
-        return 0.0
-    ad.backward(_graph_loss(model, item))
-    analytic = {k: (p.grad if p.grad is not None else np.zeros_like(p.value))
-                for k, p in trainable.items()}
-    for p in model.params.values():
-        p.grad = None
+    saved: dict = {}
+    pred = forward(model, item.ops, item.features, saved=saved)
+    analytic = backward(model, saved, _mse_with_gradient(pred, item.target)[1])
 
     def loss_value() -> float:
-        return _graph_loss(model, item).item()
+        return _mse_with_gradient(forward(model, item.ops, item.features), item.target)[0]
 
     worst = 0.0
-    for key, p in trainable.items():
-        flat = p.value.reshape(-1)
+    for key, p in model.params.items():
+        flat = p.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h

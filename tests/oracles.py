@@ -4,14 +4,18 @@ Everything here deliberately avoids the library's closed forms and BFS
 shortcuts: walk counting by literal recursion, regions by dynamic
 programming over exact-length walk reachability, isomorphism by
 permutation search, triangles by neighbour-pair scans and neighbour-set
-intersections, 4-cycles by co-degrees.
+intersections, 4-cycles by co-degrees, and model gradients by the
+reverse-mode tape of ``walklab.autodiff`` instead of the hand-written
+backward pass.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from walklab import autodiff as ad
 from walklab.graphs import Graph
+from walklab.models import OP_POWER, OP_SELF_LOOP
 
 
 def count_walks_recursive(g: Graph, u: int, v: int, length: int) -> int:
@@ -172,3 +176,45 @@ def cubic_graphs_on_8_nodes() -> list[Graph]:
 
     fill(list(base), [3, 1, 1, 1, 0, 0, 0, 0])
     return results
+
+
+def tape_loss_and_grads(model, ops, x, target, *, dropout_rate=0.0, rng=None):
+    """MSE of one graph and its parameter gradients from the reverse-mode
+    tape in ``walklab.autodiff``: the forward pass composed op by op from
+    tape nodes, then one backward sweep.
+
+    Returns ``(loss, {name: gradient})``. Training mode, and so dropout,
+    is on exactly when ``dropout_rate`` > 0.
+    """
+    def apply_term(term, h):
+        if term.op == OP_SELF_LOOP:
+            return ad.struct_mul(ops.adjacency_with_loops, h)
+        if term.op == OP_POWER:
+            for _ in range(term.k):
+                h = ad.struct_mul(ops.adjacency, h)
+            return h
+        return ad.row_scale(h, ops.closed_walk_diag(term.k))
+
+    p = {k: ad.parameter(v.copy(), name=k) for k, v in model.params.items()}
+    h = ad.constant(x)
+    for i, layer in enumerate(model.spec.layers):
+        mixed = None
+        for t, term in enumerate(layer.terms):
+            gated = ad.scalar_mul(ad.sigmoid(p[f"layer{i}.theta{t}"]), apply_term(term, h))
+            mixed = gated if mixed is None else ad.add(mixed, gated)
+        if layer.degree_normalize:
+            mixed = ad.row_scale(mixed, ops.inv_degree_plus_one)
+        h = mixed
+        if layer.mlp_depth >= 1:
+            h = ad.leaky_relu(ad.add(ad.matmul(h, p[f"layer{i}.w0"]), p[f"layer{i}.b0"]))
+            if layer.mlp_depth == 2:
+                if dropout_rate > 0.0:
+                    h = ad.dropout(h, dropout_rate, rng)
+                h = ad.leaky_relu(ad.add(ad.matmul(h, p[f"layer{i}.w1"]), p[f"layer{i}.b1"]))
+    if model.spec.readout == "sum":
+        h = ad.row_sum(h)
+    if model.spec.head:
+        h = ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
+    loss = ad.mse(h, target)
+    ad.backward(loss)
+    return loss.item(), {k: t.grad for k, t in p.items()}

@@ -247,6 +247,13 @@ class TestTrain:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_repeated_model_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"),
+                           models="baseline,GCN-1L,gcn-1l")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "names 'gcn-1l' more than once" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     @pytest.mark.parametrize("fault,code,message", [

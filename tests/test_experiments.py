@@ -68,6 +68,12 @@ class TestConfigParsing:
         with pytest.raises(InputError):
             parse_config("dataset = d\nmodels = baseline,GAT-2L")
 
+    @pytest.mark.parametrize("models", ["baseline,GCN-1L,GCN-1L", "GCN-L1-1L,gcn-l1-1l",
+                                        "baseline,Baseline"])
+    def test_repeated_model_name_rejected(self, models):
+        with pytest.raises(ConfigError, match="more than once"):
+            parse_config(f"dataset = d\nmodels = {models}")
+
     def test_normalize_must_name_listed_models(self):
         with pytest.raises(ConfigError, match="normalize"):
             parse_config("dataset = d\nmodels = GCN-2L\nnormalize = GCN-3L")

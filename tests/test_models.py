@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -9,8 +7,7 @@ from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
                             from_edge_list, path_graph, relabel)
 from walklab.models import (AggregationTerm, GraphOperators, LayerSpec,
                             ModelSpec, build_model, diag_power, forward,
-                            gcn_d2_spec, gcn_l1_spec, gcn_spec,
-                            load_checkpoint, power, save_checkpoint,
+                            gcn_d2_spec, gcn_l1_spec, gcn_spec, power,
                             self_loop_adjacency, spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
 
@@ -30,7 +27,7 @@ def set_gates(model, *values):
             raw = -800.0
         else:
             raw = float(np.log(v / (1 - v)))
-        model.params[f"layer0.theta{i}"].value = np.array([[raw]])
+        model.params[f"layer0.theta{i}"] = np.array([[raw]])
 
 
 class TestSpecs:
@@ -89,7 +86,7 @@ class TestOperators:
 class TestBuild:
     def test_gate_initialisation(self):
         m = build_model(gcn_d2_spec(1), 1, 4, seed=0)
-        gates = [m.params[f"layer0.theta{i}"].value.item() for i in range(3)]
+        gates = [m.params[f"layer0.theta{i}"].item() for i in range(3)]
         assert gates == [0.0, 0.0, 0.0]  # mixing weights start at 0.5
 
     def test_init_bounds_and_determinism(self):
@@ -97,10 +94,10 @@ class TestBuild:
         m2 = build_model(gcn_spec(2), 3, 16, seed=5)
         m3 = build_model(gcn_spec(2), 3, 16, seed=6)
         for k in m1.params:
-            assert np.array_equal(m1.params[k].value, m2.params[k].value)
-        assert any(not np.array_equal(m1.params[k].value, m3.params[k].value)
+            assert np.array_equal(m1.params[k], m2.params[k])
+        assert any(not np.array_equal(m1.params[k], m3.params[k])
                    for k in m1.params)
-        w0 = m1.params["layer0.w0"].value
+        w0 = m1.params["layer0.w0"]
         assert w0.shape == (3, 16)
         assert np.abs(w0).max() <= 1 / np.sqrt(3)
 
@@ -126,14 +123,14 @@ class TestForward:
         m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 1.0, 1.0)
         out = forward(m, complete_graph(3), np.ones((3, 1)))
-        assert out.value.tolist() == [[5.0], [5.0], [5.0]]
+        assert out.tolist() == [[5.0], [5.0], [5.0]]
 
     def test_diag_route_recovers_closed_walks_exactly(self):
         m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 0.0, 1.0)
         for g in (complete_graph(4), cycle_graph(6), erdos_renyi(12, 0.4, 3)):
             out = forward(m, g, np.ones((g.n, 1)))
-            assert out.value[:, 0].tolist() == diag_closed_walks(g, 3).astype(float).tolist()
+            assert out[:, 0].tolist() == diag_closed_walks(g, 3).astype(float).tolist()
 
     def test_power_term_applies_adjacency_twice(self):
         m = identity_readout_model((power(2),))
@@ -142,7 +139,7 @@ class TestForward:
         out = forward(m, g, np.ones((4, 1)))
         a = adjacency_csr(g).toarray()
         expected = a @ (a @ np.ones((4, 1)))
-        assert np.array_equal(out.value, expected)
+        assert np.array_equal(out, expected)
 
     def test_isolated_node_zero_params_zero_output(self):
         g = from_edge_list(1, [])
@@ -150,9 +147,9 @@ class TestForward:
         m = build_model(spec, 1, 4, seed=1)
         for k, p in m.params.items():
             if not k.endswith("theta0"):
-                p.value = np.zeros_like(p.value)
+                m.params[k] = np.zeros_like(p)
         out = forward(m, g, np.zeros((1, 1)))
-        assert out.value.tolist() == [[0.0]]
+        assert out.tolist() == [[0.0]]
 
     def test_degree_normalization(self):
         # star centre degree 3: normalised self-loop row = (deg+1)/(deg+1) = 1
@@ -163,14 +160,14 @@ class TestForward:
         m = build_model(spec, 1, 1, seed=0)
         set_gates(m, 1.0)
         out = forward(m, star, np.ones((4, 1)))
-        assert out.value.tolist() == [[1.0], [1.0], [1.0], [1.0]]
+        assert out.tolist() == [[1.0], [1.0], [1.0], [1.0]]
 
     def test_inference_is_deterministic(self):
         g = erdos_renyi(10, 0.3, 4)
         m = build_model(gcn_d2_spec(2), 1, 8, seed=2)
         x = np.ones((10, 1))
-        a = forward(m, g, x).value
-        b = forward(m, g, x).value
+        a = forward(m, g, x)
+        b = forward(m, g, x)
         assert np.array_equal(a, b)
 
     def test_training_mode_dropout_changes_values(self):
@@ -178,8 +175,8 @@ class TestForward:
         m = build_model(gcn_spec(1), 1, 8, seed=2)
         x = np.ones((10, 1))
         rng = np.random.default_rng(0)
-        a = forward(m, g, x, training=True, dropout_rate=0.5, rng=rng).value
-        b = forward(m, g, x).value
+        a = forward(m, g, x, training=True, dropout_rate=0.5, rng=rng)
+        b = forward(m, g, x)
         assert not np.array_equal(a, b)
         with pytest.raises(InputError):
             forward(m, g, x, training=True, dropout_rate=0.5)  # rng required
@@ -189,11 +186,11 @@ class TestForward:
         g = erdos_renyi(12, 0.3, 21)
         m = build_model(gcn_l1_spec(2), 1, 8, seed=7)
         x = np.ones((12, 1))
-        base = forward(m, g, x).value
+        base = forward(m, g, x)
         for _ in range(5):
             perm = [int(i) for i in rng.permutation(12)]
             h = relabel(g, perm)
-            out = forward(m, h, x).value
+            out = forward(m, h, x)
             assert np.allclose(out, base, rtol=1e-10, atol=1e-10)
 
     def test_node_readout_permutation_equivariant(self):
@@ -205,12 +202,12 @@ class TestForward:
                          readout="node", output_dim=4, head=True)
         m = build_model(spec, 1, 4, seed=3)
         x = rng.normal(size=(9, 1))
-        base = forward(m, g, x).value
+        base = forward(m, g, x)
         for _ in range(5):
             perm = [int(i) for i in rng.permutation(9)]
             x_perm = np.empty_like(x)
             x_perm[perm] = x
-            out = forward(m, relabel(g, perm), x_perm).value
+            out = forward(m, relabel(g, perm), x_perm)
             assert np.allclose(out[perm], base, rtol=1e-10, atol=1e-12)
 
     def test_feature_shape_checked(self):
@@ -233,121 +230,3 @@ class TestWeightNames:
         spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),), mlp_depth=1),),
                          head=False, output_dim=4)
         assert build_model(spec, 1, 4, seed=0).weight_names == ("layer0.w0",)
-
-
-class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        m = build_model(gcn_d2_spec(2), 1, 8, seed=13)
-        # make values less tidy first
-        for p in m.params.values():
-            p.value = p.value * np.pi / 3
-        path = tmp_path / "model.json"
-        save_checkpoint(m, path)
-        m2 = load_checkpoint(path)
-        assert m2.spec == m.spec
-        assert m2.input_dim == m.input_dim and m2.hidden_dim == m.hidden_dim
-        assert set(m2.params) == set(m.params)
-        for k in m.params:
-            assert np.array_equal(m.params[k].value, m2.params[k].value)
-
-    def test_format_versioned_flat(self, tmp_path):
-        m = build_model(gcn_spec(1), 1, 2, seed=0)
-        path = tmp_path / "model.json"
-        save_checkpoint(m, path)
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "walklab-model"
-        assert doc["version"] == 2
-        for entry in doc["params"].values():
-            assert list(np.array(entry["data"]).shape) == [int(np.prod(entry["shape"]))]
-
-    def test_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"something": 1}')
-        with pytest.raises(InputError):
-            load_checkpoint(path)
-
-    def test_spec_json_layout(self, tmp_path):
-        # checkpoint format 2: every field of every spec dataclass, in order
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(), diag_power(3)),
-                                           mlp_depth=1, degree_normalize=True),),
-                         readout="node", output_dim=2, head=False)
-        m = build_model(spec, 1, 2, seed=0)
-        path = tmp_path / "model.json"
-        save_checkpoint(m, path)
-        assert json.loads(path.read_text())["spec"] == {
-            "layers": [{
-                "terms": [{"op": "self_loop_adjacency", "k": 1},
-                          {"op": "diag_power", "k": 3}],
-                "mlp_depth": 1, "degree_normalize": True,
-            }],
-            "readout": "node", "output_dim": 2, "head": False,
-        }
-        assert load_checkpoint(path).spec == spec
-
-
-def _drop(key):
-    def edit(doc):
-        del doc[key]
-    return edit
-
-
-def _set_shape(name, shape):
-    def edit(doc):
-        doc["params"][name]["shape"] = shape
-    return edit
-
-
-def _drop_layer_key(doc):
-    del doc["spec"]["layers"][0]["mlp_depth"]
-
-
-def _add_term_key(doc):
-    doc["spec"]["layers"][0]["terms"][0]["colour"] = "red"
-
-
-def _params_as_list(doc):
-    doc["params"] = list(doc["params"])
-
-
-def _wrap_in_list(doc):
-    return [doc]
-
-
-def _as_version_1(doc):
-    # the format-1 layout: per-term gate index and two more layer keys
-    doc["version"] = 1
-    for t, term in enumerate(doc["spec"]["layers"][0]["terms"]):
-        term["weight_index"] = t
-    doc["spec"]["layers"][0].update(mlp_hidden=None, leaky_slope=0.01)
-
-
-class TestMalformedCheckpoint:
-    # gcn_spec(1) at hidden width 8: head.w is 8 x 1
-    @pytest.mark.parametrize("edit", [
-        _drop("spec"),
-        _drop("input_dim"),
-        _drop("params"),
-        _set_shape("head.w", [3, 2]),   # 6 entries for 8 values
-        _set_shape("head.w", [1, 8]),   # right size, wrong shape
-        _drop_layer_key,
-        _add_term_key,
-        _params_as_list,
-        _wrap_in_list,
-        _as_version_1,
-    ], ids=["no spec", "no input_dim", "no params", "shape vs data",
-            "shape vs model", "no layer key", "unknown term key",
-            "params list", "top-level list", "version 1"])
-    def test_typed_error(self, tmp_path, edit):
-        path = tmp_path / "model.json"
-        save_checkpoint(build_model(gcn_spec(1), 1, 8, seed=0), path)
-        doc = json.loads(path.read_text())
-        doc = edit(doc) or doc
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InputError):
-            load_checkpoint(path)
-
-    def test_bad_json(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format": ')
-        with pytest.raises(InputError):
-            load_checkpoint(path)

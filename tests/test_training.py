@@ -1,13 +1,16 @@
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from oracles import tape_loss_and_grads
 
-from walklab import autodiff as ad
 from walklab import training
 from walklab.errors import InputError, TrainingError
 from walklab.graphs import complete_graph, erdos_renyi
-from walklab.models import (LayerSpec, ModelSpec, build_model, forward,
-                            gcn_d2_spec, gcn_l1_spec, gcn_spec,
-                            self_loop_adjacency)
+from walklab.models import (LayerSpec, ModelSpec, backward, build_model,
+                            forward, gcn_d2_spec, gcn_l1_spec, gcn_spec)
 from walklab.training import (AdamState, TrainConfig, adam_step, evaluate,
                               fit, gradient_check, mse_loss, prepare_items)
 
@@ -38,33 +41,29 @@ class TestMseLoss:
 class TestAdam:
     def test_first_step_hand_value(self):
         # m_hat = v_hat = 1 after bias correction, so the step is lr/(1+eps)
-        p = ad.parameter(np.array([[0.5]]))
-        p.grad = np.array([[1.0]])
-        state = AdamState({"p": p})
-        adam_step(state, {"p": p}, lr=0.001)
-        assert abs(p.value[0, 0] - 0.499) < 1e-9
+        params = {"p": np.array([[0.5]])}
+        state = AdamState(params)
+        adam_step(state, params, {"p": np.array([[1.0]])}, lr=0.001)
+        assert abs(params["p"][0, 0] - 0.499) < 1e-9
 
     def test_zero_gradient_leaves_params_unchanged(self):
-        p = ad.parameter(np.array([[1.5, -2.0]]))
-        p.grad = np.zeros((1, 2))
-        q = ad.parameter(np.array([[3.0]]))  # grad stays None
-        state = AdamState({"p": p, "q": q})
+        params = {"p": np.array([[1.5, -2.0]]), "q": np.array([[3.0]])}
+        state = AdamState(params)
         for _ in range(5):
-            adam_step(state, {"p": p, "q": q}, lr=0.1)
-        assert p.value.tolist() == [[1.5, -2.0]]
-        assert q.value.tolist() == [[3.0]]
+            adam_step(state, params, {"p": np.zeros((1, 2)), "q": np.zeros((1, 1))}, lr=0.1)
+        assert params["p"].tolist() == [[1.5, -2.0]]
+        assert params["q"].tolist() == [[3.0]]
 
     def test_identical_sequences_identical_trajectories(self):
         rng = np.random.default_rng(3)
         grads = [rng.normal(size=(2, 2)) for _ in range(20)]
         traj = []
         for _ in range(2):
-            p = ad.parameter(np.zeros((2, 2)))
-            state = AdamState({"p": p})
+            params = {"p": np.zeros((2, 2))}
+            state = AdamState(params)
             for g in grads:
-                p.grad = g
-                adam_step(state, {"p": p}, lr=0.05)
-            traj.append(p.value.copy())
+                adam_step(state, params, {"p": g}, lr=0.05)
+            traj.append(params["p"].copy())
         assert np.array_equal(traj[0], traj[1])
 
     def test_l2_is_coupled_into_the_gradient(self):
@@ -74,16 +73,14 @@ class TestAdam:
         w0 = rng.normal(size=(3, 2))
         grads = [rng.normal(size=(3, 2)) for _ in range(3)]
         l2 = 5e-4
-        decayed = ad.parameter(w0.copy())
-        plain = ad.parameter(w0.copy())
-        s_decayed = AdamState({"w": decayed}, l2=l2, decay_names=("w",))
-        s_plain = AdamState({"w": plain})
+        decayed = {"w": w0.copy()}
+        plain = {"w": w0.copy()}
+        s_decayed = AdamState(decayed, l2=l2, decay_names=("w",))
+        s_plain = AdamState(plain)
         for g in grads:
-            decayed.grad = g.copy()
-            plain.grad = g + (2.0 * l2) * plain.value
-            adam_step(s_decayed, {"w": decayed}, lr=0.01)
-            adam_step(s_plain, {"w": plain}, lr=0.01)
-            assert np.array_equal(decayed.value, plain.value)
+            adam_step(s_decayed, decayed, {"w": g.copy()}, lr=0.01)
+            adam_step(s_plain, plain, {"w": g + (2.0 * l2) * plain["w"]}, lr=0.01)
+            assert np.array_equal(decayed["w"], plain["w"])
 
     def test_l2_skips_unlisted_params(self):
         # gates and biases are not in the model's weight names
@@ -92,30 +89,21 @@ class TestAdam:
         assert unlisted == ["layer0.theta0", "layer0.b0", "layer0.b1", "head.b"]
         runs = []
         for l2 in (0.0, 0.5):
-            params = {k: ad.parameter(model.params[k].value.copy()) for k in model.params}
+            params = model.param_values()
             state = AdamState(params, l2=l2, decay_names=model.weight_names)
-            for p in params.values():
-                p.grad = np.ones_like(p.value)
-            adam_step(state, params, lr=0.01)
-            runs.append({k: p.value for k, p in params.items()})
+            adam_step(state, params, {k: np.ones_like(v) for k, v in params.items()}, lr=0.01)
+            runs.append(params)
         for k in model.params:
             same = np.array_equal(runs[0][k], runs[1][k])
             assert same == (k in unlisted), k
 
-    def test_step_clears_every_gradient(self):
-        p = ad.parameter(np.array([[1.0]]))
-        q = ad.parameter(np.array([[2.0]]))
-        p.grad = np.array([[0.5]])
-        state = AdamState({"p": p, "q": q}, l2=0.1, decay_names=("p",))
-        adam_step(state, {"p": p, "q": q}, lr=0.1)
-        assert p.grad is None and q.grad is None
-
-    def test_fit_leaves_no_gradients(self):
-        graphs = [erdos_renyi(8, 0.4, s) for s in range(4)]
-        items = _ones_items(graphs, [1.0, 2.0, 3.0, 4.0])
-        model = build_model(gcn_l1_spec(1), input_dim=1, hidden_dim=4, seed=3)
-        fit(model, items[:3], items[3:], TrainConfig(max_epochs=2, seed=0))
-        assert all(p.grad is None for p in model.params.values())
+    def test_gradients_are_not_modified(self):
+        params = {"p": np.array([[1.0]])}
+        grads = {"p": np.array([[0.5]])}
+        state = AdamState(params, l2=0.1, decay_names=("p",))
+        adam_step(state, params, grads, lr=0.1)
+        assert grads["p"].tolist() == [[0.5]]
+        assert params["p"].tolist() != [[1.0]]
 
 
 class TestTrainConfig:
@@ -182,7 +170,7 @@ class TestFit:
         for patience in (1, 2):
             model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=2)
             init = model.param_values()
-            pred0 = float(forward(model, g, x).value[0, 0])
+            pred0 = float(forward(model, g, x)[0, 0])
             train_items = _ones_items([g], [pred0 + 100.0])
             val_items = _ones_items([g], [pred0])
             cfg = TrainConfig(dropout=0.0, patience=patience, max_epochs=50, seed=0)
@@ -301,15 +289,49 @@ class TestGradientCheck:
         model = build_model(gcn_l1_spec(2), input_dim=1, hidden_dim=4, seed=4)
         item = _ones_items([g], [2.0])[0]
         first = gradient_check(model, item)
-        assert all(p.grad is None for p in model.params.values())
         assert gradient_check(model, item) == first <= 1e-4
 
-    def test_no_trainable_params_returns_zero(self):
-        g = complete_graph(4)
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),),
-                                           mlp_depth=0),),
-                         readout="sum", output_dim=1, head=False)
-        model = build_model(spec, input_dim=1, hidden_dim=4, seed=0)
-        model.params["layer0.theta0"].trainable = False
-        item = _ones_items([g], [1.0])[0]
-        assert gradient_check(model, item) == 0.0
+
+# families x layers x mlp_depth x degree normalisation x dropout x readout
+TAPE_GRID = list(itertools.product((gcn_spec, gcn_l1_spec, gcn_d2_spec), (1, 2, 3),
+                                   (0, 1, 2), (False, True), (0.0, 0.3), ("sum", "node")))
+
+
+class TestTapeReference:
+    @pytest.mark.parametrize("case", range(len(TAPE_GRID)), ids=[
+        f"{f.__name__}-{layers}L-mlp{depth}-norm{int(norm)}-drop{drop}-{readout}"
+        for f, layers, depth, norm, drop, readout in TAPE_GRID])
+    def test_fused_pass_equals_tape(self, case):
+        # the loss and every gradient equal the tape's bit for bit, dropout
+        # masks included (both sides draw from equal seeds)
+        family, layers, depth, normalize, dropout, readout = TAPE_GRID[case]
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(5, 12))
+        g = erdos_renyi(n, 0.4, int(rng.integers(1 << 30)))
+        spec = ModelSpec(layers=tuple(
+            LayerSpec(terms=l.terms, mlp_depth=depth, degree_normalize=normalize)
+            for l in family(layers).layers), readout=readout)
+        model = build_model(spec, input_dim=2, hidden_dim=4, seed=case)
+        rows = 1 if readout == "sum" else n
+        item = prepare_items([g], [rng.normal(size=(n, 2))],
+                             [rng.normal(size=rows) if rows > 1 else rng.normal()])[0]
+        saved = {}
+        pred = forward(model, item.ops, item.features, training=dropout > 0.0,
+                       dropout_rate=dropout, rng=np.random.default_rng(7), saved=saved)
+        loss, d_pred = training._mse_with_gradient(pred, item.target)
+        grads = backward(model, saved, d_pred)
+        ref_loss, ref_grads = tape_loss_and_grads(
+            model, item.ops, item.features, item.target,
+            dropout_rate=dropout, rng=np.random.default_rng(7))
+        assert loss == ref_loss
+        assert set(grads) == set(ref_grads)
+        for k in ref_grads:
+            assert np.array_equal(grads[k], ref_grads[k]), k
+
+
+def test_training_path_does_not_import_the_tape():
+    code = ("import sys, walklab.cli, walklab.experiments, walklab.training; "
+            "print('walklab.autodiff' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
