@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, atomic_write_text, erdos_renyi, from_edge_list
+from .graphs import Graph, atomic_write_text, erdos_renyi, from_edge_list, read_text
 from .walks import four_cycle_count, triangle_total
 
 __all__ = [
@@ -81,6 +81,8 @@ def gen_dataset(n_graphs: int, n_nodes: int, edge_prob: float, target: str,
         raise InputError(f"need at least one graph, got {n_graphs}")
     if target not in TARGET_KINDS:
         raise InputError(f"unknown target kind {target!r}; expected one of {TARGET_KINDS}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     items = []
     for i in range(n_graphs):
         g = erdos_renyi(n_nodes, edge_prob,
@@ -105,25 +107,24 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            try:
-                g = from_edge_list(rec["n"], rec["edges"])
-                target = float(rec["target"])
-            except KeyError as exc:
-                raise InputError(f"{path}:{lineno}: missing dataset field {exc}") from exc
-            except (TypeError, ValueError) as exc:  # InputError is a ValueError
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(target):
-                raise InputError(f"{path}:{lineno}: target {target} is not finite")
-            items.append((g, target))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        try:
+            g = from_edge_list(rec["n"], rec["edges"])
+            target = float(rec["target"])
+        except KeyError as exc:
+            raise InputError(f"{path}:{lineno}: missing dataset field {exc}") from exc
+        except (TypeError, ValueError) as exc:  # InputError is a ValueError
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(target):
+            raise InputError(f"{path}:{lineno}: target {target} is not finite")
+        items.append((g, target))
     if not items:
         raise InputError(f"{path}: empty dataset")
     meta_path = str(path) + ".meta.json"
@@ -181,6 +182,8 @@ def kfold_split(size: int, k: int, seed: int) -> FoldPlan:
         raise InputError(f"k-fold needs k >= 3 (train/val/test must be disjoint), got {k}")
     if size < k:
         raise InputError(f"cannot cut {size} items into {k} folds")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     order = [int(i) for i in rng.permutation(size)]
     base, extra = divmod(size, k)

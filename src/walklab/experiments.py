@@ -1,24 +1,11 @@
 """Cross-validated regression experiments and the two report commands.
 
 The experiment config is a flat ``key = value`` text file (``#`` starts
-a comment). Recognised keys::
-
-    dataset        path to a JSONL dataset (required)
-    models         comma list: GCN-<n>L, GCN-L1-<n>L, GCN-D2-<n>L, baseline
-                   (each at most once, case-insensitively)
-    folds          cross-validation folds (default 10)
-    seed           master seed (default 0)
-    hidden         hidden width (default 16)
-    mlp_depth      combine MLP depth, 0, 1 or 2 (default 2)
-    lr             Adam learning rate (default 0.001)
-    l2             weight penalty (default 0.0005)
-    dropout        hidden-activation dropout (default 0.1)
-    patience       plateau patience in epochs (default 10)
-    lr_factor      plateau LR multiplier (default 0.5)
-    max_epochs     epoch cap (default 300)
-    normalize      comma list of model names that divide rows by deg+1
-
-Unknown keys are hard errors. Node features are a single constant-one
+a comment). Its keys, their types and defaults are the fields of
+:class:`ExperimentConfig` and of its nested :class:`TrainConfig`; the
+README's "Experiment config" table says what each one means. Unknown
+keys are hard errors, and every value is checked when the config is
+parsed, before any cell trains. Node features are a single constant-one
 column, so everything a model learns comes from graph structure.
 
 Each (model, fold) cell trains from its own seed, derived as
@@ -41,7 +28,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,8 +36,8 @@ from .data import Dataset, FoldPlan, baseline_mean, kfold_split, load_dataset
 from .errors import (ConfigError, InputError, InvariantViolation, NumericError,
                      TrainingError)
 from .graphs import (Graph, RegionSpec, atomic_write_text, cycle_graph,
-                     disjoint_union, extract_region)
-from .models import build_model, spec_from_model_name
+                     disjoint_union, extract_region, read_text)
+from .models import ModelSpec, build_model, spec_from_model_name
 from .training import TrainConfig, evaluate, fit, prepare_items
 from .walks import triangle_counts_per_node
 from .wl import Verdict, augmented_distinguish, is_isomorphic_small, wl_distinguish
@@ -69,120 +56,96 @@ __all__ = [
 
 RESULTS_HEADER = "model,fold,train_mse,val_mse,test_mse"
 
-_DEFAULTS = {
-    "dataset": None,
-    "models": "baseline",
-    "folds": "10",
-    "seed": "0",
-    "hidden": "16",
-    "mlp_depth": "2",
-    "lr": "0.001",
-    "l2": "0.0005",
-    "dropout": "0.1",
-    "patience": "10",
-    "lr_factor": "0.5",
-    "max_epochs": "300",
-    "normalize": "",
-}
+# How a config value is read, by the annotation of the field it fills
+_PARSERS = {"str": str, "int": int, "float": float,
+            "tuple[str, ...]": lambda raw: tuple(m.strip() for m in raw.split(",") if m.strip())}
+# The optimiser keys: TrainConfig's fields but the fit seed each cell derives
+_TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Each field is the config key of its name, except
+    ``train``, which holds the optimiser keys."""
+
     dataset: str
-    models: tuple[str, ...]
-    folds: int
-    seed: int
-    hidden: int
-    mlp_depth: int
-    lr: float
-    l2: float
-    dropout: float
-    patience: int
-    lr_factor: float
-    max_epochs: int
-    normalize: tuple[str, ...]
+    models: tuple[str, ...] = ("baseline",)
+    folds: int = 10
+    seed: int = 0
+    hidden: int = 16
+    mlp_depth: int = 2
+    train: TrainConfig = TrainConfig()
+    normalize: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        listed = [name.upper() for name in self.models]
+        if not listed:
+            raise ConfigError("config key 'models' names no models")
+        for i, name in enumerate(self.models):
+            if listed[i] in listed[:i]:
+                raise ConfigError(f"config key 'models' names {name!r} more than once")
+            if listed[i] != "BASELINE":
+                self.model_spec(name)  # InputError on a bad name
+        for name in self.normalize:
+            if name.upper() not in listed:
+                raise ConfigError(f"config key 'normalize' names unknown model {name!r}")
+        for key, value, least in (("folds", self.folds, 3), ("hidden", self.hidden, 1),
+                                  ("seed", self.seed, 0)):
+            if value < least:
+                raise ConfigError(f"config key {key!r} must be >= {least}, got {value}")
+
+    def model_spec(self, name: str) -> ModelSpec:
+        """The spec model ``name`` trains with: ``mlp_depth`` applied, degree-normalised
+        when ``normalize`` lists it (in any case)."""
+        spec = spec_from_model_name(name, name.upper() in (m.upper() for m in self.normalize))
+        try:
+            layers = tuple(replace(layer, mlp_depth=self.mlp_depth) for layer in spec.layers)
+        except InputError as exc:
+            raise ConfigError(f"config: {exc}") from exc
+        return replace(spec, layers=layers)
 
     def echo(self) -> dict:
-        d = dict(self.__dict__)
-        d["models"] = list(self.models)
-        d["normalize"] = list(self.normalize)
-        return d
-
-    def train_config(self, seed: int = 0) -> TrainConfig:
-        """The optimisation settings of one cell, whose fit seed is ``seed``."""
-        return TrainConfig(lr=self.lr, l2=self.l2, dropout=self.dropout,
-                           patience=self.patience, lr_factor=self.lr_factor,
-                           max_epochs=self.max_epochs, seed=seed)
+        """Every config key and its value, flat, as ``summary.json`` records them."""
+        values = {**self.train.__dict__, **self.__dict__}
+        return {k: list(values[k]) if isinstance(values[k], tuple) else values[k] for k in _KEYS}
 
 
-def _convert(key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
+# Every config key and the annotation it is read by, in field order
+_KEYS = {key: kind for f in fields(ExperimentConfig)
+         for key, kind in (_TRAIN_KEYS.items() if f.name == "train" else [(f.name, f.type)])}
 
 
 def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfig:
-    values = dict(_DEFAULTS)
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _DEFAULTS:
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = val.strip()
-    if values["dataset"] is None:
+        try:
+            values[key] = _PARSERS[_KEYS[key]](val)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {val!r}") from exc
+    if "dataset" not in values:
         raise ConfigError("config key 'dataset' is required")
-    models = tuple(m.strip() for m in values["models"].split(",") if m.strip())
-    if not models:
-        raise ConfigError("config key 'models' names no models")
-    normalize = tuple(m.strip() for m in values["normalize"].split(",") if m.strip())
-    for i, name in enumerate(models):
-        # compared case-insensitively, as spec_from_model_name reads names
-        if name.upper() in (m.upper() for m in models[:i]):
-            raise ConfigError(f"config key 'models' names {name!r} more than once")
-        if name.lower() != "baseline":
-            spec_from_model_name(name)  # validates; raises InputError on junk
-    for name in normalize:
-        if name not in models:
-            raise ConfigError(f"config key 'normalize' names unknown model {name!r}")
-    seed = _convert("seed", values["seed"], int)
     if seed_override is not None:
-        seed = seed_override
-    cfg = ExperimentConfig(
-        dataset=values["dataset"],
-        models=models,
-        folds=_convert("folds", values["folds"], int),
-        seed=seed,
-        hidden=_convert("hidden", values["hidden"], int),
-        mlp_depth=_convert("mlp_depth", values["mlp_depth"], int),
-        lr=_convert("lr", values["lr"], float),
-        l2=_convert("l2", values["l2"], float),
-        dropout=_convert("dropout", values["dropout"], float),
-        patience=_convert("patience", values["patience"], int),
-        lr_factor=_convert("lr_factor", values["lr_factor"], float),
-        max_epochs=_convert("max_epochs", values["max_epochs"], int),
-        normalize=normalize,
-    )
+        values["seed"] = seed_override
     try:
-        cfg.train_config()  # range checks now, not after the first cells train
+        train = TrainConfig(**{key: values.pop(key) for key in _TRAIN_KEYS if key in values})
     except InputError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    return cfg
+    return ExperimentConfig(train=train, **values)
 
 
 def read_config(path, seed_override: int | None = None) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return parse_config(read_text(path), seed_override)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return parse_config(text, seed_override)
     except InputError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -250,17 +213,15 @@ def _run_cell(cell: tuple[int, str, int]) -> Row:
                    train_mse=baseline_mean(train_t, train_t),
                    val_mse=baseline_mean(train_t, [targets[i] for i in val_idx]),
                    test_mse=baseline_mean(train_t, [targets[i] for i in test_idx]))
-    spec = spec_from_model_name(name, degree_normalize=name in cfg.normalize)
-    spec = replace(spec, layers=tuple(replace(layer, mlp_depth=cfg.mlp_depth)
-                                      for layer in spec.layers))
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(mi, fold))
     build_seed, fit_seed = [int(s) for s in ss.generate_state(2)]
-    model = build_model(spec, input_dim=1, hidden_dim=cfg.hidden, seed=build_seed)
+    model = build_model(cfg.model_spec(name), input_dim=1, hidden_dim=cfg.hidden,
+                        seed=build_seed)
     train_items = [items[i] for i in train_idx]
     val_items = [items[i] for i in val_idx]
     test_items = [items[i] for i in test_idx]
     try:
-        result = fit(model, train_items, val_items, cfg.train_config(fit_seed))
+        result = fit(model, train_items, val_items, replace(cfg.train, seed=fit_seed))
         return Row(model=name, fold=fold,
                    train_mse=evaluate(model, train_items),
                    val_mse=result.best_val,

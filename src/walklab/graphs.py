@@ -44,6 +44,7 @@ __all__ = [
     "write_edge_list",
     "parse_edge_list",
     "format_edge_list",
+    "read_text",
     "atomic_write_text",
 ]
 
@@ -312,8 +313,16 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path) -> Graph:
+    return parse_edge_list(read_text(path))
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 raise InputError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -221,11 +221,10 @@ class Model:
     not among them).
     """
 
-    def __init__(self, spec: ModelSpec, input_dim: int, hidden_dim: int,
+    def __init__(self, spec: ModelSpec, input_dim: int,
                  params: dict[str, np.ndarray], weight_names: tuple[str, ...]):
         self.spec = spec
         self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.params = params
         self.weight_names = weight_names
 
@@ -272,8 +271,7 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
         raise InputError(
             f"headless model ends with width {width}, expected output_dim {spec.output_dim}"
         )
-    return Model(spec=spec, input_dim=input_dim, hidden_dim=hidden_dim, params=params,
-                 weight_names=tuple(weight_names))
+    return Model(spec=spec, input_dim=input_dim, params=params, weight_names=tuple(weight_names))
 
 
 LEAKY_SLOPE = 0.01

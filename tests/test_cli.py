@@ -80,6 +80,16 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = main(["gen", "--graphs", "2", "--nodes", "5", "--prob", "0.5",
+                     "--target", "triangles", "--seed", "-5",
+                     "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: seed must be >= 0, got -5" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_too_many_nodes_is_runtime_error(self, tmp_path, capsys):
         code = main(["gen", "--graphs", "1", "--nodes", str(MAX_ER_NODES + 1),
                      "--prob", "0.001", "--target", "triangles",
@@ -247,6 +257,23 @@ class TestTrain:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key,value", [("hidden", "0"), ("mlp_depth", "5"), ("seed", "-1")])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"), **{key: value})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"))
+        assert main(["train", "--config", cfg, "--seed", "-2",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "error: config key 'seed' must be >= 0, got -2" in err
+        assert "Traceback" not in err
+
     def test_repeated_model_is_a_config_error(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"),
                            models="baseline,GCN-1L,gcn-1l")
@@ -300,6 +327,42 @@ class TestTrain:
         cfg = _config_file(tmp_path, str(tmp_path / "absent.jsonl"))
         assert main(["train", "--config", cfg]) == 2
         capsys.readouterr()
+
+
+class TestNonUtf8Input:
+    # byte 0xff never occurs in UTF-8: each command exits 1 naming the file
+    def _check(self, argv, path, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def _latin(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode() + b"\xff\n")
+        return str(path)
+
+    def test_count(self, tmp_path, capsys):
+        path = self._latin(tmp_path, "g.txt", "3 1\n0 1\n# ")
+        self._check(["count", path], path, capsys)
+
+    def test_wl(self, tmp_path, capsys):
+        good = _graph_file(tmp_path, cycle_graph(3), "c3.txt")
+        path = self._latin(tmp_path, "g.txt", "3 1\n0 1\n# ")
+        self._check(["wl", good, path], path, capsys)
+
+    def test_regions(self, tmp_path, capsys):
+        path = self._latin(tmp_path, "g.txt", "3 1\n0 1\n# ")
+        self._check(["regions", path, "--node", "0"], path, capsys)
+
+    def test_train_config(self, tmp_path, capsys):
+        path = self._latin(tmp_path, "experiment.cfg", "dataset = d.jsonl\n# ")
+        self._check(["train", "--config", path, "--out", str(tmp_path / "run")], path, capsys)
+
+    def test_train_dataset(self, tmp_path, capsys):
+        path = self._latin(tmp_path, "d.jsonl", '{"n":3,"edges":[[0,1]],"target":0}\n')
+        cfg = _config_file(tmp_path, path)
+        self._check(["train", "--config", cfg, "--out", str(tmp_path / "run")], path, capsys)
 
 
 class TestDemo:

@@ -39,6 +39,10 @@ class TestGenDataset:
         with pytest.raises(InputError):
             gen_dataset(1, 5, 0.5, "pentagons", seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -5"):
+            gen_dataset(2, 5, 0.5, "triangles", seed=-5)
+
 
 class TestRoundTrip:
     def test_save_load_preserves_graphs_and_targets(self, tmp_path):
@@ -97,6 +101,12 @@ class TestRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"n":3,"edges":[[0,1]],"target":0}\n' + record + "\n")
         with pytest.raises(InputError, match=r"bad\.jsonl:2: .*" + re.escape(message)):
+            load_dataset(path)
+
+    def test_load_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(b'{"n":3,"edges":[[0,1]],"target":0}\n\xff\n')
+        with pytest.raises(InputError, match="latin.jsonl: not UTF-8 text"):
             load_dataset(path)
 
     def test_load_rejects_empty_file(self, tmp_path):
@@ -185,6 +195,10 @@ class TestKfold:
             kfold_split(10, 2, seed=0)
         with pytest.raises(InputError):
             kfold_split(4, 5, seed=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            kfold_split(10, 3, seed=-1)
 
 
 class TestBaselineMean:

@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,8 +40,8 @@ class TestConfigParsing:
         cfg = parse_config("dataset = d.jsonl")
         assert cfg.models == ("baseline",)
         assert (cfg.folds, cfg.seed, cfg.hidden, cfg.mlp_depth) == (10, 0, 16, 2)
-        assert (cfg.lr, cfg.l2, cfg.dropout) == (0.001, 0.0005, 0.1)
-        assert (cfg.patience, cfg.lr_factor, cfg.max_epochs) == (10, 0.5, 300)
+        assert (cfg.train.lr, cfg.train.l2, cfg.train.dropout) == (0.001, 0.0005, 0.1)
+        assert (cfg.train.patience, cfg.train.lr_factor, cfg.train.max_epochs) == (10, 0.5, 300)
         assert cfg.normalize == ()
 
     def test_comments_and_blank_lines_ignored(self):
@@ -80,6 +82,41 @@ class TestConfigParsing:
         cfg = parse_config("dataset = d\nmodels = GCN-2L,GCN-3L\nnormalize = GCN-3L")
         assert cfg.normalize == ("GCN-3L",)
 
+    def test_normalize_is_read_case_insensitively(self):
+        cfg = parse_config("dataset = d\nmodels = baseline,GCN-1L,GCN-L1-1L\nnormalize = gcn-1l")
+        assert cfg.model_spec("GCN-1L").layers[0].degree_normalize
+        assert not cfg.model_spec("GCN-L1-1L").layers[0].degree_normalize
+
+    def test_model_spec_carries_mlp_depth(self):
+        cfg = parse_config("dataset = d\nmodels = GCN-D2-2L\nmlp_depth = 0")
+        assert [layer.mlp_depth for layer in cfg.model_spec("GCN-D2-2L").layers] == [0, 0]
+
+    def test_echo_is_the_flat_key_layout(self):
+        echo = parse_config("dataset = d\nmodels = GCN-1L\nnormalize = GCN-1L\nlr = 0.01").echo()
+        assert echo == {
+            "dataset": "d", "models": ["GCN-1L"], "folds": 10, "seed": 0, "hidden": 16,
+            "mlp_depth": 2, "lr": 0.01, "l2": 0.0005, "dropout": 0.1, "patience": 10,
+            "lr_factor": 0.5, "max_epochs": 300, "normalize": ["GCN-1L"]}
+        assert list(echo) == ["dataset", "models", "folds", "seed", "hidden", "mlp_depth",
+                              "lr", "l2", "dropout", "patience", "lr_factor", "max_epochs",
+                              "normalize"]
+
+    def test_readme_table_matches_parser(self):
+        # the README's "Experiment config" table lists exactly the accepted
+        # keys, and each default it states parses to the parser's default
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment config", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` +\| ([^|]+?) +\|", section, re.MULTILINE)
+        defaults = parse_config("dataset = d").echo()
+        assert sorted(key for key, _ in rows) == sorted(defaults)
+        for key, stated in rows:
+            if stated == "(required)":
+                with pytest.raises(ConfigError, match=key):
+                    parse_config("")
+                continue
+            value = "" if stated == "(empty)" else stated.strip("`")
+            assert parse_config(f"dataset = d\n{key} = {value}").echo() == defaults, key
+
     def test_seed_override_wins(self):
         cfg = parse_config("dataset = d\nseed = 5", seed_override=99)
         assert cfg.seed == 99
@@ -93,6 +130,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("lr", "inf"), ("lr", "nan"), ("l2", "inf"), ("l2", "nan"),
         ("dropout", "nan"), ("lr_factor", "inf"), ("lr", "-1"), ("max_epochs", "0"),
+        ("hidden", "0"), ("mlp_depth", "5"), ("seed", "-1"), ("folds", "2"),
     ])
     def test_bad_hyperparameter_is_a_config_error(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -154,6 +192,14 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.config["normalize"] == ["GCN-1L"]
         assert report.summary["failed_folds"] == {}
+
+    def test_normalize_names_any_case(self, tmp_path):
+        # normalize = gcn-1l must train GCN-1L degree-normalised
+        ds = _tiny_dataset(tmp_path)
+        csv = {norm: run_experiment(parse_config(
+                   _tiny_config(ds, models="GCN-1L", normalize=norm))).results_csv()
+               for norm in ("", "GCN-1L", "gcn-1l")}
+        assert csv["gcn-1l"] == csv["GCN-1L"] != csv[""]
 
     def test_failed_fold_accounting(self, tmp_path, monkeypatch):
         def exploding_fit(model, train_items, val_items, cfg):
