@@ -17,23 +17,6 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = [
-    "Tensor",
-    "parameter",
-    "constant",
-    "matmul",
-    "struct_mul",
-    "add",
-    "scalar_mul",
-    "sigmoid",
-    "leaky_relu",
-    "row_scale",
-    "dropout",
-    "row_sum",
-    "mse",
-    "backward",
-]
-
 
 class Tensor:
     """Node in the computation graph; value and grad are 2-D float64."""

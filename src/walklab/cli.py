@@ -23,7 +23,8 @@ from .errors import (CapacityError, ConfigError, CountOverflowError,
 from .experiments import demo_wl_gap, read_config, region_report, run_experiment, write_report
 from .graphs import atomic_write_text, read_edge_list
 from .walks import four_cycle_count, triangle_counts_per_node, triangle_total
-from .wl import augmented_distinguish, is_isomorphic_small, wl_distinguish
+from .wl import (CANONICAL_MAX_NODES, augmented_distinguish, is_isomorphic_small,
+                 wl_distinguish)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,7 +121,7 @@ def _cmd_wl(args) -> int:
         "wl": wl_distinguish(g1, g2).value,
         "augmented": augmented_distinguish(g1, g2).value,
     }
-    if max(g1.n, g2.n) <= 8:
+    if max(g1.n, g2.n) <= CANONICAL_MAX_NODES:
         doc["isomorphic"] = is_isomorphic_small(g1, g2)
     _emit(doc, args.out)
     return EXIT_OK

@@ -25,18 +25,6 @@ from .errors import InputError
 from .graphs import Graph, atomic_write_text, erdos_renyi, from_edge_list, read_text
 from .walks import four_cycle_count, triangle_total
 
-__all__ = [
-    "TARGET_KINDS",
-    "DatasetMeta",
-    "Dataset",
-    "gen_dataset",
-    "save_dataset",
-    "load_dataset",
-    "FoldPlan",
-    "kfold_split",
-    "baseline_mean",
-]
-
 TARGET_KINDS = ("triangles", "four_cycles")
 
 

@@ -17,7 +17,7 @@ class ConfigError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Input exceeds a documented size guard for an exponential-cost routine."""
+    """Input exceeds a documented size guard of a costly routine."""
 
 
 class CountOverflowError(ArithmeticError):

@@ -37,22 +37,10 @@ from .errors import (ConfigError, InputError, InvariantViolation, NumericError,
                      TrainingError)
 from .graphs import (Graph, RegionSpec, atomic_write_text, cycle_graph,
                      disjoint_union, extract_region, read_text)
-from .models import ModelSpec, build_model, spec_from_model_name
+from .models import MAX_HIDDEN_DIM, ModelSpec, build_model, spec_from_model_name
 from .training import TrainConfig, evaluate, fit, prepare_items
 from .walks import triangle_counts_per_node
 from .wl import Verdict, augmented_distinguish, is_isomorphic_small, wl_distinguish
-
-__all__ = [
-    "ExperimentConfig",
-    "parse_config",
-    "read_config",
-    "ExperimentReport",
-    "run_experiment",
-    "write_report",
-    "demo_wl_gap",
-    "region_report",
-    "RESULTS_HEADER",
-]
 
 RESULTS_HEADER = "model,fold,train_mse,val_mse,test_mse"
 
@@ -93,6 +81,8 @@ class ExperimentConfig:
                                   ("seed", self.seed, 0)):
             if value < least:
                 raise ConfigError(f"config key {key!r} must be >= {least}, got {value}")
+        if self.hidden > MAX_HIDDEN_DIM:
+            raise ConfigError(f"config key 'hidden' must be <= {MAX_HIDDEN_DIM}, got {self.hidden}")
 
     def model_spec(self, name: str) -> ModelSpec:
         """The spec model ``name`` trains with: ``mlp_depth`` applied, degree-normalised
@@ -130,8 +120,8 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
             values[key] = _PARSERS[_KEYS[key]](val)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {val!r}") from exc
-    if "dataset" not in values:
-        raise ConfigError("config key 'dataset' is required")
+    if not values.get("dataset"):
+        raise ConfigError("config key 'dataset' is required and must name a file")
     if seed_override is not None:
         values["seed"] = seed_override
     try:

@@ -25,29 +25,6 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 
-__all__ = [
-    "Graph",
-    "RegionSpec",
-    "RootedSubgraph",
-    "from_edge_list",
-    "path_graph",
-    "cycle_graph",
-    "complete_graph",
-    "disjoint_union",
-    "relabel",
-    "erdos_renyi",
-    "MAX_ER_NODES",
-    "degrees",
-    "bfs_distances",
-    "extract_region",
-    "read_edge_list",
-    "write_edge_list",
-    "parse_edge_list",
-    "format_edge_list",
-    "read_text",
-    "atomic_write_text",
-]
-
 
 @dataclass(frozen=True)
 class Graph:

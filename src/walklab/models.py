@@ -35,27 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import CapacityError, InputError, NumericError
 from .graphs import Graph, degrees
 from .walks import adjacency_csr, diag_closed_walks
 
-__all__ = [
-    "AggregationTerm",
-    "self_loop_adjacency",
-    "power",
-    "diag_power",
-    "LayerSpec",
-    "ModelSpec",
-    "gcn_spec",
-    "gcn_l1_spec",
-    "gcn_d2_spec",
-    "spec_from_model_name",
-    "GraphOperators",
-    "Model",
-    "build_model",
-    "forward",
-    "backward",
-]
+# Widest hidden layer build_model accepts. A layer's MLP holds up to two
+# hidden x hidden float64 matrices (w1, and w0 after the first layer),
+# 8 MiB each at 1024, and training keeps about six arrays of each (weights,
+# gradient, two Adam moments, best snapshot, update temporaries): about
+# 100 MB per layer in every worker.
+MAX_HIDDEN_DIM = 1024
 
 OP_SELF_LOOP = "self_loop_adjacency"
 OP_POWER = "power"
@@ -246,6 +235,8 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
     """
     if input_dim < 1 or hidden_dim < 1:
         raise InputError("input_dim and hidden_dim must be >= 1")
+    if hidden_dim > MAX_HIDDEN_DIM:
+        raise CapacityError(f"hidden_dim must be <= {MAX_HIDDEN_DIM}, got {hidden_dim}")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     weight_names: list[str] = []

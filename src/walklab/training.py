@@ -27,20 +27,6 @@ from .errors import CapacityError, InputError, TrainingError
 from .graphs import Graph
 from .models import GraphOperators, Model, backward, forward
 
-__all__ = [
-    "TrainConfig",
-    "TrainItem",
-    "prepare_items",
-    "mse_loss",
-    "AdamState",
-    "adam_step",
-    "EpochStats",
-    "FitResult",
-    "evaluate",
-    "fit",
-    "gradient_check",
-]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -99,16 +85,15 @@ def prepare_items(graphs, features, targets) -> list[TrainItem]:
     return items
 
 
-def mse_loss(pred, target) -> float:
-    """Mean squared error between two equal-length arrays."""
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    t = np.asarray(target, dtype=np.float64).reshape(-1)
-    if p.shape != t.shape:
-        raise InputError(f"length mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error of a prediction and its gradient with respect to
+    the prediction; both arrays have the same nonempty shape."""
+    if pred.shape != target.shape:
+        raise InputError(f"target shape {target.shape} does not match prediction {pred.shape}")
+    if pred.size == 0:
         raise InputError("mse_loss needs at least one entry")
-    d = p - t
-    return float((d * d).mean())
+    diff = pred - target
+    return float((diff * diff).mean()), 2.0 * diff / diff.size
 
 
 ADAM_BETA1 = 0.9
@@ -167,14 +152,6 @@ class FitResult:
     stop_reason: str
 
 
-def _mse_with_gradient(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """MSE of one prediction and its gradient with respect to the prediction."""
-    if pred.shape != target.shape:
-        raise InputError(f"target shape {target.shape} does not match prediction {pred.shape}")
-    diff = pred - target
-    return float((diff * diff).mean()), 2.0 * diff / diff.size
-
-
 def evaluate(model: Model, items) -> float:
     """Mean MSE over items, inference mode (no dropout, no penalty)."""
     if not items:
@@ -182,7 +159,7 @@ def evaluate(model: Model, items) -> float:
     total = 0.0
     for item in items:
         pred = forward(model, item.ops, item.features)
-        total += mse_loss(pred, item.target)
+        total += mse_loss(pred, item.target)[0]
     return total / len(items)
 
 
@@ -213,7 +190,7 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
             saved: dict = {}
             pred = forward(model, item.ops, item.features, training=cfg.dropout > 0.0,
                            dropout_rate=cfg.dropout, rng=rng, saved=saved)
-            loss, d_pred = _mse_with_gradient(pred, item.target)
+            loss, d_pred = mse_loss(pred, item.target)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             adam_step(state, model.params, backward(model, saved, d_pred), lr)
@@ -255,10 +232,10 @@ def gradient_check(model: Model, item: TrainItem, h: float = 1e-5,
             f"gradient check supports <= {max_params} coordinates, got {coord_count}")
     saved: dict = {}
     pred = forward(model, item.ops, item.features, saved=saved)
-    analytic = backward(model, saved, _mse_with_gradient(pred, item.target)[1])
+    analytic = backward(model, saved, mse_loss(pred, item.target)[1])
 
     def loss_value() -> float:
-        return _mse_with_gradient(forward(model, item.ops, item.features), item.target)[0]
+        return mse_loss(forward(model, item.ops, item.features), item.target)[0]
 
     worst = 0.0
     for key, p in model.params.items():

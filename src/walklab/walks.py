@@ -34,16 +34,6 @@ from .errors import (CapacityError, CountOverflowError, InputError,
                      InvariantViolation)
 from .graphs import Graph, degrees
 
-__all__ = [
-    "MAX_PRODUCT_WORK",
-    "adjacency_csr",
-    "diag_closed_walks",
-    "triangle_counts_per_node",
-    "triangle_total",
-    "four_cycle_count",
-    "count_simple_cycles_brute",
-]
-
 _INT64_MAX = 2**63 - 1
 
 # Capacity limit on one sparse product X @ Y, counted as multiply-adds:

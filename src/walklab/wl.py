@@ -5,16 +5,15 @@ labels in its closed neighbourhood (the node itself counts as one of its
 own neighbours). Iteration stops once a round leaves the partition into
 colour classes unchanged.
 
-Two graphs are compared through :class:`Fingerprint`, a byte string
+Two graphs are compared through :func:`wl_fingerprint`, a tuple
 summarising the whole refinement run: node count, the initial label
 histogram, and for every round the sorted table of distinct signatures
-("codebook") together with the resulting colour histogram. Colours are
-ranks into the round's codebook, so as long as two runs share the same
-codebook prefix their colours mean the same thing and their histograms
-are directly comparable; the first differing codebook or histogram is a
-genuine structural difference. Equal fingerprints therefore mean the
-refinement cannot tell the graphs apart, and isomorphic graphs always
-get equal fingerprints. Unequal graphs can still collide in principle -
+with the number of nodes that carry each. Colours are ranks into the
+round's table, so as long as two runs share the same table prefix their
+colours mean the same thing; the first differing table is a genuine
+structural difference. Equal fingerprints therefore mean the refinement
+cannot tell the graphs apart, and isomorphic graphs always get equal
+fingerprints. Unequal graphs can still collide in principle -
 refinement is not a complete isomorphism test - which is why the exact
 (factorial-cost) canonical form is provided for small graphs.
 """
@@ -28,21 +27,11 @@ from enum import Enum
 
 from .errors import CapacityError, InputError, InvariantViolation
 from .graphs import Graph, degrees
-from .walks import triangle_counts_per_node
+from .walks import adjacency_csr, triangle_counts_per_node
 
-__all__ = [
-    "Coloring",
-    "Fingerprint",
-    "Verdict",
-    "wl_refine",
-    "wl_fingerprint",
-    "wl_distinguish",
-    "augmented_distinguish",
-    "cantor_pair",
-    "lex_min_adjacency",
-    "canonical_form",
-    "is_isomorphic_small",
-]
+# Largest graph the exact canonical form accepts: the search walks up to
+# n! node orders, 40 320 at n = 8 and ten times as many at n = 9.
+CANONICAL_MAX_NODES = 8
 
 
 class Verdict(str, Enum):
@@ -67,56 +56,31 @@ class Coloring:
         return len(set(self.colors))
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Deterministic byte summary of a refinement run; compare with ==."""
-
-    data: bytes
-
-
-def _partition_key(colors) -> tuple[int, ...]:
-    # Canonical relabel by first occurrence; equal keys = equal partitions.
-    first: dict = {}
-    out = []
-    for c in colors:
-        if c not in first:
-            first[c] = len(first)
-        out.append(first[c])
-    return tuple(out)
-
-
-def _refinement_run(g: Graph, initial) -> tuple[list[int], list[tuple], list[list[tuple[int, int]]]]:
+def _refinement_run(g: Graph, initial) -> tuple[list[int], list[tuple]]:
     """Run refinement to stability.
 
-    Returns (final colours, per-round codebooks, per-round histograms).
-    Each codebook is the sorted tuple of distinct signatures seen that
-    round; colours are ranks into it.
+    Returns (final colours, per-round tables). A round's table is the
+    sorted tuple of (signature, node count) pairs over the distinct
+    signatures seen that round; colours are ranks into it.
     """
     colors = list(initial)
     if len(colors) != g.n:
         raise InputError(f"expected {g.n} initial labels, got {len(colors)}")
-    codebooks: list[tuple] = []
-    histograms: list[list[tuple[int, int]]] = []
-    prev_key = _partition_key(colors)
+    tables: list[tuple] = []
     for _ in range(g.n):
         signatures = [
             tuple(sorted([colors[u] for u in g.adjacency[v]] + [colors[v]]))
             for v in range(g.n)
         ]
-        codebook = tuple(sorted(set(signatures)))
-        rank = {sig: i for i, sig in enumerate(codebook)}
-        colors = [rank[sig] for sig in signatures]
-        codebooks.append(codebook)
-        histograms.append(sorted(Counter(colors).items()))
-        key = _partition_key(colors)
-        if key == prev_key:
-            return colors, codebooks, histograms
-        prev_key = key
+        table = tuple(sorted(Counter(signatures).items()))
+        rank = {sig: i for i, (sig, _) in enumerate(table)}
+        new = [rank[sig] for sig in signatures]
+        tables.append(table)
+        # same partition: the old and new classes pair up one to one
+        if len(table) == len(set(colors)) == len(set(zip(colors, new))):
+            return new, tables
+        colors = new
     raise InvariantViolation("refinement did not stabilise within n rounds")
-
-
-def _default_labels(g: Graph) -> list[int]:
-    return degrees(g)
 
 
 def wl_refine(g: Graph, initial_labels=None) -> Coloring:
@@ -126,28 +90,20 @@ def wl_refine(g: Graph, initial_labels=None) -> Coloring:
     nodes into colour classes; this is reached within n rounds, and the
     returned colouring is a fixed point of further refinement.
     """
-    initial = _default_labels(g) if initial_labels is None else list(initial_labels)
-    colors, codebooks, _ = _refinement_run(g, initial)
-    return Coloring(colors=tuple(colors), rounds=len(codebooks))
+    initial = degrees(g) if initial_labels is None else list(initial_labels)
+    colors, tables = _refinement_run(g, initial)
+    return Coloring(colors=tuple(colors), rounds=len(tables))
 
 
-def wl_fingerprint(g: Graph, initial_labels=None) -> Fingerprint:
-    """Canonical summary of the refinement run, comparable across graphs."""
-    initial = _default_labels(g) if initial_labels is None else list(initial_labels)
+def wl_fingerprint(g: Graph, initial_labels=None) -> tuple:
+    """Canonical summary of the refinement run, comparable across graphs
+    with ``==``: (n, initial label histogram, per-round tables)."""
+    initial = degrees(g) if initial_labels is None else list(initial_labels)
     for lab in initial:
         if not isinstance(lab, int):
             raise InputError("initial labels must be integers")
-    _, codebooks, histograms = _refinement_run(g, initial)
-    payload = (
-        "wl-fingerprint-v1",
-        g.n,
-        tuple(sorted(Counter(initial).items())),
-        tuple(
-            (codebook, tuple(hist))
-            for codebook, hist in zip(codebooks, histograms)
-        ),
-    )
-    return Fingerprint(data=repr(payload).encode("utf-8"))
+    _, tables = _refinement_run(g, initial)
+    return g.n, tuple(sorted(Counter(initial).items())), tuple(tables)
 
 
 def wl_distinguish(g1: Graph, g2: Graph) -> Verdict:
@@ -184,17 +140,21 @@ def augmented_distinguish(g1: Graph, g2: Graph) -> Verdict:
     return Verdict.DISTINGUISHABLE
 
 
-def lex_min_adjacency(matrix, guard: int = 8) -> tuple[int, ...]:
+def _check_canonical_size(n: int) -> None:
+    if n > CANONICAL_MAX_NODES:
+        raise CapacityError(f"canonical form supports n <= {CANONICAL_MAX_NODES}, got n={n}")
+
+
+def lex_min_adjacency(matrix) -> tuple[int, ...]:
     """Lexicographically smallest row-major flattening over all node orders.
 
     Exact canonical form by factorial search with prefix pruning; the
     result is identical for isomorphic inputs and different otherwise.
-    Guarded to n <= ``guard`` nodes (default 8).
+    Limited to n <= :data:`CANONICAL_MAX_NODES` nodes.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
-    if n > guard:
-        raise CapacityError(f"canonical form supports n <= {guard}, got n={n}")
+    _check_canonical_size(n)
     for row in a:
         if len(row) != n:
             raise InputError("adjacency matrix must be square")
@@ -221,24 +181,15 @@ def lex_min_adjacency(matrix, guard: int = 8) -> tuple[int, ...]:
     return tuple(x for row in best for x in row)
 
 
-def canonical_form(g: Graph, with_self_loop_diagonal: bool = False, guard: int = 8) -> tuple[int, ...]:
-    """Exact canonical form of a graph as a row-major 0/1 vector.
-
-    With ``with_self_loop_diagonal`` the whole diagonal is set to 1
-    before canonicalisation (the closed-neighbourhood convention).
-    """
-    mat = [[0] * g.n for _ in range(g.n)]
-    for v, nbrs in enumerate(g.adjacency):
-        for u in nbrs:
-            mat[v][u] = 1
-    if with_self_loop_diagonal:
-        for v in range(g.n):
-            mat[v][v] = 1
-    return lex_min_adjacency(mat, guard=guard)
+def canonical_form(g: Graph) -> tuple[int, ...]:
+    """Exact canonical form of a graph as a row-major 0/1 vector."""
+    _check_canonical_size(g.n)  # before the dense matrix is built
+    return lex_min_adjacency(adjacency_csr(g).toarray())
 
 
-def is_isomorphic_small(g1: Graph, g2: Graph, guard: int = 8) -> bool:
-    """Exact isomorphism test for small graphs via canonical forms."""
+def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test for graphs of at most
+    :data:`CANONICAL_MAX_NODES` nodes via canonical forms."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return False
-    return canonical_form(g1, guard=guard) == canonical_form(g2, guard=guard)
+    return canonical_form(g1) == canonical_form(g2)

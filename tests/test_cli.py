@@ -20,7 +20,7 @@ def _graph_file(tmp_path, g, name):
     return str(path)
 
 
-def _config_file(tmp_path, dataset, **overrides):
+def _config_file(tmp_path, dataset, /, **overrides):
     lines = {
         "dataset": dataset,
         "models": "baseline,GCN-1L",
@@ -144,12 +144,14 @@ class TestWl:
                        "augmented": "distinguishable",
                        "isomorphic": False}
 
-    def test_large_graphs_skip_isomorphism(self, tmp_path, capsys):
-        g1 = _graph_file(tmp_path, cycle_graph(9), "a.txt")
-        g2 = _graph_file(tmp_path, cycle_graph(9), "b.txt")
+    @pytest.mark.parametrize("n,extra", [(9, {}), (8, {"isomorphic": True})])
+    def test_large_graphs_skip_isomorphism(self, tmp_path, capsys, n, extra):
+        # the exact verdict is reported up to the canonical-form node limit
+        g1 = _graph_file(tmp_path, cycle_graph(n), "a.txt")
+        g2 = _graph_file(tmp_path, cycle_graph(n), "b.txt")
         assert main(["wl", g1, g2]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc == {"wl": "indistinguishable", "augmented": "indistinguishable"}
+        assert doc == {"wl": "indistinguishable", "augmented": "indistinguishable", **extra}
 
 
 class TestRegions:
@@ -257,7 +259,8 @@ class TestTrain:
         assert "lr must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key,value", [("hidden", "0"), ("mlp_depth", "5"), ("seed", "-1")])
+    @pytest.mark.parametrize("key,value", [("hidden", "0"), ("mlp_depth", "5"), ("seed", "-1"),
+                                           ("hidden", "10000000"), ("dataset", "")])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, key, value):
         cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"), **{key: value})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1

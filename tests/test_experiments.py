@@ -22,7 +22,7 @@ def _tiny_dataset(tmp_path, n_graphs=9, n_nodes=8, seed=5):
     return str(path)
 
 
-def _tiny_config(dataset, **overrides):
+def _tiny_config(dataset, /, **overrides):
     lines = {
         "dataset": dataset,
         "models": "baseline,GCN-1L",
@@ -131,6 +131,7 @@ class TestConfigParsing:
         ("lr", "inf"), ("lr", "nan"), ("l2", "inf"), ("l2", "nan"),
         ("dropout", "nan"), ("lr_factor", "inf"), ("lr", "-1"), ("max_epochs", "0"),
         ("hidden", "0"), ("mlp_depth", "5"), ("seed", "-1"), ("folds", "2"),
+        ("dataset", ""), ("hidden", "10000000"),
     ])
     def test_bad_hyperparameter_is_a_config_error(self, key, value):
         with pytest.raises(ConfigError, match=key):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from walklab.errors import InputError, NumericError
+from walklab.errors import CapacityError, InputError, NumericError
 from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
                             from_edge_list, path_graph, relabel)
-from walklab.models import (AggregationTerm, GraphOperators, LayerSpec,
-                            ModelSpec, build_model, diag_power, forward,
+from walklab.models import (MAX_HIDDEN_DIM, AggregationTerm, GraphOperators,
+                            LayerSpec, ModelSpec, build_model, diag_power, forward,
                             gcn_d2_spec, gcn_l1_spec, gcn_spec, power,
                             self_loop_adjacency, spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
@@ -108,6 +108,11 @@ class TestBuild:
             "layer0.w0", "layer0.b0", "layer0.w1", "layer0.b1",
             "head.w", "head.b",
         ]
+
+    def test_hidden_capacity(self):
+        build_model(gcn_spec(1), input_dim=1, hidden_dim=MAX_HIDDEN_DIM, seed=0)
+        with pytest.raises(CapacityError):
+            build_model(gcn_spec(1), input_dim=1, hidden_dim=MAX_HIDDEN_DIM + 1, seed=0)
 
     def test_headless_width_check(self):
         spec = ModelSpec(layers=(LayerSpec(terms=(power(1),), mlp_depth=0),),

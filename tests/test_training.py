@@ -19,23 +19,33 @@ def _ones_items(graphs, targets):
     return prepare_items(graphs, [np.ones((g.n, 1)) for g in graphs], targets)
 
 
+def _col(*values):
+    return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+
 class TestMseLoss:
     def test_perfect_prediction(self):
-        assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
+        loss, grad = mse_loss(_col(1.0, 2.0), _col(1.0, 2.0))
+        assert loss == 0.0
+        assert np.array_equal(grad, _col(0.0, 0.0))
 
     def test_single_entry(self):
-        assert mse_loss([0.0], [2.0]) == 4.0
+        loss, grad = mse_loss(_col(0.0), _col(2.0))
+        assert loss == 4.0
+        assert np.array_equal(grad, _col(-4.0))
 
     def test_mean_over_entries(self):
-        assert mse_loss([1.0, 3.0], [2.0, 2.0]) == 1.0
+        loss, grad = mse_loss(_col(1.0, 3.0), _col(2.0, 2.0))
+        assert loss == 1.0
+        assert np.array_equal(grad, _col(-1.0, 1.0))
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            mse_loss([1.0], [1.0, 2.0])
+            mse_loss(_col(1.0), _col(1.0, 2.0))
 
     def test_empty(self):
         with pytest.raises(InputError):
-            mse_loss([], [])
+            mse_loss(_col(), _col())
 
 
 class TestAdam:
@@ -318,7 +328,7 @@ class TestTapeReference:
         saved = {}
         pred = forward(model, item.ops, item.features, training=dropout > 0.0,
                        dropout_rate=dropout, rng=np.random.default_rng(7), saved=saved)
-        loss, d_pred = training._mse_with_gradient(pred, item.target)
+        loss, d_pred = mse_loss(pred, item.target)
         grads = backward(model, saved, d_pred)
         ref_loss, ref_grads = tape_loss_and_grads(
             model, item.ops, item.features, item.target,

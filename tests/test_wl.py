@@ -5,9 +5,10 @@ from walklab.errors import CapacityError, InputError
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
-from walklab.wl import (Verdict, augmented_distinguish, canonical_form,
-                        cantor_pair, is_isomorphic_small, lex_min_adjacency,
-                        wl_distinguish, wl_fingerprint, wl_refine)
+from walklab.wl import (CANONICAL_MAX_NODES, Verdict, augmented_distinguish,
+                        canonical_form, cantor_pair, is_isomorphic_small,
+                        lex_min_adjacency, wl_distinguish, wl_fingerprint,
+                        wl_refine)
 
 from oracles import is_isomorphic_by_search
 
@@ -115,8 +116,8 @@ class TestFingerprint:
         # same class-count shape (one class each), different degrees
         assert wl_fingerprint(cycle_graph(4)) != wl_fingerprint(complete_graph(4))
 
-    def test_deterministic_bytes(self):
-        assert wl_fingerprint(cycle_graph(5)).data == wl_fingerprint(cycle_graph(5)).data
+    def test_deterministic(self):
+        assert wl_fingerprint(cycle_graph(5)) == wl_fingerprint(cycle_graph(5))
 
 
 class TestDistinguish:
@@ -166,10 +167,8 @@ class TestCanonicalForm:
         assert lex_min_adjacency([[0, 1], [1, 0]]) == (0, 1, 1, 0)
         assert lex_min_adjacency([[0, 0], [0, 0]]) == (0, 0, 0, 0)
 
-    def test_graph_level_with_loop_diagonal(self):
-        g = path_graph(2)
-        assert canonical_form(g) == (0, 1, 1, 0)
-        assert canonical_form(g, with_self_loop_diagonal=True) == (1, 1, 1, 1)
+    def test_graph_level(self):
+        assert canonical_form(path_graph(2)) == (0, 1, 1, 0)
 
     def test_invariant_under_relabelling(self):
         rng = np.random.default_rng(16)
@@ -180,8 +179,11 @@ class TestCanonicalForm:
             assert canonical_form(g) == canonical_form(h)
 
     def test_guard(self):
+        canonical_form(path_graph(CANONICAL_MAX_NODES))
         with pytest.raises(CapacityError):
-            canonical_form(erdos_renyi(9, 0.2, 1))
+            canonical_form(erdos_renyi(CANONICAL_MAX_NODES + 1, 0.2, 1))
+        with pytest.raises(CapacityError):
+            lex_min_adjacency([[0] * 9] * 9)
         with pytest.raises(InputError):
             lex_min_adjacency([[0, 2], [2, 0]])
 
