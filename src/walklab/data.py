@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .graphs import Graph, atomic_write_text, erdos_renyi, from_edge_list, read_text
 from .walks import four_cycle_count, triangle_total
 
@@ -110,6 +110,8 @@ def load_dataset(path) -> Dataset:
             raise InputError(f"{path}:{lineno}: missing dataset field {exc}") from exc
         except (TypeError, ValueError) as exc:  # InputError is a ValueError
             raise InputError(f"{path}:{lineno}: {exc}") from exc
+        except CapacityError as exc:
+            raise CapacityError(f"{path}:{lineno}: {exc}") from exc
         if not math.isfinite(target):
             raise InputError(f"{path}:{lineno}: target {target} is not finite")
         items.append((g, target))

@@ -73,7 +73,7 @@ class ExperimentConfig:
             if listed[i] in listed[:i]:
                 raise ConfigError(f"config key 'models' names {name!r} more than once")
             if listed[i] != "BASELINE":
-                self.model_spec(name)  # InputError on a bad name
+                self.model_spec(name)  # ConfigError on a bad name or mlp_depth
         for name in self.normalize:
             if name.upper() not in listed:
                 raise ConfigError(f"config key 'normalize' names unknown model {name!r}")
@@ -85,14 +85,13 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'hidden' must be <= {MAX_HIDDEN_DIM}, got {self.hidden}")
 
     def model_spec(self, name: str) -> ModelSpec:
-        """The spec model ``name`` trains with: ``mlp_depth`` applied, degree-normalised
-        when ``normalize`` lists it (in any case)."""
-        spec = spec_from_model_name(name, name.upper() in (m.upper() for m in self.normalize))
+        """The spec model ``name`` trains with: ``mlp_depth`` in every layer,
+        degree-normalised when ``normalize`` lists it (in any case)."""
         try:
-            layers = tuple(replace(layer, mlp_depth=self.mlp_depth) for layer in spec.layers)
+            return spec_from_model_name(
+                name, name.upper() in (m.upper() for m in self.normalize), self.mlp_depth)
         except InputError as exc:
             raise ConfigError(f"config: {exc}") from exc
-        return replace(spec, layers=layers)
 
     def echo(self) -> dict:
         """Every config key and its value, flat, as ``summary.json`` records them."""
@@ -344,11 +343,12 @@ def demo_wl_gap() -> dict:
 def region_report(g: Graph, v: int, k_max: int) -> list[dict]:
     """Region sizes around v for radii 1..k_max, with the nesting check.
 
+    ``k_max`` runs from 1 to n: no region grows past radius n - 1.
     Raises :class:`InvariantViolation` if any D/L region fails the
     containment chain D_k within L_k within D_{k+1}.
     """
-    if k_max < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= g.n:
+        raise InputError(f"k_max must be in 1..{g.n} (the node count), got {k_max}")
     rows = []
     regions = {}
     for k in range(1, k_max + 2):

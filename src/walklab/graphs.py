@@ -84,6 +84,11 @@ class Graph:
 
 _INT_IDS = (int, np.integer)
 
+# Node limit of from_edge_list: a graph holds a neighbour list per node,
+# about 90 bytes per node at peak while it is built (92 MB at 10^6 nodes),
+# so ~190 MB at the limit.
+MAX_NODES = 2_000_000
+
 
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph from an iterable of (u, v) pairs.
@@ -91,12 +96,16 @@ def from_edge_list(n: int, edges) -> Graph:
     Duplicate edges (in either order) collapse to one; self-loops are
     dropped. Node ids are Python or numpy integers (bool and float are
     rejected); an id of another type, a pair that is not two ids, or an
-    id outside ``0..n-1`` raises :class:`InputError`.
+    id outside ``0..n-1`` raises :class:`InputError`. ``n`` above
+    :data:`MAX_NODES` raises :class:`CapacityError` before anything is
+    allocated per node.
     """
     if n.__class__ is bool or not isinstance(n, _INT_IDS):
         raise InputError(f"node count must be an integer, got {n!r}")
     if n < 1:
         raise InputError(f"graph needs at least one node, got n={n}")
+    if n > MAX_NODES:
+        raise CapacityError(f"graphs support n <= {MAX_NODES}, got n={n}")
     pairs = set()
     for pair in edges:
         try:

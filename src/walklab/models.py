@@ -14,6 +14,10 @@ scaled by the gate ``layer{i}.theta{t}``. Available structural operators:
 * ``diag_power(m)``: row v scaled by the node's closed m-walk count
   (for m = 3, twice its triangle count).
 
+A model family is the tuple of terms each of its layers sums;
+:data:`FAMILIES` declares every family, and :func:`spec_from_model_name`
+builds every spec from it.
+
 Gates are sigmoid-squashed scalars, so each term's mixing weight lives
 in (0, 1); the raw gate parameters start at 0 (weight 0.5). After the
 last layer a Sum readout collapses node rows to one vector and a linear
@@ -109,14 +113,13 @@ class LayerSpec:
 class ModelSpec:
     """Layer stack, readout kind, and output dimension.
 
-    ``readout`` is ``"sum"`` (pool rows, then a linear head unless
-    ``head`` is False) or ``"node"`` (per-node outputs, no pooling).
+    ``readout`` is ``"sum"`` (pool rows, then the linear head) or
+    ``"node"`` (the head applied to every node row, no pooling).
     """
 
     layers: tuple[LayerSpec, ...]
     readout: str = "sum"
     output_dim: int = 1
-    head: bool = True
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -127,34 +130,24 @@ class ModelSpec:
             raise InputError(f"output_dim must be >= 1, got {self.output_dim}")
 
 
-def gcn_spec(num_layers: int = 2, degree_normalize: bool = False) -> ModelSpec:
-    """Plain closed-neighbourhood model: each layer sums over N(v) + v."""
-    layer = LayerSpec(terms=(self_loop_adjacency(),), degree_normalize=degree_normalize)
-    return ModelSpec(layers=(layer,) * num_layers)
+# The terms every layer of a family sums, by the family part of its name:
+# GCN-<n>L sums over N(v) + v, GCN-L1-<n>L adds the closed-3-walk diagonal,
+# GCN-D2-<n>L adds A applied twice as well.
+FAMILIES = {
+    "": (self_loop_adjacency(),),
+    "L1": (self_loop_adjacency(), diag_power(3)),
+    "D2": (self_loop_adjacency(), diag_power(3), power(2)),
+}
 
 
-def gcn_l1_spec(num_layers: int = 1, degree_normalize: bool = False) -> ModelSpec:
-    """Adds a closed-3-walk diagonal term next to the neighbourhood sum."""
-    layer = LayerSpec(
-        terms=(self_loop_adjacency(), diag_power(3)),
-        degree_normalize=degree_normalize,
-    )
-    return ModelSpec(layers=(layer,) * num_layers)
-
-
-def gcn_d2_spec(num_layers: int = 1, degree_normalize: bool = False) -> ModelSpec:
-    """L1 terms plus a two-step walk term (A applied twice)."""
-    layer = LayerSpec(
-        terms=(self_loop_adjacency(), diag_power(3), power(2)),
-        degree_normalize=degree_normalize,
-    )
-    return ModelSpec(layers=(layer,) * num_layers)
-
-
-def spec_from_model_name(name: str, degree_normalize: bool = False) -> ModelSpec:
-    """Parse names like GCN-2L, GCN-L1-1L, GCN-D2-1L into specs."""
+def spec_from_model_name(name: str, degree_normalize: bool = False,
+                         mlp_depth: int = 2) -> ModelSpec:
+    """Parse names like GCN-2L, GCN-L1-1L, GCN-D2-1L (any case) into n
+    identical layers summing the terms :data:`FAMILIES` lists."""
     parts = name.strip().upper().split("-")
-    if not parts or parts[0] != "GCN" or len(parts) < 2 or not parts[-1].endswith("L"):
+    family = "-".join(parts[1:-1])
+    if (parts[0] != "GCN" or len(parts) < 2 or family not in FAMILIES
+            or not parts[-1].endswith("L")):
         raise InputError(f"unknown model name {name!r}")
     try:
         num_layers = int(parts[-1][:-1])
@@ -162,14 +155,8 @@ def spec_from_model_name(name: str, degree_normalize: bool = False) -> ModelSpec
         raise InputError(f"unknown model name {name!r}") from exc
     if num_layers < 1:
         raise InputError(f"model {name!r} needs at least one layer")
-    family = "-".join(parts[1:-1])
-    if family == "":
-        return gcn_spec(num_layers, degree_normalize)
-    if family == "L1":
-        return gcn_l1_spec(num_layers, degree_normalize)
-    if family == "D2":
-        return gcn_d2_spec(num_layers, degree_normalize)
-    raise InputError(f"unknown model name {name!r}")
+    layer = LayerSpec(FAMILIES[family], mlp_depth, degree_normalize)
+    return ModelSpec(layers=(layer,) * num_layers)
 
 
 class GraphOperators:
@@ -256,12 +243,7 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
             width = hidden_dim
         if layer.mlp_depth == 2:
             linear(f"layer{i}.w1", f"layer{i}.b1", hidden_dim, hidden_dim)
-    if spec.head:
-        linear("head.w", "head.b", width, spec.output_dim)
-    elif width != spec.output_dim:
-        raise InputError(
-            f"headless model ends with width {width}, expected output_dim {spec.output_dim}"
-        )
+    linear("head.w", "head.b", width, spec.output_dim)
     return Model(spec=spec, input_dim=input_dim, params=params, weight_names=tuple(weight_names))
 
 
@@ -331,8 +313,7 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     if model.spec.readout == "sum":
         h = h.sum(axis=0, keepdims=True)
     head_x = h
-    if model.spec.head:
-        h = h @ p["head.w"] + p["head.b"]
+    h = h @ p["head.w"] + p["head.b"]
     if not np.isfinite(h).all():
         raise NumericError("output head produced non-finite values")
     if saved is not None:
@@ -368,11 +349,9 @@ def backward(model: Model, saved: dict, d_out: np.ndarray) -> dict[str, np.ndarr
     """
     p, ops = model.params, saved["ops"]
     grads: dict[str, np.ndarray] = {}
-    g = d_out
-    if model.spec.head:
-        grads["head.w"] = saved["head_x"].T @ g
-        grads["head.b"] = g.sum(axis=0, keepdims=True)
-        g = g @ p["head.w"].T
+    grads["head.w"] = saved["head_x"].T @ d_out
+    grads["head.b"] = d_out.sum(axis=0, keepdims=True)
+    g = d_out @ p["head.w"].T
     if model.spec.readout == "sum":
         g = np.repeat(g, ops.graph.n, axis=0)
     for i in reversed(range(len(model.spec.layers))):

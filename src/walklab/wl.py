@@ -1,9 +1,10 @@
 """Colour refinement, cross-graph fingerprints, and exact canonical forms.
 
-Refinement rounds replace each node's label with the sorted multiset of
-labels in its closed neighbourhood (the node itself counts as one of its
-own neighbours). Iteration stops once a round leaves the partition into
-colour classes unchanged.
+Refinement rounds replace each node's label with the pair (its own label,
+the sorted multiset of its neighbours' labels): the textbook 1-WL step.
+Two nodes that differ in colour keep differing, so each round can only
+split classes, and iteration stops once a round leaves the number of
+colour classes, and so the partition, unchanged.
 
 Two graphs are compared through :func:`wl_fingerprint`, a tuple
 summarising the whole refinement run: node count, the initial label
@@ -56,53 +57,50 @@ class Coloring:
         return len(set(self.colors))
 
 
-def _refinement_run(g: Graph, initial) -> tuple[list[int], list[tuple]]:
-    """Run refinement to stability.
+def _refinement_run(g: Graph, initial_labels) -> tuple[list[int], list[int], list[tuple]]:
+    """Run refinement to stability from integer labels (degrees by default).
 
-    Returns (final colours, per-round tables). A round's table is the
-    sorted tuple of (signature, node count) pairs over the distinct
-    signatures seen that round; colours are ranks into it.
+    Returns (initial labels, final colours, per-round tables). A round's
+    table is the sorted tuple of (signature, node count) pairs over the
+    distinct signatures seen that round; colours are ranks into it.
     """
-    colors = list(initial)
-    if len(colors) != g.n:
-        raise InputError(f"expected {g.n} initial labels, got {len(colors)}")
+    initial = degrees(g) if initial_labels is None else list(initial_labels)
+    if len(initial) != g.n:
+        raise InputError(f"expected {g.n} initial labels, got {len(initial)}")
+    if not all(isinstance(lab, int) for lab in initial):
+        raise InputError("initial labels must be integers")
+    colors = initial
     tables: list[tuple] = []
     for _ in range(g.n):
-        signatures = [
-            tuple(sorted([colors[u] for u in g.adjacency[v]] + [colors[v]]))
-            for v in range(g.n)
-        ]
+        signatures = [(colors[v], *sorted([colors[u] for u in g.adjacency[v]]))
+                      for v in range(g.n)]
         table = tuple(sorted(Counter(signatures).items()))
         rank = {sig: i for i, (sig, _) in enumerate(table)}
         new = [rank[sig] for sig in signatures]
         tables.append(table)
-        # same partition: the old and new classes pair up one to one
-        if len(table) == len(set(colors)) == len(set(zip(colors, new))):
-            return new, tables
+        # the signature holds the own colour, so the new partition refines
+        # the old one and an unchanged class count means the same partition
+        if len(table) == len(set(colors)):
+            return initial, new, tables
         colors = new
     raise InvariantViolation("refinement did not stabilise within n rounds")
 
 
 def wl_refine(g: Graph, initial_labels=None) -> Coloring:
-    """Refine node labels to a stable partition (degrees by default).
+    """Refine integer node labels (degrees by default) to a stable partition.
 
     Stability means one more round would not change the grouping of
     nodes into colour classes; this is reached within n rounds, and the
     returned colouring is a fixed point of further refinement.
     """
-    initial = degrees(g) if initial_labels is None else list(initial_labels)
-    colors, tables = _refinement_run(g, initial)
+    _, colors, tables = _refinement_run(g, initial_labels)
     return Coloring(colors=tuple(colors), rounds=len(tables))
 
 
 def wl_fingerprint(g: Graph, initial_labels=None) -> tuple:
     """Canonical summary of the refinement run, comparable across graphs
     with ``==``: (n, initial label histogram, per-round tables)."""
-    initial = degrees(g) if initial_labels is None else list(initial_labels)
-    for lab in initial:
-        if not isinstance(lab, int):
-            raise InputError("initial labels must be integers")
-    _, tables = _refinement_run(g, initial)
+    initial, _, tables = _refinement_run(g, initial_labels)
     return g.n, tuple(sorted(Counter(initial).items())), tuple(tables)
 
 

@@ -213,8 +213,7 @@ def tape_loss_and_grads(model, ops, x, target, *, dropout_rate=0.0, rng=None):
                 h = ad.leaky_relu(ad.add(ad.matmul(h, p[f"layer{i}.w1"]), p[f"layer{i}.b1"]))
     if model.spec.readout == "sum":
         h = ad.row_sum(h)
-    if model.spec.head:
-        h = ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
+    h = ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
     loss = ad.mse(h, target)
     ad.backward(loss)
     return loss.item(), {k: t.grad for k, t in p.items()}

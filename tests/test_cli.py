@@ -1,8 +1,10 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,14 +12,48 @@ import pytest
 from walklab import experiments, walks
 from walklab.cli import main
 from walklab.errors import InputError
-from walklab.graphs import (MAX_ER_NODES, complete_graph, cycle_graph,
-                            disjoint_union, write_edge_list)
+from walklab.graphs import (MAX_ER_NODES, MAX_NODES, complete_graph, cycle_graph,
+                            disjoint_union, path_graph, write_edge_list)
 
 
 def _graph_file(tmp_path, g, name):
     path = tmp_path / name
     write_edge_list(g, path)
     return str(path)
+
+
+def _write(tmp_path, name, data) -> str:
+    path = tmp_path / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    return str(path)
+
+
+def _not_utf8(tmp_path, name, text):
+    # byte 0xff never occurs in UTF-8: the command exits 1 naming the file
+    path = _write(tmp_path, name, text.encode() + b"\xff\n")
+    return path, f"error: {path}: not UTF-8 text"
+
+
+def _not_utf8_args(tmp_path, name, text, before=(), after=()):
+    path, message = _not_utf8(tmp_path, name, text)
+    return [*before, path, *after], message
+
+
+def _assert_fails(command, row, tmp_path, capsys):
+    """Run one failure-table row: ``build(tmp_path)`` gives the arguments of
+    ``command`` and the message; the command exits ``code`` with that
+    error line, no traceback, and no output file."""
+    build, code = row
+    args, message = build(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _config_file(tmp_path, dataset, /, **overrides):
@@ -53,6 +89,19 @@ class TestUsage:
         capsys.readouterr()
 
 
+# Malformed input, one table per command: case -> (build, exit code), where
+# build(tmp_path) writes the inputs and returns (arguments, error message).
+# In the gen rows a repeated flag overrides the one in _GEN.
+_GEN = ["--graphs", "2", "--nodes", "5", "--prob", "0.5", "--target", "triangles"]
+GEN_FAILURES = {
+    "bad-probability": (lambda d: (_GEN + ["--prob", "1.5"],
+                                   "edge probability must be in [0, 1], got 1.5"), 1),
+    "negative-seed": (lambda d: (_GEN + ["--seed", "-5"], "error: seed must be >= 0, got -5"), 1),
+    "too-many-nodes": (lambda d: (_GEN + ["--nodes", str(MAX_ER_NODES + 1), "--prob", "0.001"],
+                                  "error: erdos_renyi supports"), 2),
+}
+
+
 class TestGen:
     def test_writes_dataset_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "toy.jsonl"
@@ -74,29 +123,26 @@ class TestGen:
         assert all(json.loads(line)["target"] == 0
                    for line in out.read_text().strip().split("\n"))
 
-    def test_bad_probability(self, tmp_path, capsys):
-        code = main(["gen", "--graphs", "2", "--nodes", "5", "--prob", "1.5",
-                     "--target", "triangles", "--out", str(tmp_path / "x.jsonl")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("case", GEN_FAILURES)
+    def test_failure(self, tmp_path, capsys, case):
+        _assert_fails("gen", GEN_FAILURES[case], tmp_path, capsys)
 
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
-        code = main(["gen", "--graphs", "2", "--nodes", "5", "--prob", "0.5",
-                     "--target", "triangles", "--seed", "-5",
-                     "--out", str(tmp_path / "x.jsonl")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error: seed must be >= 0, got -5" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "x.jsonl").exists()
 
-    def test_too_many_nodes_is_runtime_error(self, tmp_path, capsys):
-        code = main(["gen", "--graphs", "1", "--nodes", str(MAX_ER_NODES + 1),
-                     "--prob", "0.001", "--target", "triangles",
-                     "--out", str(tmp_path / "x.jsonl")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: erdos_renyi supports")
-        assert not (tmp_path / "x.jsonl").exists()
+def _star(tmp_path):
+    # L leaves: sum_v d_v^2 = L^2 + L, just above the sparse product limit
+    leaves = math.isqrt(walks.MAX_PRODUCT_WORK) + 1
+    edges = "".join(f"0 {leaf}\n" for leaf in range(1, leaves + 1))
+    return [_write(tmp_path, "star.txt", f"{leaves + 1} {leaves}\n{edges}")]
+
+
+COUNT_FAILURES = {
+    "missing-file": (lambda d: ([str(d / "absent.txt")], "No such file"), 2),
+    "malformed-line": (lambda d: ([_write(d, "bad.txt", "3 1\n0 zero\n")], "'0 zero'"), 1),
+    "product-work-guard": (lambda d: (_star(d), "error: sparse walk product"), 2),
+    "node-limit": (lambda d: ([_write(d, "huge.txt", "10000000000 1\n0 1\n")],
+                              f"graphs support n <= {MAX_NODES}"), 2),
+    "not-utf8": (lambda d: _not_utf8_args(d, "g.txt", "3 1\n0 1\n# "), 1),
+}
 
 
 class TestCount:
@@ -116,21 +162,20 @@ class TestCount:
         assert doc["four_cycles"] == 1
         assert doc["triangles"] == 0
 
-    def test_missing_file_is_runtime_error(self, tmp_path, capsys):
-        assert main(["count", str(tmp_path / "absent.txt")]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("case", COUNT_FAILURES)
+    def test_failure(self, tmp_path, capsys, case):
+        _assert_fails("count", COUNT_FAILURES[case], tmp_path, capsys)
 
-    def test_product_work_guard_is_runtime_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 10)
-        path = _graph_file(tmp_path, complete_graph(4), "k4.txt")
-        assert main(["count", path]) == 2
-        assert "error: sparse walk product" in capsys.readouterr().err
 
-    def test_malformed_file_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 1\n0 zero\n")
-        assert main(["count", str(path)]) == 1
-        capsys.readouterr()
+def _c3(tmp_path):
+    return _graph_file(tmp_path, cycle_graph(3), "c3.txt")
+
+
+WL_FAILURES = {
+    "malformed-line": (lambda d: ([_c3(d), _write(d, "bad.txt", "3 1\n0 zero\n")],
+                                  "'0 zero'"), 1),
+    "not-utf8": (lambda d: _not_utf8_args(d, "g.txt", "3 1\n0 1\n# ", before=[_c3(d)]), 1),
+}
 
 
 class TestWl:
@@ -153,6 +198,20 @@ class TestWl:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"wl": "indistinguishable", "augmented": "indistinguishable", **extra}
 
+    @pytest.mark.parametrize("case", WL_FAILURES)
+    def test_failure(self, tmp_path, capsys, case):
+        _assert_fails("wl", WL_FAILURES[case], tmp_path, capsys)
+
+
+REGIONS_FAILURES = {
+    "node-out-of-range": (lambda d: ([_graph_file(d, complete_graph(3), "k3.txt"), "--node", "7"],
+                                     "node 7 out of range 0..2"), 1),
+    "kmax-above-node-count": (lambda d: ([_graph_file(d, path_graph(5), "p5.txt"), "--node", "0",
+                                          "--kmax", "100000000"], "k_max must be in 1..5"), 1),
+    "not-utf8": (lambda d: _not_utf8_args(d, "g.txt", "3 1\n0 1\n# ", after=["--node", "0"]),
+                 1),
+}
+
 
 class TestRegions:
     def test_table_output(self, tmp_path, capsys):
@@ -171,10 +230,82 @@ class TestRegions:
         assert json.loads(out.read_text()) == [
             {"k": 1, "d_nodes": 3, "d_edges": 2, "l_nodes": 3, "l_edges": 3}]
 
-    def test_node_out_of_range(self, tmp_path, capsys):
-        path = _graph_file(tmp_path, complete_graph(3), "k3.txt")
-        assert main(["regions", path, "--node", "7"]) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_kmax_is_bounded_by_node_count(self, tmp_path, capsys):
+        # two BFS passes per radius: a huge --kmax is refused at once
+        start = time.monotonic()
+        _assert_fails("regions", REGIONS_FAILURES["kmax-above-node-count"], tmp_path, capsys)
+        assert time.monotonic() - start < 1.0
+        path = _graph_file(tmp_path, path_graph(5), "p5.txt")
+        assert main(["regions", path, "--node", "0", "--kmax", "5"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 5
+
+    @pytest.mark.parametrize("case", REGIONS_FAILURES)
+    def test_failure(self, tmp_path, capsys, case):
+        _assert_fails("regions", REGIONS_FAILURES[case], tmp_path, capsys)
+
+
+_RECORD = '{"n":3,"edges":[[0,1]],"target":0}\n'
+
+
+def _config(tmp_path, **overrides):
+    """``--config`` flags of an experiment whose dataset a failing run never reads."""
+    return ["--config", _config_file(tmp_path, str(tmp_path / "never-read.jsonl"), **overrides)]
+
+
+def _bad_record(record, message=""):
+    def build(tmp_path):
+        ds = _write(tmp_path, "bad.jsonl", _RECORD * 5 + record + "\n")
+        return ["--config", _config_file(tmp_path, ds)], f"bad.jsonl:6: {message}"
+    return build
+
+
+def _bad_sidecar(tmp_path):
+    ds = _write(tmp_path, "tiny.jsonl", _RECORD * 6)
+    _write(tmp_path, "tiny.jsonl.meta.json", '{"n_graphs": 6, "colour": 1}')
+    return (["--config", _config_file(tmp_path, ds)],
+            "tiny.jsonl.meta.json: unknown sidecar keys ['colour']")
+
+
+def _not_utf8_config(tmp_path):
+    path, message = _not_utf8(tmp_path, "experiment.cfg", "dataset = d.jsonl\n# ")
+    return ["--config", path], message
+
+
+def _not_utf8_dataset(tmp_path):
+    path, message = _not_utf8(tmp_path, "d.jsonl", _RECORD)
+    return ["--config", _config_file(tmp_path, path)], message
+
+
+TRAIN_FAILURES = {
+    "dataset-short-pair": (_bad_record('{"n":3,"edges":[[0]],"target":1}'), 1),
+    "dataset-bool-id": (_bad_record('{"n":3,"edges":[[true,2]],"target":1}'), 1),
+    "dataset-float-id": (_bad_record('{"n":3,"edges":[[1.0,2]],"target":1}'), 1),
+    "dataset-nan-target": (_bad_record('{"n":3,"edges":[[0,1]],"target":NaN}'), 1),
+    "dataset-node-limit": (_bad_record('{"n":10000000000,"edges":[],"target":1}',
+                                       f"graphs support n <= {MAX_NODES}"), 2),
+    "dataset-missing": (lambda d: (["--config", _config_file(d, str(d / "absent.jsonl"))],
+                                   "No such file"), 2),
+    "dataset-not-utf8": (_not_utf8_dataset, 1),
+    "sidecar-unknown-key": (_bad_sidecar, 1),
+    "config-not-utf8": (_not_utf8_config, 1),
+    "config-unknown-key": (lambda d: (["--config", _write(d, "bad.cfg",
+                                                          "dataset = d.jsonl\nwidth = 9\n")],
+                                      "unknown config key 'width'"), 1),
+    "lr-inf": (lambda d: (_config(d, lr="inf"), "lr must be positive and finite"), 1),
+    "hidden-0": (lambda d: (_config(d, hidden="0"), "config key 'hidden' must be >= 1"), 1),
+    "hidden-above-limit": (lambda d: (_config(d, hidden="10000000"),
+                                      "config key 'hidden' must be <= 1024"), 1),
+    "mlp-depth-5": (lambda d: (_config(d, mlp_depth="5"), "config: mlp_depth must be 0, 1, or 2"),
+                    1),
+    "seed-negative": (lambda d: (_config(d, seed="-1"), "config key 'seed' must be >= 0"), 1),
+    "seed-flag-negative": (lambda d: (_config(d) + ["--seed", "-2"],
+                                      "error: config key 'seed' must be >= 0, got -2"), 1),
+    "dataset-empty": (lambda d: (_config(d, dataset=""), "config key 'dataset' is required"), 1),
+    "model-unknown": (lambda d: (_config(d, models="baseline,GAT-2L"),
+                                 "config: unknown model name 'GAT-2L'"), 1),
+    "model-repeated": (lambda d: (_config(d, models="baseline,GCN-1L,gcn-1l"),
+                                  "names 'gcn-1l' more than once"), 1),
+}
 
 
 class TestTrain:
@@ -227,62 +358,9 @@ class TestTrain:
         assert doc["models"]["GCN-1L"]["mean_test_mse"] is None
         assert "GCN-1L,0,nan,nan,nan" in (out_dir / "results.csv").read_text()
 
-    @pytest.mark.parametrize("record", [
-        '{"n":3,"edges":[[0]],"target":1}',
-        '{"n":3,"edges":[[true,2]],"target":1}',
-        '{"n":3,"edges":[[1.0,2]],"target":1}',
-        '{"n":3,"edges":[[0,1]],"target":NaN}',
-    ])
-    def test_malformed_dataset_is_a_usage_error(self, tmp_path, capsys, record):
-        # an uncaught exception would escape main() and fail the test
-        ds = tmp_path / "bad.jsonl"
-        ds.write_text('{"n":3,"edges":[[0,1]],"target":0}\n' * 5 + record + "\n")
-        cfg = _config_file(tmp_path, str(ds))
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        assert "bad.jsonl:6:" in capsys.readouterr().err
-
-    def test_malformed_sidecar_is_a_usage_error(self, tmp_path, capsys):
-        ds = tmp_path / "tiny.jsonl"
-        assert main(["gen", "--graphs", "6", "--nodes", "8", "--prob", "0.4",
-                     "--target", "triangles", "--out", str(ds)]) == 0
-        (tmp_path / "tiny.jsonl.meta.json").write_text('{"n_graphs": 6, "colour": 1}')
-        cfg = _config_file(tmp_path, str(ds))
-        capsys.readouterr()
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        err = capsys.readouterr().err
-        assert "tiny.jsonl.meta.json: unknown sidecar keys ['colour']" in err
-        assert "Traceback" not in err
-
-    def test_infinite_lr_is_a_config_error(self, tmp_path, capsys):
-        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"), lr="inf")
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        assert "lr must be positive and finite" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("key,value", [("hidden", "0"), ("mlp_depth", "5"), ("seed", "-1"),
-                                           ("hidden", "10000000"), ("dataset", "")])
-    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, key, value):
-        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"), **{key: value})
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config") and key in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "run").exists()
-
-    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
-        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"))
-        assert main(["train", "--config", cfg, "--seed", "-2",
-                     "--out", str(tmp_path / "run")]) == 1
-        err = capsys.readouterr().err
-        assert "error: config key 'seed' must be >= 0, got -2" in err
-        assert "Traceback" not in err
-
-    def test_repeated_model_is_a_config_error(self, tmp_path, capsys):
-        cfg = _config_file(tmp_path, str(tmp_path / "never-read.jsonl"),
-                           models="baseline,GCN-1L,gcn-1l")
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        assert "names 'gcn-1l' more than once" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+    @pytest.mark.parametrize("case", TRAIN_FAILURES)
+    def test_failure(self, tmp_path, capsys, case):
+        _assert_fails("train", TRAIN_FAILURES[case], tmp_path, capsys)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
@@ -319,54 +397,6 @@ class TestTrain:
         capsys.readouterr()
         doc = json.loads((out_dir / "summary.json").read_text())
         assert doc["config"]["seed"] == 77
-
-    def test_unknown_config_key(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("dataset = d.jsonl\nwidth = 9\n")
-        assert main(["train", "--config", str(path)]) == 1
-        assert "width" in capsys.readouterr().err
-
-    def test_missing_dataset_file(self, tmp_path, capsys):
-        cfg = _config_file(tmp_path, str(tmp_path / "absent.jsonl"))
-        assert main(["train", "--config", cfg]) == 2
-        capsys.readouterr()
-
-
-class TestNonUtf8Input:
-    # byte 0xff never occurs in UTF-8: each command exits 1 naming the file
-    def _check(self, argv, path, capsys):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"error: {path}: not UTF-8 text" in err
-        assert "Traceback" not in err
-
-    def _latin(self, tmp_path, name, text):
-        path = tmp_path / name
-        path.write_bytes(text.encode() + b"\xff\n")
-        return str(path)
-
-    def test_count(self, tmp_path, capsys):
-        path = self._latin(tmp_path, "g.txt", "3 1\n0 1\n# ")
-        self._check(["count", path], path, capsys)
-
-    def test_wl(self, tmp_path, capsys):
-        good = _graph_file(tmp_path, cycle_graph(3), "c3.txt")
-        path = self._latin(tmp_path, "g.txt", "3 1\n0 1\n# ")
-        self._check(["wl", good, path], path, capsys)
-
-    def test_regions(self, tmp_path, capsys):
-        path = self._latin(tmp_path, "g.txt", "3 1\n0 1\n# ")
-        self._check(["regions", path, "--node", "0"], path, capsys)
-
-    def test_train_config(self, tmp_path, capsys):
-        path = self._latin(tmp_path, "experiment.cfg", "dataset = d.jsonl\n# ")
-        self._check(["train", "--config", path, "--out", str(tmp_path / "run")], path, capsys)
-
-    def test_train_dataset(self, tmp_path, capsys):
-        path = self._latin(tmp_path, "d.jsonl", '{"n":3,"edges":[[0,1]],"target":0}\n')
-        cfg = _config_file(tmp_path, path)
-        self._check(["train", "--config", cfg, "--out", str(tmp_path / "run")], path, capsys)
-
 
 class TestDemo:
     def test_demo_report(self, capsys):

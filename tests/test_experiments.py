@@ -67,7 +67,7 @@ class TestConfigParsing:
             parse_config("dataset = d\njust words\n")
 
     def test_bad_model_name_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError, match="GAT-2L"):
             parse_config("dataset = d\nmodels = baseline,GAT-2L")
 
     @pytest.mark.parametrize("models", ["baseline,GCN-1L,GCN-1L", "GCN-L1-1L,gcn-l1-1l",
@@ -366,10 +366,14 @@ class TestRegionReport:
         assert [(r["l_nodes"], r["l_edges"]) for r in rows] == [(3, 2), (5, 4), (6, 6)]
 
     def test_isolated_node(self):
-        rows = region_report(complete_graph(1), 0, 2)
-        assert all((r["d_nodes"], r["d_edges"], r["l_nodes"], r["l_edges"])
-                   == (1, 0, 1, 0) for r in rows)
+        rows = region_report(complete_graph(1), 0, 1)
+        assert [(r["d_nodes"], r["d_edges"], r["l_nodes"], r["l_edges"])
+                for r in rows] == [(1, 0, 1, 0)]
 
     def test_rejects_bad_kmax(self):
         with pytest.raises(InputError):
             region_report(complete_graph(3), 0, 0)
+        # no region grows past radius n - 1, so k_max stops at n
+        assert len(region_report(complete_graph(3), 0, 3)) == 3
+        with pytest.raises(InputError, match="1..3"):
+            region_report(complete_graph(3), 0, 4)

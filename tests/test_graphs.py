@@ -51,6 +51,18 @@ class TestConstruction:
             with pytest.raises(InputError, match="node count must be an integer"):
                 from_edge_list(n, [])
 
+    def test_node_limit(self, monkeypatch):
+        def never_read():
+            raise AssertionError("edges read before the node count was checked")
+            yield
+
+        with pytest.raises(CapacityError, match=f"n <= {graphs.MAX_NODES}"):
+            from_edge_list(10**10, never_read())
+        monkeypatch.setattr(graphs, "MAX_NODES", 5)
+        assert from_edge_list(5, [(0, 4)]).n == 5
+        with pytest.raises(CapacityError):
+            from_edge_list(6, never_read())
+
     def test_numpy_integer_ids_accepted(self):
         g = from_edge_list(np.int64(3), [(np.int64(0), np.int32(2)), (1, np.uint8(2))])
         assert g == from_edge_list(3, [(0, 2), (1, 2)])

@@ -5,17 +5,21 @@ from scipy import sparse
 from walklab.errors import CapacityError, InputError, NumericError
 from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
                             from_edge_list, path_graph, relabel)
-from walklab.models import (MAX_HIDDEN_DIM, AggregationTerm, GraphOperators,
+from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, AggregationTerm, GraphOperators,
                             LayerSpec, ModelSpec, build_model, diag_power, forward,
-                            gcn_d2_spec, gcn_l1_spec, gcn_spec, power,
-                            self_loop_adjacency, spec_from_model_name)
+                            power, self_loop_adjacency, spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
 
 
-def identity_readout_model(terms, n_features=1):
-    spec = ModelSpec(layers=(LayerSpec(terms=terms, mlp_depth=0),),
-                     readout="node", output_dim=n_features, head=False)
-    return build_model(spec, input_dim=n_features, hidden_dim=n_features, seed=0)
+def identity_readout_model(terms, n_features=1, degree_normalize=False):
+    # no MLP and an identity head: the output is the raw operator sum per node
+    spec = ModelSpec(layers=(LayerSpec(terms=terms, mlp_depth=0,
+                                       degree_normalize=degree_normalize),),
+                     readout="node", output_dim=n_features)
+    m = build_model(spec, input_dim=n_features, hidden_dim=n_features, seed=0)
+    m.params["head.w"] = np.eye(n_features)
+    m.params["head.b"] = np.zeros((1, n_features))
+    return m
 
 
 def set_gates(model, *values):
@@ -48,20 +52,29 @@ class TestSpecs:
             ModelSpec(layers=(LayerSpec(terms=(power(2),)),), readout="max")
 
     def test_family_specs(self):
-        assert len(gcn_spec(2).layers) == 2
-        assert [t.op for t in gcn_l1_spec().layers[0].terms] == \
+        assert len(spec_from_model_name("GCN-2L").layers) == 2
+        assert [t.op for t in spec_from_model_name("GCN-L1-1L").layers[0].terms] == \
             ["self_loop_adjacency", "diag_power"]
-        d2 = gcn_d2_spec().layers[0]
-        assert [t.op for t in d2.terms] == \
-            ["self_loop_adjacency", "diag_power", "power"]
+        d2 = spec_from_model_name("GCN-D2-1L").layers[0]
+        assert [(t.op, t.k) for t in d2.terms] == \
+            [("self_loop_adjacency", 1), ("diag_power", 3), ("power", 2)]
+        assert sorted(FAMILIES) == ["", "D2", "L1"]
 
     def test_name_parsing(self):
-        assert spec_from_model_name("GCN-2L") == gcn_spec(2)
-        assert spec_from_model_name("gcn-l1-1l") == gcn_l1_spec(1)
-        assert spec_from_model_name("GCN-D2-3L") == gcn_d2_spec(3)
-        for bad in ("GCN", "MLP-2L", "GCN-L9-1L", "GCN-0L"):
+        layer = LayerSpec(terms=(self_loop_adjacency(), diag_power(3)))
+        assert spec_from_model_name("gcn-l1-3l") == ModelSpec(layers=(layer,) * 3)
+        assert spec_from_model_name(" GCN-D2-2L ") == spec_from_model_name("GCN-D2-2L")
+        for bad in ("GCN", "MLP-2L", "GCN-L9-1L", "GCN-0L", "GCN-2", "GCN-XL"):
             with pytest.raises(InputError):
                 spec_from_model_name(bad)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_name_carries_normalisation_and_mlp_depth(self, family):
+        name = f"GCN-{family}-2L".replace("--", "-")
+        spec = spec_from_model_name(name, degree_normalize=True, mlp_depth=1)
+        assert spec.layers == (LayerSpec(FAMILIES[family], 1, True),) * 2
+        with pytest.raises(InputError, match="mlp_depth"):
+            spec_from_model_name(name, mlp_depth=3)
 
 
 class TestOperators:
@@ -85,14 +98,15 @@ class TestOperators:
 
 class TestBuild:
     def test_gate_initialisation(self):
-        m = build_model(gcn_d2_spec(1), 1, 4, seed=0)
+        m = build_model(spec_from_model_name("GCN-D2-1L"), 1, 4, seed=0)
         gates = [m.params[f"layer0.theta{i}"].item() for i in range(3)]
         assert gates == [0.0, 0.0, 0.0]  # mixing weights start at 0.5
 
     def test_init_bounds_and_determinism(self):
-        m1 = build_model(gcn_spec(2), 3, 16, seed=5)
-        m2 = build_model(gcn_spec(2), 3, 16, seed=5)
-        m3 = build_model(gcn_spec(2), 3, 16, seed=6)
+        spec = spec_from_model_name("GCN-2L")
+        m1 = build_model(spec, 3, 16, seed=5)
+        m2 = build_model(spec, 3, 16, seed=5)
+        m3 = build_model(spec, 3, 16, seed=6)
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
         assert any(not np.array_equal(m1.params[k], m3.params[k])
@@ -102,7 +116,7 @@ class TestBuild:
         assert np.abs(w0).max() <= 1 / np.sqrt(3)
 
     def test_param_names_stable(self):
-        m = build_model(gcn_l1_spec(1), 1, 2, seed=0)
+        m = build_model(spec_from_model_name("GCN-L1-1L"), 1, 2, seed=0)
         assert list(m.params) == [
             "layer0.theta0", "layer0.theta1",
             "layer0.w0", "layer0.b0", "layer0.w1", "layer0.b1",
@@ -110,15 +124,17 @@ class TestBuild:
         ]
 
     def test_hidden_capacity(self):
-        build_model(gcn_spec(1), input_dim=1, hidden_dim=MAX_HIDDEN_DIM, seed=0)
+        spec = spec_from_model_name("GCN-1L")
+        build_model(spec, input_dim=1, hidden_dim=MAX_HIDDEN_DIM, seed=0)
         with pytest.raises(CapacityError):
-            build_model(gcn_spec(1), input_dim=1, hidden_dim=MAX_HIDDEN_DIM + 1, seed=0)
+            build_model(spec, input_dim=1, hidden_dim=MAX_HIDDEN_DIM + 1, seed=0)
 
-    def test_headless_width_check(self):
+    def test_head_maps_last_width_to_output_dim(self):
         spec = ModelSpec(layers=(LayerSpec(terms=(power(1),), mlp_depth=0),),
-                         output_dim=2, head=False)
-        with pytest.raises(InputError):
-            build_model(spec, input_dim=1, hidden_dim=1, seed=0)
+                         output_dim=2)
+        m = build_model(spec, input_dim=3, hidden_dim=5, seed=0)
+        assert m.params["head.w"].shape == (3, 2)
+        assert m.params["head.b"].shape == (1, 2)
 
 
 class TestForward:
@@ -159,17 +175,14 @@ class TestForward:
     def test_degree_normalization(self):
         # star centre degree 3: normalised self-loop row = (deg+1)/(deg+1) = 1
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),),
-                                           mlp_depth=0, degree_normalize=True),),
-                         readout="node", output_dim=1, head=False)
-        m = build_model(spec, 1, 1, seed=0)
+        m = identity_readout_model((self_loop_adjacency(),), degree_normalize=True)
         set_gates(m, 1.0)
         out = forward(m, star, np.ones((4, 1)))
         assert out.tolist() == [[1.0], [1.0], [1.0], [1.0]]
 
     def test_inference_is_deterministic(self):
         g = erdos_renyi(10, 0.3, 4)
-        m = build_model(gcn_d2_spec(2), 1, 8, seed=2)
+        m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 8, seed=2)
         x = np.ones((10, 1))
         a = forward(m, g, x)
         b = forward(m, g, x)
@@ -177,7 +190,7 @@ class TestForward:
 
     def test_training_mode_dropout_changes_values(self):
         g = erdos_renyi(10, 0.3, 4)
-        m = build_model(gcn_spec(1), 1, 8, seed=2)
+        m = build_model(spec_from_model_name("GCN-1L"), 1, 8, seed=2)
         x = np.ones((10, 1))
         rng = np.random.default_rng(0)
         a = forward(m, g, x, training=True, dropout_rate=0.5, rng=rng)
@@ -189,7 +202,7 @@ class TestForward:
     def test_sum_readout_permutation_invariant(self):
         rng = np.random.default_rng(9)
         g = erdos_renyi(12, 0.3, 21)
-        m = build_model(gcn_l1_spec(2), 1, 8, seed=7)
+        m = build_model(spec_from_model_name("GCN-L1-2L"), 1, 8, seed=7)
         x = np.ones((12, 1))
         base = forward(m, g, x)
         for _ in range(5):
@@ -204,7 +217,7 @@ class TestForward:
         g = erdos_renyi(9, 0.4, 33)
         spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(), diag_power(3)),
                                            mlp_depth=1),),
-                         readout="node", output_dim=4, head=True)
+                         readout="node", output_dim=4)
         m = build_model(spec, 1, 4, seed=3)
         x = rng.normal(size=(9, 1))
         base = forward(m, g, x)
@@ -216,7 +229,7 @@ class TestForward:
             assert np.allclose(out[perm], base, rtol=1e-10, atol=1e-12)
 
     def test_feature_shape_checked(self):
-        m = build_model(gcn_spec(1), 2, 4, seed=0)
+        m = build_model(spec_from_model_name("GCN-1L"), 2, 4, seed=0)
         with pytest.raises(InputError):
             forward(m, path_graph(3), np.ones((3, 1)))
 
@@ -229,9 +242,9 @@ class TestForward:
 
 class TestWeightNames:
     def test_linear_weights_only(self):
-        m = build_model(gcn_d2_spec(2), 1, 8, seed=0)
+        m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 8, seed=0)
         assert m.weight_names == ("layer0.w0", "layer0.w1", "layer1.w0",
                                   "layer1.w1", "head.w")
         spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),), mlp_depth=1),),
-                         head=False, output_dim=4)
-        assert build_model(spec, 1, 4, seed=0).weight_names == ("layer0.w0",)
+                         output_dim=4)
+        assert build_model(spec, 1, 4, seed=0).weight_names == ("layer0.w0", "head.w")

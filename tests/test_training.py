@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from oracles import tape_loss_and_grads
 from walklab import training
 from walklab.errors import InputError, TrainingError
 from walklab.graphs import complete_graph, erdos_renyi
-from walklab.models import (LayerSpec, ModelSpec, backward, build_model,
-                            forward, gcn_d2_spec, gcn_l1_spec, gcn_spec)
+from walklab.models import backward, build_model, forward, spec_from_model_name
 from walklab.training import (AdamState, TrainConfig, adam_step, evaluate,
                               fit, gradient_check, mse_loss, prepare_items)
 
@@ -94,7 +94,7 @@ class TestAdam:
 
     def test_l2_skips_unlisted_params(self):
         # gates and biases are not in the model's weight names
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         unlisted = [k for k in model.params if k not in model.weight_names]
         assert unlisted == ["layer0.theta0", "layer0.b0", "layer0.b1", "head.b"]
         runs = []
@@ -146,14 +146,14 @@ class TestTrainConfig:
 class TestEvaluate:
     def test_mean_over_items_with_zeroed_model(self):
         g = complete_graph(4)
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         model.load_param_values(
             {k: np.zeros_like(v) for k, v in model.param_values().items()})
         items = _ones_items([g, g], [3.0, 1.0])
         assert evaluate(model, items) == 5.0
 
     def test_empty_items_rejected(self):
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         with pytest.raises(InputError):
             evaluate(model, [])
 
@@ -178,7 +178,7 @@ class TestFit:
         g = erdos_renyi(8, 0.5, 11)
         x = np.ones((8, 1))
         for patience in (1, 2):
-            model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=2)
+            model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=2)
             init = model.param_values()
             pred0 = float(forward(model, g, x)[0, 0])
             train_items = _ones_items([g], [pred0 + 100.0])
@@ -201,7 +201,7 @@ class TestFit:
         vals = iter([10.0, 11.0, 12.0, 5.0, 6.0, 7.0, 8.0, 9.0, 1.0])
         monkeypatch.setattr(training, "evaluate", lambda model, items: next(vals))
         items = _ones_items([complete_graph(3)], [1.0])
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=50, seed=0)
         result = fit(model, items, items, cfg)
         assert result.stop_reason == "early_stop"
@@ -215,9 +215,7 @@ class TestFit:
         # one graph, constant target: the optimiser has to drive a single
         # prediction onto 0.25 within the epoch budget
         g = erdos_renyi(10, 0.3, 7)
-        spec = gcn_spec(1)
-        spec = ModelSpec(layers=tuple(
-            LayerSpec(terms=l.terms, mlp_depth=1) for l in spec.layers))
+        spec = spec_from_model_name("GCN-1L", mlp_depth=1)
         items = _ones_items([g], [0.25])
         for seed in (0, 1, 2):
             model = build_model(spec, input_dim=1, hidden_dim=8, seed=seed)
@@ -230,7 +228,7 @@ class TestFit:
         graphs = [erdos_renyi(8, 0.4, s) for s in range(6)]
         targets = [float(g.edge_count) for g in graphs]
         items = _ones_items(graphs, targets)
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=5)
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=5)
         cfg = TrainConfig(dropout=0.0, max_epochs=20, seed=1)
         result = fit(model, items[:4], items[4:], cfg)
         assert evaluate(model, items[4:]) == result.best_val
@@ -241,7 +239,7 @@ class TestFit:
         items = _ones_items(graphs, [1.0, 2.0, 3.0, 4.0])
         runs = []
         for _ in range(2):
-            model = build_model(gcn_spec(2), input_dim=1, hidden_dim=4, seed=9)
+            model = build_model(spec_from_model_name("GCN-2L"), input_dim=1, hidden_dim=4, seed=9)
             cfg = TrainConfig(max_epochs=8, seed=4)
             result = fit(model, items[:3], items[3:], cfg)
             # epoch 0 records train_loss as nan, which never compares equal
@@ -256,7 +254,7 @@ class TestFit:
 
     def test_divergence_reports_epoch(self):
         g = complete_graph(5)
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         # finite but huge head weights: activations pass the finiteness
         # checks, squaring the error overflows
         vals = model.param_values()
@@ -269,7 +267,7 @@ class TestFit:
                 fit(model, items, items, cfg)
 
     def test_empty_split_rejected(self):
-        model = build_model(gcn_spec(1), input_dim=1, hidden_dim=4, seed=0)
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         items = _ones_items([complete_graph(3)], [1.0])
         with pytest.raises(InputError):
             fit(model, [], items, TrainConfig())
@@ -281,7 +279,7 @@ class TestGradientCheck:
     def test_l1_model_on_triangle(self):
         rng = np.random.default_rng(0)
         g = complete_graph(3)
-        model = build_model(gcn_l1_spec(1), input_dim=2, hidden_dim=4, seed=1)
+        model = build_model(spec_from_model_name("GCN-L1-1L"), input_dim=2, hidden_dim=4, seed=1)
         item = prepare_items([g], [rng.normal(size=(3, 2))],
                              [rng.normal()])[0]
         assert gradient_check(model, item) <= 1e-4
@@ -289,28 +287,28 @@ class TestGradientCheck:
     def test_d2_model_on_random_graph(self):
         rng = np.random.default_rng(1)
         g = erdos_renyi(10, 0.3, 17)
-        model = build_model(gcn_d2_spec(1), input_dim=1, hidden_dim=4, seed=2)
+        model = build_model(spec_from_model_name("GCN-D2-1L"), input_dim=1, hidden_dim=4, seed=2)
         item = prepare_items([g], [rng.normal(size=(10, 1))],
                              [rng.normal()])[0]
         assert gradient_check(model, item) <= 1e-4
 
     def test_repeated_check_is_stable(self):
         g = erdos_renyi(9, 0.4, 3)
-        model = build_model(gcn_l1_spec(2), input_dim=1, hidden_dim=4, seed=4)
+        model = build_model(spec_from_model_name("GCN-L1-2L"), input_dim=1, hidden_dim=4, seed=4)
         item = _ones_items([g], [2.0])[0]
         first = gradient_check(model, item)
         assert gradient_check(model, item) == first <= 1e-4
 
 
 # families x layers x mlp_depth x degree normalisation x dropout x readout
-TAPE_GRID = list(itertools.product((gcn_spec, gcn_l1_spec, gcn_d2_spec), (1, 2, 3),
+TAPE_GRID = list(itertools.product(("GCN-", "GCN-L1-", "GCN-D2-"), (1, 2, 3),
                                    (0, 1, 2), (False, True), (0.0, 0.3), ("sum", "node")))
 
 
 class TestTapeReference:
     @pytest.mark.parametrize("case", range(len(TAPE_GRID)), ids=[
-        f"{f.__name__}-{layers}L-mlp{depth}-norm{int(norm)}-drop{drop}-{readout}"
-        for f, layers, depth, norm, drop, readout in TAPE_GRID])
+        f"{family}{layers}L-mlp{depth}-norm{int(norm)}-drop{drop}-{readout}"
+        for family, layers, depth, norm, drop, readout in TAPE_GRID])
     def test_fused_pass_equals_tape(self, case):
         # the loss and every gradient equal the tape's bit for bit, dropout
         # masks included (both sides draw from equal seeds)
@@ -318,9 +316,8 @@ class TestTapeReference:
         rng = np.random.default_rng(case)
         n = int(rng.integers(5, 12))
         g = erdos_renyi(n, 0.4, int(rng.integers(1 << 30)))
-        spec = ModelSpec(layers=tuple(
-            LayerSpec(terms=l.terms, mlp_depth=depth, degree_normalize=normalize)
-            for l in family(layers).layers), readout=readout)
+        spec = replace(spec_from_model_name(f"{family}{layers}L", normalize, depth),
+                       readout=readout)
         model = build_model(spec, input_dim=2, hidden_dim=4, seed=case)
         rows = 1 if readout == "sum" else n
         item = prepare_items([g], [rng.normal(size=(n, 2))],

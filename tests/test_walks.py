@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from walklab import walks, wl
+from walklab import walks
 from walklab.errors import (CapacityError, CountOverflowError, InputError,
                             InvariantViolation)
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
@@ -167,12 +167,6 @@ class TestInvariants:
     def test_triangle_total_not_divisible_by_three(self):
         with pytest.raises(InvariantViolation):
             triangle_total(path_graph(3), np.array([1, 0, 0]))
-
-    def test_refinement_that_never_stabilises(self):
-        # From these labels the partition of C4 alternates between two
-        # shapes: one node apart, then the node opposite it.
-        with pytest.raises(InvariantViolation):
-            wl.wl_refine(cycle_graph(4), [0, 0, 0, 1])
 
 
 class TestSampledMoments:

@@ -14,9 +14,8 @@ from oracles import is_isomorphic_by_search
 
 
 def refine_with_own_label_slot(g, initial):
-    """Variant where the previous own label is a distinguished tuple slot
-    (not merely part of the neighbourhood multiset); used to confirm both
-    readings agree on the test corpus."""
+    """Independent reference: the own label as a separate slot next to the
+    closed-neighbourhood multiset, run until the partition repeats."""
     colors = list(initial)
     while True:
         sigs = [
@@ -84,6 +83,31 @@ class TestRefine:
     def test_label_count_must_match(self):
         with pytest.raises(InputError):
             wl_refine(path_graph(3), [0, 0])
+
+    def test_labels_must_be_integers(self):
+        # refining and fingerprinting accept the same labels
+        for labels in (["a", "b", "a"], [0.0, 1.0, 0.0], [0, None, 0]):
+            with pytest.raises(InputError, match="integers"):
+                wl_refine(path_graph(3), labels)
+            with pytest.raises(InputError, match="integers"):
+                wl_fingerprint(path_graph(3), labels)
+
+    def test_caller_labels_on_c4_stabilise(self):
+        # closed-neighbourhood multisets alone make this partition alternate
+        # between two shapes; with the own colour as a slot it only refines
+        c = wl_refine(cycle_graph(4), [0, 0, 0, 1])
+        assert _classes(c.colors) == [{0, 2}, {1}, {3}]
+        assert c.rounds == 2
+
+    def test_caller_labels_agree_with_reference(self):
+        rng = np.random.default_rng(20)
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            g = erdos_renyi(n, float(rng.uniform(0.2, 0.8)), int(rng.integers(1 << 30)))
+            labels = [int(x) for x in rng.integers(0, 3, size=n)]
+            c = wl_refine(g, labels)
+            assert _classes(c.colors) == _classes(refine_with_own_label_slot(g, labels))
+            assert 1 <= c.rounds <= n
 
     def test_own_label_slot_variant_agrees_on_corpus(self):
         corpus = [
