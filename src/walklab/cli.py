@@ -22,7 +22,7 @@ from .errors import (CapacityError, ConfigError, CountOverflowError,
                      TrainingError)
 from .experiments import demo_wl_gap, read_config, region_report, run_experiment, write_report
 from .graphs import atomic_write_text, read_edge_list
-from .walks import four_cycle_count, triangle_counts_per_node, triangle_total
+from .walks import adjacency_square, four_cycle_count, triangle_counts_per_node, triangle_total
 from .wl import (CANONICAL_MAX_NODES, augmented_distinguish, is_isomorphic_small,
                  wl_distinguish)
 
@@ -102,12 +102,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_count(args) -> int:
     g = read_edge_list(args.graph)
-    per_node = triangle_counts_per_node(g)
+    square = adjacency_square(g)
+    per_node = triangle_counts_per_node(g, square)
     doc = {
         "n": g.n,
         "edges": g.edge_count,
         "triangles": triangle_total(g, per_node),
-        "four_cycles": four_cycle_count(g),
+        "four_cycles": four_cycle_count(g, square),
         "triangles_per_node": per_node.tolist(),
     }
     _emit(doc, args.out)

@@ -15,10 +15,13 @@ For every root the regions nest: ``D_k ⊆ L_k ⊆ D_{k+1}``.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +87,42 @@ class Graph:
 
 _INT_IDS = (int, np.integer)
 
-# Node limit of from_edge_list: a graph holds a neighbour list per node,
-# about 90 bytes per node at peak while it is built (92 MB at 10^6 nodes),
-# so ~190 MB at the limit.
+# Node limit of from_edge_list and parse_edge_list: a graph holds a
+# neighbour tuple per node, about 90 bytes per node at peak while it is
+# built (92 MB at 10^6 nodes), so ~190 MB at the limit.
 MAX_NODES = 2_000_000
+
+
+def _check_node_count(n) -> int:
+    if n.__class__ is bool or not isinstance(n, _INT_IDS):
+        raise InputError(f"node count must be an integer, got {n!r}")
+    if n < 1:
+        raise InputError(f"graph needs at least one node, got n={n}")
+    if n > MAX_NODES:
+        raise CapacityError(f"graphs support n <= {MAX_NODES}, got n={n}")
+    return int(n)
+
+
+def _graph_from_ids(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The one graph-build core: int64 id arrays ``u``, ``v`` (all in
+    ``0..n-1``) become a graph; duplicates collapse and self-loops drop.
+
+    Each direction of an edge is keyed ``row * n + col`` (below 2**63
+    since n <= MAX_NODES); the sorted distinct keys are the rows of the
+    adjacency in order.
+    """
+    proper = u != v
+    u, v = u[proper], v[proper]
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()  # np.unique hashes int64 keys, which is far slower at 10^6 keys
+    distinct = np.ones(key.size, dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    key = key[distinct]
+    row, col = np.divmod(key, n)
+    flat = tuple(col.tolist())
+    ends = np.cumsum(np.bincount(row, minlength=n)).tolist()
+    adjacency = tuple(flat[s:e] for s, e in zip([0] + ends, ends))
+    return Graph(n=n, adjacency=adjacency, edge_count=len(flat) // 2)
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -100,13 +135,8 @@ def from_edge_list(n: int, edges) -> Graph:
     :data:`MAX_NODES` raises :class:`CapacityError` before anything is
     allocated per node.
     """
-    if n.__class__ is bool or not isinstance(n, _INT_IDS):
-        raise InputError(f"node count must be an integer, got {n!r}")
-    if n < 1:
-        raise InputError(f"graph needs at least one node, got n={n}")
-    if n > MAX_NODES:
-        raise CapacityError(f"graphs support n <= {MAX_NODES}, got n={n}")
-    pairs = set()
+    n = _check_node_count(n)
+    us, vs = [], []
     for pair in edges:
         try:
             u, v = pair
@@ -117,16 +147,9 @@ def from_edge_list(n: int, edges) -> Graph:
             raise InputError(f"edge ({u!r}, {v!r}) needs two integer node ids")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-        if u < v:
-            pairs.add((u, v))
-        elif v < u:
-            pairs.add((v, u))
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    return Graph(n=n, adjacency=adjacency, edge_count=len(pairs))
+        us.append(u)
+        vs.append(v)
+    return _graph_from_ids(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
 
 
 def path_graph(n: int) -> Graph:
@@ -171,8 +194,7 @@ def erdos_renyi(n: int, p: float, seed) -> Graph:
     Memory is O(n^2), so ``n`` above :data:`MAX_ER_NODES` raises
     :class:`CapacityError`.
     """
-    if n < 1:
-        raise InputError(f"graph needs at least one node, got n={n}")
+    n = _check_node_count(n)
     if n > MAX_ER_NODES:
         raise CapacityError(f"erdos_renyi supports n <= {MAX_ER_NODES}, got n={n}")
     if not 0.0 <= p <= 1.0:
@@ -180,7 +202,7 @@ def erdos_renyi(n: int, p: float, seed) -> Graph:
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < p
-    return from_edge_list(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+    return _graph_from_ids(n, iu[keep], ju[keep])
 
 
 def degrees(g: Graph) -> list[int]:
@@ -257,39 +279,92 @@ def extract_region(g: Graph, v: int, spec: RegionSpec) -> RootedSubgraph:
     return RootedSubgraph(root=v, nodes=nodes, edges=edges)
 
 
+# The integer syntax of the edge-list format: an optional sign and ASCII
+# digits, which is what numpy's int64 text reader accepts.
+_INT_SYNTAX = re.compile(r"[+-]?[0-9]+")
+
+
+def _data(line: str) -> str:
+    """A line without its ``#`` comment and surrounding whitespace."""
+    return line.split("#", 1)[0].strip()
+
+
+def _parse_int(field: str) -> int | None:
+    return int(field) if _INT_SYNTAX.fullmatch(field) else None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text graph format.
 
-    The first data line is ``n m``; each of the next m lines is an edge
-    ``u v``. Blank lines and lines starting with ``#`` are ignored, as is
-    a trailing ``#`` comment on any line.
+    The first data line is ``n m``; each of the next m data lines is an
+    edge ``u v``. Fields are separated by whitespace, and every number is
+    an optional sign followed by ASCII digits. Lines end with ``\\n`` or
+    ``\\r\\n``. Blank lines and lines starting with ``#`` are ignored, as
+    is a trailing ``#`` comment on any line. The body is read in one
+    vectorised pass; any input it rejects raises :class:`InputError`
+    naming the first bad line.
     """
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    pos, lineno = 0, 0
+    while True:
+        end = text.find("\n", pos)
+        lineno += 1
+        line = _data(text[pos:] if end < 0 else text[pos:end])
         if line:
-            rows.append(line)
-    if not rows:
-        raise InputError("empty edge-list input")
-    head = rows[0].split()
+            break
+        if end < 0:
+            raise InputError("empty edge-list input")
+        pos = end + 1
+    head = line.split()
     if len(head) != 2:
-        raise InputError(f"expected header 'n m', got {rows[0]!r}")
+        raise InputError(f"line {lineno}: expected header 'n m', got {line!r}")
+    n, m = map(_parse_int, head)
+    if n is None or m is None or m < 0:
+        raise InputError(f"line {lineno}: bad header {line!r}")
+    n = _check_node_count(n)
+    body = "" if end < 0 else text[end + 1:]
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise InputError(f"bad header {rows[0]!r}") from exc
-    if len(rows) - 1 != m:
-        raise InputError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"expected edge 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise InputError(f"bad edge line {line!r}") from exc
-    return from_edge_list(n, edges)
+        with warnings.catch_warnings():
+            # an empty body is legal when m = 0; numpy warns about it
+            warnings.simplefilter("ignore", UserWarning)
+            ids = np.loadtxt(io.StringIO(body), dtype=np.int64, comments="#", ndmin=2)
+    except (ValueError, OverflowError) as exc:
+        raise _bad_line(body, lineno, n, m, str(exc)) from None
+    if m == 0 and ids.size == 0:
+        ids = ids.reshape(0, 2)
+    if ids.shape != (m, 2) or (m and (ids.min() < 0 or ids.max() >= n)):
+        raise _bad_line(body, lineno, n, m, f"expected {m} edges between nodes 0..{n - 1}")
+    return _graph_from_ids(n, ids[:, 0], ids[:, 1])
+
+
+def _bad_line(body: str, lineno: int, n: int, m: int, reason: str) -> InputError:
+    """The error path of :func:`parse_edge_list`: scan the body after the
+    header (on line ``lineno``) line by line for the first bad line and
+    return the :class:`InputError` that names it. ``reason`` is the
+    message when no single line is at fault."""
+    edges = 0
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line, or an empty body
+    last = lineno + len(lines)
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = _data(raw)
+        if not line:
+            continue
+        edges += 1
+        if edges > m:
+            return InputError(f"line {lineno}: header declares {m} edges but more lines follow")
+        fields = line.split()
+        if len(fields) != 2:
+            return InputError(f"line {lineno}: expected edge 'u v', got {line!r}")
+        u, v = map(_parse_int, fields)
+        if u is None or v is None:
+            return InputError(f"line {lineno}: bad edge line {line!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            return InputError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
+    if edges < m:
+        return InputError(f"line {last}: input ends after {edges} of the {m} edges "
+                          "the header declares")
+    return InputError(f"unreadable edge list: {reason}")
 
 
 def format_edge_list(g: Graph) -> str:

@@ -50,6 +50,11 @@ from .walks import adjacency_csr, diag_closed_walks
 # 100 MB per layer in every worker.
 MAX_HIDDEN_DIM = 1024
 
+# Deepest model spec_from_model_name builds; the experiments use at most 3.
+# Each layer adds a spec entry and up to two hidden x hidden weight matrices
+# (4 KiB at the default hidden = 16, 16 MiB at MAX_HIDDEN_DIM).
+MAX_LAYERS = 64
+
 OP_SELF_LOOP = "self_loop_adjacency"
 OP_POWER = "power"
 OP_DIAG = "diag_power"
@@ -155,6 +160,8 @@ def spec_from_model_name(name: str, degree_normalize: bool = False,
         raise InputError(f"unknown model name {name!r}") from exc
     if num_layers < 1:
         raise InputError(f"model {name!r} needs at least one layer")
+    if num_layers > MAX_LAYERS:
+        raise InputError(f"model {name!r} has {num_layers} layers; the limit is {MAX_LAYERS}")
     layer = LayerSpec(FAMILIES[family], mlp_depth, degree_normalize)
     return ModelSpec(layers=(layer,) * num_layers)
 

@@ -13,10 +13,11 @@ built straight from the sorted neighbour tuples, and because ``A`` is
 symmetric the closed m-walks of node v are the row sums of
 ``A^floor(m/2) * A^ceil(m/2)`` (elementwise), so ``A^m`` itself is never
 formed. Triangles per node are ``rowsum(A * A^2) / 2`` and
-``trace(A^4)`` is the sum of the squared entries of ``A^2``. The work of
-``A @ A`` and the entries of ``A^2`` are both bounded by
-``sum_v d_v^2``, so a count costs O(sum_v d_v^2) time and memory; see
-:data:`MAX_PRODUCT_WORK` for the capacity limit.
+``trace(A^4)`` is the sum of the squared entries of ``A^2``, so a caller
+that needs both passes one :func:`adjacency_square` to each and ``A @ A``
+is formed once. The work of ``A @ A`` and the entries of ``A^2`` are both
+bounded by ``sum_v d_v^2``, so a count costs O(sum_v d_v^2) time and
+memory; see :data:`MAX_PRODUCT_WORK` for the capacity limit.
 
 Counts are held in int64 CSR matrices. Every multiplication first checks the
 conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
@@ -32,7 +33,7 @@ from scipy import sparse
 
 from .errors import (CapacityError, CountOverflowError, InputError,
                      InvariantViolation)
-from .graphs import Graph, degrees
+from .graphs import Graph
 
 _INT64_MAX = 2**63 - 1
 
@@ -89,27 +90,38 @@ def _checked_matmul(a, b):
     return a @ b
 
 
-def diag_closed_walks(g: Graph, m: int) -> np.ndarray:
+def adjacency_square(g: Graph) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """The CSR adjacency ``A`` and ``A @ A``: the one product a triangle
+    and 4-cycle count needs. Pass it to :func:`triangle_counts_per_node`
+    and :func:`four_cycle_count` to count both from it."""
+    a = adjacency_csr(g)
+    return a, _checked_matmul(a, a)
+
+
+def diag_closed_walks(g: Graph, m: int, square=None) -> np.ndarray:
     """Per-node count of closed walks of length exactly m (diagonal of A^m).
 
     Computed as ``rowsum(A^floor(m/2) * A^ceil(m/2))``, which equals the
-    diagonal of ``A^m`` because ``A`` is symmetric.
+    diagonal of ``A^m`` because ``A`` is symmetric. ``square`` is
+    :func:`adjacency_square` of ``g`` when it is already at hand.
     """
     if m < 1:
         raise InputError(f"walk length must be >= 1, got {m}")
-    a = adjacency_csr(g)
-    half = a if m >= 2 else sparse.eye_array(g.n, dtype=np.int64, format="csr")
-    for _ in range(m // 2 - 1):
-        half = _checked_matmul(half, a)
-    other = half if m % 2 == 0 else _checked_matmul(half, a)
+    a, *known = (adjacency_csr(g),) if square is None else square
+    powers = [sparse.eye_array(g.n, dtype=np.int64, format="csr"), a, *known]
+    while len(powers) <= (m + 1) // 2:
+        powers.append(_checked_matmul(powers[-1], a))
+    half, other = powers[m // 2], powers[(m + 1) // 2]
     # The row sums are the diagonal of half @ other, under the same bound.
     _check_product_bound(half, other)
     return np.asarray(half.multiply(other).sum(axis=1), dtype=np.int64)
 
 
-def triangle_counts_per_node(g: Graph) -> np.ndarray:
-    """Triangles through each node: half the node's closed 3-walks."""
-    closed3 = diag_closed_walks(g, 3)
+def triangle_counts_per_node(g: Graph, square=None) -> np.ndarray:
+    """Triangles through each node: half the node's closed 3-walks.
+    ``square`` is :func:`adjacency_square` of ``g`` when it is already
+    at hand."""
+    closed3 = diag_closed_walks(g, 3, square)
     if (closed3 % 2).any():
         raise InvariantViolation("a closed 3-walk count is odd")
     return closed3 // 2
@@ -129,7 +141,7 @@ def triangle_total(g: Graph, per_node: np.ndarray | None = None) -> int:
     return total // 3
 
 
-def four_cycle_count(g: Graph) -> int:
+def four_cycle_count(g: Graph, square=None) -> int:
     """Number of simple 4-cycle subgraphs.
 
     Closed 4-walks decompose into genuine 4-cycles (8 walks each: 4
@@ -137,14 +149,17 @@ def four_cycle_count(g: Graph) -> int:
     2-paths walked out-and-back from either end (4 per path), so
 
         C4 = (trace(A^4) - 2 * edge_count - 4 * sum_v C(d_v, 2)) / 8.
+
+    ``square`` is :func:`adjacency_square` of ``g`` when it is already
+    at hand.
     """
-    a = adjacency_csr(g)
-    a2 = _checked_matmul(a, a)
+    a, a2 = adjacency_square(g) if square is None else square
     # trace(A^4) = sum of squared entries of A^2. Those entries sum to
     # sum_v d_v^2 and are each at most max_v d_v, so the int64 sum stays
     # below MAX_PRODUCT_WORK**1.5.
     trace4 = int(np.dot(a2.data, a2.data))
-    paths2 = sum(d * (d - 1) // 2 for d in degrees(g))
+    deg = np.diff(a.indptr).astype(np.int64)
+    paths2 = int((deg * (deg - 1) // 2).sum())
     raw = trace4 - 2 * g.edge_count - 4 * paths2
     if raw < 0 or raw % 8:
         raise InvariantViolation(f"closed 4-walk remainder {raw} is not a nonnegative multiple of 8")

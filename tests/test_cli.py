@@ -135,9 +135,28 @@ def _star(tmp_path):
     return [_write(tmp_path, "star.txt", f"{leaves + 1} {leaves}\n{edges}")]
 
 
+def _bad_edge_list(text, message):
+    return lambda d: ([_write(d, "bad.txt", text.encode())], message), 1
+
+
 COUNT_FAILURES = {
     "missing-file": (lambda d: ([str(d / "absent.txt")], "No such file"), 2),
     "malformed-line": (lambda d: ([_write(d, "bad.txt", "3 1\n0 zero\n")], "'0 zero'"), 1),
+    "three-ids": _bad_edge_list("3 1\n0 1 2\n", "line 2: expected edge 'u v', got '0 1 2'"),
+    "one-id": _bad_edge_list("3 2\n0 1\n2\n", "line 3: expected edge 'u v', got '2'"),
+    "float-id": _bad_edge_list("3 1\n0 1.0\n", "line 2: bad edge line '0 1.0'"),
+    "too-many-lines": _bad_edge_list("# c\n3 1\n0 1\n\n1 2\n",
+                                     "line 5: header declares 1 edges but more lines follow"),
+    "too-few-lines": _bad_edge_list("3 2\n0 1\n",
+                                    "line 2: input ends after 1 of the 2 edges the header"),
+    "negative-id": _bad_edge_list("3 1\n-1 2\n", "line 2: edge (-1, 2) out of range for n=3"),
+    "id-equal-to-n": _bad_edge_list("3 1\n0 3\n", "line 2: edge (0, 3) out of range for n=3"),
+    "id-above-int64": _bad_edge_list(f"3 1\n0 {2**64}\n",
+                                     f"line 2: edge (0, {2**64}) out of range for n=3"),
+    # Deliberately narrower than Python's int(): digit separators and
+    # non-ASCII digits are not edge-list integers.
+    "underscore-id": _bad_edge_list("12 1\n1_0 2\n", "line 2: bad edge line '1_0 2'"),
+    "non-ascii-digit": _bad_edge_list("3 1\n0 \u0661\n", "line 2: bad edge line '0 \u0661'"),
     "product-work-guard": (lambda d: (_star(d), "error: sparse walk product"), 2),
     "node-limit": (lambda d: ([_write(d, "huge.txt", "10000000000 1\n0 1\n")],
                               f"graphs support n <= {MAX_NODES}"), 2),
@@ -161,6 +180,15 @@ class TestCount:
         doc = json.loads(out.read_text())
         assert doc["four_cycles"] == 1
         assert doc["triangles"] == 0
+
+    def test_one_product_per_count(self, tmp_path, capsys, monkeypatch):
+        # triangles and 4-cycles share one A @ A
+        real, calls = walks._checked_matmul, []
+        monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: calls.append(1) or real(a, b))
+        path = _graph_file(tmp_path, complete_graph(5), "k5.txt")
+        assert main(["count", path]) == 0
+        assert json.loads(capsys.readouterr().out)["four_cycles"] == 15
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", COUNT_FAILURES)
     def test_failure(self, tmp_path, capsys, case):
@@ -303,6 +331,9 @@ TRAIN_FAILURES = {
     "dataset-empty": (lambda d: (_config(d, dataset=""), "config key 'dataset' is required"), 1),
     "model-unknown": (lambda d: (_config(d, models="baseline,GAT-2L"),
                                  "config: unknown model name 'GAT-2L'"), 1),
+    "model-too-deep": (lambda d: (_config(d, models="baseline,GCN-100000000L"),
+                                  "config: model 'GCN-100000000L' has 100000000 layers; "
+                                  "the limit is 64"), 1),
     "model-repeated": (lambda d: (_config(d, models="baseline,GCN-1L,gcn-1l"),
                                   "names 'gcn-1l' more than once"), 1),
 }

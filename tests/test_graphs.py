@@ -27,6 +27,22 @@ class TestConstruction:
         assert g.edge_count == 1
         assert g.adjacency == ((1,), (0,), ())
 
+    def test_build_matches_set_reference(self):
+        # the loop the vectorised build replaced: a set of canonical pairs
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            pairs = [tuple(int(x) for x in rng.integers(0, n, size=2))
+                     for _ in range(int(rng.integers(0, 3 * n)))]
+            canonical = {(min(p), max(p)) for p in pairs if p[0] != p[1]}
+            nbrs = [set() for _ in range(n)]
+            for u, v in canonical:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            g = from_edge_list(n, pairs)
+            assert g.adjacency == tuple(tuple(sorted(a)) for a in nbrs)
+            assert g.edge_count == len(canonical)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError):
             from_edge_list(2, [(0, 5)])
@@ -252,6 +268,57 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n")  # count mismatch
         with pytest.raises(InputError):
             parse_edge_list("2 1\n0 x\n")
+
+    def test_error_names_the_line(self):
+        with pytest.raises(InputError, match=r"^line 4: bad edge line '0 x'$"):
+            parse_edge_list("# c\r\n\r\n2 1\r\n0 x # y\r\n")
+        with pytest.raises(InputError, match=r"^line 1: bad header '3 1_0'$"):
+            parse_edge_list("3 1_0\n")
+        with pytest.raises(InputError, match=r"^line 1: input ends after 0 of the 2 edges"):
+            parse_edge_list("3 2")
+
+    @staticmethod
+    def _render(rng, n, pairs):
+        """Edge-list text for n and pairs, with random layout: comment and
+        blank lines, trailing comments, CRLF, tabs, padding, '+' signs and
+        leading zeros."""
+        def number(x):
+            return ("+" if rng.random() < 0.1 else "") + "0" * int(rng.integers(0, 2)) + str(x)
+
+        def noise():
+            return str(rng.choice(["", "", "# note", "   ", "\t", "#"]))
+
+        lines = [noise() for _ in range(int(rng.integers(0, 3)))]
+        for fields in [(n, len(pairs)), *pairs]:
+            sep = str(rng.choice([" ", "\t", "  ", " \t "]))
+            line = sep.join(map(number, fields))
+            if rng.random() < 0.2:
+                line = f"  {line} # trailing"
+            lines.append(line)
+            if rng.random() < 0.2:
+                lines.append(noise())
+        end = str(rng.choice(["\n", "\r\n"]))
+        return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+    @staticmethod
+    def _pairs_by_split(text):
+        rows = [line.split("#")[0].split() for line in text.split("\n")]
+        rows = [[int(x) for x in row] for row in rows if row]
+        return rows[0][0], [tuple(row) for row in rows[1:]]
+
+    def test_reader_matches_from_edge_list(self):
+        rng = np.random.default_rng(20261018)
+        corpus = [(1, []), (1, [(0, 0)]), (4, []), (3, [(0, 1), (1, 0), (0, 1), (2, 2)])]
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            m = int(rng.integers(0, 2 * n + 1))
+            pairs = [tuple(int(x) for x in rng.integers(0, n, size=2)) for _ in range(m)]
+            pairs += [p[::-1] for p in pairs[: int(rng.integers(0, m + 1))]]
+            corpus.append((n, pairs))
+        for n, pairs in corpus:
+            text = self._render(rng, n, pairs)
+            assert self._pairs_by_split(text) == (n, pairs), text
+            assert parse_edge_list(text) == from_edge_list(n, pairs), text
 
 
 class TestAtomicWrite:

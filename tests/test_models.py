@@ -5,9 +5,9 @@ from scipy import sparse
 from walklab.errors import CapacityError, InputError, NumericError
 from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
                             from_edge_list, path_graph, relabel)
-from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, AggregationTerm, GraphOperators,
-                            LayerSpec, ModelSpec, build_model, diag_power, forward,
-                            power, self_loop_adjacency, spec_from_model_name)
+from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, MAX_LAYERS, AggregationTerm,
+                            GraphOperators, LayerSpec, ModelSpec, build_model, diag_power,
+                            forward, power, self_loop_adjacency, spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
 
 
@@ -67,6 +67,12 @@ class TestSpecs:
         for bad in ("GCN", "MLP-2L", "GCN-L9-1L", "GCN-0L", "GCN-2", "GCN-XL"):
             with pytest.raises(InputError):
                 spec_from_model_name(bad)
+
+    def test_depth_limit(self):
+        assert len(spec_from_model_name(f"GCN-{MAX_LAYERS}L").layers) == MAX_LAYERS
+        for depth in (MAX_LAYERS + 1, 10**9):
+            with pytest.raises(InputError, match=f"the limit is {MAX_LAYERS}"):
+                spec_from_model_name(f"GCN-L1-{depth}L")
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_name_carries_normalisation_and_mlp_depth(self, family):

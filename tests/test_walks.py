@@ -160,7 +160,7 @@ class TestLargeSparseGraphs:
 class TestInvariants:
     def test_odd_closed_three_walks(self, monkeypatch):
         monkeypatch.setattr(walks, "diag_closed_walks",
-                            lambda g, m: np.array([1, 2, 2], dtype=np.int64))
+                            lambda g, m, square=None: np.array([1, 2, 2], dtype=np.int64))
         with pytest.raises(InvariantViolation):
             triangle_counts_per_node(path_graph(3))
 
