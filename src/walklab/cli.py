@@ -82,8 +82,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(doc, depth: int = 0) -> str:
+    """``json.dumps(doc, indent=1)`` byte for byte, for string keys. Each
+    list of scalars goes through the C encoder, which ``indent`` turns off,
+    with the line break and indent as its item separator."""
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        return json.dumps(doc)
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(doc, dict):
+        items = ("," + pad).join(f"{json.dumps(k)}: {_dumps(v, depth + 1)}" for k, v in doc.items())
+        return "{" + pad + items + pad[:-1] + "}"
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, doc))):
+        items = ("," + pad).join(_dumps(x, depth + 1) for x in doc)
+    else:
+        items = json.dumps(doc, separators=("," + pad, ": "))[1:-1]
+    return "[" + pad + items + pad[:-1] + "]"
+
+
 def _emit(doc, out_path) -> None:
-    text = json.dumps(doc, indent=1)
+    text = _dumps(doc)
     if out_path:
         atomic_write_text(out_path, text + "\n")
     else:

@@ -16,7 +16,6 @@ For every root the regions nest: ``D_k ⊆ L_k ⊆ D_{k+1}``.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import os
 import re
@@ -29,33 +28,42 @@ import numpy as np
 from .errors import CapacityError, InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with a fixed node set ``0..n-1``.
 
-    ``adjacency[v]`` is the sorted tuple of neighbours of ``v``; the
-    structure is symmetric, loop-free, and duplicate-free. Instances are
-    hashable and compare by value.
+    The adjacency is held in CSR form: the neighbours of ``v`` are
+    ``indices[indptr[v]:indptr[v + 1]]``, sorted and duplicate-free, and
+    the structure is symmetric and loop-free. Both arrays are read-only
+    integer arrays (int32 unless the graph needs int64), adopted without
+    a copy. Graphs compare by value and are not hashable.
     """
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.n
         if n < 1:
             raise InputError(f"graph needs at least one node, got n={n}")
-        if len(self.adjacency) != n:
-            raise InputError("adjacency length does not match node count")
+        indptr, nbr = np.asarray(self.indptr), np.asarray(self.indices)
+        for name, arr in (("indptr", indptr), ("node ids", nbr)):
+            if arr.size and arr.dtype.kind not in "iu":
+                raise InputError(f"{name} must be integers, got dtype {arr.dtype}")
+        if indptr.shape != (n + 1,) or nbr.ndim != 1:
+            raise InputError(f"indptr needs n + 1 = {n + 1} entries and indices one axis")
+        if indptr[0] != 0:
+            raise InputError(f"indptr must start at 0, got {indptr[0]}")
+        bad = np.flatnonzero(indptr[1:] < indptr[:-1])
+        if bad.size:
+            raise InputError(f"indptr decreases after node {bad[0]}")
+        if indptr[-1] != nbr.size:
+            raise InputError(f"edge_count does not match adjacency: indptr ends at "
+                             f"{indptr[-1]}, not at indices.size = {nbr.size}")
         # The checks run on the flat row-major layout (one row id and one
         # neighbour id per stored entry) and report the first bad entry.
-        deg = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=n)
-        nbr = np.array(list(itertools.chain.from_iterable(self.adjacency)))
-        if nbr.size and nbr.dtype.kind not in "iu":
-            raise InputError(f"node ids must be integers, got dtype {nbr.dtype}")
-        nbr = nbr.astype(np.int64)
-        row = np.repeat(np.arange(n), deg)
+        row = _row_ids(indptr)
         bad = np.flatnonzero((row[1:] == row[:-1]) & (nbr[1:] <= nbr[:-1]))
         if bad.size:
             raise InputError(f"neighbour list of {row[bad[0]]} is not sorted and duplicate-free")
@@ -68,28 +76,49 @@ class Graph:
         # Rows ascend and are strictly increasing, so the keys are sorted
         # and unique; the graph is symmetric when the reversed keys are a
         # permutation of them.
-        key = row * n + nbr
-        rev = nbr * n + row
+        col = nbr.astype(np.int64)
+        key = row * n + col
+        rev = col * n + row
         if not np.array_equal(np.sort(rev), key):
             pos = np.searchsorted(key, rev).clip(max=key.size - 1)
             i = np.flatnonzero(key[pos] != rev)[0]
             raise InputError(f"edge ({row[i]}, {nbr[i]}) is not symmetric")
-        if nbr.size != 2 * self.edge_count:
-            raise InputError("edge_count does not match adjacency")
+        # the index dtype scipy picks, so walks.adjacency_csr wraps the arrays
+        dtype = np.int32 if nbr.size + n < 2**31 else np.int64
+        for name, arr in (("indptr", indptr), ("indices", nbr)):
+            arr = arr.astype(dtype, copy=False)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    @property
+    def edge_count(self) -> int:
+        return self.indices.size // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) pairs with u < v, in sorted order."""
-        return [(v, u) for v in range(self.n) for u in self.adjacency[v] if v < u]
+        """All edges as (u, v) pairs of Python ints with u < v, in sorted order."""
+        row = _row_ids(self.indptr)
+        upper = row < self.indices
+        return list(zip(row[upper].tolist(), self.indices[upper].tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return v in self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The int64 row id of every stored entry of a CSR layout."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 _INT_IDS = (int, np.integer)
 
-# Node limit of from_edge_list and parse_edge_list: a graph holds a
-# neighbour tuple per node, about 90 bytes per node at peak while it is
-# built (92 MB at 10^6 nodes), so ~190 MB at the limit.
+# Node limit of from_edge_list and parse_edge_list: a graph holds a 4-byte
+# CSR row pointer per node, and its build peaks at about 24 bytes per node
+# before any edge is counted (24 MB at 10^6 nodes), so ~48 MB at the limit.
 MAX_NODES = 2_000_000
 
 
@@ -108,8 +137,8 @@ def _graph_from_ids(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     ``0..n-1``) become a graph; duplicates collapse and self-loops drop.
 
     Each direction of an edge is keyed ``row * n + col`` (below 2**63
-    since n <= MAX_NODES); the sorted distinct keys are the rows of the
-    adjacency in order.
+    since n <= MAX_NODES); the sorted distinct keys are the CSR entries
+    in order.
     """
     proper = u != v
     u, v = u[proper], v[proper]
@@ -117,12 +146,9 @@ def _graph_from_ids(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     key.sort()  # np.unique hashes int64 keys, which is far slower at 10^6 keys
     distinct = np.ones(key.size, dtype=bool)
     distinct[1:] = key[1:] != key[:-1]
-    key = key[distinct]
-    row, col = np.divmod(key, n)
-    flat = tuple(col.tolist())
-    ends = np.cumsum(np.bincount(row, minlength=n)).tolist()
-    adjacency = tuple(flat[s:e] for s, e in zip([0] + ends, ends))
-    return Graph(n=n, adjacency=adjacency, edge_count=len(flat) // 2)
+    row, col = np.divmod(key[distinct], n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+    return Graph(n=n, indptr=indptr, indices=col)
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -168,8 +194,9 @@ def complete_graph(n: int) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """New graph holding g1 on ids 0..n1-1 and g2 shifted up by n1."""
-    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges()]
-    return from_edge_list(g1.n + g2.n, g1.edges() + shifted)
+    n = _check_node_count(g1.n + g2.n)
+    return _graph_from_ids(n, np.concatenate([_row_ids(g1.indptr), _row_ids(g2.indptr) + g1.n]),
+                           np.concatenate([g1.indices, g2.indices + g1.n]).astype(np.int64))
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -177,7 +204,8 @@ def relabel(g: Graph, perm) -> Graph:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise InputError("perm is not a permutation of 0..n-1")
-    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    p = np.array(perm, dtype=np.int64)
+    return _graph_from_ids(g.n, p[_row_ids(g.indptr)], p[g.indices])
 
 
 # Node limit of erdos_renyi: it draws one uniform per node pair and holds
@@ -206,14 +234,15 @@ def erdos_renyi(n: int, p: float, seed) -> Graph:
 
 
 def degrees(g: Graph) -> list[int]:
-    """Loop-free degree of every node."""
-    return [len(nbrs) for nbrs in g.adjacency]
+    """Loop-free degree of every node, as Python ints."""
+    return np.diff(g.indptr).tolist()
 
 
 def bfs_distances(g: Graph, v: int) -> list[float]:
     """Hop distances from v; unreachable nodes get math.inf."""
     if not 0 <= v < g.n:
         raise InputError(f"node {v} out of range 0..{g.n - 1}")
+    flat, ends = g.indices.tolist(), g.indptr.tolist()
     dist: list[float] = [math.inf] * g.n
     dist[v] = 0
     frontier = [v]
@@ -222,7 +251,7 @@ def bfs_distances(g: Graph, v: int) -> list[float]:
         d += 1
         nxt = []
         for u in frontier:
-            for w in g.adjacency[u]:
+            for w in flat[ends[u]:ends[u + 1]]:
                 if dist[w] > d:
                     dist[w] = d
                     nxt.append(w)
@@ -269,14 +298,13 @@ def extract_region(g: Graph, v: int, spec: RegionSpec) -> RootedSubgraph:
     kind L; both thresholds say a returning walk through the edge fits
     the region's walk-length budget.
     """
-    dist = bfs_distances(g, v)
+    dist = np.array(bfs_distances(g, v))
     k = spec.radius
     budget = 2 * k - 1 if spec.kind == "D" else 2 * k
-    nodes = frozenset(u for u in range(g.n) if dist[u] <= k)
-    edges = frozenset(
-        (i, j) for i, j in g.edges() if dist[i] + dist[j] <= budget
-    )
-    return RootedSubgraph(root=v, nodes=nodes, edges=edges)
+    row, col = _row_ids(g.indptr), g.indices
+    kept = (row < col) & (dist[row] + dist[col] <= budget)
+    return RootedSubgraph(root=v, nodes=frozenset(np.flatnonzero(dist <= k).tolist()),
+                          edges=frozenset(zip(row[kept].tolist(), col[kept].tolist())))
 
 
 # The integer syntax of the edge-list format: an optional sign and ASCII

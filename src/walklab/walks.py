@@ -8,8 +8,8 @@ number of 4-node simple cycles falls out of ``trace(A^4)`` after
 removing the degenerate closed 4-walks (edge back-and-forth and
 2-paths traversed both ways).
 
-Graph counts run on one sparse integer engine: the CSR adjacency is
-built straight from the sorted neighbour tuples, and because ``A`` is
+Graph counts run on one sparse integer engine: the CSR adjacency wraps
+the graph's own ``indptr`` and ``indices`` arrays, and because ``A`` is
 symmetric the closed m-walks of node v are the row sums of
 ``A^floor(m/2) * A^ceil(m/2)`` (elementwise), so ``A^m`` itself is never
 formed. Triangles per node are ``rowsum(A * A^2) / 2`` and
@@ -25,8 +25,6 @@ conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy import sparse
@@ -49,21 +47,13 @@ MAX_PRODUCT_WORK = 3 * 10**7
 def adjacency_csr(g: Graph, with_self_loops: bool = False) -> sparse.csr_array:
     """Sparse int64 adjacency matrix, optionally with the diagonal set to 1.
 
-    Built straight from the sorted neighbour tuples, which are already
-    the CSR row layout; the arrays equal those scipy builds from the
-    dense matrix.
+    Wraps the graph's own read-only ``indptr`` and ``indices`` without a
+    copy; they equal the arrays scipy builds from the dense matrix.
     """
-    n = g.n
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
-    nnz = int(deg.sum())
-    index_dtype = np.int32 if nnz + n < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=index_dtype)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(g.adjacency),
-                          dtype=index_dtype, count=nnz)
-    a = sparse.csr_array((np.ones(nnz, dtype=np.int64), indices, indptr), shape=(n, n))
+    a = sparse.csr_array((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
+                         shape=(g.n, g.n))
     if with_self_loops:
-        a = a + sparse.eye_array(n, dtype=np.int64, format="csr")
+        a = a + sparse.eye_array(g.n, dtype=np.int64, format="csr")
     return a
 
 
@@ -164,42 +154,3 @@ def four_cycle_count(g: Graph, square=None) -> int:
     if raw < 0 or raw % 8:
         raise InvariantViolation(f"closed 4-walk remainder {raw} is not a nonnegative multiple of 8")
     return raw // 8
-
-
-_BRUTE_NODE_GUARD = {3: 64, 4: 64, 5: 40}
-
-
-def count_simple_cycles_brute(g: Graph, length: int) -> int:
-    """Count simple cycles of the given length by exhaustive DFS.
-
-    Reference implementation for cross-checking the closed forms; cost
-    grows like n * d^(length-1). Guards: length in {3, 4, 5} and n <= 64
-    (40 for length 5).
-    """
-    if length not in _BRUTE_NODE_GUARD:
-        raise InputError(f"cycle length must be 3, 4, or 5, got {length}")
-    guard = _BRUTE_NODE_GUARD[length]
-    if g.n > guard:
-        raise CapacityError(
-            f"brute-force cycle count supports n <= {guard} for length {length}, got n={g.n}"
-        )
-    adj = [set(nbrs) for nbrs in g.adjacency]
-    total = 0
-
-    def walks_back(u: int, remaining: int, start: int, seen: set[int]) -> int:
-        if remaining == 1:
-            return 1 if start in adj[u] else 0
-        count = 0
-        for w in adj[u]:
-            if w > start and w not in seen:
-                seen.add(w)
-                count += walks_back(w, remaining - 1, start, seen)
-                seen.remove(w)
-        return count
-
-    for s in range(g.n):
-        # Each cycle is found at its minimal node, once per direction.
-        total += walks_back(s, length, s, {s})
-    if total % 2:
-        raise InvariantViolation(f"directed cycle count {total} is odd")
-    return total // 2

@@ -69,10 +69,13 @@ def _refinement_run(g: Graph, initial_labels) -> tuple[list[int], list[int], lis
         raise InputError(f"expected {g.n} initial labels, got {len(initial)}")
     if not all(isinstance(lab, int) for lab in initial):
         raise InputError("initial labels must be integers")
+    # each node's neighbours as a list of Python ints, sliced once per run
+    flat, ends = g.indices.tolist(), g.indptr.tolist()
+    nbrs = [flat[s:e] for s, e in zip(ends, ends[1:])]
     colors = initial
     tables: list[tuple] = []
     for _ in range(g.n):
-        signatures = [(colors[v], *sorted([colors[u] for u in g.adjacency[v]]))
+        signatures = [(colors[v], *sorted([colors[u] for u in nbrs[v]]))
                       for v in range(g.n)]
         table = tuple(sorted(Counter(signatures).items()))
         rank = {sig: i for i, (sig, _) in enumerate(table)}

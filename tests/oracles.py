@@ -4,9 +4,9 @@ Everything here deliberately avoids the library's closed forms and BFS
 shortcuts: walk counting by literal recursion, regions by dynamic
 programming over exact-length walk reachability, isomorphism by
 permutation search, triangles by neighbour-pair scans and neighbour-set
-intersections, 4-cycles by co-degrees, and model gradients by the
-reverse-mode tape of ``walklab.autodiff`` instead of the hand-written
-backward pass.
+intersections, 4-cycles by co-degrees, simple cycles by exhaustive DFS,
+and model gradients by the reverse-mode tape of ``walklab.autodiff``
+instead of the hand-written backward pass.
 """
 
 from __future__ import annotations
@@ -14,20 +14,26 @@ from __future__ import annotations
 import itertools
 
 from walklab import autodiff as ad
+from walklab.errors import CapacityError, InputError, InvariantViolation
 from walklab.graphs import Graph
 from walklab.models import OP_POWER, OP_SELF_LOOP
+
+
+def neighbours(g: Graph, v: int) -> list[int]:
+    """The neighbours of v: its slice of the graph's CSR arrays."""
+    return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
 
 
 def count_walks_recursive(g: Graph, u: int, v: int, length: int) -> int:
     """Number of u -> v walks of exactly `length` edges, by recursion."""
     if length == 0:
         return 1 if u == v else 0
-    return sum(count_walks_recursive(g, w, v, length - 1) for w in g.adjacency[u])
+    return sum(count_walks_recursive(g, w, v, length - 1) for w in neighbours(g, u))
 
 
 def triangles_at_node_brute(g: Graph, v: int) -> int:
     """Triangles through v: adjacent neighbour pairs."""
-    nbrs = g.adjacency[v]
+    nbrs = neighbours(g, v)
     return sum(
         1
         for i in range(len(nbrs))
@@ -42,7 +48,7 @@ def triangles_per_node_by_intersection(g: Graph) -> list[int]:
     Each triangle u < v < w is found once, on its edge (u, v), as the
     common neighbour w > v. Cost is O(sum over edges of the degrees).
     """
-    adj = [set(nbrs) for nbrs in g.adjacency]
+    adj = [set(neighbours(g, v)) for v in range(g.n)]
     counts = [0] * g.n
     for u, v in g.edges():
         for w in adj[u] & adj[v]:
@@ -62,11 +68,49 @@ def four_cycles_by_codegree(g: Graph) -> int:
     is O(sum_v d_v^2).
     """
     codegree: dict[tuple[int, int], int] = {}
-    for nbrs in g.adjacency:
-        for a, b in itertools.combinations(nbrs, 2):
+    for v in range(g.n):
+        for a, b in itertools.combinations(neighbours(g, v), 2):
             codegree[(a, b)] = codegree.get((a, b), 0) + 1
     twice = sum(c * (c - 1) // 2 for c in codegree.values())
     return twice // 2
+
+
+_BRUTE_NODE_GUARD = {3: 64, 4: 64, 5: 40}
+
+
+def count_simple_cycles_brute(g: Graph, length: int) -> int:
+    """Count simple cycles of the given length by exhaustive DFS.
+
+    Cost grows like n * d^(length-1). Guards: length in {3, 4, 5} and
+    n <= 64 (40 for length 5).
+    """
+    if length not in _BRUTE_NODE_GUARD:
+        raise InputError(f"cycle length must be 3, 4, or 5, got {length}")
+    guard = _BRUTE_NODE_GUARD[length]
+    if g.n > guard:
+        raise CapacityError(
+            f"brute-force cycle count supports n <= {guard} for length {length}, got n={g.n}"
+        )
+    adj = [set(neighbours(g, v)) for v in range(g.n)]
+    total = 0
+
+    def walks_back(u: int, remaining: int, start: int, seen: set[int]) -> int:
+        if remaining == 1:
+            return 1 if start in adj[u] else 0
+        count = 0
+        for w in adj[u]:
+            if w > start and w not in seen:
+                seen.add(w)
+                count += walks_back(w, remaining - 1, start, seen)
+                seen.remove(w)
+        return count
+
+    for s in range(g.n):
+        # Each cycle is found at its minimal node, once per direction.
+        total += walks_back(s, length, s, {s})
+    if total % 2:
+        raise InvariantViolation(f"directed cycle count {total} is odd")
+    return total // 2
 
 
 def region_by_walk_dp(g: Graph, v: int, max_len: int) -> tuple[set[int], set[tuple[int, int]]]:
@@ -82,7 +126,7 @@ def region_by_walk_dp(g: Graph, v: int, max_len: int) -> tuple[set[int], set[tup
     reach[0] = {v}
     for t in range(1, max_len + 1):
         for u in reach[t - 1]:
-            reach[t].update(g.adjacency[u])
+            reach[t].update(neighbours(g, u))
     nodes = set()
     for u in range(g.n):
         if any(u in reach[t1] and u in reach[t2]
@@ -119,7 +163,7 @@ def region_by_walk_enumeration(g: Graph, v: int, max_len: int) -> tuple[set[int]
                 prev = w
         if len(trail) == max_len:
             return
-        for w in g.adjacency[u]:
+        for w in neighbours(g, u):
             trail.append(w)
             extend(w, trail)
             trail.pop()

@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from walklab import experiments, walks
+from walklab import cli, experiments, walks
 from walklab.cli import main
 from walklab.errors import InputError
 from walklab.graphs import (MAX_ER_NODES, MAX_NODES, complete_graph, cycle_graph,
-                            disjoint_union, path_graph, write_edge_list)
+                            disjoint_union, erdos_renyi, path_graph, write_edge_list)
 
 
 def _graph_file(tmp_path, g, name):
@@ -436,6 +436,33 @@ class TestDemo:
         assert doc["wl"] == "indistinguishable"
         assert doc["augmented"] == "distinguishable"
         assert doc["isomorphic"] is False
+
+
+# Each row: arguments of a command that writes one JSON report, and the
+# file it writes (None for stdout).
+REPORTS = {
+    "count": lambda d: (["count", _graph_file(d, erdos_renyi(40, 0.2, 3), "er.txt")], None),
+    "wl": lambda d: (["wl", _graph_file(d, cycle_graph(6), "c6.txt"), _c3(d)], None),
+    "regions-out": lambda d: (["regions", _graph_file(d, cycle_graph(7), "c7.txt"), "--node", "2",
+                               "--kmax", "4", "--out", str(d / "regions.json")],
+                              d / "regions.json"),
+    "demo-wl-gap": lambda d: (["demo-wl-gap"], None),
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("case", REPORTS)
+    def test_report_is_indent_one_json(self, tmp_path, capsys, case):
+        args, out = REPORTS[case](tmp_path)
+        assert main(args) == 0
+        text = capsys.readouterr().out if out is None else out.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+    def test_encoder_matches_indent_one_on_nested_documents(self):
+        docs = [{}, [], {"a": [], "b": {}}, [[], [1, [2, []]], {"c": [None, True]}],
+                {"s": ["x, y", "\u00e9\n", 1.5, -0.0, float("nan"), 10**20]}, (1, (2, 3))]
+        for doc in docs:
+            assert cli._dumps(doc) == json.dumps(doc, indent=1)
 
 
 class TestModuleInvocation:

@@ -12,7 +12,7 @@ from walklab.graphs import (MAX_ER_NODES, Graph, RegionSpec, atomic_write_text,
                             format_edge_list, from_edge_list, parse_edge_list,
                             path_graph, read_edge_list, relabel, write_edge_list)
 
-from oracles import region_by_walk_dp, region_by_walk_enumeration
+from oracles import neighbours, region_by_walk_dp, region_by_walk_enumeration
 
 
 class TestConstruction:
@@ -20,12 +20,16 @@ class TestConstruction:
         g = from_edge_list(3, [(0, 1), (1, 2)])
         assert g.n == 3
         assert g.edge_count == 2
-        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert g.indptr.tolist() == [0, 1, 3, 4]
+        assert g.indices.tolist() == [1, 0, 2, 1]
 
     def test_duplicates_and_loops_collapse(self):
         g = from_edge_list(3, [(0, 1), (1, 0), (0, 1), (2, 2)])
         assert g.edge_count == 1
-        assert g.adjacency == ((1,), (0,), ())
+        assert [neighbours(g, v) for v in range(g.n)] == [[1], [0], []]
+        edges = g.edges()
+        assert all(type(x) is int for e in edges for x in e)
+        assert repr(edges) == "[(0, 1)]"
 
     def test_build_matches_set_reference(self):
         # the loop the vectorised build replaced: a set of canonical pairs
@@ -40,7 +44,7 @@ class TestConstruction:
                 nbrs[u].add(v)
                 nbrs[v].add(u)
             g = from_edge_list(n, pairs)
-            assert g.adjacency == tuple(tuple(sorted(a)) for a in nbrs)
+            assert [neighbours(g, v) for v in range(g.n)] == [sorted(a) for a in nbrs]
             assert g.edge_count == len(canonical)
 
     def test_out_of_range_rejected(self):
@@ -83,29 +87,48 @@ class TestConstruction:
         g = from_edge_list(np.int64(3), [(np.int64(0), np.int32(2)), (1, np.uint8(2))])
         assert g == from_edge_list(3, [(0, 2), (1, 2)])
 
-    @pytest.mark.parametrize("adjacency, edge_count, message", [
-        (((1,), ()), 1, "edge (0, 1) is not symmetric"),
-        (((), (2,), ()), 1, "edge (1, 2) is not symmetric"),
-        (((1, 1), (0,)), 1, "neighbour list of 0 is not sorted"),
-        (((2, 1), (0,), (0,)), 2, "neighbour list of 0 is not sorted"),
-        (((5,), (0,)), 1, "node id 5 out of range"),
-        (((-1,), ()), 1, "node id -1 out of range"),
-        (((0,), ()), 1, "self-loop at node 0"),
-        (((1,), (0,)), 2, "edge_count does not match"),
-        (((1.5,), (0,)), 1, "node ids must be integers"),
+    @pytest.mark.parametrize("n, indptr, indices, message", [
+        (2, [0, 1, 1], [1], "edge (0, 1) is not symmetric"),
+        (3, [0, 0, 1, 1], [2], "edge (1, 2) is not symmetric"),
+        (2, [0, 2, 3], [1, 1, 0], "neighbour list of 0 is not sorted"),
+        (3, [0, 2, 3, 4], [2, 1, 0, 0], "neighbour list of 0 is not sorted"),
+        (2, [0, 1, 2], [5, 0], "node id 5 out of range"),
+        (2, [0, 1, 1], [-1], "node id -1 out of range"),
+        (2, [0, 1, 1], [0], "self-loop at node 0"),
+        (2, [0, 1, 3], [1, 0], "edge_count does not match"),
+        (2, [0, 1, 2], [1.5, 0], "node ids must be integers"),
+        (2, [0, 2], [1, 0], "indptr needs n + 1 = 3 entries"),
+        (2, [0, 1, 2, 2], [1, 0], "indptr needs n + 1 = 3 entries"),
+        (2, [0, 1, 2], [[1], [0]], "indices one axis"),
+        (2, [1, 1, 2], [1, 0], "indptr must start at 0, got 1"),
+        (3, [0, 2, 1, 2], [1, 0], "indptr decreases after node 1"),
+        (2, [0, 1, 1], [1, 0], "indptr ends at 1, not at indices.size = 2"),
+        (2, [0.0, 1.0, 2.0], [1, 0], "indptr must be integers, got dtype float64"),
+        (2, [0, 1, 2], [True, False], "node ids must be integers, got dtype bool"),
     ])
-    def test_each_fault_is_named(self, adjacency, edge_count, message):
+    def test_each_fault_is_named(self, n, indptr, indices, message):
         with pytest.raises(InputError, match=re.escape(message)):
-            Graph(n=len(adjacency), adjacency=adjacency, edge_count=edge_count)
+            Graph(n=n, indptr=np.array(indptr), indices=np.array(indices))
 
     def test_direct_construction_validated(self):
         with pytest.raises(InputError):
-            Graph(n=2, adjacency=((1,), ()), edge_count=1)  # asymmetric
+            Graph(n=2, indptr=np.array([0, 1, 1]), indices=np.array([1]))  # asymmetric
+        g = Graph(n=2, indptr=np.array([0, 1, 2], dtype=np.uint8), indices=[1, 0])
+        assert g == path_graph(2)
+
+    def test_arrays_are_read_only(self):
+        g = path_graph(3)
+        for arr in (g.indptr, g.indices):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert g == path_graph(3)
 
     def test_graph_is_hashable_value_type(self):
         assert path_graph(4) == path_graph(4)
-        assert hash(path_graph(4)) == hash(path_graph(4))
         assert path_graph(4) != cycle_graph(4)
+        assert path_graph(4) != path_graph(5)
+        with pytest.raises(TypeError):
+            hash(path_graph(4))
 
     def test_relabel_preserves_structure(self):
         g = cycle_graph(5)

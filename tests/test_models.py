@@ -10,6 +10,8 @@ from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, MAX_LAYERS, AggregationTer
                             forward, power, self_loop_adjacency, spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
 
+from oracles import neighbours
+
 
 def identity_readout_model(terms, n_features=1, degree_normalize=False):
     # no MLP and an identity head: the output is the raw operator sum per node
@@ -94,8 +96,8 @@ class TestOperators:
             ops = GraphOperators(g)
             for loops, got in ((False, ops.adjacency), (True, ops.adjacency_with_loops)):
                 dense = np.eye(g.n) if loops else np.zeros((g.n, g.n))
-                for v, nbrs in enumerate(g.adjacency):
-                    dense[v, list(nbrs)] = 1.0
+                for v in range(g.n):
+                    dense[v, neighbours(g, v)] = 1.0
                 want = sparse.csr_array(dense)
                 for field in ("indptr", "indices", "data"):
                     a, b = getattr(got, field), getattr(want, field)

@@ -7,12 +7,11 @@ from walklab.errors import (CapacityError, CountOverflowError, InputError,
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
-from walklab.walks import (adjacency_csr, count_simple_cycles_brute,
-                           diag_closed_walks, four_cycle_count,
+from walklab.walks import (adjacency_csr, diag_closed_walks, four_cycle_count,
                            triangle_counts_per_node, triangle_total)
 
-from oracles import (count_walks_recursive, four_cycles_by_codegree,
-                     triangles_at_node_brute,
+from oracles import (count_simple_cycles_brute, count_walks_recursive,
+                     four_cycles_by_codegree, triangles_at_node_brute,
                      triangles_per_node_by_intersection)
 
 

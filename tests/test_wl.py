@@ -10,7 +10,7 @@ from walklab.wl import (CANONICAL_MAX_NODES, Verdict, augmented_distinguish,
                         lex_min_adjacency, wl_distinguish, wl_fingerprint,
                         wl_refine)
 
-from oracles import is_isomorphic_by_search
+from oracles import is_isomorphic_by_search, neighbours
 
 
 def refine_with_own_label_slot(g, initial):
@@ -19,7 +19,7 @@ def refine_with_own_label_slot(g, initial):
     colors = list(initial)
     while True:
         sigs = [
-            (colors[v], tuple(sorted([colors[u] for u in g.adjacency[v]] + [colors[v]])))
+            (colors[v], tuple(sorted([colors[u] for u in neighbours(g, v)] + [colors[v]])))
             for v in range(g.n)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
