@@ -36,7 +36,7 @@ from .data import Dataset, FoldPlan, baseline_mean, kfold_split, load_dataset
 from .errors import (ConfigError, InputError, InvariantViolation, NumericError,
                      TrainingError)
 from .graphs import (Graph, RegionSpec, atomic_write_text, cycle_graph,
-                     disjoint_union, extract_region, read_text)
+                     bfs_distances, disjoint_union, read_text, region_from_distances)
 from .models import MAX_HIDDEN_DIM, ModelSpec, build_model, spec_from_model_name
 from .training import TrainConfig, evaluate, fit, prepare_items
 from .walks import triangle_counts_per_node
@@ -350,10 +350,9 @@ def region_report(g: Graph, v: int, k_max: int) -> list[dict]:
     if not 1 <= k_max <= g.n:
         raise InputError(f"k_max must be in 1..{g.n} (the node count), got {k_max}")
     rows = []
-    regions = {}
-    for k in range(1, k_max + 2):
-        regions[("D", k)] = extract_region(g, v, RegionSpec("D", k))
-        regions[("L", k)] = extract_region(g, v, RegionSpec("L", k))
+    dist = np.array(bfs_distances(g, v))
+    regions = {(kind, k): region_from_distances(g, v, dist, RegionSpec(kind, k))
+               for k in range(1, k_max + 2) for kind in ("D", "L")}
     for k in range(1, k_max + 1):
         d, l, d_next = regions[("D", k)], regions[("L", k)], regions[("D", k + 1)]
         for small, big, tag in ((d, l, f"D_{k} <= L_{k}"),

@@ -16,7 +16,6 @@ For every root the regions nest: ``D_k ⊆ L_k ⊆ D_{k+1}``.
 from __future__ import annotations
 
 import io
-import math
 import os
 import re
 import tempfile
@@ -242,21 +241,11 @@ def bfs_distances(g: Graph, v: int) -> list[float]:
     """Hop distances from v; unreachable nodes get math.inf."""
     if not 0 <= v < g.n:
         raise InputError(f"node {v} out of range 0..{g.n - 1}")
-    flat, ends = g.indices.tolist(), g.indptr.tolist()
-    dist: list[float] = [math.inf] * g.n
-    dist[v] = 0
-    frontier = [v]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in flat[ends[u]:ends[u + 1]]:
-                if dist[w] > d:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+    # imported here: loading csgraph would add to every CLI start-up
+    from scipy.sparse import csgraph, csr_array
+
+    a = csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    return csgraph.shortest_path(a, unweighted=True, indices=v).tolist()
 
 
 @dataclass(frozen=True)
@@ -298,7 +287,13 @@ def extract_region(g: Graph, v: int, spec: RegionSpec) -> RootedSubgraph:
     kind L; both thresholds say a returning walk through the edge fits
     the region's walk-length budget.
     """
-    dist = np.array(bfs_distances(g, v))
+    return region_from_distances(g, v, np.array(bfs_distances(g, v)), spec)
+
+
+def region_from_distances(g: Graph, v: int, dist: np.ndarray,
+                          spec: RegionSpec) -> RootedSubgraph:
+    """:func:`extract_region` from ``dist``, the BFS distances from v, so
+    that every region around one root can share a single search."""
     k = spec.radius
     budget = 2 * k - 1 if spec.kind == "D" else 2 * k
     row, col = _row_ids(g.indptr), g.indices

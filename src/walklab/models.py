@@ -24,11 +24,14 @@ last layer a Sum readout collapses node rows to one vector and a linear
 head maps it to the output dimension; a node-level readout that skips
 the pooling is available for inspection and tests.
 
-Parameters are plain float64 arrays. :func:`forward` serves inference
-and training and can keep the activations that :func:`backward` needs;
-``backward`` is the hand-written gradient of that same pass. Every
-structural operator is symmetric, so a term's backward pass is the term
-itself applied to the gated upstream gradient.
+A model keeps every parameter in one float64 vector, ``Model.flat``;
+``Model.params`` names reshaped views into it. :func:`forward` serves
+inference and training and can keep the activations that
+:func:`backward` needs; ``backward`` is the hand-written gradient of that
+same pass, returned by name, and :meth:`Model.flatten` lays such a dict
+out in ``flat`` order. Every structural operator is symmetric, so a
+term's backward pass is the term itself applied to the gated upstream
+gradient.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,9 +49,11 @@ from .walks import adjacency_csr, diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
 # hidden x hidden float64 matrices (w1, and w0 after the first layer),
-# 8 MiB each at 1024, and training keeps about six arrays of each (weights,
-# gradient, two Adam moments, best snapshot, update temporaries): about
-# 100 MB per layer in every worker.
+# 8 MiB each at 1024. Training holds six copies of each (the weights in
+# ``flat``, the gradient dict and its flat copy, two Adam moments and the
+# best snapshot) plus Adam's short-lived temporaries, and build_model
+# briefly holds a seventh, the drawn arrays it concatenates into ``flat``:
+# about 100 MB per layer in every worker.
 MAX_HIDDEN_DIM = 1024
 
 # Deepest model spec_from_model_name builds; the experiments use at most 3.
@@ -198,25 +204,27 @@ class GraphOperators:
 class Model:
     """A spec bound to concrete parameters.
 
-    ``params`` maps stable names (creation order is deterministic) to
-    float64 arrays. ``weight_names`` lists the linear-map weight
-    matrices, the parameters the L2 penalty covers (gates and biases are
-    not among them).
+    ``flat`` holds every parameter in one float64 vector. ``params`` is a
+    read-only mapping from stable names, in creation order, to views of
+    ``flat`` in each parameter's shape: write into a view, never rebind
+    it. ``decay`` marks the coordinates of the linear-map weight matrices,
+    the ones the L2 penalty covers (gates and biases are not among them).
     """
 
     def __init__(self, spec: ModelSpec, input_dim: int,
-                 params: dict[str, np.ndarray], weight_names: tuple[str, ...]):
+                 arrays: dict[str, np.ndarray], decayed: set[str]):
         self.spec = spec
         self.input_dim = input_dim
-        self.params = params
-        self.weight_names = weight_names
+        sizes = [a.size for a in arrays.values()]
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
+        self.decay = np.repeat([name in decayed for name in arrays], sizes)
+        chunks = np.split(self.flat, np.cumsum(sizes)[:-1])
+        self.params = MappingProxyType({name: chunk.reshape(a.shape) for (name, a), chunk
+                                        in zip(arrays.items(), chunks)})
 
-    def param_values(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
-
-    def load_param_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, v in values.items():
-            self.params[k] = np.array(v, dtype=np.float64)
+    def flatten(self, named: dict[str, np.ndarray]) -> np.ndarray:
+        """One vector of ``named``'s arrays (say, gradients) in ``flat`` order."""
+        return np.concatenate([named[k].ravel() for k in self.params])
 
 
 def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model:
@@ -224,8 +232,8 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
 
     Gates start at 0 (mixing weight 0.5); linear maps draw uniformly
     from +-1/sqrt(fan_in). Parameter creation order, and therefore the
-    RNG stream, is fixed by the model spec, so equal seeds give
-    bit-identical models.
+    RNG stream and the layout of ``flat``, is fixed by the model spec, so
+    equal seeds give bit-identical models.
     """
     if input_dim < 1 or hidden_dim < 1:
         raise InputError("input_dim and hidden_dim must be >= 1")
@@ -233,11 +241,11 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
         raise CapacityError(f"hidden_dim must be <= {MAX_HIDDEN_DIM}, got {hidden_dim}")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    weight_names: list[str] = []
+    decayed: set[str] = set()
 
     def linear(wname: str, bname: str, fan_in: int, fan_out: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)
-        weight_names.append(wname)
+        decayed.add(wname)
         params[wname] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         params[bname] = rng.uniform(-bound, bound, size=(1, fan_out))
 
@@ -251,7 +259,7 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
         if layer.mlp_depth == 2:
             linear(f"layer{i}.w1", f"layer{i}.b1", hidden_dim, hidden_dim)
     linear("head.w", "head.b", width, spec.output_dim)
-    return Model(spec=spec, input_dim=input_dim, params=params, weight_names=tuple(weight_names))
+    return Model(spec, input_dim, params, decayed)
 
 
 LEAKY_SLOPE = 0.01

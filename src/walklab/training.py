@@ -2,14 +2,15 @@
 
 One optimisation step consumes one graph: :func:`walklab.models.forward`,
 the mean squared error and its gradient with respect to the prediction,
-:func:`walklab.models.backward`, and an Adam update from the returned
-gradient arrays. The divergence check reads the MSE. :func:`adam_step`
-applies the L2 penalty ``l2 * sum(w**2)`` to the MLP and head weight
-matrices (gates and biases are not penalised) as coupled L2: its
-gradient ``2 * l2 * w`` joins the data gradient before the Adam moments,
-unlike decoupled (AdamW) decay. Validation is scored before the first
-epoch and after every epoch; the best validation snapshot is what
-:func:`fit` returns.
+:func:`walklab.models.backward`, and an Adam update of the model's flat
+parameter vector from the gradients laid out the same way. The divergence
+check reads the MSE. :func:`adam_step` applies the L2 penalty
+``l2 * sum(w**2)`` to the coordinates the model's ``decay`` mask marks,
+the MLP and head weight matrices (gates and biases are not penalised), as
+coupled L2: its gradient ``2 * l2 * w`` joins the data gradient before the
+Adam moments, unlike decoupled (AdamW) decay. Validation is scored before
+the first epoch and after every epoch; the best validation snapshot, one
+copy of the flat vector, is what :func:`fit` returns.
 
 The plateau schedule counts the epochs since the last new best: at
 ``patience`` of them the learning rate is multiplied by ``lr_factor``,
@@ -102,38 +103,36 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter, and the
-    L2 coefficient with the names of the parameters it applies to."""
+    """First/second moment vectors over a flat parameter vector, and the L2
+    coefficient with the mask of the coordinates it applies to (none when
+    ``decay`` is omitted)."""
 
-    def __init__(self, params: dict[str, np.ndarray], l2: float = 0.0,
-                 decay_names: tuple[str, ...] = ()):
+    def __init__(self, w: np.ndarray, l2: float = 0.0, decay: np.ndarray | None = None):
         self.l2 = l2
-        self.decay_names = frozenset(decay_names)
+        self.decay = np.zeros(w.shape, dtype=bool) if decay is None else decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(w)
+        self.v = np.zeros_like(w)
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray], lr: float) -> None:
-    """One bias-corrected Adam update of every parameter from its gradient.
+def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """One bias-corrected Adam update of the flat vector ``w``, in place,
+    from its gradient ``g``.
 
-    Parameters named in ``state.decay_names`` first get the coupled L2
-    gradient ``2 * l2 * value`` added. Each updated array replaces its
-    entry in ``params``; ``grads`` is not modified.
+    Coordinates in ``state.decay`` first get the coupled L2 gradient
+    ``2 * l2 * w`` added, on a copy: ``g`` is not modified.
     """
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for key, w in params.items():
-        g = grads[key]
-        if state.l2 > 0 and key in state.decay_names:
-            g = g + (2.0 * state.l2) * w
-        state.m[key] = b1 * state.m[key] + (1 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1 - b2) * (g * g)
-        m_hat = state.m[key] / (1 - b1**t)
-        v_hat = state.v[key] / (1 - b2**t)
-        params[key] = w - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if state.l2 > 0:
+        g = g.copy()
+        g[state.decay] += (2.0 * state.l2) * w[state.decay]
+    state.m = b1 * state.m + (1 - b1) * g
+    state.v = b2 * state.v + (1 - b2) * (g * g)
+    m_hat = state.m / (1 - b1**t)
+    v_hat = state.v / (1 - b2**t)
+    w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -174,10 +173,10 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
     if not train_items or not val_items:
         raise InputError("fit needs nonempty train and validation splits")
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState(model.params, l2=cfg.l2, decay_names=model.weight_names)
+    state = AdamState(model.flat, l2=cfg.l2, decay=model.decay)
     lr = cfg.lr
     best_val = evaluate(model, val_items)
-    best_snapshot = model.param_values()
+    best_snapshot = model.flat.copy()
     best_epoch = 0
     history = [EpochStats(epoch=0, train_loss=float("nan"), val_loss=best_val, lr=lr)]
     since_best = 0
@@ -193,7 +192,7 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
             loss, d_pred = mse_loss(pred, item.target)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            adam_step(state, model.params, backward(model, saved, d_pred), lr)
+            adam_step(state, model.flat, model.flatten(backward(model, saved, d_pred)), lr)
             train_mse_sum += loss
         val = evaluate(model, val_items)
         if not np.isfinite(val):
@@ -202,7 +201,7 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
                                   train_loss=train_mse_sum / len(train_items)))
         if val < best_val:
             best_val = val
-            best_snapshot = model.param_values()
+            best_snapshot = model.flat.copy()
             best_epoch = epoch
             since_best = 0
             continue
@@ -212,7 +211,7 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
         elif since_best == 2 * cfg.patience:
             stop_reason = "early_stop"
             break
-    model.load_param_values(best_snapshot)
+    model.flat[:] = best_snapshot
     return FitResult(history=history, best_epoch=best_epoch,
                      best_val=best_val, stop_reason=stop_reason)
 
@@ -226,31 +225,28 @@ def gradient_check(model: Model, item: TrainItem, h: float = 1e-5,
     loss. Relative error uses a floor of 1e-3 in the denominator;
     coordinates where both gradients are below 1e-10 count as exact.
     """
-    coord_count = sum(p.size for p in model.params.values())
-    if coord_count > max_params:
+    w = model.flat
+    if w.size > max_params:
         raise CapacityError(
-            f"gradient check supports <= {max_params} coordinates, got {coord_count}")
+            f"gradient check supports <= {max_params} coordinates, got {w.size}")
     saved: dict = {}
     pred = forward(model, item.ops, item.features, saved=saved)
-    analytic = backward(model, saved, mse_loss(pred, item.target)[1])
+    analytic = model.flatten(backward(model, saved, mse_loss(pred, item.target)[1]))
 
     def loss_value() -> float:
         return mse_loss(forward(model, item.ops, item.features), item.target)[0]
 
     worst = 0.0
-    for key, p in model.params.items():
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_value()
-            flat[i] = orig - h
-            down = loss_value()
-            flat[i] = orig
-            numeric = (up - down) / (2 * h)
-            a = float(analytic[key].reshape(-1)[i])
-            scale = max(abs(a), abs(numeric))
-            if scale < 1e-10:
-                continue
-            worst = max(worst, abs(a - numeric) / max(scale, 1e-3))
+    for i, a in enumerate(analytic.tolist()):
+        orig = w[i]
+        w[i] = orig + h
+        up = loss_value()
+        w[i] = orig - h
+        down = loss_value()
+        w[i] = orig
+        numeric = (up - down) / (2 * h)
+        scale = max(abs(a), abs(numeric))
+        if scale < 1e-10:
+            continue
+        worst = max(worst, abs(a - numeric) / max(scale, 1e-3))
     return worst

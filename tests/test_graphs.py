@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,29 @@ class TestBfs:
     def test_bad_node(self):
         with pytest.raises(InputError):
             bfs_distances(path_graph(3), 3)
+
+    def test_matches_frontier_search(self):
+        for seed in range(8):
+            g = erdos_renyi(30, 0.06, seed)
+            for v in (0, 29):
+                dist, frontier = {v: 0}, [v]
+                while frontier:
+                    nxt = []
+                    for u in frontier:
+                        for w in neighbours(g, u):
+                            if w not in dist:
+                                dist[w] = dist[u] + 1
+                                nxt.append(w)
+                    frontier = nxt
+                want = [dist.get(u, math.inf) for u in range(g.n)]
+                assert bfs_distances(g, v) == want, (seed, v)
+
+    def test_cli_import_leaves_csgraph_unloaded(self):
+        # bfs_distances imports csgraph on first use, so CLI start-up stays short
+        code = "import sys, walklab.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRegions:

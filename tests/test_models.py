@@ -19,8 +19,8 @@ def identity_readout_model(terms, n_features=1, degree_normalize=False):
                                        degree_normalize=degree_normalize),),
                      readout="node", output_dim=n_features)
     m = build_model(spec, input_dim=n_features, hidden_dim=n_features, seed=0)
-    m.params["head.w"] = np.eye(n_features)
-    m.params["head.b"] = np.zeros((1, n_features))
+    m.params["head.w"][...] = np.eye(n_features)
+    m.params["head.b"][...] = 0.0
     return m
 
 
@@ -33,7 +33,7 @@ def set_gates(model, *values):
             raw = -800.0
         else:
             raw = float(np.log(v / (1 - v)))
-        model.params[f"layer0.theta{i}"] = np.array([[raw]])
+        model.params[f"layer0.theta{i}"][...] = raw
 
 
 class TestSpecs:
@@ -176,7 +176,7 @@ class TestForward:
         m = build_model(spec, 1, 4, seed=1)
         for k, p in m.params.items():
             if not k.endswith("theta0"):
-                m.params[k] = np.zeros_like(p)
+                p[...] = 0.0
         out = forward(m, g, np.zeros((1, 1)))
         assert out.tolist() == [[0.0]]
 
@@ -250,9 +250,39 @@ class TestForward:
 
 class TestWeightNames:
     def test_linear_weights_only(self):
+        def decayed(m):
+            # names of the parameters the mask marks, each wholly or not at all
+            names, start = [], 0
+            for k, p in m.params.items():
+                block = m.decay[start:start + p.size]
+                assert block.all() or not block.any(), k
+                names += [k] if block.any() else []
+                start += p.size
+            assert start == m.decay.size
+            return names
+
         m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 8, seed=0)
-        assert m.weight_names == ("layer0.w0", "layer0.w1", "layer1.w0",
-                                  "layer1.w1", "head.w")
+        assert decayed(m) == ["layer0.w0", "layer0.w1", "layer1.w0", "layer1.w1", "head.w"]
         spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),), mlp_depth=1),),
                          output_dim=4)
-        assert build_model(spec, 1, 4, seed=0).weight_names == ("layer0.w0", "head.w")
+        assert decayed(build_model(spec, 1, 4, seed=0)) == ["layer0.w0", "head.w"]
+
+
+class TestFlatLayout:
+    def test_params_are_views_that_tile_flat(self):
+        m = build_model(spec_from_model_name("GCN-L1-2L"), 2, 4, seed=3)
+        assert m.flat.dtype == np.float64 and m.flat.ndim == 1
+        assert all(np.shares_memory(p, m.flat) for p in m.params.values())
+        assert np.array_equal(np.concatenate([p.ravel() for p in m.params.values()]), m.flat)
+
+    def test_rebinding_raises_and_writes_reach_flat_and_forward(self):
+        g = erdos_renyi(8, 0.4, 2)
+        m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
+        with pytest.raises(TypeError):
+            m.params["head.b"] = np.zeros((1, 1))
+        x = np.ones((8, 1))
+        before = forward(m, g, x)
+        last = m.flat[-1]
+        m.params["head.b"][0, 0] += 1.0
+        assert m.flat[-1] == last + 1.0
+        assert np.allclose(forward(m, g, x), before + 1.0, rtol=0, atol=1e-12)

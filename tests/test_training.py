@@ -51,69 +51,69 @@ class TestMseLoss:
 class TestAdam:
     def test_first_step_hand_value(self):
         # m_hat = v_hat = 1 after bias correction, so the step is lr/(1+eps)
-        params = {"p": np.array([[0.5]])}
-        state = AdamState(params)
-        adam_step(state, params, {"p": np.array([[1.0]])}, lr=0.001)
-        assert abs(params["p"][0, 0] - 0.499) < 1e-9
+        w = np.array([0.5])
+        state = AdamState(w)
+        adam_step(state, w, np.array([1.0]), lr=0.001)
+        assert abs(w[0] - 0.499) < 1e-9
 
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = {"p": np.array([[1.5, -2.0]]), "q": np.array([[3.0]])}
-        state = AdamState(params)
+        w = np.array([1.5, -2.0, 3.0])
+        state = AdamState(w)
         for _ in range(5):
-            adam_step(state, params, {"p": np.zeros((1, 2)), "q": np.zeros((1, 1))}, lr=0.1)
-        assert params["p"].tolist() == [[1.5, -2.0]]
-        assert params["q"].tolist() == [[3.0]]
+            adam_step(state, w, np.zeros(3), lr=0.1)
+        assert w.tolist() == [1.5, -2.0, 3.0]
 
     def test_identical_sequences_identical_trajectories(self):
         rng = np.random.default_rng(3)
-        grads = [rng.normal(size=(2, 2)) for _ in range(20)]
+        grads = [rng.normal(size=4) for _ in range(20)]
         traj = []
         for _ in range(2):
-            params = {"p": np.zeros((2, 2))}
-            state = AdamState(params)
+            w = np.zeros(4)
+            state = AdamState(w)
             for g in grads:
-                adam_step(state, params, {"p": g}, lr=0.05)
-            traj.append(params["p"].copy())
+                adam_step(state, w, g, lr=0.05)
+            traj.append(w)
         assert np.array_equal(traj[0], traj[1])
 
     def test_l2_is_coupled_into_the_gradient(self):
         # a decayed step on data gradient g equals, bit for bit, a plain
         # step on g + 2 * l2 * w (L2 before the moments, not AdamW decay)
         rng = np.random.default_rng(5)
-        w0 = rng.normal(size=(3, 2))
-        grads = [rng.normal(size=(3, 2)) for _ in range(3)]
+        w0 = rng.normal(size=6)
+        grads = [rng.normal(size=6) for _ in range(3)]
         l2 = 5e-4
-        decayed = {"w": w0.copy()}
-        plain = {"w": w0.copy()}
-        s_decayed = AdamState(decayed, l2=l2, decay_names=("w",))
+        decayed, plain = w0.copy(), w0.copy()
+        s_decayed = AdamState(decayed, l2=l2, decay=np.ones(6, dtype=bool))
         s_plain = AdamState(plain)
         for g in grads:
-            adam_step(s_decayed, decayed, {"w": g.copy()}, lr=0.01)
-            adam_step(s_plain, plain, {"w": g + (2.0 * l2) * plain["w"]}, lr=0.01)
-            assert np.array_equal(decayed["w"], plain["w"])
+            adam_step(s_decayed, decayed, g.copy(), lr=0.01)
+            adam_step(s_plain, plain, g + (2.0 * l2) * plain, lr=0.01)
+            assert np.array_equal(decayed, plain)
 
     def test_l2_skips_unlisted_params(self):
-        # gates and biases are not in the model's weight names
+        # gates and biases are outside the model's decay mask
         model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
-        unlisted = [k for k in model.params if k not in model.weight_names]
+        ends = np.cumsum([p.size for p in model.params.values()])
+        blocks = {k: slice(end - p.size, end) for (k, p), end in zip(model.params.items(), ends)}
+        unlisted = [k for k, b in blocks.items() if not model.decay[b].any()]
         assert unlisted == ["layer0.theta0", "layer0.b0", "layer0.b1", "head.b"]
         runs = []
         for l2 in (0.0, 0.5):
-            params = model.param_values()
-            state = AdamState(params, l2=l2, decay_names=model.weight_names)
-            adam_step(state, params, {k: np.ones_like(v) for k, v in params.items()}, lr=0.01)
-            runs.append(params)
-        for k in model.params:
-            same = np.array_equal(runs[0][k], runs[1][k])
+            w = model.flat.copy()
+            state = AdamState(w, l2=l2, decay=model.decay)
+            adam_step(state, w, np.ones_like(w), lr=0.01)
+            runs.append(w)
+        for k, b in blocks.items():
+            same = np.array_equal(runs[0][b], runs[1][b])
             assert same == (k in unlisted), k
 
     def test_gradients_are_not_modified(self):
-        params = {"p": np.array([[1.0]])}
-        grads = {"p": np.array([[0.5]])}
-        state = AdamState(params, l2=0.1, decay_names=("p",))
-        adam_step(state, params, grads, lr=0.1)
-        assert grads["p"].tolist() == [[0.5]]
-        assert params["p"].tolist() != [[1.0]]
+        w = np.array([1.0])
+        g = np.array([0.5])
+        state = AdamState(w, l2=0.1, decay=np.array([True]))
+        adam_step(state, w, g, lr=0.1)
+        assert g.tolist() == [0.5]
+        assert w.tolist() != [1.0]
 
 
 class TestTrainConfig:
@@ -147,8 +147,7 @@ class TestEvaluate:
     def test_mean_over_items_with_zeroed_model(self):
         g = complete_graph(4)
         model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
-        model.load_param_values(
-            {k: np.zeros_like(v) for k, v in model.param_values().items()})
+        model.flat[:] = 0.0
         items = _ones_items([g, g], [3.0, 1.0])
         assert evaluate(model, items) == 5.0
 
@@ -179,7 +178,7 @@ class TestFit:
         x = np.ones((8, 1))
         for patience in (1, 2):
             model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=2)
-            init = model.param_values()
+            init = model.flat.copy()
             pred0 = float(forward(model, g, x)[0, 0])
             train_items = _ones_items([g], [pred0 + 100.0])
             val_items = _ones_items([g], [pred0])
@@ -191,8 +190,7 @@ class TestFit:
             assert result.best_val == 0.0
             assert [s.lr for s in result.history[1:]] == \
                 [cfg.lr] * patience + [cfg.lr * cfg.lr_factor] * patience
-            restored = model.param_values()
-            assert all(np.array_equal(restored[k], init[k]) for k in init)
+            assert np.array_equal(model.flat, init)
 
     def test_improvement_resets_the_plateau_count(self, monkeypatch):
         # scripted validation losses, patience 2: epochs 1-2 plateau and
@@ -246,20 +244,18 @@ class TestFit:
             runs.append((
                 [(s.epoch, s.val_loss, s.lr) for s in result.history],
                 [s.train_loss for s in result.history[1:]],
-                model.param_values(),
+                model.flat,
             ))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
-        assert all(np.array_equal(runs[0][2][k], runs[1][2][k]) for k in runs[0][2])
+        assert np.array_equal(runs[0][2], runs[1][2])
 
     def test_divergence_reports_epoch(self):
         g = complete_graph(5)
         model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         # finite but huge head weights: activations pass the finiteness
         # checks, squaring the error overflows
-        vals = model.param_values()
-        vals["head.w"] = np.full_like(vals["head.w"], 1e200)
-        model.load_param_values(vals)
+        model.params["head.w"][...] = 1e200
         items = _ones_items([g], [0.0])
         cfg = TrainConfig(dropout=0.0, max_epochs=5, seed=0)
         with np.errstate(over="ignore"):
