@@ -15,8 +15,9 @@ colours mean the same thing; the first differing table is a genuine
 structural difference. Equal fingerprints therefore mean the refinement
 cannot tell the graphs apart, and isomorphic graphs always get equal
 fingerprints. Unequal graphs can still collide in principle -
-refinement is not a complete isomorphism test - which is why the exact
-(factorial-cost) canonical form is provided for small graphs.
+refinement is not a complete isomorphism test - which is why an exact
+canonical form, by the individualisation-refinement search of nauty and
+Traces (McKay and Piperno 2014, arXiv 1301.1493), covers small graphs.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from enum import Enum
 
 from .errors import CapacityError, InputError, InvariantViolation
 from .graphs import Graph, degrees
-from .walks import adjacency_csr, triangle_counts_per_node
+from .walks import triangle_counts_per_node
 
-# Largest graph the exact canonical form accepts: the search walks up to
-# n! node orders, 40 320 at n = 8 and ten times as many at n = 9.
+# Largest graph the canonical form accepts. Up to 8 nodes even an unpruned
+# search tree has at most 109 601 nodes, so it needs no budget; 32K2 passes
+# 10^5 refinements, so a higher limit needs automorphism pruning first.
 CANONICAL_MAX_NODES = 8
 
 
@@ -69,14 +71,20 @@ def _refinement_run(g: Graph, initial_labels) -> tuple[list[int], list[int], lis
         raise InputError(f"expected {g.n} initial labels, got {len(initial)}")
     if not all(isinstance(lab, int) for lab in initial):
         raise InputError("initial labels must be integers")
-    # each node's neighbours as a list of Python ints, sliced once per run
+    return (initial, *_refine(_neighbour_lists(g), initial))
+
+
+def _neighbour_lists(g: Graph) -> list[list[int]]:
     flat, ends = g.indices.tolist(), g.indptr.tolist()
-    nbrs = [flat[s:e] for s, e in zip(ends, ends[1:])]
-    colors = initial
+    return [flat[s:e] for s, e in zip(ends, ends[1:])]
+
+
+def _refine(nbrs: list[list[int]], colors: list[int]) -> tuple[list[int], list[tuple]]:
+    """Refinement rounds from checked labels: (final colours, tables)."""
     tables: list[tuple] = []
-    for _ in range(g.n):
+    for _ in range(len(nbrs)):
         signatures = [(colors[v], *sorted([colors[u] for u in nbrs[v]]))
-                      for v in range(g.n)]
+                      for v in range(len(nbrs))]
         table = tuple(sorted(Counter(signatures).items()))
         rank = {sig: i for i, (sig, _) in enumerate(table)}
         new = [rank[sig] for sig in signatures]
@@ -84,7 +92,7 @@ def _refinement_run(g: Graph, initial_labels) -> tuple[list[int], list[int], lis
         # the signature holds the own colour, so the new partition refines
         # the old one and an unchanged class count means the same partition
         if len(table) == len(set(colors)):
-            return initial, new, tables
+            return new, tables
         colors = new
     raise InvariantViolation("refinement did not stabilise within n rounds")
 
@@ -162,12 +170,17 @@ def lex_min_adjacency(matrix) -> tuple[int, ...]:
         for x in row:
             if x not in (0, 1):
                 raise InputError("adjacency entries must be 0 or 1")
+    return _lex_min(a, itertools.permutations(range(n)))
+
+
+def _lex_min(a: list[list[int]], orders) -> tuple[int, ...]:
+    """Smallest row-major flattening of ``a`` over the given node orders."""
     best: list[tuple[int, ...]] | None = None
-    for perm in itertools.permutations(range(n)):
+    for perm in orders:
         rows: list[tuple[int, ...]] = []
         smaller = False
         for i, pi in enumerate(perm):
-            row = tuple(a[pi][pj] for pj in perm)
+            row = tuple([a[pi][pj] for pj in perm])
             if not smaller and best is not None:
                 if row > best[i]:
                     break
@@ -178,14 +191,41 @@ def lex_min_adjacency(matrix) -> tuple[int, ...]:
             if best is None or smaller:
                 best = rows
     if best is None:
-        raise InvariantViolation("no permutation produced a canonical adjacency")
+        raise InvariantViolation("no node order produced a canonical adjacency")
     return tuple(x for row in best for x in row)
+
+
+def _leaf_orders(nbrs: list[list[int]]):
+    """Node orders at the leaves of the individualisation-refinement tree.
+
+    Each child of a stable colouring gives one node of its first smallest
+    non-singleton cell a colour of its own and refines; no step reads node
+    ids, so isomorphic graphs share the leaf adjacencies. Twins (equal open
+    or equal closed neighbourhoods; without loops no open one equals a
+    closed one) swap by an automorphism, so one per twin class is searched."""
+    twin_keys = [(frozenset(ns), frozenset(ns + [v])) for v, ns in enumerate(nbrs)]
+
+    def search(colors: list[int]):
+        cells = [[v for v, c in enumerate(colors) if c == k] for k in range(max(colors) + 1)]
+        if len(cells) == len(colors):
+            yield [cell[0] for cell in cells]
+            return
+        target = min((cell for cell in cells if len(cell) > 1), key=len)
+        seen: set[frozenset] = set()
+        for v in target:
+            if seen.isdisjoint(twin_keys[v]):
+                seen.update(twin_keys[v])
+                labels = [2 * c + (u == v) for u, c in enumerate(colors)]
+                yield from search(_refine(nbrs, labels)[0])
+
+    yield from search(_refine(nbrs, [len(ns) for ns in nbrs])[0])
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Exact canonical form of a graph as a row-major 0/1 vector."""
     _check_canonical_size(g.n)  # before the dense matrix is built
-    return lex_min_adjacency(adjacency_csr(g).toarray())
+    nbrs = _neighbour_lists(g)
+    return _lex_min([[int(u in ns) for u in range(g.n)] for ns in nbrs], _leaf_orders(nbrs))
 
 
 def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from walklab.errors import CapacityError, InputError
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
-from walklab.wl import (CANONICAL_MAX_NODES, Verdict, augmented_distinguish,
+from walklab.walks import adjacency_csr
+from walklab.wl import (CANONICAL_MAX_NODES, Verdict, _leaf_orders,
+                        _neighbour_lists, augmented_distinguish,
                         canonical_form, cantor_pair, is_isomorphic_small,
                         lex_min_adjacency, wl_distinguish, wl_fingerprint,
                         wl_refine)
 
-from oracles import is_isomorphic_by_search, neighbours
+from oracles import cubic_graphs_on_8_nodes, is_isomorphic_by_search, neighbours
 
 
 def refine_with_own_label_slot(g, initial):
@@ -224,3 +228,77 @@ class TestCanonicalForm:
         assert is_isomorphic_small(cycle_graph(4), relabel(cycle_graph(4), [2, 0, 3, 1]))
         assert not is_isomorphic_small(cycle_graph(4), path_graph(4))
         assert not is_isomorphic_small(path_graph(3), path_graph(4))
+
+
+def _random_graph(rng, n, m):
+    """A graph on n nodes with m edges drawn uniformly without repeats."""
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = rng.choice(len(pairs), size=m, replace=False)
+    return from_edge_list(n, [pairs[int(j)] for j in picked])
+
+
+def _symmetric_8_node_graphs():
+    """Vertex-transitive 8-node graphs, where every cell of the refinement
+    is a whole orbit and the search must branch."""
+    pairs = itertools.combinations(range(8), 2)
+    return {
+        "C8": cycle_graph(8),
+        "2C4": disjoint_union(cycle_graph(4), cycle_graph(4)),
+        "4K2": from_edge_list(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        "Q3": from_edge_list(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4)]),
+        "K4,4": from_edge_list(8, [(u, v) for u in range(4) for v in range(4, 8)]),
+        "K2,2,2,2": from_edge_list(8, [(u, v) for u, v in pairs if u // 2 != v // 2]),
+    }
+
+
+class TestLeafSearch:
+    def test_six_node_graphs_fall_into_156_classes(self):
+        pairs = list(itertools.combinations(range(6), 2))
+        classes = {}
+        for mask in range(2 ** len(pairs)):
+            g = from_edge_list(6, [pairs[j] for j in range(len(pairs)) if mask >> j & 1])
+            classes.setdefault(canonical_form(g), []).append(g)
+        assert len(classes) == 156  # unlabelled graphs on 6 nodes
+        for members in classes.values():
+            first, last = (lex_min_adjacency(adjacency_csr(g).toarray())
+                           for g in (members[0], members[-1]))
+            assert first == last
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_random_pairs_match_isomorphism_search(self, n):
+        rng = np.random.default_rng(30 + n)
+        for trial in range(6):
+            m = int(rng.integers(n, n * (n - 1) // 2 - n))
+            g = _random_graph(rng, n, m)
+            h = (relabel(g, [int(x) for x in rng.permutation(n)]) if trial % 2
+                 else _random_graph(rng, n, m))
+            expected = is_isomorphic_by_search(g, h)
+            assert (canonical_form(g) == canonical_form(h)) == expected
+            assert is_isomorphic_small(g, h) == expected
+
+    def test_relabelled_symmetric_graphs_get_equal_forms(self):
+        rng = np.random.default_rng(32)
+        for name, g in _symmetric_8_node_graphs().items():
+            form = canonical_form(g)
+            for _ in range(4):
+                h = relabel(g, [int(x) for x in rng.permutation(8)])
+                assert canonical_form(h) == form, name
+
+    def test_relabelled_cubic_graphs_get_equal_forms(self):
+        # in a regular graph that is not vertex-transitive a refinement cell
+        # holds several orbits, so the search must branch on each of them
+        rng = np.random.default_rng(34)
+        for g in cubic_graphs_on_8_nodes():
+            h = relabel(g, [int(x) for x in rng.permutation(8)])
+            assert canonical_form(h) == canonical_form(g)
+
+    def test_cycle_and_two_squares_differ(self):
+        graphs = _symmetric_8_node_graphs()
+        assert canonical_form(graphs["C8"]) != canonical_form(graphs["2C4"])
+        assert not is_isomorphic_small(graphs["C8"], graphs["2C4"])
+
+    def test_twins_are_individualised_once(self):
+        # every node of the empty graph, and of the complete graph, is a
+        # twin of every other, so each level of the search has one child
+        for g in (from_edge_list(8, []), complete_graph(8)):
+            assert len(list(_leaf_orders(_neighbour_lists(g)))) == 1
