@@ -13,6 +13,7 @@ no finite fold), 3 violated structural invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,6 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Built once per process: building costs about twenty times a parse, and
+# parse_args keeps no state between calls.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,

@@ -6,18 +6,29 @@ Two nodes that differ in colour keep differing, so each round can only
 split classes, and iteration stops once a round leaves the number of
 colour classes, and so the partition, unchanged.
 
+A round runs on the graph's CSR arrays: one gather of the neighbour
+colours, one sort that orders them inside every node's run of a shared
+buffer, and one copy of that buffer to bytes. A signature is a node's run
+as big-endian int64 - its own colour, then its sorted neighbour colours -
+and these bytes sort exactly like the textbook tuples of nonnegative
+colours, a shorter prefix first. Python touches each node once per round,
+and a round holds O(n + m) memory.
+
 Two graphs are compared through :func:`wl_fingerprint`, a tuple
 summarising the whole refinement run: node count, the initial label
 histogram, and for every round the sorted table of distinct signatures
-with the number of nodes that carry each. Colours are ranks into the
-round's table, so as long as two runs share the same table prefix their
-colours mean the same thing; the first differing table is a genuine
-structural difference. Equal fingerprints therefore mean the refinement
-cannot tell the graphs apart, and isomorphic graphs always get equal
-fingerprints. Unequal graphs can still collide in principle -
-refinement is not a complete isomorphism test - which is why an exact
-canonical form, by the individualisation-refinement search of nauty and
-Traces (McKay and Piperno 2014, arXiv 1301.1493), covers small graphs.
+with the number of nodes that carry each. The first round reads the
+ranks of the initial labels, not the labels; equal histograms give equal
+rank maps, so comparing fingerprints with ``==`` decides the same as
+over the labels themselves. Colours are ranks into the round's table, so
+as long as two runs share the same table prefix their colours mean the
+same thing; the first differing table is a genuine structural
+difference. Equal fingerprints therefore mean the refinement cannot tell
+the graphs apart, and isomorphic graphs always get equal fingerprints.
+Unequal graphs can still collide in principle - refinement is not a
+complete isomorphism test - which is why an exact canonical form, by the
+individualisation-refinement search of nauty and Traces (McKay and
+Piperno 2014, arXiv 1301.1493), covers small graphs.
 """
 
 from __future__ import annotations
@@ -26,6 +37,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolation
 from .graphs import Graph, degrees
@@ -71,29 +85,72 @@ def _refinement_run(g: Graph, initial_labels) -> tuple[list[int], list[int], lis
         raise InputError(f"expected {g.n} initial labels, got {len(initial)}")
     if not all(isinstance(lab, int) for lab in initial):
         raise InputError("initial labels must be integers")
-    return (initial, *_refine(_neighbour_lists(g), initial))
+    return (initial, *_refine(_Layout.of(g), _ranks(initial)))
 
 
-def _neighbour_lists(g: Graph) -> list[list[int]]:
-    flat, ends = g.indices.tolist(), g.indptr.tolist()
-    return [flat[s:e] for s, e in zip(ends, ends[1:])]
+class _Layout(NamedTuple):
+    """Where the refinement of one graph writes its signatures: a buffer
+    of n + 2m entries in which node v owns one run, its own colour followed
+    by its neighbours' colours, at bytes ``spans[v]`` of the buffer.
+
+    Entry i holds the colour of node ``src[i]``. Colours are below n, so
+    ``offset[i]`` (2n times the run's node, plus n on a neighbour entry)
+    keeps every run in place and its own colour first when
+    ``offset + colour`` is sorted; sums stay below 2n^2, far inside int64."""
+
+    src: np.ndarray
+    offset: np.ndarray
+    spans: list[slice]
+
+    @classmethod
+    def of(cls, g: Graph) -> _Layout:
+        n, ptr = g.n, g.indptr
+        ids = np.arange(n)
+        run = np.repeat(ids, ptr[1:] - ptr[:-1] + 1)  # node owning each entry
+        nbr = np.ones(run.size, dtype=bool)
+        nbr[ptr[:-1] + ids] = False
+        src = run.copy()
+        src[nbr] = g.indices
+        bounds = (8 * (ptr + np.arange(n + 1))).tolist()
+        return cls(src, run * (2 * n) + n * nbr, list(map(slice, bounds, bounds[1:])))
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> tuple[list[int], list[tuple]]:
-    """Refinement rounds from checked labels: (final colours, tables)."""
+def _ranks(labels: list[int]) -> list[int]:
+    """Each label's rank among the distinct labels: integers of any sign or
+    size become colours 0..k-1 in the same order."""
+    rank = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+    return [rank[lab] for lab in labels]
+
+
+def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], list[tuple]]:
+    """Refinement rounds from colours 0..k-1: (final colours, tables).
+
+    A node's signature is the bytes of its own colour and its sorted
+    neighbour colours as big-endian int64; for nonnegative colours these
+    sort exactly like the tuples of the textbook step, a shorter prefix
+    first. Callers pass the :func:`_ranks` of their labels, so the first
+    table is over ranks; two runs whose labels have equal histograms have
+    equal rank maps, so their tables agree exactly when tables over the
+    labels would. A round is one gather, one sort and one byte copy over
+    the whole graph plus O(n) Python work, and holds O(n + m) memory.
+    """
+    k = max(colors) + 1
+    buf = np.empty(layout.src.size, dtype=">i8")
     tables: list[tuple] = []
-    for _ in range(len(nbrs)):
-        signatures = [(colors[v], *sorted([colors[u] for u in nbrs[v]]))
-                      for v in range(len(nbrs))]
+    for _ in range(len(layout.spans)):
+        entries = layout.offset + np.array(colors, dtype=np.int64)[layout.src]
+        entries.sort()
+        data = np.subtract(entries, layout.offset, out=buf).tobytes()
+        signatures = list(map(data.__getitem__, layout.spans))
         table = tuple(sorted(Counter(signatures).items()))
         rank = {sig: i for i, (sig, _) in enumerate(table)}
-        new = [rank[sig] for sig in signatures]
+        new = list(map(rank.__getitem__, signatures))
         tables.append(table)
         # the signature holds the own colour, so the new partition refines
         # the old one and an unchanged class count means the same partition
-        if len(table) == len(set(colors)):
+        if len(table) == k:
             return new, tables
-        colors = new
+        colors, k = new, len(table)
     raise InvariantViolation("refinement did not stabilise within n rounds")
 
 
@@ -110,7 +167,9 @@ def wl_refine(g: Graph, initial_labels=None) -> Coloring:
 
 def wl_fingerprint(g: Graph, initial_labels=None) -> tuple:
     """Canonical summary of the refinement run, comparable across graphs
-    with ``==``: (n, initial label histogram, per-round tables)."""
+    with ``==``: (n, initial label histogram, per-round tables). The
+    tables hold byte signatures, and the first one is over the ranks of
+    the initial labels, which the histogram fixes."""
     initial, _, tables = _refinement_run(g, initial_labels)
     return g.n, tuple(sorted(Counter(initial).items())), tuple(tables)
 
@@ -195,18 +254,27 @@ def _lex_min(a: list[list[int]], orders) -> tuple[int, ...]:
     return tuple(x for row in best for x in row)
 
 
-def _leaf_orders(nbrs: list[list[int]]):
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    flat, ends = g.indices.tolist(), g.indptr.tolist()
+    return [flat[s:e] for s, e in zip(ends, ends[1:])]
+
+
+def _leaf_orders(g: Graph, nbrs: list[list[int]]):
     """Node orders at the leaves of the individualisation-refinement tree.
 
     Each child of a stable colouring gives one node of its first smallest
     non-singleton cell a colour of its own and refines; no step reads node
     ids, so isomorphic graphs share the leaf adjacencies. Twins (equal open
     or equal closed neighbourhoods; without loops no open one equals a
-    closed one) swap by an automorphism, so one per twin class is searched."""
+    closed one) swap by an automorphism, so one per twin class is searched.
+    Every refinement of the search reuses one :class:`_Layout` of ``g``."""
+    layout = _Layout.of(g)
     twin_keys = [(frozenset(ns), frozenset(ns + [v])) for v, ns in enumerate(nbrs)]
 
     def search(colors: list[int]):
-        cells = [[v for v, c in enumerate(colors) if c == k] for k in range(max(colors) + 1)]
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
         if len(cells) == len(colors):
             yield [cell[0] for cell in cells]
             return
@@ -215,17 +283,19 @@ def _leaf_orders(nbrs: list[list[int]]):
         for v in target:
             if seen.isdisjoint(twin_keys[v]):
                 seen.update(twin_keys[v])
-                labels = [2 * c + (u == v) for u, c in enumerate(colors)]
-                yield from search(_refine(nbrs, labels)[0])
+                # v moves to a colour of its own just above its old cell
+                cv = colors[v]
+                labels = [c + (c > cv) + (u == v) for u, c in enumerate(colors)]
+                yield from search(_refine(layout, labels)[0])
 
-    yield from search(_refine(nbrs, [len(ns) for ns in nbrs])[0])
+    yield from search(_refine(layout, _ranks([len(ns) for ns in nbrs]))[0])
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Exact canonical form of a graph as a row-major 0/1 vector."""
     _check_canonical_size(g.n)  # before the dense matrix is built
     nbrs = _neighbour_lists(g)
-    return _lex_min([[int(u in ns) for u in range(g.n)] for ns in nbrs], _leaf_orders(nbrs))
+    return _lex_min([[int(u in ns) for u in range(g.n)] for ns in nbrs], _leaf_orders(g, nbrs))
 
 
 def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:

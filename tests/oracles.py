@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's closed forms and BFS
 shortcuts: walk counting by literal recursion, regions by dynamic
 programming over exact-length walk reachability, isomorphism by
-permutation search, triangles by neighbour-pair scans and neighbour-set
+permutation search, colour refinement by one Python tuple signature per
+node and round, triangles by neighbour-pair scans and neighbour-set
 intersections, 4-cycles by co-degrees, simple cycles by exhaustive DFS,
 and model gradients by the reverse-mode tape of ``walklab.autodiff``
 instead of the hand-written backward pass.
@@ -12,6 +13,7 @@ instead of the hand-written backward pass.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from walklab import autodiff as ad
 from walklab.errors import CapacityError, InputError, InvariantViolation
@@ -171,6 +173,34 @@ def region_by_walk_enumeration(g: Graph, v: int, max_len: int) -> tuple[set[int]
     extend(v, [])
     nodes.add(v)
     return nodes, edges
+
+
+def refine_by_tuples(nbrs: list[list[int]], colors: list[int]) -> tuple[list[int], list[tuple]]:
+    """Colour refinement with the textbook tuple signature (own colour,
+    sorted neighbour colours), one Python tuple per node and round, from
+    any integer labels: (final colours, per-round (signature, count)
+    tables)."""
+    tables: list[tuple] = []
+    for _ in range(len(nbrs)):
+        signatures = [(colors[v], *sorted([colors[u] for u in nbrs[v]]))
+                      for v in range(len(nbrs))]
+        table = tuple(sorted(Counter(signatures).items()))
+        rank = {sig: i for i, (sig, _) in enumerate(table)}
+        new = [rank[sig] for sig in signatures]
+        tables.append(table)
+        # the signature holds the own colour, so the new partition refines
+        # the old one and an unchanged class count means the same partition
+        if len(table) == len(set(colors)):
+            return new, tables
+        colors = new
+    raise InvariantViolation("refinement did not stabilise within n rounds")
+
+
+def fingerprint_by_tuples(g: Graph, labels: list[int]) -> tuple:
+    """The refinement fingerprint (n, label histogram, per-round tables)
+    of :func:`refine_by_tuples`."""
+    _, tables = refine_by_tuples([neighbours(g, v) for v in range(g.n)], labels)
+    return g.n, tuple(sorted(Counter(labels).items())), tuple(tables)
 
 
 def is_isomorphic_by_search(g1: Graph, g2: Graph) -> bool:

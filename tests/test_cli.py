@@ -489,3 +489,20 @@ class TestModuleInvocation:
         proc = subprocess.run([sys.executable, "-m", "walklab", "count"],
                               capture_output=True, text=True)
         assert proc.returncode == 1
+
+    def test_calls_in_one_process_match_separate_runs(self, tmp_path, capsys):
+        # main builds its parser once per process, so no call may see another
+        c6 = _graph_file(tmp_path, cycle_graph(6), "c6.txt")
+        cc = _graph_file(tmp_path, disjoint_union(cycle_graph(3), cycle_graph(3)), "cc.txt")
+        runs = [["wl", c6, cc], ["count"], ["count", c6], ["wl", c6, c6]]
+        separate = []
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-m", "walklab", *argv],
+                                  capture_output=True, text=True)
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+        together = []
+        for argv in runs:
+            code = main(argv)
+            together.append((code, *capsys.readouterr()))
+        assert together == separate
+        assert [code for code, _, _ in together] == [0, 1, 0, 0]

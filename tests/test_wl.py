@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab.errors import CapacityError, InputError
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
@@ -14,7 +16,8 @@ from walklab.wl import (CANONICAL_MAX_NODES, Verdict, _leaf_orders,
                         lex_min_adjacency, wl_distinguish, wl_fingerprint,
                         wl_refine)
 
-from oracles import cubic_graphs_on_8_nodes, is_isomorphic_by_search, neighbours
+from oracles import (cubic_graphs_on_8_nodes, fingerprint_by_tuples,
+                     is_isomorphic_by_search, neighbours, refine_by_tuples)
 
 
 def refine_with_own_label_slot(g, initial):
@@ -126,6 +129,91 @@ class TestRefine:
             ours = wl_refine(g).colors
             slot = refine_with_own_label_slot(g, degrees(g))
             assert _classes(ours) == _classes(slot)
+
+
+def _star(n):
+    return from_edge_list(n, [(0, v) for v in range(1, n)])
+
+
+def _fan(n):
+    """A star whose leaves also form a path."""
+    return from_edge_list(n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)])
+
+
+def _caterpillar(spine):
+    """A path of ``spine`` nodes with one pendant leaf on each."""
+    return from_edge_list(2 * spine, [(v, v + 1) for v in range(spine - 1)]
+                          + [(v, spine + v) for v in range(spine)])
+
+
+def _label_kinds(g, rng):
+    """Degree labels, negative labels, and labels above int64."""
+    return {
+        "degree": degrees(g),
+        "negative": [int(x) for x in rng.integers(-4, 2, size=g.n)],
+        "above-int64": [cantor_pair(10**10 + d, 10**10) for d in degrees(g)],
+    }
+
+
+class TestRefineMatchesReference:
+    """The byte-signature refinement against the tuple-signature one."""
+
+    @staticmethod
+    def _corpus():
+        rng = np.random.default_rng(40)
+        graphs = [erdos_renyi(n, float(rng.uniform(0.0, 0.4)), int(rng.integers(1 << 30)))
+                  for n in range(1, 41) for _ in range(3)]
+        # isolated nodes next to edges, and no edges at all
+        graphs += [from_edge_list(7, [(0, 1), (1, 2)]), from_edge_list(5, [])]
+        graphs += [_star(40), _fan(40), _caterpillar(30)]
+        # hundreds of colour classes, so colours no longer fit in one byte
+        graphs += [erdos_renyi(400, 0.02, 43), path_graph(600)]
+        return graphs
+
+    def test_colours_and_rounds_match(self):
+        rng = np.random.default_rng(41)
+        for g in self._corpus():
+            nbrs = [neighbours(g, v) for v in range(g.n)]
+            for kind, labels in _label_kinds(g, rng).items():
+                colors, tables = refine_by_tuples(nbrs, labels)
+                c = wl_refine(g, labels)
+                assert (c.colors, c.rounds) == (tuple(colors), len(tables)), (g.n, kind)
+
+    def test_fingerprint_verdicts_match(self):
+        rng = np.random.default_rng(42)
+        verdicts = set()
+        for g in self._corpus():
+            perm = [int(x) for x in rng.permutation(g.n)]
+            copy = relabel(g, perm)
+            other = _random_graph(rng, g.n, g.edge_count)
+            for labels in _label_kinds(g, rng).values():
+                moved = [0] * g.n
+                for v, lab in enumerate(labels):
+                    moved[perm[v]] = lab
+                for h, h_labels in ((copy, moved), (other, degrees(other))):
+                    same = wl_fingerprint(g, labels) == wl_fingerprint(h, h_labels)
+                    assert same == (fingerprint_by_tuples(g, labels)
+                                    == fingerprint_by_tuples(h, h_labels))
+                    verdicts.add(same)
+        assert verdicts == {True, False}
+
+
+@st.composite
+def _graph_and_permutation(draw):
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return from_edge_list(n, edges), draw(st.permutations(range(n)))
+
+
+@settings(deadline=None)
+@given(_graph_and_permutation())
+def test_refinement_is_invariant_under_relabelling(case):
+    g, perm = case
+    h = relabel(g, perm)
+    assert wl_fingerprint(h) == wl_fingerprint(g)
+    moved = wl_refine(h).colors
+    assert all(moved[perm[v]] == c for v, c in enumerate(wl_refine(g).colors))
 
 
 class TestFingerprint:
@@ -301,4 +389,4 @@ class TestLeafSearch:
         # every node of the empty graph, and of the complete graph, is a
         # twin of every other, so each level of the search has one child
         for g in (from_edge_list(8, []), complete_graph(8)):
-            assert len(list(_leaf_orders(_neighbour_lists(g)))) == 1
+            assert len(list(_leaf_orders(g, _neighbour_lists(g)))) == 1
