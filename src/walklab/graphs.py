@@ -294,11 +294,11 @@ def region_from_distances(g: Graph, v: int, dist: np.ndarray,
                           spec: RegionSpec) -> RootedSubgraph:
     """:func:`extract_region` from ``dist``, the BFS distances from v, so
     that every region around one root can share a single search."""
-    k = spec.radius
-    budget = 2 * k - 1 if spec.kind == "D" else 2 * k
+    # a returning walk through edge (i, j) has length d(i) + d(j) + 1
+    budget = spec.max_walk_length() - 1
     row, col = _row_ids(g.indptr), g.indices
     kept = (row < col) & (dist[row] + dist[col] <= budget)
-    return RootedSubgraph(root=v, nodes=frozenset(np.flatnonzero(dist <= k).tolist()),
+    return RootedSubgraph(root=v, nodes=frozenset(np.flatnonzero(dist <= spec.radius).tolist()),
                           edges=frozenset(zip(row[kept].tolist(), col[kept].tolist())))
 
 

@@ -1,4 +1,4 @@
-"""Colour refinement, cross-graph fingerprints, and exact canonical forms.
+"""Colour refinement, pairwise comparison, and exact canonical forms.
 
 Refinement rounds replace each node's label with the pair (its own label,
 the sorted multiset of its neighbours' labels): the textbook 1-WL step.
@@ -14,21 +14,13 @@ and these bytes sort exactly like the textbook tuples of nonnegative
 colours, a shorter prefix first. Python touches each node once per round,
 and a round holds O(n + m) memory.
 
-Two graphs are compared through :func:`wl_fingerprint`, a tuple
-summarising the whole refinement run: node count, the initial label
-histogram, and for every round the sorted table of distinct signatures
-with the number of nodes that carry each. The first round reads the
-ranks of the initial labels, not the labels; equal histograms give equal
-rank maps, so comparing fingerprints with ``==`` decides the same as
-over the labels themselves. Colours are ranks into the round's table, so
-as long as two runs share the same table prefix their colours mean the
-same thing; the first differing table is a genuine structural
-difference. Equal fingerprints therefore mean the refinement cannot tell
-the graphs apart, and isomorphic graphs always get equal fingerprints.
-Unequal graphs can still collide in principle - refinement is not a
-complete isomorphism test - which is why an exact canonical form, by the
-individualisation-refinement search of nauty and Traces (McKay and
-Piperno 2014, arXiv 1301.1493), covers small graphs.
+Two graphs are compared as in the 1-WL test (Morris et al. 2019, arXiv
+1810.02244): one refinement of their disjoint union, so both share one
+colour map, then the stable colour histograms of the two halves.
+Isomorphic graphs always get equal histograms. Unequal graphs can still
+collide - refinement is not a complete isomorphism test - which is why an
+exact canonical form, by the individualisation-refinement search of nauty
+and Traces (McKay and Piperno 2014, arXiv 1301.1493), covers small graphs.
 """
 
 from __future__ import annotations
@@ -73,25 +65,12 @@ class Coloring:
         return len(set(self.colors))
 
 
-def _refinement_run(g: Graph, initial_labels) -> tuple[list[int], list[int], list[tuple]]:
-    """Run refinement to stability from integer labels (degrees by default).
-
-    Returns (initial labels, final colours, per-round tables). A round's
-    table is the sorted tuple of (signature, node count) pairs over the
-    distinct signatures seen that round; colours are ranks into it.
-    """
-    initial = degrees(g) if initial_labels is None else list(initial_labels)
-    if len(initial) != g.n:
-        raise InputError(f"expected {g.n} initial labels, got {len(initial)}")
-    if not all(isinstance(lab, int) for lab in initial):
-        raise InputError("initial labels must be integers")
-    return (initial, *_refine(_Layout.of(g), _ranks(initial)))
-
-
 class _Layout(NamedTuple):
-    """Where the refinement of one graph writes its signatures: a buffer
-    of n + 2m entries in which node v owns one run, its own colour followed
-    by its neighbours' colours, at bytes ``spans[v]`` of the buffer.
+    """Where the refinement of the disjoint union of some graphs writes its
+    signatures: a buffer of n + 2m entries in which node v owns one run,
+    its own colour followed by its neighbours' colours, at bytes
+    ``spans[v]`` of the buffer. Each graph's nodes follow those of the
+    graphs before it, so a pair's layout holds O(n1 + n2 + m1 + m2).
 
     Entry i holds the colour of node ``src[i]``. Colours are below n, so
     ``offset[i]`` (2n times the run's node, plus n on a neighbour entry)
@@ -103,15 +82,17 @@ class _Layout(NamedTuple):
     spans: list[slice]
 
     @classmethod
-    def of(cls, g: Graph) -> _Layout:
-        n, ptr = g.n, g.indptr
-        ids = np.arange(n)
-        run = np.repeat(ids, ptr[1:] - ptr[:-1] + 1)  # node owning each entry
+    def of(cls, *graphs: Graph) -> _Layout:
+        deg = np.concatenate([np.diff(g.indptr) for g in graphs])
+        n, first = deg.size, np.concatenate([[0], np.cumsum(deg + 1)])  # run starts
+        run = np.repeat(np.arange(n), deg + 1)  # node owning each entry
         nbr = np.ones(run.size, dtype=bool)
-        nbr[ptr[:-1] + ids] = False
+        nbr[first[:-1]] = False
         src = run.copy()
-        src[nbr] = g.indices
-        bounds = (8 * (ptr + np.arange(n + 1))).tolist()
+        # each graph's neighbour ids shifted past the nodes of those before it
+        shifts = itertools.accumulate([g.n for g in graphs[:-1]], initial=0)
+        src[nbr] = np.concatenate([g.indices + k for g, k in zip(graphs, shifts)])
+        bounds = (8 * first).tolist()
         return cls(src, run * (2 * n) + n * nbr, list(map(slice, bounds, bounds[1:])))
 
 
@@ -122,63 +103,67 @@ def _ranks(labels: list[int]) -> list[int]:
     return [rank[lab] for lab in labels]
 
 
-def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], list[tuple]]:
-    """Refinement rounds from colours 0..k-1: (final colours, tables).
+def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], int]:
+    """Refinement rounds from colours 0..k-1: (final colours, rounds).
 
     A node's signature is the bytes of its own colour and its sorted
     neighbour colours as big-endian int64; for nonnegative colours these
     sort exactly like the tuples of the textbook step, a shorter prefix
-    first. Callers pass the :func:`_ranks` of their labels, so the first
-    table is over ranks; two runs whose labels have equal histograms have
-    equal rank maps, so their tables agree exactly when tables over the
-    labels would. A round is one gather, one sort and one byte copy over
-    the whole graph plus O(n) Python work, and holds O(n + m) memory.
+    first, and a new colour is the rank of its signature. A round is one
+    gather, one sort and one byte copy over the whole layout plus O(n)
+    Python work, and holds O(n + m) memory.
     """
     k = max(colors) + 1
     buf = np.empty(layout.src.size, dtype=">i8")
-    tables: list[tuple] = []
-    for _ in range(len(layout.spans)):
+    for rounds in range(1, len(layout.spans) + 1):
         entries = layout.offset + np.array(colors, dtype=np.int64)[layout.src]
         entries.sort()
         data = np.subtract(entries, layout.offset, out=buf).tobytes()
         signatures = list(map(data.__getitem__, layout.spans))
-        table = tuple(sorted(Counter(signatures).items()))
-        rank = {sig: i for i, (sig, _) in enumerate(table)}
+        rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new = list(map(rank.__getitem__, signatures))
-        tables.append(table)
         # the signature holds the own colour, so the new partition refines
         # the old one and an unchanged class count means the same partition
-        if len(table) == k:
-            return new, tables
-        colors, k = new, len(table)
+        if len(rank) == k:
+            return new, rounds
+        colors, k = new, len(rank)
     raise InvariantViolation("refinement did not stabilise within n rounds")
 
 
 def wl_refine(g: Graph, initial_labels=None) -> Coloring:
     """Refine integer node labels (degrees by default) to a stable partition.
 
-    Stability means one more round would not change the grouping of
-    nodes into colour classes; this is reached within n rounds, and the
-    returned colouring is a fixed point of further refinement.
+    Labels may be Python or numpy integers. Stability means one more round
+    would not change the grouping of nodes into colour classes; this is
+    reached within n rounds, and the returned colouring is a fixed point
+    of further refinement.
     """
-    _, colors, tables = _refinement_run(g, initial_labels)
-    return Coloring(colors=tuple(colors), rounds=len(tables))
+    labels = degrees(g) if initial_labels is None else list(initial_labels)
+    if len(labels) != g.n:
+        raise InputError(f"expected {g.n} initial labels, got {len(labels)}")
+    if not all(isinstance(lab, (int, np.integer)) for lab in labels):
+        raise InputError("initial labels must be integers")
+    colors, rounds = _refine(_Layout.of(g), _ranks([int(lab) for lab in labels]))
+    return Coloring(colors=tuple(colors), rounds=rounds)
 
 
-def wl_fingerprint(g: Graph, initial_labels=None) -> tuple:
-    """Canonical summary of the refinement run, comparable across graphs
-    with ``==``: (n, initial label histogram, per-round tables). The
-    tables hold byte signatures, and the first one is over the ranks of
-    the initial labels, which the histogram fixes."""
-    initial, _, tables = _refinement_run(g, initial_labels)
-    return g.n, tuple(sorted(Counter(initial).items())), tuple(tables)
+def _distinguish(g1: Graph, g2: Graph, labels1: list[int], labels2: list[int]) -> Verdict:
+    """Refine the disjoint union of g1 and g2 from the given integer labels
+    and compare the stable colour histograms of the two halves.
+
+    Once the halves' histograms differ at some round they differ at the
+    stable round too, and the union cannot stop before that round, since
+    a round that splits no class only renames colours. So different node
+    counts or initial label histograms show up on their own."""
+    colors, _ = _refine(_Layout.of(g1, g2), _ranks(labels1 + labels2))
+    if Counter(colors[:g1.n]) == Counter(colors[g1.n:]):
+        return Verdict.INDISTINGUISHABLE
+    return Verdict.DISTINGUISHABLE
 
 
 def wl_distinguish(g1: Graph, g2: Graph) -> Verdict:
     """Compare two graphs by refinement from degree labels."""
-    if wl_fingerprint(g1) == wl_fingerprint(g2):
-        return Verdict.INDISTINGUISHABLE
-    return Verdict.DISTINGUISHABLE
+    return _distinguish(g1, g2, degrees(g1), degrees(g2))
 
 
 def cantor_pair(a: int, b: int) -> int:
@@ -201,11 +186,7 @@ def augmented_distinguish(g1: Graph, g2: Graph) -> Verdict:
     pairs that :func:`wl_distinguish` cannot; it never separates less,
     because the initial labels refine the degree labels.
     """
-    fp1 = wl_fingerprint(g1, _augmented_labels(g1))
-    fp2 = wl_fingerprint(g2, _augmented_labels(g2))
-    if fp1 == fp2:
-        return Verdict.INDISTINGUISHABLE
-    return Verdict.DISTINGUISHABLE
+    return _distinguish(g1, g2, _augmented_labels(g1), _augmented_labels(g2))
 
 
 def _check_canonical_size(n: int) -> None:

@@ -9,12 +9,11 @@ from walklab.errors import CapacityError, InputError
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
-from walklab.walks import adjacency_csr
-from walklab.wl import (CANONICAL_MAX_NODES, Verdict, _leaf_orders,
-                        _neighbour_lists, augmented_distinguish,
+from walklab.walks import adjacency_csr, triangle_counts_per_node
+from walklab.wl import (CANONICAL_MAX_NODES, Verdict, _distinguish,
+                        _leaf_orders, _neighbour_lists, augmented_distinguish,
                         canonical_form, cantor_pair, is_isomorphic_small,
-                        lex_min_adjacency, wl_distinguish, wl_fingerprint,
-                        wl_refine)
+                        lex_min_adjacency, wl_distinguish, wl_refine)
 
 from oracles import (cubic_graphs_on_8_nodes, fingerprint_by_tuples,
                      is_isomorphic_by_search, neighbours, refine_by_tuples)
@@ -92,12 +91,20 @@ class TestRefine:
             wl_refine(path_graph(3), [0, 0])
 
     def test_labels_must_be_integers(self):
-        # refining and fingerprinting accept the same labels
-        for labels in (["a", "b", "a"], [0.0, 1.0, 0.0], [0, None, 0]):
+        for labels in (["a", "b", "a"], [0.0, 1.0, 0.0], [0, None, 0],
+                       np.array([0.0, 1.0, 0.0]), np.array(["a", "b", "a"])):
             with pytest.raises(InputError, match="integers"):
                 wl_refine(path_graph(3), labels)
-            with pytest.raises(InputError, match="integers"):
-                wl_fingerprint(path_graph(3), labels)
+
+    def test_numpy_integer_labels(self):
+        g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        tri = triangle_counts_per_node(g)
+        c = wl_refine(g, tri)
+        assert c == wl_refine(g, tri.tolist())
+        assert _classes(c.colors) == [{0, 1}, {2}, {3}, {4}]
+        for dtype in (np.int8, np.int64, np.uint64):
+            labels = np.array([5, 0, 5, 0, 7], dtype=dtype)
+            assert wl_refine(g, labels) == wl_refine(g, [5, 0, 5, 0, 7])
 
     def test_caller_labels_on_c4_stabilise(self):
         # closed-neighbourhood multisets alone make this partition alternate
@@ -191,11 +198,27 @@ class TestRefineMatchesReference:
                 for v, lab in enumerate(labels):
                     moved[perm[v]] = lab
                 for h, h_labels in ((copy, moved), (other, degrees(other))):
-                    same = wl_fingerprint(g, labels) == wl_fingerprint(h, h_labels)
+                    same = _distinguish(g, h, labels, h_labels) is Verdict.INDISTINGUISHABLE
                     assert same == (fingerprint_by_tuples(g, labels)
                                     == fingerprint_by_tuples(h, h_labels))
                     verdicts.add(same)
         assert verdicts == {True, False}
+
+    def test_verdicts_match_across_node_counts(self):
+        graphs = [from_edge_list(n, []) for n in (1, 2, 3, 6)]  # no edges
+        graphs += [path_graph(n) for n in (2, 3, 4, 6)]
+        # isolated nodes next to edges
+        graphs += [from_edge_list(n, [(0, 1)]) for n in (3, 6)]
+        graphs += [disjoint_union(cycle_graph(3), from_edge_list(2, [])), cycle_graph(5),
+                   from_edge_list(7, [(0, 1), (1, 2)]), from_edge_list(7, [(4, 5), (5, 6)])]
+        verdicts = set()
+        for g in graphs:
+            for h in graphs:
+                same = wl_distinguish(g, h) is Verdict.INDISTINGUISHABLE
+                assert same == (fingerprint_by_tuples(g, degrees(g))
+                                == fingerprint_by_tuples(h, degrees(h))), (g.n, h.n)
+                verdicts.add((same, g.n == h.n))
+        assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 @st.composite
@@ -211,29 +234,41 @@ def _graph_and_permutation(draw):
 def test_refinement_is_invariant_under_relabelling(case):
     g, perm = case
     h = relabel(g, perm)
-    assert wl_fingerprint(h) == wl_fingerprint(g)
+    assert wl_distinguish(h, g) is Verdict.INDISTINGUISHABLE
     moved = wl_refine(h).colors
     assert all(moved[perm[v]] == c for v, c in enumerate(wl_refine(g).colors))
 
 
 class TestFingerprint:
+    """Refinement verdicts on pairs whose answer is known."""
+
     def test_isomorphic_copies_collide(self):
         rng = np.random.default_rng(8)
         for trial in range(25):
             n = int(rng.integers(2, 14))
             g = erdos_renyi(n, 0.4, int(rng.integers(1 << 30)))
             h = relabel(g, [int(x) for x in rng.permutation(n)])
-            assert wl_fingerprint(g) == wl_fingerprint(h)
+            assert wl_distinguish(g, h) is Verdict.INDISTINGUISHABLE
 
     def test_k3_vs_p3_differ(self):
-        assert wl_fingerprint(complete_graph(3)) != wl_fingerprint(path_graph(3))
+        assert wl_distinguish(complete_graph(3), path_graph(3)) is Verdict.DISTINGUISHABLE
 
     def test_degree_histogram_difference_suffices(self):
         # same class-count shape (one class each), different degrees
-        assert wl_fingerprint(cycle_graph(4)) != wl_fingerprint(complete_graph(4))
+        assert wl_distinguish(cycle_graph(4), complete_graph(4)) is Verdict.DISTINGUISHABLE
 
     def test_deterministic(self):
-        assert wl_fingerprint(cycle_graph(5)) == wl_fingerprint(cycle_graph(5))
+        assert wl_distinguish(cycle_graph(5), cycle_graph(5)) is Verdict.INDISTINGUISHABLE
+
+    def test_pair_may_exceed_node_limit(self, monkeypatch):
+        # the node limit holds per graph; the pair's union is never a Graph
+        monkeypatch.setattr("walklab.graphs.MAX_NODES", 10)
+        c10, two_c5 = cycle_graph(10), disjoint_union(cycle_graph(5), cycle_graph(5))
+        with pytest.raises(CapacityError):
+            disjoint_union(c10, two_c5)
+        assert wl_distinguish(c10, two_c5) is Verdict.INDISTINGUISHABLE
+        assert augmented_distinguish(c10, two_c5) is Verdict.INDISTINGUISHABLE
+        assert wl_distinguish(c10, path_graph(10)) is Verdict.DISTINGUISHABLE
 
 
 class TestDistinguish:
