@@ -101,14 +101,17 @@ def load_dataset(path) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
             raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         try:
             g = from_edge_list(rec["n"], rec["edges"])
-            target = float(rec["target"])
+            target = rec["target"]
+            if isinstance(target, bool) or not isinstance(target, _META_TYPES["float"]):
+                raise InputError(f"target must be a number, got {target!r}")
+            target = float(target)  # OverflowError for an int past the float range
         except KeyError as exc:
             raise InputError(f"{path}:{lineno}: missing dataset field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # InputError is a ValueError
+        except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         except CapacityError as exc:
             raise CapacityError(f"{path}:{lineno}: {exc}") from exc

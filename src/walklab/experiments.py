@@ -105,7 +105,7 @@ _KEYS = {key: kind for f in fields(ExperimentConfig)
 
 
 def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfig:
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,6 +115,9 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        if lines.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"config key {key!r} is given twice, "
+                              f"on line {lines[key]} and line {lineno}")
         try:
             values[key] = _PARSERS[_KEYS[key]](val)
         except ValueError as exc:

@@ -14,9 +14,10 @@ scaled by the gate ``layer{i}.theta{t}``. Available structural operators:
 * ``diag_power(m)``: row v scaled by the node's closed m-walk count
   (for m = 3, twice its triangle count).
 
-A model family is the tuple of terms each of its layers sums;
-:data:`FAMILIES` declares every family, and :func:`spec_from_model_name`
-builds every spec from it.
+A model is n identical layers, all described by one :class:`ModelSpec`.
+A model family is the tuple of terms each layer sums; :data:`FAMILIES`
+declares every family, and :func:`spec_from_model_name` builds every
+spec from it.
 
 Gates are sigmoid-squashed scalars, so each term's mixing weight lives
 in (0, 1); the raw gate parameters start at 0 (weight 0.5). After the
@@ -26,22 +27,24 @@ the pooling is available for inspection and tests.
 
 A model keeps every parameter in one float64 vector, ``Model.flat``;
 ``Model.params`` names reshaped views into it. :func:`forward` serves
-inference and training and can keep the activations that
-:func:`backward` needs; ``backward`` is the hand-written gradient of that
-same pass, returned by name, and :meth:`Model.flatten` lays such a dict
-out in ``flat`` order. Every structural operator is symmetric, so a
-term's backward pass is the term itself applied to the gated upstream
-gradient.
+inference and training (dropout when ``dropout_rate > 0``) and can keep
+the activations that :func:`backward` needs; ``backward`` is the
+hand-written gradient of that same pass, returned by name, and
+:meth:`Model.flatten` lays such a dict out in ``flat`` order. Every
+structural operator is symmetric, so a term's backward pass is the term
+itself applied to the gated upstream gradient.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CapacityError, InputError, NumericError
 from .graphs import Graph, degrees
@@ -57,7 +60,7 @@ from .walks import adjacency_csr, diag_closed_walks
 MAX_HIDDEN_DIM = 1024
 
 # Deepest model spec_from_model_name builds; the experiments use at most 3.
-# Each layer adds a spec entry and up to two hidden x hidden weight matrices
+# Each layer adds up to two hidden x hidden weight matrices
 # (4 KiB at the default hidden = 16, 16 MiB at MAX_HIDDEN_DIM).
 MAX_LAYERS = 64
 
@@ -100,41 +103,30 @@ def diag_power(m: int) -> AggregationTerm:
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """Terms plus the combine MLP shape.
+class ModelSpec:
+    """``layers`` identical layers, each summing the gated ``terms`` (row v
+    divided by deg(v) + 1 when ``degree_normalize``) before its combine MLP.
 
     ``mlp_depth`` 0 means identity combine (no parameters); 1 is a single
     linear map with LeakyReLU; 2 inserts a hidden layer of the model's
-    hidden width. Dropout, when enabled at training time, acts on the
-    depth-2 hidden activations.
+    hidden width, where dropout acts. ``readout`` is ``"sum"`` (pool rows,
+    then the linear head) or ``"node"`` (the head on every node row).
     """
 
     terms: tuple[AggregationTerm, ...]
+    layers: int = 1
     mlp_depth: int = 2
     degree_normalize: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise InputError("layer needs at least one aggregation term")
-        if self.mlp_depth not in (0, 1, 2):
-            raise InputError(f"mlp_depth must be 0, 1, or 2, got {self.mlp_depth}")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Layer stack, readout kind, and output dimension.
-
-    ``readout`` is ``"sum"`` (pool rows, then the linear head) or
-    ``"node"`` (the head applied to every node row, no pooling).
-    """
-
-    layers: tuple[LayerSpec, ...]
     readout: str = "sum"
     output_dim: int = 1
 
     def __post_init__(self) -> None:
-        if not self.layers:
+        if not self.terms:
+            raise InputError("model needs at least one aggregation term")
+        if self.layers < 1:
             raise InputError("model needs at least one layer")
+        if self.mlp_depth not in (0, 1, 2):
+            raise InputError(f"mlp_depth must be 0, 1, or 2, got {self.mlp_depth}")
         if self.readout not in ("sum", "node"):
             raise InputError(f"readout must be 'sum' or 'node', got {self.readout!r}")
         if self.output_dim < 1:
@@ -151,25 +143,24 @@ FAMILIES = {
 }
 
 
+# A model name once upper-cased: GCN-, an optional family key, the layer
+# count in ASCII digits without a leading zero, and L
+_MODEL_NAME = re.compile(r"GCN-(?:(%s)-)?([1-9][0-9]*)L"
+                         % "|".join(re.escape(family) for family in FAMILIES if family))
+
+
 def spec_from_model_name(name: str, degree_normalize: bool = False,
                          mlp_depth: int = 2) -> ModelSpec:
     """Parse names like GCN-2L, GCN-L1-1L, GCN-D2-1L (any case) into n
     identical layers summing the terms :data:`FAMILIES` lists."""
-    parts = name.strip().upper().split("-")
-    family = "-".join(parts[1:-1])
-    if (parts[0] != "GCN" or len(parts) < 2 or family not in FAMILIES
-            or not parts[-1].endswith("L")):
+    match = _MODEL_NAME.fullmatch(name.strip().upper())
+    if match is None:
         raise InputError(f"unknown model name {name!r}")
-    try:
-        num_layers = int(parts[-1][:-1])
-    except ValueError as exc:
-        raise InputError(f"unknown model name {name!r}") from exc
-    if num_layers < 1:
-        raise InputError(f"model {name!r} needs at least one layer")
-    if num_layers > MAX_LAYERS:
-        raise InputError(f"model {name!r} has {num_layers} layers; the limit is {MAX_LAYERS}")
-    layer = LayerSpec(FAMILIES[family], mlp_depth, degree_normalize)
-    return ModelSpec(layers=(layer,) * num_layers)
+    family, layers = match.group(1) or "", match.group(2)
+    # without a leading zero, more digits than MAX_LAYERS means a larger count
+    if len(layers) > len(str(MAX_LAYERS)) or int(layers) > MAX_LAYERS:
+        raise InputError(f"model {name!r} has {layers} layers; the limit is {MAX_LAYERS}")
+    return ModelSpec(FAMILIES[family], int(layers), mlp_depth, degree_normalize)
 
 
 class GraphOperators:
@@ -189,7 +180,8 @@ class GraphOperators:
 
     @functools.cached_property
     def adjacency_with_loops(self):
-        return adjacency_csr(self.graph, with_self_loops=True).astype(np.float64)
+        return (adjacency_csr(self.graph).astype(np.float64)
+                + sparse.eye_array(self.graph.n, format="csr"))
 
     @functools.cached_property
     def inv_degree_plus_one(self) -> np.ndarray:
@@ -250,13 +242,13 @@ def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model
         params[bname] = rng.uniform(-bound, bound, size=(1, fan_out))
 
     width = input_dim
-    for i, layer in enumerate(spec.layers):
-        for t in range(len(layer.terms)):
+    for i in range(spec.layers):
+        for t in range(len(spec.terms)):
             params[f"layer{i}.theta{t}"] = np.zeros((1, 1))
-        if layer.mlp_depth >= 1:
+        if spec.mlp_depth >= 1:
             linear(f"layer{i}.w0", f"layer{i}.b0", width, hidden_dim)
             width = hidden_dim
-        if layer.mlp_depth == 2:
+        if spec.mlp_depth == 2:
             linear(f"layer{i}.w1", f"layer{i}.b1", hidden_dim, hidden_dim)
     linear("head.w", "head.b", width, spec.output_dim)
     return Model(spec, input_dim, params, decayed)
@@ -283,15 +275,14 @@ def _apply_term(term: AggregationTerm, ops: GraphOperators, h: np.ndarray) -> np
 
 
 def forward(model: Model, ops: GraphOperators | Graph, x, *,
-            training: bool = False, dropout_rate: float = 0.0,
-            rng: np.random.Generator | None = None,
+            dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
             saved: dict | None = None) -> np.ndarray:
     """Run the model on one graph's node features (n x input_dim).
 
-    In training mode dropout masks are drawn from ``rng``; in inference
-    mode the pass is deterministic and repeated calls return identical
-    values. When ``saved`` is a dict, the operators and activations
-    :func:`backward` needs are stored in it. Non-finite activations raise
+    Dropout runs when ``dropout_rate > 0``, with masks drawn from ``rng``;
+    otherwise the pass is deterministic and repeated calls return
+    identical values. When ``saved`` is a dict, the operators and
+    activations :func:`backward` needs are stored in it. Non-finite activations raise
     :class:`NumericError` naming the layer.
     """
     if isinstance(ops, Graph):
@@ -302,22 +293,23 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     if xv.shape != (ops.graph.n, model.input_dim):
         raise InputError(
             f"features must be {(ops.graph.n, model.input_dim)}, got {xv.shape}")
-    drop = training and dropout_rate > 0.0
+    drop = dropout_rate > 0.0
     if drop and (rng is None or not dropout_rate < 1.0):
         raise InputError(f"training with dropout needs an rng and a rate below 1, "
                          f"got rate {dropout_rate}")
     h = xv
     p = model.params
     layers = []
-    for i, layer in enumerate(model.spec.layers):
-        act = {"gates": [_sigmoid(p[f"layer{i}.theta{t}"]) for t in range(len(layer.terms))],
-               "terms": [_apply_term(term, ops, h) for term in layer.terms]}
+    spec = model.spec
+    for i in range(spec.layers):
+        act = {"gates": [_sigmoid(p[f"layer{i}.theta{t}"]) for t in range(len(spec.terms))],
+               "terms": [_apply_term(term, ops, h) for term in spec.terms]}
         h = functools.reduce(operator.add, [s * a for s, a in zip(act["gates"], act["terms"])])
-        if layer.degree_normalize:
+        if spec.degree_normalize:
             h = ops.inv_degree_plus_one.reshape(-1, 1) * h
-        if layer.mlp_depth >= 1:
+        if spec.mlp_depth >= 1:
             h = _dense(p, f"layer{i}", 0, act, h)
-        if layer.mlp_depth == 2:
+        if spec.mlp_depth == 2:
             if drop:
                 act["keep"] = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
                 h = act["keep"] * h
@@ -325,7 +317,7 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
         if not np.isfinite(h).all():
             raise NumericError(f"layer {i} produced non-finite activations")
         layers.append(act)
-    if model.spec.readout == "sum":
+    if spec.readout == "sum":
         h = h.sum(axis=0, keepdims=True)
     head_x = h
     h = h @ p["head.w"] + p["head.b"]
@@ -362,26 +354,26 @@ def backward(model: Model, saved: dict, d_out: np.ndarray) -> dict[str, np.ndarr
     (the input gradient over the terms in term order), so the gradients
     equal the tape's bit for bit.
     """
-    p, ops = model.params, saved["ops"]
+    p, ops, spec = model.params, saved["ops"], model.spec
     grads: dict[str, np.ndarray] = {}
     grads["head.w"] = saved["head_x"].T @ d_out
     grads["head.b"] = d_out.sum(axis=0, keepdims=True)
     g = d_out @ p["head.w"].T
-    if model.spec.readout == "sum":
+    if spec.readout == "sum":
         g = np.repeat(g, ops.graph.n, axis=0)
-    for i in reversed(range(len(model.spec.layers))):
-        layer, act = model.spec.layers[i], saved["layers"][i]
-        if layer.mlp_depth == 2:
+    for i in reversed(range(spec.layers)):
+        act = saved["layers"][i]
+        if spec.mlp_depth == 2:
             g = _dense_backward(p, f"layer{i}", 1, act, g, grads)
             if "keep" in act:
                 g = act["keep"] * g
-        if layer.mlp_depth >= 1:
+        if spec.mlp_depth >= 1:
             g = _dense_backward(p, f"layer{i}", 0, act, g, grads)
-        if layer.degree_normalize:
+        if spec.degree_normalize:
             g = ops.inv_degree_plus_one.reshape(-1, 1) * g
         for t, (s, a) in enumerate(zip(act["gates"], act["terms"])):
             grads[f"layer{i}.theta{t}"] = (g * a).sum() * s * (1.0 - s)
         if i > 0:
             g = functools.reduce(operator.add, [
-                _apply_term(term, ops, s * g) for term, s in zip(layer.terms, act["gates"])])
+                _apply_term(term, ops, s * g) for term, s in zip(spec.terms, act["gates"])])
     return grads

@@ -187,8 +187,8 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
         for idx in order:
             item = train_items[int(idx)]
             saved: dict = {}
-            pred = forward(model, item.ops, item.features, training=cfg.dropout > 0.0,
-                           dropout_rate=cfg.dropout, rng=rng, saved=saved)
+            pred = forward(model, item.ops, item.features, dropout_rate=cfg.dropout,
+                           rng=rng, saved=saved)
             loss, d_pred = mse_loss(pred, item.target)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
@@ -216,16 +216,17 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
                      best_val=best_val, stop_reason=stop_reason)
 
 
-def gradient_check(model: Model, item: TrainItem, h: float = 1e-5,
-                   max_params: int = 20000) -> float:
+def gradient_check(model: Model, item: TrainItem) -> float:
     """Largest relative error between analytic and central-difference grads.
 
     The objective is the inference-mode MSE (dropout off), so it is
     deterministic; the L2 penalty lives in :func:`adam_step`, not in the
     loss. Relative error uses a floor of 1e-3 in the denominator;
-    coordinates where both gradients are below 1e-10 count as exact.
+    coordinates where both gradients are below 1e-10 count as exact. The
+    step is 1e-5, and each coordinate costs two passes, so a model with
+    more than 20 000 raises :class:`CapacityError` before the first.
     """
-    w = model.flat
+    w, h, max_params = model.flat, 1e-5, 20000
     if w.size > max_params:
         raise CapacityError(
             f"gradient check supports <= {max_params} coordinates, got {w.size}")

@@ -44,17 +44,14 @@ _INT64_MAX = 2**63 - 1
 MAX_PRODUCT_WORK = 3 * 10**7
 
 
-def adjacency_csr(g: Graph, with_self_loops: bool = False) -> sparse.csr_array:
-    """Sparse int64 adjacency matrix, optionally with the diagonal set to 1.
+def adjacency_csr(g: Graph) -> sparse.csr_array:
+    """Sparse int64 adjacency matrix.
 
     Wraps the graph's own read-only ``indptr`` and ``indices`` without a
     copy; they equal the arrays scipy builds from the dense matrix.
     """
-    a = sparse.csr_array((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
-                         shape=(g.n, g.n))
-    if with_self_loops:
-        a = a + sparse.eye_array(g.n, dtype=np.int64, format="csr")
-    return a
+    return sparse.csr_array((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
+                            shape=(g.n, g.n))
 
 
 def _check_product_bound(a, b) -> None:

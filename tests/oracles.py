@@ -271,21 +271,22 @@ def tape_loss_and_grads(model, ops, x, target, *, dropout_rate=0.0, rng=None):
 
     p = {k: ad.parameter(v.copy(), name=k) for k, v in model.params.items()}
     h = ad.constant(x)
-    for i, layer in enumerate(model.spec.layers):
+    spec = model.spec
+    for i in range(spec.layers):
         mixed = None
-        for t, term in enumerate(layer.terms):
+        for t, term in enumerate(spec.terms):
             gated = ad.scalar_mul(ad.sigmoid(p[f"layer{i}.theta{t}"]), apply_term(term, h))
             mixed = gated if mixed is None else ad.add(mixed, gated)
-        if layer.degree_normalize:
+        if spec.degree_normalize:
             mixed = ad.row_scale(mixed, ops.inv_degree_plus_one)
         h = mixed
-        if layer.mlp_depth >= 1:
+        if spec.mlp_depth >= 1:
             h = ad.leaky_relu(ad.add(ad.matmul(h, p[f"layer{i}.w0"]), p[f"layer{i}.b0"]))
-            if layer.mlp_depth == 2:
+            if spec.mlp_depth == 2:
                 if dropout_rate > 0.0:
                     h = ad.dropout(h, dropout_rate, rng)
                 h = ad.leaky_relu(ad.add(ad.matmul(h, p[f"layer{i}.w1"]), p[f"layer{i}.b1"]))
-    if model.spec.readout == "sum":
+    if spec.readout == "sum":
         h = ad.row_sum(h)
     h = ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
     loss = ad.mse(h, target)

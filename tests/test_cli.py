@@ -309,6 +309,10 @@ TRAIN_FAILURES = {
     "dataset-bool-id": (_bad_record('{"n":3,"edges":[[true,2]],"target":1}'), 1),
     "dataset-float-id": (_bad_record('{"n":3,"edges":[[1.0,2]],"target":1}'), 1),
     "dataset-nan-target": (_bad_record('{"n":3,"edges":[[0,1]],"target":NaN}'), 1),
+    "dataset-huge-target": (_bad_record('{"n":3,"edges":[[0,1]],"target":1' + "0" * 400 + "}",
+                                        "int too large to convert to float"), 1),
+    "dataset-long-integer": (_bad_record('{"n":3,"edges":[[0,1]],"target":' + "1" * 5000 + "}",
+                                         "bad JSON"), 1),
     "dataset-node-limit": (_bad_record('{"n":10000000000,"edges":[],"target":1}',
                                        f"graphs support n <= {MAX_NODES}"), 2),
     "dataset-missing": (lambda d: (["--config", _config_file(d, str(d / "absent.jsonl"))],
@@ -319,6 +323,11 @@ TRAIN_FAILURES = {
     "config-unknown-key": (lambda d: (["--config", _write(d, "bad.cfg",
                                                           "dataset = d.jsonl\nwidth = 9\n")],
                                       "unknown config key 'width'"), 1),
+    "config-repeated-key": (lambda d: (["--config", _write(d, "bad.cfg",
+                                                           "dataset = d.jsonl\nlr = 0.1\n"
+                                                           "\nlr = 0.2\n")],
+                                       "config key 'lr' is given twice, on line 2 and line 4"),
+                            1),
     "lr-inf": (lambda d: (_config(d, lr="inf"), "lr must be positive and finite"), 1),
     "hidden-0": (lambda d: (_config(d, hidden="0"), "config key 'hidden' must be >= 1"), 1),
     "hidden-above-limit": (lambda d: (_config(d, hidden="10000000"),
@@ -336,6 +345,8 @@ TRAIN_FAILURES = {
                                   "the limit is 64"), 1),
     "model-repeated": (lambda d: (_config(d, models="baseline,GCN-1L,gcn-1l"),
                                   "names 'gcn-1l' more than once"), 1),
+    "model-alias": (lambda d: (_config(d, models="baseline,GCN-1L,GCN-01L"),
+                               "config: unknown model name 'GCN-01L'"), 1),
 }
 
 

@@ -92,7 +92,16 @@ class TestRoundTrip:
         ('{"n":3,"edges":[[0,7]],"target":0}', "out of range"),
         ('{"n":3.0,"edges":[],"target":0}', "node count must be an integer"),
         ('{"n":3,"edges":5,"target":0}', "not iterable"),
-        ('{"n":3,"edges":[],"target":"many"}', "could not convert"),
+        ('{"n":3,"edges":[],"target":"many"}', "target must be a number, got 'many'"),
+        ('{"n":3,"edges":[],"target":"3"}', "target must be a number, got '3'"),
+        ('{"n":3,"edges":[],"target":" 7 "}', "target must be a number, got ' 7 '"),
+        ('{"n":3,"edges":[],"target":true}', "target must be a number, got True"),
+        ('{"n":3,"edges":[],"target":null}', "target must be a number, got None"),
+        ('{"n":3,"edges":[],"target":[1]}', "target must be a number, got [1]"),
+        pytest.param('{"n":3,"edges":[],"target":1' + "0" * 400 + "}",
+                     "int too large to convert to float", id="target-past-float-range"),
+        pytest.param('{"n":3,"edges":[],"target":' + "1" * 5000 + "}",
+                     "bad JSON: Exceeds the limit", id="integer-past-digit-limit"),
         ('{"n":3,"edges":[],"target":NaN}', "target nan is not finite"),
         ('{"n":3,"edges":[],"target":-Infinity}', "target -inf is not finite"),
         ('[3]', "list indices"),

@@ -58,6 +58,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="dataset"):
             parse_config("folds = 3")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="'lr' is given twice, on line 2 and line 4"):
+            parse_config("dataset = d\nlr = 0.1\n# again\nlr = 0.2\n")
+
     def test_unparseable_value(self):
         with pytest.raises(ConfigError, match="folds"):
             parse_config("dataset = d\nfolds = many")
@@ -84,12 +88,12 @@ class TestConfigParsing:
 
     def test_normalize_is_read_case_insensitively(self):
         cfg = parse_config("dataset = d\nmodels = baseline,GCN-1L,GCN-L1-1L\nnormalize = gcn-1l")
-        assert cfg.model_spec("GCN-1L").layers[0].degree_normalize
-        assert not cfg.model_spec("GCN-L1-1L").layers[0].degree_normalize
+        assert cfg.model_spec("GCN-1L").degree_normalize
+        assert not cfg.model_spec("GCN-L1-1L").degree_normalize
 
     def test_model_spec_carries_mlp_depth(self):
         cfg = parse_config("dataset = d\nmodels = GCN-D2-2L\nmlp_depth = 0")
-        assert [layer.mlp_depth for layer in cfg.model_spec("GCN-D2-2L").layers] == [0, 0]
+        assert cfg.model_spec("GCN-D2-2L").mlp_depth == 0
 
     def test_echo_is_the_flat_key_layout(self):
         echo = parse_config("dataset = d\nmodels = GCN-1L\nnormalize = GCN-1L\nlr = 0.01").echo()

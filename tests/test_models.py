@@ -6,7 +6,7 @@ from walklab.errors import CapacityError, InputError, NumericError
 from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
                             from_edge_list, path_graph, relabel)
 from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, MAX_LAYERS, AggregationTerm,
-                            GraphOperators, LayerSpec, ModelSpec, build_model, diag_power,
+                            GraphOperators, ModelSpec, build_model, diag_power,
                             forward, power, self_loop_adjacency, spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
 
@@ -15,8 +15,7 @@ from oracles import neighbours
 
 def identity_readout_model(terms, n_features=1, degree_normalize=False):
     # no MLP and an identity head: the output is the raw operator sum per node
-    spec = ModelSpec(layers=(LayerSpec(terms=terms, mlp_depth=0,
-                                       degree_normalize=degree_normalize),),
+    spec = ModelSpec(terms, mlp_depth=0, degree_normalize=degree_normalize,
                      readout="node", output_dim=n_features)
     m = build_model(spec, input_dim=n_features, hidden_dim=n_features, seed=0)
     m.params["head.w"][...] = np.eye(n_features)
@@ -49,30 +48,35 @@ class TestSpecs:
 
     def test_layer_and_model_validation(self):
         with pytest.raises(InputError):
-            LayerSpec(terms=())
+            ModelSpec(terms=())
         with pytest.raises(InputError):
-            ModelSpec(layers=(LayerSpec(terms=(power(2),)),), readout="max")
+            ModelSpec((power(2),), layers=0)
+        with pytest.raises(InputError):
+            ModelSpec((power(2),), readout="max")
 
     def test_family_specs(self):
-        assert len(spec_from_model_name("GCN-2L").layers) == 2
-        assert [t.op for t in spec_from_model_name("GCN-L1-1L").layers[0].terms] == \
+        assert spec_from_model_name("GCN-2L").layers == 2
+        assert [t.op for t in spec_from_model_name("GCN-L1-1L").terms] == \
             ["self_loop_adjacency", "diag_power"]
-        d2 = spec_from_model_name("GCN-D2-1L").layers[0]
+        d2 = spec_from_model_name("GCN-D2-1L")
         assert [(t.op, t.k) for t in d2.terms] == \
             [("self_loop_adjacency", 1), ("diag_power", 3), ("power", 2)]
         assert sorted(FAMILIES) == ["", "D2", "L1"]
 
     def test_name_parsing(self):
-        layer = LayerSpec(terms=(self_loop_adjacency(), diag_power(3)))
-        assert spec_from_model_name("gcn-l1-3l") == ModelSpec(layers=(layer,) * 3)
+        assert spec_from_model_name("gcn-l1-3l") == \
+            ModelSpec((self_loop_adjacency(), diag_power(3)), layers=3)
         assert spec_from_model_name(" GCN-D2-2L ") == spec_from_model_name("GCN-D2-2L")
-        for bad in ("GCN", "MLP-2L", "GCN-L9-1L", "GCN-0L", "GCN-2", "GCN-XL"):
+        # aliases of valid names are refused too: a model has one name
+        for bad in ("GCN", "MLP-2L", "GCN-L9-1L", "GCN-0L", "GCN-2", "GCN-XL",
+                    "GCN--1L", "GCN-02L", "GCN-+2L", "GCN- 2L", "GCN-1_0L", "GCN-L1--1L",
+                    "GCN-\u0662L", "GCN-L1D2-1L", "GCN-L1-D2-1L"):
             with pytest.raises(InputError):
                 spec_from_model_name(bad)
 
     def test_depth_limit(self):
-        assert len(spec_from_model_name(f"GCN-{MAX_LAYERS}L").layers) == MAX_LAYERS
-        for depth in (MAX_LAYERS + 1, 10**9):
+        assert spec_from_model_name(f"GCN-{MAX_LAYERS}L").layers == MAX_LAYERS
+        for depth in (MAX_LAYERS + 1, 10**9, "9" * 5000):
             with pytest.raises(InputError, match=f"the limit is {MAX_LAYERS}"):
                 spec_from_model_name(f"GCN-L1-{depth}L")
 
@@ -80,7 +84,7 @@ class TestSpecs:
     def test_name_carries_normalisation_and_mlp_depth(self, family):
         name = f"GCN-{family}-2L".replace("--", "-")
         spec = spec_from_model_name(name, degree_normalize=True, mlp_depth=1)
-        assert spec.layers == (LayerSpec(FAMILIES[family], 1, True),) * 2
+        assert spec == ModelSpec(FAMILIES[family], 2, mlp_depth=1, degree_normalize=True)
         with pytest.raises(InputError, match="mlp_depth"):
             spec_from_model_name(name, mlp_depth=3)
 
@@ -138,8 +142,7 @@ class TestBuild:
             build_model(spec, input_dim=1, hidden_dim=MAX_HIDDEN_DIM + 1, seed=0)
 
     def test_head_maps_last_width_to_output_dim(self):
-        spec = ModelSpec(layers=(LayerSpec(terms=(power(1),), mlp_depth=0),),
-                         output_dim=2)
+        spec = ModelSpec((power(1),), mlp_depth=0, output_dim=2)
         m = build_model(spec, input_dim=3, hidden_dim=5, seed=0)
         assert m.params["head.w"].shape == (3, 2)
         assert m.params["head.b"].shape == (1, 2)
@@ -172,7 +175,7 @@ class TestForward:
 
     def test_isolated_node_zero_params_zero_output(self):
         g = from_edge_list(1, [])
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),), mlp_depth=2),))
+        spec = ModelSpec((self_loop_adjacency(),), mlp_depth=2)
         m = build_model(spec, 1, 4, seed=1)
         for k, p in m.params.items():
             if not k.endswith("theta0"):
@@ -201,11 +204,11 @@ class TestForward:
         m = build_model(spec_from_model_name("GCN-1L"), 1, 8, seed=2)
         x = np.ones((10, 1))
         rng = np.random.default_rng(0)
-        a = forward(m, g, x, training=True, dropout_rate=0.5, rng=rng)
+        a = forward(m, g, x, dropout_rate=0.5, rng=rng)
         b = forward(m, g, x)
         assert not np.array_equal(a, b)
         with pytest.raises(InputError):
-            forward(m, g, x, training=True, dropout_rate=0.5)  # rng required
+            forward(m, g, x, dropout_rate=0.5)  # rng required
 
     def test_sum_readout_permutation_invariant(self):
         rng = np.random.default_rng(9)
@@ -223,8 +226,7 @@ class TestForward:
         # output row of node v must follow v under relabelling
         rng = np.random.default_rng(10)
         g = erdos_renyi(9, 0.4, 33)
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(), diag_power(3)),
-                                           mlp_depth=1),),
+        spec = ModelSpec((self_loop_adjacency(), diag_power(3)), mlp_depth=1,
                          readout="node", output_dim=4)
         m = build_model(spec, 1, 4, seed=3)
         x = rng.normal(size=(9, 1))
@@ -263,8 +265,7 @@ class TestWeightNames:
 
         m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 8, seed=0)
         assert decayed(m) == ["layer0.w0", "layer0.w1", "layer1.w0", "layer1.w1", "head.w"]
-        spec = ModelSpec(layers=(LayerSpec(terms=(self_loop_adjacency(),), mlp_depth=1),),
-                         output_dim=4)
+        spec = ModelSpec((self_loop_adjacency(),), mlp_depth=1, output_dim=4)
         assert decayed(build_model(spec, 1, 4, seed=0)) == ["layer0.w0", "head.w"]
 
 

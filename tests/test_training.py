@@ -8,7 +8,7 @@ import pytest
 from oracles import tape_loss_and_grads
 
 from walklab import training
-from walklab.errors import InputError, TrainingError
+from walklab.errors import CapacityError, InputError, TrainingError
 from walklab.graphs import complete_graph, erdos_renyi
 from walklab.models import backward, build_model, forward, spec_from_model_name
 from walklab.training import (AdamState, TrainConfig, adam_step, evaluate,
@@ -295,6 +295,19 @@ class TestGradientCheck:
         first = gradient_check(model, item)
         assert gradient_check(model, item) == first <= 1e-4
 
+    def test_too_many_coordinates_refused_before_any_pass(self, monkeypatch):
+        # GCN-1L at hidden 150: 1 gate + 150 + 150 + 150 * 150 + 150 + 150 + 1
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=150, seed=0)
+        assert model.flat.size == 23102
+        item = _ones_items([complete_graph(3)], [1.0])[0]
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran before the size check")
+
+        monkeypatch.setattr(training, "forward", no_forward)
+        with pytest.raises(CapacityError, match="<= 20000 coordinates, got 23102"):
+            gradient_check(model, item)
+
 
 # families x layers x mlp_depth x degree normalisation x dropout x readout
 TAPE_GRID = list(itertools.product(("GCN-", "GCN-L1-", "GCN-D2-"), (1, 2, 3),
@@ -319,8 +332,8 @@ class TestTapeReference:
         item = prepare_items([g], [rng.normal(size=(n, 2))],
                              [rng.normal(size=rows) if rows > 1 else rng.normal()])[0]
         saved = {}
-        pred = forward(model, item.ops, item.features, training=dropout > 0.0,
-                       dropout_rate=dropout, rng=np.random.default_rng(7), saved=saved)
+        pred = forward(model, item.ops, item.features, dropout_rate=dropout,
+                       rng=np.random.default_rng(7), saved=saved)
         loss, d_pred = mse_loss(pred, item.target)
         grads = backward(model, saved, d_pred)
         ref_loss, ref_grads = tape_loss_and_grads(
