@@ -14,12 +14,16 @@ depends on another cell; results therefore depend only on the config
 contents, not on the order in which cells run. So the cells train in
 parallel: a pool of forked worker processes, one per usable core and
 never more, inherits the prepared graphs and returns the rows in cell
-order. With one usable core, or where the platform cannot fork, the
-same cell function runs in this process. Both reports are
-byte-identical for any core count. ``results.csv`` carries one row per
-cell and ``summary.json`` aggregates mean/std test MSE per model next to
-the mean-predictor baseline. ``summary.json`` is strict JSON: a
-non-finite number is written as ``null``.
+order. Every graph's structure operators and layer-0 terms, for every
+term the configured models sum, are built before the fork, so no worker
+rebuilds them. With one usable core, or where the platform cannot fork,
+the same cell function runs in this process. ``results.csv`` carries one
+row per cell and is byte-identical for any core count.
+``summary.json`` aggregates mean/std test MSE per model next to the
+mean-predictor baseline and lists, under ``cells``, how each trained
+cell's training went; only its timings depend on the core count.
+``summary.json`` is strict JSON: a non-finite number is written as
+``null``.
 """
 
 from __future__ import annotations
@@ -153,10 +157,17 @@ class Row:
 
 @dataclass
 class ExperimentReport:
+    """``cells`` holds one record per trained cell, in cell order: its
+    model and fold, the epochs run, the best epoch, the stop reason
+    (``early_stop``, ``max_epochs`` or ``diverged``), the lr cuts and the
+    seconds it took. A diverged cell records None (null in ``summary.json``)
+    for the epochs, best epoch and lr cuts."""
+
     config: dict
     rows: list[Row]
     summary: dict
     wall_clock: float
+    cells: list[dict]
 
     def results_csv(self) -> str:
         buf = io.StringIO()
@@ -194,8 +205,9 @@ def _worker_count(trained_cells: int) -> int:
 _RUN: tuple | None = None
 
 
-def _run_cell(cell: tuple[int, str, int]) -> Row:
-    """Train (or, for the baseline, score) model ``mi`` on fold ``fold``."""
+def _run_cell(cell: tuple[int, str, int]) -> tuple[Row, dict | None]:
+    """Train (or, for the baseline, score) model ``mi`` on fold ``fold``:
+    its row and, for a trained cell, its record in ``cells``."""
     mi, name, fold = cell
     cfg, plan, items, targets = _RUN
     train_idx, val_idx, test_idx = plan.round(fold)
@@ -204,7 +216,8 @@ def _run_cell(cell: tuple[int, str, int]) -> Row:
         return Row(model=name, fold=fold,
                    train_mse=baseline_mean(train_t, train_t),
                    val_mse=baseline_mean(train_t, [targets[i] for i in val_idx]),
-                   test_mse=baseline_mean(train_t, [targets[i] for i in test_idx]))
+                   test_mse=baseline_mean(train_t, [targets[i] for i in test_idx])), None
+    start = time.perf_counter()
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(mi, fold))
     build_seed, fit_seed = [int(s) for s in ss.generate_state(2)]
     model = build_model(cfg.model_spec(name), input_dim=1, hidden_dim=cfg.hidden,
@@ -214,16 +227,20 @@ def _run_cell(cell: tuple[int, str, int]) -> Row:
     test_items = [items[i] for i in test_idx]
     try:
         result = fit(model, train_items, val_items, replace(cfg.train, seed=fit_seed))
-        return Row(model=name, fold=fold,
-                   train_mse=evaluate(model, train_items),
-                   val_mse=result.best_val,
-                   test_mse=evaluate(model, test_items))
+        row = Row(model=name, fold=fold,
+                  train_mse=evaluate(model, train_items),
+                  val_mse=result.best_val,
+                  test_mse=evaluate(model, test_items))
+        record = {"epochs": len(result.history) - 1, "best_epoch": result.best_epoch,
+                  "stop_reason": result.stop_reason, "lr_cuts": result.lr_cuts}
     except (TrainingError, NumericError):
-        return Row(model=name, fold=fold, train_mse=float("nan"),
-                   val_mse=float("nan"), test_mse=float("nan"))
+        row = Row(model=name, fold=fold, train_mse=float("nan"),
+                  val_mse=float("nan"), test_mse=float("nan"))
+        record = {"epochs": None, "best_epoch": None, "stop_reason": "diverged", "lr_cuts": None}
+    return row, {"model": name, "fold": fold, **record, "seconds": time.perf_counter() - start}
 
 
-def _map_cells(cells: list[tuple[int, str, int]], workers: int) -> list[Row]:
+def _map_cells(cells: list[tuple[int, str, int]], workers: int) -> list[tuple[Row, dict | None]]:
     """:func:`_run_cell` over ``cells``, in order, on ``workers`` forked
     processes, or in this process when there is one worker or no fork."""
     import multiprocessing
@@ -260,12 +277,13 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
     graphs = ds.graphs()
     targets = ds.targets()
     features = [np.ones((g.n, 1)) for g in graphs]
-    items = prepare_items(graphs, features, targets)
+    trained = [name for name in cfg.models if name.lower() != "baseline"]
+    terms = tuple(dict.fromkeys(t for name in trained for t in cfg.model_spec(name).terms))
+    items = prepare_items(graphs, features, targets, terms=terms)
     cells = [(mi, name, fold) for mi, name in enumerate(cfg.models) for fold in range(plan.k)]
-    trained = sum(1 for _, name, _ in cells if name.lower() != "baseline")
     _RUN = (cfg, plan, items, targets)
     try:
-        rows = _map_cells(cells, _worker_count(trained))
+        rows, records = zip(*_map_cells(cells, _worker_count(len(trained) * plan.k)))
     finally:
         _RUN = None
     failed: dict[str, list[int]] = {}
@@ -290,8 +308,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
         "failed_folds": failed,
     }
     wall = time.monotonic() - start
-    return ExperimentReport(config=cfg.echo(), rows=rows, summary=summary,
-                            wall_clock=wall)
+    return ExperimentReport(config=cfg.echo(), rows=list(rows), summary=summary,
+                            wall_clock=wall, cells=[r for r in records if r is not None])
 
 
 def write_report(report: ExperimentReport, out_dir) -> tuple[str, str]:
@@ -303,6 +321,7 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[str, str]:
     doc = {
         "config": report.config,
         **report.summary,
+        "cells": report.cells,
         "wall_clock_seconds": report.wall_clock,
     }
     atomic_write_text(json_path, json.dumps(_nan_to_none(doc), indent=1, allow_nan=False))

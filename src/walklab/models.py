@@ -26,13 +26,22 @@ head maps it to the output dimension; a node-level readout that skips
 the pooling is available for inspection and tests.
 
 A model keeps every parameter in one float64 vector, ``Model.flat``;
-``Model.params`` names reshaped views into it. :func:`forward` serves
-inference and training (dropout when ``dropout_rate > 0``) and can keep
-the activations that :func:`backward` needs; ``backward`` is the
-hand-written gradient of that same pass, returned by name, and
-:meth:`Model.flatten` lays such a dict out in ``flat`` order. Every
-structural operator is symmetric, so a term's backward pass is the term
-itself applied to the gated upstream gradient.
+``Model.params`` names reshaped views into it, and
+:meth:`Model.unflatten` names the same views into any vector of that
+layout. :func:`forward` serves inference and training (dropout when
+``dropout_rate > 0``) and can keep the activations that :func:`backward`
+needs; ``backward`` is the hand-written gradient of that same pass,
+written into named views of one flat gradient vector. Every structural
+operator is symmetric, so a term's backward pass is the term itself
+applied to the gated upstream gradient.
+
+One ``forward`` runs one graph's (n, d) rows or a :class:`GraphStack` of
+G graphs with a common node count as (G, n, d). Dense products on the
+stack are batched matmuls over the leading axis and the structural terms
+act on a block-diagonal CSR matrix, so every graph's output equals its
+own single-graph pass bit for bit. The caller may hand in the layer-0
+terms ``Op_t(X)``, which depend only on the graph and its features, so
+that a graph seen on every step computes them once.
 """
 
 from __future__ import annotations
@@ -52,11 +61,11 @@ from .walks import adjacency_csr, diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
 # hidden x hidden float64 matrices (w1, and w0 after the first layer),
-# 8 MiB each at 1024. Training holds six copies of each (the weights in
-# ``flat``, the gradient dict and its flat copy, two Adam moments and the
-# best snapshot) plus Adam's short-lived temporaries, and build_model
-# briefly holds a seventh, the drawn arrays it concatenates into ``flat``:
-# about 100 MB per layer in every worker.
+# 8 MiB each at 1024. Training holds five copies of each (the weights in
+# ``flat``, the flat gradient, two Adam moments and the best snapshot)
+# plus Adam's short-lived temporaries, and build_model briefly holds a
+# sixth, the drawn arrays it concatenates into ``flat``: about 100 MB per
+# layer in every worker.
 MAX_HIDDEN_DIM = 1024
 
 # Deepest model spec_from_model_name builds; the experiments use at most 3.
@@ -167,11 +176,13 @@ class GraphOperators:
     """Cached per-graph structure matrices the aggregation terms consume.
 
     Gradients never flow into these; they are fixed functions of the
-    graph, built once and shared by every forward pass on it.
+    graph, built once and shared by every forward pass on it. ``shape``
+    is (graphs, nodes per graph), here (1, n), as for a :class:`GraphStack`.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
+        self.shape = (1, g.n)
         self._closed_walks: dict[int, np.ndarray] = {}
 
     @functools.cached_property
@@ -193,6 +204,53 @@ class GraphOperators:
         return self._closed_walks[m]
 
 
+def _block_diagonal(mats) -> sparse.csr_array:
+    """One CSR matrix with the square CSR ``mats``, all n x n, on its
+    diagonal; every row keeps its entries in their order."""
+    n = mats[0].shape[0]
+    starts = np.cumsum([0] + [a.indptr[-1] for a in mats[:-1]])  # each block's first entry
+    indptr = np.concatenate([[0]] + [a.indptr[1:] + k for a, k in zip(mats, starts)])
+    indices = np.concatenate([a.indices + k * n for k, a in enumerate(mats)])
+    data = np.concatenate([a.data for a in mats])
+    return sparse.csr_array((data, indices, indptr), shape=(len(mats) * n,) * 2)
+
+
+class GraphStack:
+    """The operators of G graphs with one node count n, acting on their
+    stacked (G, n, d) rows as one block-diagonal system. Each matrix is
+    built on first use from the members' own operators, so a product on
+    the stack equals each member's product bit for bit.
+    """
+
+    def __init__(self, members):
+        self.members = tuple(members)
+        if not self.members:
+            raise InputError("a graph stack needs at least one graph")
+        n = self.members[0].graph.n
+        if any(ops.graph.n != n for ops in self.members):
+            raise InputError("a graph stack holds graphs of one node count")
+        self.shape = (len(self.members), n)
+        self._closed_walks: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def adjacency(self):
+        return _block_diagonal([ops.adjacency for ops in self.members])
+
+    @functools.cached_property
+    def adjacency_with_loops(self):
+        return _block_diagonal([ops.adjacency_with_loops for ops in self.members])
+
+    @functools.cached_property
+    def inv_degree_plus_one(self) -> np.ndarray:
+        return np.concatenate([ops.inv_degree_plus_one for ops in self.members])
+
+    def closed_walk_diag(self, m: int) -> np.ndarray:
+        if m not in self._closed_walks:
+            self._closed_walks[m] = np.concatenate(
+                [ops.closed_walk_diag(m) for ops in self.members])
+        return self._closed_walks[m]
+
+
 class Model:
     """A spec bound to concrete parameters.
 
@@ -201,22 +259,34 @@ class Model:
     ``flat`` in each parameter's shape: write into a view, never rebind
     it. ``decay`` marks the coordinates of the linear-map weight matrices,
     the ones the L2 penalty covers (gates and biases are not among them).
+    ``gate_index`` holds the coordinates of every gate, layer by layer
+    and term by term; ``gate_keys[i]`` and ``map_keys[i]`` name layer i's
+    gates and its MLP's (weight, bias) pairs.
     """
 
     def __init__(self, spec: ModelSpec, input_dim: int,
                  arrays: dict[str, np.ndarray], decayed: set[str]):
         self.spec = spec
         self.input_dim = input_dim
+        self._shapes = {name: a.shape for name, a in arrays.items()}
         sizes = [a.size for a in arrays.values()]
+        self._splits = np.cumsum(sizes)[:-1]
         self.flat = np.concatenate([a.ravel() for a in arrays.values()])
         self.decay = np.repeat([name in decayed for name in arrays], sizes)
-        chunks = np.split(self.flat, np.cumsum(sizes)[:-1])
-        self.params = MappingProxyType({name: chunk.reshape(a.shape) for (name, a), chunk
-                                        in zip(arrays.items(), chunks)})
+        self.params = self.unflatten(self.flat)
+        self.gate_keys = tuple(tuple(f"layer{i}.theta{t}" for t in range(len(spec.terms)))
+                               for i in range(spec.layers))
+        gates = {key for keys in self.gate_keys for key in keys}
+        self.gate_index = np.flatnonzero(np.repeat([name in gates for name in arrays], sizes))
+        self.map_keys = tuple(tuple((f"layer{i}.w{j}", f"layer{i}.b{j}")
+                                    for j in range(spec.mlp_depth))
+                              for i in range(spec.layers))
 
-    def flatten(self, named: dict[str, np.ndarray]) -> np.ndarray:
-        """One vector of ``named``'s arrays (say, gradients) in ``flat`` order."""
-        return np.concatenate([named[k].ravel() for k in self.params])
+    def unflatten(self, vec: np.ndarray) -> MappingProxyType:
+        """Read-only mapping from each parameter name to its view of
+        ``vec``, a vector in ``flat``'s layout (say, a gradient)."""
+        return MappingProxyType({name: chunk.reshape(shape) for (name, shape), chunk
+                                 in zip(self._shapes.items(), np.split(vec, self._splits))})
 
 
 def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model:
@@ -263,22 +333,35 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _apply_term(term: AggregationTerm, ops: GraphOperators, h: np.ndarray) -> np.ndarray:
-    """Op_t(h); every operator is symmetric, so this is also its transpose."""
-    if term.op == OP_SELF_LOOP:
-        return ops.adjacency_with_loops @ h
-    if term.op == OP_POWER:
-        for _ in range(term.k):
-            h = ops.adjacency @ h
-        return h
-    return ops.closed_walk_diag(term.k).reshape(-1, 1) * h
+def _column(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-node coefficients ``v`` shaped to scale the rows of ``h``."""
+    return v.reshape(*h.shape[:-1], 1)
 
 
-def forward(model: Model, ops: GraphOperators | Graph, x, *,
+def apply_term(term: AggregationTerm, ops, h: np.ndarray) -> np.ndarray:
+    """Op_t(h) on one graph's (n, d) rows or a stack's (G, n, d); every
+    operator is symmetric, so this is also its transpose."""
+    if term.op == OP_DIAG:
+        return _column(ops.closed_walk_diag(term.k), h) * h
+    a, times = ((ops.adjacency_with_loops, 1) if term.op == OP_SELF_LOOP
+                else (ops.adjacency, term.k))
+    rows = h.reshape(-1, h.shape[-1])
+    for _ in range(times):
+        rows = a @ rows
+    return rows.reshape(h.shape)
+
+
+def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
             dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-            saved: dict | None = None) -> np.ndarray:
-    """Run the model on one graph's node features (n x input_dim).
+            saved: dict | None = None, layer0: list | None = None) -> np.ndarray:
+    """Run the model on one graph's node features (n x input_dim) and
+    return its output rows (1 x output_dim for the sum readout, n x
+    output_dim for the node readout). On a :class:`GraphStack` of G
+    graphs, features and output gain a leading axis of length G, and each
+    graph's slice equals its own pass bit for bit.
 
+    ``layer0``, when given, is ``Op_t(x)`` for each of the spec's terms
+    in order, the layer-0 terms the pass would otherwise compute.
     Dropout runs when ``dropout_rate > 0``, with masks drawn from ``rng``;
     otherwise the pass is deterministic and repeated calls return
     identical values. When ``saved`` is a dict, the operators and
@@ -290,35 +373,39 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim == 1:
         xv = xv[:, None]
-    if xv.shape != (ops.graph.n, model.input_dim):
-        raise InputError(
-            f"features must be {(ops.graph.n, model.input_dim)}, got {xv.shape}")
+    want = (*ops.shape, model.input_dim)
+    if xv.ndim == 2 and ops.shape[0] == 1:
+        want = want[1:]
+    if xv.shape != want:
+        raise InputError(f"features must be {want}, got {xv.shape}")
     drop = dropout_rate > 0.0
     if drop and (rng is None or not dropout_rate < 1.0):
         raise InputError(f"training with dropout needs an rng and a rate below 1, "
                          f"got rate {dropout_rate}")
+    spec, p = model.spec, model.params
+    gates = _sigmoid(model.flat[model.gate_index]).reshape(spec.layers, -1)
     h = xv
-    p = model.params
     layers = []
-    spec = model.spec
     for i in range(spec.layers):
-        act = {"gates": [_sigmoid(p[f"layer{i}.theta{t}"]) for t in range(len(spec.terms))],
-               "terms": [_apply_term(term, ops, h) for term in spec.terms]}
-        h = functools.reduce(operator.add, [s * a for s, a in zip(act["gates"], act["terms"])])
+        terms = (layer0 if i == 0 and layer0 is not None
+                 else [apply_term(term, ops, h) for term in spec.terms])
+        act = {"gates": gates[i], "terms": terms, "dense": []}
+        h = functools.reduce(operator.add, [s * a for s, a in zip(gates[i], terms)])
         if spec.degree_normalize:
-            h = ops.inv_degree_plus_one.reshape(-1, 1) * h
-        if spec.mlp_depth >= 1:
-            h = _dense(p, f"layer{i}", 0, act, h)
-        if spec.mlp_depth == 2:
-            if drop:
+            h = _column(ops.inv_degree_plus_one, h) * h
+        for j, (wkey, bkey) in enumerate(model.map_keys[i]):
+            if j == 1 and drop:
                 act["keep"] = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
                 h = act["keep"] * h
-            h = _dense(p, f"layer{i}", 1, act, h)
+            z = h @ p[wkey] + p[bkey]
+            act["dense"].append((h, z))
+            h = np.maximum(z, LEAKY_SLOPE * z)
         if not np.isfinite(h).all():
             raise NumericError(f"layer {i} produced non-finite activations")
-        layers.append(act)
+        if saved is not None:
+            layers.append(act)
     if spec.readout == "sum":
-        h = h.sum(axis=0, keepdims=True)
+        h = h.sum(axis=-2, keepdims=True)
     head_x = h
     h = h @ p["head.w"] + p["head.b"]
     if not np.isfinite(h).all():
@@ -328,52 +415,45 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     return h
 
 
-def _dense(p: dict, layer: str, j: int, act: dict, x: np.ndarray) -> np.ndarray:
-    """LeakyReLU(x @ w_j + b_j), keeping x and the pre-activation in ``act``."""
-    act[f"x{j}"] = x
-    z = act[f"z{j}"] = x @ p[f"{layer}.w{j}"] + p[f"{layer}.b{j}"]
-    return np.where(z >= 0, z, LEAKY_SLOPE * z)
-
-
-def _dense_backward(p: dict, layer: str, j: int, act: dict, g: np.ndarray,
-                    grads: dict) -> np.ndarray:
-    """Back through :func:`_dense`: store the w_j and b_j gradients in
-    ``grads`` and return the gradient with respect to x."""
-    g = g * np.where(act[f"z{j}"] >= 0, 1.0, LEAKY_SLOPE)
-    grads[f"{layer}.w{j}"] = act[f"x{j}"].T @ g
-    grads[f"{layer}.b{j}"] = g.sum(axis=0, keepdims=True)
-    return g @ p[f"{layer}.w{j}"].T
-
-
-def backward(model: Model, saved: dict, d_out: np.ndarray) -> dict[str, np.ndarray]:
+def backward(model: Model, saved: dict, d_out: np.ndarray,
+             grads: MappingProxyType | None = None) -> MappingProxyType:
     """Gradient of a loss with respect to every parameter.
 
-    ``saved`` is what one :func:`forward` pass stored and ``d_out`` is
-    the loss gradient with respect to that pass's output. Each sum runs
-    in the order a reverse-mode tape over the same ops accumulates it
-    (the input gradient over the terms in term order), so the gradients
-    equal the tape's bit for bit.
+    ``saved`` is what one single-graph :func:`forward` pass stored and
+    ``d_out`` is the loss gradient with respect to that pass's output.
+    Every parameter's gradient is written into ``grads``, named views of
+    one vector in ``flat``'s layout (:meth:`Model.unflatten`; a new one
+    when omitted), which is returned. Each sum runs in the order a
+    reverse-mode tape over the same ops accumulates it (the input
+    gradient over the terms in term order), so the gradients equal the
+    tape's bit for bit.
     """
     p, ops, spec = model.params, saved["ops"], model.spec
-    grads: dict[str, np.ndarray] = {}
-    grads["head.w"] = saved["head_x"].T @ d_out
-    grads["head.b"] = d_out.sum(axis=0, keepdims=True)
+    if saved["head_x"].ndim != 2:
+        raise InputError("backward takes the pass of one graph, not of a stack")
+    if grads is None:
+        grads = model.unflatten(np.zeros_like(model.flat))
+    np.matmul(saved["head_x"].T, d_out, out=grads["head.w"])
+    d_out.sum(axis=0, keepdims=True, out=grads["head.b"])
     g = d_out @ p["head.w"].T
     if spec.readout == "sum":
-        g = np.repeat(g, ops.graph.n, axis=0)
+        g = np.repeat(g, ops.shape[1], axis=0)
     for i in reversed(range(spec.layers)):
         act = saved["layers"][i]
-        if spec.mlp_depth == 2:
-            g = _dense_backward(p, f"layer{i}", 1, act, g, grads)
-            if "keep" in act:
+        for j in reversed(range(spec.mlp_depth)):
+            wkey, bkey = model.map_keys[i][j]
+            x, z = act["dense"][j]
+            g = g * np.where(z >= 0, 1.0, LEAKY_SLOPE)
+            np.matmul(x.T, g, out=grads[wkey])
+            g.sum(axis=0, keepdims=True, out=grads[bkey])
+            g = g @ p[wkey].T
+            if j == 1 and "keep" in act:
                 g = act["keep"] * g
-        if spec.mlp_depth >= 1:
-            g = _dense_backward(p, f"layer{i}", 0, act, g, grads)
         if spec.degree_normalize:
-            g = ops.inv_degree_plus_one.reshape(-1, 1) * g
-        for t, (s, a) in enumerate(zip(act["gates"], act["terms"])):
-            grads[f"layer{i}.theta{t}"] = (g * a).sum() * s * (1.0 - s)
+            g = _column(ops.inv_degree_plus_one, g) * g
+        for key, s, a in zip(model.gate_keys[i], act["gates"], act["terms"]):
+            grads[key][...] = (g * a).sum() * s * (1.0 - s)
         if i > 0:
             g = functools.reduce(operator.add, [
-                _apply_term(term, ops, s * g) for term, s in zip(spec.terms, act["gates"])])
+                apply_term(term, ops, s * g) for term, s in zip(spec.terms, act["gates"])])
     return grads

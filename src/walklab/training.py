@@ -2,9 +2,14 @@
 
 One optimisation step consumes one graph: :func:`walklab.models.forward`,
 the mean squared error and its gradient with respect to the prediction,
-:func:`walklab.models.backward`, and an Adam update of the model's flat
-parameter vector from the gradients laid out the same way. The divergence
-check reads the MSE. :func:`adam_step` applies the L2 penalty
+:func:`walklab.models.backward` into one flat gradient vector, and an Adam
+update of the model's flat parameter vector from it. The divergence
+check reads the MSE. Each :class:`TrainItem` keeps its layer-0 terms
+``Op_t(X)``: its features are read-only, so they are computed once per
+graph and term and reused on every pass. :func:`evaluate` scores a split
+as one stacked pass per node count, in chunks of at most
+:data:`MAX_STACK_ENTRIES` activations, with the same losses bit for bit
+as one pass per graph. :func:`adam_step` applies the L2 penalty
 ``l2 * sum(w**2)`` to the coordinates the model's ``decay`` mask marks,
 the MLP and head weight matrices (gates and biases are not penalised), as
 coupled L2: its gradient ``2 * l2 * w`` joins the data gradient before the
@@ -20,13 +25,19 @@ and at ``2 * patience`` training stops. An improvement resets the count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, InputError, TrainingError
 from .graphs import Graph
-from .models import GraphOperators, Model, backward, forward
+from .models import (AggregationTerm, GraphOperators, GraphStack, Model, apply_term,
+                     backward, forward)
+
+# Most float64 entries (graphs x nodes x widest layer) of one activation in
+# a stacked evaluation pass: 512 KiB, so that evaluating a split adds a
+# few MiB at most to a worker. A larger split runs in several passes.
+MAX_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,30 +70,51 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainItem:
-    """One graph ready for training: cached operators, features, target."""
+    """One graph ready for training: cached operators, read-only
+    features, target, and the layer-0 terms computed so far."""
 
     ops: GraphOperators
     features: np.ndarray
     target: np.ndarray
+    _layer0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def layer0(self, terms) -> list[np.ndarray]:
+        """``Op_t(features)`` for each term, computed on first use and kept
+        read-only; the features cannot change, so a kept term is never stale."""
+        store = self._layer0
+        for term in terms:
+            if term not in store:
+                store[term] = apply_term(term, self.ops, self.features)
+                store[term].setflags(write=False)
+        return [store[term] for term in terms]
 
 
-def prepare_items(graphs, features, targets) -> list[TrainItem]:
+def prepare_items(graphs, features, targets,
+                  terms: tuple[AggregationTerm, ...] = ()) -> list[TrainItem]:
     """Bundle graphs with features and scalar or per-node targets.
 
-    A scalar target becomes 1 x 1 and a 1-D target a column. Each item's
+    A scalar target becomes 1 x 1, and a 1-D target or feature vector a
+    column. Features are copied read-only. Each item's
     :class:`GraphOperators` builds a structure matrix on first use and
-    keeps it for every later pass on that graph.
+    keeps it for every later pass on that graph; the operators and
+    layer-0 values of ``terms`` are built now.
     """
     items = []
     for g, x, y in zip(graphs, features, targets):
         if not isinstance(g, Graph):
             raise InputError("prepare_items expects Graph instances")
+        xv = np.array(x, dtype=np.float64)
+        if xv.ndim == 1:
+            xv = xv[:, None]
+        if xv.ndim != 2 or xv.shape[0] != g.n:
+            raise InputError(f"features of a {g.n}-node graph must be {g.n} rows, "
+                             f"got shape {xv.shape}")
+        xv.setflags(write=False)
         t = np.asarray(y, dtype=np.float64)
         if t.ndim < 2:
             t = t.reshape(-1, 1)
-        items.append(TrainItem(ops=GraphOperators(g),
-                               features=np.asarray(x, dtype=np.float64),
-                               target=t))
+        items.append(TrainItem(ops=GraphOperators(g), features=xv, target=t))
+        items[-1].layer0(terms)
     return items
 
 
@@ -94,7 +126,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if pred.size == 0:
         raise InputError("mse_loss needs at least one entry")
     diff = pred - target
-    return float((diff * diff).mean()), 2.0 * diff / diff.size
+    return float((diff * diff).sum() / diff.size), 2.0 * diff / diff.size
 
 
 ADAM_BETA1 = 0.9
@@ -120,7 +152,9 @@ def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr: float) -> None
     from its gradient ``g``.
 
     Coordinates in ``state.decay`` first get the coupled L2 gradient
-    ``2 * l2 * w`` added, on a copy: ``g`` is not modified.
+    ``2 * l2 * w`` added, on a copy: ``g`` is not modified. The moments
+    are updated in place, each product and sum in the order of
+    ``m = b1 * m + (1 - b1) * g`` and ``w -= lr * m_hat / (sqrt(v_hat) + eps)``.
     """
     state.step_count += 1
     t = state.step_count
@@ -128,11 +162,16 @@ def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr: float) -> None
     if state.l2 > 0:
         g = g.copy()
         g[state.decay] += (2.0 * state.l2) * w[state.decay]
-    state.m = b1 * state.m + (1 - b1) * g
-    state.v = b2 * state.v + (1 - b2) * (g * g)
-    m_hat = state.m / (1 - b1**t)
-    v_hat = state.v / (1 - b2**t)
-    w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.m *= b1
+    state.m += (1 - b1) * g
+    state.v *= b2
+    state.v += (1 - b2) * (g * g)
+    step = state.m / (1 - b1**t)
+    denom = np.sqrt(state.v / (1 - b2**t))
+    denom += ADAM_EPS
+    step *= lr
+    step /= denom
+    w -= step
 
 
 @dataclass(frozen=True)
@@ -149,16 +188,45 @@ class FitResult:
     best_epoch: int
     best_val: float
     stop_reason: str
+    lr_cuts: int
 
 
 def evaluate(model: Model, items) -> float:
-    """Mean MSE over items, inference mode (no dropout, no penalty)."""
+    """Mean MSE over items, inference mode (no dropout, no penalty).
+
+    Items with one node count run as one stacked forward pass, split so
+    that no activation holds more than :data:`MAX_STACK_ENTRIES` entries.
+    Each item's loss equals that of its own pass bit for bit, and the
+    losses are summed in item order.
+    """
     if not items:
         raise InputError("evaluate needs at least one item")
+    terms = model.spec.terms
+    width = max(model.input_dim, *(p.shape[1] for p in model.params.values()))
+    by_size: dict[int, list[int]] = {}
+    for k, item in enumerate(items):
+        by_size.setdefault(item.ops.graph.n, []).append(k)
+    losses = [0.0] * len(items)
+    for n, members in by_size.items():
+        per_pass = max(1, MAX_STACK_ENTRIES // (n * width))
+        for start in range(0, len(members), per_pass):
+            chunk = members[start:start + per_pass]
+            group = [items[k] for k in chunk]
+            pred = forward(model, GraphStack([it.ops for it in group]),
+                           np.stack([it.features for it in group]),
+                           layer0=[np.stack(col) for col in zip(*(it.layer0(terms)
+                                                                   for it in group))])
+            wrong = [it.target.shape for it in group if it.target.shape != pred.shape[1:]]
+            if wrong:
+                raise InputError(f"target shape {wrong[0]} does not match "
+                                 f"prediction {pred.shape[1:]}")
+            diff = pred - np.stack([it.target for it in group])
+            sq = (diff * diff).sum(axis=(1, 2)) / diff[0].size
+            for k, loss in zip(chunk, sq.tolist()):
+                losses[k] = loss
     total = 0.0
-    for item in items:
-        pred = forward(model, item.ops, item.features)
-        total += mse_loss(pred, item.target)[0]
+    for loss in losses:
+        total += loss
     return total / len(items)
 
 
@@ -174,6 +242,9 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
         raise InputError("fit needs nonempty train and validation splits")
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.flat, l2=cfg.l2, decay=model.decay)
+    grad = np.zeros_like(model.flat)
+    grads = model.unflatten(grad)
+    lr_cuts = 0
     lr = cfg.lr
     best_val = evaluate(model, val_items)
     best_snapshot = model.flat.copy()
@@ -188,11 +259,12 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
             item = train_items[int(idx)]
             saved: dict = {}
             pred = forward(model, item.ops, item.features, dropout_rate=cfg.dropout,
-                           rng=rng, saved=saved)
+                           rng=rng, saved=saved, layer0=item.layer0(model.spec.terms))
             loss, d_pred = mse_loss(pred, item.target)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            adam_step(state, model.flat, model.flatten(backward(model, saved, d_pred)), lr)
+            backward(model, saved, d_pred, grads)
+            adam_step(state, model.flat, grad, lr)
             train_mse_sum += loss
         val = evaluate(model, val_items)
         if not np.isfinite(val):
@@ -208,12 +280,13 @@ def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
         since_best += 1
         if since_best == cfg.patience:
             lr *= cfg.lr_factor
+            lr_cuts += 1
         elif since_best == 2 * cfg.patience:
             stop_reason = "early_stop"
             break
     model.flat[:] = best_snapshot
-    return FitResult(history=history, best_epoch=best_epoch,
-                     best_val=best_val, stop_reason=stop_reason)
+    return FitResult(history=history, best_epoch=best_epoch, best_val=best_val,
+                     stop_reason=stop_reason, lr_cuts=lr_cuts)
 
 
 def gradient_check(model: Model, item: TrainItem) -> float:
@@ -232,7 +305,8 @@ def gradient_check(model: Model, item: TrainItem) -> float:
             f"gradient check supports <= {max_params} coordinates, got {w.size}")
     saved: dict = {}
     pred = forward(model, item.ops, item.features, saved=saved)
-    analytic = model.flatten(backward(model, saved, mse_loss(pred, item.target)[1]))
+    analytic = np.zeros_like(w)
+    backward(model, saved, mse_loss(pred, item.target)[1], model.unflatten(analytic))
 
     def loss_value() -> float:
         return mse_loss(forward(model, item.ops, item.features), item.target)[0]

@@ -14,6 +14,7 @@ from walklab.experiments import (RESULTS_HEADER, demo_wl_gap, parse_config,
                                  read_config, region_report, run_experiment,
                                  write_report)
 from walklab.graphs import complete_graph, cycle_graph
+from walklab.models import spec_from_model_name
 
 
 def _tiny_dataset(tmp_path, n_graphs=9, n_nodes=8, seed=5):
@@ -233,6 +234,7 @@ class TestRunExperiment:
         assert report.summary["failed_folds"] == {"GCN-1L": [0, 1, 2]}
         assert "GCN-1L,2,nan,nan,nan" in report.results_csv()
         assert np.isfinite(report.summary["models"]["baseline"]["mean_test_mse"])
+        assert [(c["stop_reason"], c["epochs"]) for c in report.cells] == [("diverged", None)] * 3
 
 
     def test_non_finite_mse_is_a_failed_fold(self, tmp_path, monkeypatch):
@@ -274,6 +276,39 @@ class TestWorkerPool:
         assert one.results_csv() == two.results_csv()
         assert one.summary == two.summary
         assert len(one.rows) == 6 and one.summary["failed_folds"] == {}
+
+    @needs_fork
+    def test_cell_records_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path), models="baseline,GCN-L1-1L",
+                                        max_epochs="4", patience="1"))
+        records = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ex, "_worker_count", lambda trained, w=workers: w)
+            cells = run_experiment(cfg).cells
+            assert all(cell.pop("seconds") >= 0.0 for cell in cells)
+            records.append(cells)
+        assert records[0] == records[1]
+        assert [(c["model"], c["fold"]) for c in records[0]] == \
+            [("GCN-L1-1L", fold) for fold in range(3)]
+        for c in records[0]:
+            assert c["stop_reason"] in ("early_stop", "max_epochs")
+            assert 0 <= c["best_epoch"] <= c["epochs"] <= 4
+            assert 0 <= c["lr_cuts"] <= c["epochs"]
+
+    def test_operators_and_layer0_terms_built_before_cells_run(self, tmp_path, monkeypatch):
+        real_map = ex._map_cells
+        built = []
+
+        def inspecting_map(cells, workers):
+            for item in ex._RUN[2]:
+                built.append((list(item._layer0), "adjacency" in item.ops.__dict__))
+            return real_map(cells, workers)
+
+        monkeypatch.setattr(ex, "_map_cells", inspecting_map)
+        run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path),
+                                                 models="baseline,GCN-1L,GCN-D2-1L")))
+        d2 = list(spec_from_model_name("GCN-D2-1L").terms)
+        assert built == [(d2, True)] * 9
 
     @needs_fork
     def test_cells_run_in_worker_processes(self, tmp_path, monkeypatch):
@@ -327,6 +362,8 @@ class TestWriteReport:
         assert doc["dataset_size"] == 9
         assert "wall_clock_seconds" in doc
         assert set(doc["models"]) == {"baseline", "GCN-1L"}
+        assert [(c["model"], c["fold"], c["epochs"]) for c in doc["cells"]] == \
+            [("GCN-1L", fold, 3) for fold in range(3)]
 
     def test_summary_is_strict_json_with_null(self, tmp_path, monkeypatch):
         def exploding_fit(model, train_items, val_items, cfg):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,8 +8,9 @@ from walklab.errors import CapacityError, InputError, NumericError
 from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
                             from_edge_list, path_graph, relabel)
 from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, MAX_LAYERS, AggregationTerm,
-                            GraphOperators, ModelSpec, build_model, diag_power,
-                            forward, power, self_loop_adjacency, spec_from_model_name)
+                            GraphOperators, GraphStack, ModelSpec, apply_term, backward,
+                            build_model, diag_power, forward, power, self_loop_adjacency,
+                            spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
 
 from oracles import neighbours
@@ -287,3 +290,87 @@ class TestFlatLayout:
         m.params["head.b"][0, 0] += 1.0
         assert m.flat[-1] == last + 1.0
         assert np.allclose(forward(m, g, x), before + 1.0, rtol=0, atol=1e-12)
+
+
+# families x layers x mlp_depth x degree normalisation x readout
+STACK_GRID = list(itertools.product(sorted(FAMILIES), (1, 2, 3), (0, 1, 2), (False, True),
+                                    ("sum", "node")))
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("case", range(len(STACK_GRID)), ids=[
+        f"{family or 'plain'}-{layers}L-mlp{depth}-norm{int(norm)}-{readout}"
+        for family, layers, depth, norm, readout in STACK_GRID])
+    def test_stack_equals_each_graph_pass(self, case):
+        # every graph's slice of a stacked pass equals its own pass bit for
+        # bit, for stacks of two node counts and with or without the
+        # layer-0 terms handed in
+        family, layers, depth, normalize, readout = STACK_GRID[case]
+        rng = np.random.default_rng(case)
+        spec = ModelSpec(FAMILIES[family], layers, depth, normalize, readout, output_dim=2)
+        model = build_model(spec, input_dim=3, hidden_dim=5, seed=case)
+        for n, count in ((int(rng.integers(4, 9)), 3), (int(rng.integers(9, 14)), 2)):
+            ops = [GraphOperators(erdos_renyi(n, 0.4, int(rng.integers(1 << 30))))
+                   for _ in range(count)]
+            xs = rng.normal(size=(count, n, 3))
+            alone = [forward(model, o, x) for o, x in zip(ops, xs)]
+            stack = GraphStack(ops)
+            layer0 = [np.stack([apply_term(t, o, x) for o, x in zip(ops, xs)])
+                      for t in spec.terms]
+            for out in (forward(model, stack, xs), forward(model, stack, xs, layer0=layer0)):
+                assert out.shape == (count, *alone[0].shape)
+                for got, want in zip(out, alone):
+                    assert np.array_equal(got, want)
+
+    def test_stack_of_one_node_count_only(self):
+        ops = [GraphOperators(path_graph(3)), GraphOperators(path_graph(4))]
+        with pytest.raises(InputError, match="one node count"):
+            GraphStack(ops)
+        with pytest.raises(InputError):
+            GraphStack([])
+
+    def test_stack_features_checked(self):
+        m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
+        stack = GraphStack([GraphOperators(path_graph(3))] * 2)
+        with pytest.raises(InputError, match=r"\(2, 3, 1\)"):
+            forward(m, stack, np.ones((3, 1)))
+        with pytest.raises(InputError):
+            forward(m, stack, np.ones((3, 3, 1)))
+
+    def test_block_diagonal_matrices_hold_each_graph(self):
+        graphs = [erdos_renyi(7, 0.5, s) for s in range(4)]
+        stack = GraphStack([GraphOperators(g) for g in graphs])
+        for name in ("adjacency", "adjacency_with_loops"):
+            want = sparse.block_diag([getattr(GraphOperators(g), name) for g in graphs])
+            assert np.array_equal(getattr(stack, name).toarray(), want.toarray())
+
+    def test_backward_takes_one_graph(self):
+        m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
+        saved = {}
+        stack = GraphStack([GraphOperators(path_graph(3))] * 2)
+        out = forward(m, stack, np.ones((2, 3, 1)), saved=saved)
+        with pytest.raises(InputError, match="one graph"):
+            backward(m, saved, np.ones_like(out))
+
+
+class TestGradientViews:
+    def test_backward_fills_every_coordinate_of_the_given_vector(self):
+        g = erdos_renyi(9, 0.4, 5)
+        m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 4, seed=1)
+        saved = {}
+        pred = forward(m, g, np.ones((9, 1)), saved=saved)
+        fresh = backward(m, saved, np.ones_like(pred))
+        vec = np.full_like(m.flat, np.nan)
+        views = m.unflatten(vec)
+        assert backward(m, saved, np.ones_like(pred), views) is views
+        assert np.isfinite(vec).all()
+        assert all(np.array_equal(views[k], fresh[k]) for k in m.params)
+        assert all(np.shares_memory(v, vec) for v in views.values())
+
+    def test_gate_index_names_the_gate_coordinates(self):
+        m = build_model(spec_from_model_name("GCN-L1-3L"), 1, 4, seed=0)
+        for i, keys in enumerate(m.gate_keys):
+            for key in keys:
+                m.params[key][...] = i + 1.0
+        assert m.flat[m.gate_index].tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        assert m.map_keys[2] == (("layer2.w0", "layer2.b0"), ("layer2.w1", "layer2.b1"))

@@ -156,6 +156,37 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(model, [])
 
+    @staticmethod
+    def _one_pass_per_item(model, items):
+        total = 0.0
+        for item in items:
+            total += mse_loss(forward(model, item.ops, item.features), item.target)[0]
+        return total / len(items)
+
+    @pytest.mark.parametrize("name", ["GCN-2L", "GCN-L1-1L", "GCN-D2-3L"])
+    @pytest.mark.parametrize("readout", ["sum", "node"])
+    @pytest.mark.parametrize("budget", [training.MAX_STACK_ENTRIES, 40])
+    def test_equals_one_pass_per_item(self, monkeypatch, name, readout, budget):
+        # mixed node counts in shuffled order, scalar or per-node targets,
+        # and a budget of 40 entries that splits each node count's stack
+        # into passes of one or two graphs
+        monkeypatch.setattr(training, "MAX_STACK_ENTRIES", budget)
+        rng = np.random.default_rng(len(name) + len(readout))
+        sizes = rng.permutation([5] * 7 + [6] * 4 + [9] * 3)
+        graphs = [erdos_renyi(int(n), 0.5, int(rng.integers(1 << 30))) for n in sizes]
+        targets = [rng.normal(size=(g.n, 2)) if readout == "node" else rng.normal(size=(1, 2))
+                   for g in graphs]
+        items = prepare_items(graphs, [rng.normal(size=(g.n, 3)) for g in graphs], targets)
+        spec = replace(spec_from_model_name(name, True), readout=readout, output_dim=2)
+        model = build_model(spec, input_dim=3, hidden_dim=4, seed=3)
+        assert evaluate(model, items) == self._one_pass_per_item(model, items)
+
+    def test_target_shape_checked(self):
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
+        items = _ones_items([complete_graph(3)], [np.ones(3)])
+        with pytest.raises(InputError, match="target shape"):
+            evaluate(model, items)
+
 
 class TestPrepareItems:
     def test_scalar_target_becomes_1x1(self):
@@ -166,6 +197,31 @@ class TestPrepareItems:
     def test_rejects_non_graph(self):
         with pytest.raises(InputError):
             prepare_items([object()], [np.ones((2, 1))], [0.0])
+
+    def test_rejects_features_of_another_node_count(self):
+        with pytest.raises(InputError, match="3 rows"):
+            prepare_items([complete_graph(3)], [np.ones((4, 1))], [0.0])
+
+    def test_features_are_a_read_only_copy(self):
+        x = np.ones(3)
+        item = prepare_items([complete_graph(3)], [x], [0.0])[0]
+        assert item.features.shape == (3, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            item.features[0, 0] = 2.0
+        x[0] = 2.0
+        assert item.features[0, 0] == 1.0
+
+    def test_layer0_terms_built_once_and_read_only(self):
+        terms = spec_from_model_name("GCN-D2-1L").terms
+        item = _ones_items([erdos_renyi(8, 0.5, 1)], [0.0])[0]
+        first = item.layer0(terms)
+        assert all(a is b for a, b in zip(first, item.layer0(terms)))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0, 0] = 0.0
+        built = prepare_items([erdos_renyi(8, 0.5, 1)], [np.ones((8, 1))], [0.0],
+                              terms=terms)[0]
+        assert [t for t in terms if t in built._layer0] == list(terms)
+        assert all(np.array_equal(a, b) for a, b in zip(first, built.layer0(terms)))
 
 
 class TestFit:
@@ -190,6 +246,7 @@ class TestFit:
             assert result.best_val == 0.0
             assert [s.lr for s in result.history[1:]] == \
                 [cfg.lr] * patience + [cfg.lr * cfg.lr_factor] * patience
+            assert result.lr_cuts == 1
             assert np.array_equal(model.flat, init)
 
     def test_improvement_resets_the_plateau_count(self, monkeypatch):
@@ -208,6 +265,7 @@ class TestFit:
         lr, f = cfg.lr, cfg.lr_factor
         assert [s.lr for s in result.history[1:]] == \
             [lr, lr, lr * f, lr * f, lr * f, lr * f * f, lr * f * f]
+        assert result.lr_cuts == 2
 
     def test_constant_target_converges(self):
         # one graph, constant target: the optimiser has to drive a single
@@ -269,6 +327,38 @@ class TestFit:
             fit(model, [], items, TrainConfig())
         with pytest.raises(InputError):
             fit(model, items, [], TrainConfig())
+
+
+class _CountingMatrix:
+    """A sparse matrix that counts the products taken with it."""
+
+    def __init__(self, a):
+        self.a, self.products = a, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.a @ other
+
+
+class TestLayer0Store:
+    @pytest.mark.parametrize("name", ["GCN-1L", "GCN-D2-1L"])
+    def test_fit_takes_each_layer0_product_once_per_item(self, name):
+        # a one-layer model takes sparse products in layer 0 only: one with
+        # A + I per item and, for D2, two with A (the power-2 term), however
+        # many steps and evaluations run
+        graphs = [erdos_renyi(8, 0.4, s) for s in range(5)]
+        items = _ones_items(graphs, [1.0, 2.0, 3.0, 4.0, 5.0])
+        counters = []
+        for item in items:
+            for attr in ("adjacency", "adjacency_with_loops"):
+                counters.append((attr, _CountingMatrix(getattr(item.ops, attr))))
+                item.ops.__dict__[attr] = counters[-1][1]
+        model = build_model(spec_from_model_name(name), input_dim=1, hidden_dim=4, seed=0)
+        result = fit(model, items[:3], items[3:], TrainConfig(max_epochs=4, patience=4))
+        assert len(result.history) == 5  # 12 steps, 5 evaluations
+        evaluate(model, items)
+        per_item = {"adjacency": 2 if "D2" in name else 0, "adjacency_with_loops": 1}
+        assert [c.products for _, c in counters] == [per_item[attr] for attr, _ in counters]
 
 
 class TestGradientCheck:
