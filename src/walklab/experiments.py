@@ -11,14 +11,19 @@ column, so everything a model learns comes from graph structure.
 Each (model, fold) cell trains from its own seed, derived as
 ``SeedSequence(seed, model_index, fold_index)``, and no cell's result
 depends on another cell; results therefore depend only on the config
-contents, not on the order in which cells run. So the cells train in
-parallel: a pool of forked worker processes, one per usable core and
-never more, inherits the prepared graphs and returns the rows in cell
-order. Every graph's structure operators and layer-0 terms, for every
-term the configured models sum, are built before the fork, so no worker
-rebuilds them. With one usable core, or where the platform cannot fork,
-the same cell function runs in this process. ``results.csv`` carries one
-row per cell and is byte-identical for any core count.
+contents, not on the order or the grouping in which cells run. The
+folds of one model train in lockstep, as one group whose every step is
+one stacked pass (:func:`walklab.training.fit`); with fewer trained
+models than workers, each model's folds are cut into one group per
+worker, and no group holds more than :data:`MAX_GROUP_PARAMS`
+coordinates. The groups train in parallel: a pool of forked worker
+processes, one per usable core and never more, inherits the prepared
+graphs and returns the rows in cell order. Every graph's structure
+operators and layer-0 terms, for every term the configured models sum,
+are built before the fork, so no worker rebuilds them. With one usable
+core, or where the platform cannot fork, the same group function runs in
+this process. ``results.csv`` carries one row per cell and is
+byte-identical for any core count.
 ``summary.json`` aggregates mean/std test MSE per model next to the
 mean-predictor baseline and lists, under ``cells``, how each trained
 cell's training went; only its timings depend on the core count.
@@ -47,6 +52,12 @@ from .walks import triangle_counts_per_node
 from .wl import Verdict, augmented_distinguish, is_isomorphic_small, wl_distinguish
 
 RESULTS_HEADER = "model,fold,train_mse,val_mse,test_mse"
+
+# Most parameter coordinates (cells x coordinates per model) in one lockstep
+# group: training holds about six arrays of that size (the weights, the
+# gradient, two Adam moments, the best snapshots and Adam's temporaries),
+# 32 MiB each at this cap. A model of more coordinates trains a cell a group.
+MAX_GROUP_PARAMS = 1 << 22
 
 # How a config value is read, by the annotation of the field it fills
 _PARSERS = {"str": str, "int": int, "float": float,
@@ -159,9 +170,11 @@ class Row:
 class ExperimentReport:
     """``cells`` holds one record per trained cell, in cell order: its
     model and fold, the epochs run, the best epoch, the stop reason
-    (``early_stop``, ``max_epochs`` or ``diverged``), the lr cuts and the
-    seconds it took. A diverged cell records None (null in ``summary.json``)
-    for the epochs, best epoch and lr cuts."""
+    (``early_stop``, ``max_epochs`` or ``diverged``), the lr cuts and
+    ``seconds``, the wall time of the lockstep group the cell trained in
+    (building, training and scoring all of the group's cells), so cells
+    of one group record the same seconds. A diverged cell records None
+    (null in ``summary.json``) for the epochs, best epoch and lr cuts."""
 
     config: dict
     rows: list[Row]
@@ -205,70 +218,102 @@ def _worker_count(trained_cells: int) -> int:
 _RUN: tuple | None = None
 
 
-def _run_cell(cell: tuple[int, str, int]) -> tuple[Row, dict | None]:
-    """Train (or, for the baseline, score) model ``mi`` on fold ``fold``:
-    its row and, for a trained cell, its record in ``cells``."""
-    mi, name, fold = cell
+def _run_group(group: tuple[int, str, tuple[int, ...]]) -> list[tuple[Row, dict | None]]:
+    """Train (or, for the baseline, score) model ``mi`` on each of its
+    ``folds`` as one lockstep group: per fold, in order, its row and, for
+    a trained cell, its record in ``cells``."""
+    mi, name, folds = group
     cfg, plan, items, targets = _RUN
-    train_idx, val_idx, test_idx = plan.round(fold)
+    rounds = [plan.round(fold) for fold in folds]
     if name.lower() == "baseline":
-        train_t = [targets[i] for i in train_idx]
-        return Row(model=name, fold=fold,
-                   train_mse=baseline_mean(train_t, train_t),
-                   val_mse=baseline_mean(train_t, [targets[i] for i in val_idx]),
-                   test_mse=baseline_mean(train_t, [targets[i] for i in test_idx])), None
+        out = []
+        for fold, (train_idx, val_idx, test_idx) in zip(folds, rounds):
+            train_t = [targets[i] for i in train_idx]
+            out.append((Row(model=name, fold=fold,
+                            train_mse=baseline_mean(train_t, train_t),
+                            val_mse=baseline_mean(train_t, [targets[i] for i in val_idx]),
+                            test_mse=baseline_mean(train_t, [targets[i] for i in test_idx])), None))
+        return out
     start = time.perf_counter()
-    ss = np.random.SeedSequence(cfg.seed, spawn_key=(mi, fold))
-    build_seed, fit_seed = [int(s) for s in ss.generate_state(2)]
-    model = build_model(cfg.model_spec(name), input_dim=1, hidden_dim=cfg.hidden,
-                        seed=build_seed)
-    train_items = [items[i] for i in train_idx]
-    val_items = [items[i] for i in val_idx]
-    test_items = [items[i] for i in test_idx]
-    try:
-        result = fit(model, train_items, val_items, replace(cfg.train, seed=fit_seed))
-        row = Row(model=name, fold=fold,
-                  train_mse=evaluate(model, train_items),
-                  val_mse=result.best_val,
-                  test_mse=evaluate(model, test_items))
-        record = {"epochs": len(result.history) - 1, "best_epoch": result.best_epoch,
-                  "stop_reason": result.stop_reason, "lr_cuts": result.lr_cuts}
-    except (TrainingError, NumericError):
+    seeds = [[int(s) for s in np.random.SeedSequence(cfg.seed, spawn_key=(mi, fold))
+              .generate_state(2)] for fold in folds]
+    spec = cfg.model_spec(name)
+    models = [build_model(spec, input_dim=1, hidden_dim=cfg.hidden, seed=build_seed)
+              for build_seed, _ in seeds]
+    stack = models[0].with_flat(np.stack([m.flat for m in models]))
+    splits = [[[items[i] for i in idx] for idx in r] for r in rounds]
+    results = fit(stack, [s[0] for s in splits], [s[1] for s in splits],
+                  [replace(cfg.train, seed=fit_seed) for _, fit_seed in seeds])
+    out = []
+    for f, (fold, result, (train_items, _, test_items)) in enumerate(zip(folds, results, splits)):
         row = Row(model=name, fold=fold, train_mse=float("nan"),
                   val_mse=float("nan"), test_mse=float("nan"))
         record = {"epochs": None, "best_epoch": None, "stop_reason": "diverged", "lr_cuts": None}
-    return row, {"model": name, "fold": fold, **record, "seconds": time.perf_counter() - start}
+        if result.stop_reason != "diverged":
+            model = stack.with_flat(stack.flat[f])
+            try:
+                row = Row(model=name, fold=fold,
+                          train_mse=evaluate(model, train_items),
+                          val_mse=result.best_val,
+                          test_mse=evaluate(model, test_items))
+                record = {"epochs": len(result.history) - 1, "best_epoch": result.best_epoch,
+                          "stop_reason": result.stop_reason, "lr_cuts": result.lr_cuts}
+            except NumericError:
+                pass
+        out.append((row, record))
+    seconds = time.perf_counter() - start
+    return [(row, {"model": name, "fold": fold, **record, "seconds": seconds})
+            for fold, (row, record) in zip(folds, out)]
 
 
-def _map_cells(cells: list[tuple[int, str, int]], workers: int) -> list[tuple[Row, dict | None]]:
-    """:func:`_run_cell` over ``cells``, in order, on ``workers`` forked
-    processes, or in this process when there is one worker or no fork."""
+def _group_cost(group: tuple[int, str, tuple[int, ...]]) -> tuple[int, int]:
+    """A rough order of the training time of a group: its cells times its
+    model's layers, then the terms per layer (a baseline costs nothing)."""
+    _, name, folds = group
+    if name.lower() == "baseline":
+        return 0, 0
+    spec = _RUN[0].model_spec(name)
+    return len(folds) * spec.layers, len(spec.terms)
+
+
+def _map_groups(groups: list[tuple[int, str, tuple[int, ...]]],
+                workers: int) -> list[tuple[Row, dict | None]]:
+    """:func:`_run_group` over ``groups`` on ``workers`` forked processes,
+    costliest first, or in this process when there is one worker or no
+    fork: every cell's row and record, in the order of ``groups``."""
     import multiprocessing
 
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(_run_cell, cells))
+        return [cell for group in map(_run_group, groups) for cell in group]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    # the pool hands groups out in the order given: a costly group handed
+    # out last would leave the other workers idle
+    order = sorted(range(len(groups)), key=lambda i: _group_cost(groups[i]), reverse=True)
     # fork, not spawn: a forked worker inherits _RUN, where a spawned one
     # would re-import the package and unpickle every graph
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_cell, cells))
+            done = dict(zip(order, pool.map(_run_group, [groups[i] for i in order])))
+        return [cell for i in range(len(groups)) for cell in done[i]]
     except BrokenProcessPool as exc:
-        raise TrainingError(f"a worker process died while training {len(cells)} cells") from exc
+        cells = sum(len(folds) for _, _, folds in groups)
+        raise TrainingError(f"a worker process died while training {cells} cells") from exc
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> ExperimentReport:
     """Train every configured model over every fold and aggregate.
 
-    The (model, fold) cells run in a pool of forked processes, one per
-    usable core, and come back in cell order. A fold whose training
-    diverges (a non-finite loss or non-finite activations) is recorded
-    with NaN losses. Every cell with a non-finite MSE is listed under
-    ``failed_folds``; the remaining folds still aggregate. A worker that
-    dies raises :class:`TrainingError`; any other exception in a cell
-    reaches the caller with its type.
+    The folds of each trained model train as one lockstep group; with
+    fewer trained models than workers, each model's folds are cut into
+    one group per worker. The groups run in a pool of forked processes,
+    one per usable core, and their cells come back in cell order. A fold
+    whose training diverges (a non-finite loss or non-finite activations)
+    is recorded with NaN losses. Every cell with a non-finite MSE is
+    listed under ``failed_folds``; the remaining folds still aggregate. A
+    worker that dies raises :class:`TrainingError`; any other exception
+    in a group reaches the caller with its type.
     """
     global _RUN
     start = time.monotonic()
@@ -280,10 +325,20 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
     trained = [name for name in cfg.models if name.lower() != "baseline"]
     terms = tuple(dict.fromkeys(t for name in trained for t in cfg.model_spec(name).terms))
     items = prepare_items(graphs, features, targets, terms=terms)
-    cells = [(mi, name, fold) for mi, name in enumerate(cfg.models) for fold in range(plan.k)]
+    workers = _worker_count(len(trained) * plan.k)
+    groups = []
+    for mi, name in enumerate(cfg.models):
+        cuts = 1
+        if name.lower() != "baseline":
+            size = build_model(cfg.model_spec(name), 1, cfg.hidden, seed=0).flat.size
+            per_group = max(1, MAX_GROUP_PARAMS // size)
+            cuts = min(plan.k, max(workers if len(trained) < workers else 1,
+                                   -(-plan.k // per_group)))
+        groups += [(mi, name, tuple(range(plan.k * j // cuts, plan.k * (j + 1) // cuts)))
+                   for j in range(cuts)]
     _RUN = (cfg, plan, items, targets)
     try:
-        rows, records = zip(*_map_cells(cells, _worker_count(len(trained) * plan.k)))
+        rows, records = zip(*_map_groups(groups, workers))
     finally:
         _RUN = None
     failed: dict[str, list[int]] = {}

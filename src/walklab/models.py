@@ -25,27 +25,34 @@ last layer a Sum readout collapses node rows to one vector and a linear
 head maps it to the output dimension; a node-level readout that skips
 the pooling is available for inspection and tests.
 
-A model keeps every parameter in one float64 vector, ``Model.flat``;
-``Model.params`` names reshaped views into it, and
-:meth:`Model.unflatten` names the same views into any vector of that
-layout. :func:`forward` serves inference and training (dropout when
-``dropout_rate > 0``) and can keep the activations that :func:`backward`
-needs; ``backward`` is the hand-written gradient of that same pass,
-written into named views of one flat gradient vector. Every structural
-operator is symmetric, so a term's backward pass is the term itself
-applied to the gated upstream gradient.
+A model keeps every parameter in one float64 vector, ``Model.flat``; a
+stack of F models with one spec keeps an (F, P) array, row f for model
+f, and a single model is just the vector. ``Model.params`` names
+reshaped views into it, :meth:`Model.unflatten` names the same views
+into any array of that layout, and :meth:`Model.with_flat` binds the
+spec to another such array (a row of a stack, or a stack of several
+models' vectors). :func:`forward` serves inference and training (dropout
+when ``dropout_rate > 0``) and can keep the activations that
+:func:`backward` needs; ``backward`` is the hand-written gradient of that
+same pass, written into named views of one gradient array. Every
+structural operator is symmetric, so a term's backward pass is the term
+itself applied to the gated upstream gradient.
 
 One ``forward`` runs one graph's (n, d) rows or a :class:`GraphStack` of
-G graphs with a common node count as (G, n, d). Dense products on the
-stack are batched matmuls over the leading axis and the structural terms
-act on a block-diagonal CSR matrix, so every graph's output equals its
-own single-graph pass bit for bit. The caller may hand in the layer-0
-terms ``Op_t(X)``, which depend only on the graph and its features, so
-that a graph seen on every step computes them once.
+G graphs with a common node count as (G, n, d): one model on every graph
+(evaluation), or a stack of G models, model g on graph g (a lockstep
+training step, which ``backward`` then differentiates row by row). Dense
+products on the stack are batched matmuls over the leading axis and the
+structural terms act on a block-diagonal CSR matrix, so every graph's
+output, and every model's gradient, equals its own single-graph pass bit
+for bit. The caller may hand in the layer-0 terms ``Op_t(X)``, which
+depend only on the graph and its features, so that a graph seen on every
+step computes them once.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import operator
 import re
@@ -57,7 +64,7 @@ from scipy import sparse
 
 from .errors import CapacityError, InputError, NumericError
 from .graphs import Graph, degrees
-from .walks import adjacency_csr, diag_closed_walks
+from .walks import diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
 # hidden x hidden float64 matrices (w1, and w0 after the first layer),
@@ -65,7 +72,8 @@ from .walks import adjacency_csr, diag_closed_walks
 # ``flat``, the flat gradient, two Adam moments and the best snapshot)
 # plus Adam's short-lived temporaries, and build_model briefly holds a
 # sixth, the drawn arrays it concatenates into ``flat``: about 100 MB per
-# layer in every worker.
+# layer and cell in every worker. A lockstep group trains several cells at
+# once, so experiments cap its coordinates (experiments.MAX_GROUP_PARAMS).
 MAX_HIDDEN_DIM = 1024
 
 # Deepest model spec_from_model_name builds; the experiments use at most 3.
@@ -178,6 +186,8 @@ class GraphOperators:
     Gradients never flow into these; they are fixed functions of the
     graph, built once and shared by every forward pass on it. ``shape``
     is (graphs, nodes per graph), here (1, n), as for a :class:`GraphStack`.
+    Each float matrix is one CSR constructor over the graph's own
+    ``indptr``/``indices``, with the entries in scipy's sorted order.
     """
 
     def __init__(self, g: Graph):
@@ -187,12 +197,23 @@ class GraphOperators:
 
     @functools.cached_property
     def adjacency(self):
-        return adjacency_csr(self.graph).astype(np.float64)
+        g = self.graph
+        return sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
 
     @functools.cached_property
     def adjacency_with_loops(self):
-        return (adjacency_csr(self.graph).astype(np.float64)
-                + sparse.eye_array(self.graph.n, format="csr"))
+        g = self.graph
+        row = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        # an entry moves past one diagonal per earlier row, and past its
+        # own row's diagonal when its column is greater
+        at = np.arange(g.indices.size) + row + (g.indices > row)
+        indices = np.empty(g.indices.size + g.n, dtype=g.indices.dtype)
+        diagonal = np.ones(indices.size, dtype=bool)
+        diagonal[at] = False
+        indices[at] = g.indices
+        indices[diagonal] = np.arange(g.n)
+        indptr = g.indptr + np.arange(g.n + 1, dtype=g.indptr.dtype)
+        return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
 
     @functools.cached_property
     def inv_degree_plus_one(self) -> np.ndarray:
@@ -207,10 +228,15 @@ class GraphOperators:
 def _block_diagonal(mats) -> sparse.csr_array:
     """One CSR matrix with the square CSR ``mats``, all n x n, on its
     diagonal; every row keeps its entries in their order."""
+    if len(mats) == 1:
+        return mats[0]
     n = mats[0].shape[0]
-    starts = np.cumsum([0] + [a.indptr[-1] for a in mats[:-1]])  # each block's first entry
-    indptr = np.concatenate([[0]] + [a.indptr[1:] + k for a, k in zip(mats, starts)])
-    indices = np.concatenate([a.indices + k * n for k, a in enumerate(mats)])
+    ptr = np.stack([a.indptr for a in mats])  # (G, n + 1)
+    sizes = ptr[:, -1]
+    starts = np.cumsum(sizes) - sizes  # each block's first entry
+    indptr = np.concatenate([[0], (ptr[:, 1:] + starts[:, None]).ravel()])
+    indices = (np.concatenate([a.indices for a in mats])
+               + np.repeat(np.arange(0, len(mats) * n, n), sizes))
     data = np.concatenate([a.data for a in mats])
     return sparse.csr_array((data, indices, indptr), shape=(len(mats) * n,) * 2)
 
@@ -252,16 +278,19 @@ class GraphStack:
 
 
 class Model:
-    """A spec bound to concrete parameters.
+    """A spec bound to concrete parameters: one model, or a stack of F
+    models that share the spec and the layout.
 
-    ``flat`` holds every parameter in one float64 vector. ``params`` is a
-    read-only mapping from stable names, in creation order, to views of
-    ``flat`` in each parameter's shape: write into a view, never rebind
-    it. ``decay`` marks the coordinates of the linear-map weight matrices,
-    the ones the L2 penalty covers (gates and biases are not among them).
-    ``gate_index`` holds the coordinates of every gate, layer by layer
-    and term by term; ``gate_keys[i]`` and ``map_keys[i]`` name layer i's
-    gates and its MLP's (weight, bias) pairs.
+    ``flat`` holds every parameter: a vector of P coordinates for one
+    model, an (F, P) array for a stack whose row f is model f. ``params``
+    is a read-only mapping from stable names, in creation order, to views
+    of ``flat`` in each parameter's shape, behind the stack axis for a
+    stack: write into a view, never rebind it. ``decay`` marks the
+    coordinates of the linear-map weight matrices, the ones the L2 penalty
+    covers (gates and biases are not among them). ``gate_index`` holds the
+    coordinates of every gate, layer by layer and term by term;
+    ``gate_keys[i]`` and ``map_keys[i]`` name layer i's gates and its
+    MLP's (weight, bias) pairs.
     """
 
     def __init__(self, spec: ModelSpec, input_dim: int,
@@ -284,9 +313,24 @@ class Model:
 
     def unflatten(self, vec: np.ndarray) -> MappingProxyType:
         """Read-only mapping from each parameter name to its view of
-        ``vec``, a vector in ``flat``'s layout (say, a gradient)."""
-        return MappingProxyType({name: chunk.reshape(shape) for (name, shape), chunk
-                                 in zip(self._shapes.items(), np.split(vec, self._splits))})
+        ``vec``, a vector or a stack of vectors in ``flat``'s layout (say,
+        a gradient)."""
+        lead = vec.shape[:-1]
+        return MappingProxyType({name: chunk.reshape(*lead, *shape) for (name, shape), chunk
+                                 in zip(self._shapes.items(),
+                                        np.split(vec, self._splits, axis=-1))})
+
+    def with_flat(self, flat: np.ndarray) -> Model:
+        """This model's spec and layout over ``flat``, without a copy: a
+        vector for one model (say, ``self.flat[f]``, row f of a stack) or
+        an (F, P) array for a stack of F models."""
+        if flat.ndim not in (1, 2) or flat.shape[-1] != self.decay.size:
+            raise InputError(f"parameters must be ({self.decay.size},) or "
+                             f"(F, {self.decay.size}), got {flat.shape}")
+        model = copy.copy(self)
+        model.flat = flat
+        model.params = self.unflatten(flat)
+        return model
 
 
 def build_model(spec: ModelSpec, input_dim: int, hidden_dim: int, seed) -> Model:
@@ -352,21 +396,26 @@ def apply_term(term: AggregationTerm, ops, h: np.ndarray) -> np.ndarray:
 
 
 def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
-            dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-            saved: dict | None = None, layer0: list | None = None) -> np.ndarray:
+            dropout_rate: float = 0.0, rng=None, saved: dict | None = None,
+            layer0: list | None = None, finite: np.ndarray | None = None) -> np.ndarray:
     """Run the model on one graph's node features (n x input_dim) and
     return its output rows (1 x output_dim for the sum readout, n x
     output_dim for the node readout). On a :class:`GraphStack` of G
     graphs, features and output gain a leading axis of length G, and each
-    graph's slice equals its own pass bit for bit.
+    graph's slice equals its own pass bit for bit. One model runs every
+    graph of the stack; a stack of F models runs a stack of F graphs,
+    model f on graph f.
 
     ``layer0``, when given, is ``Op_t(x)`` for each of the spec's terms
     in order, the layer-0 terms the pass would otherwise compute.
-    Dropout runs when ``dropout_rate > 0``, with masks drawn from ``rng``;
-    otherwise the pass is deterministic and repeated calls return
-    identical values. When ``saved`` is a dict, the operators and
-    activations :func:`backward` needs are stored in it. Non-finite activations raise
-    :class:`NumericError` naming the layer.
+    Dropout runs when ``dropout_rate > 0``, with masks drawn from ``rng``:
+    one generator for the whole pass, or one per graph of the stack,
+    each drawing its graph's masks. Otherwise the pass is deterministic
+    and repeated calls return identical values. When ``saved`` is a dict,
+    the operators and activations :func:`backward` needs are stored in
+    it. Non-finite activations raise :class:`NumericError` naming the
+    layer, unless ``finite``, one flag per graph of the stack, is given:
+    then the flag of each graph with a non-finite activation is cleared.
     """
     if isinstance(ops, Graph):
         ops = GraphOperators(ops)
@@ -378,81 +427,99 @@ def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
         want = want[1:]
     if xv.shape != want:
         raise InputError(f"features must be {want}, got {xv.shape}")
+    if model.flat.ndim == 2 and model.flat.shape[0] != ops.shape[0]:
+        raise InputError(f"a stack of {model.flat.shape[0]} models runs one graph each, "
+                         f"got {ops.shape[0]} graphs")
     drop = dropout_rate > 0.0
     if drop and (rng is None or not dropout_rate < 1.0):
         raise InputError(f"training with dropout needs an rng and a rate below 1, "
                          f"got rate {dropout_rate}")
     spec, p = model.spec, model.params
-    gates = _sigmoid(model.flat[model.gate_index]).reshape(spec.layers, -1)
+    lead = model.flat.shape[:-1]
+    # one gate per (layer, term), shaped to scale a graph's rows
+    gates = _sigmoid(model.flat[..., model.gate_index]).reshape(*lead, spec.layers, -1, 1, 1)
     h = xv
     layers = []
     for i in range(spec.layers):
         terms = (layer0 if i == 0 and layer0 is not None
                  else [apply_term(term, ops, h) for term in spec.terms])
-        act = {"gates": gates[i], "terms": terms, "dense": []}
-        h = functools.reduce(operator.add, [s * a for s, a in zip(gates[i], terms)])
+        act = {"gates": [gates[..., i, t, :, :] for t in range(len(spec.terms))],
+               "terms": terms, "dense": []}
+        h = functools.reduce(operator.add, [s * a for s, a in zip(act["gates"], terms)])
         if spec.degree_normalize:
             h = _column(ops.inv_degree_plus_one, h) * h
         for j, (wkey, bkey) in enumerate(model.map_keys[i]):
             if j == 1 and drop:
-                act["keep"] = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
+                draw = (rng.random(h.shape) if isinstance(rng, np.random.Generator)
+                        else np.stack([r.random(h.shape[1:]) for r in rng]))
+                act["keep"] = (draw >= dropout_rate) / (1.0 - dropout_rate)
                 h = act["keep"] * h
             z = h @ p[wkey] + p[bkey]
             act["dense"].append((h, z))
             h = np.maximum(z, LEAKY_SLOPE * z)
-        if not np.isfinite(h).all():
-            raise NumericError(f"layer {i} produced non-finite activations")
+        _check_finite(h, finite, f"layer {i} produced non-finite activations")
         if saved is not None:
             layers.append(act)
     if spec.readout == "sum":
         h = h.sum(axis=-2, keepdims=True)
     head_x = h
     h = h @ p["head.w"] + p["head.b"]
-    if not np.isfinite(h).all():
-        raise NumericError("output head produced non-finite values")
+    _check_finite(h, finite, "output head produced non-finite values")
     if saved is not None:
         saved.update(ops=ops, layers=layers, head_x=head_x)
     return h
+
+
+def _check_finite(h: np.ndarray, finite: np.ndarray | None, message: str) -> None:
+    """Raise ``message`` on a non-finite entry of ``h``, or, when
+    ``finite`` is given, clear the flag of each graph that holds one."""
+    if finite is None:
+        if not np.isfinite(h).all():
+            raise NumericError(message)
+    else:
+        finite &= np.isfinite(h).all(axis=(-2, -1))
 
 
 def backward(model: Model, saved: dict, d_out: np.ndarray,
              grads: MappingProxyType | None = None) -> MappingProxyType:
     """Gradient of a loss with respect to every parameter.
 
-    ``saved`` is what one single-graph :func:`forward` pass stored and
-    ``d_out`` is the loss gradient with respect to that pass's output.
-    Every parameter's gradient is written into ``grads``, named views of
-    one vector in ``flat``'s layout (:meth:`Model.unflatten`; a new one
-    when omitted), which is returned. Each sum runs in the order a
-    reverse-mode tape over the same ops accumulates it (the input
-    gradient over the terms in term order), so the gradients equal the
-    tape's bit for bit.
+    ``saved`` is what a :func:`forward` pass of one graph per model
+    stored (one model on one graph, or a stack of F models on F graphs)
+    and ``d_out`` is the loss gradient with respect to that pass's
+    output. Every parameter's gradient is written into ``grads``, named
+    views of an array in ``flat``'s layout (:meth:`Model.unflatten`; a
+    new one when omitted), which is returned. Row f of a stack's gradient
+    equals model f's own single-graph gradient bit for bit. Each sum runs
+    in the order a reverse-mode tape over the same ops accumulates it (the
+    input gradient over the terms in term order), so the gradients equal
+    the tape's bit for bit.
     """
     p, ops, spec = model.params, saved["ops"], model.spec
-    if saved["head_x"].ndim != 2:
-        raise InputError("backward takes the pass of one graph, not of a stack")
+    if saved["head_x"].ndim != model.flat.ndim + 1:
+        raise InputError("backward takes a pass of one graph per model")
     if grads is None:
         grads = model.unflatten(np.zeros_like(model.flat))
-    np.matmul(saved["head_x"].T, d_out, out=grads["head.w"])
-    d_out.sum(axis=0, keepdims=True, out=grads["head.b"])
-    g = d_out @ p["head.w"].T
+    np.matmul(saved["head_x"].swapaxes(-1, -2), d_out, out=grads["head.w"])
+    d_out.sum(axis=-2, keepdims=True, out=grads["head.b"])
+    g = d_out @ p["head.w"].swapaxes(-1, -2)
     if spec.readout == "sum":
-        g = np.repeat(g, ops.shape[1], axis=0)
+        g = np.repeat(g, ops.shape[1], axis=-2)
     for i in reversed(range(spec.layers)):
         act = saved["layers"][i]
         for j in reversed(range(spec.mlp_depth)):
             wkey, bkey = model.map_keys[i][j]
             x, z = act["dense"][j]
             g = g * np.where(z >= 0, 1.0, LEAKY_SLOPE)
-            np.matmul(x.T, g, out=grads[wkey])
-            g.sum(axis=0, keepdims=True, out=grads[bkey])
-            g = g @ p[wkey].T
+            np.matmul(x.swapaxes(-1, -2), g, out=grads[wkey])
+            g.sum(axis=-2, keepdims=True, out=grads[bkey])
+            g = g @ p[wkey].swapaxes(-1, -2)
             if j == 1 and "keep" in act:
                 g = act["keep"] * g
         if spec.degree_normalize:
             g = _column(ops.inv_degree_plus_one, g) * g
         for key, s, a in zip(model.gate_keys[i], act["gates"], act["terms"]):
-            grads[key][...] = (g * a).sum() * s * (1.0 - s)
+            grads[key][...] = (g * a).sum(axis=(-2, -1), keepdims=True) * s * (1.0 - s)
         if i > 0:
             g = functools.reduce(operator.add, [
                 apply_term(term, ops, s * g) for term, s in zip(spec.terms, act["gates"])])

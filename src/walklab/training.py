@@ -1,21 +1,29 @@
 """Full-batch-per-graph training with Adam, early stopping, and LR decay.
 
-One optimisation step consumes one graph: :func:`walklab.models.forward`,
-the mean squared error and its gradient with respect to the prediction,
-:func:`walklab.models.backward` into one flat gradient vector, and an Adam
-update of the model's flat parameter vector from it. The divergence
-check reads the MSE. Each :class:`TrainItem` keeps its layer-0 terms
-``Op_t(X)``: its features are read-only, so they are computed once per
-graph and term and reused on every pass. :func:`evaluate` scores a split
-as one stacked pass per node count, in chunks of at most
-:data:`MAX_STACK_ENTRIES` activations, with the same losses bit for bit
-as one pass per graph. :func:`adam_step` applies the L2 penalty
-``l2 * sum(w**2)`` to the coordinates the model's ``decay`` mask marks,
-the MLP and head weight matrices (gates and biases are not penalised), as
-coupled L2: its gradient ``2 * l2 * w`` joins the data gradient before the
-Adam moments, unlike decoupled (AdamW) decay. Validation is scored before
-the first epoch and after every epoch; the best validation snapshot, one
-copy of the flat vector, is what :func:`fit` returns.
+:func:`fit` trains a lockstep group of F cells (one model spec, one
+training config but the seed) as one stack of F models. Each step
+consumes one graph per cell: one stacked :func:`walklab.models.forward`,
+the mean squared error of each cell and its gradient with respect to the
+prediction, one stacked :func:`walklab.models.backward` into one (F, P)
+gradient array, and one Adam update of the (F, P) parameter stack from
+it. Each cell keeps its own rng (epoch permutation and dropout masks),
+learning rate, Adam step count, best snapshot, plateau count and stop
+reason, so its bits equal those of its training alone, the group of one,
+which is how a single model trains. The divergence check reads each
+cell's activations and MSE: a cell that diverges is frozen and reported
+as ``diverged`` while the others go on. Each :class:`TrainItem` keeps
+its layer-0 terms ``Op_t(X)``: its features are read-only, so they are
+computed once per graph and term and reused on every pass.
+:func:`evaluate` scores a split for one model as one stacked pass per
+node count, in chunks of at most :data:`MAX_STACK_ENTRIES` activations,
+with the same losses bit for bit as one pass per graph. :func:`adam_step`
+applies the L2 penalty ``l2 * sum(w**2)`` to the coordinates the model's
+``decay`` mask marks, the MLP and head weight matrices (gates and biases
+are not penalised), as coupled L2: its gradient ``2 * l2 * w`` joins the
+data gradient before the Adam moments, unlike decoupled (AdamW) decay.
+Validation is scored before the first epoch and after every epoch; each
+cell's best validation snapshot, one copy of its row, is what
+:func:`fit` leaves in the stack.
 
 The plateau schedule counts the epochs since the last new best: at
 ``patience`` of them the learning rate is multiplied by ``lr_factor``,
@@ -24,12 +32,13 @@ and at ``2 * patience`` training stops. An improvement resets the count.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapacityError, InputError, TrainingError
+from .errors import CapacityError, InputError, NumericError, TrainingError
 from .graphs import Graph
 from .models import (AggregationTerm, GraphOperators, GraphStack, Model, apply_term,
                      backward, forward)
@@ -118,15 +127,18 @@ def prepare_items(graphs, features, targets,
     return items
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple:
     """Mean squared error of a prediction and its gradient with respect to
-    the prediction; both arrays have the same nonempty shape."""
+    the prediction; both arrays have the same nonempty shape. The last two
+    axes are one graph's output rows: a stack of graphs gets one loss per
+    graph."""
     if pred.shape != target.shape:
         raise InputError(f"target shape {target.shape} does not match prediction {pred.shape}")
     if pred.size == 0:
         raise InputError("mse_loss needs at least one entry")
     diff = pred - target
-    return float((diff * diff).sum() / diff.size), 2.0 * diff / diff.size
+    size = diff.shape[-2] * diff.shape[-1]
+    return (diff * diff).sum(axis=(-2, -1)) / size, 2.0 * diff / size
 
 
 ADAM_BETA1 = 0.9
@@ -135,21 +147,24 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """First/second moment vectors over a flat parameter vector, and the L2
+    """First/second moment arrays and step counts over a flat parameter
+    vector or an (F, P) stack of them (one count per row), and the L2
     coefficient with the mask of the coordinates it applies to (none when
     ``decay`` is omitted)."""
 
     def __init__(self, w: np.ndarray, l2: float = 0.0, decay: np.ndarray | None = None):
         self.l2 = l2
-        self.decay = np.zeros(w.shape, dtype=bool) if decay is None else decay
-        self.step_count = 0
+        self.decay = np.zeros(w.shape[-1], dtype=bool) if decay is None else decay
+        self.step_count = np.zeros(w.shape[:-1], dtype=np.int64)
         self.m = np.zeros_like(w)
         self.v = np.zeros_like(w)
 
 
-def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr: float) -> None:
-    """One bias-corrected Adam update of the flat vector ``w``, in place,
-    from its gradient ``g``.
+def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr) -> None:
+    """One bias-corrected Adam update of ``w``, in place, from its
+    gradient ``g``: a flat vector, or an (F, P) stack whose rows step
+    independently, each with its own step count and with ``lr`` a float
+    or an (F, 1) column of rates.
 
     Coordinates in ``state.decay`` first get the coupled L2 gradient
     ``2 * l2 * w`` added, on a copy: ``g`` is not modified. The moments
@@ -157,21 +172,38 @@ def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr: float) -> None
     ``m = b1 * m + (1 - b1) * g`` and ``w -= lr * m_hat / (sqrt(v_hat) + eps)``.
     """
     state.step_count += 1
-    t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     if state.l2 > 0:
-        g = g.copy()
-        g[state.decay] += (2.0 * state.l2) * w[state.decay]
+        g = np.add(g, (2.0 * state.l2) * w, out=g.copy(), where=state.decay)
     state.m *= b1
     state.m += (1 - b1) * g
     state.v *= b2
     state.v += (1 - b2) * (g * g)
-    step = state.m / (1 - b1**t)
-    denom = np.sqrt(state.v / (1 - b2**t))
+    # bias corrections from Python floats, one per row
+    counts = state.step_count.reshape(-1).tolist()
+    shape = (*state.step_count.shape, 1)
+    step = state.m / np.reshape([1 - b1**t for t in counts], shape)
+    denom = np.sqrt(state.v / np.reshape([1 - b2**t for t in counts], shape))
     denom += ADAM_EPS
     step *= lr
     step /= denom
     w -= step
+
+
+def _adam_rows(state: AdamState, w: np.ndarray, g: np.ndarray, lr: np.ndarray,
+               rows: np.ndarray) -> None:
+    """:func:`adam_step` on rows ``rows`` of the stack ``w`` only, from
+    their gradients ``g`` and rates ``lr``; every other row, its moments
+    and its step count stay as they are."""
+    if rows.size == w.shape[0]:
+        adam_step(state, w, g, lr)
+        return
+    part = copy.copy(state)
+    part.m, part.v, part.step_count = state.m[rows], state.v[rows], state.step_count[rows]
+    w_rows = w[rows]
+    adam_step(part, w_rows, g, lr)
+    w[rows], state.m[rows], state.v[rows], state.step_count[rows] = \
+        w_rows, part.m, part.v, part.step_count
 
 
 @dataclass(frozen=True)
@@ -184,6 +216,11 @@ class EpochStats:
 
 @dataclass
 class FitResult:
+    """How one cell's training went. ``stop_reason`` is ``early_stop``,
+    ``max_epochs`` or ``diverged``: a non-finite loss or activation, after
+    which the cell's parameters stay as they were when it diverged and
+    ``history`` ends with the last epoch it completed."""
+
     history: list[EpochStats]
     best_epoch: int
     best_val: float
@@ -191,8 +228,25 @@ class FitResult:
     lr_cuts: int
 
 
+def _stacked(items, terms) -> tuple:
+    """The operators, features and layer-0 terms of ``items``, graphs of
+    one node count, as one stack."""
+    return (GraphStack([it.ops for it in items]), np.stack([it.features for it in items]),
+            [np.stack(col) for col in zip(*(it.layer0(terms) for it in items))])
+
+
+def _stacked_targets(items, shape) -> np.ndarray:
+    """The targets of ``items`` as one stack, each checked against the
+    ``shape`` of one graph's prediction."""
+    wrong = [it.target.shape for it in items if it.target.shape != shape]
+    if wrong:
+        raise InputError(f"target shape {wrong[0]} does not match prediction {shape}")
+    return np.stack([it.target for it in items])
+
+
 def evaluate(model: Model, items) -> float:
-    """Mean MSE over items, inference mode (no dropout, no penalty).
+    """Mean MSE of one model over items, inference mode (no dropout, no
+    penalty).
 
     Items with one node count run as one stacked forward pass, split so
     that no activation holds more than :data:`MAX_STACK_ENTRIES` entries.
@@ -201,8 +255,9 @@ def evaluate(model: Model, items) -> float:
     """
     if not items:
         raise InputError("evaluate needs at least one item")
-    terms = model.spec.terms
-    width = max(model.input_dim, *(p.shape[1] for p in model.params.values()))
+    if model.flat.ndim != 1:
+        raise InputError("evaluate scores one model, not a stack")
+    width = max(model.input_dim, *(p.shape[-1] for p in model.params.values()))
     by_size: dict[int, list[int]] = {}
     for k, item in enumerate(items):
         by_size.setdefault(item.ops.graph.n, []).append(k)
@@ -212,16 +267,9 @@ def evaluate(model: Model, items) -> float:
         for start in range(0, len(members), per_pass):
             chunk = members[start:start + per_pass]
             group = [items[k] for k in chunk]
-            pred = forward(model, GraphStack([it.ops for it in group]),
-                           np.stack([it.features for it in group]),
-                           layer0=[np.stack(col) for col in zip(*(it.layer0(terms)
-                                                                   for it in group))])
-            wrong = [it.target.shape for it in group if it.target.shape != pred.shape[1:]]
-            if wrong:
-                raise InputError(f"target shape {wrong[0]} does not match "
-                                 f"prediction {pred.shape[1:]}")
-            diff = pred - np.stack([it.target for it in group])
-            sq = (diff * diff).sum(axis=(1, 2)) / diff[0].size
+            ops, x, layer0 = _stacked(group, model.spec.terms)
+            pred = forward(model, ops, x, layer0=layer0)
+            sq = mse_loss(pred, _stacked_targets(group, pred.shape[1:]))[0]
             for k, loss in zip(chunk, sq.tolist()):
                 losses[k] = loss
     total = 0.0
@@ -230,63 +278,143 @@ def evaluate(model: Model, items) -> float:
     return total / len(items)
 
 
-def fit(model: Model, train_items, val_items, cfg: TrainConfig) -> FitResult:
-    """Train in place and leave the best-validation parameters on the model.
+def _val_loss(model: Model, row: int, items) -> float | None:
+    """:func:`evaluate` of row ``row`` of a stack; None when its
+    activations turn non-finite."""
+    try:
+        return evaluate(model.with_flat(model.flat[row]), items)
+    except NumericError:
+        return None
 
-    Validation is measured once before training (epoch 0), so the
-    returned snapshot can be the untouched initial model if training
-    only ever hurts. Non-finite losses abort with
-    :class:`TrainingError` carrying the epoch index.
+
+def fit(model: Model, train_items, val_items, cfg):
+    """Train a lockstep group of F cells in place: ``model`` is a stack of
+    F models, and cell f trains row f on ``train_items[f]``, validates on
+    ``val_items[f]`` and follows ``cfg[f]``, configs that differ only in
+    the seed. Returns one :class:`FitResult` per cell, and leaves each
+    cell's best-validation parameters in its row.
+
+    Every step runs one stacked forward pass, one stacked backward pass
+    and one Adam update for all cells, each on its own graph. A cell's
+    rng (its config's seed) draws its epoch permutation and its dropout
+    masks, and its rate, step count, best snapshot, plateau count and lr
+    cuts are its own, so each cell's bits equal those of its group of
+    one. Cells whose graphs differ in node count at a step run one stack
+    per node count. A cell with fewer training graphs sits out the last
+    steps of each epoch; a cell that stopped or diverged sits out the
+    rest, its parameters and moments frozen. Validation is measured once
+    before training (epoch 0), so a returned snapshot can be the untouched
+    initial model if training only ever hurts.
+
+    One model (a flat vector) with one train split, one validation split
+    and one config is the group of one: its result comes back alone, and
+    a cell that diverges raises :class:`TrainingError` carrying the epoch.
     """
-    if not train_items or not val_items:
+    if model.flat.ndim == 1:
+        result, = fit(model.with_flat(model.flat[None]), [train_items], [val_items], [cfg])
+        if result.stop_reason == "diverged":
+            raise TrainingError(f"non-finite loss or activations at epoch {len(result.history)}")
+        return result
+    cells = model.flat.shape[0]
+    if not len(train_items) == len(val_items) == len(cfg) == cells:
+        raise InputError(f"a group of {cells} cells needs {cells} train splits, "
+                         f"validation splits and configs")
+    if not all(train_items) or not all(val_items):
         raise InputError("fit needs nonempty train and validation splits")
-    rng = np.random.default_rng(cfg.seed)
-    state = AdamState(model.flat, l2=cfg.l2, decay=model.decay)
-    grad = np.zeros_like(model.flat)
-    grads = model.unflatten(grad)
-    lr_cuts = 0
-    lr = cfg.lr
-    best_val = evaluate(model, val_items)
-    best_snapshot = model.flat.copy()
-    best_epoch = 0
-    history = [EpochStats(epoch=0, train_loss=float("nan"), val_loss=best_val, lr=lr)]
-    since_best = 0
-    stop_reason = "max_epochs"
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(len(train_items))
-        train_mse_sum = 0.0
-        for idx in order:
-            item = train_items[int(idx)]
-            saved: dict = {}
-            pred = forward(model, item.ops, item.features, dropout_rate=cfg.dropout,
-                           rng=rng, saved=saved, layer0=item.layer0(model.spec.terms))
-            loss, d_pred = mse_loss(pred, item.target)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            backward(model, saved, d_pred, grads)
-            adam_step(state, model.flat, grad, lr)
-            train_mse_sum += loss
-        val = evaluate(model, val_items)
-        if not np.isfinite(val):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        history.append(EpochStats(epoch=epoch, val_loss=val, lr=lr,
-                                  train_loss=train_mse_sum / len(train_items)))
-        if val < best_val:
-            best_val = val
-            best_snapshot = model.flat.copy()
-            best_epoch = epoch
-            since_best = 0
-            continue
-        since_best += 1
-        if since_best == cfg.patience:
-            lr *= cfg.lr_factor
-            lr_cuts += 1
-        elif since_best == 2 * cfg.patience:
-            stop_reason = "early_stop"
+    shared = replace(cfg[0], seed=0)
+    if any(replace(c, seed=0) != shared for c in cfg):
+        raise InputError("the configs of a group may differ only in their seed")
+    rngs = [np.random.default_rng(c.seed) for c in cfg]
+    state = AdamState(model.flat, l2=shared.l2, decay=model.decay)
+    lr = [shared.lr] * cells
+    since_best = [0] * cells
+    results = []
+    for f in range(cells):
+        val = _val_loss(model, f, val_items[f])
+        results.append(FitResult(history=[], best_epoch=0, best_val=math.nan, lr_cuts=0,
+                                 stop_reason="diverged" if val is None else ""))
+        if val is not None:
+            results[f].best_val = val
+            results[f].history.append(EpochStats(epoch=0, train_loss=math.nan,
+                                                 val_loss=val, lr=lr[f]))
+    best = model.flat.copy()
+    buffers: dict[tuple, tuple] = {}
+    for epoch in range(1, shared.max_epochs + 1):
+        live = [f for f in range(cells) if not results[f].stop_reason]
+        if not live:
             break
-    model.flat[:] = best_snapshot
-    return FitResult(history=history, best_epoch=best_epoch, best_val=best_val,
-                     stop_reason=stop_reason, lr_cuts=lr_cuts)
+        order = {f: [train_items[f][i] for i in rngs[f].permutation(len(train_items[f])).tolist()]
+                 for f in live}
+        loss_sum = dict.fromkeys(live, 0.0)
+        for step in range(max(len(order[f]) for f in live)):
+            parts: dict[int, list[int]] = {}
+            for f in live:
+                if step < len(order[f]) and not results[f].stop_reason:
+                    parts.setdefault(order[f][step].ops.graph.n, []).append(f)
+            for rows in parts.values():
+                losses = _step(model, state, buffers, rows, [order[f][step] for f in rows],
+                               rngs, lr, shared.dropout)
+                for f, loss in zip(rows, losses):
+                    if math.isfinite(loss):
+                        loss_sum[f] += loss
+                    else:
+                        results[f].stop_reason = "diverged"
+        for f in live:
+            result = results[f]
+            val = None if result.stop_reason else _val_loss(model, f, val_items[f])
+            if val is None or not math.isfinite(val):
+                result.stop_reason = "diverged"
+                continue
+            result.history.append(EpochStats(epoch=epoch, val_loss=val, lr=lr[f],
+                                             train_loss=loss_sum[f] / len(train_items[f])))
+            if val < result.best_val:
+                result.best_val, result.best_epoch = val, epoch
+                best[f] = model.flat[f]
+                since_best[f] = 0
+                continue
+            since_best[f] += 1
+            if since_best[f] == shared.patience:
+                lr[f] *= shared.lr_factor
+                result.lr_cuts += 1
+            elif since_best[f] == 2 * shared.patience:
+                result.stop_reason = "early_stop"
+    for f, result in enumerate(results):
+        if result.stop_reason != "diverged":
+            result.stop_reason = result.stop_reason or "max_epochs"
+            model.flat[f] = best[f]
+    return results
+
+
+def _step(model: Model, state: AdamState, buffers: dict, rows: list[int], items,
+          rngs, lr: list[float], dropout: float) -> list[float]:
+    """One training step of rows ``rows`` of the stack ``model``, each on
+    its item: the training loss of each row, NaN for a row whose loss or
+    activations turned non-finite, which is then left unchanged.
+
+    ``buffers`` keeps, per set of rows, the model the step runs (``model``
+    itself for every row, else a copy of those rows) and its gradient."""
+    if tuple(rows) not in buffers:
+        sub = model if len(rows) == len(model.flat) else model.with_flat(model.flat[rows])
+        grad = np.zeros_like(sub.flat)
+        buffers[tuple(rows)] = sub, grad, sub.unflatten(grad)
+    sub, grad, grads = buffers[tuple(rows)]
+    if sub is not model:
+        np.take(model.flat, rows, axis=0, out=sub.flat)
+    ops, x, layer0 = _stacked(items, model.spec.terms)
+    saved: dict = {}
+    finite = np.ones(len(rows), dtype=bool)
+    pred = forward(sub, ops, x, dropout_rate=dropout, rng=[rngs[f] for f in rows],
+                   saved=saved, layer0=layer0, finite=finite)
+    losses, d_pred = mse_loss(pred, _stacked_targets(items, pred.shape[1:]))
+    finite &= np.isfinite(losses)
+    kept = np.flatnonzero(finite)
+    if kept.size:
+        # a diverged row's gradient is computed too, silently, then dropped
+        with np.errstate(all=None if kept.size == len(rows) else "ignore"):
+            backward(sub, saved, d_pred, grads)
+        updated = np.asarray(rows)[kept]
+        _adam_rows(state, model.flat, grad[kept], np.array(lr)[updated, None], updated)
+    return np.where(finite, losses, math.nan).tolist()
 
 
 def gradient_check(model: Model, item: TrainItem) -> float:

@@ -411,7 +411,7 @@ class TestTrain:
         ("raise", 1, "error: rejected in a worker"),
     ])
     def test_worker_failure_exit_code(self, tmp_path, capsys, monkeypatch, fault, code, message):
-        def broken_fit(*args):
+        def broken_fit(stack, train_splits, val_splits, cfgs):
             if fault == "exit":
                 os._exit(1)
             raise InputError("rejected in a worker")

@@ -15,12 +15,19 @@ from walklab.experiments import (RESULTS_HEADER, demo_wl_gap, parse_config,
                                  write_report)
 from walklab.graphs import complete_graph, cycle_graph
 from walklab.models import spec_from_model_name
+from walklab.training import FitResult
 
 
 def _tiny_dataset(tmp_path, n_graphs=9, n_nodes=8, seed=5):
     path = tmp_path / "tiny.jsonl"
     save_dataset(gen_dataset(n_graphs, n_nodes, 0.4, "triangles", seed), path)
     return str(path)
+
+
+def _diverged(cfgs):
+    # what fit returns for a group whose every cell diverged
+    return [FitResult(history=[], best_epoch=0, best_val=float("nan"),
+                      stop_reason="diverged", lr_cuts=0) for _ in cfgs]
 
 
 def _tiny_config(dataset, /, **overrides):
@@ -208,8 +215,8 @@ class TestRunExperiment:
         assert csv["gcn-1l"] == csv["GCN-1L"] != csv[""]
 
     def test_failed_fold_accounting(self, tmp_path, monkeypatch):
-        def exploding_fit(model, train_items, val_items, cfg):
-            raise TrainingError("non-finite training loss at epoch 1")
+        def exploding_fit(stack, train_splits, val_splits, cfgs):
+            return _diverged(cfgs)
 
         monkeypatch.setattr(ex, "fit", exploding_fit)
         cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path)))
@@ -295,16 +302,58 @@ class TestWorkerPool:
             assert 0 <= c["best_epoch"] <= c["epochs"] <= 4
             assert 0 <= c["lr_cuts"] <= c["epochs"]
 
+    @needs_fork
+    def test_one_model_trains_in_one_group_per_worker(self, tmp_path, monkeypatch):
+        # one trained model and two workers: its three folds train as two
+        # lockstep groups, with the rows and records of a single group
+        real_map = ex._map_groups
+        seen = []
+
+        def recording_map(groups, workers):
+            seen.append(([g for g in groups if g[1] != "baseline"], workers))
+            return real_map(groups, workers)
+
+        monkeypatch.setattr(ex, "_map_groups", recording_map)
+        cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path)))
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ex, "_worker_count", lambda trained, w=workers: w)
+            reports.append(run_experiment(cfg))
+        assert seen == [([(1, "GCN-1L", (0, 1, 2))], 1),
+                        ([(1, "GCN-1L", (0,)), (1, "GCN-1L", (1, 2))], 2)]
+        assert reports[0].results_csv() == reports[1].results_csv()
+        one, two = ([{k: v for k, v in c.items() if k != "seconds"} for c in r.cells]
+                    for r in reports)
+        assert one == two and len(one) == 3
+
+    def test_group_size_is_capped_by_parameter_count(self, tmp_path, monkeypatch):
+        # GCN-1L at hidden 4 has 34 coordinates: a cap of 70 lets two
+        # cells share a group, and the rows stay those of one group
+        real_map = ex._map_groups
+        seen = []
+
+        def recording_map(groups, workers):
+            seen.append([g[2] for g in groups if g[1] != "baseline"])
+            return real_map(groups, workers)
+
+        monkeypatch.setattr(ex, "_map_groups", recording_map)
+        monkeypatch.setattr(ex, "_worker_count", lambda trained: 1)
+        cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path)))
+        whole = run_experiment(cfg).results_csv()
+        monkeypatch.setattr(ex, "MAX_GROUP_PARAMS", 70)
+        assert run_experiment(cfg).results_csv() == whole
+        assert seen == [[(0, 1, 2)], [(0,), (1, 2)]]
+
     def test_operators_and_layer0_terms_built_before_cells_run(self, tmp_path, monkeypatch):
-        real_map = ex._map_cells
+        real_map = ex._map_groups
         built = []
 
-        def inspecting_map(cells, workers):
+        def inspecting_map(groups, workers):
             for item in ex._RUN[2]:
                 built.append((list(item._layer0), "adjacency" in item.ops.__dict__))
-            return real_map(cells, workers)
+            return real_map(groups, workers)
 
-        monkeypatch.setattr(ex, "_map_cells", inspecting_map)
+        monkeypatch.setattr(ex, "_map_groups", inspecting_map)
         run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path),
                                                  models="baseline,GCN-1L,GCN-D2-1L")))
         d2 = list(spec_from_model_name("GCN-D2-1L").terms)
@@ -315,10 +364,10 @@ class TestWorkerPool:
         parent = os.getpid()
         real_fit = ex.fit
 
-        def recording_fit(*args):
+        def recording_fit(stack, train_splits, val_splits, cfgs):
             if os.getpid() == parent:
                 raise AssertionError("a trained cell ran in the parent process")
-            return real_fit(*args)
+            return real_fit(stack, train_splits, val_splits, cfgs)
 
         monkeypatch.setattr(ex, "_worker_count", lambda trained: 2)
         monkeypatch.setattr(ex, "fit", recording_fit)
@@ -328,7 +377,7 @@ class TestWorkerPool:
 
     @needs_fork
     def test_dead_worker_is_a_training_error(self, tmp_path, monkeypatch):
-        def dying_fit(*args):
+        def dying_fit(stack, train_splits, val_splits, cfgs):
             os._exit(1)
 
         monkeypatch.setattr(ex, "_worker_count", lambda trained: 2)
@@ -340,7 +389,7 @@ class TestWorkerPool:
 
     @needs_fork
     def test_cell_exception_keeps_its_type(self, tmp_path, monkeypatch):
-        def rejecting_fit(*args):
+        def rejecting_fit(stack, train_splits, val_splits, cfgs):
             raise InputError("rejected in a worker")
 
         monkeypatch.setattr(ex, "_worker_count", lambda trained: 2)
@@ -366,8 +415,8 @@ class TestWriteReport:
             [("GCN-1L", fold, 3) for fold in range(3)]
 
     def test_summary_is_strict_json_with_null(self, tmp_path, monkeypatch):
-        def exploding_fit(model, train_items, val_items, cfg):
-            raise TrainingError("non-finite training loss at epoch 1")
+        def exploding_fit(stack, train_splits, val_splits, cfgs):
+            return _diverged(cfgs)
 
         monkeypatch.setattr(ex, "fit", exploding_fit)
         report = run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))

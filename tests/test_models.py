@@ -344,13 +344,52 @@ class TestStackedForward:
             want = sparse.block_diag([getattr(GraphOperators(g), name) for g in graphs])
             assert np.array_equal(getattr(stack, name).toarray(), want.toarray())
 
-    def test_backward_takes_one_graph(self):
-        m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
+    @pytest.mark.parametrize("case", range(len(STACK_GRID)), ids=[
+        f"{family or 'plain'}-{layers}L-mlp{depth}-norm{int(norm)}-{readout}"
+        for family, layers, depth, norm, readout in STACK_GRID])
+    def test_model_stack_backward_equals_each_model(self, case):
+        # a stack of four models on four graphs, dropout on: every row of
+        # the output and of each gradient equals that model's own
+        # single-graph pass bit for bit
+        family, layers, depth, normalize, readout = STACK_GRID[case]
+        rng = np.random.default_rng(case)
+        spec = ModelSpec(FAMILIES[family], layers, depth, normalize, readout, output_dim=2)
+        models = [build_model(spec, input_dim=3, hidden_dim=5, seed=4 * case + f)
+                  for f in range(4)]
+        stack = models[0].with_flat(np.stack([m.flat for m in models]))
+        n = int(rng.integers(4, 12))
+        ops = [GraphOperators(erdos_renyi(n, 0.4, int(rng.integers(1 << 30)))) for _ in models]
+        xs = rng.normal(size=(4, n, 3))
+        d_out = rng.normal(size=(4, 1 if readout == "sum" else n, 2))
         saved = {}
-        stack = GraphStack([GraphOperators(path_graph(3))] * 2)
-        out = forward(m, stack, np.ones((2, 3, 1)), saved=saved)
-        with pytest.raises(InputError, match="one graph"):
+        out = forward(stack, GraphStack(ops), xs, dropout_rate=0.3, saved=saved,
+                      rng=[np.random.default_rng(f) for f in range(4)])
+        grads = backward(stack, saved, d_out)
+        for f, model in enumerate(models):
+            alone = {}
+            want = forward(model, ops[f], xs[f], dropout_rate=0.3,
+                           rng=np.random.default_rng(f), saved=alone)
+            assert np.array_equal(out[f], want)
+            for key, grad in backward(model, alone, d_out[f]).items():
+                assert np.array_equal(grads[key][f], grad), key
+
+    def test_a_model_stack_runs_one_graph_per_model(self):
+        m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
+        stack = m.with_flat(np.stack([m.flat, m.flat]))
+        assert stack.params["layer0.w0"].shape == (2, 1, 4)
+        assert all(np.shares_memory(p, stack.flat) for p in stack.params.values())
+        three = GraphStack([GraphOperators(path_graph(3))] * 3)
+        with pytest.raises(InputError, match="one graph each"):
+            forward(stack, three, np.ones((3, 3, 1)))
+        with pytest.raises(InputError, match="one graph each"):
+            forward(stack, GraphOperators(path_graph(3)), np.ones((3, 1)))
+        # one model's gradient over several graphs is not defined
+        saved = {}
+        out = forward(m, three, np.ones((3, 3, 1)), saved=saved)
+        with pytest.raises(InputError, match="one graph per model"):
             backward(m, saved, np.ones_like(out))
+        with pytest.raises(InputError):
+            m.with_flat(np.zeros(m.flat.size + 1))
 
 
 class TestGradientViews:

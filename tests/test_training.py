@@ -329,6 +329,51 @@ class TestFit:
             fit(model, items, [], TrainConfig())
 
 
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["GCN-2L", "GCN-L1-1L"])
+    def test_group_trains_each_cell_as_its_group_of_one(self, name):
+        # four cells on overlapping splits of nine graphs with two node
+        # counts: train splits of 5 and 6 graphs, so rows take unequal
+        # step counts; dropout on; patience 2, so cells cut their lr and
+        # stop at different epochs; and cell 2's split holds a graph with
+        # infinite features, so its activations turn non-finite within
+        # its first epoch. Each cell's result and final weights equal
+        # those of its group of one, bit for bit.
+        graphs = [erdos_renyi(7 + s % 2, 0.5, s) for s in range(9)]
+        items = _ones_items(graphs, [float(g.edge_count) for g in graphs])
+        poisoned = prepare_items(graphs[:1], [np.full((7, 1), np.inf)], [1.0])
+        splits = [(items[:5], items[5:7]), (items[2:8], items[:2]),
+                  (items[3:8] + poisoned, items[8:]), (items[1:7], items[7:])]
+        spec = spec_from_model_name(name, degree_normalize=True)
+        models = [build_model(spec, input_dim=1, hidden_dim=4, seed=f) for f in range(4)]
+        cfgs = [TrainConfig(lr=0.02, dropout=0.3, patience=2, max_epochs=40, seed=10 + f)
+                for f in range(4)]
+        stack = models[0].with_flat(np.stack([m.flat for m in models]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = fit(stack, [t for t, _ in splits], [v for _, v in splits], cfgs)
+            alone = [fit(m.with_flat(m.flat[None]), [t], [v], [c])[0]
+                     for m, (t, v), c in zip(models, splits, cfgs)]
+        for f, (result, single) in enumerate(zip(results, alone)):
+            assert repr(result) == repr(single), f
+            assert stack.flat[f].tobytes() == models[f].flat.tobytes(), f
+        # the schedule this test means to cover
+        assert results[2].stop_reason == "diverged" and len(results[2].history) == 1
+        stopped = [r for r in results if r.stop_reason == "early_stop"]
+        assert len({len(r.history) for r in stopped}) > 1
+        assert stopped and all(r.lr_cuts >= 1 for r in stopped)
+
+    def test_group_configs_differ_only_in_seed(self):
+        items = _ones_items([complete_graph(3)] * 2, [1.0, 2.0])
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
+        stack = model.with_flat(np.stack([model.flat] * 2))
+        with pytest.raises(InputError, match="only in their seed"):
+            fit(stack, [items] * 2, [items] * 2, [TrainConfig(seed=1), TrainConfig(lr=0.1)])
+        with pytest.raises(InputError, match="2 cells"):
+            fit(stack, [items], [items], [TrainConfig()])
+        with pytest.raises(InputError, match="nonempty"):
+            fit(stack, [items, []], [items] * 2, [TrainConfig()] * 2)
+
+
 class _CountingMatrix:
     """A sparse matrix that counts the products taken with it."""
 
