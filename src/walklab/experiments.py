@@ -14,13 +14,14 @@ depends on another cell; results therefore depend only on the config
 contents, not on the order or the grouping in which cells run. The
 folds of one model train in lockstep, as one group whose every step is
 one stacked pass (:func:`walklab.training.fit`); with fewer trained
-models than workers, each model's folds are cut into one group per
-worker, and no group holds more than :data:`MAX_GROUP_PARAMS`
-coordinates. The groups train in parallel: a pool of forked worker
-processes, one per usable core and never more, inherits the prepared
-graphs and returns the rows in cell order. Every graph's structure
-operators and layer-0 terms, for every term the configured models sum,
-are built before the fork, so no worker rebuilds them. With one usable
+models than workers, each model's folds are cut into ceil(workers /
+trained models) groups, and no group holds more than
+:data:`MAX_GROUP_PARAMS` coordinates. The groups train in parallel: a
+pool of forked worker processes, one per usable core and never more,
+inherits the prepared graphs and returns the rows in cell order. Every
+graph's structure operators and layer-0 terms, for every term the
+configured models sum, are built before the fork, so no worker rebuilds
+them. With one usable
 core, or where the platform cannot fork, the same group function runs in
 this process. ``results.csv`` carries one row per cell and is
 byte-identical for any core count.
@@ -54,8 +55,10 @@ from .wl import Verdict, augmented_distinguish, is_isomorphic_small, wl_distingu
 RESULTS_HEADER = "model,fold,train_mse,val_mse,test_mse"
 
 # Most parameter coordinates (cells x coordinates per model) in one lockstep
-# group: training holds about six arrays of that size (the weights, the
-# gradient, two Adam moments, the best snapshots and Adam's temporaries),
+# group. Training holds five arrays of that size (the weights, the
+# gradient, two Adam moments and the best snapshots), a sixth when cells
+# step apart (a scratch copy of the rows a step takes), and peaks at about
+# nine to twelve during an Adam update (tracemalloc, GCN-2L at hidden 128):
 # 32 MiB each at this cap. A model of more coordinates trains a cell a group.
 MAX_GROUP_PARAMS = 1 << 22
 
@@ -266,21 +269,31 @@ def _run_group(group: tuple[int, str, tuple[int, ...]]) -> list[tuple[Row, dict 
             for fold, (row, record) in zip(folds, out)]
 
 
-def _group_cost(group: tuple[int, str, tuple[int, ...]]) -> tuple[int, int]:
-    """A rough order of the training time of a group: its cells times its
-    model's layers, then the terms per layer (a baseline costs nothing)."""
-    _, name, folds = group
-    if name.lower() == "baseline":
-        return 0, 0
-    spec = _RUN[0].model_spec(name)
-    return len(folds) * spec.layers, len(spec.terms)
+def _plan_groups(cfg: ExperimentConfig, folds: int,
+                 workers: int) -> list[tuple[int, str, tuple[int, ...]]]:
+    """The lockstep groups ``(model index, model name, folds)`` of an
+    experiment, in config order: one per model, its folds cut into
+    ``ceil(workers / trained models)`` groups when there are fewer trained
+    models than workers, and into more when a group would hold more than
+    :data:`MAX_GROUP_PARAMS` coordinates; never more groups than folds."""
+    trained = [name for name in cfg.models if name.lower() != "baseline"]
+    groups = []
+    for mi, name in enumerate(cfg.models):
+        cuts = 1
+        if name.lower() != "baseline":
+            size = build_model(cfg.model_spec(name), 1, cfg.hidden, seed=0).flat.size
+            per_group = max(1, MAX_GROUP_PARAMS // size)
+            cuts = min(folds, max(-(-workers // len(trained)), -(-folds // per_group)))
+        groups += [(mi, name, tuple(range(folds * j // cuts, folds * (j + 1) // cuts)))
+                   for j in range(cuts)]
+    return groups
 
 
 def _map_groups(groups: list[tuple[int, str, tuple[int, ...]]],
                 workers: int) -> list[tuple[Row, dict | None]]:
     """:func:`_run_group` over ``groups`` on ``workers`` forked processes,
-    costliest first, or in this process when there is one worker or no
-    fork: every cell's row and record, in the order of ``groups``."""
+    or in this process when there is one worker or no fork: every cell's
+    row and record, in the order of ``groups``."""
     import multiprocessing
 
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
@@ -288,15 +301,11 @@ def _map_groups(groups: list[tuple[int, str, tuple[int, ...]]],
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # the pool hands groups out in the order given: a costly group handed
-    # out last would leave the other workers idle
-    order = sorted(range(len(groups)), key=lambda i: _group_cost(groups[i]), reverse=True)
     # fork, not spawn: a forked worker inherits _RUN, where a spawned one
     # would re-import the package and unpickle every graph
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            done = dict(zip(order, pool.map(_run_group, [groups[i] for i in order])))
-        return [cell for i in range(len(groups)) for cell in done[i]]
+            return [cell for group in pool.map(_run_group, groups) for cell in group]
     except BrokenProcessPool as exc:
         cells = sum(len(folds) for _, _, folds in groups)
         raise TrainingError(f"a worker process died while training {cells} cells") from exc
@@ -307,8 +316,9 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
 
     The folds of each trained model train as one lockstep group; with
     fewer trained models than workers, each model's folds are cut into
-    one group per worker. The groups run in a pool of forked processes,
-    one per usable core, and their cells come back in cell order. A fold
+    several (:func:`_plan_groups`). The groups run in a pool of forked
+    processes, one per usable core, and their cells come back in cell
+    order. A fold
     whose training diverges (a non-finite loss or non-finite activations)
     is recorded with NaN losses. Every cell with a non-finite MSE is
     listed under ``failed_folds``; the remaining folds still aggregate. A
@@ -326,19 +336,9 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
     terms = tuple(dict.fromkeys(t for name in trained for t in cfg.model_spec(name).terms))
     items = prepare_items(graphs, features, targets, terms=terms)
     workers = _worker_count(len(trained) * plan.k)
-    groups = []
-    for mi, name in enumerate(cfg.models):
-        cuts = 1
-        if name.lower() != "baseline":
-            size = build_model(cfg.model_spec(name), 1, cfg.hidden, seed=0).flat.size
-            per_group = max(1, MAX_GROUP_PARAMS // size)
-            cuts = min(plan.k, max(workers if len(trained) < workers else 1,
-                                   -(-plan.k // per_group)))
-        groups += [(mi, name, tuple(range(plan.k * j // cuts, plan.k * (j + 1) // cuts)))
-                   for j in range(cuts)]
     _RUN = (cfg, plan, items, targets)
     try:
-        rows, records = zip(*_map_groups(groups, workers))
+        rows, records = zip(*_map_groups(_plan_groups(cfg, plan.k, workers), workers))
     finally:
         _RUN = None
     failed: dict[str, list[int]] = {}

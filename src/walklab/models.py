@@ -69,10 +69,11 @@ from .walks import diag_closed_walks
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
 # hidden x hidden float64 matrices (w1, and w0 after the first layer),
 # 8 MiB each at 1024. Training holds five copies of each (the weights in
-# ``flat``, the flat gradient, two Adam moments and the best snapshot)
-# plus Adam's short-lived temporaries, and build_model briefly holds a
-# sixth, the drawn arrays it concatenates into ``flat``: about 100 MB per
-# layer and cell in every worker. A lockstep group trains several cells at
+# ``flat``, the flat gradient, two Adam moments and the best snapshot),
+# one more when the cells of a group step apart (a scratch copy of the
+# rows a step takes), plus Adam's short-lived temporaries, and
+# build_model briefly holds one more, the drawn arrays it concatenates
+# into ``flat``: about 100 MB per layer and cell in every worker. A lockstep group trains several cells at
 # once, so experiments cap its coordinates (experiments.MAX_GROUP_PARAMS).
 MAX_HIDDEN_DIM = 1024
 
@@ -408,9 +409,9 @@ def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
 
     ``layer0``, when given, is ``Op_t(x)`` for each of the spec's terms
     in order, the layer-0 terms the pass would otherwise compute.
-    Dropout runs when ``dropout_rate > 0``, with masks drawn from ``rng``:
-    one generator for the whole pass, or one per graph of the stack,
-    each drawing its graph's masks. Otherwise the pass is deterministic
+    Dropout runs when ``dropout_rate > 0``, with masks drawn from ``rng``,
+    a sequence of one generator per graph (``[g]`` for one graph), each
+    drawing its graph's masks. Otherwise the pass is deterministic
     and repeated calls return identical values. When ``saved`` is a dict,
     the operators and activations :func:`backward` needs are stored in
     it. Non-finite activations raise :class:`NumericError` naming the
@@ -431,9 +432,9 @@ def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
         raise InputError(f"a stack of {model.flat.shape[0]} models runs one graph each, "
                          f"got {ops.shape[0]} graphs")
     drop = dropout_rate > 0.0
-    if drop and (rng is None or not dropout_rate < 1.0):
-        raise InputError(f"training with dropout needs an rng and a rate below 1, "
-                         f"got rate {dropout_rate}")
+    if drop and (rng is None or len(rng) != ops.shape[0] or not dropout_rate < 1.0):
+        raise InputError(f"training with dropout needs one rng per graph and a rate "
+                         f"below 1, got rate {dropout_rate} for {ops.shape[0]} graphs")
     spec, p = model.spec, model.params
     lead = model.flat.shape[:-1]
     # one gate per (layer, term), shaped to scale a graph's rows
@@ -450,8 +451,7 @@ def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
             h = _column(ops.inv_degree_plus_one, h) * h
         for j, (wkey, bkey) in enumerate(model.map_keys[i]):
             if j == 1 and drop:
-                draw = (rng.random(h.shape) if isinstance(rng, np.random.Generator)
-                        else np.stack([r.random(h.shape[1:]) for r in rng]))
+                draw = np.stack([r.random(h.shape[-2:]) for r in rng]).reshape(h.shape)
                 act["keep"] = (draw >= dropout_rate) / (1.0 - dropout_rate)
                 h = act["keep"] * h
             z = h @ p[wkey] + p[bkey]

@@ -338,7 +338,7 @@ def fit(model: Model, train_items, val_items, cfg):
             results[f].history.append(EpochStats(epoch=0, train_loss=math.nan,
                                                  val_loss=val, lr=lr[f]))
     best = model.flat.copy()
-    buffers: dict[tuple, tuple] = {}
+    buffers = _StepBuffers(model)
     for epoch in range(1, shared.max_epochs + 1):
         live = [f for f in range(cells) if not results[f].stop_reason]
         if not live:
@@ -385,19 +385,37 @@ def fit(model: Model, train_items, val_items, cfg):
     return results
 
 
-def _step(model: Model, state: AdamState, buffers: dict, rows: list[int], items,
+class _StepBuffers:
+    """What a step of k of the F rows of the stack ``model`` runs on: the
+    model, its (k, P) gradient and that gradient's named views. A step of
+    every row runs ``model`` itself; a step of fewer runs a model over the
+    first k rows of one (F, P) scratch copy, made on first use. Whatever
+    sets of rows the steps take, the buffers are one (F, P) gradient and
+    at most one scratch copy."""
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.grad = np.zeros_like(model.flat)
+        self.scratch: np.ndarray | None = None
+        self._views: dict[int, tuple] = {}
+
+    def rows(self, k: int) -> tuple:
+        if k not in self._views:
+            sub = self.model
+            if k < len(self.grad):
+                if self.scratch is None:
+                    self.scratch = np.empty_like(self.grad)
+                sub = self.model.with_flat(self.scratch[:k])
+            self._views[k] = sub, self.grad[:k], sub.unflatten(self.grad[:k])
+        return self._views[k]
+
+
+def _step(model: Model, state: AdamState, buffers: _StepBuffers, rows: list[int], items,
           rngs, lr: list[float], dropout: float) -> list[float]:
     """One training step of rows ``rows`` of the stack ``model``, each on
     its item: the training loss of each row, NaN for a row whose loss or
-    activations turned non-finite, which is then left unchanged.
-
-    ``buffers`` keeps, per set of rows, the model the step runs (``model``
-    itself for every row, else a copy of those rows) and its gradient."""
-    if tuple(rows) not in buffers:
-        sub = model if len(rows) == len(model.flat) else model.with_flat(model.flat[rows])
-        grad = np.zeros_like(sub.flat)
-        buffers[tuple(rows)] = sub, grad, sub.unflatten(grad)
-    sub, grad, grads = buffers[tuple(rows)]
+    activations turned non-finite, which is then left unchanged."""
+    sub, grad, grads = buffers.rows(len(rows))
     if sub is not model:
         np.take(model.flat, rows, axis=0, out=sub.flat)
     ops, x, layer0 = _stacked(items, model.spec.terms)

@@ -326,6 +326,21 @@ class TestWorkerPool:
                     for r in reports)
         assert one == two and len(one) == 3
 
+    def test_fewer_models_than_workers_share_out_the_workers(self):
+        # ceil(workers / trained models) groups per model: two models on
+        # eight workers take four groups of two or three folds each, and
+        # four models on two workers one group each
+        cfg = parse_config(_tiny_config("d.jsonl", models="baseline,GCN-1L,GCN-2L", folds="10"))
+        groups = ex._plan_groups(cfg, 10, 8)
+        assert groups[0] == (0, "baseline", tuple(range(10)))
+        for mi in (1, 2):
+            folds = [g[2] for g in groups if g[0] == mi]
+            assert [len(f) for f in folds] == [2, 3, 2, 3]
+            assert [i for f in folds for i in f] == list(range(10))
+        cfg = parse_config(_tiny_config("d.jsonl", models="GCN-1L,GCN-2L,GCN-3L,GCN-L1-1L"))
+        assert ex._plan_groups(cfg, 3, 2) == [(mi, name, (0, 1, 2)) for mi, name
+                                              in enumerate(cfg.models)]
+
     def test_group_size_is_capped_by_parameter_count(self, tmp_path, monkeypatch):
         # GCN-1L at hidden 4 has 34 coordinates: a cap of 70 lets two
         # cells share a group, and the rows stay those of one group

@@ -207,11 +207,13 @@ class TestForward:
         m = build_model(spec_from_model_name("GCN-1L"), 1, 8, seed=2)
         x = np.ones((10, 1))
         rng = np.random.default_rng(0)
-        a = forward(m, g, x, dropout_rate=0.5, rng=rng)
+        a = forward(m, g, x, dropout_rate=0.5, rng=[rng])
         b = forward(m, g, x)
         assert not np.array_equal(a, b)
         with pytest.raises(InputError):
             forward(m, g, x, dropout_rate=0.5)  # rng required
+        with pytest.raises(InputError, match="one rng per graph"):
+            forward(m, g, x, dropout_rate=0.5, rng=[rng, rng])
 
     def test_sum_readout_permutation_invariant(self):
         rng = np.random.default_rng(9)
@@ -368,7 +370,7 @@ class TestStackedForward:
         for f, model in enumerate(models):
             alone = {}
             want = forward(model, ops[f], xs[f], dropout_rate=0.3,
-                           rng=np.random.default_rng(f), saved=alone)
+                           rng=[np.random.default_rng(f)], saved=alone)
             assert np.array_equal(out[f], want)
             for key, grad in backward(model, alone, d_out[f]).items():
                 assert np.array_equal(grads[key][f], grad), key

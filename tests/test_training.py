@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -362,6 +363,31 @@ class TestLockstep:
         assert len({len(r.history) for r in stopped}) > 1
         assert stopped and all(r.lr_cuts >= 1 for r in stopped)
 
+    def test_mixed_node_counts_keep_step_buffers_bounded(self):
+        # eight cells over graphs of two node counts: each step splits the
+        # rows at random by node count, so some 200 different sets of rows
+        # step over the run. Training must still hold a few (F, P) arrays,
+        # not one copy of the rows and their gradient per set seen. (At
+        # this size the peak is about 13 stacks: the long-lived arrays,
+        # Adam's temporaries and the activations; one copy per set seen
+        # made it about 240.)
+        graphs = [erdos_renyi(5 + s % 2, 0.6, s) for s in range(12)]
+        items = _ones_items(graphs, [float(g.edge_count) for g in graphs])
+        spec = spec_from_model_name("GCN-2L")
+        models = [build_model(spec, input_dim=1, hidden_dim=48, seed=f) for f in range(8)]
+        stack = models[0].with_flat(np.stack([m.flat for m in models]))
+        cfgs = [TrainConfig(dropout=0.0, patience=30, max_epochs=30, seed=f) for f in range(8)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results = fit(stack, [items[f % 4:f % 4 + 8] for f in range(8)],
+                          [items[:2]] * 8, cfgs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(r.stop_reason == "max_epochs" for r in results)
+        assert peak < 24 * stack.flat.nbytes
+
     def test_group_configs_differ_only_in_seed(self):
         items = _ones_items([complete_graph(3)] * 2, [1.0, 2.0])
         model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
@@ -468,7 +494,7 @@ class TestTapeReference:
                              [rng.normal(size=rows) if rows > 1 else rng.normal()])[0]
         saved = {}
         pred = forward(model, item.ops, item.features, dropout_rate=dropout,
-                       rng=np.random.default_rng(7), saved=saved)
+                       rng=[np.random.default_rng(7)], saved=saved)
         loss, d_pred = mse_loss(pred, item.target)
         grads = backward(model, saved, d_pred)
         ref_loss, ref_grads = tape_loss_and_grads(
