@@ -191,11 +191,20 @@ def complete_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """New graph holding g1 on ids 0..n1-1 and g2 shifted up by n1."""
-    n = _check_node_count(g1.n + g2.n)
-    return _graph_from_ids(n, np.concatenate([_row_ids(g1.indptr), _row_ids(g2.indptr) + g1.n]),
-                           np.concatenate([g1.indices, g2.indices + g1.n]).astype(np.int64))
+def disjoint_union(*graphs: Graph) -> Graph:
+    """New graph holding ``graphs`` one after another: the first on ids
+    0..n1-1, the second shifted up by n1, and so on. Its CSR arrays are
+    theirs, concatenated and shifted, so each node keeps its neighbours
+    in their order."""
+    sizes = [g.n for g in graphs]
+    firsts = np.cumsum([0] + sizes)  # each graph's first node, then n
+    starts = np.cumsum([0] + [g.indices.size for g in graphs])  # each one's first entry
+    n = _check_node_count(int(firsts[-1]))
+    indptr = np.concatenate([[0]] + [g.indptr[1:] for g in graphs]).astype(np.int64)
+    indptr[1:] += np.repeat(starts[:-1], sizes)
+    indices = (np.concatenate([g.indices for g in graphs]).astype(np.int64)
+               + np.repeat(firsts[:-1], np.diff(starts)))
+    return Graph(n=n, indptr=indptr, indices=indices)
 
 
 def relabel(g: Graph, perm) -> Graph:

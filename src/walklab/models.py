@@ -62,8 +62,8 @@ from types import MappingProxyType
 import numpy as np
 from scipy import sparse
 
-from .errors import CapacityError, InputError, NumericError
-from .graphs import Graph, degrees
+from .errors import CapacityError, CountOverflowError, InputError, NumericError
+from .graphs import Graph, degrees, disjoint_union
 from .walks import diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
@@ -188,7 +188,8 @@ class GraphOperators:
     graph, built once and shared by every forward pass on it. ``shape``
     is (graphs, nodes per graph), here (1, n), as for a :class:`GraphStack`.
     Each float matrix is one CSR constructor over the graph's own
-    ``indptr``/``indices``, with the entries in scipy's sorted order.
+    ``indptr``/``indices``, with the entries in scipy's sorted order; A
+    and A + I share one read-only all-ones data array.
     """
 
     def __init__(self, g: Graph):
@@ -197,9 +198,17 @@ class GraphOperators:
         self._closed_walks: dict[int, np.ndarray] = {}
 
     @functools.cached_property
+    def _ones(self) -> np.ndarray:
+        # the read-only data of both matrices; adjacency takes its first 2m
+        ones = np.ones(self.graph.indices.size + self.graph.n)
+        ones.setflags(write=False)
+        return ones
+
+    @functools.cached_property
     def adjacency(self):
         g = self.graph
-        return sparse.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+        return sparse.csr_array((self._ones[:g.indices.size], g.indices, g.indptr),
+                                shape=(g.n, g.n))
 
     @functools.cached_property
     def adjacency_with_loops(self):
@@ -214,7 +223,7 @@ class GraphOperators:
         indices[at] = g.indices
         indices[diagonal] = np.arange(g.n)
         indptr = g.indptr + np.arange(g.n + 1, dtype=g.indptr.dtype)
-        return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+        return sparse.csr_array((self._ones, indices, indptr), shape=(g.n, g.n))
 
     @functools.cached_property
     def inv_degree_plus_one(self) -> np.ndarray:
@@ -394,6 +403,46 @@ def apply_term(term: AggregationTerm, ops, h: np.ndarray) -> np.ndarray:
     for _ in range(times):
         rows = a @ rows
     return rows.reshape(h.shape)
+
+
+def layer0_terms(members, xs, terms) -> list[list[np.ndarray]]:
+    """``Op_t(x)`` of each of ``terms`` for every :class:`GraphOperators`
+    of ``members`` on its features in ``xs`` (all of one width): one list
+    per member, each array a read-only row slice of one result.
+
+    Several members are built at once on the disjoint union of their
+    graphs: one closed-walk product per diagonal term and one sparse
+    product per application of A or A + I. Every union row is its graph's
+    row with shifted column ids, so each slice equals the member's own
+    ``apply_term`` bit for bit; each member also keeps its slices of the
+    union's closed-walk diagonals, and builds its own matrices that the
+    terms use for later passes. The overflow bound of a walk product grows
+    with the union's node count, so when the union's bound trips, each
+    member is built alone and only a member whose own counts overflow
+    raises :class:`CountOverflowError`.
+    """
+    union = members[0] if len(members) == 1 else GraphOperators(
+        disjoint_union(*(ops.graph for ops in members)))
+    x = np.concatenate(xs)
+    try:
+        out = [apply_term(term, union, x) for term in terms]
+    except CountOverflowError:
+        if len(members) == 1:
+            raise
+        return [layer0_terms([ops], [rows], terms)[0] for ops, rows in zip(members, xs)]
+    bounds = np.cumsum([ops.graph.n for ops in members])[:-1]
+    diagonals = {term.k: union.closed_walk_diag(term.k) for term in terms if term.op == OP_DIAG}
+    for a in (*out, *diagonals.values()):
+        a.setflags(write=False)
+    for m, diag in diagonals.items():
+        for ops, rows in zip(members, np.split(diag, bounds)):
+            ops._closed_walks[m] = rows
+    for ops in members:
+        for term in terms:
+            if term.op != OP_DIAG:
+                getattr(ops, "adjacency" if term.op == OP_POWER else "adjacency_with_loops")
+    parts = [np.split(a, bounds) for a in out]
+    return [[rows[f] for rows in parts] for f in range(len(members))]
 
 
 def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -414,6 +415,62 @@ class TestWorkerPool:
             run_experiment(cfg)
 
 
+class TestWorkerAllocator:
+    @needs_fork
+    def test_forked_workers_run_the_initializer(self, tmp_path, monkeypatch):
+        # the pool hands _init_worker to every worker it forks, and only there
+        parent, log = os.getpid(), tmp_path / "pids"
+
+        def recording_init():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(ex, "_init_worker", recording_init)
+        monkeypatch.setattr(ex, "_worker_count", lambda trained: 2)
+        run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))
+        pids = [int(line) for line in log.read_text().split()]
+        assert pids and parent not in pids and len(set(pids)) == len(pids) <= 2
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_in_process_path_never_calls_the_initializer(self, tmp_path, monkeypatch, fork):
+        # one worker, or two where the platform cannot fork
+        def refusing_init():
+            raise AssertionError("the in-process path ran the worker initializer")
+
+        monkeypatch.setattr(ex, "_init_worker", refusing_init)
+        monkeypatch.setattr(ex, "_worker_count", lambda trained: 1 if fork else 2)
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        report = run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))
+        assert report.summary["failed_folds"] == {}
+
+    def test_initializer_sets_the_glibc_thresholds(self, monkeypatch):
+        import ctypes
+
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        assert ex._init_worker() is None
+        assert calls == [(-3, 4 << 20), (-1, 16 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("libc", ["no mallopt", "no library"])
+    def test_initializer_without_mallopt_does_nothing(self, monkeypatch, libc):
+        import ctypes
+
+        def cdll(name):
+            if libc == "no library":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert ex._init_worker() is None
+
+
 class TestWriteReport:
     def test_files_round_trip(self, tmp_path):
         cfg = parse_config(_tiny_config(_tiny_dataset(tmp_path)))
@@ -425,6 +482,7 @@ class TestWriteReport:
         assert doc["config"]["dataset"] == cfg.dataset
         assert doc["dataset_size"] == 9
         assert "wall_clock_seconds" in doc
+        assert 0.0 <= doc["prepare_seconds"] <= doc["wall_clock_seconds"] < math.inf
         assert set(doc["models"]) == {"baseline", "GCN-1L"}
         assert [(c["model"], c["fold"], c["epochs"]) for c in doc["cells"]] == \
             [("GCN-1L", fold, 3) for fold in range(3)]

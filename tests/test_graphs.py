@@ -132,6 +132,16 @@ class TestConstruction:
         with pytest.raises(TypeError):
             hash(path_graph(4))
 
+    def test_disjoint_union_of_several_graphs(self):
+        parts = [cycle_graph(3), complete_graph(1), from_edge_list(3, []), path_graph(4)]
+        g = disjoint_union(*parts)
+        assert g == from_edge_list(11, [(0, 1), (1, 2), (0, 2), (7, 8), (8, 9), (9, 10)])
+        assert g.indptr.dtype == g.indices.dtype == np.int32
+        assert disjoint_union(*parts[:2], disjoint_union(*parts[2:])) == g
+        assert disjoint_union(path_graph(2)) == path_graph(2)
+        with pytest.raises(CapacityError):
+            disjoint_union(from_edge_list(graphs.MAX_NODES, []), complete_graph(1))
+
     def test_relabel_preserves_structure(self):
         g = cycle_graph(5)
         h = relabel(g, [2, 0, 4, 1, 3])

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from oracles import tape_loss_and_grads
 
-from walklab import training
-from walklab.errors import CapacityError, InputError, TrainingError
-from walklab.graphs import complete_graph, erdos_renyi
-from walklab.models import backward, build_model, forward, spec_from_model_name
+from walklab import models, training, walks
+from walklab.errors import CapacityError, CountOverflowError, InputError, TrainingError
+from walklab.graphs import complete_graph, erdos_renyi, from_edge_list
+from walklab.models import (FAMILIES, GraphOperators, apply_term, backward, build_model,
+                            diag_power, forward, spec_from_model_name)
 from walklab.training import (AdamState, TrainConfig, adam_step, evaluate,
                               fit, gradient_check, mse_loss, prepare_items)
 
@@ -223,6 +224,92 @@ class TestPrepareItems:
                               terms=terms)[0]
         assert [t for t in terms if t in built._layer0] == list(terms)
         assert all(np.array_equal(a, b) for a, b in zip(first, built.layer0(terms)))
+
+
+class TestBatchedBuild:
+    """prepare_items builds the layer-0 terms of a chunk of graphs on
+    their disjoint union; each item must get its own graph's bits."""
+
+    TERMS = (*dict.fromkeys(t for terms in FAMILIES.values() for t in terms), diag_power(5))
+
+    @staticmethod
+    def _graphs():
+        # mixed node counts, an edgeless graph and a one-node graph
+        return [erdos_renyi(9, 0.5, 1), from_edge_list(4, []), complete_graph(1),
+                erdos_renyi(12, 0.3, 2), complete_graph(5), erdos_renyi(7, 0.6, 3),
+                from_edge_list(3, [(0, 1)]), erdos_renyi(10, 0.4, 4)]
+
+    def _assert_own_bits(self, items, graphs, xs):
+        for item, g, x in zip(items, graphs, xs):
+            ops = GraphOperators(g)
+            for term, got in zip(self.TERMS, item.layer0(self.TERMS)):
+                assert np.array_equal(got, apply_term(term, ops, x))
+                assert not got.flags.writeable
+            for m in (3, 5):
+                assert np.array_equal(item.ops.closed_walk_diag(m), ops.closed_walk_diag(m))
+
+    @pytest.mark.parametrize("chunk_work", [None, 60, 1])
+    def test_terms_equal_each_graphs_own(self, monkeypatch, chunk_work):
+        # the default takes every graph in one chunk, 60 forces chunk
+        # boundaries between graphs, 1 puts each graph in a chunk of its own
+        if chunk_work is not None:
+            monkeypatch.setattr(training, "CHUNK_WORK", chunk_work)
+        graphs = self._graphs()
+        rng = np.random.default_rng(0)
+        xs = [rng.normal(size=(g.n, 3)) for g in graphs]
+        items = prepare_items(graphs, xs, [0.0] * len(graphs), terms=self.TERMS)
+        chunks = [len(c) for c in training._chunks(items)]
+        assert sum(chunks) == len(graphs)
+        assert (chunks == [len(graphs)]) == (chunk_work is None)
+        assert 1 < len(chunks) < len(graphs) or chunk_work != 60
+        self._assert_own_bits(items, graphs, xs)
+
+    def test_features_of_another_width_start_a_new_chunk(self):
+        graphs = self._graphs()[:4]
+        xs = [np.ones((g.n, 1 + i % 2)) for i, g in enumerate(graphs)]
+        items = prepare_items(graphs, xs, [0.0] * 4, terms=self.TERMS)
+        assert [len(c) for c in training._chunks(items)] == [1, 1, 1, 1]
+        self._assert_own_bits(items, graphs, xs)
+
+    def test_one_walk_product_per_chunk(self, monkeypatch):
+        # the D2 terms need A @ A once: one product per chunk, never one per graph
+        products = []
+
+        def counting(a, b):
+            products.append(a.shape)
+            return real(a, b)
+
+        real = walks._checked_matmul
+        monkeypatch.setattr(walks, "_checked_matmul", counting)
+        graphs = [erdos_renyi(20, 0.3, seed) for seed in range(40)]
+        items = prepare_items(graphs, [np.ones((20, 1))] * 40, [0.0] * 40,
+                              terms=FAMILIES["D2"])
+        chunks = list(training._chunks(items))
+        assert 1 < len(chunks) <= 3
+        assert len(products) == len(chunks)
+
+    def test_graph_over_the_product_limit_is_a_capacity_error(self, monkeypatch):
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 100)
+        small, big = complete_graph(3), complete_graph(8)  # 12 and 392 multiply-adds
+        prepare_items([small] * 5, [np.ones((3, 1))] * 5, [0.0] * 5, terms=FAMILIES["L1"])
+        for graphs in ([big], [small, big, small]):
+            with pytest.raises(CapacityError, match="multiply-adds"):
+                prepare_items(graphs, [np.ones((g.n, 1)) for g in graphs], [0.0] * len(graphs),
+                              terms=FAMILIES["L1"])
+
+    def test_union_overflow_bound_falls_back_to_each_graph(self):
+        # the overflow bound of a walk product grows with the node count:
+        # closed 39-walks of K4 fit alone but not on a union of 40 copies,
+        # and closed 43-walks of K4 do not fit at all
+        graphs = [complete_graph(4)] * 40
+        with pytest.raises(CountOverflowError):
+            walks.diag_closed_walks(models.disjoint_union(*graphs), 39)
+        items = prepare_items(graphs, [np.ones((4, 1))] * 40, [0.0] * 40,
+                              terms=(diag_power(39),))
+        own = GraphOperators(graphs[0]).closed_walk_diag(39)
+        assert all(np.array_equal(it.ops.closed_walk_diag(39), own) for it in items)
+        with pytest.raises(CountOverflowError):
+            prepare_items(graphs, [np.ones((4, 1))] * 40, [0.0] * 40, terms=(diag_power(43),))
 
 
 class TestFit:
