@@ -56,7 +56,7 @@ from .graphs import (Graph, RegionSpec, atomic_write_text, cycle_graph,
 from .models import MAX_HIDDEN_DIM, ModelSpec, build_model, spec_from_model_name
 from .training import TrainConfig, evaluate, fit, prepare_items
 from .walks import triangle_counts_per_node
-from .wl import Verdict, augmented_distinguish, is_isomorphic_small, wl_distinguish
+from .wl import Verdict, compare_pair
 
 RESULTS_HEADER = "model,fold,train_mse,val_mse,test_mse"
 
@@ -445,11 +445,12 @@ def demo_wl_gap() -> dict:
     """
     ring = cycle_graph(6)
     twin_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
+    pair = compare_pair(ring, twin_triangles)
     report = {
         "graphs": {"g1": "C6", "g2": "C3+C3"},
-        "wl": wl_distinguish(ring, twin_triangles).value,
-        "augmented": augmented_distinguish(ring, twin_triangles).value,
-        "isomorphic": is_isomorphic_small(ring, twin_triangles),
+        "wl": pair.wl.value,
+        "augmented": pair.augmented.value,
+        "isomorphic": pair.isomorphic,
         "triangles_per_node_g1": [int(t) for t in triangle_counts_per_node(ring)],
         "triangles_per_node_g2": [int(t) for t in triangle_counts_per_node(twin_triangles)],
     }

@@ -95,10 +95,12 @@ def diag_closed_walks(g: Graph, m: int, square=None) -> np.ndarray:
     if m < 1:
         raise InputError(f"walk length must be >= 1, got {m}")
     a, *known = (adjacency_csr(g),) if square is None else square
-    powers = [sparse.eye_array(g.n, dtype=np.int64, format="csr"), a, *known]
-    while len(powers) <= (m + 1) // 2:
+    powers = [a, *known]  # powers[k - 1] is A^k
+    while len(powers) < (m + 1) // 2:
         powers.append(_checked_matmul(powers[-1], a))
-    half, other = powers[m // 2], powers[(m + 1) // 2]
+    # only m = 1 reads A^0
+    half = powers[m // 2 - 1] if m > 1 else sparse.eye_array(g.n, dtype=np.int64, format="csr")
+    other = powers[(m + 1) // 2 - 1]
     # The row sums are the diagonal of half @ other, under the same bound.
     _check_product_bound(half, other)
     return np.asarray(half.multiply(other).sum(axis=1), dtype=np.int64)

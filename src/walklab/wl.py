@@ -12,7 +12,9 @@ buffer, and one copy of that buffer to bytes. A signature is a node's run
 as big-endian int64 - its own colour, then its sorted neighbour colours -
 and these bytes sort exactly like the textbook tuples of nonnegative
 colours, a shorter prefix first. Python touches each node once per round,
-and a round holds O(n + m) memory.
+and a round holds O(n + m) memory. A path needs about n/2 rounds, so
+refinement can be quadratic; :data:`MAX_REFINE_WORK` caps rounds times
+layout entries.
 
 Two graphs are compared as in the 1-WL test (Morris et al. 2019, arXiv
 1810.02244): one refinement of their disjoint union, so both share one
@@ -21,6 +23,16 @@ Isomorphic graphs always get equal histograms. Unequal graphs can still
 collide - refinement is not a complete isomorphism test - which is why an
 exact canonical form, by the individualisation-refinement search of nauty
 and Traces (McKay and Piperno 2014, arXiv 1301.1493), covers small graphs.
+
+:func:`compare_pair` answers the plain, the triangle-augmented and the
+exact question with one refinement layout of the union. The plain run
+starts from degrees. If its halves differ, so do the augmented ones and
+the graphs are not isomorphic, and nothing more is computed. Otherwise
+the augmented run starts from (plain stable colour, triangle count)
+instead of (degree, triangle count) and reaches the same partition: any
+stable refinement of the degree partition D refines its stable partition
+P, so stable(P ^ T) = stable(D ^ T) for the triangle-count partition T.
+The canonical search runs only when both verdicts tie.
 """
 
 from __future__ import annotations
@@ -41,6 +53,13 @@ from .walks import triangle_counts_per_node
 # search tree has at most 109 601 nodes, so it needs no budget; 32K2 passes
 # 10^5 refinements, so a higher limit needs automorphism pruning first.
 CANONICAL_MAX_NODES = 8
+
+# Capacity limit on one refinement, counted as rounds times layout entries
+# (n + 2m over the refined graphs). A round costs 0.12-0.15 us per entry
+# on a shared 2-core x86-64 host, so the limit is about 5-6 s. It admits
+# a pair of 3 000-node paths (17 996 entries, 1 499 rounds: 2.7 * 10**7,
+# 3.3 s); a pair of 10**5-node paths would need about 1.5 * 10**10.
+MAX_REFINE_WORK = 4 * 10**7
 
 
 class Verdict(str, Enum):
@@ -96,9 +115,9 @@ class _Layout(NamedTuple):
         return cls(src, run * (2 * n) + n * nbr, list(map(slice, bounds, bounds[1:])))
 
 
-def _ranks(labels: list[int]) -> list[int]:
+def _ranks(labels: list) -> list[int]:
     """Each label's rank among the distinct labels: integers of any sign or
-    size become colours 0..k-1 in the same order."""
+    size, or tuples of them, become colours 0..k-1 in the same order."""
     rank = {lab: i for i, lab in enumerate(sorted(set(labels)))}
     return [rank[lab] for lab in labels]
 
@@ -111,11 +130,17 @@ def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], int]:
     sort exactly like the tuples of the textbook step, a shorter prefix
     first, and a new colour is the rank of its signature. A round is one
     gather, one sort and one byte copy over the whole layout plus O(n)
-    Python work, and holds O(n + m) memory.
+    Python work, and holds O(n + m) memory. A round that would take the
+    work past :data:`MAX_REFINE_WORK` raises :class:`CapacityError`.
     """
     k = max(colors) + 1
     buf = np.empty(layout.src.size, dtype=">i8")
     for rounds in range(1, len(layout.spans) + 1):
+        if rounds * buf.size > MAX_REFINE_WORK:
+            raise CapacityError(
+                f"refinement of {len(layout.spans)} nodes is still splitting after "
+                f"{rounds - 1} rounds over {buf.size} entries; the limit is "
+                f"{MAX_REFINE_WORK} entry-rounds")
         entries = layout.offset + np.array(colors, dtype=np.int64)[layout.src]
         entries.sort()
         data = np.subtract(entries, layout.offset, out=buf).tobytes()
@@ -147,18 +172,23 @@ def wl_refine(g: Graph, initial_labels=None) -> Coloring:
     return Coloring(colors=tuple(colors), rounds=rounds)
 
 
-def _distinguish(g1: Graph, g2: Graph, labels1: list[int], labels2: list[int]) -> Verdict:
-    """Refine the disjoint union of g1 and g2 from the given integer labels
-    and compare the stable colour histograms of the two halves.
+def _halves(colors: list[int], n1: int) -> Verdict:
+    """Compare the colour histograms of the first n1 nodes and the rest.
 
     Once the halves' histograms differ at some round they differ at the
     stable round too, and the union cannot stop before that round, since
     a round that splits no class only renames colours. So different node
     counts or initial label histograms show up on their own."""
-    colors, _ = _refine(_Layout.of(g1, g2), _ranks(labels1 + labels2))
-    if Counter(colors[:g1.n]) == Counter(colors[g1.n:]):
+    if Counter(colors[:n1]) == Counter(colors[n1:]):
         return Verdict.INDISTINGUISHABLE
     return Verdict.DISTINGUISHABLE
+
+
+def _distinguish(g1: Graph, g2: Graph, labels1: list[int], labels2: list[int]) -> Verdict:
+    """Refine the disjoint union of g1 and g2 from the given integer labels
+    and compare the stable colour histograms of the two halves."""
+    colors, _ = _refine(_Layout.of(g1, g2), _ranks(labels1 + labels2))
+    return _halves(colors, g1.n)
 
 
 def wl_distinguish(g1: Graph, g2: Graph) -> Verdict:
@@ -173,9 +203,23 @@ def cantor_pair(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
 
 
-def _augmented_labels(g: Graph) -> list[int]:
-    tri = triangle_counts_per_node(g)
-    return [cantor_pair(d, int(t)) for d, t in zip(degrees(g), tri)]
+def _verdicts(g1: Graph, g2: Graph) -> tuple[Verdict, Verdict]:
+    """Plain and triangle-augmented verdicts from one layout of the union.
+
+    The augmented run starts from the plain stable colours paired with
+    triangle counts, which gives the stable partition of (degree, triangle
+    count) labels without repeating the plain rounds. When the plain
+    halves already differ, no triangle is counted."""
+    layout = _Layout.of(g1, g2)
+    plain, _ = _refine(layout, _ranks(degrees(g1) + degrees(g2)))
+    verdict = _halves(plain, g1.n)
+    if verdict is Verdict.DISTINGUISHABLE:
+        return verdict, verdict
+    # counted per graph: the union is never a Graph, so the node limit
+    # holds for each graph alone
+    tri = triangle_counts_per_node(g1).tolist() + triangle_counts_per_node(g2).tolist()
+    augmented, _ = _refine(layout, _ranks(list(zip(plain, tri))))
+    return verdict, _halves(augmented, g1.n)
 
 
 def augmented_distinguish(g1: Graph, g2: Graph) -> Verdict:
@@ -186,7 +230,27 @@ def augmented_distinguish(g1: Graph, g2: Graph) -> Verdict:
     pairs that :func:`wl_distinguish` cannot; it never separates less,
     because the initial labels refine the degree labels.
     """
-    return _distinguish(g1, g2, _augmented_labels(g1), _augmented_labels(g2))
+    return _verdicts(g1, g2)[1]
+
+
+class PairReport(NamedTuple):
+    """The answers of :func:`compare_pair`. ``isomorphic`` is None when a
+    graph has more than :data:`CANONICAL_MAX_NODES` nodes."""
+
+    wl: Verdict
+    augmented: Verdict
+    isomorphic: bool | None
+
+
+def compare_pair(g1: Graph, g2: Graph) -> PairReport:
+    """Plain refinement, triangle-augmented refinement and, for graphs of
+    at most :data:`CANONICAL_MAX_NODES` nodes, exact isomorphism. The
+    canonical forms are computed only when both refinements tie."""
+    plain, augmented = _verdicts(g1, g2)
+    isomorphic = None
+    if max(g1.n, g2.n) <= CANONICAL_MAX_NODES:
+        isomorphic = augmented is Verdict.INDISTINGUISHABLE and is_isomorphic_small(g1, g2)
+    return PairReport(plain, augmented, isomorphic)
 
 
 def _check_canonical_size(n: int) -> None:

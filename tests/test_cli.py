@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from walklab import cli, experiments, walks
+from walklab import cli, experiments, walks, wl
 from walklab.cli import main
 from walklab.errors import InputError
 from walklab.graphs import (MAX_ER_NODES, MAX_NODES, complete_graph, cycle_graph,
@@ -229,6 +229,35 @@ class TestWl:
     @pytest.mark.parametrize("case", WL_FAILURES)
     def test_failure(self, tmp_path, capsys, case):
         _assert_fails("wl", WL_FAILURES[case], tmp_path, capsys)
+
+    def test_degree_separated_pair_counts_no_triangles(self, tmp_path, capsys, monkeypatch):
+        # K4 has sum_v d_v^2 = 36: past the limit, but the plain verdict
+        # answers both runs, so the walk product is never formed
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 10)
+        g1 = _graph_file(tmp_path, complete_graph(4), "k4.txt")
+        g2 = _graph_file(tmp_path, cycle_graph(4), "c4.txt")
+        assert main(["wl", g1, g2]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"wl": "distinguishable", "augmented": "distinguishable",
+                       "isomorphic": False}
+
+    def test_tied_pair_still_needs_the_product(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 10)
+        cc = disjoint_union(cycle_graph(3), cycle_graph(3))
+        row = (lambda d: ([_graph_file(d, cycle_graph(6), "c6.txt"), _graph_file(d, cc, "cc.txt")],
+                          "error: sparse walk product"), 2)
+        _assert_fails("wl", row, tmp_path, capsys)
+
+    def test_refinement_guard(self, tmp_path, capsys, monkeypatch):
+        # two 20-node paths: 116 layout entries and about 10 rounds
+        monkeypatch.setattr(wl, "MAX_REFINE_WORK", 500)
+        row = (lambda d: ([_graph_file(d, path_graph(20), "a.txt"),
+                           _graph_file(d, path_graph(20), "b.txt")],
+                          "the limit is 500 entry-rounds"), 2)
+        _assert_fails("wl", row, tmp_path, capsys)
+        # a pair that stabilises within the limit is answered
+        assert main(["wl", _c3(tmp_path), _graph_file(tmp_path, path_graph(3), "p3.txt")]) == 0
+        assert json.loads(capsys.readouterr().out)["wl"] == "distinguishable"
 
 
 REGIONS_FAILURES = {

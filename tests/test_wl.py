@@ -10,10 +10,11 @@ from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
 from walklab.walks import adjacency_csr, triangle_counts_per_node
-from walklab.wl import (CANONICAL_MAX_NODES, Verdict, _distinguish,
+from walklab.wl import (CANONICAL_MAX_NODES, PairReport, Verdict, _distinguish,
                         _leaf_orders, _neighbour_lists, augmented_distinguish,
-                        canonical_form, cantor_pair, is_isomorphic_small,
-                        lex_min_adjacency, wl_distinguish, wl_refine)
+                        canonical_form, cantor_pair, compare_pair,
+                        is_isomorphic_small, lex_min_adjacency,
+                        wl_distinguish, wl_refine)
 
 from oracles import (cubic_graphs_on_8_nodes, fingerprint_by_tuples,
                      is_isomorphic_by_search, neighbours, refine_by_tuples)
@@ -219,6 +220,120 @@ class TestRefineMatchesReference:
                                 == fingerprint_by_tuples(h, degrees(h))), (g.n, h.n)
                 verdicts.add((same, g.n == h.n))
         assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def _augmented_labels(g):
+    """(degree, triangle count) packed into one integer label per node."""
+    return [cantor_pair(d, t) for d, t in zip(degrees(g), triangle_counts_per_node(g).tolist())]
+
+
+def _random_cubic(rng, n):
+    """A uniformly random simple 3-regular graph on n nodes (n even): the
+    pairing model, drawn again until no loop or double edge appears."""
+    while True:
+        a, b = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2).T
+        edges = {(int(min(u, v)), int(max(u, v))) for u, v in zip(a, b) if u != v}
+        if len(edges) == 3 * n // 2:
+            return from_edge_list(n, sorted(edges))
+
+
+def _rook_4x4():
+    """K4 x K4: nodes share a row or a column. SRG(16, 6, 2, 2)."""
+    return from_edge_list(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
+                               if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def _shrikhande():
+    """Cayley graph of Z4 x Z4 with connection set +-(0, 1), +-(1, 0),
+    +-(1, 1). SRG(16, 6, 2, 2), like the rook's graph."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return from_edge_list(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
+                               if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps])
+
+
+def _neighbourhood(g, v):
+    """The subgraph induced on the neighbours of v."""
+    ns = neighbours(g, v)
+    return from_edge_list(len(ns), [(i, j) for i, j in itertools.combinations(range(len(ns)), 2)
+                                    if ns[j] in neighbours(g, ns[i])])
+
+
+class TestComparePair:
+    """The pair report against from-scratch refinements and the oracles."""
+
+    @staticmethod
+    def _check(g, h):
+        report = compare_pair(g, h)
+        assert report.wl is _distinguish(g, h, degrees(g), degrees(h))
+        seeds = _augmented_labels(g), _augmented_labels(h)
+        assert report.augmented is _distinguish(g, h, *seeds)
+        assert report.augmented is augmented_distinguish(g, h)
+        same = fingerprint_by_tuples(g, seeds[0]) == fingerprint_by_tuples(h, seeds[1])
+        assert (report.augmented is Verdict.INDISTINGUISHABLE) == same
+        if max(g.n, h.n) <= CANONICAL_MAX_NODES:
+            assert report.isomorphic == is_isomorphic_by_search(g, h)
+        else:
+            assert report.isomorphic is None
+        return report
+
+    def test_reference_corpus(self):
+        rng = np.random.default_rng(50)
+        reports = set()
+        for g in TestRefineMatchesReference._corpus():
+            copy = relabel(g, [int(x) for x in rng.permutation(g.n)])
+            for h in (copy, _random_graph(rng, g.n, g.edge_count)):
+                reports.add(self._check(g, h)[:2])
+        # copies tie; the random graphs all differ in degrees already
+        assert reports == {(Verdict.INDISTINGUISHABLE,) * 2, (Verdict.DISTINGUISHABLE,) * 2}
+
+    def test_random_cubic_pairs(self):
+        rng = np.random.default_rng(51)
+        reports = set()
+        for n in (10, 12, 16, 20, 30, 40) * 4:
+            g = _random_cubic(rng, n)
+            reports.add(self._check(g, _random_cubic(rng, n)))
+            self._check(g, relabel(g, [int(x) for x in rng.permutation(n)]))
+        assert {r.augmented for r in reports} == set(Verdict)
+
+    def test_cubic_graphs_on_8_nodes(self):
+        # plain refinement ties on every pair, so the canonical search
+        # decides whenever the triangle counts tie too
+        classes = {}
+        for g in cubic_graphs_on_8_nodes():
+            classes.setdefault(canonical_form(g), []).append(g)
+        firsts, lasts = zip(*[(members[0], members[-1]) for members in classes.values()])
+        # the last three classes have 5, 8 and 8 nodes on no triangle: one
+        # pair that the triangle labels separate, one that they do not
+        pairs = [*zip(firsts[-3:], firsts[-2:]), *zip(firsts, lasts[:2])]
+        reports = {self._check(g, h) for g, h in pairs}
+        assert {(r.augmented, r.isomorphic) for r in reports} == {
+            (Verdict.DISTINGUISHABLE, False), (Verdict.INDISTINGUISHABLE, False),
+            (Verdict.INDISTINGUISHABLE, True)}
+
+    def test_hexagon_vs_two_triangles(self):
+        report = self._check(cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3)))
+        assert report == PairReport(Verdict.INDISTINGUISHABLE, Verdict.DISTINGUISHABLE, False)
+
+    def test_rook_vs_shrikhande(self):
+        rook, shrikhande = _rook_4x4(), _shrikhande()
+        # not isomorphic: a node's neighbours span two triangles in one,
+        # a hexagon in the other
+        assert not is_isomorphic_small(_neighbourhood(rook, 0), _neighbourhood(shrikhande, 0))
+        assert triangle_counts_per_node(rook).tolist() == [6] * 16
+        assert triangle_counts_per_node(shrikhande).tolist() == [6] * 16
+        report = self._check(rook, shrikhande)
+        assert report == PairReport(Verdict.INDISTINGUISHABLE, Verdict.INDISTINGUISHABLE, None)
+
+    def test_canonical_search_only_when_both_runs_tie(self, monkeypatch):
+        def no_search(g1, g2):
+            raise AssertionError("canonical search ran")
+
+        monkeypatch.setattr("walklab.wl.is_isomorphic_small", no_search)
+        assert compare_pair(complete_graph(3), path_graph(3)).isomorphic is False
+        c6, cc = cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3))
+        assert compare_pair(c6, cc).isomorphic is False
+        with pytest.raises(AssertionError, match="canonical search ran"):
+            compare_pair(c6, relabel(c6, [1, 2, 3, 4, 5, 0]))
 
 
 @st.composite
