@@ -13,8 +13,9 @@ as big-endian int64 - its own colour, then its sorted neighbour colours -
 and these bytes sort exactly like the textbook tuples of nonnegative
 colours, a shorter prefix first. Python touches each node once per round,
 and a round holds O(n + m) memory. A path needs about n/2 rounds, so
-refinement can be quadratic; :data:`MAX_REFINE_WORK` caps rounds times
-layout entries.
+:func:`wl_refine`, which reports rounds and isomorphism-invariant colour
+names, can be quadratic; :data:`MAX_REFINE_WORK` caps rounds times layout
+entries there and in the canonical search.
 
 Two graphs are compared as in the 1-WL test (Morris et al. 2019, arXiv
 1810.02244): one refinement of their disjoint union, so both share one
@@ -25,14 +26,22 @@ exact canonical form, by the individualisation-refinement search of nauty
 and Traces (McKay and Piperno 2014, arXiv 1301.1493), covers small graphs.
 
 :func:`compare_pair` answers the plain, the triangle-augmented and the
-exact question with one refinement layout of the union. The plain run
-starts from degrees. If its halves differ, so do the augmented ones and
-the graphs are not isomorphic, and nothing more is computed. Otherwise
-the augmented run starts from (plain stable colour, triangle count)
-instead of (degree, triangle count) and reaches the same partition: any
-stable refinement of the degree partition D refines its stable partition
-P, so stable(P ^ T) = stable(D ^ T) for the triangle-count partition T.
-The canonical search runs only when both verdicts tie.
+exact question with one refinement layout of the union. A verdict needs
+only the stable partition of the union, not the rounds or the colour
+names, so it runs at most :data:`EAGER_ROUNDS` rounds and, if the
+partition is still splitting, finishes it by "process the smaller half"
+refinement (Cardon and Crochemore 1982; Paige and Tarjan 1987) in
+O((n + m) log n), which is optimal for colour refinement (Berkholz,
+Bonsma and Grohe 2017, arXiv 1509.08251). One more round must then split
+nothing. Halves whose label histograms already differ are not refined.
+The plain run starts from degrees. If its halves differ, so do the
+augmented ones and the graphs are not isomorphic, and nothing more is
+computed. Otherwise the augmented run starts from (plain stable colour,
+triangle count) instead of (degree, triangle count) and reaches the same
+partition: any stable refinement of the degree partition D refines its
+stable partition P, so stable(P ^ T) = stable(D ^ T) for the
+triangle-count partition T. The canonical search runs only when both
+verdicts tie.
 """
 
 from __future__ import annotations
@@ -54,11 +63,12 @@ from .walks import triangle_counts_per_node
 # 10^5 refinements, so a higher limit needs automorphism pruning first.
 CANONICAL_MAX_NODES = 8
 
-# Capacity limit on one refinement, counted as rounds times layout entries
-# (n + 2m over the refined graphs). A round costs 0.12-0.15 us per entry
-# on a shared 2-core x86-64 host, so the limit is about 5-6 s. It admits
-# a pair of 3 000-node paths (17 996 entries, 1 499 rounds: 2.7 * 10**7,
-# 3.3 s); a pair of 10**5-node paths would need about 1.5 * 10**10.
+# Capacity limit on the textbook refinement of wl_refine and the canonical
+# search, counted as rounds times layout entries (n + 2m over the refined
+# graphs). A round costs 0.12-0.15 us per entry on a shared 2-core x86-64
+# host, so the limit is about 5-6 s; a 3 000-node path (8 998 entries,
+# 1 500 rounds: 1.3 * 10**7) passes. The verdicts of compare_pair and
+# wl_distinguish run a bounded number of rounds and need no limit.
 MAX_REFINE_WORK = 4 * 10**7
 
 
@@ -114,6 +124,11 @@ class _Layout(NamedTuple):
         bounds = (8 * first).tolist()
         return cls(src, run * (2 * n) + n * nbr, list(map(slice, bounds, bounds[1:])))
 
+    def neighbour_lists(self) -> list[list[int]]:
+        """Each node's neighbours, by union ids: its run without its own id."""
+        flat = self.src.tolist()
+        return [flat[span.start // 8 + 1:span.stop // 8] for span in self.spans]
+
 
 def _ranks(labels: list) -> list[int]:
     """Each label's rank among the distinct labels: integers of any sign or
@@ -122,7 +137,8 @@ def _ranks(labels: list) -> list[int]:
     return [rank[lab] for lab in labels]
 
 
-def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], int]:
+def _refine(layout: _Layout, colors: list[int],
+            max_rounds: int | None = None) -> tuple[list[int], int | None]:
     """Refinement rounds from colours 0..k-1: (final colours, rounds).
 
     A node's signature is the bytes of its own colour and its sorted
@@ -130,13 +146,17 @@ def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], int]:
     sort exactly like the tuples of the textbook step, a shorter prefix
     first, and a new colour is the rank of its signature. A round is one
     gather, one sort and one byte copy over the whole layout plus O(n)
-    Python work, and holds O(n + m) memory. A round that would take the
-    work past :data:`MAX_REFINE_WORK` raises :class:`CapacityError`.
+    Python work, and holds O(n + m) memory.
+
+    Without ``max_rounds``, rounds run until the partition is stable, and
+    a round that would take the work past :data:`MAX_REFINE_WORK` raises
+    :class:`CapacityError`. With it, at most that many rounds run, and the
+    rounds are None when the last of them still split a class.
     """
     k = max(colors) + 1
     buf = np.empty(layout.src.size, dtype=">i8")
-    for rounds in range(1, len(layout.spans) + 1):
-        if rounds * buf.size > MAX_REFINE_WORK:
+    for rounds in range(1, (len(layout.spans) if max_rounds is None else max_rounds) + 1):
+        if max_rounds is None and rounds * buf.size > MAX_REFINE_WORK:
             raise CapacityError(
                 f"refinement of {len(layout.spans)} nodes is still splitting after "
                 f"{rounds - 1} rounds over {buf.size} entries; the limit is "
@@ -152,7 +172,98 @@ def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], int]:
         if len(rank) == k:
             return new, rounds
         colors, k = new, len(rank)
-    raise InvariantViolation("refinement did not stabilise within n rounds")
+    if max_rounds is None:
+        raise InvariantViolation("refinement did not stabilise within n rounds")
+    return colors, None
+
+
+def _split_smaller_halves(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """The coarsest stable partition that refines ``colors``, by "process
+    the smaller half" refinement (Cardon and Crochemore 1982; Paige and
+    Tarjan 1987), as colours 0..k-1.
+
+    A splitter class counts its edges into every node it reaches; each
+    class it touches splits by that count, untouched nodes counting 0. The
+    largest part keeps the class and its queue entry, if any, and every
+    other part becomes a new class on the queue. A class without an entry
+    needs none for its largest part: the partition is already stable with
+    respect to the whole class and, once they are processed, to the other
+    parts, so also with respect to the rest. A new class is at most half
+    the class it left, so each node is in a processed splitter O(log n)
+    times and the work is O((n + m) log n), where a round-based refinement
+    of a path takes n/2 rounds over every node.
+    """
+    colors = list(colors)
+    members: list[set[int]] = [set() for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        members[c].add(v)
+    queue = list(range(len(members)))  # nothing is known stable at the start
+    while queue:
+        counts: dict[int, int] = {}
+        for v in members[queue.pop()]:
+            for u in nbrs[v]:
+                counts[u] = counts.get(u, 0) + 1
+        touched: dict[int, dict[int, list[int]]] = {}  # class -> count -> nodes
+        for u, k in counts.items():
+            c = colors[u]
+            if c in touched:
+                touched[c].setdefault(k, []).append(u)
+            else:
+                touched[c] = {k: [u]}
+        for c, by_count in touched.items():
+            cell = members[c]
+            parts = list(by_count.values())
+            rest = len(cell) - sum(map(len, parts))  # the nodes the splitter missed
+            if len(parts) > 1:
+                parts.sort(key=len)
+            elif not rest:
+                continue
+            if rest >= len(parts[-1]):
+                for part in parts:
+                    cell.difference_update(part)
+            else:
+                # the largest part is touched, so the rest costs no more
+                # to move than that part
+                members[c] = set(parts.pop())
+                if rest:
+                    parts.append(cell.difference(*by_count.values()))
+            for part in parts:
+                new = len(members)
+                queue.append(new)
+                for v in part:
+                    colors[v] = new
+                members.append(set(part))
+    return colors
+
+
+# Vectorised rounds a verdict runs before it switches to smaller-half
+# refinement. A round costs O(n + m) numpy work, a node in a smaller-half
+# splitter a few Python operations, so rounds win while they split much at
+# once and lose on long chains of small splits. Measured on a shared
+# 2-core x86-64 host: a pair of 10**5-node random graphs of average degree
+# 10 is stable after 3 rounds, and its plain and augmented verdicts took
+# 8.1 s and 396 MB with no rounds, 6.2 s after 2 rounds and 2.3-2.5 s and
+# 287 MB after 3 or 4. The plain partition of a spine-100 caterpillar pair
+# (50 textbook rounds, 5.1 ms) took 0.76 ms with no rounds and 1.09 ms
+# after 4.
+EAGER_ROUNDS = 4
+
+
+def _stable_partition(layout: _Layout, colors: list[int]) -> list[int]:
+    """The coarsest stable partition of the layout's nodes that refines
+    ``colors``: the partition textbook rounds reach, with colours 0..k-1
+    whose names, unlike those of :func:`_refine`, depend on node ids.
+
+    Up to :data:`EAGER_ROUNDS` vectorised rounds run first; a partition
+    still splitting after them is finished by smaller-half refinement,
+    whose result must survive one more round unsplit."""
+    colors, rounds = _refine(layout, colors, EAGER_ROUNDS)
+    if rounds is not None:
+        return colors
+    colors = _split_smaller_halves(layout.neighbour_lists(), colors)
+    if _refine(layout, colors, 1)[1] is None:
+        raise InvariantViolation("smaller-half refinement left a partition that a round splits")
+    return colors
 
 
 def wl_refine(g: Graph, initial_labels=None) -> Coloring:
@@ -184,11 +295,19 @@ def _halves(colors: list[int], n1: int) -> Verdict:
     return Verdict.DISTINGUISHABLE
 
 
+def _verdict(layout: _Layout, colors: list[int], n1: int) -> tuple[Verdict, list[int]]:
+    """The halves' verdict, with the stable partition that refines
+    ``colors``. Refinement only splits classes, so halves whose histograms
+    already differ stay apart, and then ``colors`` come back unrefined."""
+    if _halves(colors, n1) is Verdict.INDISTINGUISHABLE:
+        colors = _stable_partition(layout, colors)
+    return _halves(colors, n1), colors
+
+
 def _distinguish(g1: Graph, g2: Graph, labels1: list[int], labels2: list[int]) -> Verdict:
     """Refine the disjoint union of g1 and g2 from the given integer labels
     and compare the stable colour histograms of the two halves."""
-    colors, _ = _refine(_Layout.of(g1, g2), _ranks(labels1 + labels2))
-    return _halves(colors, g1.n)
+    return _verdict(_Layout.of(g1, g2), _ranks(labels1 + labels2), g1.n)[0]
 
 
 def wl_distinguish(g1: Graph, g2: Graph) -> Verdict:
@@ -211,15 +330,13 @@ def _verdicts(g1: Graph, g2: Graph) -> tuple[Verdict, Verdict]:
     count) labels without repeating the plain rounds. When the plain
     halves already differ, no triangle is counted."""
     layout = _Layout.of(g1, g2)
-    plain, _ = _refine(layout, _ranks(degrees(g1) + degrees(g2)))
-    verdict = _halves(plain, g1.n)
+    verdict, plain = _verdict(layout, _ranks(degrees(g1) + degrees(g2)), g1.n)
     if verdict is Verdict.DISTINGUISHABLE:
         return verdict, verdict
     # counted per graph: the union is never a Graph, so the node limit
     # holds for each graph alone
     tri = triangle_counts_per_node(g1).tolist() + triangle_counts_per_node(g2).tolist()
-    augmented, _ = _refine(layout, _ranks(list(zip(plain, tri))))
-    return verdict, _halves(augmented, g1.n)
+    return verdict, _verdict(layout, _ranks(list(zip(plain, tri))), g1.n)[0]
 
 
 def augmented_distinguish(g1: Graph, g2: Graph) -> Verdict:

@@ -252,6 +252,15 @@ def cubic_graphs_on_8_nodes() -> list[Graph]:
     return results
 
 
+def caterpillar(spine: int) -> Graph:
+    """A path of ``spine`` nodes with one pendant leaf on each: refinement
+    from degrees needs about spine / 2 rounds."""
+    from walklab.graphs import from_edge_list
+
+    return from_edge_list(2 * spine, [(v, v + 1) for v in range(spine - 1)]
+                          + [(v, spine + v) for v in range(spine)])
+
+
 def tape_loss_and_grads(model, ops, x, target, *, dropout_rate=0.0, rng=None):
     """MSE of one graph and its parameter gradients from the reverse-mode
     tape in ``walklab.autodiff``: the forward pass composed op by op from

@@ -11,9 +11,12 @@ import pytest
 
 from walklab import cli, experiments, walks, wl
 from walklab.cli import main
-from walklab.errors import InputError
+from walklab.errors import CapacityError, InputError
 from walklab.graphs import (MAX_ER_NODES, MAX_NODES, complete_graph, cycle_graph,
-                            disjoint_union, erdos_renyi, path_graph, write_edge_list)
+                            disjoint_union, erdos_renyi, path_graph, relabel,
+                            write_edge_list)
+
+from oracles import caterpillar
 
 
 def _graph_file(tmp_path, g, name):
@@ -249,15 +252,25 @@ class TestWl:
         _assert_fails("wl", row, tmp_path, capsys)
 
     def test_refinement_guard(self, tmp_path, capsys, monkeypatch):
-        # two 20-node paths: 116 layout entries and about 10 rounds
+        # one 20-node path: 58 layout entries and about 10 rounds
         monkeypatch.setattr(wl, "MAX_REFINE_WORK", 500)
-        row = (lambda d: ([_graph_file(d, path_graph(20), "a.txt"),
-                           _graph_file(d, path_graph(20), "b.txt")],
-                          "the limit is 500 entry-rounds"), 2)
-        _assert_fails("wl", row, tmp_path, capsys)
-        # a pair that stabilises within the limit is answered
-        assert main(["wl", _c3(tmp_path), _graph_file(tmp_path, path_graph(3), "p3.txt")]) == 0
-        assert json.loads(capsys.readouterr().out)["wl"] == "distinguishable"
+        with pytest.raises(CapacityError, match="the limit is 500 entry-rounds"):
+            wl.wl_refine(path_graph(20))
+        # a verdict runs a bounded number of rounds, so the limit never
+        # refuses a pair
+        paths = [_graph_file(tmp_path, path_graph(20), name) for name in ("a.txt", "b.txt")]
+        assert main(["wl", *paths]) == 0
+        assert json.loads(capsys.readouterr().out) == {"wl": "indistinguishable",
+                                                       "augmented": "indistinguishable"}
+
+    def test_unstable_smaller_half_result_is_an_invariant_violation(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        monkeypatch.setattr(wl, "_split_smaller_halves", lambda nbrs, colors: colors)
+        paths = [_graph_file(tmp_path, caterpillar(30), name) for name in ("a.txt", "b.txt")]
+        assert main(["wl", *paths, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: ") and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
 
 
 REGIONS_FAILURES = {
@@ -515,7 +528,7 @@ class TestModuleInvocation:
         doc = json.loads((tmp_path / "demo.json").read_text())
         assert doc["augmented"] == "distinguishable"
 
-    def test_count_under_optimised_interpreter(self, tmp_path):
+    def test_count_and_wl_under_optimised_interpreter(self, tmp_path):
         # python -O strips assert statements; invariants must not rely on them.
         path = _graph_file(tmp_path, complete_graph(5), "k5.txt")
         proc = subprocess.run([sys.executable, "-O", "-m", "walklab", "count", path],
@@ -524,6 +537,18 @@ class TestModuleInvocation:
         doc = json.loads(proc.stdout)
         assert (doc["triangles"], doc["four_cycles"]) == (10, 15)
         assert doc["triangles_per_node"] == [6] * 5
+        # a spine-30 caterpillar needs 15 rounds, so the pair reaches
+        # smaller-half refinement and its stability check
+        g = caterpillar(30)
+        h = relabel(g, [int(x) for x in np.random.default_rng(3).permutation(g.n)])
+        argv = ["-m", "walklab", "wl", _graph_file(tmp_path, g, "g.txt"),
+                _graph_file(tmp_path, h, "h.txt")]
+        runs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True)
+                for flags in ([], ["-O"])]
+        assert [(p.returncode, p.stdout, p.stderr) for p in runs] == [
+            (0, runs[0].stdout, "")] * 2
+        assert json.loads(runs[0].stdout) == {"wl": "indistinguishable",
+                                              "augmented": "indistinguishable"}
 
     def test_usage_failure_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "walklab", "count"],

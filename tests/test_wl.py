@@ -1,22 +1,24 @@
 import itertools
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import wl
 from walklab.errors import CapacityError, InputError
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
 from walklab.walks import adjacency_csr, triangle_counts_per_node
-from walklab.wl import (CANONICAL_MAX_NODES, PairReport, Verdict, _distinguish,
-                        _leaf_orders, _neighbour_lists, augmented_distinguish,
-                        canonical_form, cantor_pair, compare_pair,
-                        is_isomorphic_small, lex_min_adjacency,
-                        wl_distinguish, wl_refine)
+from walklab.wl import (CANONICAL_MAX_NODES, EAGER_ROUNDS, PairReport, Verdict, _distinguish,
+                        _Layout, _leaf_orders, _neighbour_lists, _ranks, _stable_partition,
+                        augmented_distinguish, canonical_form, cantor_pair, compare_pair,
+                        is_isomorphic_small, lex_min_adjacency, wl_distinguish, wl_refine)
 
-from oracles import (cubic_graphs_on_8_nodes, fingerprint_by_tuples,
+from oracles import (caterpillar, cubic_graphs_on_8_nodes, fingerprint_by_tuples,
                      is_isomorphic_by_search, neighbours, refine_by_tuples)
 
 
@@ -148,12 +150,6 @@ def _fan(n):
     return from_edge_list(n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)])
 
 
-def _caterpillar(spine):
-    """A path of ``spine`` nodes with one pendant leaf on each."""
-    return from_edge_list(2 * spine, [(v, v + 1) for v in range(spine - 1)]
-                          + [(v, spine + v) for v in range(spine)])
-
-
 def _label_kinds(g, rng):
     """Degree labels, negative labels, and labels above int64."""
     return {
@@ -173,7 +169,7 @@ class TestRefineMatchesReference:
                   for n in range(1, 41) for _ in range(3)]
         # isolated nodes next to edges, and no edges at all
         graphs += [from_edge_list(7, [(0, 1), (1, 2)]), from_edge_list(5, [])]
-        graphs += [_star(40), _fan(40), _caterpillar(30)]
+        graphs += [_star(40), _fan(40), caterpillar(30)]
         # hundreds of colour classes, so colours no longer fit in one byte
         graphs += [erdos_renyi(400, 0.02, 43), path_graph(600)]
         return graphs
@@ -187,7 +183,21 @@ class TestRefineMatchesReference:
                 c = wl_refine(g, labels)
                 assert (c.colors, c.rounds) == (tuple(colors), len(tables)), (g.n, kind)
 
-    def test_fingerprint_verdicts_match(self):
+    @pytest.mark.parametrize("eager_rounds", [EAGER_ROUNDS, 0, 1])
+    def test_stable_partitions_match(self, monkeypatch, eager_rounds):
+        monkeypatch.setattr(wl, "EAGER_ROUNDS", eager_rounds)
+        rng = np.random.default_rng(41)
+        for g in self._corpus():
+            nbrs = [neighbours(g, v) for v in range(g.n)]
+            for kind, labels in _label_kinds(g, rng).items():
+                colors = _stable_partition(_Layout.of(g), _ranks(labels))
+                assert _classes(colors) == _classes(refine_by_tuples(nbrs, labels)[0]), (g.n, kind)
+
+    @pytest.mark.parametrize("eager_rounds", [EAGER_ROUNDS, 0, 1])
+    def test_fingerprint_verdicts_match(self, monkeypatch, eager_rounds):
+        # with no or one eager round, every tied pair of the corpus goes on
+        # to smaller-half refinement
+        monkeypatch.setattr(wl, "EAGER_ROUNDS", eager_rounds)
         rng = np.random.default_rng(42)
         verdicts = set()
         for g in self._corpus():
@@ -205,7 +215,9 @@ class TestRefineMatchesReference:
                     verdicts.add(same)
         assert verdicts == {True, False}
 
-    def test_verdicts_match_across_node_counts(self):
+    @pytest.mark.parametrize("eager_rounds", [EAGER_ROUNDS, 0, 1])
+    def test_verdicts_match_across_node_counts(self, monkeypatch, eager_rounds):
+        monkeypatch.setattr(wl, "EAGER_ROUNDS", eager_rounds)
         graphs = [from_edge_list(n, []) for n in (1, 2, 3, 6)]  # no edges
         graphs += [path_graph(n) for n in (2, 3, 4, 6)]
         # isolated nodes next to edges
@@ -323,6 +335,40 @@ class TestComparePair:
         assert triangle_counts_per_node(shrikhande).tolist() == [6] * 16
         report = self._check(rook, shrikhande)
         assert report == PairReport(Verdict.INDISTINGUISHABLE, Verdict.INDISTINGUISHABLE, None)
+
+    def test_long_relabelled_paths(self):
+        # n/2 textbook rounds over every node would take hours here
+        n = 10**5
+        g = path_graph(n)
+        h = relabel(g, [int(x) for x in np.random.default_rng(52).permutation(n)])
+        start = time.monotonic()
+        report = compare_pair(g, h)
+        assert time.monotonic() - start < 30.0
+        assert report == PairReport(Verdict.INDISTINGUISHABLE, Verdict.INDISTINGUISHABLE, None)
+
+    def test_benchmark_like_pairs_on_both_sides_of_the_switch(self, monkeypatch):
+        calls = []
+
+        def spy(nbrs, colors):
+            calls.append(len(colors))
+            return split(nbrs, colors)
+
+        split = wl._split_smaller_halves
+        monkeypatch.setattr(wl, "_split_smaller_halves", spy)
+        rng = np.random.default_rng(53)
+        # a regular graph is stable after one round, and halves whose
+        # triangle histograms differ are not refined again
+        g, h = _random_cubic(rng, 100), _random_cubic(rng, 100)
+        assert Counter(triangle_counts_per_node(g).tolist()) != \
+            Counter(triangle_counts_per_node(h).tolist())
+        assert compare_pair(g, h)[:2] == (Verdict.INDISTINGUISHABLE, Verdict.DISTINGUISHABLE)
+        assert calls == []
+        # about 30 rounds; a tree has no triangles, so only the plain run
+        # splits past the eager rounds
+        g = caterpillar(60)
+        h = relabel(g, [int(x) for x in rng.permutation(g.n)])
+        assert compare_pair(g, h)[:2] == (Verdict.INDISTINGUISHABLE,) * 2
+        assert calls == [240]
 
     def test_canonical_search_only_when_both_runs_tie(self, monkeypatch):
         def no_search(g1, g2):
