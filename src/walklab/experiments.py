@@ -19,19 +19,20 @@ trained models) groups, and no group holds more than
 :data:`MAX_GROUP_PARAMS` coordinates. The groups train in parallel: a
 pool of forked worker processes, one per usable core and never more,
 inherits the prepared graphs and returns the rows in cell order. Every
-graph's structure operators and layer-0 terms, for every term the
-configured models sum, are built before the fork, in chunked batches of
-graphs (:func:`walklab.training.prepare_items`), so no worker rebuilds
-them. Each forked worker first raises glibc's mmap and trim thresholds
-(:func:`_init_worker`), so that its large numpy temporaries are reused
-from the heap instead of being mapped and unmapped on every step; the
-setting applies only to forked workers, never to the calling process.
+graph's layer-0 terms, for every term the configured models sum, and
+their closed-walk diagonals are built before the fork, in chunked
+batches of graphs (:func:`walklab.training.prepare_items`), so no worker
+rebuilds them. Each forked worker first raises glibc's mmap and trim
+thresholds (:func:`_init_worker`), so that its large numpy temporaries
+are reused from the heap instead of being mapped and unmapped on every
+step; the setting applies only to forked workers, never to the calling
+process.
 With one usable core, or where the platform cannot fork, the same group
 function runs in this process, with the allocator as it is.
 ``results.csv`` carries one row per cell and is byte-identical for any
 core count. ``summary.json`` aggregates mean/std test MSE per model next
 to the mean-predictor baseline and lists, under ``cells``, how each
-trained cell's training went; ``prepare_seconds`` is the serial operator
+trained cell's training went; ``prepare_seconds`` is the serial layer-0
 build before the fork, next to ``wall_clock_seconds``. Only its timings
 depend on the core count.
 ``summary.json`` is strict JSON: a non-finite number is written as
@@ -185,8 +186,8 @@ class ExperimentReport:
     of one group record the same seconds. A diverged cell records None
     (null in ``summary.json``) for the epochs, best epoch and lr cuts.
     ``prepare_seconds`` is the part of ``wall_clock`` spent building the
-    graphs' operators and layer-0 terms, serially, before any worker
-    forks."""
+    graphs' layer-0 terms and closed-walk diagonals, serially, before any
+    worker forks."""
 
     config: dict
     rows: list[Row]

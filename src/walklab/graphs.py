@@ -191,20 +191,28 @@ def complete_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def disjoint_union(*graphs: Graph) -> Graph:
-    """New graph holding ``graphs`` one after another: the first on ids
-    0..n1-1, the second shifted up by n1, and so on. Its CSR arrays are
-    theirs, concatenated and shifted, so each node keeps its neighbours
-    in their order."""
+def concat_csr(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays ``(indptr, indices)`` of ``graphs`` laid one after
+    another: the first on ids 0..n1-1, the second shifted up by n1, and so
+    on, each node keeping its neighbours in their order. One graph's are
+    its own arrays; several graphs' are new int64 arrays."""
+    if len(graphs) == 1:
+        return graphs[0].indptr, graphs[0].indices
     sizes = [g.n for g in graphs]
     firsts = np.cumsum([0] + sizes)  # each graph's first node, then n
     starts = np.cumsum([0] + [g.indices.size for g in graphs])  # each one's first entry
-    n = _check_node_count(int(firsts[-1]))
     indptr = np.concatenate([[0]] + [g.indptr[1:] for g in graphs]).astype(np.int64)
     indptr[1:] += np.repeat(starts[:-1], sizes)
     indices = (np.concatenate([g.indices for g in graphs]).astype(np.int64)
                + np.repeat(firsts[:-1], np.diff(starts)))
-    return Graph(n=n, indptr=indptr, indices=indices)
+    return indptr, indices
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """New graph holding ``graphs`` one after another, on the arrays of
+    :func:`concat_csr`."""
+    n = _check_node_count(sum(g.n for g in graphs))
+    return Graph(n, *concat_csr(graphs))
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -38,16 +38,17 @@ same pass, written into named views of one gradient array. Every
 structural operator is symmetric, so a term's backward pass is the term
 itself applied to the gated upstream gradient.
 
-One ``forward`` runs one graph's (n, d) rows or a :class:`GraphStack` of
-G graphs with a common node count as (G, n, d): one model on every graph
+One ``forward`` runs one graph's (n, d) rows, or the (G, n, d) rows of
+G graphs with a common node count: one model on every graph
 (evaluation), or a stack of G models, model g on graph g (a lockstep
-training step, which ``backward`` then differentiates row by row). Dense
-products on the stack are batched matmuls over the leading axis and the
-structural terms act on a block-diagonal CSR matrix, so every graph's
+training step, which ``backward`` then differentiates row by row); one
+graph is the stack of one. Dense products on the stack are batched
+matmuls over the leading axis and the structural terms act on one
+block-diagonal CSR matrix (:class:`GraphOperators`), so every graph's
 output, and every model's gradient, equals its own single-graph pass bit
 for bit. The caller may hand in the layer-0 terms ``Op_t(X)``, which
-depend only on the graph and its features, so that a graph seen on every
-step computes them once.
+depend only on the graph and its features; :func:`layer0_terms` builds
+them for many graphs at once.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CapacityError, CountOverflowError, InputError, NumericError
-from .graphs import Graph, degrees, disjoint_union
+from .graphs import Graph, concat_csr, disjoint_union
 from .walks import diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
@@ -182,108 +183,60 @@ def spec_from_model_name(name: str, degree_normalize: bool = False,
 
 
 class GraphOperators:
-    """Cached per-graph structure matrices the aggregation terms consume.
-
-    Gradients never flow into these; they are fixed functions of the
-    graph, built once and shared by every forward pass on it. ``shape``
-    is (graphs, nodes per graph), here (1, n), as for a :class:`GraphStack`.
-    Each float matrix is one CSR constructor over the graph's own
-    ``indptr``/``indices``, with the entries in scipy's sorted order; A
-    and A + I share one read-only all-ones data array.
+    """The structure operators of G >= 1 graphs of one node count n,
+    acting on their (G, n, d) rows, or one graph's (n, d), as one
+    block-diagonal system; ``shape`` is (G, n). Each float matrix is built
+    on first use by one CSR constructor over the graphs' arrays laid one
+    after another (:func:`concat_csr`), in scipy's sorted entry order, so a
+    product equals each graph's own bit for bit. ``walks`` holds one
+    mapping per graph from a walk length m to its float closed m-walk
+    diagonal; a missing one is counted per graph, never on the stack,
+    whose overflow bound would grow with its node count.
     """
 
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.shape = (1, g.n)
+    def __init__(self, graphs, walks=None):
+        self.graphs = tuple(graphs)
+        if not self.graphs or any(g.n != self.graphs[0].n for g in self.graphs):
+            raise InputError("a graph stack holds one or more graphs of one node count")
+        self.shape = (len(self.graphs), self.graphs[0].n)
+        self._walks = [{}] * len(self.graphs) if walks is None else list(walks)
         self._closed_walks: dict[int, np.ndarray] = {}
 
     @functools.cached_property
-    def _ones(self) -> np.ndarray:
-        # the read-only data of both matrices; adjacency takes its first 2m
-        ones = np.ones(self.graph.indices.size + self.graph.n)
-        ones.setflags(write=False)
-        return ones
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return concat_csr(self.graphs)
 
     @functools.cached_property
     def adjacency(self):
-        g = self.graph
-        return sparse.csr_array((self._ones[:g.indices.size], g.indices, g.indptr),
-                                shape=(g.n, g.n))
+        indptr, indices = self._csr
+        n = indptr.size - 1
+        return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
 
     @functools.cached_property
     def adjacency_with_loops(self):
-        g = self.graph
-        row = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        indptr, nbr = self._csr
+        n = indptr.size - 1
+        row = np.repeat(np.arange(n), np.diff(indptr))
         # an entry moves past one diagonal per earlier row, and past its
         # own row's diagonal when its column is greater
-        at = np.arange(g.indices.size) + row + (g.indices > row)
-        indices = np.empty(g.indices.size + g.n, dtype=g.indices.dtype)
+        at = np.arange(nbr.size) + row + (nbr > row)
+        indices = np.empty(nbr.size + n, dtype=nbr.dtype)
         diagonal = np.ones(indices.size, dtype=bool)
         diagonal[at] = False
-        indices[at] = g.indices
-        indices[diagonal] = np.arange(g.n)
-        indptr = g.indptr + np.arange(g.n + 1, dtype=g.indptr.dtype)
-        return sparse.csr_array((self._ones, indices, indptr), shape=(g.n, g.n))
+        indices[at] = nbr
+        indices[diagonal] = np.arange(n)
+        return sparse.csr_array((np.ones(indices.size), indices,
+                                 indptr + np.arange(n + 1, dtype=indptr.dtype)), shape=(n, n))
 
     @functools.cached_property
     def inv_degree_plus_one(self) -> np.ndarray:
-        return 1.0 / (np.asarray(degrees(self.graph), dtype=np.float64) + 1.0)
+        return 1.0 / (np.diff(self._csr[0]).astype(np.float64) + 1.0)
 
     def closed_walk_diag(self, m: int) -> np.ndarray:
         if m not in self._closed_walks:
-            self._closed_walks[m] = diag_closed_walks(self.graph, m).astype(np.float64)
-        return self._closed_walks[m]
-
-
-def _block_diagonal(mats) -> sparse.csr_array:
-    """One CSR matrix with the square CSR ``mats``, all n x n, on its
-    diagonal; every row keeps its entries in their order."""
-    if len(mats) == 1:
-        return mats[0]
-    n = mats[0].shape[0]
-    ptr = np.stack([a.indptr for a in mats])  # (G, n + 1)
-    sizes = ptr[:, -1]
-    starts = np.cumsum(sizes) - sizes  # each block's first entry
-    indptr = np.concatenate([[0], (ptr[:, 1:] + starts[:, None]).ravel()])
-    indices = (np.concatenate([a.indices for a in mats])
-               + np.repeat(np.arange(0, len(mats) * n, n), sizes))
-    data = np.concatenate([a.data for a in mats])
-    return sparse.csr_array((data, indices, indptr), shape=(len(mats) * n,) * 2)
-
-
-class GraphStack:
-    """The operators of G graphs with one node count n, acting on their
-    stacked (G, n, d) rows as one block-diagonal system. Each matrix is
-    built on first use from the members' own operators, so a product on
-    the stack equals each member's product bit for bit.
-    """
-
-    def __init__(self, members):
-        self.members = tuple(members)
-        if not self.members:
-            raise InputError("a graph stack needs at least one graph")
-        n = self.members[0].graph.n
-        if any(ops.graph.n != n for ops in self.members):
-            raise InputError("a graph stack holds graphs of one node count")
-        self.shape = (len(self.members), n)
-        self._closed_walks: dict[int, np.ndarray] = {}
-
-    @functools.cached_property
-    def adjacency(self):
-        return _block_diagonal([ops.adjacency for ops in self.members])
-
-    @functools.cached_property
-    def adjacency_with_loops(self):
-        return _block_diagonal([ops.adjacency_with_loops for ops in self.members])
-
-    @functools.cached_property
-    def inv_degree_plus_one(self) -> np.ndarray:
-        return np.concatenate([ops.inv_degree_plus_one for ops in self.members])
-
-    def closed_walk_diag(self, m: int) -> np.ndarray:
-        if m not in self._closed_walks:
-            self._closed_walks[m] = np.concatenate(
-                [ops.closed_walk_diag(m) for ops in self.members])
+            self._closed_walks[m] = np.concatenate([
+                walks[m] if m in walks else diag_closed_walks(g, m).astype(np.float64)
+                for g, walks in zip(self.graphs, self._walks, strict=True)])
         return self._closed_walks[m]
 
 
@@ -405,52 +358,44 @@ def apply_term(term: AggregationTerm, ops, h: np.ndarray) -> np.ndarray:
     return rows.reshape(h.shape)
 
 
-def layer0_terms(members, xs, terms) -> list[list[np.ndarray]]:
-    """``Op_t(x)`` of each of ``terms`` for every :class:`GraphOperators`
-    of ``members`` on its features in ``xs`` (all of one width): one list
-    per member, each array a read-only row slice of one result.
+def layer0_terms(graphs, xs, terms) -> list[tuple[list[np.ndarray], dict[int, np.ndarray]]]:
+    """``Op_t(x)`` of each of ``terms`` for every graph of ``graphs`` on
+    its features in ``xs`` (all of one width), and its float closed-walk
+    diagonal of each ``diag_power`` term by walk length: one (terms,
+    diagonals) pair per graph, of read-only row slices of one result.
 
-    Several members are built at once on the disjoint union of their
-    graphs: one closed-walk product per diagonal term and one sparse
-    product per application of A or A + I. Every union row is its graph's
-    row with shifted column ids, so each slice equals the member's own
-    ``apply_term`` bit for bit; each member also keeps its slices of the
-    union's closed-walk diagonals, and builds its own matrices that the
-    terms use for later passes. The overflow bound of a walk product grows
-    with the union's node count, so when the union's bound trips, each
-    member is built alone and only a member whose own counts overflow
-    raises :class:`CountOverflowError`.
+    The graphs are built at once on their disjoint union: one walk
+    product per diagonal and one sparse product per application of A or
+    A + I. A union row is its graph's row with shifted column ids, so each
+    slice equals the graph's own ``apply_term`` bit for bit. The overflow
+    bound of a walk product grows with the union's node count; when it
+    trips, each graph is built alone, and only a graph whose own counts
+    overflow raises :class:`CountOverflowError`.
     """
-    union = members[0] if len(members) == 1 else GraphOperators(
-        disjoint_union(*(ops.graph for ops in members)))
+    union = GraphOperators([disjoint_union(*graphs)])
     x = np.concatenate(xs)
     try:
         out = [apply_term(term, union, x) for term in terms]
     except CountOverflowError:
-        if len(members) == 1:
+        if len(graphs) == 1:
             raise
-        return [layer0_terms([ops], [rows], terms)[0] for ops, rows in zip(members, xs)]
-    bounds = np.cumsum([ops.graph.n for ops in members])[:-1]
+        return [layer0_terms([g], [rows], terms)[0] for g, rows in zip(graphs, xs)]
+    bounds = np.cumsum([g.n for g in graphs])[:-1]
     diagonals = {term.k: union.closed_walk_diag(term.k) for term in terms if term.op == OP_DIAG}
     for a in (*out, *diagonals.values()):
         a.setflags(write=False)
-    for m, diag in diagonals.items():
-        for ops, rows in zip(members, np.split(diag, bounds)):
-            ops._closed_walks[m] = rows
-    for ops in members:
-        for term in terms:
-            if term.op != OP_DIAG:
-                getattr(ops, "adjacency" if term.op == OP_POWER else "adjacency_with_loops")
     parts = [np.split(a, bounds) for a in out]
-    return [[rows[f] for rows in parts] for f in range(len(members))]
+    walks = {m: np.split(diag, bounds) for m, diag in diagonals.items()}
+    return [([rows[f] for rows in parts], {m: rows[f] for m, rows in walks.items()})
+            for f in range(len(graphs))]
 
 
-def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
+def forward(model: Model, ops: GraphOperators | Graph, x, *,
             dropout_rate: float = 0.0, rng=None, saved: dict | None = None,
             layer0: list | None = None, finite: np.ndarray | None = None) -> np.ndarray:
     """Run the model on one graph's node features (n x input_dim) and
     return its output rows (1 x output_dim for the sum readout, n x
-    output_dim for the node readout). On a :class:`GraphStack` of G
+    output_dim for the node readout). On the operators of a stack of G
     graphs, features and output gain a leading axis of length G, and each
     graph's slice equals its own pass bit for bit. One model runs every
     graph of the stack; a stack of F models runs a stack of F graphs,
@@ -468,7 +413,7 @@ def forward(model: Model, ops: GraphOperators | GraphStack | Graph, x, *,
     then the flag of each graph with a non-finite activation is cleared.
     """
     if isinstance(ops, Graph):
-        ops = GraphOperators(ops)
+        ops = GraphOperators([ops])
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim == 1:
         xv = xv[:, None]

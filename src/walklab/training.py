@@ -12,14 +12,14 @@ reason, so its bits equal those of its training alone, the group of one,
 which is how a single model trains. The divergence check reads each
 cell's activations and MSE: a cell that diverges is frozen and reported
 as ``diverged`` while the others go on. Each :class:`TrainItem` keeps
-its layer-0 terms ``Op_t(X)``: its features are read-only, so they are
-computed once per graph and term and reused on every pass.
-:func:`prepare_items` builds them, and each graph's closed-walk
-diagonals, for chunks of graphs at once (:data:`CHUNK_WORK`): one
+arrays only: its graph, read-only features and target, its layer-0 terms
+``Op_t(X)`` and its closed-walk diagonals. :func:`prepare_items` builds
+them for chunks of graphs at once (:data:`CHUNK_WORK`): one
 disjoint-union CSR per chunk, one walk product per diagonal and one
-sparse product per term, with each item keeping read-only row slices of
-its chunk's results, its own build bit for bit. The experiments call it
-once, serially, before their workers fork.
+sparse product per term, each item keeping read-only row slices of the
+results, its own build bit for bit. An item that lacks a term of the
+model is an error, never a rebuild. The experiments call
+:func:`prepare_items` once, serially, before their workers fork.
 :func:`evaluate` scores a split for one model as one stacked pass per
 node count, in chunks of at most :data:`MAX_STACK_ENTRIES` activations,
 with the same losses bit for bit as one pass per graph. :func:`adam_step`
@@ -40,14 +40,15 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericError, TrainingError
 from .graphs import Graph
-from .models import (AggregationTerm, GraphOperators, GraphStack, Model, apply_term,
-                     backward, forward, layer0_terms)
+from .models import AggregationTerm, GraphOperators, Model, backward, forward, layer0_terms
 
 # Most float64 entries (graphs x nodes x widest layer) of one activation in
 # a stacked evaluation pass: 512 KiB, so that evaluating a split adds a
@@ -95,37 +96,37 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainItem:
-    """One graph ready for training: cached operators, read-only
-    features, target, and the layer-0 terms computed so far."""
+    """One graph ready for training, built by :func:`prepare_items`: its
+    read-only features, target, layer-0 terms (term -> ``Op_t(features)``)
+    and closed-walk diagonals (walk length -> float diagonal)."""
 
-    ops: GraphOperators
+    graph: Graph
     features: np.ndarray
     target: np.ndarray
-    _layer0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    layer0: Mapping[AggregationTerm, np.ndarray]
+    closed_walks: Mapping[int, np.ndarray]
 
-    def layer0(self, terms) -> list[np.ndarray]:
-        """``Op_t(features)`` for each term, computed on first use and kept
-        read-only; the features cannot change, so a kept term is never stale."""
-        store = self._layer0
-        for term in terms:
-            if term not in store:
-                store[term] = apply_term(term, self.ops, self.features)
-                store[term].setflags(write=False)
-        return [store[term] for term in terms]
+    @property
+    def ops(self) -> GraphOperators:
+        """This graph's operators, a stack of one, made anew on each access
+        and kept nowhere; perfbench's tracer reads them."""
+        return GraphOperators([self.graph], [self.closed_walks])
 
 
 def prepare_items(graphs, features, targets,
                   terms: tuple[AggregationTerm, ...] = ()) -> list[TrainItem]:
-    """Bundle graphs with features and scalar or per-node targets.
-
+    """Bundle graphs with features and scalar or per-node targets, and
+    build the layer-0 values of ``terms`` and their closed-walk diagonals,
+    a chunk of graphs at a time (:data:`CHUNK_WORK`); a model that sums a
+    term not in ``terms`` can neither train nor be evaluated on the items.
     A scalar target becomes 1 x 1, and a 1-D target or feature vector a
-    column. Features are copied read-only. Each item's
-    :class:`GraphOperators` builds a structure matrix on first use and
-    keeps it for every later pass on that graph; the operators and
-    layer-0 values of ``terms`` are built now, a chunk of graphs at a time
-    (:data:`CHUNK_WORK`, :func:`walklab.models.layer0_terms`).
-    """
-    items = []
+    column. Features are copied read-only."""
+    graphs, features, targets = list(graphs), list(features), list(targets)
+    if not len(graphs) == len(features) == len(targets):
+        raise InputError(f"prepare_items needs one feature array and one target per graph, "
+                         f"got {len(graphs)} graphs, {len(features)} feature arrays and "
+                         f"{len(targets)} targets")
+    xs, ys = [], []
     for g, x, y in zip(graphs, features, targets):
         if not isinstance(g, Graph):
             raise InputError("prepare_items expects Graph instances")
@@ -136,31 +137,28 @@ def prepare_items(graphs, features, targets,
             raise InputError(f"features of a {g.n}-node graph must be {g.n} rows, "
                              f"got shape {xv.shape}")
         xv.setflags(write=False)
+        xs.append(xv)
         t = np.asarray(y, dtype=np.float64)
-        if t.ndim < 2:
-            t = t.reshape(-1, 1)
-        items.append(TrainItem(ops=GraphOperators(g), features=xv, target=t))
-    if terms:
-        for chunk in _chunks(items):
-            built = layer0_terms([it.ops for it in chunk], [it.features for it in chunk], terms)
-            for item, layer0 in zip(chunk, built):
-                item._layer0.update(zip(terms, layer0))
-    return items
+        ys.append(t.reshape(-1, 1) if t.ndim < 2 else t)
+    built = [pair for chunk in _chunks(graphs, xs) for pair in
+             layer0_terms([graphs[k] for k in chunk], [xs[k] for k in chunk], terms)]
+    return [TrainItem(g, x, y, MappingProxyType(dict(zip(terms, layer0))),
+                      MappingProxyType(diagonals))
+            for g, x, y, (layer0, diagonals) in zip(graphs, xs, ys, built)]
 
 
-def _chunks(items):
-    """``items`` cut, in order, into runs of one feature width whose
-    graphs together cost at most :data:`CHUNK_WORK`; a graph that costs
-    more on its own is a run of one."""
+def _chunks(graphs, xs):
+    """The indices of ``graphs`` cut, in order, into runs of one feature
+    width (of ``xs``) whose graphs together cost at most
+    :data:`CHUNK_WORK`; a graph that costs more on its own is a run of one."""
     chunk, work = [], 0
-    for item in items:
-        deg = np.diff(item.ops.graph.indptr).astype(np.int64)
-        cost = item.ops.graph.n + int(deg @ deg)
-        if chunk and (work + cost > CHUNK_WORK
-                      or item.features.shape[1] != chunk[0].features.shape[1]):
+    for k, g in enumerate(graphs):
+        deg = np.diff(g.indptr).astype(np.int64)
+        cost = g.n + int(deg @ deg)
+        if chunk and (work + cost > CHUNK_WORK or xs[k].shape[1] != xs[chunk[0]].shape[1]):
             yield chunk
             chunk, work = [], 0
-        chunk.append(item)
+        chunk.append(k)
         work += cost
     if chunk:
         yield chunk
@@ -270,8 +268,12 @@ class FitResult:
 def _stacked(items, terms) -> tuple:
     """The operators, features and layer-0 terms of ``items``, graphs of
     one node count, as one stack."""
-    return (GraphStack([it.ops for it in items]), np.stack([it.features for it in items]),
-            [np.stack(col) for col in zip(*(it.layer0(terms) for it in items))])
+    try:
+        layer0 = [np.stack([it.layer0[term] for it in items]) for term in terms]
+    except KeyError as err:
+        raise InputError(f"an item lacks the layer-0 term {err.args[0]}") from None
+    return (GraphOperators([it.graph for it in items], [it.closed_walks for it in items]),
+            np.stack([it.features for it in items]), layer0)
 
 
 def _stacked_targets(items, shape) -> np.ndarray:
@@ -299,7 +301,7 @@ def evaluate(model: Model, items) -> float:
     width = max(model.input_dim, *(p.shape[-1] for p in model.params.values()))
     by_size: dict[int, list[int]] = {}
     for k, item in enumerate(items):
-        by_size.setdefault(item.ops.graph.n, []).append(k)
+        by_size.setdefault(item.graph.n, []).append(k)
     losses = [0.0] * len(items)
     for n, members in by_size.items():
         per_pass = max(1, MAX_STACK_ENTRIES // (n * width))
@@ -389,7 +391,7 @@ def fit(model: Model, train_items, val_items, cfg):
             parts: dict[int, list[int]] = {}
             for f in live:
                 if step < len(order[f]) and not results[f].stop_reason:
-                    parts.setdefault(order[f][step].ops.graph.n, []).append(f)
+                    parts.setdefault(order[f][step].graph.n, []).append(f)
             for rows in parts.values():
                 losses = _step(model, state, buffers, rows, [order[f][step] for f in rows],
                                rngs, lr, shared.dropout)
@@ -489,12 +491,13 @@ def gradient_check(model: Model, item: TrainItem) -> float:
         raise CapacityError(
             f"gradient check supports <= {max_params} coordinates, got {w.size}")
     saved: dict = {}
-    pred = forward(model, item.ops, item.features, saved=saved)
+    ops = GraphOperators([item.graph], [item.closed_walks])
+    pred = forward(model, ops, item.features, saved=saved)
     analytic = np.zeros_like(w)
     backward(model, saved, mse_loss(pred, item.target)[1], model.unflatten(analytic))
 
     def loss_value() -> float:
-        return mse_loss(forward(model, item.ops, item.features), item.target)[0]
+        return mse_loss(forward(model, ops, item.features), item.target)[0]
 
     worst = 0.0
     for i, a in enumerate(analytic.tolist()):

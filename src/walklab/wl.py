@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolation
-from .graphs import Graph, degrees
+from .graphs import Graph, concat_csr, degrees
 from .walks import triangle_counts_per_node
 
 # Largest graph the canonical form accepts. Up to 8 nodes even an unpruned
@@ -112,15 +112,14 @@ class _Layout(NamedTuple):
 
     @classmethod
     def of(cls, *graphs: Graph) -> _Layout:
-        deg = np.concatenate([np.diff(g.indptr) for g in graphs])
+        indptr, indices = concat_csr(graphs)
+        deg = np.diff(indptr)
         n, first = deg.size, np.concatenate([[0], np.cumsum(deg + 1)])  # run starts
         run = np.repeat(np.arange(n), deg + 1)  # node owning each entry
         nbr = np.ones(run.size, dtype=bool)
         nbr[first[:-1]] = False
         src = run.copy()
-        # each graph's neighbour ids shifted past the nodes of those before it
-        shifts = itertools.accumulate([g.n for g in graphs[:-1]], initial=0)
-        src[nbr] = np.concatenate([g.indices + k for g, k in zip(graphs, shifts)])
+        src[nbr] = indices  # the union's neighbour ids
         bounds = (8 * first).tolist()
         return cls(src, run * (2 * n) + n * nbr, list(map(slice, bounds, bounds[1:])))
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import walklab.experiments as ex
 from walklab.data import gen_dataset, save_dataset
@@ -360,20 +361,24 @@ class TestWorkerPool:
         assert run_experiment(cfg).results_csv() == whole
         assert seen == [[(0, 1, 2)], [(0,), (1, 2)]]
 
-    def test_operators_and_layer0_terms_built_before_cells_run(self, tmp_path, monkeypatch):
+    def test_layer0_terms_and_diagonals_built_before_cells_run(self, tmp_path, monkeypatch):
+        # before the fork every item holds every configured term and its
+        # closed-walk diagonal, and arrays only: no structure matrix
         real_map = ex._map_groups
         built = []
 
         def inspecting_map(groups, workers):
             for item in ex._RUN[2]:
-                built.append((list(item._layer0), "adjacency" in item.ops.__dict__))
+                held = [*vars(item).values(), *item.layer0.values(), *item.closed_walks.values()]
+                built.append((list(item.layer0), list(item.closed_walks),
+                              any(sparse.issparse(v) for v in held)))
             return real_map(groups, workers)
 
         monkeypatch.setattr(ex, "_map_groups", inspecting_map)
         run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path),
                                                  models="baseline,GCN-1L,GCN-D2-1L")))
         d2 = list(spec_from_model_name("GCN-D2-1L").terms)
-        assert built == [(d2, True)] * 9
+        assert built == [(d2, [3], False)] * 9
 
     @needs_fork
     def test_cells_run_in_worker_processes(self, tmp_path, monkeypatch):

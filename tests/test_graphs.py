@@ -9,7 +9,7 @@ import pytest
 from walklab import graphs
 from walklab.errors import CapacityError, InputError
 from walklab.graphs import (MAX_ER_NODES, Graph, RegionSpec, atomic_write_text,
-                            bfs_distances, complete_graph, cycle_graph, degrees,
+                            bfs_distances, complete_graph, concat_csr, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, extract_region,
                             format_edge_list, from_edge_list, parse_edge_list,
                             path_graph, read_edge_list, relabel, write_edge_list)
@@ -139,6 +139,9 @@ class TestConstruction:
         assert g.indptr.dtype == g.indices.dtype == np.int32
         assert disjoint_union(*parts[:2], disjoint_union(*parts[2:])) == g
         assert disjoint_union(path_graph(2)) == path_graph(2)
+        # the union's arrays are those of concat_csr, which the stacked
+        # model operators share
+        assert Graph(11, *concat_csr(parts)) == g
         with pytest.raises(CapacityError):
             disjoint_union(from_edge_list(graphs.MAX_NODES, []), complete_graph(1))
 

@@ -8,7 +8,7 @@ from walklab.errors import CapacityError, InputError, NumericError
 from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
                             from_edge_list, path_graph, relabel)
 from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, MAX_LAYERS, AggregationTerm,
-                            GraphOperators, GraphStack, ModelSpec, apply_term, backward,
+                            GraphOperators, ModelSpec, apply_term, backward,
                             build_model, diag_power, forward, power, self_loop_adjacency,
                             spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
@@ -100,7 +100,7 @@ class TestOperators:
         graphs += [erdos_renyi(int(rng.integers(2, 60)), float(rng.uniform(0.05, 0.6)),
                                int(rng.integers(1 << 30))) for _ in range(20)]
         for g in graphs:
-            ops = GraphOperators(g)
+            ops = GraphOperators([g])
             for loops, got in ((False, ops.adjacency), (True, ops.adjacency_with_loops)):
                 dense = np.eye(g.n) if loops else np.zeros((g.n, g.n))
                 for v in range(g.n):
@@ -312,12 +312,11 @@ class TestStackedForward:
         spec = ModelSpec(FAMILIES[family], layers, depth, normalize, readout, output_dim=2)
         model = build_model(spec, input_dim=3, hidden_dim=5, seed=case)
         for n, count in ((int(rng.integers(4, 9)), 3), (int(rng.integers(9, 14)), 2)):
-            ops = [GraphOperators(erdos_renyi(n, 0.4, int(rng.integers(1 << 30))))
-                   for _ in range(count)]
+            graphs = [erdos_renyi(n, 0.4, int(rng.integers(1 << 30))) for _ in range(count)]
             xs = rng.normal(size=(count, n, 3))
-            alone = [forward(model, o, x) for o, x in zip(ops, xs)]
-            stack = GraphStack(ops)
-            layer0 = [np.stack([apply_term(t, o, x) for o, x in zip(ops, xs)])
+            alone = [forward(model, g, x) for g, x in zip(graphs, xs)]
+            stack = GraphOperators(graphs)
+            layer0 = [np.stack([apply_term(t, GraphOperators([g]), x) for g, x in zip(graphs, xs)])
                       for t in spec.terms]
             for out in (forward(model, stack, xs), forward(model, stack, xs, layer0=layer0)):
                 assert out.shape == (count, *alone[0].shape)
@@ -325,15 +324,14 @@ class TestStackedForward:
                     assert np.array_equal(got, want)
 
     def test_stack_of_one_node_count_only(self):
-        ops = [GraphOperators(path_graph(3)), GraphOperators(path_graph(4))]
         with pytest.raises(InputError, match="one node count"):
-            GraphStack(ops)
+            GraphOperators([path_graph(3), path_graph(4)])
         with pytest.raises(InputError):
-            GraphStack([])
+            GraphOperators([])
 
     def test_stack_features_checked(self):
         m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
-        stack = GraphStack([GraphOperators(path_graph(3))] * 2)
+        stack = GraphOperators([path_graph(3)] * 2)
         with pytest.raises(InputError, match=r"\(2, 3, 1\)"):
             forward(m, stack, np.ones((3, 1)))
         with pytest.raises(InputError):
@@ -341,10 +339,30 @@ class TestStackedForward:
 
     def test_block_diagonal_matrices_hold_each_graph(self):
         graphs = [erdos_renyi(7, 0.5, s) for s in range(4)]
-        stack = GraphStack([GraphOperators(g) for g in graphs])
+        stack = GraphOperators(graphs)
         for name in ("adjacency", "adjacency_with_loops"):
-            want = sparse.block_diag([getattr(GraphOperators(g), name) for g in graphs])
+            want = sparse.block_diag([getattr(GraphOperators([g]), name) for g in graphs])
             assert np.array_equal(getattr(stack, name).toarray(), want.toarray())
+
+    def test_stack_vectors_concatenate_each_graphs_own(self):
+        # the degree scaling and the closed-walk diagonals of a stack are
+        # each graph's own laid one after another, with each graph's
+        # diagonals handed in or counted per graph
+        graphs = [erdos_renyi(7, 0.5, s) for s in range(4)] + [from_edge_list(7, [])]
+        own = [GraphOperators([g]) for g in graphs]
+        assert np.array_equal(GraphOperators(graphs).inv_degree_plus_one,
+                              np.concatenate([o.inv_degree_plus_one for o in own]))
+        given = [{3: o.closed_walk_diag(3)} for o in own]
+        for stack in (GraphOperators(graphs), GraphOperators(graphs, given)):
+            for m in (3, 5):
+                assert np.array_equal(stack.closed_walk_diag(m),
+                                      np.concatenate([o.closed_walk_diag(m) for o in own]))
+        # a handed-in diagonal is taken as it is, not counted again
+        marked = [{3: np.full(7, float(f))} for f in range(len(graphs))]
+        assert GraphOperators(graphs, marked).closed_walk_diag(3).tolist() == \
+            [float(f) for f in range(len(graphs)) for _ in range(7)]
+        with pytest.raises(ValueError):
+            GraphOperators(graphs, marked[:4]).closed_walk_diag(3)
 
     @pytest.mark.parametrize("case", range(len(STACK_GRID)), ids=[
         f"{family or 'plain'}-{layers}L-mlp{depth}-norm{int(norm)}-{readout}"
@@ -360,16 +378,16 @@ class TestStackedForward:
                   for f in range(4)]
         stack = models[0].with_flat(np.stack([m.flat for m in models]))
         n = int(rng.integers(4, 12))
-        ops = [GraphOperators(erdos_renyi(n, 0.4, int(rng.integers(1 << 30)))) for _ in models]
+        graphs = [erdos_renyi(n, 0.4, int(rng.integers(1 << 30))) for _ in models]
         xs = rng.normal(size=(4, n, 3))
         d_out = rng.normal(size=(4, 1 if readout == "sum" else n, 2))
         saved = {}
-        out = forward(stack, GraphStack(ops), xs, dropout_rate=0.3, saved=saved,
+        out = forward(stack, GraphOperators(graphs), xs, dropout_rate=0.3, saved=saved,
                       rng=[np.random.default_rng(f) for f in range(4)])
         grads = backward(stack, saved, d_out)
         for f, model in enumerate(models):
             alone = {}
-            want = forward(model, ops[f], xs[f], dropout_rate=0.3,
+            want = forward(model, graphs[f], xs[f], dropout_rate=0.3,
                            rng=[np.random.default_rng(f)], saved=alone)
             assert np.array_equal(out[f], want)
             for key, grad in backward(model, alone, d_out[f]).items():
@@ -380,11 +398,11 @@ class TestStackedForward:
         stack = m.with_flat(np.stack([m.flat, m.flat]))
         assert stack.params["layer0.w0"].shape == (2, 1, 4)
         assert all(np.shares_memory(p, stack.flat) for p in stack.params.values())
-        three = GraphStack([GraphOperators(path_graph(3))] * 3)
+        three = GraphOperators([path_graph(3)] * 3)
         with pytest.raises(InputError, match="one graph each"):
             forward(stack, three, np.ones((3, 3, 1)))
         with pytest.raises(InputError, match="one graph each"):
-            forward(stack, GraphOperators(path_graph(3)), np.ones((3, 1)))
+            forward(stack, GraphOperators([path_graph(3)]), np.ones((3, 1)))
         # one model's gradient over several graphs is not defined
         saved = {}
         out = forward(m, three, np.ones((3, 3, 1)), saved=saved)

@@ -17,8 +17,12 @@ from walklab.training import (AdamState, TrainConfig, adam_step, evaluate,
                               fit, gradient_check, mse_loss, prepare_items)
 
 
+# every term a model family sums
+ALL_TERMS = tuple(dict.fromkeys(t for terms in FAMILIES.values() for t in terms))
+
+
 def _ones_items(graphs, targets):
-    return prepare_items(graphs, [np.ones((g.n, 1)) for g in graphs], targets)
+    return prepare_items(graphs, [np.ones((g.n, 1)) for g in graphs], targets, terms=ALL_TERMS)
 
 
 def _col(*values):
@@ -162,7 +166,8 @@ class TestEvaluate:
     def _one_pass_per_item(model, items):
         total = 0.0
         for item in items:
-            total += mse_loss(forward(model, item.ops, item.features), item.target)[0]
+            total += mse_loss(forward(model, GraphOperators([item.graph]), item.features),
+                              item.target)[0]
         return total / len(items)
 
     @pytest.mark.parametrize("name", ["GCN-2L", "GCN-L1-1L", "GCN-D2-3L"])
@@ -178,8 +183,9 @@ class TestEvaluate:
         graphs = [erdos_renyi(int(n), 0.5, int(rng.integers(1 << 30))) for n in sizes]
         targets = [rng.normal(size=(g.n, 2)) if readout == "node" else rng.normal(size=(1, 2))
                    for g in graphs]
-        items = prepare_items(graphs, [rng.normal(size=(g.n, 3)) for g in graphs], targets)
         spec = replace(spec_from_model_name(name, True), readout=readout, output_dim=2)
+        items = prepare_items(graphs, [rng.normal(size=(g.n, 3)) for g in graphs], targets,
+                              terms=spec.terms)
         model = build_model(spec, input_dim=3, hidden_dim=4, seed=3)
         assert evaluate(model, items) == self._one_pass_per_item(model, items)
 
@@ -213,24 +219,48 @@ class TestPrepareItems:
         x[0] = 2.0
         assert item.features[0, 0] == 1.0
 
-    def test_layer0_terms_built_once_and_read_only(self):
+    def test_lists_of_different_lengths_rejected(self):
+        # zipped, the lists were cut short to one item
+        with pytest.raises(InputError, match="2 graphs, 1 feature arrays and 2 targets"):
+            prepare_items([complete_graph(3), complete_graph(4)], [np.ones(3)], [1.0, 2.0])
+
+    def test_layer0_terms_and_diagonals_kept_read_only(self):
+        g = erdos_renyi(8, 0.5, 1)
         terms = spec_from_model_name("GCN-D2-1L").terms
-        item = _ones_items([erdos_renyi(8, 0.5, 1)], [0.0])[0]
-        first = item.layer0(terms)
-        assert all(a is b for a, b in zip(first, item.layer0(terms)))
-        with pytest.raises(ValueError, match="read-only"):
-            first[0][0, 0] = 0.0
-        built = prepare_items([erdos_renyi(8, 0.5, 1)], [np.ones((8, 1))], [0.0],
-                              terms=terms)[0]
-        assert [t for t in terms if t in built._layer0] == list(terms)
-        assert all(np.array_equal(a, b) for a, b in zip(first, built.layer0(terms)))
+        item = prepare_items([g], [np.ones((8, 1))], [0.0], terms=terms)[0]
+        assert list(item.layer0) == list(terms)
+        assert list(item.closed_walks) == [3]
+        ops = GraphOperators([g])
+        for term in terms:
+            assert np.array_equal(item.layer0[term], apply_term(term, ops, np.ones((8, 1))))
+        assert np.array_equal(item.closed_walks[3], ops.closed_walk_diag(3))
+        for a in (*item.layer0.values(), item.closed_walks[3]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        with pytest.raises(TypeError):
+            item.layer0[terms[0]] = item.features
+        bare = prepare_items([g], [np.ones((8, 1))], [0.0])[0]
+        assert not bare.layer0 and not bare.closed_walks
+
+    def test_missing_layer0_term_is_an_error(self):
+        # fit and evaluate never build a term the items lack; they name it
+        items = prepare_items([complete_graph(3)] * 2, [np.ones((3, 1))] * 2, [1.0, 2.0],
+                              terms=FAMILIES[""])
+        model = build_model(spec_from_model_name("GCN-L1-1L"), input_dim=1, hidden_dim=4,
+                            seed=0)
+        missing = r"lacks the layer-0 term .*diag_power.*k=3"
+        with pytest.raises(InputError, match=missing):
+            evaluate(model, items)
+        with pytest.raises(InputError, match=missing):
+            fit(model, items, items, TrainConfig())
+        evaluate(build_model(spec_from_model_name("GCN-2L"), 1, 4, seed=0), items)
 
 
 class TestBatchedBuild:
     """prepare_items builds the layer-0 terms of a chunk of graphs on
     their disjoint union; each item must get its own graph's bits."""
 
-    TERMS = (*dict.fromkeys(t for terms in FAMILIES.values() for t in terms), diag_power(5))
+    TERMS = (*ALL_TERMS, diag_power(5))
 
     @staticmethod
     def _graphs():
@@ -241,12 +271,13 @@ class TestBatchedBuild:
 
     def _assert_own_bits(self, items, graphs, xs):
         for item, g, x in zip(items, graphs, xs):
-            ops = GraphOperators(g)
-            for term, got in zip(self.TERMS, item.layer0(self.TERMS)):
+            ops = GraphOperators([g])
+            for term in self.TERMS:
+                got = item.layer0[term]
                 assert np.array_equal(got, apply_term(term, ops, x))
                 assert not got.flags.writeable
             for m in (3, 5):
-                assert np.array_equal(item.ops.closed_walk_diag(m), ops.closed_walk_diag(m))
+                assert np.array_equal(item.closed_walks[m], ops.closed_walk_diag(m))
 
     @pytest.mark.parametrize("chunk_work", [None, 60, 1])
     def test_terms_equal_each_graphs_own(self, monkeypatch, chunk_work):
@@ -258,7 +289,7 @@ class TestBatchedBuild:
         rng = np.random.default_rng(0)
         xs = [rng.normal(size=(g.n, 3)) for g in graphs]
         items = prepare_items(graphs, xs, [0.0] * len(graphs), terms=self.TERMS)
-        chunks = [len(c) for c in training._chunks(items)]
+        chunks = [len(c) for c in training._chunks(graphs, xs)]
         assert sum(chunks) == len(graphs)
         assert (chunks == [len(graphs)]) == (chunk_work is None)
         assert 1 < len(chunks) < len(graphs) or chunk_work != 60
@@ -268,7 +299,7 @@ class TestBatchedBuild:
         graphs = self._graphs()[:4]
         xs = [np.ones((g.n, 1 + i % 2)) for i, g in enumerate(graphs)]
         items = prepare_items(graphs, xs, [0.0] * 4, terms=self.TERMS)
-        assert [len(c) for c in training._chunks(items)] == [1, 1, 1, 1]
+        assert [len(c) for c in training._chunks(graphs, xs)] == [1, 1, 1, 1]
         self._assert_own_bits(items, graphs, xs)
 
     def test_one_walk_product_per_chunk(self, monkeypatch):
@@ -282,9 +313,9 @@ class TestBatchedBuild:
         real = walks._checked_matmul
         monkeypatch.setattr(walks, "_checked_matmul", counting)
         graphs = [erdos_renyi(20, 0.3, seed) for seed in range(40)]
-        items = prepare_items(graphs, [np.ones((20, 1))] * 40, [0.0] * 40,
-                              terms=FAMILIES["D2"])
-        chunks = list(training._chunks(items))
+        xs = [np.ones((20, 1))] * 40
+        prepare_items(graphs, xs, [0.0] * 40, terms=FAMILIES["D2"])
+        chunks = list(training._chunks(graphs, xs))
         assert 1 < len(chunks) <= 3
         assert len(products) == len(chunks)
 
@@ -306,8 +337,8 @@ class TestBatchedBuild:
             walks.diag_closed_walks(models.disjoint_union(*graphs), 39)
         items = prepare_items(graphs, [np.ones((4, 1))] * 40, [0.0] * 40,
                               terms=(diag_power(39),))
-        own = GraphOperators(graphs[0]).closed_walk_diag(39)
-        assert all(np.array_equal(it.ops.closed_walk_diag(39), own) for it in items)
+        own = GraphOperators(graphs[:1]).closed_walk_diag(39)
+        assert all(np.array_equal(it.closed_walks[39], own) for it in items)
         with pytest.raises(CountOverflowError):
             prepare_items(graphs, [np.ones((4, 1))] * 40, [0.0] * 40, terms=(diag_power(43),))
 
@@ -429,7 +460,9 @@ class TestLockstep:
         # those of its group of one, bit for bit.
         graphs = [erdos_renyi(7 + s % 2, 0.5, s) for s in range(9)]
         items = _ones_items(graphs, [float(g.edge_count) for g in graphs])
-        poisoned = prepare_items(graphs[:1], [np.full((7, 1), np.inf)], [1.0])
+        with np.errstate(invalid="ignore"):
+            poisoned = prepare_items(graphs[:1], [np.full((7, 1), np.inf)], [1.0],
+                                     terms=ALL_TERMS)
         splits = [(items[:5], items[5:7]), (items[2:8], items[:2]),
                   (items[3:8] + poisoned, items[8:]), (items[1:7], items[7:])]
         spec = spec_from_model_name(name, degree_normalize=True)
@@ -487,36 +520,22 @@ class TestLockstep:
             fit(stack, [items, []], [items] * 2, [TrainConfig()] * 2)
 
 
-class _CountingMatrix:
-    """A sparse matrix that counts the products taken with it."""
-
-    def __init__(self, a):
-        self.a, self.products = a, 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return self.a @ other
-
-
 class TestLayer0Store:
     @pytest.mark.parametrize("name", ["GCN-1L", "GCN-D2-1L"])
-    def test_fit_takes_each_layer0_product_once_per_item(self, name):
-        # a one-layer model takes sparse products in layer 0 only: one with
-        # A + I per item and, for D2, two with A (the power-2 term), however
-        # many steps and evaluations run
+    def test_fit_takes_no_layer0_product(self, monkeypatch, name):
+        # prepare_items takes every layer-0 product: a one-layer model
+        # applies no term and builds no structure matrix, however many
+        # steps and evaluations run
         graphs = [erdos_renyi(8, 0.4, s) for s in range(5)]
         items = _ones_items(graphs, [1.0, 2.0, 3.0, 4.0, 5.0])
-        counters = []
-        for item in items:
-            for attr in ("adjacency", "adjacency_with_loops"):
-                counters.append((attr, _CountingMatrix(getattr(item.ops, attr))))
-                item.ops.__dict__[attr] = counters[-1][1]
+        calls = []
+        monkeypatch.setattr(models, "apply_term", lambda *args: calls.append("apply_term"))
+        monkeypatch.setattr(models, "concat_csr", lambda *args: calls.append("concat_csr"))
         model = build_model(spec_from_model_name(name), input_dim=1, hidden_dim=4, seed=0)
         result = fit(model, items[:3], items[3:], TrainConfig(max_epochs=4, patience=4))
         assert len(result.history) == 5  # 12 steps, 5 evaluations
         evaluate(model, items)
-        per_item = {"adjacency": 2 if "D2" in name else 0, "adjacency_with_loops": 1}
-        assert [c.products for _, c in counters] == [per_item[attr] for attr, _ in counters]
+        assert calls == []
 
 
 class TestGradientCheck:
@@ -580,12 +599,13 @@ class TestTapeReference:
         item = prepare_items([g], [rng.normal(size=(n, 2))],
                              [rng.normal(size=rows) if rows > 1 else rng.normal()])[0]
         saved = {}
-        pred = forward(model, item.ops, item.features, dropout_rate=dropout,
+        ops = GraphOperators([item.graph])
+        pred = forward(model, ops, item.features, dropout_rate=dropout,
                        rng=[np.random.default_rng(7)], saved=saved)
         loss, d_pred = mse_loss(pred, item.target)
         grads = backward(model, saved, d_pred)
         ref_loss, ref_grads = tape_loss_and_grads(
-            model, item.ops, item.features, item.target,
+            model, ops, item.features, item.target,
             dropout_rate=dropout, rng=np.random.default_rng(7))
         assert loss == ref_loss
         assert set(grads) == set(ref_grads)
