@@ -192,6 +192,11 @@ class GraphOperators:
     mapping per graph from a walk length m to its float closed m-walk
     diagonal; a missing one is counted per graph, never on the stack,
     whose overflow bound would grow with its node count.
+
+    A stack made by :meth:`gather` from rows of other stacks builds
+    nothing from its graphs: on first use it takes its CSR arrays from
+    their :attr:`blocks`, and its inverse degrees and diagonals from
+    theirs, row by row, each graph's bits as they are.
     """
 
     def __init__(self, graphs, walks=None):
@@ -201,43 +206,123 @@ class GraphOperators:
         self.shape = (len(self.graphs), self.graphs[0].n)
         self._walks = [{}] * len(self.graphs) if walks is None else list(walks)
         self._closed_walks: dict[int, np.ndarray] = {}
+        self._parts: tuple = ()
+
+    @classmethod
+    def gather(cls, parts) -> GraphOperators:
+        """The stack of graphs ``rows`` (an integer array) of ``stack``,
+        for each ``(stack, rows)`` of ``parts`` in turn, all of one node
+        count."""
+        n = parts[0][0].shape[1]
+        if any(stack.shape[1] != n for stack, _ in parts):
+            raise InputError("a graph stack holds one or more graphs of one node count")
+        ops = cls.__new__(cls)
+        ops.shape = (sum(rows.size for _, rows in parts), n)
+        ops._closed_walks = {}
+        ops._parts = tuple(parts)
+        return ops
 
     @functools.cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return concat_csr(self.graphs)
+    def graphs(self) -> tuple:
+        """The graphs of a gathered stack, looked up on first use; a stack
+        built from graphs keeps them from the start."""
+        return tuple(stack.graphs[r] for stack, rows in self._parts for r in rows.tolist())
+
+    @functools.cached_property
+    def blocks(self) -> dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each graph's own CSR arrays of A (under False) and of A + I
+        (under True): its row lengths (G, n), its entry counts (G,) and its
+        column ids, in entry order, padded to (G, most entries)."""
+        g, n = self.shape
+        lengths = np.diff(np.stack([graph.indptr for graph in self.graphs]), axis=1)
+        nbr = np.concatenate([graph.indices for graph in self.graphs])
+        indptr = np.zeros(g * n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        blocks = {}
+        for loops, lens, indices in ((False, lengths, nbr),
+                                     (True, lengths + 1, _with_loops(indptr, nbr, n)[1])):
+            sizes = lens.sum(axis=1)
+            # column ids count within their graph, below graphs.MAX_NODES
+            padded = np.zeros((g, sizes.max()), dtype=np.int32)
+            padded[np.arange(padded.shape[1]) < sizes[:, None]] = indices
+            blocks[loops] = lens, sizes, padded
+        return blocks
+
+    def _csr(self, loops: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The stack's CSR arrays of A, or of A + I when ``loops``: its
+        graphs' arrays laid one after another, or, for a gathered stack,
+        the blocks of its graphs taken from the stacks it was gathered
+        from."""
+        if not self._parts:
+            indptr, indices = concat_csr(self.graphs)
+            return _with_loops(indptr, indices, indptr.size - 1) if loops else (indptr, indices)
+        n, lengths, indices, done = self.shape[1], [], [], 0
+        for stack, rows in self._parts:
+            lens, sizes, padded = stack.blocks[loops]
+            shift = np.arange(done * n, (done + rows.size) * n, n)
+            lengths.append(lens[rows])
+            indices.append((padded[rows] + shift[:, None])
+                           [np.arange(padded.shape[1]) < sizes[rows, None]])
+            done += rows.size
+        indptr = np.zeros(done * n + 1, dtype=np.int64)
+        np.cumsum(lengths[0] if len(lengths) == 1 else np.concatenate(lengths), out=indptr[1:])
+        return indptr, indices[0] if len(indices) == 1 else np.concatenate(indices)
+
+    def _take_rows(self, of) -> np.ndarray:
+        """``of(stack)``, one value per node of a stack, at the gathered
+        graphs' nodes."""
+        n = self.shape[1]
+        taken = [of(stack).reshape(-1, n)[rows].reshape(-1) for stack, rows in self._parts]
+        return taken[0] if len(taken) == 1 else np.concatenate(taken)
 
     @functools.cached_property
     def adjacency(self):
-        indptr, indices = self._csr
-        n = indptr.size - 1
-        return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+        return _matrix(*self._csr(False))
 
     @functools.cached_property
     def adjacency_with_loops(self):
-        indptr, nbr = self._csr
-        n = indptr.size - 1
-        row = np.repeat(np.arange(n), np.diff(indptr))
-        # an entry moves past one diagonal per earlier row, and past its
-        # own row's diagonal when its column is greater
-        at = np.arange(nbr.size) + row + (nbr > row)
-        indices = np.empty(nbr.size + n, dtype=nbr.dtype)
-        diagonal = np.ones(indices.size, dtype=bool)
-        diagonal[at] = False
-        indices[at] = nbr
-        indices[diagonal] = np.arange(n)
-        return sparse.csr_array((np.ones(indices.size), indices,
-                                 indptr + np.arange(n + 1, dtype=indptr.dtype)), shape=(n, n))
+        return _matrix(*self._csr(True))
 
     @functools.cached_property
     def inv_degree_plus_one(self) -> np.ndarray:
-        return 1.0 / (np.diff(self._csr[0]).astype(np.float64) + 1.0)
+        if self._parts:
+            return self._take_rows(lambda stack: stack.inv_degree_plus_one)
+        return 1.0 / (self.blocks[False][0].reshape(-1).astype(np.float64) + 1.0)
 
     def closed_walk_diag(self, m: int) -> np.ndarray:
         if m not in self._closed_walks:
-            self._closed_walks[m] = np.concatenate([
-                walks[m] if m in walks else diag_closed_walks(g, m).astype(np.float64)
-                for g, walks in zip(self.graphs, self._walks, strict=True)])
+            self._closed_walks[m] = (
+                self._take_rows(lambda stack: stack.closed_walk_diag(m)) if self._parts
+                else np.concatenate([
+                    walks[m] if m in walks else diag_closed_walks(g, m).astype(np.float64)
+                    for g, walks in zip(self.graphs, self._walks, strict=True)]))
         return self._closed_walks[m]
+
+
+def _with_loops(indptr: np.ndarray, nbr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays of A + I from those of A, a block-diagonal matrix of
+    n x n blocks whose column ids count within their block: each diagonal
+    entry goes to its sorted place in its row."""
+    rows = indptr.size - 1
+    # positions fit int32 for all but huge stacks, which halves the build's
+    # transient memory
+    ids = np.int32 if nbr.size + rows < 2**31 else np.int64
+    row = np.repeat(np.arange(rows, dtype=ids), np.diff(indptr))
+    # an entry moves past one diagonal per earlier row, and past its own
+    # row's diagonal when its column is greater
+    at = np.arange(nbr.size, dtype=ids) + row + (nbr > row % n)
+    indices = np.empty(nbr.size + rows, dtype=nbr.dtype)
+    diagonal = np.ones(indices.size, dtype=bool)
+    diagonal[at] = False
+    indices[at] = nbr
+    indices[diagonal] = np.arange(rows) % n
+    return indptr + np.arange(rows + 1, dtype=indptr.dtype), indices
+
+
+def _matrix(indptr: np.ndarray, indices: np.ndarray):
+    """The square float CSR matrix of ones with these arrays."""
+    n = indptr.size - 1
+    return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
 
 
 class Model:
@@ -445,12 +530,19 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
             h = _column(ops.inv_degree_plus_one, h) * h
         for j, (wkey, bkey) in enumerate(model.map_keys[i]):
             if j == 1 and drop:
-                draw = np.stack([r.random(h.shape[-2:]) for r in rng]).reshape(h.shape)
+                draw = np.empty(h.shape)
+                for r, rows in zip(rng, draw.reshape(-1, *h.shape[-2:])):
+                    r.random(out=rows)
                 act["keep"] = (draw >= dropout_rate) / (1.0 - dropout_rate)
                 h = act["keep"] * h
             z = h @ p[wkey] + p[bkey]
-            act["dense"].append((h, z))
-            h = np.maximum(z, LEAKY_SLOPE * z)
+            if saved is None:
+                h = np.maximum(z, LEAKY_SLOPE * z)
+            else:
+                # the unit's slope at z, which backward scales its gradient by
+                slope = np.where(z >= 0, 1.0, LEAKY_SLOPE)
+                act["dense"].append((h, slope))
+                h = z * slope
         _check_finite(h, finite, f"layer {i} produced non-finite activations")
         if saved is not None:
             layers.append(act)
@@ -503,8 +595,8 @@ def backward(model: Model, saved: dict, d_out: np.ndarray,
         act = saved["layers"][i]
         for j in reversed(range(spec.mlp_depth)):
             wkey, bkey = model.map_keys[i][j]
-            x, z = act["dense"][j]
-            g = g * np.where(z >= 0, 1.0, LEAKY_SLOPE)
+            x, slope = act["dense"][j]
+            g = g * slope
             np.matmul(x.swapaxes(-1, -2), g, out=grads[wkey])
             g.sum(axis=-2, keepdims=True, out=grads[bkey])
             g = g @ p[wkey].swapaxes(-1, -2)

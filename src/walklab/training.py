@@ -11,15 +11,24 @@ learning rate, Adam step count, best snapshot, plateau count and stop
 reason, so its bits equal those of its training alone, the group of one,
 which is how a single model trains. The divergence check reads each
 cell's activations and MSE: a cell that diverges is frozen and reported
-as ``diverged`` while the others go on. Each :class:`TrainItem` keeps
-arrays only: its graph, read-only features and target, its layer-0 terms
-``Op_t(X)`` and its closed-walk diagonals. :func:`prepare_items` builds
-them for chunks of graphs at once (:data:`CHUNK_WORK`): one
-disjoint-union CSR per chunk, one walk product per diagonal and one
-sparse product per term, each item keeping read-only row slices of the
-results, its own build bit for bit. An item that lacks a term of the
-model is an error, never a rebuild. The experiments call
-:func:`prepare_items` once, serially, before their workers fork.
+as ``diverged`` while the others go on.
+
+:func:`prepare_items` builds the layer-0 terms ``Op_t(X)`` and the
+closed-walk diagonals for chunks of graphs at once (:data:`CHUNK_WORK`):
+one disjoint-union CSR per chunk, one walk product per diagonal and one
+sparse product per term, each graph's own build bit for bit. It stacks
+them into one resident store per node count: the (N, n, d) features, one
+such array per term, the targets, the diagonals, ``1/(deg+1)`` and each
+graph's CSR arrays of A and A + I. Each :class:`TrainItem` is its graph,
+its store and row, and read-only views of that row. A step or an
+evaluation pass gathers its stack by item row: one ``np.take`` per array,
+and operators (:meth:`GraphOperators.gather`) that take A + I or A, the
+inverse degrees and the diagonals from the store on first use, so a
+one-layer model builds no structure matrix. An item that lacks a term of
+the model is an error, never a rebuild. The experiments call
+:func:`prepare_items` once, serially, before their workers fork, which
+then share the stores.
+
 :func:`evaluate` scores a split for one model as one stacked pass per
 node count, in chunks of at most :data:`MAX_STACK_ENTRIES` activations,
 with the same losses bit for bit as one pass per graph. :func:`adam_step`
@@ -39,14 +48,16 @@ and at ``2 * patience`` training stops. An improvement resets the count.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericError, TrainingError
+from .errors import InputError, NumericError, TrainingError
 from .graphs import Graph
 from .models import AggregationTerm, GraphOperators, Model, backward, forward, layer0_terms
 
@@ -94,23 +105,76 @@ class TrainConfig:
             raise InputError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
-@dataclass(frozen=True)
-class TrainItem:
-    """One graph ready for training, built by :func:`prepare_items`: its
-    read-only features, target, layer-0 terms (term -> ``Op_t(features)``)
-    and closed-walk diagonals (walk length -> float diagonal)."""
+@dataclass(frozen=True, eq=False)
+class _Store:
+    """The arrays of the graphs of one :func:`prepare_items` call that
+    share a node count, a feature width and a target shape, row r for the
+    r-th of them, all read-only: the (N, n, d) features, the stacked
+    targets, each layer-0 term and each closed-walk diagonal (N, n), and
+    the graphs' :class:`GraphOperators`, holding ``1/(deg+1)`` and each
+    graph's CSR arrays of A and A + I. Built once, before the experiments'
+    workers fork, it is shared by every step and evaluation pass that
+    gathers from it."""
 
-    graph: Graph
+    ops: GraphOperators
     features: np.ndarray
     target: np.ndarray
     layer0: Mapping[AggregationTerm, np.ndarray]
     closed_walks: Mapping[int, np.ndarray]
 
+    @classmethod
+    def of(cls, graphs, xs, ys, built, terms) -> _Store:
+        """The store of ``graphs`` with their features ``xs``, targets
+        ``ys`` and :func:`layer0_terms` pairs ``built``."""
+        ops = GraphOperators(graphs, [diagonals for _, diagonals in built])
+        # built now, before any worker forks, so that the workers share them
+        ops.blocks, ops.inv_degree_plus_one
+        return cls(ops, _frozen(np.stack(xs)), _frozen(np.stack(ys)),
+                   MappingProxyType({term: _frozen(np.stack([layer0[t] for layer0, _ in built]))
+                                     for t, term in enumerate(terms)}),
+                   MappingProxyType({m: _frozen(ops.closed_walk_diag(m)).reshape(ops.shape)
+                                     for m in built[0][1]}))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class TrainItem:
+    """One graph ready for training, row ``row`` of its ``store``, built by
+    :func:`prepare_items`. Its features, target, layer-0 terms (term ->
+    ``Op_t(features)``) and closed-walk diagonals (walk length -> float
+    diagonal) are read-only views of that row, made on each access."""
+
+    graph: Graph
+    store: _Store
+    row: int
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.store.features[self.row]
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.store.target[self.row]
+
+    @property
+    def layer0(self) -> Mapping[AggregationTerm, np.ndarray]:
+        return MappingProxyType({t: a[self.row] for t, a in self.store.layer0.items()})
+
+    @property
+    def closed_walks(self) -> Mapping[int, np.ndarray]:
+        return MappingProxyType({m: d[self.row] for m, d in self.store.closed_walks.items()})
+
     @property
     def ops(self) -> GraphOperators:
-        """This graph's operators, a stack of one, made anew on each access
-        and kept nowhere; perfbench's tracer reads them."""
-        return GraphOperators([self.graph], [self.closed_walks])
+        """This graph's operators, a stack of one gathered from its store,
+        made anew on each access and kept nowhere. Training never reads
+        it; it is here for readers outside the package, such as
+        perfbench's tracer."""
+        return GraphOperators.gather([(self.store.ops, np.array([self.row]))])
 
 
 def prepare_items(graphs, features, targets,
@@ -120,7 +184,11 @@ def prepare_items(graphs, features, targets,
     a chunk of graphs at a time (:data:`CHUNK_WORK`); a model that sums a
     term not in ``terms`` can neither train nor be evaluated on the items.
     A scalar target becomes 1 x 1, and a 1-D target or feature vector a
-    column. Features are copied read-only."""
+    column. Features are copied read-only.
+
+    The graphs that share a node count, a feature width and a target
+    shape get one store, whose arrays stack theirs in item order; each
+    item is a row of it."""
     graphs, features, targets = list(graphs), list(features), list(targets)
     if not len(graphs) == len(features) == len(targets):
         raise InputError(f"prepare_items needs one feature array and one target per graph, "
@@ -136,15 +204,21 @@ def prepare_items(graphs, features, targets,
         if xv.ndim != 2 or xv.shape[0] != g.n:
             raise InputError(f"features of a {g.n}-node graph must be {g.n} rows, "
                              f"got shape {xv.shape}")
-        xv.setflags(write=False)
         xs.append(xv)
         t = np.asarray(y, dtype=np.float64)
         ys.append(t.reshape(-1, 1) if t.ndim < 2 else t)
     built = [pair for chunk in _chunks(graphs, xs) for pair in
              layer0_terms([graphs[k] for k in chunk], [xs[k] for k in chunk], terms)]
-    return [TrainItem(g, x, y, MappingProxyType(dict(zip(terms, layer0))),
-                      MappingProxyType(diagonals))
-            for g, x, y, (layer0, diagonals) in zip(graphs, xs, ys, built)]
+    groups: dict[tuple, list[int]] = {}
+    for k, (g, x, y) in enumerate(zip(graphs, xs, ys)):
+        groups.setdefault((g.n, x.shape[1], y.shape), []).append(k)
+    items = [None] * len(graphs)
+    for members in groups.values():
+        store = _Store.of([graphs[k] for k in members], [xs[k] for k in members],
+                          [ys[k] for k in members], [built[k] for k in members], terms)
+        for row, k in enumerate(members):
+            items[k] = TrainItem(graphs[k], store, row)
+    return items
 
 
 def _chunks(graphs, xs):
@@ -195,6 +269,20 @@ class AdamState:
         self.step_count = np.zeros(w.shape[:-1], dtype=np.int64)
         self.m = np.zeros_like(w)
         self.v = np.zeros_like(w)
+        # column t: the bias corrections 1 - b1**t and 1 - b2**t, each the
+        # Python float of that expression, grown as the counts grow
+        self._bias = np.zeros((2, 1))
+
+    def bias_corrections(self) -> np.ndarray:
+        """The bias corrections of each row's step count: a (2, ..., 1)
+        array, ``[1 - b1**t, 1 - b2**t]`` for each row's count t."""
+        top = int(self.step_count.max())
+        if top >= self._bias.shape[1]:
+            counts = range(self._bias.shape[1], 2 * top + 1)
+            self._bias = np.concatenate([self._bias, [[1 - ADAM_BETA1**t for t in counts],
+                                                      [1 - ADAM_BETA2**t for t in counts]]],
+                                        axis=1)
+        return self._bias[:, self.step_count, None]
 
 
 def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr) -> None:
@@ -216,11 +304,9 @@ def adam_step(state: AdamState, w: np.ndarray, g: np.ndarray, lr) -> None:
     state.m += (1 - b1) * g
     state.v *= b2
     state.v += (1 - b2) * (g * g)
-    # bias corrections from Python floats, one per row
-    counts = state.step_count.reshape(-1).tolist()
-    shape = (*state.step_count.shape, 1)
-    step = state.m / np.reshape([1 - b1**t for t in counts], shape)
-    denom = np.sqrt(state.v / np.reshape([1 - b2**t for t in counts], shape))
+    first, second = state.bias_corrections()
+    step = state.m / first
+    denom = np.sqrt(state.v / second)
     denom += ADAM_EPS
     step *= lr
     step /= denom
@@ -231,7 +317,8 @@ def _adam_rows(state: AdamState, w: np.ndarray, g: np.ndarray, lr: np.ndarray,
                rows: np.ndarray) -> None:
     """:func:`adam_step` on rows ``rows`` of the stack ``w`` only, from
     their gradients ``g`` and rates ``lr``; every other row, its moments
-    and its step count stay as they are."""
+    and its step count stay as they are. A step of every row copies
+    nothing."""
     if rows.size == w.shape[0]:
         adam_step(state, w, g, lr)
         return
@@ -241,6 +328,7 @@ def _adam_rows(state: AdamState, w: np.ndarray, g: np.ndarray, lr: np.ndarray,
     adam_step(part, w_rows, g, lr)
     w[rows], state.m[rows], state.v[rows], state.step_count[rows] = \
         w_rows, part.m, part.v, part.step_count
+    state._bias = part._bias
 
 
 @dataclass(frozen=True)
@@ -267,22 +355,33 @@ class FitResult:
 
 def _stacked(items, terms) -> tuple:
     """The operators, features and layer-0 terms of ``items``, graphs of
-    one node count, as one stack."""
+    one node count, as one stack, and the (store, rows) runs it gathers:
+    each array is taken by row from the items' stores, one run of
+    consecutive items of one store after another."""
+    parts = [(store, np.array([it.row for it in run]))
+             for store, run in itertools.groupby(items, key=operator.attrgetter("store"))]
     try:
-        layer0 = [np.stack([it.layer0[term] for it in items]) for term in terms]
+        layer0 = [_take(parts, lambda store: store.layer0[term]) for term in terms]
     except KeyError as err:
         raise InputError(f"an item lacks the layer-0 term {err.args[0]}") from None
-    return (GraphOperators([it.graph for it in items], [it.closed_walks for it in items]),
-            np.stack([it.features for it in items]), layer0)
+    return (GraphOperators.gather([(store.ops, rows) for store, rows in parts]),
+            _take(parts, lambda store: store.features), layer0, parts)
 
 
-def _stacked_targets(items, shape) -> np.ndarray:
-    """The targets of ``items`` as one stack, each checked against the
-    ``shape`` of one graph's prediction."""
-    wrong = [it.target.shape for it in items if it.target.shape != shape]
+def _take(parts, of) -> np.ndarray:
+    """The rows of ``of(store)`` that ``parts``, (store, rows) runs, name,
+    stacked in run order."""
+    taken = [np.take(of(store), rows, axis=0) for store, rows in parts]
+    return taken[0] if len(taken) == 1 else np.concatenate(taken)
+
+
+def _stacked_targets(parts, shape) -> np.ndarray:
+    """The targets of the (store, rows) runs ``parts`` as one stack, each
+    checked against the ``shape`` of one graph's prediction."""
+    wrong = [store.target.shape[1:] for store, _ in parts if store.target.shape[1:] != shape]
     if wrong:
         raise InputError(f"target shape {wrong[0]} does not match prediction {shape}")
-    return np.stack([it.target for it in items])
+    return _take(parts, lambda store: store.target)
 
 
 def evaluate(model: Model, items) -> float:
@@ -307,10 +406,9 @@ def evaluate(model: Model, items) -> float:
         per_pass = max(1, MAX_STACK_ENTRIES // (n * width))
         for start in range(0, len(members), per_pass):
             chunk = members[start:start + per_pass]
-            group = [items[k] for k in chunk]
-            ops, x, layer0 = _stacked(group, model.spec.terms)
+            ops, x, layer0, parts = _stacked([items[k] for k in chunk], model.spec.terms)
             pred = forward(model, ops, x, layer0=layer0)
-            sq = mse_loss(pred, _stacked_targets(group, pred.shape[1:]))[0]
+            sq = mse_loss(pred, _stacked_targets(parts, pred.shape[1:]))[0]
             for k, loss in zip(chunk, sq.tolist()):
                 losses[k] = loss
     total = 0.0
@@ -459,57 +557,21 @@ def _step(model: Model, state: AdamState, buffers: _StepBuffers, rows: list[int]
     sub, grad, grads = buffers.rows(len(rows))
     if sub is not model:
         np.take(model.flat, rows, axis=0, out=sub.flat)
-    ops, x, layer0 = _stacked(items, model.spec.terms)
+    ops, x, layer0, parts = _stacked(items, model.spec.terms)
     saved: dict = {}
     finite = np.ones(len(rows), dtype=bool)
     pred = forward(sub, ops, x, dropout_rate=dropout, rng=[rngs[f] for f in rows],
                    saved=saved, layer0=layer0, finite=finite)
-    losses, d_pred = mse_loss(pred, _stacked_targets(items, pred.shape[1:]))
+    losses, d_pred = mse_loss(pred, _stacked_targets(parts, pred.shape[1:]))
     finite &= np.isfinite(losses)
     kept = np.flatnonzero(finite)
     if kept.size:
+        every = kept.size == len(rows)
         # a diverged row's gradient is computed too, silently, then dropped
-        with np.errstate(all=None if kept.size == len(rows) else "ignore"):
+        with np.errstate(all=None if every else "ignore"):
             backward(sub, saved, d_pred, grads)
-        updated = np.asarray(rows)[kept]
-        _adam_rows(state, model.flat, grad[kept], np.array(lr)[updated, None], updated)
+        updated = np.asarray(rows) if every else np.asarray(rows)[kept]
+        _adam_rows(state, model.flat, grad if every else grad[kept],
+                   np.array(lr)[updated, None], updated)
     return np.where(finite, losses, math.nan).tolist()
 
-
-def gradient_check(model: Model, item: TrainItem) -> float:
-    """Largest relative error between analytic and central-difference grads.
-
-    The objective is the inference-mode MSE (dropout off), so it is
-    deterministic; the L2 penalty lives in :func:`adam_step`, not in the
-    loss. Relative error uses a floor of 1e-3 in the denominator;
-    coordinates where both gradients are below 1e-10 count as exact. The
-    step is 1e-5, and each coordinate costs two passes, so a model with
-    more than 20 000 raises :class:`CapacityError` before the first.
-    """
-    w, h, max_params = model.flat, 1e-5, 20000
-    if w.size > max_params:
-        raise CapacityError(
-            f"gradient check supports <= {max_params} coordinates, got {w.size}")
-    saved: dict = {}
-    ops = GraphOperators([item.graph], [item.closed_walks])
-    pred = forward(model, ops, item.features, saved=saved)
-    analytic = np.zeros_like(w)
-    backward(model, saved, mse_loss(pred, item.target)[1], model.unflatten(analytic))
-
-    def loss_value() -> float:
-        return mse_loss(forward(model, ops, item.features), item.target)[0]
-
-    worst = 0.0
-    for i, a in enumerate(analytic.tolist()):
-        orig = w[i]
-        w[i] = orig + h
-        up = loss_value()
-        w[i] = orig - h
-        down = loss_value()
-        w[i] = orig
-        numeric = (up - down) / (2 * h)
-        scale = max(abs(a), abs(numeric))
-        if scale < 1e-10:
-            continue
-        worst = max(worst, abs(a - numeric) / max(scale, 1e-3))
-    return worst

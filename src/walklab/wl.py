@@ -176,10 +176,16 @@ def _refine(layout: _Layout, colors: list[int],
     return colors, None
 
 
-def _split_smaller_halves(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+def _split_smaller_halves(nbrs: list[list[int]], colors: list[int],
+                          before: list[int] | None) -> list[int]:
     """The coarsest stable partition that refines ``colors``, by "process
     the smaller half" refinement (Cardon and Crochemore 1982; Paige and
     Tarjan 1987), as colours 0..k-1.
+
+    ``before``, when given, is the colouring one round before ``colors``,
+    with respect to each class of which ``colors`` is therefore stable:
+    each such class starts with a queue entry for every part of it but its
+    largest. Without it every class starts with one.
 
     A splitter class counts its edges into every node it reaches; each
     class it touches splits by that count, untouched nodes counting 0. The
@@ -196,7 +202,14 @@ def _split_smaller_halves(nbrs: list[list[int]], colors: list[int]) -> list[int]
     members: list[set[int]] = [set() for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         members[c].add(v)
-    queue = list(range(len(members)))  # nothing is known stable at the start
+    if before is None:
+        queue = list(range(len(members)))  # nothing is known stable at the start
+    else:
+        parts: dict[int, list[int]] = {}
+        for c, cell in enumerate(members):
+            parts.setdefault(before[next(iter(cell))], []).append(c)
+        queue = [c for split in parts.values()
+                 for c in sorted(split, key=lambda part: len(members[part]))[:-1]]
     while queue:
         counts: dict[int, int] = {}
         for v in members[queue.pop()]:
@@ -254,12 +267,18 @@ def _stable_partition(layout: _Layout, colors: list[int]) -> list[int]:
     whose names, unlike those of :func:`_refine`, depend on node ids.
 
     Up to :data:`EAGER_ROUNDS` vectorised rounds run first; a partition
-    still splitting after them is finished by smaller-half refinement,
-    whose result must survive one more round unsplit."""
-    colors, rounds = _refine(layout, colors, EAGER_ROUNDS)
-    if rounds is not None:
-        return colors
-    colors = _split_smaller_halves(layout.neighbour_lists(), colors)
+    still splitting after them is finished by smaller-half refinement
+    from the split of the last round, whose result must survive one more
+    round unsplit."""
+    before = None
+    if EAGER_ROUNDS:
+        before, rounds = _refine(layout, colors, EAGER_ROUNDS - 1)
+        if rounds is not None:
+            return before
+        colors, rounds = _refine(layout, before, 1)
+        if rounds is not None:
+            return colors
+    colors = _split_smaller_halves(layout.neighbour_lists(), colors, before)
     if _refine(layout, colors, 1)[1] is None:
         raise InvariantViolation("smaller-half refinement left a partition that a round splits")
     return colors

@@ -7,7 +7,7 @@ permutation search, colour refinement by one Python tuple signature per
 node and round, triangles by neighbour-pair scans and neighbour-set
 intersections, 4-cycles by co-degrees, simple cycles by exhaustive DFS,
 and model gradients by the reverse-mode tape of ``walklab.autodiff``
-instead of the hand-written backward pass.
+instead of the hand-written backward pass, or by central differences.
 """
 
 from __future__ import annotations
@@ -15,10 +15,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+import numpy as np
+
 from walklab import autodiff as ad
 from walklab.errors import CapacityError, InputError, InvariantViolation
 from walklab.graphs import Graph
-from walklab.models import OP_POWER, OP_SELF_LOOP
+from walklab.models import OP_POWER, OP_SELF_LOOP, GraphOperators, backward, forward
+from walklab.training import TrainItem, mse_loss
 
 
 def neighbours(g: Graph, v: int) -> list[int]:
@@ -301,3 +304,42 @@ def tape_loss_and_grads(model, ops, x, target, *, dropout_rate=0.0, rng=None):
     loss = ad.mse(h, target)
     ad.backward(loss)
     return loss.item(), {k: t.grad for k, t in p.items()}
+
+
+def gradient_check(model, item: TrainItem) -> float:
+    """Largest relative error between analytic and central-difference grads.
+
+    The objective is the inference-mode MSE (dropout off), so it is
+    deterministic; the L2 penalty lives in ``adam_step``, not in the
+    loss. Relative error uses a floor of 1e-3 in the denominator;
+    coordinates where both gradients are below 1e-10 count as exact. The
+    step is 1e-5, and each coordinate costs two passes, so a model with
+    more than 20 000 raises :class:`CapacityError` before the first.
+    """
+    w, h, max_params = model.flat, 1e-5, 20000
+    if w.size > max_params:
+        raise CapacityError(
+            f"gradient check supports <= {max_params} coordinates, got {w.size}")
+    saved: dict = {}
+    ops = GraphOperators([item.graph], [item.closed_walks])
+    pred = forward(model, ops, item.features, saved=saved)
+    analytic = np.zeros_like(w)
+    backward(model, saved, mse_loss(pred, item.target)[1], model.unflatten(analytic))
+
+    def loss_value() -> float:
+        return mse_loss(forward(model, ops, item.features), item.target)[0]
+
+    worst = 0.0
+    for i, a in enumerate(analytic.tolist()):
+        orig = w[i]
+        w[i] = orig + h
+        up = loss_value()
+        w[i] = orig - h
+        down = loss_value()
+        w[i] = orig
+        numeric = (up - down) / (2 * h)
+        scale = max(abs(a), abs(numeric))
+        if scale < 1e-10:
+            continue
+        worst = max(worst, abs(a - numeric) / max(scale, 1e-3))
+    return worst

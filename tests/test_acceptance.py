@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from oracles import (count_simple_cycles_brute, cubic_graphs_on_8_nodes,
+from oracles import (count_simple_cycles_brute, cubic_graphs_on_8_nodes, gradient_check,
                      is_isomorphic_by_search, region_by_walk_dp,
                      triangles_at_node_brute)
 from walklab.data import gen_dataset, save_dataset
@@ -23,7 +23,7 @@ from walklab.experiments import demo_wl_gap, parse_config, run_experiment
 from walklab.graphs import (RegionSpec, erdos_renyi, extract_region,
                             from_edge_list)
 from walklab.models import build_model, spec_from_model_name
-from walklab.training import gradient_check, prepare_items
+from walklab.training import prepare_items
 from walklab.walks import diag_closed_walks, four_cycle_count, triangle_total
 from walklab.wl import (Verdict, augmented_distinguish, canonical_form,
                         lex_min_adjacency, wl_distinguish)

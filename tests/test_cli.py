@@ -265,7 +265,7 @@ class TestWl:
 
     def test_unstable_smaller_half_result_is_an_invariant_violation(self, tmp_path, capsys,
                                                                     monkeypatch):
-        monkeypatch.setattr(wl, "_split_smaller_halves", lambda nbrs, colors: colors)
+        monkeypatch.setattr(wl, "_split_smaller_halves", lambda nbrs, colors, before: colors)
         paths = [_graph_file(tmp_path, caterpillar(30), name) for name in ("a.txt", "b.txt")]
         assert main(["wl", *paths, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err

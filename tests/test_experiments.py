@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -509,6 +510,24 @@ class TestWriteReport:
         assert stats["mean_test_mse"] is None and stats["std_test_mse"] is None
         assert doc["failed_folds"] == {"GCN-1L": [0, 1, 2]}
         assert isinstance(doc["models"]["baseline"]["mean_test_mse"], float)
+
+
+class TestResultsBytes:
+    # results.csv of a small desk-like run, pinned: a change to how a step
+    # or an evaluation computes its numbers changes these bytes. GCN-2L and
+    # GCN-3L build A + I on every step; patience 1 cuts rates and stops
+    # cells at different epochs, so later steps take a subset of the rows
+    RESULTS_SHA256 = "a98a88883bb5847d060646432ad66fe3cb6f010492d0ce23110c42c4589dc10c"
+
+    def test_results_csv_bytes_are_pinned(self, tmp_path):
+        ds = gen_dataset(27, 50, 0.1, "triangles", 1001)
+        cfg = parse_config("dataset = unused\n"
+                           "models = baseline,GCN-2L,GCN-3L,GCN-L1-1L,GCN-D2-1L\n"
+                           "normalize = GCN-2L,GCN-3L\nfolds = 3\nseed = 7\n"
+                           "max_epochs = 6\npatience = 1\n")
+        csv_path, _ = write_report(run_experiment(cfg, ds), tmp_path / "run")
+        with open(csv_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.RESULTS_SHA256
 
 
 class TestDemoWlGap:

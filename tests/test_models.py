@@ -364,6 +364,27 @@ class TestStackedForward:
         with pytest.raises(ValueError):
             GraphOperators(graphs, marked[:4]).closed_walk_diag(3)
 
+    def test_gathered_stack_equals_a_stack_of_its_graphs(self):
+        # rows of two stacks, out of order and repeated, an edgeless graph
+        # among them: every operator equals that of a stack built from the
+        # same graphs, bit for bit
+        first = [erdos_renyi(7, 0.5, s) for s in range(4)] + [from_edge_list(7, [])]
+        second = [erdos_renyi(7, 0.3, s) for s in range(10, 13)]
+        sources = [GraphOperators(first), GraphOperators(second)]
+        parts = [(sources[0], np.array([3, 0, 4, 3])), (sources[1], np.array([2, 0])),
+                 (sources[0], np.array([1]))]
+        gathered = GraphOperators.gather(parts)
+        built = GraphOperators([first[3], first[0], first[4], first[3], second[2], second[0],
+                                first[1]])
+        assert gathered.shape == built.shape == (7, 7)
+        for name in ("adjacency", "adjacency_with_loops"):
+            got, want = getattr(gathered, name), getattr(built, name)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), (name, attr)
+        assert np.array_equal(gathered.inv_degree_plus_one, built.inv_degree_plus_one)
+        for m in (3, 5):
+            assert np.array_equal(gathered.closed_walk_diag(m), built.closed_walk_diag(m))
+
     @pytest.mark.parametrize("case", range(len(STACK_GRID)), ids=[
         f"{family or 'plain'}-{layers}L-mlp{depth}-norm{int(norm)}-{readout}"
         for family, layers, depth, norm, readout in STACK_GRID])

@@ -5,16 +5,17 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
-from oracles import tape_loss_and_grads
+from oracles import gradient_check, tape_loss_and_grads
 
 from walklab import models, training, walks
 from walklab.errors import CapacityError, CountOverflowError, InputError, TrainingError
 from walklab.graphs import complete_graph, erdos_renyi, from_edge_list
 from walklab.models import (FAMILIES, GraphOperators, apply_term, backward, build_model,
                             diag_power, forward, spec_from_model_name)
-from walklab.training import (AdamState, TrainConfig, adam_step, evaluate,
-                              fit, gradient_check, mse_loss, prepare_items)
+from walklab.training import (AdamState, TrainConfig, adam_step, evaluate, fit, mse_loss,
+                              prepare_items)
 
 
 # every term a model family sums
@@ -187,6 +188,17 @@ class TestEvaluate:
         items = prepare_items(graphs, [rng.normal(size=(g.n, 3)) for g in graphs], targets,
                               terms=spec.terms)
         model = build_model(spec, input_dim=3, hidden_dim=4, seed=3)
+        assert evaluate(model, items) == self._one_pass_per_item(model, items)
+
+    def test_items_of_several_calls_interleaved(self):
+        # each pass gathers store by store, in item order
+        rng = np.random.default_rng(9)
+        graphs = [erdos_renyi(6, 0.5, s) for s in range(8)]
+        spec = spec_from_model_name("GCN-D2-2L", True)
+        calls = [prepare_items(graphs[k::2], [rng.normal(size=(6, 1)) for _ in graphs[k::2]],
+                               rng.normal(size=4), terms=spec.terms) for k in (0, 1)]
+        items = [calls[k % 2][k // 2] for k in (0, 1, 3, 2, 5, 4, 6, 7)]
+        model = build_model(spec, input_dim=1, hidden_dim=4, seed=5)
         assert evaluate(model, items) == self._one_pass_per_item(model, items)
 
     def test_target_shape_checked(self):
@@ -530,7 +542,7 @@ class TestLayer0Store:
         items = _ones_items(graphs, [1.0, 2.0, 3.0, 4.0, 5.0])
         calls = []
         monkeypatch.setattr(models, "apply_term", lambda *args: calls.append("apply_term"))
-        monkeypatch.setattr(models, "concat_csr", lambda *args: calls.append("concat_csr"))
+        monkeypatch.setattr(models, "_matrix", lambda *args: calls.append("_matrix"))
         model = build_model(spec_from_model_name(name), input_dim=1, hidden_dim=4, seed=0)
         result = fit(model, items[:3], items[3:], TrainConfig(max_epochs=4, patience=4))
         assert len(result.history) == 5  # 12 steps, 5 evaluations
@@ -571,7 +583,7 @@ class TestGradientCheck:
         def no_forward(*args, **kwargs):
             raise AssertionError("forward ran before the size check")
 
-        monkeypatch.setattr(training, "forward", no_forward)
+        monkeypatch.setattr(oracles, "forward", no_forward)
         with pytest.raises(CapacityError, match="<= 20000 coordinates, got 23102"):
             gradient_check(model, item)
 

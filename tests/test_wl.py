@@ -349,9 +349,9 @@ class TestComparePair:
     def test_benchmark_like_pairs_on_both_sides_of_the_switch(self, monkeypatch):
         calls = []
 
-        def spy(nbrs, colors):
+        def spy(nbrs, colors, before):
             calls.append(len(colors))
-            return split(nbrs, colors)
+            return split(nbrs, colors, before)
 
         split = wl._split_smaller_halves
         monkeypatch.setattr(wl, "_split_smaller_halves", spy)
