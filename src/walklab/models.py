@@ -450,9 +450,10 @@ def layer0_terms(graphs, xs, terms) -> list[tuple[list[np.ndarray], dict[int, np
     diagonals) pair per graph, of read-only row slices of one result.
 
     The graphs are built at once on their disjoint union: one walk
-    product per diagonal and one sparse product per application of A or
-    A + I. A union row is its graph's row with shifted column ids, so each
-    slice equals the graph's own ``apply_term`` bit for bit. The overflow
+    count per diagonal (``diag(A^3)`` edge by edge, longer walks by
+    products) and one sparse product per application of A or A + I. A
+    union row is its graph's row with shifted column ids, so each slice
+    equals the graph's own ``apply_term`` bit for bit. The overflow
     bound of a walk product grows with the union's node count; when it
     trips, each graph is built alone, and only a graph whose own counts
     overflow raises :class:`CountOverflowError`.

@@ -15,7 +15,7 @@ as ``diverged`` while the others go on.
 
 :func:`prepare_items` builds the layer-0 terms ``Op_t(X)`` and the
 closed-walk diagonals for chunks of graphs at once (:data:`CHUNK_WORK`):
-one disjoint-union CSR per chunk, one walk product per diagonal and one
+one disjoint-union CSR per chunk, one walk count per diagonal and one
 sparse product per term, each graph's own build bit for bit. It stacks
 them into one resident store per node count: the (N, n, d) features, one
 such array per term, the targets, the diagonals, ``1/(deg+1)`` and each
@@ -68,12 +68,13 @@ MAX_STACK_ENTRIES = 1 << 16
 
 # Most work, nodes plus the multiply-adds of A @ A (sum_v d_v^2), of the
 # graphs whose operators prepare_items builds as one disjoint union: about
-# 11 ER(50, 0.1) graphs. A chunk's union CSR, its A @ A, the product that
-# reduces it and a float array per term live at once, so this bounds the
-# build's transient memory. On 200 such graphs with the D2 terms,
-# prepare_items takes 62 ms and peaks at 2.00 MB (tracemalloc) at this
-# budget; 86 ms and 1.91 MB at half of it, 54 ms and 2.32 MB at twice it,
-# 45 ms and 7.55 MB as one union (shared 2-core x86-64).
+# 11 ER(50, 0.1) graphs. A chunk's union CSR, its walk counts (the paths
+# of the closed 3-walk count, at most sum_v d_v^2 / 4) and a float array
+# per term live at once, so this bounds the build's transient memory. On
+# 200 such graphs with the D2 terms, prepare_items takes 19 ms and peaks
+# at 1.89 MB (tracemalloc) at this budget; 24 ms and 1.90 MB at half of
+# it, 15 ms and 1.88 MB at twice it, 13 ms and 4.11 MB as one union
+# (shared 2-core x86-64).
 CHUNK_WORK = 1 << 14
 
 

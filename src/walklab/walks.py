@@ -12,12 +12,16 @@ Graph counts run on one sparse integer engine: the CSR adjacency wraps
 the graph's own ``indptr`` and ``indices`` arrays, and because ``A`` is
 symmetric the closed m-walks of node v are the row sums of
 ``A^floor(m/2) * A^ceil(m/2)`` (elementwise), so ``A^m`` itself is never
-formed. Triangles per node are ``rowsum(A * A^2) / 2`` and
-``trace(A^4)`` is the sum of the squared entries of ``A^2``, so a caller
-that needs both passes one :func:`adjacency_square` to each and ``A @ A``
-is formed once. The work of ``A @ A`` and the entries of ``A^2`` are both
-bounded by ``sum_v d_v^2``, so a count costs O(sum_v d_v^2) time and
-memory; see :data:`MAX_PRODUCT_WORK` for the capacity limit.
+formed. Triangles per node are ``rowsum(A * A^2) / 2``, which reads
+``A^2`` only at the positions of ``A``: the common neighbours of each
+edge's ends. So without a square at hand they are counted on the CSR
+arrays themselves, edge by edge (the "forward" count of Schank and Wagner
+2005), and no product is formed. ``trace(A^4)`` is the sum of the squared
+entries of ``A^2``, so a caller that needs it forms :func:`adjacency_square`
+once and passes it to both counts. The work of ``A @ A``, the entries of
+``A^2`` and the edge-by-edge count are all bounded by ``sum_v d_v^2``, so
+a count costs O(sum_v d_v^2) time and memory; see
+:data:`MAX_PRODUCT_WORK` for the capacity limit.
 
 Counts are held in int64 CSR matrices. Every multiplication first checks the
 conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
@@ -64,17 +68,57 @@ def _check_product_bound(a, b) -> None:
         )
 
 
-def _checked_matmul(a, b):
-    """``a @ b`` for two CSR count arrays, overflow-checked and held to
-    :data:`MAX_PRODUCT_WORK`."""
-    _check_product_bound(a, b)
-    work = int(np.diff(b.indptr)[a.indices].sum())
+def _check_work(work: int) -> None:
     if work > MAX_PRODUCT_WORK:
         raise CapacityError(
             f"sparse walk product needs {work} multiply-adds (sum_v d_v^2 "
             f"for A @ A); the limit is {MAX_PRODUCT_WORK}"
         )
+
+
+def _checked_matmul(a, b):
+    """``a @ b`` for two CSR count arrays, overflow-checked and held to
+    :data:`MAX_PRODUCT_WORK`."""
+    _check_product_bound(a, b)
+    _check_work(int(np.diff(b.indptr)[a.indices].sum()))
     return a @ b
+
+
+def _closed_three_walks(g: Graph) -> np.ndarray:
+    """``diag(A^3)`` as int64, counted on the graph's CSR arrays.
+
+    Each triangle a < b < c is found once, from its edge (a, b) and a
+    neighbour c > b of b: one binary search of the sorted keys
+    ``a * n + b`` of the edges (a < b) tests the edge (a, c). A node's
+    closed 3-walks are twice its triangles. The candidates, paths
+    a - b - c, number at most ``sum_v d_v^2 / 4``, so the count is held to
+    :data:`MAX_PRODUCT_WORK` like ``A @ A`` and needs no overflow check:
+    no entry passes ``max_v d_v^2``."""
+    n, indptr = g.n, g.indptr
+    deg = np.diff(indptr).astype(np.int64)
+    _check_work(int(deg @ deg))
+    row = np.repeat(np.arange(n), deg)
+    col = g.indices.astype(np.int64)
+    forward = row < col
+    a, b = row[forward], col[forward]
+    keys = a * n + b  # sorted: rows ascend and each row's ids increase
+    # a row's neighbours above its node follow those below it; they are
+    # the candidates c of the edges (a, b) that end at the row
+    above = indptr[:-1] + np.bincount(b, minlength=n)
+    count = (indptr[1:] - above)[b]
+    ends = np.cumsum(count)
+    pos = np.repeat(above[b] - ends + count, count)
+    pos += np.arange(pos.size)  # each candidate's entry in the CSR arrays
+    wanted = np.repeat(a * n, count)  # the key of the edge (a, c)
+    wanted += col[pos]
+    del pos
+    found = np.searchsorted(keys, wanted)
+    np.minimum(found, keys.size - 1, out=found)
+    found = np.flatnonzero(keys[found] == wanted)  # candidates that close a triangle
+    closing = wanted[found]
+    middle = b[np.searchsorted(ends, found, side="right")]
+    corners = (closing // n, middle, closing % n)
+    return 2 * sum(np.bincount(nodes, minlength=n) for nodes in corners)
 
 
 def adjacency_square(g: Graph) -> tuple[sparse.csr_array, sparse.csr_array]:
@@ -90,10 +134,14 @@ def diag_closed_walks(g: Graph, m: int, square=None) -> np.ndarray:
 
     Computed as ``rowsum(A^floor(m/2) * A^ceil(m/2))``, which equals the
     diagonal of ``A^m`` because ``A`` is symmetric. ``square`` is
-    :func:`adjacency_square` of ``g`` when it is already at hand.
+    :func:`adjacency_square` of ``g`` when it is already at hand. Without
+    it, m = 3 is counted edge by edge on the CSR arrays, twice each node's
+    triangles, and forms no product.
     """
     if m < 1:
         raise InputError(f"walk length must be >= 1, got {m}")
+    if m == 3 and square is None:
+        return _closed_three_walks(g)
     a, *known = (adjacency_csr(g),) if square is None else square
     powers = [a, *known]  # powers[k - 1] is A^k
     while len(powers) < (m + 1) // 2:

@@ -40,8 +40,11 @@ computed. Otherwise the augmented run starts from (plain stable colour,
 triangle count) instead of (degree, triangle count) and reaches the same
 partition: any stable refinement of the degree partition D refines its
 stable partition P, so stable(P ^ T) = stable(D ^ T) for the
-triangle-count partition T. The canonical search runs only when both
-verdicts tie.
+triangle-count partition T. When T splits no class of P, P ^ T = P is
+stable already and the plain verdict answers both runs with no further
+round; a pair of trees ends there, and so does any pair whose nodes
+all lie on equally many triangles. The canonical search runs only when
+both verdicts tie.
 """
 
 from __future__ import annotations
@@ -346,7 +349,10 @@ def _verdicts(g1: Graph, g2: Graph) -> tuple[Verdict, Verdict]:
     The augmented run starts from the plain stable colours paired with
     triangle counts, which gives the stable partition of (degree, triangle
     count) labels without repeating the plain rounds. When the plain
-    halves already differ, no triangle is counted."""
+    halves already differ, no triangle is counted. When the pairs have no
+    more classes than the plain colours, the counts split no class: the
+    plain partition is the augmented one, already stable, and its verdict
+    answers both runs without another round."""
     layout = _Layout.of(g1, g2)
     verdict, plain = _verdict(layout, _ranks(degrees(g1) + degrees(g2)), g1.n)
     if verdict is Verdict.DISTINGUISHABLE:
@@ -354,7 +360,10 @@ def _verdicts(g1: Graph, g2: Graph) -> tuple[Verdict, Verdict]:
     # counted per graph: the union is never a Graph, so the node limit
     # holds for each graph alone
     tri = triangle_counts_per_node(g1).tolist() + triangle_counts_per_node(g2).tolist()
-    return verdict, _verdict(layout, _ranks(list(zip(plain, tri))), g1.n)[0]
+    labels = list(zip(plain, tri))
+    if len(set(labels)) == len(set(plain)):
+        return verdict, verdict
+    return verdict, _verdict(layout, _ranks(labels), g1.n)[0]
 
 
 def augmented_distinguish(g1: Graph, g2: Graph) -> Verdict:

@@ -264,6 +264,18 @@ def caterpillar(spine: int) -> Graph:
                           + [(v, spine + v) for v in range(spine)])
 
 
+def random_cubic(rng, n: int) -> Graph:
+    """A uniformly random simple 3-regular graph on n nodes (n even): the
+    pairing model, drawn again until no loop or double edge appears."""
+    from walklab.graphs import from_edge_list
+
+    while True:
+        a, b = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2).T
+        edges = {(int(min(u, v)), int(max(u, v))) for u, v in zip(a, b) if u != v}
+        if len(edges) == 3 * n // 2:
+            return from_edge_list(n, sorted(edges))
+
+
 def tape_loss_and_grads(model, ops, x, target, *, dropout_rate=0.0, rng=None):
     """MSE of one graph and its parameter gradients from the reverse-mode
     tape in ``walklab.autodiff``: the forward pass composed op by op from

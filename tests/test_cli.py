@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -16,7 +17,7 @@ from walklab.graphs import (MAX_ER_NODES, MAX_NODES, complete_graph, cycle_graph
                             disjoint_union, erdos_renyi, path_graph, relabel,
                             write_edge_list)
 
-from oracles import caterpillar
+from oracles import caterpillar, cubic_graphs_on_8_nodes, random_cubic
 
 
 def _graph_file(tmp_path, g, name):
@@ -516,6 +517,40 @@ class TestReportBytes:
                 {"s": ["x, y", "\u00e9\n", 1.5, -0.0, float("nan"), 10**20]}, (1, (2, 3))]
         for doc in docs:
             assert cli._dumps(doc) == json.dumps(doc, indent=1)
+
+
+def _wl_corpus():
+    """Graph pairs that take every path of ``walklab wl``: a tree pair
+    (many rounds, no triangles), random cubic pairs whose triangle
+    histograms tie and differ, and an isomorphic and a non-isomorphic
+    8-node pair, which reach the canonical search."""
+    rng = np.random.default_rng(90)
+    cat = caterpillar(30)
+    cubic = cubic_graphs_on_8_nodes()[0]
+    tied, differ = np.random.default_rng(63), np.random.default_rng(60)
+    return {
+        "caterpillar": (cat, relabel(cat, [int(x) for x in rng.permutation(cat.n)])),
+        "cubic-tied-triangles": (random_cubic(tied, 20), random_cubic(tied, 20)),
+        "cubic-other-triangles": (random_cubic(differ, 20), random_cubic(differ, 20)),
+        "8-isomorphic": (cubic, relabel(cubic, [int(x) for x in rng.permutation(8)])),
+        "8-not-isomorphic": (cycle_graph(8), disjoint_union(cycle_graph(4), cycle_graph(4))),
+    }
+
+
+class TestWlBytes:
+    # exit code, stdout and stderr of walklab wl on a fixed corpus and of
+    # demo-wl-gap, pinned: a faster verdict must print the same bytes
+    WL_SHA256 = "22ff8cb352ca2b2d4070111794bb94fad70427009c5f659118a76e8d432cd7f8"
+
+    def test_wl_output_bytes_are_pinned(self, tmp_path, capsys):
+        runs = []
+        for name, (g, h) in _wl_corpus().items():
+            paths = [_graph_file(tmp_path, g, f"{name}-1.txt"),
+                     _graph_file(tmp_path, h, f"{name}-2.txt")]
+            runs.append((name, main(["wl", *paths]), capsys.readouterr()))
+        runs.append(("demo-wl-gap", main(["demo-wl-gap"]), capsys.readouterr()))
+        text = "".join(f"{name} {code}\n{out.out}{out.err}" for name, code, out in runs)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.WL_SHA256, text
 
 
 class TestModuleInvocation:

@@ -314,22 +314,25 @@ class TestBatchedBuild:
         assert [len(c) for c in training._chunks(graphs, xs)] == [1, 1, 1, 1]
         self._assert_own_bits(items, graphs, xs)
 
-    def test_one_walk_product_per_chunk(self, monkeypatch):
-        # the D2 terms need A @ A once: one product per chunk, never one per graph
-        products = []
+    def test_one_triangle_count_per_chunk(self, monkeypatch):
+        # the D2 terms need diag(A^3) once: one edge-by-edge count per
+        # chunk, never one per graph, and no walk product
+        counts, products = [], []
 
-        def counting(a, b):
-            products.append(a.shape)
-            return real(a, b)
+        def counting(g):
+            counts.append(g.n)
+            return real(g)
 
-        real = walks._checked_matmul
-        monkeypatch.setattr(walks, "_checked_matmul", counting)
+        real = walks._closed_three_walks
+        monkeypatch.setattr(walks, "_closed_three_walks", counting)
+        monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: products.append(1))
         graphs = [erdos_renyi(20, 0.3, seed) for seed in range(40)]
         xs = [np.ones((20, 1))] * 40
         prepare_items(graphs, xs, [0.0] * 40, terms=FAMILIES["D2"])
         chunks = list(training._chunks(graphs, xs))
         assert 1 < len(chunks) <= 3
-        assert len(products) == len(chunks)
+        assert counts == [20 * len(chunk) for chunk in chunks]
+        assert products == []
 
     def test_graph_over_the_product_limit_is_a_capacity_error(self, monkeypatch):
         monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 100)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab import walks
 from walklab.errors import (CapacityError, CountOverflowError, InputError,
@@ -7,8 +9,8 @@ from walklab.errors import (CapacityError, CountOverflowError, InputError,
 from walklab.graphs import (complete_graph, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, from_edge_list,
                             path_graph, relabel)
-from walklab.walks import (adjacency_csr, diag_closed_walks, four_cycle_count,
-                           triangle_counts_per_node, triangle_total)
+from walklab.walks import (adjacency_csr, adjacency_square, diag_closed_walks,
+                           four_cycle_count, triangle_counts_per_node, triangle_total)
 
 from oracles import (count_simple_cycles_brute, count_walks_recursive,
                      four_cycles_by_codegree, triangles_at_node_brute,
@@ -91,6 +93,37 @@ class TestClosedWalks:
         assert triangle_total(disjoint_union(complete_graph(3), complete_graph(3))) == 2
 
 
+def _assert_edge_count_matches(g):
+    # without a square, diag(A^3) is counted edge by edge on the CSR arrays
+    got = diag_closed_walks(g, 3)
+    assert got.dtype == np.int64
+    assert got.tolist() == [2 * t for t in triangles_per_node_by_intersection(g)]
+    assert np.array_equal(got, diag_closed_walks(g, 3, adjacency_square(g)))
+    assert np.array_equal(triangle_counts_per_node(g), got // 2)
+
+
+def _star_at(n, centre):
+    return from_edge_list(n, [(centre, v) for v in range(n) if v != centre])
+
+
+class TestEdgeByEdgeTriangles:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, n, p, seed):
+        _assert_edge_count_matches(erdos_renyi(n, p, seed))
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(1), complete_graph(2), complete_graph(7), from_edge_list(6, []),
+        _star_at(9, 0), _star_at(9, 4), _star_at(9, 8), path_graph(5),
+        disjoint_union(complete_graph(4), cycle_graph(5)),
+        disjoint_union(from_edge_list(2, []), complete_graph(3), from_edge_list(1, [])),
+        from_edge_list(7, [(1, 3), (3, 5), (1, 5), (5, 6)]),
+    ], ids=["one-node", "K2", "K7", "edgeless", "star-first", "star-middle", "star-last",
+            "path", "two-components", "isolated-nodes", "isolated-and-pendant"])
+    def test_named_graphs(self, g):
+        _assert_edge_count_matches(g)
+
+
 class TestCycleCounts:
     def test_known_four_cycles(self):
         assert four_cycle_count(cycle_graph(4)) == 1
@@ -149,10 +182,11 @@ class TestLargeSparseGraphs:
         work = sum(d * d for d in degrees(g))
         monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work)
         four_cycle_count(g)
+        assert triangle_counts_per_node(g).tolist() == triangles_per_node_by_intersection(g)
         monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work - 1)
         with pytest.raises(CapacityError):
             four_cycle_count(g)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=f"needs {work} multiply-adds"):
             triangle_counts_per_node(g)
 
 

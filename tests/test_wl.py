@@ -19,7 +19,7 @@ from walklab.wl import (CANONICAL_MAX_NODES, EAGER_ROUNDS, PairReport, Verdict, 
                         is_isomorphic_small, lex_min_adjacency, wl_distinguish, wl_refine)
 
 from oracles import (caterpillar, cubic_graphs_on_8_nodes, fingerprint_by_tuples,
-                     is_isomorphic_by_search, neighbours, refine_by_tuples)
+                     is_isomorphic_by_search, neighbours, random_cubic, refine_by_tuples)
 
 
 def refine_with_own_label_slot(g, initial):
@@ -239,16 +239,6 @@ def _augmented_labels(g):
     return [cantor_pair(d, t) for d, t in zip(degrees(g), triangle_counts_per_node(g).tolist())]
 
 
-def _random_cubic(rng, n):
-    """A uniformly random simple 3-regular graph on n nodes (n even): the
-    pairing model, drawn again until no loop or double edge appears."""
-    while True:
-        a, b = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2).T
-        edges = {(int(min(u, v)), int(max(u, v))) for u, v in zip(a, b) if u != v}
-        if len(edges) == 3 * n // 2:
-            return from_edge_list(n, sorted(edges))
-
-
 def _rook_4x4():
     """K4 x K4: nodes share a row or a column. SRG(16, 6, 2, 2)."""
     return from_edge_list(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
@@ -302,8 +292,8 @@ class TestComparePair:
         rng = np.random.default_rng(51)
         reports = set()
         for n in (10, 12, 16, 20, 30, 40) * 4:
-            g = _random_cubic(rng, n)
-            reports.add(self._check(g, _random_cubic(rng, n)))
+            g = random_cubic(rng, n)
+            reports.add(self._check(g, random_cubic(rng, n)))
             self._check(g, relabel(g, [int(x) for x in rng.permutation(n)]))
         assert {r.augmented for r in reports} == set(Verdict)
 
@@ -358,7 +348,7 @@ class TestComparePair:
         rng = np.random.default_rng(53)
         # a regular graph is stable after one round, and halves whose
         # triangle histograms differ are not refined again
-        g, h = _random_cubic(rng, 100), _random_cubic(rng, 100)
+        g, h = random_cubic(rng, 100), random_cubic(rng, 100)
         assert Counter(triangle_counts_per_node(g).tolist()) != \
             Counter(triangle_counts_per_node(h).tolist())
         assert compare_pair(g, h)[:2] == (Verdict.INDISTINGUISHABLE, Verdict.DISTINGUISHABLE)
@@ -369,6 +359,53 @@ class TestComparePair:
         h = relabel(g, [int(x) for x in rng.permutation(g.n)])
         assert compare_pair(g, h)[:2] == (Verdict.INDISTINGUISHABLE,) * 2
         assert calls == [240]
+
+    def test_counts_that_split_no_class_run_no_augmented_refinement(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(wl, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("_refine", "_split_smaller_halves"):
+            monkeypatch.setattr(wl, name, counted(name))
+        rng = np.random.default_rng(54)
+        cat = caterpillar(40)
+        copies = [relabel(cat, [int(x) for x in rng.permutation(cat.n)]) for _ in range(2)]
+        # a tree has no triangles; every node of both strongly regular
+        # graphs lies on 6
+        for g, h in (copies, (_rook_4x4(), _shrikhande())):
+            calls.clear()
+            plain = wl_distinguish(g, h)
+            refinements = list(calls)
+            assert refinements and plain is Verdict.INDISTINGUISHABLE
+            calls.clear()
+            assert compare_pair(g, h) == PairReport(plain, plain, None)
+            assert calls == refinements
+
+    def test_tied_triangle_histograms_still_refine(self, monkeypatch):
+        partitions = []
+
+        def recorded(layout, colors, n1):
+            verdict, stable = real(layout, colors, n1)
+            partitions.append(stable)
+            return verdict, stable
+
+        real = wl._verdict
+        monkeypatch.setattr(wl, "_verdict", recorded)
+        rng = np.random.default_rng(63)
+        g, h = random_cubic(rng, 20), random_cubic(rng, 20)
+        histogram = Counter(triangle_counts_per_node(g).tolist())
+        assert histogram == Counter(triangle_counts_per_node(h).tolist()) and len(histogram) > 1
+        copy = relabel(g, [int(x) for x in rng.permutation(g.n)])
+        for other, augmented in ((h, Verdict.DISTINGUISHABLE), (copy, Verdict.INDISTINGUISHABLE)):
+            partitions.clear()
+            assert compare_pair(g, other)[:2] == (Verdict.INDISTINGUISHABLE, augmented)
+            assert len(partitions) == 2  # the plain run, then the augmented one
+            nbrs = ([neighbours(g, v) for v in range(g.n)]
+                    + [[u + g.n for u in neighbours(other, v)] for v in range(other.n)])
+            want = refine_by_tuples(nbrs, _augmented_labels(g) + _augmented_labels(other))[0]
+            assert _classes(partitions[-1]) == _classes(want)
 
     def test_canonical_search_only_when_both_runs_tie(self, monkeypatch):
         def no_search(g1, g2):
