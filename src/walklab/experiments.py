@@ -20,10 +20,10 @@ trained models) groups, and no group holds more than
 pool of forked worker processes, one per usable core and never more,
 inherits the prepared graphs and returns the rows in cell order. Every
 graph's layer-0 terms, for every term the configured models sum, and
-their closed-walk diagonals are built before the fork, in chunked
-batches of graphs (:func:`walklab.training.prepare_items`), so no worker
-rebuilds them. Each forked worker first raises glibc's mmap and trim
-thresholds (:func:`_init_worker`), so that its large numpy temporaries
+their closed-walk diagonals are built before the fork, once per store
+of same-size graphs (:func:`walklab.training.prepare_items`), so no
+worker rebuilds them. Each forked worker first raises glibc's mmap and
+trim thresholds (:func:`_init_worker`), so that its large numpy temporaries
 are reused from the heap instead of being mapped and unmapped on every
 step; the setting applies only to forked workers, never to the calling
 process.

@@ -47,8 +47,9 @@ matmuls over the leading axis and the structural terms act on one
 block-diagonal CSR matrix (:class:`GraphOperators`), so every graph's
 output, and every model's gradient, equals its own single-graph pass bit
 for bit. The caller may hand in the layer-0 terms ``Op_t(X)``, which
-depend only on the graph and its features; :func:`layer0_terms` builds
-them for many graphs at once.
+depend only on the graph and its features;
+:func:`walklab.training.prepare_items` builds them once per store of
+graphs.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from types import MappingProxyType
 import numpy as np
 from scipy import sparse
 
-from .errors import CapacityError, CountOverflowError, InputError, NumericError
-from .graphs import Graph, concat_csr, disjoint_union
+from .errors import CapacityError, InputError, NumericError
+from .graphs import Graph, concat_csr
 from .walks import diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
@@ -188,23 +189,21 @@ class GraphOperators:
     block-diagonal system; ``shape`` is (G, n). Each float matrix is built
     on first use by one CSR constructor over the graphs' arrays laid one
     after another (:func:`concat_csr`), in scipy's sorted entry order, so a
-    product equals each graph's own bit for bit. ``walks`` holds one
-    mapping per graph from a walk length m to its float closed m-walk
-    diagonal; a missing one is counted per graph, never on the stack,
-    whose overflow bound would grow with its node count.
+    product equals each graph's own bit for bit. A closed-walk diagonal
+    is counted per graph, never on the stack, whose overflow bound would
+    grow with its node count.
 
-    A stack made by :meth:`gather` from rows of other stacks builds
-    nothing from its graphs: on first use it takes its CSR arrays from
-    their :attr:`blocks`, and its inverse degrees and diagonals from
-    theirs, row by row, each graph's bits as they are.
+    A stack made by :meth:`gather` from rows of other stacks holds no
+    graphs: on first use it takes its CSR arrays from their
+    :attr:`blocks`, and its inverse degrees and diagonals from theirs, row
+    by row, each graph's bits as they are.
     """
 
-    def __init__(self, graphs, walks=None):
+    def __init__(self, graphs):
         self.graphs = tuple(graphs)
         if not self.graphs or any(g.n != self.graphs[0].n for g in self.graphs):
             raise InputError("a graph stack holds one or more graphs of one node count")
         self.shape = (len(self.graphs), self.graphs[0].n)
-        self._walks = [{}] * len(self.graphs) if walks is None else list(walks)
         self._closed_walks: dict[int, np.ndarray] = {}
         self._parts: tuple = ()
 
@@ -221,12 +220,6 @@ class GraphOperators:
         ops._closed_walks = {}
         ops._parts = tuple(parts)
         return ops
-
-    @functools.cached_property
-    def graphs(self) -> tuple:
-        """The graphs of a gathered stack, looked up on first use; a stack
-        built from graphs keeps them from the start."""
-        return tuple(stack.graphs[r] for stack, rows in self._parts for r in rows.tolist())
 
     @functools.cached_property
     def blocks(self) -> dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -293,9 +286,8 @@ class GraphOperators:
         if m not in self._closed_walks:
             self._closed_walks[m] = (
                 self._take_rows(lambda stack: stack.closed_walk_diag(m)) if self._parts
-                else np.concatenate([
-                    walks[m] if m in walks else diag_closed_walks(g, m).astype(np.float64)
-                    for g, walks in zip(self.graphs, self._walks, strict=True)]))
+                else np.concatenate([diag_closed_walks(g, m).astype(np.float64)
+                                     for g in self.graphs]))
         return self._closed_walks[m]
 
 
@@ -441,39 +433,6 @@ def apply_term(term: AggregationTerm, ops, h: np.ndarray) -> np.ndarray:
     for _ in range(times):
         rows = a @ rows
     return rows.reshape(h.shape)
-
-
-def layer0_terms(graphs, xs, terms) -> list[tuple[list[np.ndarray], dict[int, np.ndarray]]]:
-    """``Op_t(x)`` of each of ``terms`` for every graph of ``graphs`` on
-    its features in ``xs`` (all of one width), and its float closed-walk
-    diagonal of each ``diag_power`` term by walk length: one (terms,
-    diagonals) pair per graph, of read-only row slices of one result.
-
-    The graphs are built at once on their disjoint union: one walk
-    count per diagonal (``diag(A^3)`` edge by edge, longer walks by
-    products) and one sparse product per application of A or A + I. A
-    union row is its graph's row with shifted column ids, so each slice
-    equals the graph's own ``apply_term`` bit for bit. The overflow
-    bound of a walk product grows with the union's node count; when it
-    trips, each graph is built alone, and only a graph whose own counts
-    overflow raises :class:`CountOverflowError`.
-    """
-    union = GraphOperators([disjoint_union(*graphs)])
-    x = np.concatenate(xs)
-    try:
-        out = [apply_term(term, union, x) for term in terms]
-    except CountOverflowError:
-        if len(graphs) == 1:
-            raise
-        return [layer0_terms([g], [rows], terms)[0] for g, rows in zip(graphs, xs)]
-    bounds = np.cumsum([g.n for g in graphs])[:-1]
-    diagonals = {term.k: union.closed_walk_diag(term.k) for term in terms if term.op == OP_DIAG}
-    for a in (*out, *diagonals.values()):
-        a.setflags(write=False)
-    parts = [np.split(a, bounds) for a in out]
-    walks = {m: np.split(diag, bounds) for m, diag in diagonals.items()}
-    return [([rows[f] for rows in parts], {m: rows[f] for m, rows in walks.items()})
-            for f in range(len(graphs))]
 
 
 def forward(model: Model, ops: GraphOperators | Graph, x, *,

@@ -13,18 +13,17 @@ which is how a single model trains. The divergence check reads each
 cell's activations and MSE: a cell that diverges is frozen and reported
 as ``diverged`` while the others go on.
 
-:func:`prepare_items` builds the layer-0 terms ``Op_t(X)`` and the
-closed-walk diagonals for chunks of graphs at once (:data:`CHUNK_WORK`):
-one disjoint-union CSR per chunk, one walk count per diagonal and one
-sparse product per term, each graph's own build bit for bit. It stacks
-them into one resident store per node count: the (N, n, d) features, one
-such array per term, the targets, the diagonals, ``1/(deg+1)`` and each
-graph's CSR arrays of A and A + I. Each :class:`TrainItem` is its graph,
-its store and row, and read-only views of that row. A step or an
-evaluation pass gathers its stack by item row: one ``np.take`` per array,
-and operators (:meth:`GraphOperators.gather`) that take A + I or A, the
-inverse degrees and the diagonals from the store on first use, so a
-one-layer model builds no structure matrix. An item that lacks a term of
+:func:`prepare_items` stacks its graphs into one resident store per node
+count: the (N, n, d) features, the targets, ``1/(deg+1)``, each graph's
+CSR arrays of A and A + I, the closed-walk diagonals, counted per graph,
+and one (N, n, d) array per layer-0 term ``Op_t(X)``, one sparse product
+per application of A or A + I on the whole store, each graph's own bits.
+Each :class:`TrainItem` is its graph, its store and row, and read-only
+views of that row. A step or an evaluation pass gathers its stack by
+item row: one ``np.take`` per array, and operators
+(:meth:`GraphOperators.gather`) that take A + I or A, the inverse
+degrees and the diagonals from the store on first use, so a one-layer
+model builds no structure matrix. An item that lacks a term of
 the model is an error, never a rebuild. The experiments call
 :func:`prepare_items` once, serially, before their workers fork, which
 then share the stores.
@@ -59,23 +58,13 @@ import numpy as np
 
 from .errors import InputError, NumericError, TrainingError
 from .graphs import Graph
-from .models import AggregationTerm, GraphOperators, Model, backward, forward, layer0_terms
+from .models import (OP_DIAG, AggregationTerm, GraphOperators, Model, apply_term, backward,
+                     forward)
 
 # Most float64 entries (graphs x nodes x widest layer) of one activation in
 # a stacked evaluation pass: 512 KiB, so that evaluating a split adds a
 # few MiB at most to a worker. A larger split runs in several passes.
 MAX_STACK_ENTRIES = 1 << 16
-
-# Most work, nodes plus the multiply-adds of A @ A (sum_v d_v^2), of the
-# graphs whose operators prepare_items builds as one disjoint union: about
-# 11 ER(50, 0.1) graphs. A chunk's union CSR, its walk counts (the paths
-# of the closed 3-walk count, at most sum_v d_v^2 / 4) and a float array
-# per term live at once, so this bounds the build's transient memory. On
-# 200 such graphs with the D2 terms, prepare_items takes 19 ms and peaks
-# at 1.89 MB (tracemalloc) at this budget; 24 ms and 1.90 MB at half of
-# it, 15 ms and 1.88 MB at twice it, 13 ms and 4.11 MB as one union
-# (shared 2-core x86-64).
-CHUNK_WORK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -124,17 +113,20 @@ class _Store:
     closed_walks: Mapping[int, np.ndarray]
 
     @classmethod
-    def of(cls, graphs, xs, ys, built, terms) -> _Store:
-        """The store of ``graphs`` with their features ``xs``, targets
-        ``ys`` and :func:`layer0_terms` pairs ``built``."""
-        ops = GraphOperators(graphs, [diagonals for _, diagonals in built])
+    def of(cls, graphs, xs, ys, terms) -> _Store:
+        """The store of ``graphs`` with their features ``xs``, targets ``ys``
+        and layer-0 ``terms``. Each term runs once on a fresh gather of
+        every row, so that at most one structure matrix lives at a time;
+        the diagonals are the store operators' own, counted per graph."""
+        ops = GraphOperators(graphs)
         # built now, before any worker forks, so that the workers share them
         ops.blocks, ops.inv_degree_plus_one
-        return cls(ops, _frozen(np.stack(xs)), _frozen(np.stack(ys)),
-                   MappingProxyType({term: _frozen(np.stack([layer0[t] for layer0, _ in built]))
-                                     for t, term in enumerate(terms)}),
-                   MappingProxyType({m: _frozen(ops.closed_walk_diag(m)).reshape(ops.shape)
-                                     for m in built[0][1]}))
+        x, every = _frozen(np.stack(xs)), np.arange(len(graphs))
+        return cls(ops, x, _frozen(np.stack(ys)),
+                   MappingProxyType({term: _frozen(apply_term(
+                       term, GraphOperators.gather([(ops, every)]), x)) for term in terms}),
+                   MappingProxyType({term.k: _frozen(ops.closed_walk_diag(term.k)).reshape(
+                       ops.shape) for term in terms if term.op == OP_DIAG}))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -181,15 +173,16 @@ class TrainItem:
 def prepare_items(graphs, features, targets,
                   terms: tuple[AggregationTerm, ...] = ()) -> list[TrainItem]:
     """Bundle graphs with features and scalar or per-node targets, and
-    build the layer-0 values of ``terms`` and their closed-walk diagonals,
-    a chunk of graphs at a time (:data:`CHUNK_WORK`); a model that sums a
-    term not in ``terms`` can neither train nor be evaluated on the items.
+    build the layer-0 values of ``terms`` and their closed-walk diagonals;
+    a model that sums a term not in ``terms`` can neither train nor be
+    evaluated on the items.
     A scalar target becomes 1 x 1, and a 1-D target or feature vector a
     column. Features are copied read-only.
 
     The graphs that share a node count, a feature width and a target
-    shape get one store, whose arrays stack theirs in item order; each
-    item is a row of it."""
+    shape get one store, whose arrays stack theirs in item order and
+    whose terms are built on all of its rows at once; each item is a row
+    of it."""
     graphs, features, targets = list(graphs), list(features), list(targets)
     if not len(graphs) == len(features) == len(targets):
         raise InputError(f"prepare_items needs one feature array and one target per graph, "
@@ -208,35 +201,16 @@ def prepare_items(graphs, features, targets,
         xs.append(xv)
         t = np.asarray(y, dtype=np.float64)
         ys.append(t.reshape(-1, 1) if t.ndim < 2 else t)
-    built = [pair for chunk in _chunks(graphs, xs) for pair in
-             layer0_terms([graphs[k] for k in chunk], [xs[k] for k in chunk], terms)]
     groups: dict[tuple, list[int]] = {}
     for k, (g, x, y) in enumerate(zip(graphs, xs, ys)):
         groups.setdefault((g.n, x.shape[1], y.shape), []).append(k)
     items = [None] * len(graphs)
     for members in groups.values():
         store = _Store.of([graphs[k] for k in members], [xs[k] for k in members],
-                          [ys[k] for k in members], [built[k] for k in members], terms)
+                          [ys[k] for k in members], terms)
         for row, k in enumerate(members):
             items[k] = TrainItem(graphs[k], store, row)
     return items
-
-
-def _chunks(graphs, xs):
-    """The indices of ``graphs`` cut, in order, into runs of one feature
-    width (of ``xs``) whose graphs together cost at most
-    :data:`CHUNK_WORK`; a graph that costs more on its own is a run of one."""
-    chunk, work = [], 0
-    for k, g in enumerate(graphs):
-        deg = np.diff(g.indptr).astype(np.int64)
-        cost = g.n + int(deg @ deg)
-        if chunk and (work + cost > CHUNK_WORK or xs[k].shape[1] != xs[chunk[0]].shape[1]):
-            yield chunk
-            chunk, work = [], 0
-        chunk.append(k)
-        work += cost
-    if chunk:
-        yield chunk
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple:

@@ -333,7 +333,7 @@ def gradient_check(model, item: TrainItem) -> float:
         raise CapacityError(
             f"gradient check supports <= {max_params} coordinates, got {w.size}")
     saved: dict = {}
-    ops = GraphOperators([item.graph], [item.closed_walks])
+    ops = GraphOperators([item.graph])
     pred = forward(model, ops, item.features, saved=saved)
     analytic = np.zeros_like(w)
     backward(model, saved, mse_loss(pred, item.target)[1], model.unflatten(analytic))

@@ -346,23 +346,16 @@ class TestStackedForward:
 
     def test_stack_vectors_concatenate_each_graphs_own(self):
         # the degree scaling and the closed-walk diagonals of a stack are
-        # each graph's own laid one after another, with each graph's
-        # diagonals handed in or counted per graph
+        # each graph's own laid one after another, the diagonals counted
+        # per graph
         graphs = [erdos_renyi(7, 0.5, s) for s in range(4)] + [from_edge_list(7, [])]
         own = [GraphOperators([g]) for g in graphs]
-        assert np.array_equal(GraphOperators(graphs).inv_degree_plus_one,
+        stack = GraphOperators(graphs)
+        assert np.array_equal(stack.inv_degree_plus_one,
                               np.concatenate([o.inv_degree_plus_one for o in own]))
-        given = [{3: o.closed_walk_diag(3)} for o in own]
-        for stack in (GraphOperators(graphs), GraphOperators(graphs, given)):
-            for m in (3, 5):
-                assert np.array_equal(stack.closed_walk_diag(m),
-                                      np.concatenate([o.closed_walk_diag(m) for o in own]))
-        # a handed-in diagonal is taken as it is, not counted again
-        marked = [{3: np.full(7, float(f))} for f in range(len(graphs))]
-        assert GraphOperators(graphs, marked).closed_walk_diag(3).tolist() == \
-            [float(f) for f in range(len(graphs)) for _ in range(7)]
-        with pytest.raises(ValueError):
-            GraphOperators(graphs, marked[:4]).closed_walk_diag(3)
+        for m in (3, 5):
+            assert np.array_equal(stack.closed_walk_diag(m),
+                                  np.concatenate([o.closed_walk_diag(m) for o in own]))
 
     def test_gathered_stack_equals_a_stack_of_its_graphs(self):
         # rows of two stacks, out of order and repeated, an edgeless graph

@@ -2,6 +2,7 @@ import itertools
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from oracles import gradient_check, tape_loss_and_grads
 
 from walklab import models, training, walks
 from walklab.errors import CapacityError, CountOverflowError, InputError, TrainingError
-from walklab.graphs import complete_graph, erdos_renyi, from_edge_list
+from walklab.graphs import complete_graph, disjoint_union, erdos_renyi, from_edge_list
 from walklab.models import (FAMILIES, GraphOperators, apply_term, backward, build_model,
                             diag_power, forward, spec_from_model_name)
 from walklab.training import (AdamState, TrainConfig, adam_step, evaluate, fit, mse_loss,
@@ -269,8 +270,8 @@ class TestPrepareItems:
 
 
 class TestBatchedBuild:
-    """prepare_items builds the layer-0 terms of a chunk of graphs on
-    their disjoint union; each item must get its own graph's bits."""
+    """prepare_items builds the layer-0 terms of a store on all of its
+    graphs at once; each item must get its own graph's bits."""
 
     TERMS = (*ALL_TERMS, diag_power(5))
 
@@ -291,32 +292,24 @@ class TestBatchedBuild:
             for m in (3, 5):
                 assert np.array_equal(item.closed_walks[m], ops.closed_walk_diag(m))
 
-    @pytest.mark.parametrize("chunk_work", [None, 60, 1])
-    def test_terms_equal_each_graphs_own(self, monkeypatch, chunk_work):
-        # the default takes every graph in one chunk, 60 forces chunk
-        # boundaries between graphs, 1 puts each graph in a chunk of its own
-        if chunk_work is not None:
-            monkeypatch.setattr(training, "CHUNK_WORK", chunk_work)
-        graphs = self._graphs()
+    def test_terms_equal_each_graphs_own(self):
+        # same-size graphs share a store: twice each graph of mixed sizes
+        graphs = self._graphs() * 2
         rng = np.random.default_rng(0)
         xs = [rng.normal(size=(g.n, 3)) for g in graphs]
         items = prepare_items(graphs, xs, [0.0] * len(graphs), terms=self.TERMS)
-        chunks = [len(c) for c in training._chunks(graphs, xs)]
-        assert sum(chunks) == len(graphs)
-        assert (chunks == [len(graphs)]) == (chunk_work is None)
-        assert 1 < len(chunks) < len(graphs) or chunk_work != 60
+        assert items[0].store is items[8].store
         self._assert_own_bits(items, graphs, xs)
 
-    def test_features_of_another_width_start_a_new_chunk(self):
-        graphs = self._graphs()[:4]
-        xs = [np.ones((g.n, 1 + i % 2)) for i, g in enumerate(graphs)]
-        items = prepare_items(graphs, xs, [0.0] * 4, terms=self.TERMS)
-        assert [len(c) for c in training._chunks(graphs, xs)] == [1, 1, 1, 1]
+    def test_features_of_another_width_keep_their_own_bits(self):
+        graphs = self._graphs()[:4] * 2
+        xs = [np.ones((g.n, 1 + i % 3)) for i, g in enumerate(graphs)]
+        items = prepare_items(graphs, xs, [0.0] * 8, terms=self.TERMS)
         self._assert_own_bits(items, graphs, xs)
 
-    def test_one_triangle_count_per_chunk(self, monkeypatch):
+    def test_one_triangle_count_per_graph(self, monkeypatch):
         # the D2 terms need diag(A^3) once: one edge-by-edge count per
-        # chunk, never one per graph, and no walk product
+        # graph, never one on the store, and no walk product
         counts, products = [], []
 
         def counting(g):
@@ -327,12 +320,41 @@ class TestBatchedBuild:
         monkeypatch.setattr(walks, "_closed_three_walks", counting)
         monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: products.append(1))
         graphs = [erdos_renyi(20, 0.3, seed) for seed in range(40)]
-        xs = [np.ones((20, 1))] * 40
-        prepare_items(graphs, xs, [0.0] * 40, terms=FAMILIES["D2"])
-        chunks = list(training._chunks(graphs, xs))
-        assert 1 < len(chunks) <= 3
-        assert counts == [20 * len(chunk) for chunk in chunks]
+        prepare_items(graphs, [np.ones((20, 1))] * 40, [0.0] * 40, terms=FAMILIES["D2"])
+        assert counts == [20] * 40
         assert products == []
+
+    def test_one_structure_matrix_per_store(self, monkeypatch):
+        # the D2 terms apply A + I once and A twice on all 40 graphs: one
+        # matrix of each, built over the whole store
+        built = []
+
+        def counting(indptr, indices):
+            built.append((indptr.size - 1, indices.size))
+            return real(indptr, indices)
+
+        real = models._matrix
+        monkeypatch.setattr(models, "_matrix", counting)
+        graphs = [erdos_renyi(20, 0.3, seed) for seed in range(40)]
+        prepare_items(graphs, [np.ones((20, 1))] * 40, [0.0] * 40, terms=FAMILIES["D2"])
+        entries = sum(g.indices.size for g in graphs)
+        assert sorted(built) == [(800, entries), (800, entries + 800)]
+
+    def test_one_structure_matrix_alive_at_a_time(self, monkeypatch):
+        # each term runs on a fresh gather, so A + I is gone before A is built
+        alive = []
+
+        def tracking(indptr, indices):
+            assert all(ref() is None for ref in alive)
+            matrix = real(indptr, indices)
+            alive.append(weakref.ref(matrix))
+            return matrix
+
+        real = models._matrix
+        monkeypatch.setattr(models, "_matrix", tracking)
+        graphs = [erdos_renyi(20, 0.3, seed) for seed in range(10)]
+        prepare_items(graphs, [np.ones((20, 1))] * 10, [0.0] * 10, terms=FAMILIES["D2"])
+        assert len(alive) == 2
 
     def test_graph_over_the_product_limit_is_a_capacity_error(self, monkeypatch):
         monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 100)
@@ -349,7 +371,7 @@ class TestBatchedBuild:
         # and closed 43-walks of K4 do not fit at all
         graphs = [complete_graph(4)] * 40
         with pytest.raises(CountOverflowError):
-            walks.diag_closed_walks(models.disjoint_union(*graphs), 39)
+            walks.diag_closed_walks(disjoint_union(*graphs), 39)
         items = prepare_items(graphs, [np.ones((4, 1))] * 40, [0.0] * 40,
                               terms=(diag_power(39),))
         own = GraphOperators(graphs[:1]).closed_walk_diag(39)
