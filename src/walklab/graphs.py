@@ -104,9 +104,6 @@ class Graph:
         upper = row < self.indices
         return list(zip(row[upper].tolist(), self.indices[upper].tolist()))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.indices[self.indptr[u]:self.indptr[u + 1]]
-
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
     """The int64 row id of every stored entry of a CSR layout."""
@@ -177,18 +174,10 @@ def from_edge_list(n: int, edges) -> Graph:
     return _graph_from_ids(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
 
 
-def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError(f"cycle needs at least 3 nodes, got {n}")
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def concat_csr(graphs) -> tuple[np.ndarray, np.ndarray]:
@@ -213,15 +202,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
     :func:`concat_csr`."""
     n = _check_node_count(sum(g.n for g in graphs))
     return Graph(n, *concat_csr(graphs))
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Apply a node permutation: node v of g becomes perm[v]."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise InputError("perm is not a permutation of 0..n-1")
-    p = np.array(perm, dtype=np.int64)
-    return _graph_from_ids(g.n, p[_row_ids(g.indptr)], p[g.indices])
 
 
 # Node limit of erdos_renyi: it draws one uniform per node pair and holds
@@ -407,12 +387,6 @@ def _bad_line(body: str, lineno: int, n: int, m: int, reason: str) -> InputError
     return InputError(f"unreadable edge list: {reason}")
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def read_edge_list(path) -> Graph:
     return parse_edge_list(read_text(path))
 
@@ -424,10 +398,6 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def write_edge_list(g: Graph, path) -> None:
-    atomic_write_text(path, format_edge_list(g))
 
 
 def atomic_write_text(path, text: str) -> None:

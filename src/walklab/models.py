@@ -38,18 +38,17 @@ same pass, written into named views of one gradient array. Every
 structural operator is symmetric, so a term's backward pass is the term
 itself applied to the gated upstream gradient.
 
-One ``forward`` runs one graph's (n, d) rows, or the (G, n, d) rows of
-G graphs with a common node count: one model on every graph
-(evaluation), or a stack of G models, model g on graph g (a lockstep
-training step, which ``backward`` then differentiates row by row); one
-graph is the stack of one. Dense products on the stack are batched
-matmuls over the leading axis and the structural terms act on one
-block-diagonal CSR matrix (:class:`GraphOperators`), so every graph's
-output, and every model's gradient, equals its own single-graph pass bit
-for bit. The caller may hand in the layer-0 terms ``Op_t(X)``, which
-depend only on the graph and its features;
-:func:`walklab.training.prepare_items` builds them once per store of
-graphs.
+One ``forward`` runs the (G, n, d) rows of a stack of G graphs with a
+common node count (:class:`GraphOperators`; a stack of one also takes
+one graph's (n, d) rows): one model on every graph (evaluation), or a
+stack of G models, model g on graph g (a lockstep training step, which
+``backward`` then differentiates row by row). Dense products on the
+stack are batched matmuls over the leading axis and the structural terms
+act on one block-diagonal CSR matrix, so every graph's output, and every
+model's gradient, equals its own single-graph pass bit for bit. The
+caller may hand in the layer-0 terms ``Op_t(X)``, which depend only on
+the graph and its features; :func:`walklab.training.prepare_items`
+builds them once per store of graphs.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CapacityError, InputError, NumericError
-from .graphs import Graph, concat_csr
+from .graphs import concat_csr
 from .walks import diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
@@ -204,7 +203,7 @@ class GraphOperators:
         if not self.graphs or any(g.n != self.graphs[0].n for g in self.graphs):
             raise InputError("a graph stack holds one or more graphs of one node count")
         self.shape = (len(self.graphs), self.graphs[0].n)
-        self._closed_walks: dict[int, np.ndarray] = {}
+        self._diagonals: dict[int, np.ndarray] = {}
         self._parts: tuple = ()
 
     @classmethod
@@ -217,7 +216,7 @@ class GraphOperators:
             raise InputError("a graph stack holds one or more graphs of one node count")
         ops = cls.__new__(cls)
         ops.shape = (sum(rows.size for _, rows in parts), n)
-        ops._closed_walks = {}
+        ops._diagonals = {}
         ops._parts = tuple(parts)
         return ops
 
@@ -283,12 +282,12 @@ class GraphOperators:
         return 1.0 / (self.blocks[False][0].reshape(-1).astype(np.float64) + 1.0)
 
     def closed_walk_diag(self, m: int) -> np.ndarray:
-        if m not in self._closed_walks:
-            self._closed_walks[m] = (
+        if m not in self._diagonals:
+            self._diagonals[m] = (
                 self._take_rows(lambda stack: stack.closed_walk_diag(m)) if self._parts
                 else np.concatenate([diag_closed_walks(g, m).astype(np.float64)
                                      for g in self.graphs]))
-        return self._closed_walks[m]
+        return self._diagonals[m]
 
 
 def _with_loops(indptr: np.ndarray, nbr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -435,16 +434,16 @@ def apply_term(term: AggregationTerm, ops, h: np.ndarray) -> np.ndarray:
     return rows.reshape(h.shape)
 
 
-def forward(model: Model, ops: GraphOperators | Graph, x, *,
+def forward(model: Model, ops: GraphOperators, x, *,
             dropout_rate: float = 0.0, rng=None, saved: dict | None = None,
             layer0: list | None = None, finite: np.ndarray | None = None) -> np.ndarray:
-    """Run the model on one graph's node features (n x input_dim) and
-    return its output rows (1 x output_dim for the sum readout, n x
-    output_dim for the node readout). On the operators of a stack of G
-    graphs, features and output gain a leading axis of length G, and each
-    graph's slice equals its own pass bit for bit. One model runs every
-    graph of the stack; a stack of F models runs a stack of F graphs,
-    model f on graph f.
+    """Run the model on the (G, n, input_dim) node features of the stack
+    of G graphs ``ops`` and return its (G, 1, output_dim) output rows for
+    the sum readout, (G, n, output_dim) for the node readout; each graph's
+    slice equals its own pass bit for bit. A stack of one also takes and
+    returns one graph's rows, without the leading axis. One model runs
+    every graph of the stack; a stack of F models runs a stack of F
+    graphs, model f on graph f.
 
     ``layer0``, when given, is ``Op_t(x)`` for each of the spec's terms
     in order, the layer-0 terms the pass would otherwise compute.
@@ -457,8 +456,6 @@ def forward(model: Model, ops: GraphOperators | Graph, x, *,
     layer, unless ``finite``, one flag per graph of the stack, is given:
     then the flag of each graph with a non-finite activation is cleared.
     """
-    if isinstance(ops, Graph):
-        ops = GraphOperators([ops])
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim == 1:
         xv = xv[:, None]

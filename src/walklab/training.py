@@ -8,23 +8,23 @@ prediction, one stacked :func:`walklab.models.backward` into one (F, P)
 gradient array, and one Adam update of the (F, P) parameter stack from
 it. Each cell keeps its own rng (epoch permutation and dropout masks),
 learning rate, Adam step count, best snapshot, plateau count and stop
-reason, so its bits equal those of its training alone, the group of one,
-which is how a single model trains. The divergence check reads each
-cell's activations and MSE: a cell that diverges is frozen and reported
-as ``diverged`` while the others go on.
+reason, so its bits equal those of its group of one, the stack of one
+model, which is how a single model trains. The divergence check reads
+each cell's activations and MSE: a cell that diverges is frozen and
+reported as ``diverged`` while the others go on.
 
 :func:`prepare_items` stacks its graphs into one resident store per node
 count: the (N, n, d) features, the targets, ``1/(deg+1)``, each graph's
-CSR arrays of A and A + I, the closed-walk diagonals, counted per graph,
-and one (N, n, d) array per layer-0 term ``Op_t(X)``, one sparse product
-per application of A or A + I on the whole store, each graph's own bits.
-Each :class:`TrainItem` is its graph, its store and row, and read-only
-views of that row. A step or an evaluation pass gathers its stack by
-item row: one ``np.take`` per array, and operators
-(:meth:`GraphOperators.gather`) that take A + I or A, the inverse
-degrees and the diagonals from the store on first use, so a one-layer
-model builds no structure matrix. An item that lacks a term of
-the model is an error, never a rebuild. The experiments call
+CSR arrays of A and A + I, the closed-walk diagonals, counted per graph
+and held once, by the store's operators, and one (N, n, d) array per
+layer-0 term ``Op_t(X)``, one sparse product per application of A or
+A + I on the whole store, each graph's own bits. Each :class:`TrainItem`
+is its graph, its store and row, and read-only views of that row. A step
+or an evaluation pass gathers its stack by item row: one ``np.take`` per
+array, and operators (:meth:`GraphOperators.gather`) that take A + I or
+A, the inverse degrees and the diagonals from the store on first use, so
+a one-layer model builds no structure matrix. An item that lacks a term
+of the model is an error, never a rebuild. The experiments call
 :func:`prepare_items` once, serially, before their workers fork, which
 then share the stores.
 
@@ -56,7 +56,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InputError, NumericError, TrainingError
+from .errors import InputError, NumericError
 from .graphs import Graph
 from .models import (OP_DIAG, AggregationTerm, GraphOperators, Model, apply_term, backward,
                      forward)
@@ -100,33 +100,33 @@ class _Store:
     """The arrays of the graphs of one :func:`prepare_items` call that
     share a node count, a feature width and a target shape, row r for the
     r-th of them, all read-only: the (N, n, d) features, the stacked
-    targets, each layer-0 term and each closed-walk diagonal (N, n), and
-    the graphs' :class:`GraphOperators`, holding ``1/(deg+1)`` and each
-    graph's CSR arrays of A and A + I. Built once, before the experiments'
-    workers fork, it is shared by every step and evaluation pass that
-    gathers from it."""
+    targets and each layer-0 term, and the graphs' :class:`GraphOperators`,
+    holding ``1/(deg+1)``, each graph's CSR arrays of A and A + I and the
+    closed-walk diagonal of each ``diag_power`` term. Built once, before
+    the experiments' workers fork, it is shared by every step and
+    evaluation pass that gathers from it."""
 
     ops: GraphOperators
     features: np.ndarray
     target: np.ndarray
     layer0: Mapping[AggregationTerm, np.ndarray]
-    closed_walks: Mapping[int, np.ndarray]
 
     @classmethod
     def of(cls, graphs, xs, ys, terms) -> _Store:
         """The store of ``graphs`` with their features ``xs``, targets ``ys``
         and layer-0 ``terms``. Each term runs once on a fresh gather of
         every row, so that at most one structure matrix lives at a time;
-        the diagonals are the store operators' own, counted per graph."""
+        the diagonals are counted per graph on the store's operators."""
         ops = GraphOperators(graphs)
         # built now, before any worker forks, so that the workers share them
         ops.blocks, ops.inv_degree_plus_one
+        for term in terms:
+            if term.op == OP_DIAG:
+                _frozen(ops.closed_walk_diag(term.k))
         x, every = _frozen(np.stack(xs)), np.arange(len(graphs))
         return cls(ops, x, _frozen(np.stack(ys)),
                    MappingProxyType({term: _frozen(apply_term(
-                       term, GraphOperators.gather([(ops, every)]), x)) for term in terms}),
-                   MappingProxyType({term.k: _frozen(ops.closed_walk_diag(term.k)).reshape(
-                       ops.shape) for term in terms if term.op == OP_DIAG}))
+                       term, GraphOperators.gather([(ops, every)]), x)) for term in terms}))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -137,9 +137,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainItem:
     """One graph ready for training, row ``row`` of its ``store``, built by
-    :func:`prepare_items`. Its features, target, layer-0 terms (term ->
-    ``Op_t(features)``) and closed-walk diagonals (walk length -> float
-    diagonal) are read-only views of that row, made on each access."""
+    :func:`prepare_items`. Its features, target and layer-0 terms (term ->
+    ``Op_t(features)``) are read-only views of that row, made on each
+    access."""
 
     graph: Graph
     store: _Store
@@ -156,10 +156,6 @@ class TrainItem:
     @property
     def layer0(self) -> Mapping[AggregationTerm, np.ndarray]:
         return MappingProxyType({t: a[self.row] for t, a in self.store.layer0.items()})
-
-    @property
-    def closed_walks(self) -> Mapping[int, np.ndarray]:
-        return MappingProxyType({m: d[self.row] for m, d in self.store.closed_walks.items()})
 
     @property
     def ops(self) -> GraphOperators:
@@ -420,15 +416,12 @@ def fit(model: Model, train_items, val_items, cfg):
     before training (epoch 0), so a returned snapshot can be the untouched
     initial model if training only ever hurts.
 
-    One model (a flat vector) with one train split, one validation split
-    and one config is the group of one: its result comes back alone, and
-    a cell that diverges raises :class:`TrainingError` carrying the epoch.
+    One model trains as the stack of one, ``model.with_flat(model.flat[None])``,
+    a view whose row is the model's own vector.
     """
-    if model.flat.ndim == 1:
-        result, = fit(model.with_flat(model.flat[None]), [train_items], [val_items], [cfg])
-        if result.stop_reason == "diverged":
-            raise TrainingError(f"non-finite loss or activations at epoch {len(result.history)}")
-        return result
+    if model.flat.ndim != 2:
+        raise InputError(f"fit trains an (F, {model.decay.size}) stack of models, "
+                         f"got parameters of shape {model.flat.shape}")
     cells = model.flat.shape[0]
     if not len(train_items) == len(val_items) == len(cfg) == cells:
         raise InputError(f"a group of {cells} cells needs {cells} train splits, "

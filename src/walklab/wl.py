@@ -93,9 +93,6 @@ class Coloring:
     colors: tuple[int, ...]
     rounds: int
 
-    def class_count(self) -> int:
-        return len(set(self.colors))
-
 
 class _Layout(NamedTuple):
     """Where the refinement of the disjoint union of some graphs writes its

@@ -8,6 +8,8 @@ node and round, triangles by neighbour-pair scans and neighbour-set
 intersections, 4-cycles by co-degrees, simple cycles by exhaustive DFS,
 and model gradients by the reverse-mode tape of ``walklab.autodiff``
 instead of the hand-written backward pass, or by central differences.
+It also holds the small graph builders and the edge-list writer that only
+the tests use, written on walklab's public graph API.
 """
 
 from __future__ import annotations
@@ -19,9 +21,35 @@ import numpy as np
 
 from walklab import autodiff as ad
 from walklab.errors import CapacityError, InputError, InvariantViolation
-from walklab.graphs import Graph
+from walklab.graphs import Graph, atomic_write_text, from_edge_list
 from walklab.models import OP_POWER, OP_SELF_LOOP, GraphOperators, backward, forward
 from walklab.training import TrainItem, mse_loss
+
+
+def path_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n: int) -> Graph:
+    return from_edge_list(n, itertools.combinations(range(n), 2))
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """A relabelled copy: node v of g becomes perm[v]."""
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise InputError("perm is not a permutation of 0..n-1")
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def format_edge_list(g: Graph) -> str:
+    """g in the plain edge-list format: the header ``n m``, then one
+    ``u v`` line per edge."""
+    return "".join(f"{u} {v}\n" for u, v in [(g.n, g.edge_count), *g.edges()])
+
+
+def write_edge_list(g: Graph, path) -> None:
+    atomic_write_text(path, format_edge_list(g))
 
 
 def neighbours(g: Graph, v: int) -> list[int]:
@@ -43,7 +71,7 @@ def triangles_at_node_brute(g: Graph, v: int) -> int:
         1
         for i in range(len(nbrs))
         for j in range(i + 1, len(nbrs))
-        if g.has_edge(nbrs[i], nbrs[j])
+        if nbrs[j] in neighbours(g, nbrs[i])
     )
 
 
@@ -226,8 +254,6 @@ def cubic_graphs_on_8_nodes() -> list[Graph]:
     Built by filling the lowest-index node with open degree; partners
     are always higher-index (lower ones were completed earlier).
     """
-    from walklab.graphs import from_edge_list
-
     results: list[Graph] = []
     base = [(0, 1), (0, 2), (0, 3)]
 
@@ -258,8 +284,6 @@ def cubic_graphs_on_8_nodes() -> list[Graph]:
 def caterpillar(spine: int) -> Graph:
     """A path of ``spine`` nodes with one pendant leaf on each: refinement
     from degrees needs about spine / 2 rounds."""
-    from walklab.graphs import from_edge_list
-
     return from_edge_list(2 * spine, [(v, v + 1) for v in range(spine - 1)]
                           + [(v, spine + v) for v in range(spine)])
 
@@ -267,8 +291,6 @@ def caterpillar(spine: int) -> Graph:
 def random_cubic(rng, n: int) -> Graph:
     """A uniformly random simple 3-regular graph on n nodes (n even): the
     pairing model, drawn again until no loop or double edge appears."""
-    from walklab.graphs import from_edge_list
-
     while True:
         a, b = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2).T
         edges = {(int(min(u, v)), int(max(u, v))) for u, v in zip(a, b) if u != v}

@@ -13,11 +13,10 @@ import pytest
 from walklab import cli, experiments, walks, wl
 from walklab.cli import main
 from walklab.errors import CapacityError, InputError
-from walklab.graphs import (MAX_ER_NODES, MAX_NODES, complete_graph, cycle_graph,
-                            disjoint_union, erdos_renyi, path_graph, relabel,
-                            write_edge_list)
+from walklab.graphs import MAX_ER_NODES, MAX_NODES, cycle_graph, disjoint_union, erdos_renyi
 
-from oracles import caterpillar, cubic_graphs_on_8_nodes, random_cubic
+from oracles import (caterpillar, complete_graph, cubic_graphs_on_8_nodes, path_graph,
+                     random_cubic, relabel, write_edge_list)
 
 
 def _graph_file(tmp_path, g, name):

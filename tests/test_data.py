@@ -7,7 +7,9 @@ import pytest
 from walklab.data import (Dataset, DatasetMeta, baseline_mean, gen_dataset,
                           kfold_split, load_dataset, save_dataset)
 from walklab.errors import InputError
-from walklab.graphs import complete_graph, cycle_graph
+from walklab.graphs import cycle_graph
+
+from oracles import complete_graph
 
 
 class TestGenDataset:

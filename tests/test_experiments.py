@@ -16,9 +16,11 @@ from walklab.errors import ConfigError, InputError, TrainingError
 from walklab.experiments import (RESULTS_HEADER, demo_wl_gap, parse_config,
                                  read_config, region_report, run_experiment,
                                  write_report)
-from walklab.graphs import complete_graph, cycle_graph
+from walklab.graphs import cycle_graph
 from walklab.models import spec_from_model_name
 from walklab.training import FitResult
+
+from oracles import complete_graph
 
 
 def _tiny_dataset(tmp_path, n_graphs=9, n_nodes=8, seed=5):
@@ -363,23 +365,28 @@ class TestWorkerPool:
         assert seen == [[(0, 1, 2)], [(0,), (1, 2)]]
 
     def test_layer0_terms_and_diagonals_built_before_cells_run(self, tmp_path, monkeypatch):
-        # before the fork every item holds every configured term and its
-        # closed-walk diagonal, and arrays only: no structure matrix
+        # before the fork every item holds every configured term, and
+        # arrays only: no structure matrix; and the stores hold the
+        # closed-walk diagonals, so no cell counts one, in this process or
+        # in a forked worker, which inherits the patch
         real_map = ex._map_groups
         built = []
 
+        def uncounted(g, m, square=None):
+            raise RuntimeError(f"closed {m}-walks counted after the stores were built")
+
         def inspecting_map(groups, workers):
             for item in ex._RUN[2]:
-                held = [*vars(item).values(), *item.layer0.values(), *item.closed_walks.values()]
-                built.append((list(item.layer0), list(item.closed_walks),
-                              any(sparse.issparse(v) for v in held)))
+                held = [*vars(item).values(), *item.layer0.values()]
+                built.append((list(item.layer0), any(sparse.issparse(v) for v in held)))
+            monkeypatch.setattr("walklab.models.diag_closed_walks", uncounted)
             return real_map(groups, workers)
 
         monkeypatch.setattr(ex, "_map_groups", inspecting_map)
         run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path),
-                                                 models="baseline,GCN-1L,GCN-D2-1L")))
-        d2 = list(spec_from_model_name("GCN-D2-1L").terms)
-        assert built == [(d2, [3], False)] * 9
+                                                 models="baseline,GCN-1L,GCN-D2-2L")))
+        d2 = list(spec_from_model_name("GCN-D2-2L").terms)
+        assert built == [(d2, False)] * 9
 
     @needs_fork
     def test_cells_run_in_worker_processes(self, tmp_path, monkeypatch):

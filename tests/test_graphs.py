@@ -9,12 +9,12 @@ import pytest
 from walklab import graphs
 from walklab.errors import CapacityError, InputError
 from walklab.graphs import (MAX_ER_NODES, Graph, RegionSpec, atomic_write_text,
-                            bfs_distances, complete_graph, concat_csr, cycle_graph, degrees,
+                            bfs_distances, concat_csr, cycle_graph, degrees,
                             disjoint_union, erdos_renyi, extract_region,
-                            format_edge_list, from_edge_list, parse_edge_list,
-                            path_graph, read_edge_list, relabel, write_edge_list)
+                            from_edge_list, parse_edge_list, read_edge_list)
 
-from oracles import neighbours, region_by_walk_dp, region_by_walk_enumeration
+from oracles import (complete_graph, format_edge_list, neighbours, path_graph, region_by_walk_dp,
+                     region_by_walk_enumeration, relabel, write_edge_list)
 
 
 class TestConstruction:

@@ -5,15 +5,14 @@ import pytest
 from scipy import sparse
 
 from walklab.errors import CapacityError, InputError, NumericError
-from walklab.graphs import (complete_graph, cycle_graph, erdos_renyi,
-                            from_edge_list, path_graph, relabel)
+from walklab.graphs import cycle_graph, erdos_renyi, from_edge_list
 from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, MAX_LAYERS, AggregationTerm,
                             GraphOperators, ModelSpec, apply_term, backward,
                             build_model, diag_power, forward, power, self_loop_adjacency,
                             spec_from_model_name)
 from walklab.walks import adjacency_csr, diag_closed_walks
 
-from oracles import neighbours
+from oracles import complete_graph, neighbours, path_graph, relabel
 
 
 def identity_readout_model(terms, n_features=1, degree_normalize=False):
@@ -157,21 +156,21 @@ class TestForward:
         # 3-walks = 3 + 2 = 5
         m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 1.0, 1.0)
-        out = forward(m, complete_graph(3), np.ones((3, 1)))
+        out = forward(m, GraphOperators([complete_graph(3)]), np.ones((3, 1)))
         assert out.tolist() == [[5.0], [5.0], [5.0]]
 
     def test_diag_route_recovers_closed_walks_exactly(self):
         m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 0.0, 1.0)
         for g in (complete_graph(4), cycle_graph(6), erdos_renyi(12, 0.4, 3)):
-            out = forward(m, g, np.ones((g.n, 1)))
+            out = forward(m, GraphOperators([g]), np.ones((g.n, 1)))
             assert out[:, 0].tolist() == diag_closed_walks(g, 3).astype(float).tolist()
 
     def test_power_term_applies_adjacency_twice(self):
         m = identity_readout_model((power(2),))
         set_gates(m, 1.0)
         g = path_graph(4)
-        out = forward(m, g, np.ones((4, 1)))
+        out = forward(m, GraphOperators([g]), np.ones((4, 1)))
         a = adjacency_csr(g).toarray()
         expected = a @ (a @ np.ones((4, 1)))
         assert np.array_equal(out, expected)
@@ -183,7 +182,7 @@ class TestForward:
         for k, p in m.params.items():
             if not k.endswith("theta0"):
                 p[...] = 0.0
-        out = forward(m, g, np.zeros((1, 1)))
+        out = forward(m, GraphOperators([g]), np.zeros((1, 1)))
         assert out.tolist() == [[0.0]]
 
     def test_degree_normalization(self):
@@ -191,15 +190,15 @@ class TestForward:
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
         m = identity_readout_model((self_loop_adjacency(),), degree_normalize=True)
         set_gates(m, 1.0)
-        out = forward(m, star, np.ones((4, 1)))
+        out = forward(m, GraphOperators([star]), np.ones((4, 1)))
         assert out.tolist() == [[1.0], [1.0], [1.0], [1.0]]
 
     def test_inference_is_deterministic(self):
         g = erdos_renyi(10, 0.3, 4)
         m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 8, seed=2)
         x = np.ones((10, 1))
-        a = forward(m, g, x)
-        b = forward(m, g, x)
+        a = forward(m, GraphOperators([g]), x)
+        b = forward(m, GraphOperators([g]), x)
         assert np.array_equal(a, b)
 
     def test_training_mode_dropout_changes_values(self):
@@ -207,24 +206,24 @@ class TestForward:
         m = build_model(spec_from_model_name("GCN-1L"), 1, 8, seed=2)
         x = np.ones((10, 1))
         rng = np.random.default_rng(0)
-        a = forward(m, g, x, dropout_rate=0.5, rng=[rng])
-        b = forward(m, g, x)
+        a = forward(m, GraphOperators([g]), x, dropout_rate=0.5, rng=[rng])
+        b = forward(m, GraphOperators([g]), x)
         assert not np.array_equal(a, b)
         with pytest.raises(InputError):
-            forward(m, g, x, dropout_rate=0.5)  # rng required
+            forward(m, GraphOperators([g]), x, dropout_rate=0.5)  # rng required
         with pytest.raises(InputError, match="one rng per graph"):
-            forward(m, g, x, dropout_rate=0.5, rng=[rng, rng])
+            forward(m, GraphOperators([g]), x, dropout_rate=0.5, rng=[rng, rng])
 
     def test_sum_readout_permutation_invariant(self):
         rng = np.random.default_rng(9)
         g = erdos_renyi(12, 0.3, 21)
         m = build_model(spec_from_model_name("GCN-L1-2L"), 1, 8, seed=7)
         x = np.ones((12, 1))
-        base = forward(m, g, x)
+        base = forward(m, GraphOperators([g]), x)
         for _ in range(5):
             perm = [int(i) for i in rng.permutation(12)]
             h = relabel(g, perm)
-            out = forward(m, h, x)
+            out = forward(m, GraphOperators([h]), x)
             assert np.allclose(out, base, rtol=1e-10, atol=1e-10)
 
     def test_node_readout_permutation_equivariant(self):
@@ -235,24 +234,24 @@ class TestForward:
                          readout="node", output_dim=4)
         m = build_model(spec, 1, 4, seed=3)
         x = rng.normal(size=(9, 1))
-        base = forward(m, g, x)
+        base = forward(m, GraphOperators([g]), x)
         for _ in range(5):
             perm = [int(i) for i in rng.permutation(9)]
             x_perm = np.empty_like(x)
             x_perm[perm] = x
-            out = forward(m, relabel(g, perm), x_perm)
+            out = forward(m, GraphOperators([relabel(g, perm)]), x_perm)
             assert np.allclose(out[perm], base, rtol=1e-10, atol=1e-12)
 
     def test_feature_shape_checked(self):
         m = build_model(spec_from_model_name("GCN-1L"), 2, 4, seed=0)
         with pytest.raises(InputError):
-            forward(m, path_graph(3), np.ones((3, 1)))
+            forward(m, GraphOperators([path_graph(3)]), np.ones((3, 1)))
 
     def test_nonfinite_detected(self):
         m = identity_readout_model((self_loop_adjacency(),))
         set_gates(m, 1.0)
         with pytest.raises(NumericError):
-            forward(m, path_graph(2), np.array([[np.inf], [1.0]]))
+            forward(m, GraphOperators([path_graph(2)]), np.array([[np.inf], [1.0]]))
 
 
 class TestWeightNames:
@@ -287,11 +286,11 @@ class TestFlatLayout:
         with pytest.raises(TypeError):
             m.params["head.b"] = np.zeros((1, 1))
         x = np.ones((8, 1))
-        before = forward(m, g, x)
+        before = forward(m, GraphOperators([g]), x)
         last = m.flat[-1]
         m.params["head.b"][0, 0] += 1.0
         assert m.flat[-1] == last + 1.0
-        assert np.allclose(forward(m, g, x), before + 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(forward(m, GraphOperators([g]), x), before + 1.0, rtol=0, atol=1e-12)
 
 
 # families x layers x mlp_depth x degree normalisation x readout
@@ -314,7 +313,7 @@ class TestStackedForward:
         for n, count in ((int(rng.integers(4, 9)), 3), (int(rng.integers(9, 14)), 2)):
             graphs = [erdos_renyi(n, 0.4, int(rng.integers(1 << 30))) for _ in range(count)]
             xs = rng.normal(size=(count, n, 3))
-            alone = [forward(model, g, x) for g, x in zip(graphs, xs)]
+            alone = [forward(model, GraphOperators([g]), x) for g, x in zip(graphs, xs)]
             stack = GraphOperators(graphs)
             layer0 = [np.stack([apply_term(t, GraphOperators([g]), x) for g, x in zip(graphs, xs)])
                       for t in spec.terms]
@@ -401,7 +400,7 @@ class TestStackedForward:
         grads = backward(stack, saved, d_out)
         for f, model in enumerate(models):
             alone = {}
-            want = forward(model, graphs[f], xs[f], dropout_rate=0.3,
+            want = forward(model, GraphOperators([graphs[f]]), xs[f], dropout_rate=0.3,
                            rng=[np.random.default_rng(f)], saved=alone)
             assert np.array_equal(out[f], want)
             for key, grad in backward(model, alone, d_out[f]).items():
@@ -431,7 +430,7 @@ class TestGradientViews:
         g = erdos_renyi(9, 0.4, 5)
         m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 4, seed=1)
         saved = {}
-        pred = forward(m, g, np.ones((9, 1)), saved=saved)
+        pred = forward(m, GraphOperators([g]), np.ones((9, 1)), saved=saved)
         fresh = backward(m, saved, np.ones_like(pred))
         vec = np.full_like(m.flat, np.nan)
         views = m.unflatten(vec)

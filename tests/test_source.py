@@ -25,6 +25,25 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statement at line(s) {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_top_level_imports_are_used(path):
+    # a removal can leave its imports behind; an import kept only to be
+    # looked up from outside says so with ``# noqa: F401``
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text, filename=str(path))
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        unused += [(node.lineno, name) for name in names if name not in used]
+    assert not unused, f"{path.name}: unused import(s) (line, name): {unused}"
+
+
 def _tracing():
     """perfbench's tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",

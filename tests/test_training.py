@@ -8,11 +8,11 @@ from dataclasses import replace
 import numpy as np
 import oracles
 import pytest
-from oracles import gradient_check, tape_loss_and_grads
+from oracles import complete_graph, gradient_check, tape_loss_and_grads
 
 from walklab import models, training, walks
-from walklab.errors import CapacityError, CountOverflowError, InputError, TrainingError
-from walklab.graphs import complete_graph, disjoint_union, erdos_renyi, from_edge_list
+from walklab.errors import CapacityError, CountOverflowError, InputError
+from walklab.graphs import disjoint_union, erdos_renyi, from_edge_list
 from walklab.models import (FAMILIES, GraphOperators, apply_term, backward, build_model,
                             diag_power, forward, spec_from_model_name)
 from walklab.training import (AdamState, TrainConfig, adam_step, evaluate, fit, mse_loss,
@@ -25,6 +25,22 @@ ALL_TERMS = tuple(dict.fromkeys(t for terms in FAMILIES.values() for t in terms)
 
 def _ones_items(graphs, targets):
     return prepare_items(graphs, [np.ones((g.n, 1)) for g in graphs], targets, terms=ALL_TERMS)
+
+
+def _closed_walks(item, m):
+    # an item's closed m-walk diagonal, held by its store's operators
+    ops = item.store.ops
+    return ops.closed_walk_diag(m).reshape(ops.shape)[item.row]
+
+
+def _uncounted(g, m, square=None):
+    raise RuntimeError(f"closed {m}-walks counted after the store was built")
+
+
+def _fit_one(model, train_items, val_items, cfg):
+    # one model trains as the stack of one, a view of its own vector
+    result, = fit(model.with_flat(model.flat[None]), [train_items], [val_items], [cfg])
+    return result
 
 
 def _col(*values):
@@ -237,23 +253,27 @@ class TestPrepareItems:
         with pytest.raises(InputError, match="2 graphs, 1 feature arrays and 2 targets"):
             prepare_items([complete_graph(3), complete_graph(4)], [np.ones(3)], [1.0, 2.0])
 
-    def test_layer0_terms_and_diagonals_kept_read_only(self):
+    def test_layer0_terms_and_diagonals_kept_read_only(self, monkeypatch):
         g = erdos_renyi(8, 0.5, 1)
         terms = spec_from_model_name("GCN-D2-1L").terms
         item = prepare_items([g], [np.ones((8, 1))], [0.0], terms=terms)[0]
         assert list(item.layer0) == list(terms)
-        assert list(item.closed_walks) == [3]
         ops = GraphOperators([g])
         for term in terms:
             assert np.array_equal(item.layer0[term], apply_term(term, ops, np.ones((8, 1))))
-        assert np.array_equal(item.closed_walks[3], ops.closed_walk_diag(3))
-        for a in (*item.layer0.values(), item.closed_walks[3]):
+        want = ops.closed_walk_diag(3)
+        # the store counted diag(A^3), and no other diagonal, when it was built
+        monkeypatch.setattr(models, "diag_closed_walks", _uncounted)
+        assert np.array_equal(_closed_walks(item, 3), want)
+        with pytest.raises(RuntimeError, match="closed 5-walks"):
+            _closed_walks(item, 5)
+        for a in (*item.layer0.values(), _closed_walks(item, 3)):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         with pytest.raises(TypeError):
             item.layer0[terms[0]] = item.features
         bare = prepare_items([g], [np.ones((8, 1))], [0.0])[0]
-        assert not bare.layer0 and not bare.closed_walks
+        assert not bare.layer0
 
     def test_missing_layer0_term_is_an_error(self):
         # fit and evaluate never build a term the items lack; they name it
@@ -265,7 +285,7 @@ class TestPrepareItems:
         with pytest.raises(InputError, match=missing):
             evaluate(model, items)
         with pytest.raises(InputError, match=missing):
-            fit(model, items, items, TrainConfig())
+            _fit_one(model, items, items, TrainConfig())
         evaluate(build_model(spec_from_model_name("GCN-2L"), 1, 4, seed=0), items)
 
 
@@ -290,7 +310,7 @@ class TestBatchedBuild:
                 assert np.array_equal(got, apply_term(term, ops, x))
                 assert not got.flags.writeable
             for m in (3, 5):
-                assert np.array_equal(item.closed_walks[m], ops.closed_walk_diag(m))
+                assert np.array_equal(_closed_walks(item, m), ops.closed_walk_diag(m))
 
     def test_terms_equal_each_graphs_own(self):
         # same-size graphs share a store: twice each graph of mixed sizes
@@ -375,7 +395,7 @@ class TestBatchedBuild:
         items = prepare_items(graphs, [np.ones((4, 1))] * 40, [0.0] * 40,
                               terms=(diag_power(39),))
         own = GraphOperators(graphs[:1]).closed_walk_diag(39)
-        assert all(np.array_equal(it.closed_walks[39], own) for it in items)
+        assert all(np.array_equal(_closed_walks(it, 39), own) for it in items)
         with pytest.raises(CountOverflowError):
             prepare_items(graphs, [np.ones((4, 1))] * 40, [0.0] * 40, terms=(diag_power(43),))
 
@@ -391,11 +411,11 @@ class TestFit:
         for patience in (1, 2):
             model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=2)
             init = model.flat.copy()
-            pred0 = float(forward(model, g, x)[0, 0])
+            pred0 = float(forward(model, GraphOperators([g]), x)[0, 0])
             train_items = _ones_items([g], [pred0 + 100.0])
             val_items = _ones_items([g], [pred0])
             cfg = TrainConfig(dropout=0.0, patience=patience, max_epochs=50, seed=0)
-            result = fit(model, train_items, val_items, cfg)
+            result = _fit_one(model, train_items, val_items, cfg)
             assert result.stop_reason == "early_stop"
             assert [s.epoch for s in result.history] == list(range(2 * patience + 1))
             assert result.best_epoch == 0
@@ -414,7 +434,7 @@ class TestFit:
         items = _ones_items([complete_graph(3)], [1.0])
         model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=50, seed=0)
-        result = fit(model, items, items, cfg)
+        result = _fit_one(model, items, items, cfg)
         assert result.stop_reason == "early_stop"
         assert (result.best_epoch, result.best_val) == (3, 5.0)
         assert [s.epoch for s in result.history] == list(range(8))
@@ -433,7 +453,7 @@ class TestFit:
             model = build_model(spec, input_dim=1, hidden_dim=8, seed=seed)
             cfg = TrainConfig(lr=0.01, l2=0.0, dropout=0.0, patience=10,
                               max_epochs=200, seed=seed)
-            result = fit(model, items, items, cfg)
+            result = _fit_one(model, items, items, cfg)
             assert result.best_val < 1e-3
 
     def test_best_snapshot_is_what_evaluate_sees(self):
@@ -442,7 +462,7 @@ class TestFit:
         items = _ones_items(graphs, targets)
         model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=5)
         cfg = TrainConfig(dropout=0.0, max_epochs=20, seed=1)
-        result = fit(model, items[:4], items[4:], cfg)
+        result = _fit_one(model, items[:4], items[4:], cfg)
         assert evaluate(model, items[4:]) == result.best_val
         assert result.best_epoch <= len(result.history) - 1
 
@@ -453,7 +473,7 @@ class TestFit:
         for _ in range(2):
             model = build_model(spec_from_model_name("GCN-2L"), input_dim=1, hidden_dim=4, seed=9)
             cfg = TrainConfig(max_epochs=8, seed=4)
-            result = fit(model, items[:3], items[3:], cfg)
+            result = _fit_one(model, items[:3], items[3:], cfg)
             # epoch 0 records train_loss as nan, which never compares equal
             runs.append((
                 [(s.epoch, s.val_loss, s.lr) for s in result.history],
@@ -473,16 +493,25 @@ class TestFit:
         items = _ones_items([g], [0.0])
         cfg = TrainConfig(dropout=0.0, max_epochs=5, seed=0)
         with np.errstate(over="ignore"):
-            with pytest.raises(TrainingError, match="epoch 1"):
-                fit(model, items, items, cfg)
+            result = _fit_one(model, items, items, cfg)
+        # epoch 0 validated, epoch 1 diverged
+        assert result.stop_reason == "diverged"
+        assert len(result.history) == 1
+
+    def test_one_model_vector_is_refused(self):
+        # fit trains a stack; one model is the stack of one, never a vector
+        model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
+        items = _ones_items([complete_graph(3)], [1.0])
+        with pytest.raises(InputError, match=r"\(F, 34\) stack of models"):
+            fit(model, items, items, TrainConfig())
 
     def test_empty_split_rejected(self):
         model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=0)
         items = _ones_items([complete_graph(3)], [1.0])
         with pytest.raises(InputError):
-            fit(model, [], items, TrainConfig())
+            _fit_one(model, [], items, TrainConfig())
         with pytest.raises(InputError):
-            fit(model, items, [], TrainConfig())
+            _fit_one(model, items, [], TrainConfig())
 
 
 class TestLockstep:
@@ -569,7 +598,7 @@ class TestLayer0Store:
         monkeypatch.setattr(models, "apply_term", lambda *args: calls.append("apply_term"))
         monkeypatch.setattr(models, "_matrix", lambda *args: calls.append("_matrix"))
         model = build_model(spec_from_model_name(name), input_dim=1, hidden_dim=4, seed=0)
-        result = fit(model, items[:3], items[3:], TrainConfig(max_epochs=4, patience=4))
+        result = _fit_one(model, items[:3], items[3:], TrainConfig(max_epochs=4, patience=4))
         assert len(result.history) == 5  # 12 steps, 5 evaluations
         evaluate(model, items)
         assert calls == []

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from walklab import walks
 from walklab.errors import (CapacityError, CountOverflowError, InputError,
                             InvariantViolation)
-from walklab.graphs import (complete_graph, cycle_graph, degrees,
-                            disjoint_union, erdos_renyi, from_edge_list,
-                            path_graph, relabel)
+from walklab.graphs import cycle_graph, degrees, disjoint_union, erdos_renyi, from_edge_list
 from walklab.walks import (adjacency_csr, adjacency_square, diag_closed_walks,
                            four_cycle_count, triangle_counts_per_node, triangle_total)
 
-from oracles import (count_simple_cycles_brute, count_walks_recursive,
-                     four_cycles_by_codegree, triangles_at_node_brute,
+from oracles import (complete_graph, count_simple_cycles_brute, count_walks_recursive,
+                     four_cycles_by_codegree, path_graph, relabel, triangles_at_node_brute,
                      triangles_per_node_by_intersection)
 
 
