@@ -8,6 +8,10 @@ growth around a node), ``train`` (cross-validated experiment), and
 Exit codes: 0 success, 1 bad usage or configuration, 2 runtime or
 training failure (also when ``train`` wrote its reports but a model has
 no finite fold), 3 violated structural invariant.
+
+``walklab.experiments``, and with it the models and training layers, is
+imported only by the subcommands that use it (``regions``, ``train``,
+``demo-wl-gap``), so ``wl``, ``count`` and ``gen`` start without it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .data import TARGET_KINDS, gen_dataset, save_dataset
 from .errors import (CapacityError, ConfigError, CountOverflowError,
                      InputError, InvariantViolation, NumericError,
                      TrainingError)
-from .experiments import demo_wl_gap, read_config, region_report, run_experiment, write_report
 from .graphs import atomic_write_text, read_edge_list
 from .walks import adjacency_square, four_cycle_count, triangle_counts_per_node, triangle_total
 from .wl import compare_pair
@@ -150,6 +153,8 @@ def _cmd_wl(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    from .experiments import region_report
+
     g = read_edge_list(args.graph)
     rows = region_report(g, args.node, args.kmax)
     if args.out:
@@ -162,6 +167,8 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .experiments import read_config, run_experiment, write_report
+
     cfg = read_config(args.config, seed_override=args.seed)
     report = run_experiment(cfg)
     out_dir = args.out or "."
@@ -180,6 +187,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .experiments import demo_wl_gap
+
     _emit(demo_wl_gap(), args.out)
     return EXIT_OK
 

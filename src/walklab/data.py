@@ -89,8 +89,14 @@ def save_dataset(ds: Dataset, path) -> None:
             {"n": g.n, "edges": [[u, v] for u, v in g.edges()], "target": target},
             separators=(",", ":")))
     atomic_write_text(path, "\n".join(lines) + "\n")
+    meta_path = str(path) + ".meta.json"
     if ds.meta is not None:
-        atomic_write_text(str(path) + ".meta.json", json.dumps(ds.meta.__dict__, indent=1))
+        atomic_write_text(meta_path, json.dumps(ds.meta.__dict__, indent=1))
+    else:  # an older dataset's sidecar would be read as this one's
+        try:
+            os.unlink(meta_path)
+        except FileNotFoundError:
+            pass
 
 
 def load_dataset(path) -> Dataset:
@@ -122,6 +128,12 @@ def load_dataset(path) -> Dataset:
         raise InputError(f"{path}: empty dataset")
     meta_path = str(path) + ".meta.json"
     meta = _load_meta(meta_path) if os.path.exists(meta_path) else None
+    if meta is not None:
+        sizes = sorted({g.n for g, _ in items})
+        if meta.n_graphs != len(items) or sizes != [meta.n_nodes]:
+            raise InputError(
+                f"{meta_path}: sidecar describes {meta.n_graphs} graphs of {meta.n_nodes}"
+                f" nodes, but {path} holds {len(items)} graphs of {sizes} nodes")
     return Dataset(items=items, meta=meta)
 
 

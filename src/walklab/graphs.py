@@ -238,7 +238,8 @@ def bfs_distances(g: Graph, v: int) -> list[float]:
     """Hop distances from v; unreachable nodes get math.inf."""
     if not 0 <= v < g.n:
         raise InputError(f"node {v} out of range 0..{g.n - 1}")
-    # imported here: loading csgraph would add to every CLI start-up
+    # scipy is imported on first use, as everywhere in this package, so
+    # that a process which never builds a sparse matrix does not load it
     from scipy.sparse import csgraph, csr_array
 
     a = csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
@@ -401,14 +402,21 @@ def read_text(path) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a whole file via temp-and-rename so readers never see a torn file."""
+    """Write a whole file via temp-and-rename so readers never see a torn file.
+
+    An ``OSError`` names ``path``, not the temporary file, and keeps its
+    errno (and so its subclass, such as ``FileNotFoundError``).
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), os.fspath(path)) from exc
         raise

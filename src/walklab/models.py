@@ -49,6 +49,9 @@ model's gradient, equals its own single-graph pass bit for bit. The
 caller may hand in the layer-0 terms ``Op_t(X)``, which depend only on
 the graph and its features; :func:`walklab.training.prepare_items`
 builds them once per store of graphs.
+
+``scipy.sparse`` is imported on first use, when a :class:`GraphOperators`
+builds its first CSR matrix, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, InputError, NumericError
 from .graphs import concat_csr
@@ -312,6 +314,8 @@ def _with_loops(indptr: np.ndarray, nbr: np.ndarray, n: int) -> tuple[np.ndarray
 
 def _matrix(indptr: np.ndarray, indices: np.ndarray):
     """The square float CSR matrix of ones with these arrays."""
+    from scipy import sparse
+
     n = indptr.size - 1
     return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
 

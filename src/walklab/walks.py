@@ -26,16 +26,24 @@ a count costs O(sum_v d_v^2) time and memory; see
 Counts are held in int64 CSR matrices. Every multiplication first checks the
 conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
 :class:`CountOverflowError` instead of wrapping silently.
+
+``scipy.sparse`` is imported on first use, by the functions that build a
+CSR matrix, so a process that never forms one (``walklab wl``, the
+edge-by-edge triangle count) does not pay for loading it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from .errors import (CapacityError, CountOverflowError, InputError,
                      InvariantViolation)
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _INT64_MAX = 2**63 - 1
 
@@ -54,6 +62,8 @@ def adjacency_csr(g: Graph) -> sparse.csr_array:
     Wraps the graph's own read-only ``indptr`` and ``indices`` without a
     copy; they equal the arrays scipy builds from the dense matrix.
     """
+    from scipy import sparse
+
     return sparse.csr_array((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
                             shape=(g.n, g.n))
 
@@ -146,8 +156,12 @@ def diag_closed_walks(g: Graph, m: int, square=None) -> np.ndarray:
     powers = [a, *known]  # powers[k - 1] is A^k
     while len(powers) < (m + 1) // 2:
         powers.append(_checked_matmul(powers[-1], a))
-    # only m = 1 reads A^0
-    half = powers[m // 2 - 1] if m > 1 else sparse.eye_array(g.n, dtype=np.int64, format="csr")
+    if m > 1:
+        half = powers[m // 2 - 1]
+    else:  # only m = 1 reads A^0
+        from scipy import sparse
+
+        half = sparse.eye_array(g.n, dtype=np.int64, format="csr")
     other = powers[(m + 1) // 2 - 1]
     # The row sums are the diagonal of half @ other, under the same bound.
     _check_product_bound(half, other)

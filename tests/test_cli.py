@@ -336,6 +336,15 @@ def _bad_sidecar(tmp_path):
             "tiny.jsonl.meta.json: unknown sidecar keys ['colour']")
 
 
+def _other_sidecar(tmp_path):
+    # the sidecar of a six-graph dataset of 8-node graphs
+    ds = _write(tmp_path, "tiny.jsonl", _RECORD * 6)
+    _write(tmp_path, "tiny.jsonl.meta.json", '{"n_graphs": 6, "n_nodes": 8, "edge_prob": 0.5,'
+                                             ' "target": "triangles", "seed": 1}')
+    return (["--config", _config_file(tmp_path, ds)],
+            "tiny.jsonl.meta.json: sidecar describes 6 graphs of 8 nodes")
+
+
 def _not_utf8_config(tmp_path):
     path, message = _not_utf8(tmp_path, "experiment.cfg", "dataset = d.jsonl\n# ")
     return ["--config", path], message
@@ -361,6 +370,7 @@ TRAIN_FAILURES = {
                                    "No such file"), 2),
     "dataset-not-utf8": (_not_utf8_dataset, 1),
     "sidecar-unknown-key": (_bad_sidecar, 1),
+    "sidecar-other-dataset": (_other_sidecar, 1),
     "config-not-utf8": (_not_utf8_config, 1),
     "config-unknown-key": (lambda d: (["--config", _write(d, "bad.cfg",
                                                           "dataset = d.jsonl\nwidth = 9\n")],
@@ -490,6 +500,12 @@ class TestDemo:
         assert doc["augmented"] == "distinguishable"
         assert doc["isomorphic"] is False
 
+    def test_out_in_missing_directory_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "demo.json"
+        assert main(["demo-wl-gap", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 # Each row: arguments of a command that writes one JSON report, and the
 # file it writes (None for stdout).
@@ -583,6 +599,29 @@ class TestModuleInvocation:
             (0, runs[0].stdout, "")] * 2
         assert json.loads(runs[0].stdout) == {"wl": "indistinguishable",
                                               "augmented": "indistinguishable"}
+
+    def test_import_leaves_scipy_and_training_unloaded(self):
+        # scipy.sparse and the training stack load in the subcommands that
+        # use them, so start-up pays for neither
+        lazy = ["scipy.sparse", "walklab.models", "walklab.training", "walklab.experiments"]
+        code = f"import sys, walklab.cli; print([m for m in {lazy!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["wl", "demo-wl-gap", "gen-triangles"])
+    def test_commands_without_sparse_matrices_leave_scipy_unloaded(self, tmp_path, command):
+        # C6 against two triangles reaches the per-node triangle count
+        c6 = _graph_file(tmp_path, cycle_graph(6), "c6.txt")
+        argv = {"wl": ["wl", c6, _c3(tmp_path)],
+                "demo-wl-gap": ["demo-wl-gap"],
+                "gen-triangles": ["gen", "--graphs", "3", "--nodes", "8", "--prob", "0.5",
+                                  "--target", "triangles", "--out", str(tmp_path / "d.jsonl")],
+                }[command]
+        code = ("import sys; from walklab.cli import main; code = main(sys.argv[1:]); "
+                "print(code, 'scipy.sparse' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.stderr.split() == ["0", "False"], proc.stderr
 
     def test_usage_failure_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "walklab", "count"],

@@ -154,6 +154,27 @@ class TestRoundTrip:
             '{"n_graphs": 1, "n_nodes": 4, "edge_prob": 1, "target": "triangles", "seed": 1}')
         assert load_dataset(path).meta.edge_prob == 1
 
+    def test_save_without_meta_removes_stale_sidecar(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_dataset(gen_dataset(3, 8, 0.3, "triangles", seed=1), path)
+        save_dataset(Dataset(items=[(cycle_graph(4), 0.0)]), path)
+        assert not (tmp_path / "d.jsonl.meta.json").exists()
+        assert load_dataset(path).meta is None
+
+    @pytest.mark.parametrize("nodes, n_graphs, n_nodes", [
+        ([4], 3, 4),      # more graphs than the file holds
+        ([4], 1, 8),      # graphs of another size
+        ([4, 5], 2, 4),   # one graph of another size
+    ])
+    def test_load_rejects_sidecar_of_another_dataset(self, tmp_path, nodes, n_graphs, n_nodes):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(f'{{"n":{n},"edges":[[0,1]],"target":2}}\n' for n in nodes))
+        meta = tmp_path / "d.jsonl.meta.json"
+        meta.write_text(json.dumps({"n_graphs": n_graphs, "n_nodes": n_nodes, "edge_prob": 0.5,
+                                    "target": "triangles", "seed": 1}))
+        with pytest.raises(InputError, match=re.escape(str(meta))):
+            load_dataset(path)
+
     def test_load_without_sidecar_has_no_meta(self, tmp_path):
         path = tmp_path / "plain.jsonl"
         path.write_text('{"n":4,"edges":[[0,1]],"target":2.5}\n')

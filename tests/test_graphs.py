@@ -393,6 +393,20 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    @pytest.mark.parametrize("name, error", [
+        ("missing/out.txt", FileNotFoundError),
+        ("sub", IsADirectoryError),
+    ])
+    def test_errors_name_the_destination(self, tmp_path, name, error):
+        # not the temporary file the write goes through
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / name
+        with pytest.raises(error) as info:
+            atomic_write_text(path, "text\n")
+        assert info.value.filename == str(path)
+        assert info.value.filename2 is None
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
     def test_edge_list_write_is_not_torn(self, tmp_path, monkeypatch):
         path = tmp_path / "g.txt"
         write_edge_list(path_graph(3), path)

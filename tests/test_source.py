@@ -44,6 +44,33 @@ def test_top_level_imports_are_used(path):
     assert not unused, f"{path.name}: unused import(s) (line, name): {unused}"
 
 
+def _import_time_imports(tree):
+    """The import statements a module runs when it is imported: all but
+    those inside functions and ``if TYPE_CHECKING:`` blocks."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_scipy_is_imported_on_first_use(path):
+    # loading scipy.sparse takes about half of a bare CLI start-up, and
+    # wl, demo-wl-gap and gen never build a sparse matrix
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in _import_time_imports(tree):
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+            alias.name for alias in node.names]
+        found += [(node.lineno, name) for name in names if name.split(".")[0] == "scipy"]
+    assert not found, f"{path.name}: scipy imported at module level (line, module): {found}"
+
+
 def _tracing():
     """perfbench's tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
