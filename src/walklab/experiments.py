@@ -50,8 +50,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import Dataset, FoldPlan, baseline_mean, kfold_split, load_dataset
-from .errors import (ConfigError, InputError, InvariantViolation, NumericError,
-                     TrainingError)
+from .errors import (CapacityError, ConfigError, InputError, InvariantViolation,
+                     NumericError, TrainingError)
 from .graphs import (Graph, RegionSpec, atomic_write_text, cycle_graph,
                      bfs_distances, disjoint_union, read_text, region_from_distances)
 from .models import MAX_HIDDEN_DIM, ModelSpec, build_model, spec_from_model_name
@@ -60,6 +60,14 @@ from .walks import triangle_counts_per_node
 from .wl import Verdict, compare_pair
 
 RESULTS_HEADER = "model,fold,train_mse,val_mse,test_mse"
+
+# Capacity limit on region_report: k_max times the graph's size, its n
+# nodes plus its 2m CSR entries. Each radius builds two regions, each a
+# pass over every entry and Python sets of up to n nodes and m edges. At
+# the limit, with k_max = n (shared 2-core x86-64, Python 3.11): K_215
+# takes 3.0 s, ER(1000, 0.0085) 3.5 s and a 1826-node path 1.4 s, at
+# most 80 MB peak RSS.
+MAX_REGION_WORK = 10**7
 
 # Most parameter coordinates (cells x coordinates per model) in one lockstep
 # group. Training holds five arrays of that size (the weights, the
@@ -264,14 +272,15 @@ def _run_group(group: tuple[int, str, tuple[int, ...]]) -> list[tuple[Row, dict 
                   val_mse=float("nan"), test_mse=float("nan"))
         record = {"epochs": None, "best_epoch": None, "stop_reason": "diverged", "lr_cuts": None}
         if result.stop_reason != "diverged":
+            # how training went, even when scoring the snapshot then fails
+            record = {"epochs": len(result.history) - 1, "best_epoch": result.best_epoch,
+                      "stop_reason": result.stop_reason, "lr_cuts": result.lr_cuts}
             model = stack.with_flat(stack.flat[f])
             try:
                 row = Row(model=name, fold=fold,
                           train_mse=evaluate(model, train_items),
                           val_mse=result.best_val,
                           test_mse=evaluate(model, test_items))
-                record = {"epochs": len(result.history) - 1, "best_epoch": result.best_epoch,
-                          "stop_reason": result.stop_reason, "lr_cuts": result.lr_cuts}
             except NumericError:
                 pass
         out.append((row, record))
@@ -465,18 +474,24 @@ def demo_wl_gap() -> dict:
 def region_report(g: Graph, v: int, k_max: int) -> list[dict]:
     """Region sizes around v for radii 1..k_max, with the nesting check.
 
-    ``k_max`` runs from 1 to n: no region grows past radius n - 1.
-    Raises :class:`InvariantViolation` if any D/L region fails the
-    containment chain D_k within L_k within D_{k+1}.
+    ``k_max`` runs from 1 to n: no region grows past radius n - 1, and
+    ``k_max * (n + 2m)`` may not pass :data:`MAX_REGION_WORK`. Raises
+    :class:`InvariantViolation` if any D/L region fails the containment
+    chain D_k within L_k within D_{k+1}. Only the regions of one radius
+    are kept.
     """
     if not 1 <= k_max <= g.n:
         raise InputError(f"k_max must be in 1..{g.n} (the node count), got {k_max}")
+    work = k_max * (g.n + g.indices.size)
+    if work > MAX_REGION_WORK:
+        raise CapacityError(f"regions up to radius {k_max} need k_max * (n + 2m) = {work} "
+                            f"steps; the limit is {MAX_REGION_WORK}")
     rows = []
     dist = np.array(bfs_distances(g, v))
-    regions = {(kind, k): region_from_distances(g, v, dist, RegionSpec(kind, k))
-               for k in range(1, k_max + 2) for kind in ("D", "L")}
+    d_next = region_from_distances(g, v, dist, RegionSpec("D", 1))
     for k in range(1, k_max + 1):
-        d, l, d_next = regions[("D", k)], regions[("L", k)], regions[("D", k + 1)]
+        d, l = d_next, region_from_distances(g, v, dist, RegionSpec("L", k))
+        d_next = region_from_distances(g, v, dist, RegionSpec("D", k + 1))
         for small, big, tag in ((d, l, f"D_{k} <= L_{k}"),
                                 (l, d_next, f"L_{k} <= D_{k + 1}")):
             if not (small.nodes <= big.nodes and small.edges <= big.edges):

@@ -39,16 +39,16 @@ structural operator is symmetric, so a term's backward pass is the term
 itself applied to the gated upstream gradient.
 
 One ``forward`` runs the (G, n, d) rows of a stack of G graphs with a
-common node count (:class:`GraphOperators`; a stack of one also takes
-one graph's (n, d) rows): one model on every graph (evaluation), or a
-stack of G models, model g on graph g (a lockstep training step, which
-``backward`` then differentiates row by row). Dense products on the
-stack are batched matmuls over the leading axis and the structural terms
-act on one block-diagonal CSR matrix, so every graph's output, and every
-model's gradient, equals its own single-graph pass bit for bit. The
-caller may hand in the layer-0 terms ``Op_t(X)``, which depend only on
-the graph and its features; :func:`walklab.training.prepare_items`
-builds them once per store of graphs.
+common node count (:class:`GraphOperators`, some rows of one store of
+graphs): one model on every graph (evaluation), or a stack of G models,
+model g on graph g (a lockstep training step, which ``backward`` then
+differentiates row by row). Dense products on the stack are batched
+matmuls over the leading axis and the structural terms act on one
+block-diagonal CSR matrix, so every graph's output, and every model's
+gradient, equals its own single-graph pass bit for bit. The caller may
+hand in the layer-0 terms ``Op_t(X)``, which depend only on the graph
+and its features; :func:`walklab.training.prepare_items` builds them
+once per store of graphs.
 
 ``scipy.sparse`` is imported on first use, when a :class:`GraphOperators`
 builds its first CSR matrix, so importing this module does not load it.
@@ -66,7 +66,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericError
-from .graphs import concat_csr
 from .walks import diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
@@ -186,18 +185,18 @@ def spec_from_model_name(name: str, degree_normalize: bool = False,
 
 class GraphOperators:
     """The structure operators of G >= 1 graphs of one node count n,
-    acting on their (G, n, d) rows, or one graph's (n, d), as one
-    block-diagonal system; ``shape`` is (G, n). Each float matrix is built
-    on first use by one CSR constructor over the graphs' arrays laid one
-    after another (:func:`concat_csr`), in scipy's sorted entry order, so a
-    product equals each graph's own bit for bit. A closed-walk diagonal
-    is counted per graph, never on the stack, whose overflow bound would
-    grow with its node count.
+    acting on their (G, n, d) rows as one block-diagonal system; ``shape``
+    is (G, n).
 
-    A stack made by :meth:`gather` from rows of other stacks holds no
-    graphs: on first use it takes its CSR arrays from their
-    :attr:`blocks`, and its inverse degrees and diagonals from theirs, row
-    by row, each graph's bits as they are.
+    A store is built from its graphs. It holds each graph's own CSR arrays
+    (:attr:`blocks`), its inverse degrees and each closed-walk diagonal,
+    counted per graph, never on the stack, whose overflow bound would grow
+    with its node count. :meth:`gather` makes the stack of some of its
+    rows, which holds no graphs: it takes the inverse degrees and the
+    diagonals from the store, row by row, each graph's bits as they are.
+    Every stack builds each float matrix on first use by one CSR
+    constructor over its rows' blocks, laid one after another in scipy's
+    sorted entry order, so a product equals each graph's own bit for bit.
     """
 
     def __init__(self, graphs):
@@ -206,20 +205,17 @@ class GraphOperators:
             raise InputError("a graph stack holds one or more graphs of one node count")
         self.shape = (len(self.graphs), self.graphs[0].n)
         self._diagonals: dict[int, np.ndarray] = {}
-        self._parts: tuple = ()
+        # (store, rows) for a gathered stack. A store is None, never
+        # (self, rows): that cycle would keep a dropped store alive until
+        # the cyclic garbage collector runs.
+        self._source: tuple | None = None
 
-    @classmethod
-    def gather(cls, parts) -> GraphOperators:
-        """The stack of graphs ``rows`` (an integer array) of ``stack``,
-        for each ``(stack, rows)`` of ``parts`` in turn, all of one node
-        count."""
-        n = parts[0][0].shape[1]
-        if any(stack.shape[1] != n for stack, _ in parts):
-            raise InputError("a graph stack holds one or more graphs of one node count")
-        ops = cls.__new__(cls)
-        ops.shape = (sum(rows.size for _, rows in parts), n)
+    def gather(self, rows: np.ndarray) -> GraphOperators:
+        """The stack of graphs ``rows`` (an integer array) of this store."""
+        ops = GraphOperators.__new__(GraphOperators)
+        ops.shape = (rows.size, self.shape[1])
         ops._diagonals = {}
-        ops._parts = tuple(parts)
+        ops._source = (self, rows)
         return ops
 
     @functools.cached_property
@@ -243,31 +239,23 @@ class GraphOperators:
         return blocks
 
     def _csr(self, loops: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The stack's CSR arrays of A, or of A + I when ``loops``: its
-        graphs' arrays laid one after another, or, for a gathered stack,
-        the blocks of its graphs taken from the stacks it was gathered
-        from."""
-        if not self._parts:
-            indptr, indices = concat_csr(self.graphs)
-            return _with_loops(indptr, indices, indptr.size - 1) if loops else (indptr, indices)
-        n, lengths, indices, done = self.shape[1], [], [], 0
-        for stack, rows in self._parts:
-            lens, sizes, padded = stack.blocks[loops]
-            shift = np.arange(done * n, (done + rows.size) * n, n)
-            lengths.append(lens[rows])
-            indices.append((padded[rows] + shift[:, None])
-                           [np.arange(padded.shape[1]) < sizes[rows, None]])
-            done += rows.size
-        indptr = np.zeros(done * n + 1, dtype=np.int64)
-        np.cumsum(lengths[0] if len(lengths) == 1 else np.concatenate(lengths), out=indptr[1:])
-        return indptr, indices[0] if len(indices) == 1 else np.concatenate(indices)
+        """The stack's CSR arrays of A, or of A + I when ``loops``: the
+        blocks of its rows of the store laid one after another."""
+        store, rows = self._source or (self, slice(None))
+        lens, sizes, padded = (a[rows] for a in store.blocks[loops])
+        g, n = self.shape
+        # int32, as a graph's own arrays are, for all but huge stacks
+        ids = np.int32 if g * n + sizes.sum() < 2**31 else np.int64
+        indptr = np.zeros(g * n + 1, dtype=ids)
+        np.cumsum(lens, out=indptr[1:])
+        shift = np.arange(0, g * n, n, dtype=ids)[:, None]
+        return indptr, (padded + shift)[np.arange(padded.shape[1]) < sizes[:, None]]
 
     def _take_rows(self, of) -> np.ndarray:
-        """``of(stack)``, one value per node of a stack, at the gathered
+        """``of(store)``, one value per node of the store, at this stack's
         graphs' nodes."""
-        n = self.shape[1]
-        taken = [of(stack).reshape(-1, n)[rows].reshape(-1) for stack, rows in self._parts]
-        return taken[0] if len(taken) == 1 else np.concatenate(taken)
+        store, rows = self._source
+        return of(store).reshape(-1, self.shape[1])[rows].reshape(-1)
 
     @functools.cached_property
     def adjacency(self):
@@ -279,14 +267,14 @@ class GraphOperators:
 
     @functools.cached_property
     def inv_degree_plus_one(self) -> np.ndarray:
-        if self._parts:
-            return self._take_rows(lambda stack: stack.inv_degree_plus_one)
+        if self._source:
+            return self._take_rows(lambda store: store.inv_degree_plus_one)
         return 1.0 / (self.blocks[False][0].reshape(-1).astype(np.float64) + 1.0)
 
     def closed_walk_diag(self, m: int) -> np.ndarray:
         if m not in self._diagonals:
             self._diagonals[m] = (
-                self._take_rows(lambda stack: stack.closed_walk_diag(m)) if self._parts
+                self._take_rows(lambda store: store.closed_walk_diag(m)) if self._source
                 else np.concatenate([diag_closed_walks(g, m).astype(np.float64)
                                      for g in self.graphs]))
         return self._diagonals[m]
@@ -444,10 +432,9 @@ def forward(model: Model, ops: GraphOperators, x, *,
     """Run the model on the (G, n, input_dim) node features of the stack
     of G graphs ``ops`` and return its (G, 1, output_dim) output rows for
     the sum readout, (G, n, output_dim) for the node readout; each graph's
-    slice equals its own pass bit for bit. A stack of one also takes and
-    returns one graph's rows, without the leading axis. One model runs
-    every graph of the stack; a stack of F models runs a stack of F
-    graphs, model f on graph f.
+    slice equals its own pass bit for bit, one graph being a stack of one.
+    One model runs every graph of the stack; a stack of F models runs a
+    stack of F graphs, model f on graph f.
 
     ``layer0``, when given, is ``Op_t(x)`` for each of the spec's terms
     in order, the layer-0 terms the pass would otherwise compute.
@@ -461,11 +448,7 @@ def forward(model: Model, ops: GraphOperators, x, *,
     then the flag of each graph with a non-finite activation is cleared.
     """
     xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim == 1:
-        xv = xv[:, None]
     want = (*ops.shape, model.input_dim)
-    if xv.ndim == 2 and ops.shape[0] == 1:
-        want = want[1:]
     if xv.shape != want:
         raise InputError(f"features must be {want}, got {xv.shape}")
     if model.flat.ndim == 2 and model.flat.shape[0] != ops.shape[0]:
@@ -528,25 +511,23 @@ def _check_finite(h: np.ndarray, finite: np.ndarray | None, message: str) -> Non
 
 
 def backward(model: Model, saved: dict, d_out: np.ndarray,
-             grads: MappingProxyType | None = None) -> MappingProxyType:
+             grads: MappingProxyType) -> MappingProxyType:
     """Gradient of a loss with respect to every parameter.
 
-    ``saved`` is what a :func:`forward` pass of one graph per model
-    stored (one model on one graph, or a stack of F models on F graphs)
-    and ``d_out`` is the loss gradient with respect to that pass's
-    output. Every parameter's gradient is written into ``grads``, named
-    views of an array in ``flat``'s layout (:meth:`Model.unflatten`; a
-    new one when omitted), which is returned. Row f of a stack's gradient
-    equals model f's own single-graph gradient bit for bit. Each sum runs
+    ``saved`` is what a :func:`forward` pass of a stack of F models on F
+    graphs stored (one model is the stack of one) and ``d_out`` is the
+    loss gradient with respect to that pass's output. Every parameter's
+    gradient is written into ``grads``, named views of an (F, P) array in
+    ``flat``'s layout (:meth:`Model.unflatten`), which is returned. Row f
+    of the gradient equals model f's own single-graph gradient bit for
+    bit. Each sum runs
     in the order a reverse-mode tape over the same ops accumulates it (the
     input gradient over the terms in term order), so the gradients equal
     the tape's bit for bit.
     """
     p, ops, spec = model.params, saved["ops"], model.spec
-    if saved["head_x"].ndim != model.flat.ndim + 1:
-        raise InputError("backward takes a pass of one graph per model")
-    if grads is None:
-        grads = model.unflatten(np.zeros_like(model.flat))
+    if model.flat.ndim != 2:
+        raise InputError("backward takes a pass of a stack of models, one graph per model")
     np.matmul(saved["head_x"].swapaxes(-1, -2), d_out, out=grads["head.w"])
     d_out.sum(axis=-2, keepdims=True, out=grads["head.b"])
     g = d_out @ p["head.w"].swapaxes(-1, -2)

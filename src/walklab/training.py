@@ -2,7 +2,7 @@
 
 :func:`fit` trains a lockstep group of F cells (one model spec, one
 training config but the seed) as one stack of F models. Each step
-consumes one graph per cell: one stacked :func:`walklab.models.forward`,
+consumes one graph per cell: one :func:`walklab.models.forward` per store,
 the mean squared error of each cell and its gradient with respect to the
 prediction, one stacked :func:`walklab.models.backward` into one (F, P)
 gradient array, and one Adam update of the (F, P) parameter stack from
@@ -19,17 +19,17 @@ CSR arrays of A and A + I, the closed-walk diagonals, counted per graph
 and held once, by the store's operators, and one (N, n, d) array per
 layer-0 term ``Op_t(X)``, one sparse product per application of A or
 A + I on the whole store, each graph's own bits. Each :class:`TrainItem`
-is its graph, its store and row, and read-only views of that row. A step
-or an evaluation pass gathers its stack by item row: one ``np.take`` per
-array, and operators (:meth:`GraphOperators.gather`) that take A + I or
-A, the inverse degrees and the diagonals from the store on first use, so
-a one-layer model builds no structure matrix. An item that lacks a term
-of the model is an error, never a rebuild. The experiments call
-:func:`prepare_items` once, serially, before their workers fork, which
-then share the stores.
+is a store and a row of it. A stack is some rows of one store: a step or
+an evaluation pass groups its items by store and, per store, takes one
+``np.take`` per array and operators (:meth:`GraphOperators.gather`) that
+take A + I or A, the inverse degrees and the diagonals from the store on
+first use, so a one-layer model builds no structure matrix. An item that
+lacks a term of the model is an error, never a rebuild. The experiments
+call :func:`prepare_items` once, serially, before their workers fork,
+which then share the stores; each store then holds one node count.
 
 :func:`evaluate` scores a split for one model as one stacked pass per
-node count, in chunks of at most :data:`MAX_STACK_ENTRIES` activations,
+store, in chunks of at most :data:`MAX_STACK_ENTRIES` activations,
 with the same losses bit for bit as one pass per graph. :func:`adam_step`
 applies the L2 penalty ``l2 * sum(w**2)`` to the coordinates the model's
 ``decay`` mask marks, the MLP and head weight matrices (gates and biases
@@ -47,9 +47,7 @@ and at ``2 * patience`` training stops. An improvement resets the count.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -125,8 +123,8 @@ class _Store:
                 _frozen(ops.closed_walk_diag(term.k))
         x, every = _frozen(np.stack(xs)), np.arange(len(graphs))
         return cls(ops, x, _frozen(np.stack(ys)),
-                   MappingProxyType({term: _frozen(apply_term(
-                       term, GraphOperators.gather([(ops, every)]), x)) for term in terms}))
+                   MappingProxyType({term: _frozen(apply_term(term, ops.gather(every), x))
+                                     for term in terms}))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -137,25 +135,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainItem:
     """One graph ready for training, row ``row`` of its ``store``, built by
-    :func:`prepare_items`. Its features, target and layer-0 terms (term ->
-    ``Op_t(features)``) are read-only views of that row, made on each
-    access."""
+    :func:`prepare_items`."""
 
-    graph: Graph
     store: _Store
     row: int
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.store.features[self.row]
-
-    @property
-    def target(self) -> np.ndarray:
-        return self.store.target[self.row]
-
-    @property
-    def layer0(self) -> Mapping[AggregationTerm, np.ndarray]:
-        return MappingProxyType({t: a[self.row] for t, a in self.store.layer0.items()})
 
     @property
     def ops(self) -> GraphOperators:
@@ -163,7 +146,7 @@ class TrainItem:
         made anew on each access and kept nowhere. Training never reads
         it; it is here for readers outside the package, such as
         perfbench's tracer."""
-        return GraphOperators.gather([(self.store.ops, np.array([self.row]))])
+        return self.store.ops.gather(np.array([self.row]))
 
 
 def prepare_items(graphs, features, targets,
@@ -172,8 +155,8 @@ def prepare_items(graphs, features, targets,
     build the layer-0 values of ``terms`` and their closed-walk diagonals;
     a model that sums a term not in ``terms`` can neither train nor be
     evaluated on the items.
-    A scalar target becomes 1 x 1, and a 1-D target or feature vector a
-    column. Features are copied read-only.
+    Each graph's features are its (n, d) rows, copied read-only. A scalar
+    target becomes 1 x 1, and a 1-D target a column.
 
     The graphs that share a node count, a feature width and a target
     shape get one store, whose arrays stack theirs in item order and
@@ -189,11 +172,9 @@ def prepare_items(graphs, features, targets,
         if not isinstance(g, Graph):
             raise InputError("prepare_items expects Graph instances")
         xv = np.array(x, dtype=np.float64)
-        if xv.ndim == 1:
-            xv = xv[:, None]
         if xv.ndim != 2 or xv.shape[0] != g.n:
-            raise InputError(f"features of a {g.n}-node graph must be {g.n} rows, "
-                             f"got shape {xv.shape}")
+            raise InputError(f"features of a {g.n}-node graph must be {g.n} rows of d "
+                             f"columns, got shape {xv.shape}")
         xs.append(xv)
         t = np.asarray(y, dtype=np.float64)
         ys.append(t.reshape(-1, 1) if t.ndim < 2 else t)
@@ -205,7 +186,7 @@ def prepare_items(graphs, features, targets,
         store = _Store.of([graphs[k] for k in members], [xs[k] for k in members],
                           [ys[k] for k in members], terms)
         for row, k in enumerate(members):
-            items[k] = TrainItem(graphs[k], store, row)
+            items[k] = TrainItem(store, row)
     return items
 
 
@@ -324,63 +305,43 @@ class FitResult:
     lr_cuts: int
 
 
-def _stacked(items, terms) -> tuple:
-    """The operators, features and layer-0 terms of ``items``, graphs of
-    one node count, as one stack, and the (store, rows) runs it gathers:
-    each array is taken by row from the items' stores, one run of
-    consecutive items of one store after another."""
-    parts = [(store, np.array([it.row for it in run]))
-             for store, run in itertools.groupby(items, key=operator.attrgetter("store"))]
+def _stacked(store: _Store, rows: np.ndarray, terms) -> tuple:
+    """The operators, features, layer-0 terms and targets of rows ``rows``
+    of ``store`` as one stack, each array taken by row."""
     try:
-        layer0 = [_take(parts, lambda store: store.layer0[term]) for term in terms]
+        layer0 = [np.take(store.layer0[term], rows, axis=0) for term in terms]
     except KeyError as err:
         raise InputError(f"an item lacks the layer-0 term {err.args[0]}") from None
-    return (GraphOperators.gather([(store.ops, rows) for store, rows in parts]),
-            _take(parts, lambda store: store.features), layer0, parts)
-
-
-def _take(parts, of) -> np.ndarray:
-    """The rows of ``of(store)`` that ``parts``, (store, rows) runs, name,
-    stacked in run order."""
-    taken = [np.take(of(store), rows, axis=0) for store, rows in parts]
-    return taken[0] if len(taken) == 1 else np.concatenate(taken)
-
-
-def _stacked_targets(parts, shape) -> np.ndarray:
-    """The targets of the (store, rows) runs ``parts`` as one stack, each
-    checked against the ``shape`` of one graph's prediction."""
-    wrong = [store.target.shape[1:] for store, _ in parts if store.target.shape[1:] != shape]
-    if wrong:
-        raise InputError(f"target shape {wrong[0]} does not match prediction {shape}")
-    return _take(parts, lambda store: store.target)
+    return (store.ops.gather(rows), np.take(store.features, rows, axis=0), layer0,
+            np.take(store.target, rows, axis=0))
 
 
 def evaluate(model: Model, items) -> float:
     """Mean MSE of one model over items, inference mode (no dropout, no
     penalty).
 
-    Items with one node count run as one stacked forward pass, split so
-    that no activation holds more than :data:`MAX_STACK_ENTRIES` entries.
-    Each item's loss equals that of its own pass bit for bit, and the
-    losses are summed in item order.
+    The items of one store run as one stacked forward pass, split so that
+    no activation holds more than :data:`MAX_STACK_ENTRIES` entries. Each
+    item's loss equals that of its own pass bit for bit, and the losses
+    are summed in item order.
     """
     if not items:
         raise InputError("evaluate needs at least one item")
     if model.flat.ndim != 1:
         raise InputError("evaluate scores one model, not a stack")
     width = max(model.input_dim, *(p.shape[-1] for p in model.params.values()))
-    by_size: dict[int, list[int]] = {}
+    by_store: dict[_Store, list[int]] = {}
     for k, item in enumerate(items):
-        by_size.setdefault(item.graph.n, []).append(k)
+        by_store.setdefault(item.store, []).append(k)
     losses = [0.0] * len(items)
-    for n, members in by_size.items():
-        per_pass = max(1, MAX_STACK_ENTRIES // (n * width))
+    for store, members in by_store.items():
+        per_pass = max(1, MAX_STACK_ENTRIES // (store.ops.shape[1] * width))
         for start in range(0, len(members), per_pass):
             chunk = members[start:start + per_pass]
-            ops, x, layer0, parts = _stacked([items[k] for k in chunk], model.spec.terms)
+            ops, x, layer0, target = _stacked(store, np.array([items[k].row for k in chunk]),
+                                              model.spec.terms)
             pred = forward(model, ops, x, layer0=layer0)
-            sq = mse_loss(pred, _stacked_targets(parts, pred.shape[1:]))[0]
-            for k, loss in zip(chunk, sq.tolist()):
+            for k, loss in zip(chunk, mse_loss(pred, target)[0].tolist()):
                 losses[k] = loss
     total = 0.0
     for loss in losses:
@@ -409,8 +370,8 @@ def fit(model: Model, train_items, val_items, cfg):
     rng (its config's seed) draws its epoch permutation and its dropout
     masks, and its rate, step count, best snapshot, plateau count and lr
     cuts are its own, so each cell's bits equal those of its group of
-    one. Cells whose graphs differ in node count at a step run one stack
-    per node count. A cell with fewer training graphs sits out the last
+    one. Cells whose graphs come from different stores at a step run one
+    stack per store. A cell with fewer training graphs sits out the last
     steps of each epoch; a cell that stopped or diverged sits out the
     rest, its parameters and moments frozen. Validation is measured once
     before training (epoch 0), so a returned snapshot can be the untouched
@@ -454,13 +415,14 @@ def fit(model: Model, train_items, val_items, cfg):
                  for f in live}
         loss_sum = dict.fromkeys(live, 0.0)
         for step in range(max(len(order[f]) for f in live)):
-            parts: dict[int, list[int]] = {}
+            by_store: dict[_Store, list[int]] = {}
             for f in live:
                 if step < len(order[f]) and not results[f].stop_reason:
-                    parts.setdefault(order[f][step].graph.n, []).append(f)
-            for rows in parts.values():
-                losses = _step(model, state, buffers, rows, [order[f][step] for f in rows],
-                               rngs, lr, shared.dropout)
+                    by_store.setdefault(order[f][step].store, []).append(f)
+            for store, rows in by_store.items():
+                graphs = np.array([order[f][step].row for f in rows])
+                losses = _step(model, state, buffers, rows, store, graphs, rngs, lr,
+                               shared.dropout)
                 for f, loss in zip(rows, losses):
                     if math.isfinite(loss):
                         loss_sum[f] += loss
@@ -517,20 +479,22 @@ class _StepBuffers:
         return self._views[k]
 
 
-def _step(model: Model, state: AdamState, buffers: _StepBuffers, rows: list[int], items,
-          rngs, lr: list[float], dropout: float) -> list[float]:
+def _step(model: Model, state: AdamState, buffers: _StepBuffers, rows: list[int],
+          store: _Store, graphs: np.ndarray, rngs, lr: list[float],
+          dropout: float) -> list[float]:
     """One training step of rows ``rows`` of the stack ``model``, each on
-    its item: the training loss of each row, NaN for a row whose loss or
-    activations turned non-finite, which is then left unchanged."""
+    its graph, rows ``graphs`` of ``store``: the training loss of each row,
+    NaN for a row whose loss or activations turned non-finite, which is
+    then left unchanged."""
     sub, grad, grads = buffers.rows(len(rows))
     if sub is not model:
         np.take(model.flat, rows, axis=0, out=sub.flat)
-    ops, x, layer0, parts = _stacked(items, model.spec.terms)
+    ops, x, layer0, target = _stacked(store, graphs, model.spec.terms)
     saved: dict = {}
     finite = np.ones(len(rows), dtype=bool)
     pred = forward(sub, ops, x, dropout_rate=dropout, rng=[rngs[f] for f in rows],
                    saved=saved, layer0=layer0, finite=finite)
-    losses, d_pred = mse_loss(pred, _stacked_targets(parts, pred.shape[1:]))
+    losses, d_pred = mse_loss(pred, target)
     finite &= np.isfinite(losses)
     kept = np.flatnonzero(finite)
     if kept.size:

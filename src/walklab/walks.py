@@ -150,18 +150,15 @@ def diag_closed_walks(g: Graph, m: int, square=None) -> np.ndarray:
     """
     if m < 1:
         raise InputError(f"walk length must be >= 1, got {m}")
+    if m == 1:  # a graph has no self-loop, so no closed 1-walk
+        return np.zeros(g.n, dtype=np.int64)
     if m == 3 and square is None:
         return _closed_three_walks(g)
     a, *known = (adjacency_csr(g),) if square is None else square
     powers = [a, *known]  # powers[k - 1] is A^k
     while len(powers) < (m + 1) // 2:
         powers.append(_checked_matmul(powers[-1], a))
-    if m > 1:
-        half = powers[m // 2 - 1]
-    else:  # only m = 1 reads A^0
-        from scipy import sparse
-
-        half = sparse.eye_array(g.n, dtype=np.int64, format="csr")
+    half = powers[m // 2 - 1]
     other = powers[(m + 1) // 2 - 1]
     # The row sums are the diagonal of half @ other, under the same bound.
     _check_product_bound(half, other)

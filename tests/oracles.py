@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -340,6 +341,15 @@ def tape_loss_and_grads(model, ops, x, target, *, dropout_rate=0.0, rng=None):
     return loss.item(), {k: t.grad for k, t in p.items()}
 
 
+def item_row(item: TrainItem) -> SimpleNamespace:
+    """What row ``item.row`` of an item's store holds: its ``graph``,
+    ``features``, ``target`` and ``layer0`` terms (term -> Op_t(features))."""
+    store, r = item.store, item.row
+    return SimpleNamespace(graph=store.ops.graphs[r], features=store.features[r],
+                           target=store.target[r],
+                           layer0={term: a[r] for term, a in store.layer0.items()})
+
+
 def gradient_check(model, item: TrainItem) -> float:
     """Largest relative error between analytic and central-difference grads.
 
@@ -355,16 +365,18 @@ def gradient_check(model, item: TrainItem) -> float:
         raise CapacityError(
             f"gradient check supports <= {max_params} coordinates, got {w.size}")
     saved: dict = {}
-    ops = GraphOperators([item.graph])
-    pred = forward(model, ops, item.features, saved=saved)
-    analytic = np.zeros_like(w)
-    backward(model, saved, mse_loss(pred, item.target)[1], model.unflatten(analytic))
+    row = item_row(item)
+    ops, x, target = GraphOperators([row.graph]), row.features[None], row.target[None]
+    one = model.with_flat(w[None])  # the stack of one, a view of w
+    pred = forward(one, ops, x, saved=saved)
+    analytic = np.zeros_like(one.flat)
+    backward(one, saved, mse_loss(pred, target)[1], one.unflatten(analytic))
 
     def loss_value() -> float:
-        return mse_loss(forward(model, ops, item.features), item.target)[0]
+        return mse_loss(forward(one, ops, x), target)[0][0]
 
     worst = 0.0
-    for i, a in enumerate(analytic.tolist()):
+    for i, a in enumerate(analytic[0].tolist()):
         orig = w[i]
         w[i] = orig + h
         up = loss_value()

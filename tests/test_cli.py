@@ -278,6 +278,9 @@ REGIONS_FAILURES = {
                                      "node 7 out of range 0..2"), 1),
     "kmax-above-node-count": (lambda d: ([_graph_file(d, path_graph(5), "p5.txt"), "--node", "0",
                                           "--kmax", "100000000"], "k_max must be in 1..5"), 1),
+    # k_max * (n + 2m) = 1900 * 5698, past the 10**7 steps of MAX_REGION_WORK
+    "over-the-work-limit": (lambda d: ([_graph_file(d, path_graph(1900), "p1900.txt"), "--node",
+                                        "0", "--kmax", "1900"], "the limit is 10000000"), 2),
     "not-utf8": (lambda d: _not_utf8_args(d, "g.txt", "3 1\n0 1\n# ", after=["--node", "0"]),
                  1),
 }

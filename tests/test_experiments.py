@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy import sparse
 
 import walklab.experiments as ex
 from walklab.data import gen_dataset, save_dataset
-from walklab.errors import ConfigError, InputError, TrainingError
+from walklab.errors import CapacityError, ConfigError, InputError, NumericError, TrainingError
 from walklab.experiments import (RESULTS_HEADER, demo_wl_gap, parse_config,
                                  read_config, region_report, run_experiment,
                                  write_report)
@@ -20,7 +21,7 @@ from walklab.graphs import cycle_graph
 from walklab.models import spec_from_model_name
 from walklab.training import FitResult
 
-from oracles import complete_graph
+from oracles import complete_graph, item_row, path_graph
 
 
 def _tiny_dataset(tmp_path, n_graphs=9, n_nodes=8, seed=5):
@@ -261,6 +262,28 @@ class TestRunExperiment:
         assert report.summary["failed_folds"] == {"GCN-1L": [0, 1, 2]}
         assert "GCN-1L,0,nan," in report.results_csv()
 
+    def test_scoring_error_keeps_how_training_went(self, tmp_path, monkeypatch):
+        # every cell trains to max_epochs, then scoring its test split
+        # raises NumericError: the row is NaN and a failed fold, and the
+        # cell's record still says how fit ended, not that it diverged
+        real_evaluate, calls = ex.evaluate, []
+
+        def failing_on_test(model, items):
+            calls.append(len(items))
+            if len(calls) % 2 == 0:  # a cell scores its train split, then its test split
+                raise NumericError("layer 0 produced non-finite activations")
+            return real_evaluate(model, items)
+
+        monkeypatch.setattr(ex, "evaluate", failing_on_test)
+        monkeypatch.setattr(ex, "_worker_count", lambda trained: 1)
+        report = run_experiment(parse_config(_tiny_config(_tiny_dataset(tmp_path))))
+        assert len(calls) == 6
+        assert report.summary["failed_folds"] == {"GCN-1L": [0, 1, 2]}
+        assert "GCN-1L,0,nan,nan,nan" in report.results_csv()
+        assert [(c["stop_reason"], c["epochs"], c["lr_cuts"]) for c in report.cells] == \
+            [("max_epochs", 3, 0)] * 3
+        assert all(0 <= c["best_epoch"] <= 3 for c in report.cells)
+
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
@@ -377,8 +400,9 @@ class TestWorkerPool:
 
         def inspecting_map(groups, workers):
             for item in ex._RUN[2]:
-                held = [*vars(item).values(), *item.layer0.values()]
-                built.append((list(item.layer0), any(sparse.issparse(v) for v in held)))
+                layer0 = item_row(item).layer0
+                held = [*vars(item).values(), *layer0.values()]
+                built.append((list(layer0), any(sparse.issparse(v) for v in held)))
             monkeypatch.setattr("walklab.models.diag_closed_walks", uncounted)
             return real_map(groups, workers)
 
@@ -571,3 +595,27 @@ class TestRegionReport:
         assert len(region_report(complete_graph(3), 0, 3)) == 3
         with pytest.raises(InputError, match="1..3"):
             region_report(complete_graph(3), 0, 4)
+
+    def test_work_limit(self, monkeypatch):
+        # k_max * (n + 2m) may reach MAX_REGION_WORK but not pass it; C6
+        # has n + 2m = 18
+        monkeypatch.setattr(ex, "MAX_REGION_WORK", 3 * 18)
+        assert region_report(cycle_graph(6), 0, 3) == region_report(cycle_graph(6), 0, 2) + [
+            {"k": 3, "d_nodes": 6, "d_edges": 6, "l_nodes": 6, "l_edges": 6}]
+        with pytest.raises(CapacityError, match=r"= 72 steps; the limit is 54"):
+            region_report(cycle_graph(6), 0, 4)
+
+    def test_keeps_the_regions_of_one_radius(self, monkeypatch):
+        # every radius's regions held at once grew as k_max^2 on a path
+        real, alive, most = ex.region_from_distances, [], []
+
+        def tracking(*args):
+            region = real(*args)
+            alive.append(weakref.ref(region))
+            most.append(sum(ref() is not None for ref in alive))
+            return region
+
+        monkeypatch.setattr(ex, "region_from_distances", tracking)
+        rows = region_report(path_graph(40), 0, 40)
+        assert [r["d_nodes"] for r in rows] == [min(k + 1, 40) for k in range(1, 41)]
+        assert len(alive) == 81 and max(most) <= 4

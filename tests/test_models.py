@@ -156,21 +156,21 @@ class TestForward:
         # 3-walks = 3 + 2 = 5
         m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 1.0, 1.0)
-        out = forward(m, GraphOperators([complete_graph(3)]), np.ones((3, 1)))
+        out = forward(m, GraphOperators([complete_graph(3)]), np.ones((3, 1))[None])[0]
         assert out.tolist() == [[5.0], [5.0], [5.0]]
 
     def test_diag_route_recovers_closed_walks_exactly(self):
         m = identity_readout_model((self_loop_adjacency(), diag_power(3)))
         set_gates(m, 0.0, 1.0)
         for g in (complete_graph(4), cycle_graph(6), erdos_renyi(12, 0.4, 3)):
-            out = forward(m, GraphOperators([g]), np.ones((g.n, 1)))
+            out = forward(m, GraphOperators([g]), np.ones((g.n, 1))[None])[0]
             assert out[:, 0].tolist() == diag_closed_walks(g, 3).astype(float).tolist()
 
     def test_power_term_applies_adjacency_twice(self):
         m = identity_readout_model((power(2),))
         set_gates(m, 1.0)
         g = path_graph(4)
-        out = forward(m, GraphOperators([g]), np.ones((4, 1)))
+        out = forward(m, GraphOperators([g]), np.ones((4, 1))[None])[0]
         a = adjacency_csr(g).toarray()
         expected = a @ (a @ np.ones((4, 1)))
         assert np.array_equal(out, expected)
@@ -182,7 +182,7 @@ class TestForward:
         for k, p in m.params.items():
             if not k.endswith("theta0"):
                 p[...] = 0.0
-        out = forward(m, GraphOperators([g]), np.zeros((1, 1)))
+        out = forward(m, GraphOperators([g]), np.zeros((1, 1))[None])[0]
         assert out.tolist() == [[0.0]]
 
     def test_degree_normalization(self):
@@ -190,13 +190,13 @@ class TestForward:
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
         m = identity_readout_model((self_loop_adjacency(),), degree_normalize=True)
         set_gates(m, 1.0)
-        out = forward(m, GraphOperators([star]), np.ones((4, 1)))
+        out = forward(m, GraphOperators([star]), np.ones((4, 1))[None])[0]
         assert out.tolist() == [[1.0], [1.0], [1.0], [1.0]]
 
     def test_inference_is_deterministic(self):
         g = erdos_renyi(10, 0.3, 4)
         m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 8, seed=2)
-        x = np.ones((10, 1))
+        x = np.ones((10, 1))[None]
         a = forward(m, GraphOperators([g]), x)
         b = forward(m, GraphOperators([g]), x)
         assert np.array_equal(a, b)
@@ -204,7 +204,7 @@ class TestForward:
     def test_training_mode_dropout_changes_values(self):
         g = erdos_renyi(10, 0.3, 4)
         m = build_model(spec_from_model_name("GCN-1L"), 1, 8, seed=2)
-        x = np.ones((10, 1))
+        x = np.ones((10, 1))[None]
         rng = np.random.default_rng(0)
         a = forward(m, GraphOperators([g]), x, dropout_rate=0.5, rng=[rng])
         b = forward(m, GraphOperators([g]), x)
@@ -218,7 +218,7 @@ class TestForward:
         rng = np.random.default_rng(9)
         g = erdos_renyi(12, 0.3, 21)
         m = build_model(spec_from_model_name("GCN-L1-2L"), 1, 8, seed=7)
-        x = np.ones((12, 1))
+        x = np.ones((12, 1))[None]
         base = forward(m, GraphOperators([g]), x)
         for _ in range(5):
             perm = [int(i) for i in rng.permutation(12)]
@@ -234,24 +234,24 @@ class TestForward:
                          readout="node", output_dim=4)
         m = build_model(spec, 1, 4, seed=3)
         x = rng.normal(size=(9, 1))
-        base = forward(m, GraphOperators([g]), x)
+        base = forward(m, GraphOperators([g]), x[None])[0]
         for _ in range(5):
             perm = [int(i) for i in rng.permutation(9)]
             x_perm = np.empty_like(x)
             x_perm[perm] = x
-            out = forward(m, GraphOperators([relabel(g, perm)]), x_perm)
+            out = forward(m, GraphOperators([relabel(g, perm)]), x_perm[None])[0]
             assert np.allclose(out[perm], base, rtol=1e-10, atol=1e-12)
 
     def test_feature_shape_checked(self):
         m = build_model(spec_from_model_name("GCN-1L"), 2, 4, seed=0)
         with pytest.raises(InputError):
-            forward(m, GraphOperators([path_graph(3)]), np.ones((3, 1)))
+            forward(m, GraphOperators([path_graph(3)]), np.ones((3, 1))[None])
 
     def test_nonfinite_detected(self):
         m = identity_readout_model((self_loop_adjacency(),))
         set_gates(m, 1.0)
         with pytest.raises(NumericError):
-            forward(m, GraphOperators([path_graph(2)]), np.array([[np.inf], [1.0]]))
+            forward(m, GraphOperators([path_graph(2)]), np.array([[np.inf], [1.0]])[None])
 
 
 class TestWeightNames:
@@ -285,7 +285,7 @@ class TestFlatLayout:
         m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
         with pytest.raises(TypeError):
             m.params["head.b"] = np.zeros((1, 1))
-        x = np.ones((8, 1))
+        x = np.ones((8, 1))[None]
         before = forward(m, GraphOperators([g]), x)
         last = m.flat[-1]
         m.params["head.b"][0, 0] += 1.0
@@ -313,7 +313,7 @@ class TestStackedForward:
         for n, count in ((int(rng.integers(4, 9)), 3), (int(rng.integers(9, 14)), 2)):
             graphs = [erdos_renyi(n, 0.4, int(rng.integers(1 << 30))) for _ in range(count)]
             xs = rng.normal(size=(count, n, 3))
-            alone = [forward(model, GraphOperators([g]), x) for g, x in zip(graphs, xs)]
+            alone = [forward(model, GraphOperators([g]), x[None])[0] for g, x in zip(graphs, xs)]
             stack = GraphOperators(graphs)
             layer0 = [np.stack([apply_term(t, GraphOperators([g]), x) for g, x in zip(graphs, xs)])
                       for t in spec.terms]
@@ -357,17 +357,14 @@ class TestStackedForward:
                                   np.concatenate([o.closed_walk_diag(m) for o in own]))
 
     def test_gathered_stack_equals_a_stack_of_its_graphs(self):
-        # rows of two stacks, out of order and repeated, an edgeless graph
+        # rows of a store, out of order and repeated, an edgeless graph
         # among them: every operator equals that of a stack built from the
         # same graphs, bit for bit
-        first = [erdos_renyi(7, 0.5, s) for s in range(4)] + [from_edge_list(7, [])]
-        second = [erdos_renyi(7, 0.3, s) for s in range(10, 13)]
-        sources = [GraphOperators(first), GraphOperators(second)]
-        parts = [(sources[0], np.array([3, 0, 4, 3])), (sources[1], np.array([2, 0])),
-                 (sources[0], np.array([1]))]
-        gathered = GraphOperators.gather(parts)
-        built = GraphOperators([first[3], first[0], first[4], first[3], second[2], second[0],
-                                first[1]])
+        graphs = ([erdos_renyi(7, 0.5, s) for s in range(4)] + [from_edge_list(7, [])]
+                  + [erdos_renyi(7, 0.3, s) for s in range(10, 13)])
+        rows = np.array([3, 0, 4, 3, 7, 5, 1])
+        gathered = GraphOperators(graphs).gather(rows)
+        built = GraphOperators([graphs[r] for r in rows])
         assert gathered.shape == built.shape == (7, 7)
         for name in ("adjacency", "adjacency_with_loops"):
             got, want = getattr(gathered, name), getattr(built, name)
@@ -397,14 +394,16 @@ class TestStackedForward:
         saved = {}
         out = forward(stack, GraphOperators(graphs), xs, dropout_rate=0.3, saved=saved,
                       rng=[np.random.default_rng(f) for f in range(4)])
-        grads = backward(stack, saved, d_out)
+        grads = backward(stack, saved, d_out, stack.unflatten(np.zeros_like(stack.flat)))
         for f, model in enumerate(models):
             alone = {}
-            want = forward(model, GraphOperators([graphs[f]]), xs[f], dropout_rate=0.3,
+            one = model.with_flat(model.flat[None])
+            want = forward(one, GraphOperators([graphs[f]]), xs[f][None], dropout_rate=0.3,
                            rng=[np.random.default_rng(f)], saved=alone)
-            assert np.array_equal(out[f], want)
-            for key, grad in backward(model, alone, d_out[f]).items():
-                assert np.array_equal(grads[key][f], grad), key
+            assert np.array_equal(out[f], want[0])
+            for key, grad in backward(one, alone, d_out[f][None],
+                                      one.unflatten(np.zeros_like(one.flat))).items():
+                assert np.array_equal(grads[key][f], grad[0]), key
 
     def test_a_model_stack_runs_one_graph_per_model(self):
         m = build_model(spec_from_model_name("GCN-1L"), 1, 4, seed=0)
@@ -415,12 +414,12 @@ class TestStackedForward:
         with pytest.raises(InputError, match="one graph each"):
             forward(stack, three, np.ones((3, 3, 1)))
         with pytest.raises(InputError, match="one graph each"):
-            forward(stack, GraphOperators([path_graph(3)]), np.ones((3, 1)))
+            forward(stack, GraphOperators([path_graph(3)]), np.ones((3, 1))[None])
         # one model's gradient over several graphs is not defined
         saved = {}
         out = forward(m, three, np.ones((3, 3, 1)), saved=saved)
         with pytest.raises(InputError, match="one graph per model"):
-            backward(m, saved, np.ones_like(out))
+            backward(m, saved, np.ones_like(out), m.unflatten(np.zeros_like(m.flat)))
         with pytest.raises(InputError):
             m.with_flat(np.zeros(m.flat.size + 1))
 
@@ -429,9 +428,10 @@ class TestGradientViews:
     def test_backward_fills_every_coordinate_of_the_given_vector(self):
         g = erdos_renyi(9, 0.4, 5)
         m = build_model(spec_from_model_name("GCN-D2-2L"), 1, 4, seed=1)
+        m = m.with_flat(m.flat[None])
         saved = {}
-        pred = forward(m, GraphOperators([g]), np.ones((9, 1)), saved=saved)
-        fresh = backward(m, saved, np.ones_like(pred))
+        pred = forward(m, GraphOperators([g]), np.ones((9, 1))[None], saved=saved)
+        fresh = backward(m, saved, np.ones_like(pred), m.unflatten(np.zeros_like(m.flat)))
         vec = np.full_like(m.flat, np.nan)
         views = m.unflatten(vec)
         assert backward(m, saved, np.ones_like(pred), views) is views

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import item_row
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "walklab").glob("*.py"))
@@ -101,8 +102,9 @@ def test_traced_operator_hook_returns_the_items():
     items = _tracing()._prepare_and_build(
         experiments.prepare_items, graphs, [np.ones((g.n, 1)) for g in graphs],
         [1.0, 2.0, 3.0, 4.0], terms=terms)
-    assert [item.graph for item in items] == graphs
-    assert [item.target.item() for item in items] == [1.0, 2.0, 3.0, 4.0]
-    for item in items:
-        assert item.ops.shape == (1, item.graph.n)
-        assert list(item.layer0) == list(terms)
+    rows = [item_row(item) for item in items]
+    assert [row.graph for row in rows] == graphs
+    assert [row.target.item() for row in rows] == [1.0, 2.0, 3.0, 4.0]
+    for item, row in zip(items, rows):
+        assert item.ops.shape == (1, row.graph.n)
+        assert list(row.layer0) == list(terms)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import oracles
 import pytest
-from oracles import complete_graph, gradient_check, tape_loss_and_grads
+from oracles import complete_graph, gradient_check, item_row, tape_loss_and_grads
 
 from walklab import models, training, walks
 from walklab.errors import CapacityError, CountOverflowError, InputError
@@ -184,8 +185,9 @@ class TestEvaluate:
     def _one_pass_per_item(model, items):
         total = 0.0
         for item in items:
-            total += mse_loss(forward(model, GraphOperators([item.graph]), item.features),
-                              item.target)[0]
+            row = item_row(item)
+            total += mse_loss(forward(model, GraphOperators([row.graph]), row.features[None])[0],
+                              row.target)[0]
         return total / len(items)
 
     @pytest.mark.parametrize("name", ["GCN-2L", "GCN-L1-1L", "GCN-D2-3L"])
@@ -227,9 +229,9 @@ class TestEvaluate:
 
 class TestPrepareItems:
     def test_scalar_target_becomes_1x1(self):
-        items = _ones_items([complete_graph(3)], [7.0])
-        assert items[0].target.shape == (1, 1)
-        assert items[0].features.shape == (3, 1)
+        row = item_row(_ones_items([complete_graph(3)], [7.0])[0])
+        assert row.target.shape == (1, 1)
+        assert row.features.shape == (3, 1)
 
     def test_rejects_non_graph(self):
         with pytest.raises(InputError):
@@ -239,14 +241,19 @@ class TestPrepareItems:
         with pytest.raises(InputError, match="3 rows"):
             prepare_items([complete_graph(3)], [np.ones((4, 1))], [0.0])
 
+    def test_rejects_a_feature_vector(self):
+        # features are (n, d) rows; a vector is not read as a column
+        with pytest.raises(InputError, match=r"3 rows of d columns, got shape \(3,\)"):
+            prepare_items([complete_graph(3)], [np.ones(3)], [0.0])
+
     def test_features_are_a_read_only_copy(self):
-        x = np.ones(3)
-        item = prepare_items([complete_graph(3)], [x], [0.0])[0]
-        assert item.features.shape == (3, 1)
+        x = np.ones((3, 1))
+        row = item_row(prepare_items([complete_graph(3)], [x], [0.0])[0])
+        assert row.features.shape == (3, 1)
         with pytest.raises(ValueError, match="read-only"):
-            item.features[0, 0] = 2.0
+            row.features[0, 0] = 2.0
         x[0] = 2.0
-        assert item.features[0, 0] == 1.0
+        assert row.features[0, 0] == 1.0
 
     def test_lists_of_different_lengths_rejected(self):
         # zipped, the lists were cut short to one item
@@ -257,23 +264,24 @@ class TestPrepareItems:
         g = erdos_renyi(8, 0.5, 1)
         terms = spec_from_model_name("GCN-D2-1L").terms
         item = prepare_items([g], [np.ones((8, 1))], [0.0], terms=terms)[0]
-        assert list(item.layer0) == list(terms)
+        row = item_row(item)
+        assert list(row.layer0) == list(terms)
         ops = GraphOperators([g])
         for term in terms:
-            assert np.array_equal(item.layer0[term], apply_term(term, ops, np.ones((8, 1))))
+            assert np.array_equal(row.layer0[term], apply_term(term, ops, np.ones((8, 1))))
         want = ops.closed_walk_diag(3)
         # the store counted diag(A^3), and no other diagonal, when it was built
         monkeypatch.setattr(models, "diag_closed_walks", _uncounted)
         assert np.array_equal(_closed_walks(item, 3), want)
         with pytest.raises(RuntimeError, match="closed 5-walks"):
             _closed_walks(item, 5)
-        for a in (*item.layer0.values(), _closed_walks(item, 3)):
+        for a in (*row.layer0.values(), _closed_walks(item, 3)):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         with pytest.raises(TypeError):
-            item.layer0[terms[0]] = item.features
+            item.store.layer0[terms[0]] = row.features
         bare = prepare_items([g], [np.ones((8, 1))], [0.0])[0]
-        assert not bare.layer0
+        assert not item_row(bare).layer0
 
     def test_missing_layer0_term_is_an_error(self):
         # fit and evaluate never build a term the items lack; they name it
@@ -306,7 +314,7 @@ class TestBatchedBuild:
         for item, g, x in zip(items, graphs, xs):
             ops = GraphOperators([g])
             for term in self.TERMS:
-                got = item.layer0[term]
+                got = item_row(item).layer0[term]
                 assert np.array_equal(got, apply_term(term, ops, x))
                 assert not got.flags.writeable
             for m in (3, 5):
@@ -411,7 +419,7 @@ class TestFit:
         for patience in (1, 2):
             model = build_model(spec_from_model_name("GCN-1L"), input_dim=1, hidden_dim=4, seed=2)
             init = model.flat.copy()
-            pred0 = float(forward(model, GraphOperators([g]), x)[0, 0])
+            pred0 = float(forward(model, GraphOperators([g]), x[None])[0, 0, 0])
             train_items = _ones_items([g], [pred0 + 100.0])
             val_items = _ones_items([g], [pred0])
             cfg = TrainConfig(dropout=0.0, patience=patience, max_epochs=50, seed=0)
@@ -604,6 +612,27 @@ class TestLayer0Store:
         assert calls == []
 
 
+class TestStoreLifetime:
+    def test_dropped_items_free_their_store_without_the_cyclic_gc(self):
+        # nothing a store holds refers back to it, so dropping its items
+        # frees it at once; a cycle (say, a store whose operators name
+        # themselves as their source) would keep every dropped store alive
+        # until the cyclic collector runs
+        graphs = [erdos_renyi(8, 0.4, s) for s in range(5)]
+        gc.disable()
+        try:
+            items = _ones_items(graphs, [1.0, 2.0, 3.0, 4.0, 5.0])
+            model = build_model(spec_from_model_name("GCN-D2-2L"), 1, 4, seed=0)
+            _fit_one(model, items[:3], items[3:], TrainConfig(max_epochs=2))
+            evaluate(model, items)
+            items[0].ops.adjacency_with_loops
+            store = weakref.ref(items[0].store.ops)
+            del items
+            assert store() is None
+        finally:
+            gc.enable()
+
+
 class TestGradientCheck:
     def test_l1_model_on_triangle(self):
         rng = np.random.default_rng(0)
@@ -662,21 +691,22 @@ class TestTapeReference:
                        readout=readout)
         model = build_model(spec, input_dim=2, hidden_dim=4, seed=case)
         rows = 1 if readout == "sum" else n
-        item = prepare_items([g], [rng.normal(size=(n, 2))],
-                             [rng.normal(size=rows) if rows > 1 else rng.normal()])[0]
+        item = item_row(prepare_items([g], [rng.normal(size=(n, 2))],
+                                      [rng.normal(size=rows) if rows > 1 else rng.normal()])[0])
         saved = {}
         ops = GraphOperators([item.graph])
-        pred = forward(model, ops, item.features, dropout_rate=dropout,
+        one = model.with_flat(model.flat[None])
+        pred = forward(one, ops, item.features[None], dropout_rate=dropout,
                        rng=[np.random.default_rng(7)], saved=saved)
-        loss, d_pred = mse_loss(pred, item.target)
-        grads = backward(model, saved, d_pred)
+        loss, d_pred = mse_loss(pred, item.target[None])
+        grads = backward(one, saved, d_pred, one.unflatten(np.zeros_like(one.flat)))
         ref_loss, ref_grads = tape_loss_and_grads(
             model, ops, item.features, item.target,
             dropout_rate=dropout, rng=np.random.default_rng(7))
-        assert loss == ref_loss
+        assert loss[0] == ref_loss
         assert set(grads) == set(ref_grads)
         for k in ref_grads:
-            assert np.array_equal(grads[k], ref_grads[k]), k
+            assert np.array_equal(grads[k][0], ref_grads[k]), k
 
 
 def test_training_path_does_not_import_the_tape():

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,18 @@ class TestClosedWalks:
         assert diag_closed_walks(path_graph(3), 1).tolist() == [0, 0, 0]
         assert diag_closed_walks(path_graph(3), 2).tolist() == [1, 2, 1]
         assert diag_closed_walks(path_graph(3), 4).tolist() == [2, 4, 2]
+
+    def test_closed_one_walks_build_no_scipy_object(self):
+        # a graph has no self-loop, so no closed 1-walk: int64 zeros, read
+        # without scipy (whose sparse.eye_array is newer than the oldest
+        # scipy the package supports)
+        code = ("import sys; from walklab.graphs import from_edge_list; "
+                "from walklab.walks import diag_closed_walks; "
+                "d = diag_closed_walks(from_edge_list(3, [(0, 1), (1, 2)]), 1); "
+                "print(d.dtype, d.tolist(), 'scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["int64", "[0,", "0,", "0]", "False"]
 
     def test_agrees_with_materialised_power(self):
         rng = np.random.default_rng(17)
