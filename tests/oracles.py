@@ -373,7 +373,7 @@ def gradient_check(model, item: TrainItem) -> float:
     backward(one, saved, mse_loss(pred, target)[1], one.unflatten(analytic))
 
     def loss_value() -> float:
-        return mse_loss(forward(one, ops, x), target)[0][0]
+        return mse_loss(forward(model, ops, x), target)[0][0]
 
     worst = 0.0
     for i, a in enumerate(analytic[0].tolist()):

@@ -401,6 +401,9 @@ class TestStackedForward:
             want = forward(one, GraphOperators([graphs[f]]), xs[f][None], dropout_rate=0.3,
                            rng=[np.random.default_rng(f)], saved=alone)
             assert np.array_equal(out[f], want[0])
+            assert np.array_equal(out[f], forward(
+                model, GraphOperators([graphs[f]]), xs[f][None], dropout_rate=0.3,
+                rng=[np.random.default_rng(f)])[0])
             for key, grad in backward(one, alone, d_out[f][None],
                                       one.unflatten(np.zeros_like(one.flat))).items():
                 assert np.array_equal(grads[key][f], grad[0]), key

@@ -704,6 +704,10 @@ class TestTapeReference:
             model, ops, item.features, item.target,
             dropout_rate=dropout, rng=np.random.default_rng(7))
         assert loss[0] == ref_loss
+        # the one-model pass that evaluate runs gives the same loss
+        alone = forward(model, ops, item.features[None], dropout_rate=dropout,
+                        rng=[np.random.default_rng(7)])
+        assert mse_loss(alone, item.target[None])[0][0] == ref_loss
         assert set(grads) == set(ref_grads)
         for k in ref_grads:
             assert np.array_equal(grads[k][0], ref_grads[k]), k
