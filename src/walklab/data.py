@@ -9,6 +9,12 @@ line::
 with the metadata in a ``<path>.meta.json`` sidecar. Graph i of a run is
 drawn from the PCG64 stream seeded by ``SeedSequence(seed, spawn_key=(i,))``,
 so regeneration from metadata reproduces every edge and target exactly.
+
+A dataset is handled as a batch (see :mod:`walklab.graphs` and
+:mod:`walklab.walks`): its graphs are built and labelled together,
+written from the batch's edge arrays, and read back by parsing and
+checking runs of records at once, with a record-by-record pass that
+names the first bad line whenever that fails.
 """
 
 from __future__ import annotations
@@ -22,8 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, atomic_write_text, erdos_renyi, from_edge_list, read_text
-from .walks import four_cycle_count, triangle_total
+from .graphs import (Graph, atomic_write_text, batch_runs, edge_arrays, erdos_renyi_graphs,
+                     from_edge_list, from_edge_lists, read_text)
+from .walks import four_cycle_counts, triangle_totals
+
+# Per-graph functions this module no longer calls: the benchmark's tracer
+# wraps them here by name (perfbench/tracing.py HOOKS).
+from .graphs import erdos_renyi  # noqa: F401
+from .walks import four_cycle_count, triangle_total  # noqa: F401
 
 TARGET_KINDS = ("triangles", "four_cycles")
 
@@ -54,40 +66,36 @@ class Dataset:
         return [t for _, t in self.items]
 
 
-def _target_value(g: Graph, kind: str) -> int:
-    if kind == "triangles":
-        return triangle_total(g)
-    if kind == "four_cycles":
-        return four_cycle_count(g)
-    raise InputError(f"unknown target kind {kind!r}; expected one of {TARGET_KINDS}")
-
-
 def gen_dataset(n_graphs: int, n_nodes: int, edge_prob: float, target: str,
                 seed: int) -> Dataset:
-    """Sample ER graphs and label each with an exact subgraph count."""
+    """Sample ER graphs and label each with an exact subgraph count: the
+    graphs are drawn from their own streams, then built and counted as
+    one batch."""
     if n_graphs < 1:
         raise InputError(f"need at least one graph, got {n_graphs}")
     if target not in TARGET_KINDS:
         raise InputError(f"unknown target kind {target!r}; expected one of {TARGET_KINDS}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    items = []
-    for i in range(n_graphs):
-        g = erdos_renyi(n_nodes, edge_prob,
-                        np.random.SeedSequence(seed, spawn_key=(i,)))
-        items.append((g, float(_target_value(g, target))))
+    graphs = erdos_renyi_graphs(n_nodes, edge_prob, [np.random.SeedSequence(seed, spawn_key=(i,))
+                                                     for i in range(n_graphs)])
+    counts = triangle_totals(graphs) if target == "triangles" else four_cycle_counts(graphs)
     meta = DatasetMeta(n_graphs=n_graphs, n_nodes=n_nodes, edge_prob=edge_prob,
                        target=target, seed=seed)
-    return Dataset(items=items, meta=meta)
+    return Dataset(items=[(g, float(c)) for g, c in zip(graphs, counts)], meta=meta)
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` as JSON Lines, each line the compact JSON of
+    ``{"n": ..., "edges": [[u, v], ...], "target": ...}``, and its sidecar.
+    The edge text of a run of graphs is written in one vectorised pass."""
     lines = []
-    for g, t in ds.items:
-        target = int(t) if float(t).is_integer() else float(t)
-        lines.append(json.dumps(
-            {"n": g.n, "edges": [[u, v] for u, v in g.edges()], "target": target},
-            separators=(",", ":")))
+    targets = iter(ds.targets())
+    for run, pairs in edge_arrays(ds.graphs()):
+        for g, edges in zip(run, _edge_texts(pairs, [g.edge_count for g in run])):
+            t = next(targets)
+            target = json.dumps(int(t) if float(t).is_integer() else float(t))
+            lines.append(f'{{"n":{g.n},"edges":[{edges}],"target":{target}}}')
     atomic_write_text(path, "\n".join(lines) + "\n")
     meta_path = str(path) + ".meta.json"
     if ds.meta is not None:
@@ -99,33 +107,51 @@ def save_dataset(ds: Dataset, path) -> None:
             pass
 
 
+def _edge_texts(pairs: np.ndarray, counts: list[int]) -> list[str]:
+    """The compact JSON of each graph's edges without the outer brackets,
+    ``[u,v],[u,v],...``: ``pairs`` holds the (k, 2) nonnegative ids of the
+    graphs' edges one graph after another, ``counts[i]`` of graph i.
+
+    Every pair takes ``[u,v],`` in one byte buffer; the digits of all ids
+    are written one decimal place at a time, and each graph's text is its
+    pairs' bytes without the last comma."""
+    places = np.ones(pairs.shape, dtype=np.int64)  # decimal digits of each id
+    for power in range(1, len(str(pairs.max(initial=0)))):
+        places += pairs >= 10**power
+    width = places.sum(axis=1) + 4
+    end = np.cumsum(width)
+    buf = np.full(end[-1] if end.size else 0, ord(","), dtype=np.uint8)
+    buf[end - width] = ord("[")
+    buf[end - 2] = ord("]")
+    last = np.stack([end - width + places[:, 0], end - 3], axis=1)  # each id's last digit
+    ids = pairs.copy()
+    for place in range(places.max(initial=0)):
+        live = places > place
+        buf[last[live] - place] = ord("0") + ids[live] % 10
+        ids //= 10
+    text = buf.tobytes().decode("ascii")
+    bounds = np.concatenate([[0], end])[np.cumsum([0] + counts)].tolist()
+    return [text[a:b - 1] for a, b in zip(bounds, bounds[1:])]
+
+
 def load_dataset(path) -> Dataset:
-    items = []
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
-            raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        try:
-            g = from_edge_list(rec["n"], rec["edges"])
-            target = rec["target"]
-            if isinstance(target, bool) or not isinstance(target, _META_TYPES["float"]):
-                raise InputError(f"target must be a number, got {target!r}")
-            target = float(target)  # OverflowError for an int past the float range
-        except KeyError as exc:
-            raise InputError(f"{path}:{lineno}: missing dataset field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        except CapacityError as exc:
-            raise CapacityError(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(target):
-            raise InputError(f"{path}:{lineno}: target {target} is not finite")
-        items.append((g, target))
-    if not items:
+    """The dataset at ``path``. Every record is parsed and checked, and all
+    graphs are built as one batch; when anything fails, the records are
+    read again one by one, so the error names the first bad line."""
+    lines = [(lineno, line) for lineno, raw in enumerate(read_text(path).split("\n"), start=1)
+             if (line := raw.strip())]
+    if not lines:
         raise InputError(f"{path}: empty dataset")
+    items = []
+    try:
+        # a run of lines at a time, at most RUN_SIZE characters of them, so
+        # that the parsed records held at once stay small
+        for lo, hi in batch_runs([len(line) for _, line in lines]):
+            records = [_record(path, lineno, line, lambda *spec: spec)
+                       for lineno, line in lines[lo:hi]]
+            items += zip(from_edge_lists(spec for spec, _ in records), (t for _, t in records))
+    except (TypeError, ValueError, OverflowError, CapacityError):  # InputError is a ValueError
+        items = [_record(path, lineno, line, from_edge_list) for lineno, line in lines]
     meta_path = str(path) + ".meta.json"
     meta = _load_meta(meta_path) if os.path.exists(meta_path) else None
     if meta is not None:
@@ -135,6 +161,30 @@ def load_dataset(path) -> Dataset:
                 f"{meta_path}: sidecar describes {meta.n_graphs} graphs of {meta.n_nodes}"
                 f" nodes, but {path} holds {len(items)} graphs of {sizes} nodes")
     return Dataset(items=items, meta=meta)
+
+
+def _record(path, lineno: int, line: str, build) -> tuple:
+    """The graph, made by ``build(n, edges)``, and the target of the record
+    on line ``lineno``; any fault raises an error that names the line."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+    try:
+        g = build(rec["n"], rec["edges"])
+        target = rec["target"]
+        if isinstance(target, bool) or not isinstance(target, _META_TYPES["float"]):
+            raise InputError(f"target must be a number, got {target!r}")
+        target = float(target)  # OverflowError for an int past the float range
+    except KeyError as exc:
+        raise InputError(f"{path}:{lineno}: missing dataset field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
+        raise InputError(f"{path}:{lineno}: {exc}") from exc
+    except CapacityError as exc:
+        raise CapacityError(f"{path}:{lineno}: {exc}") from exc
+    if not math.isfinite(target):
+        raise InputError(f"{path}:{lineno}: target {target} is not finite")
+    return g, target
 
 
 # JSON types each DatasetMeta field accepts, by its annotation

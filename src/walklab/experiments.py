@@ -53,7 +53,7 @@ from .data import Dataset, FoldPlan, baseline_mean, kfold_split, load_dataset
 from .errors import (CapacityError, ConfigError, InputError, InvariantViolation,
                      NumericError, TrainingError)
 from .graphs import (Graph, RegionSpec, atomic_write_text, cycle_graph,
-                     bfs_distances, disjoint_union, read_text, region_from_distances)
+                     bfs_distances, disjoint_union, read_text, region_masks)
 from .models import MAX_HIDDEN_DIM, ModelSpec, build_model, spec_from_model_name
 from .training import TrainConfig, evaluate, fit, prepare_items
 from .walks import triangle_counts_per_node
@@ -63,10 +63,10 @@ RESULTS_HEADER = "model,fold,train_mse,val_mse,test_mse"
 
 # Capacity limit on region_report: k_max times the graph's size, its n
 # nodes plus its 2m CSR entries. Each radius builds two regions, each a
-# pass over every entry and Python sets of up to n nodes and m edges. At
-# the limit, with k_max = n (shared 2-core x86-64, Python 3.11): K_215
-# takes 3.0 s, ER(1000, 0.0085) 3.5 s and a 1826-node path 1.4 s, at
-# most 80 MB peak RSS.
+# few numpy passes over every node and entry that leave a node mask and
+# an edge mask. At the limit, with k_max = n (shared 2-core x86-64, Python
+# 3.11): K_215 takes 0.13-0.18 s, ER(1000, 0.0085) 0.19-0.22 s and a
+# 1826-node path 0.28 s, at most 66 MB peak RSS.
 MAX_REGION_WORK = 10**7
 
 # Most parameter coordinates (cells x coordinates per model) in one lockstep
@@ -488,19 +488,19 @@ def region_report(g: Graph, v: int, k_max: int) -> list[dict]:
                             f"steps; the limit is {MAX_REGION_WORK}")
     rows = []
     dist = np.array(bfs_distances(g, v))
-    d_next = region_from_distances(g, v, dist, RegionSpec("D", 1))
+    d_next = region_masks(g, dist, RegionSpec("D", 1))
     for k in range(1, k_max + 1):
-        d, l = d_next, region_from_distances(g, v, dist, RegionSpec("L", k))
-        d_next = region_from_distances(g, v, dist, RegionSpec("D", k + 1))
+        d, l = d_next, region_masks(g, dist, RegionSpec("L", k))
+        d_next = region_masks(g, dist, RegionSpec("D", k + 1))
         for small, big, tag in ((d, l, f"D_{k} <= L_{k}"),
                                 (l, d_next, f"L_{k} <= D_{k + 1}")):
-            if not (small.nodes <= big.nodes and small.edges <= big.edges):
+            if any((inner & ~outer).any() for inner, outer in zip(small, big)):
                 raise InvariantViolation(f"region nesting violated at {tag}")
         rows.append({
             "k": k,
-            "d_nodes": len(d.nodes),
-            "d_edges": len(d.edges),
-            "l_nodes": len(l.nodes),
-            "l_edges": len(l.edges),
+            "d_nodes": int(d[0].sum()),
+            "d_edges": int(d[1].sum()),
+            "l_nodes": int(l[0].sum()),
+            "l_edges": int(l[1].sum()),
         })
     return rows

@@ -66,7 +66,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericError
-from .walks import diag_closed_walks
+from .walks import closed_three_walks, diag_closed_walks
 
 # Widest hidden layer build_model accepts. A layer's MLP holds up to two
 # hidden x hidden float64 matrices (w1, and w0 after the first layer),
@@ -189,11 +189,13 @@ class GraphOperators:
     is (G, n).
 
     A store is built from its graphs. It holds each graph's own CSR arrays
-    (:attr:`blocks`), its inverse degrees and each closed-walk diagonal,
-    counted per graph, never on the stack, whose overflow bound would grow
-    with its node count. :meth:`gather` makes the stack of some of its
-    rows, which holds no graphs: it takes the inverse degrees and the
-    diagonals from the store, row by row, each graph's bits as they are.
+    (:attr:`blocks`), its inverse degrees and each closed-walk diagonal:
+    the closed 3-walks counted edge by edge over the store's graphs as one
+    batch, longer walks per graph, never on the stack, whose product's
+    overflow bound would grow with its node count. :meth:`gather` makes
+    the stack of some of its rows, which holds no graphs: it takes the
+    inverse degrees and the diagonals from the store, row by row, each
+    graph's bits as they are.
     Every stack builds each float matrix on first use by one CSR
     constructor over its rows' blocks, laid one after another in scipy's
     sorted entry order, so a product equals each graph's own bit for bit.
@@ -275,8 +277,8 @@ class GraphOperators:
         if m not in self._diagonals:
             self._diagonals[m] = (
                 self._take_rows(lambda store: store.closed_walk_diag(m)) if self._source
-                else np.concatenate([diag_closed_walks(g, m).astype(np.float64)
-                                     for g in self.graphs]))
+                else (closed_three_walks(self.graphs) if m == 3 else np.concatenate(
+                    [diag_closed_walks(g, m) for g in self.graphs])).astype(np.float64))
         return self._diagonals[m]
 
 

@@ -15,8 +15,9 @@ reported as ``diverged`` while the others go on.
 
 :func:`prepare_items` stacks its graphs into one resident store per node
 count: the (N, n, d) features, the targets, ``1/(deg+1)``, each graph's
-CSR arrays of A and A + I, the closed-walk diagonals, counted per graph
-and held once, by the store's operators, and one (N, n, d) array per
+CSR arrays of A and A + I, the closed-walk diagonals, counted for the
+whole store in one batch (longer walks per graph) and held once, by the
+store's operators, and one (N, n, d) array per
 layer-0 term ``Op_t(X)``, one sparse product per application of A or
 A + I on the whole store, each graph's own bits. Each :class:`TrainItem`
 is a store and a row of it. A stack is some rows of one store: a step or
@@ -114,7 +115,8 @@ class _Store:
         """The store of ``graphs`` with their features ``xs``, targets ``ys``
         and layer-0 ``terms``. Each term runs once on a fresh gather of
         every row, so that at most one structure matrix lives at a time;
-        the diagonals are counted per graph on the store's operators."""
+        the diagonals are counted on the store's operators, the closed
+        3-walks of all its graphs in one batch."""
         ops = GraphOperators(graphs)
         # built now, before any worker forks, so that the workers share them
         ops.blocks, ops.inv_degree_plus_one

@@ -126,6 +126,19 @@ class TestGen:
         assert all(json.loads(line)["target"] == 0
                    for line in out.read_text().strip().split("\n"))
 
+    @pytest.mark.parametrize("target, digest", [
+        ("triangles", "580c2fe0f480e7b281a649d66e03b84df76c5d89d1ee160e560b06d653b863d5"),
+        ("four-cycles", "f0466b866107fe3fa3746a6fbba523c5ada2d52958e1142ac020cb8e50327163"),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, target, digest):
+        # the bytes of the dataset and its sidecar
+        out = tmp_path / "pin.jsonl"
+        assert main(["gen", "--graphs", "30", "--nodes", "20", "--prob", "0.25",
+                     "--target", target, "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        text = out.read_bytes() + (tmp_path / "pin.jsonl.meta.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
+
     @pytest.mark.parametrize("case", GEN_FAILURES)
     def test_failure(self, tmp_path, capsys, case):
         _assert_fails("gen", GEN_FAILURES[case], tmp_path, capsys)

@@ -7,7 +7,7 @@ import pytest
 from walklab.data import (Dataset, DatasetMeta, baseline_mean, gen_dataset,
                           kfold_split, load_dataset, save_dataset)
 from walklab.errors import InputError
-from walklab.graphs import cycle_graph
+from walklab.graphs import cycle_graph, erdos_renyi, from_edge_list
 
 from oracles import complete_graph
 
@@ -75,10 +75,48 @@ class TestRoundTrip:
         assert rec["n"] == 3
         assert sorted(map(tuple, rec["edges"])) == [(0, 1), (0, 2), (1, 2)]
 
+    def test_save_writes_each_record_as_compact_json(self, tmp_path):
+        # ids of one to four digits, an edgeless graph, non-integral
+        # targets, and enough graphs to span several runs
+        graphs = [from_edge_list(1200, [(0, 9), (10, 99), (100, 999), (1000, 1199), (5, 1000)]),
+                  from_edge_list(3, []), complete_graph(12)]
+        graphs += [erdos_renyi(30, 0.3, seed) for seed in range(150)]
+        targets = [3.0, 0.25, -1.5e300] + [float(seed) for seed in range(150)]
+        path = tmp_path / "many.jsonl"
+        save_dataset(Dataset(items=list(zip(graphs, targets))), path)
+        records = [{"n": g.n, "edges": [list(e) for e in g.edges()],
+                    "target": int(t) if t.is_integer() else t} for g, t in zip(graphs, targets)]
+        assert path.read_text() == "".join(json.dumps(rec, separators=(",", ":")) + "\n"
+                                           for rec in records)
+        loaded = load_dataset(path)
+        assert loaded.graphs() == graphs and loaded.targets() == targets
+
+    def test_save_empty_dataset(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        save_dataset(Dataset(items=[]), path)
+        assert path.read_text() == "\n"
+
     def test_load_reports_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"n":3,"edges":[],"target":0}\nnot json\n')
         with pytest.raises(InputError, match="bad.jsonl:2"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"n":50,"edges":[[0,50]],"target":0}', "edge (0, 50) out of range for n=50"),
+        ('{"n":50,"edges":[[0,1]],"target":"x"}', "target must be a number"),
+        ('{"n":50,"edges":[[0,1]]', "bad JSON"),
+    ])
+    def test_load_names_a_bad_line_deep_in_the_file(self, tmp_path, record, message):
+        # every record is parsed before the batch is built, and the
+        # failure sends the load back through the records one by one
+        path = tmp_path / "bad.jsonl"
+        save_dataset(gen_dataset(200, 50, 0.1, "triangles", 3), path)
+        lines = path.read_text().split("\n")
+        lines[149] = record
+        lines[170] = '{"n":3,"edges":[[0,3]],"target":0}'
+        path.write_text("\n".join(lines))
+        with pytest.raises(InputError, match=r"^.*bad\.jsonl:150: .*" + re.escape(message)):
             load_dataset(path)
 
     def test_load_rejects_missing_fields(self, tmp_path):

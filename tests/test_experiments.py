@@ -607,15 +607,15 @@ class TestRegionReport:
 
     def test_keeps_the_regions_of_one_radius(self, monkeypatch):
         # every radius's regions held at once grew as k_max^2 on a path
-        real, alive, most = ex.region_from_distances, [], []
+        real, alive, most = ex.region_masks, [], []
 
         def tracking(*args):
             region = real(*args)
-            alive.append(weakref.ref(region))
+            alive.append(weakref.ref(region[0]))
             most.append(sum(ref() is not None for ref in alive))
             return region
 
-        monkeypatch.setattr(ex, "region_from_distances", tracking)
+        monkeypatch.setattr(ex, "region_masks", tracking)
         rows = region_report(path_graph(40), 0, 40)
         assert [r["d_nodes"] for r in rows] == [min(k + 1, 40) for k in range(1, 41)]
         assert len(alive) == 81 and max(most) <= 4

@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from walklab import graphs
 from walklab.errors import CapacityError, InputError
 from walklab.graphs import (MAX_ER_NODES, Graph, RegionSpec, atomic_write_text,
                             bfs_distances, concat_csr, cycle_graph, degrees,
-                            disjoint_union, erdos_renyi, extract_region,
-                            from_edge_list, parse_edge_list, read_edge_list)
+                            disjoint_union, edge_arrays, erdos_renyi, erdos_renyi_graphs,
+                            extract_region, from_edge_list, from_edge_lists, parse_edge_list,
+                            read_edge_list)
 
 from oracles import (complete_graph, format_edge_list, neighbours, path_graph, region_by_walk_dp,
                      region_by_walk_enumeration, relabel, write_edge_list)
@@ -150,6 +152,76 @@ class TestConstruction:
         h = relabel(g, [2, 0, 4, 1, 3])
         assert h.edge_count == g.edge_count
         assert sorted(degrees(h)) == sorted(degrees(g))
+
+
+# specs that from_edge_list refuses, each with the message it raises alone
+BAD_SPECS = [
+    ((3, [(0, 3)]), InputError, "edge (0, 3) out of range for n=3"),
+    ((3, [[0, -1]]), InputError, "edge (0, -1) out of range for n=3"),
+    ((3, [(0, True)]), InputError, "needs two integer node ids"),
+    ((3, [[0, 1.0]]), InputError, "needs two integer node ids"),
+    ((3, [[0, 2**70]]), InputError, f"edge (0, {2**70}) out of range"),
+    ((3, [[0, 1, 2]]), InputError, "is not a (u, v) pair"),
+    ((3.0, []), InputError, "node count must be an integer"),
+    ((0, []), InputError, "graph needs at least one node"),
+    ((10**10, []), CapacityError, "graphs support n <= "),
+]
+
+
+class TestBatchBuild:
+    def test_batch_matches_graphs_built_alone(self):
+        specs = [(1, []), (4, [(0, 1), (1, 0), (2, 2)]), (6, []), (5, [[4, 0], [0, 4], [1, 3]]),
+                 (3, ((0, 1), (1, 2))), (np.int64(4), [(np.int64(3), 1)]), (2, iter([(1, 0)]))]
+        alone = [from_edge_list(n, list(edges) if not isinstance(edges, list) else edges)
+                 for n, edges in specs[:-1]] + [from_edge_list(2, [(1, 0)])]
+        batch = from_edge_lists(specs)
+        assert batch == alone
+        assert [g.indptr.dtype for g in batch] == [np.int32] * len(specs)
+        runs = list(edge_arrays(batch))
+        assert [g for run, _ in runs for g in run] == alone
+        assert np.concatenate([pairs for _, pairs in runs]).tolist() == [
+            list(e) for g in alone for e in g.edges()]
+        assert from_edge_lists([]) == []
+
+    def test_erdos_renyi_batch_matches_each_seed(self):
+        seeds = [np.random.SeedSequence(4, spawn_key=(i,)) for i in range(5)] + [7]
+        assert erdos_renyi_graphs(9, 0.3, seeds) == [erdos_renyi(9, 0.3, s) for s in seeds]
+
+    @pytest.mark.parametrize("spec, error, message", BAD_SPECS)
+    def test_one_bad_graph_raises_what_it_raises_alone(self, spec, error, message):
+        with pytest.raises(error, match=re.escape(message)) as alone:
+            from_edge_list(*spec)
+        good = [(2, [(0, 1)]), (3, [[0, 1], [1, 2]])]
+        with pytest.raises(error) as batch:
+            from_edge_lists(good + [spec] + good)
+        assert str(batch.value) == str(alone.value)
+
+    def test_empty_batch(self):
+        assert graphs.batch_runs([]) == []
+        assert list(edge_arrays([])) == []
+        assert erdos_renyi_graphs(5, 0.5, []) == []
+
+    def test_erdos_renyi_runs_match_each_seed(self):
+        # each graph takes about 60 + 2 * 530 nodes plus CSR entries, so
+        # the 40 graphs are drawn and built in several runs
+        seeds = [np.random.SeedSequence(8, spawn_key=(i,)) for i in range(40)]
+        batch = erdos_renyi_graphs(60, 0.3, seeds)
+        assert len(list(edge_arrays(batch))) > 3
+        assert batch == [erdos_renyi(60, 0.3, s) for s in seeds]
+
+    def test_erdos_renyi_memory_stays_near_the_result(self):
+        # the kept pairs of one run are held at a time, not those of every
+        # graph: the peak stays within a quarter of the result's size above it
+        seeds = [np.random.SeedSequence(2, spawn_key=(i,)) for i in range(1500)]
+        erdos_renyi_graphs(50, 0.1, seeds[:1])  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            batch = erdos_renyi_graphs(50, 0.1, seeds)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 1500
+        assert peak < 1.25 * size
 
 
 class TestErdosRenyi:

@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 import oracles
 import pytest
-from oracles import complete_graph, gradient_check, item_row, tape_loss_and_grads
+from oracles import (complete_graph, gradient_check, item_row, tape_loss_and_grads,
+                     triangles_per_node_by_intersection)
 
 from walklab import models, training, walks
 from walklab.errors import CapacityError, CountOverflowError, InputError
@@ -335,22 +336,25 @@ class TestBatchedBuild:
         items = prepare_items(graphs, xs, [0.0] * 8, terms=self.TERMS)
         self._assert_own_bits(items, graphs, xs)
 
-    def test_one_triangle_count_per_graph(self, monkeypatch):
-        # the D2 terms need diag(A^3) once: one edge-by-edge count per
-        # graph, never one on the store, and no walk product
+    def test_one_triangle_count_per_store(self, monkeypatch):
+        # the D2 terms need diag(A^3) once: edge-by-edge counts over runs of
+        # the store's concatenated arrays (walks._runs), and no walk product
         counts, products = [], []
 
-        def counting(g):
-            counts.append(g.n)
-            return real(g)
+        def counting(indptr, indices):
+            counts.append(indptr.size - 1)
+            return real(indptr, indices)
 
         real = walks._closed_three_walks
         monkeypatch.setattr(walks, "_closed_three_walks", counting)
         monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: products.append(1))
         graphs = [erdos_renyi(20, 0.3, seed) for seed in range(40)]
-        prepare_items(graphs, [np.ones((20, 1))] * 40, [0.0] * 40, terms=FAMILIES["D2"])
-        assert counts == [20] * 40
+        items = prepare_items(graphs, [np.ones((20, 1))] * 40, [0.0] * 40, terms=FAMILIES["D2"])
+        assert sum(counts) == 800 and len(counts) == len(list(walks._runs(graphs)))
+        assert len(counts) < 10
         assert products == []
+        assert items[0].store.ops.closed_walk_diag(3).tolist() == [
+            2 * t for g in graphs for t in triangles_per_node_by_intersection(g)]
 
     def test_one_structure_matrix_per_store(self, monkeypatch):
         # the D2 terms apply A + I once and A twice on all 40 graphs: one

@@ -227,3 +227,49 @@ class TestSampledMoments:
             fc.append(four_cycle_count(g))
         assert abs(float(np.mean(tri)) - 19.6) < 2.5
         assert abs(float(np.mean(fc)) - 69.1) < 12.0
+
+
+def _mixed_batch():
+    """Graphs of mixed node counts: single nodes, edgeless graphs, graphs
+    with isolated nodes, a triangle-rich one and a sparse random one."""
+    return [from_edge_list(1, []), complete_graph(4), from_edge_list(5, []),
+            from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+            erdos_renyi(12, 0.4, 3), from_edge_list(2, [(0, 1)]), complete_graph(6),
+            sparse_er(30, 4, 8)]
+
+
+class TestBatches:
+    def test_batch_matches_oracles_and_batches_of_one(self):
+        batch = _mixed_batch()
+        per_node = [triangles_per_node_by_intersection(g) for g in batch]
+        assert walks.closed_three_walks(batch).tolist() == [2 * t for ts in per_node for t in ts]
+        assert walks.triangles_per_node(batch).tolist() == [t for ts in per_node for t in ts]
+        assert walks.triangle_totals(batch) == [sum(ts) // 3 for ts in per_node]
+        assert walks.four_cycle_counts(batch) == [four_cycles_by_codegree(g) for g in batch]
+        for g in batch:
+            assert walks.triangle_totals([g]) == [triangle_total(g)]
+            assert walks.four_cycle_counts([g]) == [four_cycle_count(g)]
+            assert four_cycle_count(g) == four_cycle_count(g, adjacency_square(g))
+            assert (diag_closed_walks(g, 3).tolist()
+                    == diag_closed_walks(g, 3, adjacency_square(g)).tolist())
+
+    def test_empty_batch(self):
+        assert walks.closed_three_walks([]).tolist() == []
+        assert walks.triangles_per_node([]).tolist() == []
+        assert walks.triangle_totals([]) == []
+        assert walks.four_cycle_counts([]) == []
+
+    def test_runs_split_a_batch_past_the_work_limit(self, monkeypatch):
+        # each K6 has sum_v d_v^2 = 150: together they pass a limit of 400,
+        # each alone stays under it, so the batch is counted in runs
+        batch = [complete_graph(6), cycle_graph(5), complete_graph(6), complete_graph(6)]
+        want = ([20, 0, 20, 20], [45, 0, 45, 45])
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 400)
+        assert len(list(walks._runs(batch))) == 2
+        assert (walks.triangle_totals(batch), walks.four_cycle_counts(batch)) == want
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 149)
+        for count in (walks.triangle_totals, walks.four_cycle_counts):
+            with pytest.raises(CapacityError, match="needs 150 multiply-adds"):
+                count(batch)
+            with pytest.raises(CapacityError, match="needs 150 multiply-adds"):
+                count([complete_graph(6)])
