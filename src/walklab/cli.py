@@ -26,10 +26,11 @@ from .errors import (CapacityError, ConfigError, CountOverflowError,
                      InputError, InvariantViolation, NumericError,
                      TrainingError)
 from .graphs import atomic_write_text, read_edge_list
-from .walks import adjacency_square, four_cycle_count, triangle_counts_per_node, triangle_total
+from .walks import cycle_counts, triangle_total
 from .wl import compare_pair
-# perfbench/tracing.py wraps these names of this module when it traces a
-# run, so they stay importable here until its hooks follow compare_pair
+# perfbench/tracing.py wraps these names of this module when it traces a run,
+# so they stay importable here until its hooks follow compare_pair and cycle_counts
+from .walks import four_cycle_count, triangle_counts_per_node  # noqa: F401
 from .wl import augmented_distinguish, is_isomorphic_small, wl_distinguish  # noqa: F401
 
 EXIT_OK = 0
@@ -128,13 +129,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_count(args) -> int:
     g = read_edge_list(args.graph)
-    square = adjacency_square(g)
-    per_node = triangle_counts_per_node(g, square)
+    per_node, (four_cycles,) = cycle_counts([g])
     doc = {
         "n": g.n,
         "edges": g.edge_count,
         "triangles": triangle_total(g, per_node),
-        "four_cycles": four_cycle_count(g, square),
+        "four_cycles": four_cycles,
         "triangles_per_node": per_node.tolist(),
     }
     _emit(doc, args.out)

@@ -1,43 +1,29 @@
 """Exact walk counting on unweighted graphs.
 
-Everything here is integer-exact. The k-th power of the adjacency matrix
-counts length-k walks entry by entry, its diagonal counts closed walks,
-and two closed-form reductions turn closed-walk counts into subgraph
-counts: each node's triangles are half its closed 3-walks, and the
-number of 4-node simple cycles falls out of ``trace(A^4)`` after
-removing the degenerate closed 4-walks (edge back-and-forth and
-2-paths traversed both ways).
+Everything here is integer-exact. The diagonal of ``A^k`` counts closed
+k-walks, and two closed-form reductions turn them into subgraph counts:
+each node's triangles are half its closed 3-walks, and the 4-node simple
+cycles fall out of ``trace(A^4)`` once the degenerate closed 4-walks
+(edge back-and-forths, 2-paths walked both ways) are removed.
 
-Graph counts run on one sparse integer engine: the CSR adjacency wraps
-the graph's own ``indptr`` and ``indices`` arrays, and because ``A`` is
-symmetric the closed m-walks of node v are the row sums of
-``A^floor(m/2) * A^ceil(m/2)`` (elementwise), so ``A^m`` itself is never
-formed. Triangles per node are ``rowsum(A * A^2) / 2``, which reads
-``A^2`` only at the positions of ``A``: the common neighbours of each
-edge's ends. So without a square at hand they are counted on the CSR
-arrays themselves, edge by edge (the "forward" count of Schank and Wagner
-2005), and no product is formed. ``trace(A^4)`` is the sum of the squared
-entries of ``A^2``, so a caller that needs it forms :func:`adjacency_square`
-once and passes it to both counts. The work of ``A @ A``, the entries of
-``A^2`` and the edge-by-edge count are all bounded by ``sum_v d_v^2``, so
-a count costs O(sum_v d_v^2) time and memory; see
-:data:`MAX_PRODUCT_WORK` for the capacity limit.
+Triangles and 4-cycles need only the co-degrees ``A^2[u, w]`` (common
+neighbours), read from the CSR arrays with no product formed. Triangles
+per node, ``rowsum(A * A^2) / 2``, are counted edge by edge (the
+"forward" count of Schank and Wagner 2005). Where 4-cycles are needed,
+every wedge u - v - w with u < w becomes the key ``u * n + w`` and the
+keys are sorted once: a key's run is the co-degree c_uw, ``trace(A^4) =
+sum_v d_v^2 + 2 * sum c_uw^2``, and an edge's co-degree is its triangle
+count (Chiba and Nishizeki 1985). Both passes are bounded by
+``sum_v d_v^2``; see :data:`MAX_PRODUCT_WORK`.
 
-A batch of graphs is counted as one: ``closed_three_walks``,
-``triangle_totals`` and ``four_cycle_counts`` lay runs of its graphs one
-after another (a block-diagonal adjacency), count each run in one pass
-(the edge-by-edge count, or one ``A @ A`` whose squared entries are
-summed per graph) and cut the counts back per graph. A single graph is a
-batch of one, and every guard holds per graph, so a batch counts exactly
-what its graphs would alone.
+Longer closed walks are int64 CSR products: as ``A`` is symmetric, the
+closed m-walks of node v are the row sums of ``A^floor(m/2) *
+A^ceil(m/2)`` (elementwise). Every product first checks ``inner_dim *
+max(a) * max(b) < 2**63`` and raises :class:`CountOverflowError` instead
+of wrapping. ``scipy.sparse`` is imported only there, on first use.
 
-Counts are held in int64 CSR matrices. Every multiplication first checks the
-conservative bound ``inner_dim * max(a) * max(b) < 2**63`` and raises
-:class:`CountOverflowError` instead of wrapping silently.
-
-``scipy.sparse`` is imported on first use, by the functions that build a
-CSR matrix, so a process that never forms one (``walklab wl``, the
-edge-by-edge triangle count) does not pay for loading it.
+A batch of graphs is counted in runs laid one after another, cut back per
+graph; every guard holds per graph, so a batch counts what its graphs would.
 """
 
 from __future__ import annotations
@@ -57,10 +43,11 @@ _INT64_MAX = 2**63 - 1
 
 # Capacity limit on one sparse product X @ Y, counted as multiply-adds:
 # the sum over the stored entries (i, k) of X of the entries in row k of
-# Y. For A @ A that is sum_v d_v^2, which also bounds the entries of A^2,
-# so at the limit A^2 takes at most about 360 MB (int64 values plus int32
-# column indices). ER graphs with n = 10**5 and average degree 10 have
-# sum_v d_v^2 of about 1.1 * 10**7 and fit.
+# Y. For A @ A that is sum_v d_v^2, which also bounds the wedges (half of
+# it) and the edge-by-edge candidates (a quarter). At the limit the wedge
+# sort peaks at about 210 MB (tracemalloc, ER graph with n = 272 000 and
+# 1.36 * 10**7 wedges). ER graphs with n = 10**5 and average degree 10
+# have sum_v d_v^2 of about 1.1 * 10**7 and fit.
 MAX_PRODUCT_WORK = 3 * 10**7
 
 
@@ -70,15 +57,10 @@ def adjacency_csr(g: Graph) -> sparse.csr_array:
     Wraps the graph's own read-only ``indptr`` and ``indices`` without a
     copy; they equal the arrays scipy builds from the dense matrix.
     """
-    return _adjacency(g.indptr, g.indices)
-
-
-def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> sparse.csr_array:
     from scipy import sparse
 
-    n = indptr.size - 1
-    return sparse.csr_array((np.ones(indices.size, dtype=np.int64), indices, indptr),
-                            shape=(n, n))
+    return sparse.csr_array((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
+                            shape=(g.n, g.n))
 
 
 def _check_product_bound(a, b) -> None:
@@ -121,10 +103,8 @@ def _runs(graphs):
     Each graph's own ``sum_v d_v^2`` is held to :data:`MAX_PRODUCT_WORK`
     first, so a batch refuses what its graphs alone are refused. The runs
     are cut by :func:`~walklab.graphs.batch_runs` on each graph's nodes
-    plus ``sum_v d_v^2``, which bounds a run's product, candidates and
-    keys, and at most :data:`MAX_PRODUCT_WORK`: a run past either is a
-    single graph.
-    """
+    plus ``sum_v d_v^2``, which bounds a run's wedges and candidates, and
+    at most :data:`MAX_PRODUCT_WORK`: a run past either is a single graph."""
     sizes = [g.n for g in graphs]
     firsts = np.cumsum([0] + sizes)
     deg = np.concatenate([np.diff(g.indptr) for g in graphs])
@@ -182,35 +162,24 @@ def closed_three_walks(graphs) -> np.ndarray:
                            for indptr, indices, _ in _runs(graphs)])
 
 
-def adjacency_square(g: Graph) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """The CSR adjacency ``A`` and ``A @ A``: the one product a triangle
-    and 4-cycle count needs. Pass it to :func:`triangle_counts_per_node`
-    and :func:`four_cycle_count` to count both from it."""
-    a = adjacency_csr(g)
-    return a, _checked_matmul(a, a)
-
-
-def diag_closed_walks(g: Graph, m: int, square=None) -> np.ndarray:
+def diag_closed_walks(g: Graph, m: int) -> np.ndarray:
     """Per-node count of closed walks of length exactly m (diagonal of A^m).
 
     Computed as ``rowsum(A^floor(m/2) * A^ceil(m/2))``, which equals the
-    diagonal of ``A^m`` because ``A`` is symmetric. ``square`` is
-    :func:`adjacency_square` of ``g`` when it is already at hand. Without
-    it, m = 3 is :func:`closed_three_walks` of a batch of one, twice each
-    node's triangles, and forms no product.
+    diagonal of ``A^m`` because ``A`` is symmetric. m = 3 is
+    :func:`closed_three_walks` of a batch of one, twice each node's
+    triangles, and forms no product.
     """
     if m < 1:
         raise InputError(f"walk length must be >= 1, got {m}")
     if m == 1:  # a graph has no self-loop, so no closed 1-walk
         return np.zeros(g.n, dtype=np.int64)
-    if m == 3 and square is None:
+    if m == 3:
         return closed_three_walks([g])
-    a, *known = (adjacency_csr(g),) if square is None else square
-    powers = [a, *known]  # powers[k - 1] is A^k
+    powers = [adjacency_csr(g)]  # powers[k - 1] is A^k
     while len(powers) < (m + 1) // 2:
-        powers.append(_checked_matmul(powers[-1], a))
-    half = powers[m // 2 - 1]
-    other = powers[(m + 1) // 2 - 1]
+        powers.append(_checked_matmul(powers[-1], powers[0]))
+    half, other = powers[m // 2 - 1], powers[(m + 1) // 2 - 1]
     # The row sums are the diagonal of half @ other, under the same bound.
     _check_product_bound(half, other)
     return np.asarray(half.multiply(other).sum(axis=1), dtype=np.int64)
@@ -222,11 +191,9 @@ def _halved(closed3: np.ndarray) -> np.ndarray:
     return closed3 // 2
 
 
-def triangle_counts_per_node(g: Graph, square=None) -> np.ndarray:
-    """Triangles through each node: half the node's closed 3-walks.
-    ``square`` is :func:`adjacency_square` of ``g`` when it is already
-    at hand."""
-    return _halved(diag_closed_walks(g, 3, square))
+def triangle_counts_per_node(g: Graph) -> np.ndarray:
+    """Triangles through each node: half the node's closed 3-walks."""
+    return _halved(diag_closed_walks(g, 3))
 
 
 def triangles_per_node(graphs) -> np.ndarray:
@@ -263,7 +230,7 @@ def triangle_totals(graphs) -> list[int]:
     return _triangle_totals(_per_graph_sums(triangles_per_node(graphs), firsts).tolist())
 
 
-def _four_cycles(trace4: list[int], degree_sums: list[int], paths2: list[int]) -> list[int]:
+def _four_cycles(trace4: np.ndarray, degree_sums: np.ndarray, paths2: np.ndarray) -> list[int]:
     """Each graph's 4-cycles from its ``trace(A^4)``, its degree sum (twice
     its edges) and its 2-paths ``sum_v C(d_v, 2)``.
 
@@ -273,47 +240,80 @@ def _four_cycles(trace4: list[int], degree_sums: list[int], paths2: list[int]) -
 
         C4 = (trace(A^4) - 2 * edge_count - 4 * sum_v C(d_v, 2)) / 8.
     """
-    counts = []
-    for t, d, p in zip(trace4, degree_sums, paths2):
-        raw = t - d - 4 * p
-        if raw < 0 or raw % 8:
-            raise InvariantViolation(
-                f"closed 4-walk remainder {raw} is not a nonnegative multiple of 8")
-        counts.append(raw // 8)
-    return counts
+    raw = trace4 - degree_sums - 4 * paths2
+    bad = raw[(raw < 0) | (raw % 8 != 0)]
+    if bad.size:
+        raise InvariantViolation(
+            f"closed 4-walk remainder {bad[0]} is not a nonnegative multiple of 8")
+    return (raw // 8).tolist()
 
 
-def four_cycle_count(g: Graph, square=None) -> int:
-    """Number of simple 4-cycle subgraphs (see :func:`_four_cycles`).
+def _sorted_wedges(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The sorted keys ``u * n + w`` of every wedge u - v - w (u < w) on
+    CSR arrays (of one graph or of a run): key u, w appears ``A^2[u, w]``
+    times. A row lists its neighbours in increasing order, so each entry u
+    of row v makes a wedge with every later entry w of the row. Wedges
+    number ``sum_v C(d_v, 2)``, below :data:`MAX_PRODUCT_WORK`, so their
+    positions are int32, and so are the keys while ``n * n`` fits; at most
+    12 bytes a wedge are alive at once (int64 keys)."""
+    n = indptr.size - 1
+    after = np.arange(1, indices.size + 1, dtype=np.int32)  # each entry's next position
+    count = np.repeat(indptr[1:], np.diff(indptr)) - after  # later entries in its row
+    pos = np.repeat((after + count - np.cumsum(count)).astype(np.int32), count)
+    pos += np.arange(pos.size, dtype=np.int32)  # each wedge's entry w
+    ends = indices[pos]
+    del pos
+    keys = np.repeat(np.multiply(indices, n, dtype=np.int32 if n * n < 2**31 else np.int64),
+                     count)
+    keys += ends
+    del ends
+    keys.sort()
+    return keys
 
-    ``square`` is :func:`adjacency_square` of ``g`` when it is already at
-    hand; without it, the graph is counted as a batch of one.
-    """
-    if square is None:
-        return four_cycle_counts([g])[0]
-    a, a2 = square
-    # trace(A^4) = sum of squared entries of A^2. Those entries sum to
-    # sum_v d_v^2 and are each at most max_v d_v, so the int64 sum stays
-    # below MAX_PRODUCT_WORK**1.5.
-    deg = np.diff(a.indptr).astype(np.int64)
-    return _four_cycles([int(np.dot(a2.data, a2.data))], [2 * g.edge_count],
-                        [int((deg * (deg - 1) // 2).sum())])[0]
+
+def cycle_counts(graphs) -> tuple[np.ndarray, list[int]]:
+    """:func:`triangle_counts_per_node` of every node and
+    :func:`four_cycle_count` of every graph of the batch ``graphs``, from
+    one :func:`_sorted_wedges` per run. ``sum c_uw^2`` is the wedges plus
+    twice the pairs of wedges on one key; a node's closed 3-walks are its
+    edges' co-degrees summed."""
+    if not graphs:
+        return np.zeros(0, dtype=np.int64), []
+    closed3, pairs = [], []
+    for indptr, indices, firsts in _runs(graphs):
+        n = indptr.size - 1
+        keys = _sorted_wedges(indptr, indices)
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])  # wedges after the first of a key, less one
+        starts = np.flatnonzero(np.diff(repeats, prepend=-2) != 1)
+        more = np.diff(starts, append=repeats.size)  # c_uw - 1 of each key with c_uw > 1
+        # graph i's keys are those from firsts[i] * n up to firsts[i + 1] * n
+        cuts = np.searchsorted(repeats[starts],
+                               np.searchsorted(keys, (firsts * n).astype(keys.dtype)))
+        pairs.append(np.diff(np.concatenate([[0], np.cumsum(more * (more + 1) // 2)])[cuts]))
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        forward = row < indices
+        a, b = row[forward], indices[forward]
+        edges = (a * n + b).astype(keys.dtype)
+        # most edges close no wedge: only those that do are searched again
+        found = np.searchsorted(keys, edges)
+        closing = (np.flatnonzero(keys[np.minimum(found, keys.size - 1)] == edges)
+                   if keys.size else found[:0])
+        codegree = np.searchsorted(keys, edges[closing], side="right") - found[closing]
+        # float64 sums are exact: they stay below the wedges, far below 2**53
+        closed3.append(sum(np.bincount(e[closing], codegree, n) for e in (a, b)).astype(np.int64))
+    firsts = np.cumsum([0] + [g.n for g in graphs])
+    deg = np.concatenate([np.diff(g.indptr) for g in graphs]).astype(np.int64)
+    wedges = _per_graph_sums(deg * (deg - 1) // 2, firsts)
+    trace4 = _per_graph_sums(deg * deg, firsts) + 2 * (wedges + 2 * np.concatenate(pairs))
+    four_cycles = _four_cycles(trace4, _per_graph_sums(deg, firsts), wedges)
+    return _halved(np.concatenate(closed3)), four_cycles
+
+
+def four_cycle_count(g: Graph) -> int:
+    """Number of simple 4-cycle subgraphs (see :func:`_four_cycles`)."""
+    return four_cycle_counts([g])[0]
 
 
 def four_cycle_counts(graphs) -> list[int]:
-    """:func:`four_cycle_count` of every graph of the batch ``graphs``,
-    from one ``A @ A`` per run of graphs, cut back into each graph's
-    ``trace(A^4)``."""
-    if not graphs:
-        return []
-    trace4, degs = [], []
-    for indptr, indices, firsts in _runs(graphs):
-        a = _adjacency(indptr, indices)
-        a2 = _checked_matmul(a, a)
-        squares = np.concatenate([[0], np.cumsum(a2.data * a2.data)])
-        trace4.append(np.diff(squares[a2.indptr[firsts]]))
-        degs.append(np.diff(indptr))
-    deg = np.concatenate(degs).astype(np.int64)
-    firsts = np.cumsum([0] + [g.n for g in graphs])
-    return _four_cycles(np.concatenate(trace4).tolist(), _per_graph_sums(deg, firsts).tolist(),
-                        _per_graph_sums(deg * (deg - 1) // 2, firsts).tolist())
+    """:func:`four_cycle_count` of every graph of the batch ``graphs``."""
+    return cycle_counts(graphs)[1]

@@ -197,14 +197,18 @@ class TestCount:
         assert doc["four_cycles"] == 1
         assert doc["triangles"] == 0
 
-    def test_one_product_per_count(self, tmp_path, capsys, monkeypatch):
-        # triangles and 4-cycles share one A @ A
-        real, calls = walks._checked_matmul, []
-        monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: calls.append(1) or real(a, b))
+    def test_one_wedge_sort_per_count(self, tmp_path, capsys, monkeypatch):
+        # triangles and 4-cycles share one sort of wedge keys and form no
+        # sparse product
+        real, sorts, products = walks._sorted_wedges, [], []
+        monkeypatch.setattr(walks, "_sorted_wedges",
+                            lambda indptr, indices: sorts.append(1) or real(indptr, indices))
+        monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: products.append(1))
         path = _graph_file(tmp_path, complete_graph(5), "k5.txt")
         assert main(["count", path]) == 0
-        assert json.loads(capsys.readouterr().out)["four_cycles"] == 15
-        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["triangles"], doc["four_cycles"]) == (10, 15)
+        assert (len(sorts), len(products)) == (1, 0)
 
     @pytest.mark.parametrize("case", COUNT_FAILURES)
     def test_failure(self, tmp_path, capsys, case):
@@ -625,14 +629,18 @@ class TestModuleInvocation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("command", ["wl", "demo-wl-gap", "gen-triangles"])
+    @pytest.mark.parametrize("command", ["wl", "demo-wl-gap", "gen-triangles", "count",
+                                         "gen-four-cycles"])
     def test_commands_without_sparse_matrices_leave_scipy_unloaded(self, tmp_path, command):
         # C6 against two triangles reaches the per-node triangle count
         c6 = _graph_file(tmp_path, cycle_graph(6), "c6.txt")
+        gen = ["gen", "--graphs", "3", "--nodes", "8", "--prob", "0.5",
+               "--out", str(tmp_path / "d.jsonl"), "--target"]
         argv = {"wl": ["wl", c6, _c3(tmp_path)],
                 "demo-wl-gap": ["demo-wl-gap"],
-                "gen-triangles": ["gen", "--graphs", "3", "--nodes", "8", "--prob", "0.5",
-                                  "--target", "triangles", "--out", str(tmp_path / "d.jsonl")],
+                "gen-triangles": [*gen, "triangles"],
+                "count": ["count", _graph_file(tmp_path, complete_graph(5), "k5.txt")],
+                "gen-four-cycles": [*gen, "four-cycles"],
                 }[command]
         code = ("import sys; from walklab.cli import main; code = main(sys.argv[1:]); "
                 "print(code, 'scipy.sparse' in sys.modules, file=sys.stderr)")

@@ -395,7 +395,7 @@ class TestWorkerPool:
         real_map = ex._map_groups
         built = []
 
-        def uncounted(g, m, square=None):
+        def uncounted(g, m):
             raise RuntimeError(f"closed {m}-walks counted after the stores were built")
 
         def inspecting_map(groups, workers):

@@ -35,7 +35,7 @@ def _closed_walks(item, m):
     return ops.closed_walk_diag(m).reshape(ops.shape)[item.row]
 
 
-def _uncounted(g, m, square=None):
+def _uncounted(g, m):
     raise RuntimeError(f"closed {m}-walks counted after the store was built")
 
 

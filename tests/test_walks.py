@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from walklab import walks
 from walklab.errors import (CapacityError, CountOverflowError, InputError,
                             InvariantViolation)
-from walklab.graphs import cycle_graph, degrees, disjoint_union, erdos_renyi, from_edge_list
-from walklab.walks import (adjacency_csr, adjacency_square, diag_closed_walks,
-                           four_cycle_count, triangle_counts_per_node, triangle_total)
+from walklab.graphs import (RUN_SIZE, cycle_graph, degrees, disjoint_union, erdos_renyi,
+                            from_edge_list)
+from walklab.walks import (adjacency_csr, diag_closed_walks, four_cycle_count,
+                           triangle_counts_per_node, triangle_total)
 
 from oracles import (complete_graph, count_simple_cycles_brute, count_walks_recursive,
                      four_cycles_by_codegree, path_graph, relabel, triangles_at_node_brute,
@@ -106,12 +107,18 @@ class TestClosedWalks:
         assert triangle_total(disjoint_union(complete_graph(3), complete_graph(3))) == 2
 
 
+def _dense_closed_three_walks(g):
+    # product-independent oracle: the diagonal of the dense A @ A @ A
+    a = adjacency_csr(g).toarray()
+    return np.diag(a @ a @ a)
+
+
 def _assert_edge_count_matches(g):
-    # without a square, diag(A^3) is counted edge by edge on the CSR arrays
+    # diag(A^3) is counted edge by edge on the CSR arrays
     got = diag_closed_walks(g, 3)
     assert got.dtype == np.int64
     assert got.tolist() == [2 * t for t in triangles_per_node_by_intersection(g)]
-    assert np.array_equal(got, diag_closed_walks(g, 3, adjacency_square(g)))
+    assert np.array_equal(got, _dense_closed_three_walks(g))
     assert np.array_equal(triangle_counts_per_node(g), got // 2)
 
 
@@ -206,9 +213,16 @@ class TestLargeSparseGraphs:
 class TestInvariants:
     def test_odd_closed_three_walks(self, monkeypatch):
         monkeypatch.setattr(walks, "diag_closed_walks",
-                            lambda g, m, square=None: np.array([1, 2, 2], dtype=np.int64))
+                            lambda g, m: np.array([1, 2, 2], dtype=np.int64))
         with pytest.raises(InvariantViolation):
             triangle_counts_per_node(path_graph(3))
+
+    def test_four_cycle_remainder_not_a_multiple_of_eight(self, monkeypatch):
+        # C4's wedge keys are 2, 2, 7, 7: two pairs of wedges on one key, one
+        # 4-cycle; with a key lost, one pair is left, half a 4-cycle
+        monkeypatch.setattr(walks, "_sorted_wedges", lambda indptr, indices: np.array([2, 2, 7, 9]))
+        with pytest.raises(InvariantViolation, match="remainder 4 is not a nonnegative multiple"):
+            four_cycle_count(cycle_graph(4))
 
     def test_triangle_total_not_divisible_by_three(self):
         with pytest.raises(InvariantViolation):
@@ -249,12 +263,12 @@ class TestBatches:
         for g in batch:
             assert walks.triangle_totals([g]) == [triangle_total(g)]
             assert walks.four_cycle_counts([g]) == [four_cycle_count(g)]
-            assert four_cycle_count(g) == four_cycle_count(g, adjacency_square(g))
-            assert (diag_closed_walks(g, 3).tolist()
-                    == diag_closed_walks(g, 3, adjacency_square(g)).tolist())
+            assert np.array_equal(diag_closed_walks(g, 3), _dense_closed_three_walks(g))
 
     def test_empty_batch(self):
         assert walks.closed_three_walks([]).tolist() == []
+        per_node, four_cycles = walks.cycle_counts([])
+        assert (per_node.tolist(), four_cycles) == ([], [])
         assert walks.triangles_per_node([]).tolist() == []
         assert walks.triangle_totals([]) == []
         assert walks.four_cycle_counts([]) == []
@@ -273,3 +287,57 @@ class TestBatches:
                 count(batch)
             with pytest.raises(CapacityError, match="needs 150 multiply-adds"):
                 count([complete_graph(6)])
+
+
+def _assert_wedge_counts_match(g):
+    per_node, (four_cycles,) = walks.cycle_counts([g])
+    assert per_node.dtype == np.int64
+    assert per_node.tolist() == triangles_per_node_by_intersection(g)
+    assert four_cycles == four_cycles_by_codegree(g)
+    if g.n <= 16:
+        assert four_cycles == count_simple_cycles_brute(g, 4)
+
+
+class TestWedgePass:
+    """``cycle_counts``: per-node triangles and 4-cycles from one sort of
+    each run's wedge keys."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, n, p, seed):
+        _assert_wedge_counts_match(erdos_renyi(n, p, seed))
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(1), complete_graph(2), complete_graph(5), complete_graph(12),
+        complete_graph(30), from_edge_list(6, []), _star_at(9, 0), _star_at(9, 4),
+        _star_at(40, 39), cycle_graph(4), path_graph(5),
+        disjoint_union(from_edge_list(3, []), erdos_renyi(14, 0.4, 5), from_edge_list(1, [])),
+        disjoint_union(erdos_renyi(30, 0.15, 9), from_edge_list(4, [])),
+        sparse_er(2000, 6, 11),
+    ], ids=["one-node", "K2", "K5", "K12", "K30", "edgeless", "star-first", "star-middle",
+            "star-last", "C4", "path", "isolated-nodes", "sparse-and-isolated", "sparse-2000"])
+    def test_named_graphs(self, g):
+        _assert_wedge_counts_match(g)
+
+    def test_batch_over_several_runs_matches_each_graph_alone(self):
+        rng = np.random.default_rng(43)
+        batch = [erdos_renyi(int(rng.integers(1, 60)), float(rng.uniform(0.0, 0.5)),
+                             int(rng.integers(1 << 30))) for _ in range(500)]
+        batch += [complete_graph(1), from_edge_list(7, []), complete_graph(20)]
+        runs = list(walks._runs(batch))
+        assert len(runs) >= 3 and all(indptr.size - 1 <= RUN_SIZE for indptr, _, _ in runs)
+        per_node, four_cycles = walks.cycle_counts(batch)
+        alone = [walks.cycle_counts([g]) for g in batch]
+        assert per_node.tolist() == [t for ts, _ in alone for t in ts.tolist()]
+        assert four_cycles == [f for _, (f,) in alone]
+        assert four_cycles == [four_cycles_by_codegree(g) for g in batch]
+
+    def test_work_limit(self, monkeypatch):
+        # a graph exactly at MAX_PRODUCT_WORK is counted, one past it refused
+        g = sparse_er(300, 8, 5)
+        work = sum(d * d for d in degrees(g))
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work)
+        assert walks.cycle_counts([g])[1] == [four_cycles_by_codegree(g)]
+        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work - 1)
+        with pytest.raises(CapacityError, match=f"needs {work} multiply-adds"):
+            walks.cycle_counts([g])
