@@ -1,20 +1,18 @@
 """Exact walk counting on unweighted graphs.
 
-Everything here is integer-exact. The diagonal of ``A^k`` counts closed
-k-walks, and two closed-form reductions turn them into subgraph counts:
-each node's triangles are half its closed 3-walks, and the 4-node simple
-cycles fall out of ``trace(A^4)`` once the degenerate closed 4-walks
-(edge back-and-forths, 2-paths walked both ways) are removed.
+Every count here is an exact integer. The diagonal of ``A^k`` counts
+closed k-walks, and two closed-form reductions turn them into subgraph
+counts: each node's triangles are half its closed 3-walks, and the 4-node
+simple cycles fall out of ``trace(A^4)`` once the degenerate closed
+4-walks (edge back-and-forths, 2-paths walked both ways) are removed.
 
-Triangles and 4-cycles need only the co-degrees ``A^2[u, w]`` (common
-neighbours), read from the CSR arrays with no product formed. Triangles
-per node, ``rowsum(A * A^2) / 2``, are counted edge by edge (the
-"forward" count of Schank and Wagner 2005). Where 4-cycles are needed,
-every wedge u - v - w with u < w becomes the key ``u * n + w`` and the
-keys are sorted once: a key's run is the co-degree c_uw, ``trace(A^4) =
-sum_v d_v^2 + 2 * sum c_uw^2``, and an edge's co-degree is its triangle
-count (Chiba and Nishizeki 1985). Both passes are bounded by
-``sum_v d_v^2``; see :data:`MAX_PRODUCT_WORK`.
+Both need only the co-degrees ``A^2[u, w]``. On a sparse graph no product
+is formed: ``diag(A^3)`` is counted edge by edge on the CSR arrays (the
+"forward" count of Schank and Wagner 2005), and the keys ``u * n + w`` of
+the wedges u - v - w (u < w) are sorted once, a key's run being c_uw, so
+``trace(A^4) = sum_v d_v^2 + 2 * sum c_uw^2`` (Chiba and Nishizeki 1985).
+A dense graph forms a float32 ``A @ A`` with BLAS instead. All of it is
+bounded by ``sum_v d_v^2``; see :data:`MAX_PRODUCT_WORK`.
 
 Longer closed walks are int64 CSR products: as ``A`` is symmetric, the
 closed m-walks of node v are the row sums of ``A^floor(m/2) *
@@ -41,14 +39,15 @@ if TYPE_CHECKING:
 
 _INT64_MAX = 2**63 - 1
 
-# Capacity limit on one sparse product X @ Y, counted as multiply-adds:
-# the sum over the stored entries (i, k) of X of the entries in row k of
-# Y. For A @ A that is sum_v d_v^2, which also bounds the wedges (half of
-# it) and the edge-by-edge candidates (a quarter). At the limit the wedge
-# sort peaks at about 210 MB (tracemalloc, ER graph with n = 272 000 and
-# 1.36 * 10**7 wedges). ER graphs with n = 10**5 and average degree 10
-# have sum_v d_v^2 of about 1.1 * 10**7 and fit.
+# Capacity limit on one sparse product X @ Y, counted as multiply-adds: the
+# sum over the stored entries (i, k) of X of the entries in row k of Y. For
+# A @ A that is sum_v d_v^2, which also bounds the wedges (half of it) and the
+# edge-by-edge candidates (a quarter). At the limit (tracemalloc; ER graphs, a
+# star, K_2,m, K_4,m) the wedge sort peaks at 218 MB (ER, n = 272 000: int64
+# keys; K_2,3870: 143 MB), the edge count at 209 MB, a dense square at 44 MB.
+# ER graphs with n = 10**5 and average degree 10 (sum_v d_v^2 ~ 1.1e7) fit.
 MAX_PRODUCT_WORK = 3 * 10**7
+_BLAS_PER_WEDGE = 1000  # see _dense_square
 
 
 def adjacency_csr(g: Graph) -> sparse.csr_array:
@@ -95,16 +94,29 @@ def _per_graph_sums(values: np.ndarray, firsts) -> np.ndarray:
     return np.add.reduceat(values, firsts[:-1])
 
 
+def _dense_square(indptr: np.ndarray, indices: np.ndarray):
+    """``A`` and ``A @ A`` of CSR arrays as float32 arrays where BLAS is
+    faster, else None: it takes about 10 ps a multiply-add, the sparse passes
+    20-40 ns a wedge (2-core x86 host), so n^3 must stay below
+    ``_BLAS_PER_WEDGE`` times the wedges. It is exact: n < 2467 at
+    :data:`MAX_PRODUCT_WORK`, so every sum in it stays below n^2 < 2**24."""
+    n = indptr.size - 1
+    deg = np.diff(indptr).astype(np.int64)
+    if n ** 3 >= _BLAS_PER_WEDGE * int((deg * (deg - 1)).sum() // 2):
+        return None
+    a = np.zeros((n, n), dtype=np.float32)
+    a[np.repeat(np.arange(n), deg), indices] = 1
+    return a, a @ a
+
+
 def _runs(graphs):
     """The batch ``graphs`` cut into runs of graphs counted together: for
     each run, its :func:`~walklab.graphs.concat_csr` arrays and its graphs'
-    first nodes followed by its node count.
-
-    Each graph's own ``sum_v d_v^2`` is held to :data:`MAX_PRODUCT_WORK`
-    first, so a batch refuses what its graphs alone are refused. The runs
-    are cut by :func:`~walklab.graphs.batch_runs` on each graph's nodes
-    plus ``sum_v d_v^2``, which bounds a run's wedges and candidates, and
-    at most :data:`MAX_PRODUCT_WORK`: a run past either is a single graph."""
+    first nodes followed by its node count. Each graph's own ``sum_v
+    d_v^2`` is held to :data:`MAX_PRODUCT_WORK` first, so a batch refuses
+    what its graphs alone are refused; :func:`~walklab.graphs.batch_runs`
+    cuts the runs on each graph's nodes plus ``sum_v d_v^2``, which bounds
+    a run's wedges and candidates, and at most :data:`MAX_PRODUCT_WORK`."""
     sizes = [g.n for g in graphs]
     firsts = np.cumsum([0] + sizes)
     deg = np.concatenate([np.diff(g.indptr) for g in graphs])
@@ -117,15 +129,16 @@ def _runs(graphs):
 
 def _closed_three_walks(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """``diag(A^3)`` as int64, counted on CSR arrays (of one graph or of a
-    run of graphs laid one after another).
-
-    Each triangle a < b < c is found once, from its edge (a, b) and a
-    neighbour c > b of b: one binary search of the sorted keys
-    ``a * n + b`` of the edges (a < b) tests the edge (a, c). A node's
-    closed 3-walks are twice its triangles. The candidates, paths
-    a - b - c, number at most ``sum_v d_v^2 / 4``, which :func:`_runs`
-    holds to :data:`MAX_PRODUCT_WORK` like ``A @ A``; the count needs no
+    run of graphs laid one after another). Each triangle a < b < c is found
+    once, from its edge (a, b) and a neighbour c > b of b: one binary
+    search of the sorted keys ``a * n + b`` of the edges (a < b) tests the
+    edge (a, c). A node's closed 3-walks are twice its triangles. The
+    candidates, paths a - b - c, number at most ``sum_v d_v^2 / 4``, which
+    :func:`_runs` holds to :data:`MAX_PRODUCT_WORK`; the count needs no
     overflow check: no entry passes ``max_v d_v^2``."""
+    dense = _dense_square(indptr, indices)
+    if dense:  # the row sums of A * A^2
+        return np.multiply(*dense, out=dense[1]).sum(axis=1, dtype=np.float64).astype(np.int64)
     n = indptr.size - 1
     deg = np.diff(indptr).astype(np.int64)
     row = np.repeat(np.arange(n), deg)
@@ -154,8 +167,7 @@ def _closed_three_walks(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def closed_three_walks(graphs) -> np.ndarray:
     """``diag(A^3)`` of every node of the batch ``graphs``, one graph after
-    another, counted edge by edge over each run's concatenated arrays with
-    no product formed."""
+    another, from one :func:`_closed_three_walks` per run."""
     if not graphs:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate([_closed_three_walks(indptr, indices)
@@ -167,8 +179,7 @@ def diag_closed_walks(g: Graph, m: int) -> np.ndarray:
 
     Computed as ``rowsum(A^floor(m/2) * A^ceil(m/2))``, which equals the
     diagonal of ``A^m`` because ``A`` is symmetric. m = 3 is
-    :func:`closed_three_walks` of a batch of one, twice each node's
-    triangles, and forms no product.
+    :func:`closed_three_walks` of a batch of one and forms no CSR product.
     """
     if m < 1:
         raise InputError(f"walk length must be >= 1, got {m}")
@@ -198,8 +209,7 @@ def triangle_counts_per_node(g: Graph) -> np.ndarray:
 
 def triangles_per_node(graphs) -> np.ndarray:
     """:func:`triangle_counts_per_node` of every node of the batch
-    ``graphs``, one graph after another, from one
-    :func:`closed_three_walks`."""
+    ``graphs``, one graph after another."""
     return _halved(closed_three_walks(graphs))
 
 
@@ -214,11 +224,8 @@ def _triangle_totals(totals: list[int]) -> list[int]:
 
 
 def triangle_total(g: Graph, per_node: np.ndarray | None = None) -> int:
-    """Number of triangle subgraphs; each is seen from its three nodes.
-
-    Pass ``per_node`` (from :func:`triangle_counts_per_node`) when it is
-    already at hand, so it is not computed again.
-    """
+    """Number of triangle subgraphs, each seen from its three nodes. Pass
+    ``per_node`` (:func:`triangle_counts_per_node` of ``g``) if at hand."""
     if per_node is None:
         per_node = triangle_counts_per_node(g)
     return _triangle_totals([int(per_node.sum())])[0]
@@ -250,12 +257,10 @@ def _four_cycles(trace4: np.ndarray, degree_sums: np.ndarray, paths2: np.ndarray
 
 def _sorted_wedges(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """The sorted keys ``u * n + w`` of every wedge u - v - w (u < w) on
-    CSR arrays (of one graph or of a run): key u, w appears ``A^2[u, w]``
-    times. A row lists its neighbours in increasing order, so each entry u
-    of row v makes a wedge with every later entry w of the row. Wedges
-    number ``sum_v C(d_v, 2)``, below :data:`MAX_PRODUCT_WORK`, so their
-    positions are int32, and so are the keys while ``n * n`` fits; at most
-    12 bytes a wedge are alive at once (int64 keys)."""
+    CSR arrays: key u, w appears ``A^2[u, w]`` times. Each entry u of a
+    row (in increasing order) makes a wedge with every later entry w. The
+    ``sum_v C(d_v, 2)`` wedges stay below :data:`MAX_PRODUCT_WORK`, so
+    their positions are int32, and so are the keys while ``n * n`` fits."""
     n = indptr.size - 1
     after = np.arange(1, indices.size + 1, dtype=np.int32)  # each entry's next position
     count = np.repeat(indptr[1:], np.diff(indptr)) - after  # later entries in its row
@@ -271,42 +276,31 @@ def _sorted_wedges(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return keys
 
 
-def cycle_counts(graphs) -> tuple[np.ndarray, list[int]]:
-    """:func:`triangle_counts_per_node` of every node and
-    :func:`four_cycle_count` of every graph of the batch ``graphs``, from
-    one :func:`_sorted_wedges` per run. ``sum c_uw^2`` is the wedges plus
-    twice the pairs of wedges on one key; a node's closed 3-walks are its
-    edges' co-degrees summed."""
-    if not graphs:
-        return np.zeros(0, dtype=np.int64), []
-    closed3, pairs = [], []
-    for indptr, indices, firsts in _runs(graphs):
-        n = indptr.size - 1
-        keys = _sorted_wedges(indptr, indices)
-        repeats = np.flatnonzero(keys[1:] == keys[:-1])  # wedges after the first of a key, less one
-        starts = np.flatnonzero(np.diff(repeats, prepend=-2) != 1)
-        more = np.diff(starts, append=repeats.size)  # c_uw - 1 of each key with c_uw > 1
-        # graph i's keys are those from firsts[i] * n up to firsts[i + 1] * n
-        cuts = np.searchsorted(repeats[starts],
-                               np.searchsorted(keys, (firsts * n).astype(keys.dtype)))
-        pairs.append(np.diff(np.concatenate([[0], np.cumsum(more * (more + 1) // 2)])[cuts]))
-        row = np.repeat(np.arange(n), np.diff(indptr))
-        forward = row < indices
-        a, b = row[forward], indices[forward]
-        edges = (a * n + b).astype(keys.dtype)
-        # most edges close no wedge: only those that do are searched again
-        found = np.searchsorted(keys, edges)
-        closing = (np.flatnonzero(keys[np.minimum(found, keys.size - 1)] == edges)
-                   if keys.size else found[:0])
-        codegree = np.searchsorted(keys, edges[closing], side="right") - found[closing]
-        # float64 sums are exact: they stay below the wedges, far below 2**53
-        closed3.append(sum(np.bincount(e[closing], codegree, n) for e in (a, b)).astype(np.int64))
-    firsts = np.cumsum([0] + [g.n for g in graphs])
-    deg = np.concatenate([np.diff(g.indptr) for g in graphs]).astype(np.int64)
-    wedges = _per_graph_sums(deg * (deg - 1) // 2, firsts)
-    trace4 = _per_graph_sums(deg * deg, firsts) + 2 * (wedges + 2 * np.concatenate(pairs))
-    four_cycles = _four_cycles(trace4, _per_graph_sums(deg, firsts), wedges)
-    return _halved(np.concatenate(closed3)), four_cycles
+def _trace4(indptr: np.ndarray, indices: np.ndarray, firsts) -> np.ndarray:
+    """``trace(A^4)`` of each graph of a run: ``sum_v d_v^2 + 2 * sum
+    c_uw^2`` from one :func:`_sorted_wedges`, or the sum of the squared
+    entries of a :func:`_dense_square`. ``sum c_uw^2`` is the wedges plus
+    twice the pairs of wedges on one key."""
+    dense = _dense_square(indptr, indices)
+    if dense:
+        rows = np.square(dense[1], out=dense[1]).sum(axis=1, dtype=np.float64)
+        return _per_graph_sums(rows.astype(np.int64), firsts)
+    keys = _sorted_wedges(indptr, indices)
+    # graph i's wedges start at bounds[i], its keys at firsts[i] * n
+    bounds = np.searchsorted(keys, (firsts * (indptr.size - 1)).astype(keys.dtype))
+    step = np.diff(np.concatenate([[False], keys[1:] == keys[:-1], [False]]).view(np.int8))
+    del keys
+    # a key with c_uw > 1 spans the wedges from a step up to a step down;
+    # graph i's first such key is cuts[i]
+    starts = np.flatnonzero(step == 1)
+    cuts = np.searchsorted(starts, bounds)
+    more = np.flatnonzero(step == -1)
+    more -= starts  # c_uw - 1
+    del starts, step
+    more *= more + 1  # twice the pairs of wedges on the key
+    pairs = np.concatenate([[0], np.cumsum(more, out=more)])[cuts]
+    deg = np.diff(indptr).astype(np.int64)
+    return _per_graph_sums(deg * (2 * deg - 1), firsts) + 2 * np.diff(pairs)
 
 
 def four_cycle_count(g: Graph) -> int:
@@ -315,5 +309,12 @@ def four_cycle_count(g: Graph) -> int:
 
 
 def four_cycle_counts(graphs) -> list[int]:
-    """:func:`four_cycle_count` of every graph of the batch ``graphs``."""
-    return cycle_counts(graphs)[1]
+    """:func:`four_cycle_count` of every graph of the batch ``graphs``,
+    from one :func:`_trace4` per run."""
+    if not graphs:
+        return []
+    trace4 = np.concatenate([_trace4(*run) for run in _runs(graphs)])
+    firsts = np.cumsum([0] + [g.n for g in graphs])
+    deg = np.concatenate([np.diff(g.indptr) for g in graphs]).astype(np.int64)
+    return _four_cycles(trace4, _per_graph_sums(deg, firsts),
+                        _per_graph_sums(deg * (deg - 1) // 2, firsts))

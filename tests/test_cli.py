@@ -13,7 +13,8 @@ import pytest
 from walklab import cli, experiments, walks, wl
 from walklab.cli import main
 from walklab.errors import CapacityError, InputError
-from walklab.graphs import MAX_ER_NODES, MAX_NODES, cycle_graph, disjoint_union, erdos_renyi
+from walklab.graphs import (MAX_ER_NODES, MAX_NODES, cycle_graph, disjoint_union, erdos_renyi,
+                            from_edge_list)
 
 from oracles import (caterpillar, complete_graph, cubic_graphs_on_8_nodes, path_graph,
                      random_cubic, relabel, write_edge_list)
@@ -198,17 +199,19 @@ class TestCount:
         assert doc["triangles"] == 0
 
     def test_one_wedge_sort_per_count(self, tmp_path, capsys, monkeypatch):
-        # triangles and 4-cycles share one sort of wedge keys and form no
-        # sparse product
+        # a sparse graph's 4-cycles come from one sort of wedge keys, a dense
+        # graph's from a dense square; neither forms a sparse product
         real, sorts, products = walks._sorted_wedges, [], []
         monkeypatch.setattr(walks, "_sorted_wedges",
                             lambda indptr, indices: sorts.append(1) or real(indptr, indices))
         monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: products.append(1))
-        path = _graph_file(tmp_path, complete_graph(5), "k5.txt")
-        assert main(["count", path]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert (doc["triangles"], doc["four_cycles"]) == (10, 15)
-        assert (len(sorts), len(products)) == (1, 0)
+        k4_and_isolated = disjoint_union(complete_graph(4), from_edge_list(36, []))
+        for g, counts, wedge_sorts in ((k4_and_isolated, (4, 3), 1), (complete_graph(5), (10, 15), 0)):
+            sorts.clear()
+            assert main(["count", _graph_file(tmp_path, g, "g.txt")]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["triangles"], doc["four_cycles"]) == counts
+            assert (len(sorts), len(products)) == (wedge_sorts, 0)
 
     @pytest.mark.parametrize("case", COUNT_FAILURES)
     def test_failure(self, tmp_path, capsys, case):

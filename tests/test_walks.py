@@ -113,13 +113,23 @@ def _dense_closed_three_walks(g):
     return np.diag(a @ a @ a)
 
 
+def _on_each_path():
+    """Yield twice: with every count on the sparse passes (edge by edge,
+    wedge keys), then on a dense float32 square whatever the graph."""
+    for path, factor in (("sparse", 0), ("dense", 10**12)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "_BLAS_PER_WEDGE", factor)
+            yield path
+
+
 def _assert_edge_count_matches(g):
-    # diag(A^3) is counted edge by edge on the CSR arrays
-    got = diag_closed_walks(g, 3)
-    assert got.dtype == np.int64
-    assert got.tolist() == [2 * t for t in triangles_per_node_by_intersection(g)]
-    assert np.array_equal(got, _dense_closed_three_walks(g))
-    assert np.array_equal(triangle_counts_per_node(g), got // 2)
+    # diag(A^3) is counted edge by edge on the CSR arrays, or on A * A^2
+    for _ in _on_each_path():
+        got = diag_closed_walks(g, 3)
+        assert got.dtype == np.int64
+        assert got.tolist() == [2 * t for t in triangles_per_node_by_intersection(g)]
+        assert np.array_equal(got, _dense_closed_three_walks(g))
+        assert np.array_equal(triangle_counts_per_node(g), got // 2)
 
 
 def _star_at(n, centre):
@@ -220,8 +230,17 @@ class TestInvariants:
     def test_four_cycle_remainder_not_a_multiple_of_eight(self, monkeypatch):
         # C4's wedge keys are 2, 2, 7, 7: two pairs of wedges on one key, one
         # 4-cycle; with a key lost, one pair is left, half a 4-cycle
+        monkeypatch.setattr(walks, "_BLAS_PER_WEDGE", 0)
         monkeypatch.setattr(walks, "_sorted_wedges", lambda indptr, indices: np.array([2, 2, 7, 9]))
         with pytest.raises(InvariantViolation, match="remainder 4 is not a nonnegative multiple"):
+            four_cycle_count(cycle_graph(4))
+
+    def test_four_cycle_remainder_negative_on_a_dense_square(self, monkeypatch):
+        # a square 2 * I makes trace(A^4) 16 where C4's 8 walks along its
+        # edges and 16 over its 2-paths already need 24
+        monkeypatch.setattr(walks, "_dense_square",
+                            lambda indptr, indices: (None, 2 * np.eye(4, dtype=np.float32)))
+        with pytest.raises(InvariantViolation, match="remainder -8 is not a nonnegative multiple"):
             four_cycle_count(cycle_graph(4))
 
     def test_triangle_total_not_divisible_by_three(self):
@@ -267,8 +286,6 @@ class TestBatches:
 
     def test_empty_batch(self):
         assert walks.closed_three_walks([]).tolist() == []
-        per_node, four_cycles = walks.cycle_counts([])
-        assert (per_node.tolist(), four_cycles) == ([], [])
         assert walks.triangles_per_node([]).tolist() == []
         assert walks.triangle_totals([]) == []
         assert walks.four_cycle_counts([]) == []
@@ -290,17 +307,19 @@ class TestBatches:
 
 
 def _assert_wedge_counts_match(g):
-    per_node, (four_cycles,) = walks.cycle_counts([g])
-    assert per_node.dtype == np.int64
-    assert per_node.tolist() == triangles_per_node_by_intersection(g)
-    assert four_cycles == four_cycles_by_codegree(g)
-    if g.n <= 16:
-        assert four_cycles == count_simple_cycles_brute(g, 4)
+    for _ in _on_each_path():
+        per_node = triangle_counts_per_node(g)
+        assert per_node.dtype == np.int64
+        assert per_node.tolist() == triangles_per_node_by_intersection(g)
+        four_cycles = four_cycle_count(g)
+        assert four_cycles == four_cycles_by_codegree(g)
+        if g.n <= 16:
+            assert four_cycles == count_simple_cycles_brute(g, 4)
 
 
 class TestWedgePass:
-    """``cycle_counts``: per-node triangles and 4-cycles from one sort of
-    each run's wedge keys."""
+    """4-cycles from one sort of each run's wedge keys, or from a dense
+    square where BLAS is faster, and triangles beside them."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
@@ -326,18 +345,30 @@ class TestWedgePass:
         batch += [complete_graph(1), from_edge_list(7, []), complete_graph(20)]
         runs = list(walks._runs(batch))
         assert len(runs) >= 3 and all(indptr.size - 1 <= RUN_SIZE for indptr, _, _ in runs)
-        per_node, four_cycles = walks.cycle_counts(batch)
-        alone = [walks.cycle_counts([g]) for g in batch]
-        assert per_node.tolist() == [t for ts, _ in alone for t in ts.tolist()]
-        assert four_cycles == [f for _, (f,) in alone]
-        assert four_cycles == [four_cycles_by_codegree(g) for g in batch]
+        want = [four_cycles_by_codegree(g) for g in batch]
+        for _ in _on_each_path():
+            four_cycles = walks.four_cycle_counts(batch)
+            assert four_cycles == [four_cycle_count(g) for g in batch] == want
+            assert walks.triangles_per_node(batch).tolist() == [
+                t for g in batch for t in triangle_counts_per_node(g).tolist()]
 
     def test_work_limit(self, monkeypatch):
         # a graph exactly at MAX_PRODUCT_WORK is counted, one past it refused
         g = sparse_er(300, 8, 5)
         work = sum(d * d for d in degrees(g))
-        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work)
-        assert walks.cycle_counts([g])[1] == [four_cycles_by_codegree(g)]
-        monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work - 1)
-        with pytest.raises(CapacityError, match=f"needs {work} multiply-adds"):
-            walks.cycle_counts([g])
+        for _ in _on_each_path():
+            monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work)
+            assert walks.four_cycle_counts([g]) == [four_cycles_by_codegree(g)]
+            monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", work - 1)
+            for count in (walks.four_cycle_counts, walks.triangles_per_node):
+                with pytest.raises(CapacityError, match=f"needs {work} multiply-adds"):
+                    count([g])
+
+    def test_the_faster_path_is_chosen(self):
+        # perfbench's count-large graphs stay on the sparse passes; a dense
+        # graph, where the wedges outnumber the pairs, forms the square
+        g = sparse_er(300, 10, 1)
+        assert walks._dense_square(g.indptr, g.indices) is None
+        k30 = complete_graph(30)
+        a, a2 = walks._dense_square(k30.indptr, k30.indices)
+        assert a2.dtype == np.float32 and (a2 == 28 + np.eye(30, dtype=np.float32)).all()
