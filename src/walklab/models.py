@@ -190,7 +190,7 @@ class GraphOperators:
 
     A store is built from its graphs. It holds each graph's own CSR arrays
     (:attr:`blocks`), its inverse degrees and each closed-walk diagonal:
-    the closed 3-walks counted edge by edge over the store's graphs as one
+    the closed 3-walks from the wedge passes over the store's graphs as one
     batch, longer walks per graph, never on the stack, whose product's
     overflow bound would grow with its node count. :meth:`gather` makes
     the stack of some of its rows, which holds no graphs: it takes the

@@ -6,13 +6,13 @@ counts: each node's triangles are half its closed 3-walks, and the 4-node
 simple cycles fall out of ``trace(A^4)`` once the degenerate closed
 4-walks (edge back-and-forths, 2-paths walked both ways) are removed.
 
-Both need only the co-degrees ``A^2[u, w]``. On a sparse graph no product
-is formed: ``diag(A^3)`` is counted edge by edge on the CSR arrays (the
-"forward" count of Schank and Wagner 2005), and the keys ``u * n + w`` of
-the wedges u - v - w (u < w) are sorted once, a key's run being c_uw, so
-``trace(A^4) = sum_v d_v^2 + 2 * sum c_uw^2`` (Chiba and Nishizeki 1985).
-A dense graph forms a float32 ``A @ A`` with BLAS instead. All of it is
-bounded by ``sum_v d_v^2``; see :data:`MAX_PRODUCT_WORK`.
+Both need only the co-degrees ``c_uw = A^2[u, w]``, and one pass gives
+both. On a sparse graph no product is formed: the keys ``u * n + w`` of
+the wedges u - v - w (u < w) are sorted once, a key's run being c_uw
+(Chiba and Nishizeki 1985), so ``diag(A^3)_v = sum_{w in N(v)} c_vw``,
+read at the keys of the edges, and ``trace(A^4) = sum_v d_v^2 + 2 * sum
+c_uw^2``. A dense graph forms a float32 ``A @ A`` with BLAS instead. All
+of it is bounded by ``sum_v d_v^2``; see :data:`MAX_PRODUCT_WORK`.
 
 Longer closed walks are int64 CSR products: as ``A`` is symmetric, the
 closed m-walks of node v are the row sums of ``A^floor(m/2) *
@@ -41,13 +41,14 @@ _INT64_MAX = 2**63 - 1
 
 # Capacity limit on one sparse product X @ Y, counted as multiply-adds: the
 # sum over the stored entries (i, k) of X of the entries in row k of Y. For
-# A @ A that is sum_v d_v^2, which also bounds the wedges (half of it) and the
-# edge-by-edge candidates (a quarter). At the limit (tracemalloc; ER graphs, a
-# star, K_2,m, K_4,m) the wedge sort peaks at 218 MB (ER, n = 272 000: int64
-# keys; K_2,3870: 143 MB), the edge count at 209 MB, a dense square at 44 MB.
+# A @ A that is sum_v d_v^2, which also bounds the wedges (half of it). At
+# the limit (tracemalloc) the wedge pass peaks at 158 MB (ER, n = 272 000:
+# int64 keys), 150 MB (K_2,3870: two int64 offsets per repeated key) and
+# 90 MB (a star), a dense square at 46 MB (ER, n = 2400).
 # ER graphs with n = 10**5 and average degree 10 (sum_v d_v^2 ~ 1.1e7) fit.
 MAX_PRODUCT_WORK = 3 * 10**7
 _BLAS_PER_WEDGE = 1000  # see _dense_square
+_WEDGE_CHUNK = 2**18  # wedges whose keys are built at once, see _sorted_wedges
 
 
 def adjacency_csr(g: Graph) -> sparse.csr_array:
@@ -116,7 +117,7 @@ def _runs(graphs):
     d_v^2`` is held to :data:`MAX_PRODUCT_WORK` first, so a batch refuses
     what its graphs alone are refused; :func:`~walklab.graphs.batch_runs`
     cuts the runs on each graph's nodes plus ``sum_v d_v^2``, which bounds
-    a run's wedges and candidates, and at most :data:`MAX_PRODUCT_WORK`."""
+    a run's wedges, and at most :data:`MAX_PRODUCT_WORK`."""
     sizes = [g.n for g in graphs]
     firsts = np.cumsum([0] + sizes)
     deg = np.concatenate([np.diff(g.indptr) for g in graphs])
@@ -127,51 +128,97 @@ def _runs(graphs):
         yield *concat_csr(graphs[lo:hi]), firsts[lo:hi + 1] - firsts[lo]
 
 
-def _closed_three_walks(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """``diag(A^3)`` as int64, counted on CSR arrays (of one graph or of a
-    run of graphs laid one after another). Each triangle a < b < c is found
-    once, from its edge (a, b) and a neighbour c > b of b: one binary
-    search of the sorted keys ``a * n + b`` of the edges (a < b) tests the
-    edge (a, c). A node's closed 3-walks are twice its triangles. The
-    candidates, paths a - b - c, number at most ``sum_v d_v^2 / 4``, which
-    :func:`_runs` holds to :data:`MAX_PRODUCT_WORK`; the count needs no
-    overflow check: no entry passes ``max_v d_v^2``."""
-    dense = _dense_square(indptr, indices)
-    if dense:  # the row sums of A * A^2
-        return np.multiply(*dense, out=dense[1]).sum(axis=1, dtype=np.float64).astype(np.int64)
+def _sorted_wedges(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The sorted keys ``u * n + w`` of every wedge u - v - w (u < w) on
+    CSR arrays: key u, w appears ``A^2[u, w]`` times. Each entry u of a
+    row (in increasing order) makes a wedge with every later entry w. The
+    ``sum_v C(d_v, 2)`` wedges stay below :data:`MAX_PRODUCT_WORK`, so
+    their offsets are int32, and so are the keys while ``n * n`` fits; they
+    are built ``_WEDGE_CHUNK`` at a time, the keys the only wedge array."""
     n = indptr.size - 1
-    deg = np.diff(indptr).astype(np.int64)
-    row = np.repeat(np.arange(n), deg)
-    col = indices.astype(np.int64)
-    forward = row < col
-    a, b = row[forward], col[forward]
-    keys = a * n + b  # sorted: rows ascend and each row's ids increase
-    # a row's neighbours above its node follow those below it; they are
-    # the candidates c of the edges (a, b) that end at the row
-    above = indptr[:-1] + np.bincount(b, minlength=n)
-    count = (indptr[1:] - above)[b]
-    ends = np.cumsum(count)
-    pos = np.repeat(above[b] - ends + count, count)
-    pos += np.arange(pos.size)  # each candidate's entry in the CSR arrays
-    wanted = np.repeat(a * n, count)  # the key of the edge (a, c)
-    wanted += col[pos]
-    del pos
-    found = np.searchsorted(keys, wanted)
-    np.minimum(found, keys.size - 1, out=found)
-    found = np.flatnonzero(keys[found] == wanted)  # candidates that close a triangle
-    closing = wanted[found]
-    middle = b[np.searchsorted(ends, found, side="right")]
-    corners = (closing // n, middle, closing % n)
-    return 2 * sum(np.bincount(nodes, minlength=n) for nodes in corners)
+    count = np.repeat(indptr[1:].astype(np.int32), np.diff(indptr))
+    count -= np.arange(1, indices.size + 1, dtype=np.int32)  # later entries in its row
+    starts = np.concatenate([[0], np.cumsum(count)], dtype=np.int32)  # each entry's first wedge
+    keys = np.empty(starts[-1], dtype=np.int32 if n * n < 2**31 else np.int64)
+    cuts = [*np.searchsorted(starts, np.arange(0, keys.size, _WEDGE_CHUNK)).tolist(), indices.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        runs, first, last = count[lo:hi], int(starts[lo]), int(starts[hi])
+        # each wedge's entry w: its entry u's next, plus its place in u's run
+        pos = np.repeat(np.arange(lo + 1 + first, hi + 1 + first, dtype=np.int32) - starts[lo:hi],
+                        runs)
+        pos += np.arange(last - first, dtype=np.int32)
+        np.add(indices[pos], np.repeat(np.multiply(indices[lo:hi], n, dtype=keys.dtype), runs),
+               out=keys[first:last])
+    keys.sort()
+    return keys
+
+
+def _codegree_sums(keys: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``diag(A^3)``, node v's sum of c_vw over its neighbours w, from the
+    :func:`_sorted_wedges` ``keys`` of CSR arrays: the keys of the edges
+    (v < w) are searched once, again only where a wedge closes the edge."""
+    n = indptr.size - 1
+    if not keys.size:
+        return np.zeros(n, dtype=np.int64)
+    row = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    up = row < indices
+    row, col = row[up], indices[up]
+    wanted = row.astype(keys.dtype) * n + col
+    left = np.searchsorted(keys, wanted)
+    hit = np.flatnonzero(keys.take(left, mode="clip") == wanted)
+    codegree = np.searchsorted(keys, wanted[hit], side="right") - left[hit]
+    closed3 = np.bincount(row[hit], codegree, n) + np.bincount(col[hit], codegree, n)
+    return closed3.astype(np.int64)
+
+
+def _wedge_pass(indptr: np.ndarray, indices: np.ndarray, firsts, four_cycles: bool):
+    """``diag(A^3)`` of each node of a run and, for ``four_cycles``, each
+    graph's ``trace(A^4)`` less its degenerate walks (:func:`_four_cycles`),
+    from the co-degrees c_uw: the sums of c_vw over v's neighbours w, and
+    ``2 * sum c_uw (c_uw - 1)``, as ``trace(A^4) = sum_v d_v^2 + 2 * sum
+    c_uw^2``. They are the row sums of A * A^2 and of (A^2)^2 for a
+    :func:`_dense_square`; else c_uw is a key's run in :func:`_sorted_wedges`.
+    No count nears 2**63: ``sum c_uw^2`` is below the wedges times n."""
+    dense = _dense_square(indptr, indices)
+    if dense:
+        a, square = dense
+        deg = np.diff(indptr).astype(np.int64)
+        closed3 = np.multiply(a, square, out=a).sum(axis=1, dtype=np.float64)
+        rows4 = np.square(square, out=square).sum(axis=1, dtype=np.float64) - deg * (2 * deg - 1)
+        return closed3.astype(np.int64), _per_graph_sums(rows4.astype(np.int64), firsts)
+    keys = _sorted_wedges(indptr, indices)
+    closed3 = _codegree_sums(keys, indptr, indices)
+    if not four_cycles:
+        return closed3, None
+    # graph i's wedges start at bounds[i], its keys at firsts[i] * n
+    bounds = np.searchsorted(keys, (firsts * (indptr.size - 1)).astype(keys.dtype))
+    step = np.diff(np.concatenate([[False], keys[1:] == keys[:-1], [False]]).view(np.int8))
+    del keys
+    # a key with c_uw > 1 spans the wedges from a step up to a step down;
+    # graph i's first such key is cuts[i]
+    starts = np.flatnonzero(step == 1)
+    cuts = np.searchsorted(starts, bounds)
+    more = np.flatnonzero(step == -1)
+    more -= starts  # c_uw - 1
+    del starts, step
+    more *= more + 1  # c_uw (c_uw - 1)
+    pairs = np.concatenate([[0], np.cumsum(more, out=more)])[cuts]
+    return closed3, 2 * np.diff(pairs)
+
+
+def _wedge_passes(graphs, four_cycles: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_wedge_pass` of the batch ``graphs``, one per run: every
+    node's ``diag(A^3)`` and, for ``four_cycles``, every graph's closed
+    4-walks less the degenerate ones."""
+    if not graphs:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    closed3, cyclic4 = zip(*(_wedge_pass(*run, four_cycles) for run in _runs(graphs)))
+    return np.concatenate(closed3), np.concatenate(cyclic4) if four_cycles else None
 
 
 def closed_three_walks(graphs) -> np.ndarray:
-    """``diag(A^3)`` of every node of the batch ``graphs``, one graph after
-    another, from one :func:`_closed_three_walks` per run."""
-    if not graphs:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([_closed_three_walks(indptr, indices)
-                           for indptr, indices, _ in _runs(graphs)])
+    """``diag(A^3)`` of every node of the batch ``graphs``, in order."""
+    return _wedge_passes(graphs, four_cycles=False)[0]
 
 
 def diag_closed_walks(g: Graph, m: int) -> np.ndarray:
@@ -237,9 +284,9 @@ def triangle_totals(graphs) -> list[int]:
     return _triangle_totals(_per_graph_sums(triangles_per_node(graphs), firsts).tolist())
 
 
-def _four_cycles(trace4: np.ndarray, degree_sums: np.ndarray, paths2: np.ndarray) -> list[int]:
-    """Each graph's 4-cycles from its ``trace(A^4)``, its degree sum (twice
-    its edges) and its 2-paths ``sum_v C(d_v, 2)``.
+def _four_cycles(raw: np.ndarray) -> list[int]:
+    """Each graph's 4-cycles from its closed 4-walks less the degenerate
+    ones, ``trace(A^4) - sum_v d_v (2 d_v - 1)``.
 
     Closed 4-walks decompose into genuine 4-cycles (8 walks each: 4
     starts x 2 directions), edge back-and-forths (2 per edge), and
@@ -247,60 +294,11 @@ def _four_cycles(trace4: np.ndarray, degree_sums: np.ndarray, paths2: np.ndarray
 
         C4 = (trace(A^4) - 2 * edge_count - 4 * sum_v C(d_v, 2)) / 8.
     """
-    raw = trace4 - degree_sums - 4 * paths2
     bad = raw[(raw < 0) | (raw % 8 != 0)]
     if bad.size:
         raise InvariantViolation(
             f"closed 4-walk remainder {bad[0]} is not a nonnegative multiple of 8")
     return (raw // 8).tolist()
-
-
-def _sorted_wedges(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The sorted keys ``u * n + w`` of every wedge u - v - w (u < w) on
-    CSR arrays: key u, w appears ``A^2[u, w]`` times. Each entry u of a
-    row (in increasing order) makes a wedge with every later entry w. The
-    ``sum_v C(d_v, 2)`` wedges stay below :data:`MAX_PRODUCT_WORK`, so
-    their positions are int32, and so are the keys while ``n * n`` fits."""
-    n = indptr.size - 1
-    after = np.arange(1, indices.size + 1, dtype=np.int32)  # each entry's next position
-    count = np.repeat(indptr[1:], np.diff(indptr)) - after  # later entries in its row
-    pos = np.repeat((after + count - np.cumsum(count)).astype(np.int32), count)
-    pos += np.arange(pos.size, dtype=np.int32)  # each wedge's entry w
-    ends = indices[pos]
-    del pos
-    keys = np.repeat(np.multiply(indices, n, dtype=np.int32 if n * n < 2**31 else np.int64),
-                     count)
-    keys += ends
-    del ends
-    keys.sort()
-    return keys
-
-
-def _trace4(indptr: np.ndarray, indices: np.ndarray, firsts) -> np.ndarray:
-    """``trace(A^4)`` of each graph of a run: ``sum_v d_v^2 + 2 * sum
-    c_uw^2`` from one :func:`_sorted_wedges`, or the sum of the squared
-    entries of a :func:`_dense_square`. ``sum c_uw^2`` is the wedges plus
-    twice the pairs of wedges on one key."""
-    dense = _dense_square(indptr, indices)
-    if dense:
-        rows = np.square(dense[1], out=dense[1]).sum(axis=1, dtype=np.float64)
-        return _per_graph_sums(rows.astype(np.int64), firsts)
-    keys = _sorted_wedges(indptr, indices)
-    # graph i's wedges start at bounds[i], its keys at firsts[i] * n
-    bounds = np.searchsorted(keys, (firsts * (indptr.size - 1)).astype(keys.dtype))
-    step = np.diff(np.concatenate([[False], keys[1:] == keys[:-1], [False]]).view(np.int8))
-    del keys
-    # a key with c_uw > 1 spans the wedges from a step up to a step down;
-    # graph i's first such key is cuts[i]
-    starts = np.flatnonzero(step == 1)
-    cuts = np.searchsorted(starts, bounds)
-    more = np.flatnonzero(step == -1)
-    more -= starts  # c_uw - 1
-    del starts, step
-    more *= more + 1  # twice the pairs of wedges on the key
-    pairs = np.concatenate([[0], np.cumsum(more, out=more)])[cuts]
-    deg = np.diff(indptr).astype(np.int64)
-    return _per_graph_sums(deg * (2 * deg - 1), firsts) + 2 * np.diff(pairs)
 
 
 def four_cycle_count(g: Graph) -> int:
@@ -309,12 +307,12 @@ def four_cycle_count(g: Graph) -> int:
 
 
 def four_cycle_counts(graphs) -> list[int]:
-    """:func:`four_cycle_count` of every graph of the batch ``graphs``,
-    from one :func:`_trace4` per run."""
-    if not graphs:
-        return []
-    trace4 = np.concatenate([_trace4(*run) for run in _runs(graphs)])
-    firsts = np.cumsum([0] + [g.n for g in graphs])
-    deg = np.concatenate([np.diff(g.indptr) for g in graphs]).astype(np.int64)
-    return _four_cycles(trace4, _per_graph_sums(deg, firsts),
-                        _per_graph_sums(deg * (deg - 1) // 2, firsts))
+    """:func:`four_cycle_count` of every graph of the batch ``graphs``."""
+    return cycle_counts(graphs)[1]
+
+
+def cycle_counts(graphs) -> tuple[np.ndarray, list[int]]:
+    """:func:`triangles_per_node` and :func:`four_cycle_counts` of the
+    batch ``graphs``, from one pass over its wedges."""
+    closed3, cyclic4 = _wedge_passes(graphs)
+    return _halved(closed3), _four_cycles(cyclic4)

@@ -199,19 +199,30 @@ class TestCount:
         assert doc["triangles"] == 0
 
     def test_one_wedge_sort_per_count(self, tmp_path, capsys, monkeypatch):
-        # a sparse graph's 4-cycles come from one sort of wedge keys, a dense
-        # graph's from a dense square; neither forms a sparse product
-        real, sorts, products = walks._sorted_wedges, [], []
+        # a sparse graph's triangles and 4-cycles come from one sort of wedge
+        # keys, a dense graph's from one dense square; neither forms a
+        # sparse product
+        real_sort, real_square = walks._sorted_wedges, walks._dense_square
+        sorts, squares, products = [], [], []
+
+        def square(indptr, indices):
+            dense = real_square(indptr, indices)
+            squares.extend([1] if dense else [])
+            return dense
+
         monkeypatch.setattr(walks, "_sorted_wedges",
-                            lambda indptr, indices: sorts.append(1) or real(indptr, indices))
+                            lambda indptr, indices: sorts.append(1) or real_sort(indptr, indices))
+        monkeypatch.setattr(walks, "_dense_square", square)
         monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: products.append(1))
         k4_and_isolated = disjoint_union(complete_graph(4), from_edge_list(36, []))
-        for g, counts, wedge_sorts in ((k4_and_isolated, (4, 3), 1), (complete_graph(5), (10, 15), 0)):
+        for g, counts, passes in ((k4_and_isolated, (4, 3), (1, 0)),
+                                  (complete_graph(5), (10, 15), (0, 1))):
             sorts.clear()
+            squares.clear()
             assert main(["count", _graph_file(tmp_path, g, "g.txt")]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert (doc["triangles"], doc["four_cycles"]) == counts
-            assert (len(sorts), len(products)) == (wedge_sorts, 0)
+            assert (len(sorts), len(squares), len(products)) == (*passes, 0)
 
     @pytest.mark.parametrize("case", COUNT_FAILURES)
     def test_failure(self, tmp_path, capsys, case):

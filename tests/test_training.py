@@ -337,16 +337,16 @@ class TestBatchedBuild:
         self._assert_own_bits(items, graphs, xs)
 
     def test_one_triangle_count_per_store(self, monkeypatch):
-        # the D2 terms need diag(A^3) once: edge-by-edge counts over runs of
-        # the store's concatenated arrays (walks._runs), and no walk product
+        # the D2 terms need diag(A^3) once: wedge passes over runs of the
+        # store's concatenated arrays (walks._runs), and no walk product
         counts, products = [], []
 
-        def counting(indptr, indices):
+        def counting(indptr, *args):
             counts.append(indptr.size - 1)
-            return real(indptr, indices)
+            return real(indptr, *args)
 
-        real = walks._closed_three_walks
-        monkeypatch.setattr(walks, "_closed_three_walks", counting)
+        real = walks._wedge_pass
+        monkeypatch.setattr(walks, "_wedge_pass", counting)
         monkeypatch.setattr(walks, "_checked_matmul", lambda a, b: products.append(1))
         graphs = [erdos_renyi(20, 0.3, seed) for seed in range(40)]
         items = prepare_items(graphs, [np.ones((20, 1))] * 40, [0.0] * 40, terms=FAMILIES["D2"])

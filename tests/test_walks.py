@@ -114,16 +114,16 @@ def _dense_closed_three_walks(g):
 
 
 def _on_each_path():
-    """Yield twice: with every count on the sparse passes (edge by edge,
-    wedge keys), then on a dense float32 square whatever the graph."""
+    """Yield twice: with every count on the sorted wedge keys, then on a
+    dense float32 square whatever the graph."""
     for path, factor in (("sparse", 0), ("dense", 10**12)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(walks, "_BLAS_PER_WEDGE", factor)
             yield path
 
 
-def _assert_edge_count_matches(g):
-    # diag(A^3) is counted edge by edge on the CSR arrays, or on A * A^2
+def _assert_triangle_count_matches(g):
+    # diag(A^3) is read from the co-degrees of the edges, or from A * A^2
     for _ in _on_each_path():
         got = diag_closed_walks(g, 3)
         assert got.dtype == np.int64
@@ -136,11 +136,15 @@ def _star_at(n, centre):
     return from_edge_list(n, [(centre, v) for v in range(n) if v != centre])
 
 
-class TestEdgeByEdgeTriangles:
+def _complete_bipartite(a, b):
+    return from_edge_list(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+class TestTrianglesFromCodegrees:
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
     def test_random_graphs(self, n, p, seed):
-        _assert_edge_count_matches(erdos_renyi(n, p, seed))
+        _assert_triangle_count_matches(erdos_renyi(n, p, seed))
 
     @pytest.mark.parametrize("g", [
         complete_graph(1), complete_graph(2), complete_graph(7), from_edge_list(6, []),
@@ -151,7 +155,7 @@ class TestEdgeByEdgeTriangles:
     ], ids=["one-node", "K2", "K7", "edgeless", "star-first", "star-middle", "star-last",
             "path", "two-components", "isolated-nodes", "isolated-and-pendant"])
     def test_named_graphs(self, g):
-        _assert_edge_count_matches(g)
+        _assert_triangle_count_matches(g)
 
 
 class TestCycleCounts:
@@ -238,8 +242,9 @@ class TestInvariants:
     def test_four_cycle_remainder_negative_on_a_dense_square(self, monkeypatch):
         # a square 2 * I makes trace(A^4) 16 where C4's 8 walks along its
         # edges and 16 over its 2-paths already need 24
+        a = adjacency_csr(cycle_graph(4)).toarray().astype(np.float32)
         monkeypatch.setattr(walks, "_dense_square",
-                            lambda indptr, indices: (None, 2 * np.eye(4, dtype=np.float32)))
+                            lambda indptr, indices: (a, 2 * np.eye(4, dtype=np.float32)))
         with pytest.raises(InvariantViolation, match="remainder -8 is not a nonnegative multiple"):
             four_cycle_count(cycle_graph(4))
 
@@ -289,6 +294,8 @@ class TestBatches:
         assert walks.triangles_per_node([]).tolist() == []
         assert walks.triangle_totals([]) == []
         assert walks.four_cycle_counts([]) == []
+        per_node, four_cycles = walks.cycle_counts([])
+        assert (per_node.tolist(), four_cycles) == ([], [])
 
     def test_runs_split_a_batch_past_the_work_limit(self, monkeypatch):
         # each K6 has sum_v d_v^2 = 150: together they pass a limit of 400,
@@ -307,14 +314,18 @@ class TestBatches:
 
 
 def _assert_wedge_counts_match(g):
+    want = triangles_per_node_by_intersection(g), [four_cycles_by_codegree(g)]
     for _ in _on_each_path():
         per_node = triangle_counts_per_node(g)
         assert per_node.dtype == np.int64
-        assert per_node.tolist() == triangles_per_node_by_intersection(g)
+        assert per_node.tolist() == want[0]
         four_cycles = four_cycle_count(g)
-        assert four_cycles == four_cycles_by_codegree(g)
+        assert [four_cycles] == want[1]
+        per_node, four_cycles = walks.cycle_counts([g])
+        assert per_node.dtype == np.int64
+        assert (per_node.tolist(), four_cycles) == want
         if g.n <= 16:
-            assert four_cycles == count_simple_cycles_brute(g, 4)
+            assert four_cycles == [count_simple_cycles_brute(g, 4)]
 
 
 class TestWedgePass:
@@ -329,14 +340,26 @@ class TestWedgePass:
     @pytest.mark.parametrize("g", [
         complete_graph(1), complete_graph(2), complete_graph(5), complete_graph(12),
         complete_graph(30), from_edge_list(6, []), _star_at(9, 0), _star_at(9, 4),
-        _star_at(40, 39), cycle_graph(4), path_graph(5),
+        _star_at(40, 39), _star_at(700, 350), _complete_bipartite(2, 300),
+        _complete_bipartite(4, 90), cycle_graph(4), path_graph(5),
         disjoint_union(from_edge_list(3, []), erdos_renyi(14, 0.4, 5), from_edge_list(1, [])),
         disjoint_union(erdos_renyi(30, 0.15, 9), from_edge_list(4, [])),
         sparse_er(2000, 6, 11),
     ], ids=["one-node", "K2", "K5", "K12", "K30", "edgeless", "star-first", "star-middle",
-            "star-last", "C4", "path", "isolated-nodes", "sparse-and-isolated", "sparse-2000"])
+            "star-last", "star-700", "K2,300", "K4,90", "C4", "path", "isolated-nodes",
+            "sparse-and-isolated", "sparse-2000"])
     def test_named_graphs(self, g):
         _assert_wedge_counts_match(g)
+
+    def test_complete_and_edgeless_graphs(self):
+        # K_n: C(n - 1, 2) triangles at each node and 3 * C(n, 4) 4-cycles
+        for _ in _on_each_path():
+            for n in range(1, 31):
+                per_node, four_cycles = walks.cycle_counts([complete_graph(n)])
+                assert per_node.tolist() == [(n - 1) * (n - 2) // 2] * n
+                assert four_cycles == [n * (n - 1) * (n - 2) * (n - 3) // 8]
+                per_node, four_cycles = walks.cycle_counts([from_edge_list(n, [])])
+                assert (per_node.tolist(), four_cycles) == ([0] * n, [0])
 
     def test_batch_over_several_runs_matches_each_graph_alone(self):
         rng = np.random.default_rng(43)
@@ -346,11 +369,17 @@ class TestWedgePass:
         runs = list(walks._runs(batch))
         assert len(runs) >= 3 and all(indptr.size - 1 <= RUN_SIZE for indptr, _, _ in runs)
         want = [four_cycles_by_codegree(g) for g in batch]
+        want_per_node = [t for g in batch for t in triangles_per_node_by_intersection(g)]
         for _ in _on_each_path():
             four_cycles = walks.four_cycle_counts(batch)
             assert four_cycles == [four_cycle_count(g) for g in batch] == want
             assert walks.triangles_per_node(batch).tolist() == [
-                t for g in batch for t in triangle_counts_per_node(g).tolist()]
+                t for g in batch for t in triangle_counts_per_node(g).tolist()] == want_per_node
+            per_node, four_cycles = walks.cycle_counts(batch)
+            assert (per_node.tolist(), four_cycles) == (want_per_node, want)
+            alone = [walks.cycle_counts([g]) for g in batch]
+            assert [t for ts, _ in alone for t in ts.tolist()] == want_per_node
+            assert [c for _, (c,) in alone] == want
 
     def test_work_limit(self, monkeypatch):
         # a graph exactly at MAX_PRODUCT_WORK is counted, one past it refused
