@@ -58,7 +58,7 @@ class Graph:
 
     def _adopt(self, indptr: np.ndarray, nbr: np.ndarray) -> None:
         """Hold ``indptr`` and ``nbr``, which :func:`_check_csr` passed, read-only."""
-        # the index dtype scipy picks, so walks.adjacency_csr wraps the arrays
+        # int32 while the arrays fit it, which halves their memory
         dtype = np.int32 if nbr.size + self.n < 2**31 else np.int64
         for name, arr in (("indptr", indptr), ("indices", nbr)):
             arr = arr.astype(dtype, copy=False)
@@ -204,8 +204,6 @@ def _graphs_from_ids(sizes: list[int], counts: list[int], u: np.ndarray,
     joins ``u[j]`` and ``v[j]``, both ids of its graph); duplicates
     collapse and self-loops drop. The graphs are built in runs
     (:func:`batch_runs`)."""
-    if len(sizes) == 1:
-        return _build_run(sizes, counts, u, v)
     out, at = [], 0
     for lo, hi in batch_runs([n + 2 * c for n, c in zip(sizes, counts)]):
         end = at + sum(counts[lo:hi])

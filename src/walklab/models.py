@@ -191,11 +191,11 @@ class GraphOperators:
     A store is built from its graphs. It holds each graph's own CSR arrays
     (:attr:`blocks`), its inverse degrees and each closed-walk diagonal:
     the closed 3-walks from the wedge passes over the store's graphs as one
-    batch, longer walks per graph, never on the stack, whose product's
-    overflow bound would grow with its node count. :meth:`gather` makes
-    the stack of some of its rows, which holds no graphs: it takes the
-    inverse degrees and the diagonals from the store, row by row, each
-    graph's bits as they are.
+    batch, longer walks from each graph's own dense int64 powers, never on
+    the stack, whose overflow bound and n^3 work would grow with its node
+    count. :meth:`gather` makes the stack of some of its rows, which holds
+    no graphs: it takes the inverse degrees and the diagonals from the
+    store, row by row, each graph's bits as they are.
     Every stack builds each float matrix on first use by one CSR
     constructor over its rows' blocks, laid one after another in scipy's
     sorted entry order, so a product equals each graph's own bit for bit.

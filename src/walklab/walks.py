@@ -14,11 +14,12 @@ read at the keys of the edges, and ``trace(A^4) = sum_v d_v^2 + 2 * sum
 c_uw^2``. A dense graph forms a float32 ``A @ A`` with BLAS instead. All
 of it is bounded by ``sum_v d_v^2``; see :data:`MAX_PRODUCT_WORK`.
 
-Longer closed walks are int64 CSR products: as ``A`` is symmetric, the
-closed m-walks of node v are the row sums of ``A^floor(m/2) *
+Closed 2-walks are the degrees, longer ones dense int64 powers: as ``A``
+is symmetric, node v's are the row sums of ``A^floor(m/2) *
 A^ceil(m/2)`` (elementwise). Every product first checks ``inner_dim *
 max(a) * max(b) < 2**63`` and raises :class:`CountOverflowError` instead
-of wrapping. ``scipy.sparse`` is imported only there, on first use.
+of wrapping. They are int64 because float64 counts exactly only below
+2**53, and K4's closed 39-walks are about 1.0e18.
 
 A batch of graphs is counted in runs laid one after another, cut back per
 graph; every guard holds per graph, so a batch counts what its graphs would.
@@ -26,47 +27,31 @@ graph; every guard holds per graph, so a batch counts what its graphs would.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import (CapacityError, CountOverflowError, InputError,
                      InvariantViolation)
 from .graphs import Graph, batch_runs, concat_csr
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 _INT64_MAX = 2**63 - 1
 
-# Capacity limit on one sparse product X @ Y, counted as multiply-adds: the
-# sum over the stored entries (i, k) of X of the entries in row k of Y. For
-# A @ A that is sum_v d_v^2, which also bounds the wedges (half of it). At
-# the limit (tracemalloc) the wedge pass peaks at 158 MB (ER, n = 272 000:
-# int64 keys), 150 MB (K_2,3870: two int64 offsets per repeated key) and
-# 90 MB (a star), a dense square at 46 MB (ER, n = 2400).
-# ER graphs with n = 10**5 and average degree 10 (sum_v d_v^2 ~ 1.1e7) fit.
+# Capacity limit on the multiply-adds of one graph's count. The wedge pass
+# and a dense square are held to sum_v d_v^2, the work of a sparse A @ A,
+# which also bounds the wedges (half of it). At the limit (tracemalloc) the
+# wedge pass peaks at 158 MB (ER, n = 272 000: int64 keys), 150 MB
+# (K_2,3870: two int64 offsets per repeated key) and 90 MB (a star), a
+# dense square at 46 MB (ER, n = 2400). ER graphs with n = 10**5 and
+# average degree 10 (sum_v d_v^2 ~ 1.1e7) fit. A dense int64 power for a
+# longer walk takes n^3, so those need n <= 310.
 MAX_PRODUCT_WORK = 3 * 10**7
 _BLAS_PER_WEDGE = 1000  # see _dense_square
 _WEDGE_CHUNK = 2**18  # wedges whose keys are built at once, see _sorted_wedges
 
 
-def adjacency_csr(g: Graph) -> sparse.csr_array:
-    """Sparse int64 adjacency matrix.
-
-    Wraps the graph's own read-only ``indptr`` and ``indices`` without a
-    copy; they equal the arrays scipy builds from the dense matrix.
-    """
-    from scipy import sparse
-
-    return sparse.csr_array((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
-                            shape=(g.n, g.n))
-
-
-def _check_product_bound(a, b) -> None:
+def _check_product_bound(a: np.ndarray, b: np.ndarray) -> None:
     # Entries are nonnegative, so every product entry is at most
     # inner_dim * max(a) * max(b); reject before int64 could wrap.
-    bound = int(a.shape[1]) * int(a.data.max(initial=0)) * int(b.data.max(initial=0))
+    bound = int(a.shape[1]) * int(a.max(initial=0)) * int(b.max(initial=0))
     if bound > _INT64_MAX:
         raise CountOverflowError(
             f"walk counts would exceed 2**63 - 1 (bound {bound})"
@@ -81,11 +66,9 @@ def _check_work(work: int) -> None:
         )
 
 
-def _checked_matmul(a, b):
-    """``a @ b`` for two CSR count arrays, overflow-checked and held to
-    :data:`MAX_PRODUCT_WORK`."""
+def _checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for two dense int64 count arrays, overflow-checked."""
     _check_product_bound(a, b)
-    _check_work(int(np.diff(b.indptr)[a.indices].sum()))
     return a @ b
 
 
@@ -93,6 +76,14 @@ def _per_graph_sums(values: np.ndarray, firsts) -> np.ndarray:
     """The sums of ``values`` over each graph's nodes
     ``firsts[i]..firsts[i + 1] - 1`` (every graph has a node)."""
     return np.add.reduceat(values, firsts[:-1])
+
+
+def _dense_adjacency(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
+    """The n x n ``A`` of CSR arrays as a ``dtype`` array."""
+    n = indptr.size - 1
+    a = np.zeros((n, n), dtype=dtype)
+    a[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
+    return a
 
 
 def _dense_square(indptr: np.ndarray, indices: np.ndarray):
@@ -105,8 +96,7 @@ def _dense_square(indptr: np.ndarray, indices: np.ndarray):
     deg = np.diff(indptr).astype(np.int64)
     if n ** 3 >= _BLAS_PER_WEDGE * int((deg * (deg - 1)).sum() // 2):
         return None
-    a = np.zeros((n, n), dtype=np.float32)
-    a[np.repeat(np.arange(n), deg), indices] = 1
+    a = _dense_adjacency(indptr, indices, np.float32)
     return a, a @ a
 
 
@@ -224,23 +214,29 @@ def closed_three_walks(graphs) -> np.ndarray:
 def diag_closed_walks(g: Graph, m: int) -> np.ndarray:
     """Per-node count of closed walks of length exactly m (diagonal of A^m).
 
-    Computed as ``rowsum(A^floor(m/2) * A^ceil(m/2))``, which equals the
-    diagonal of ``A^m`` because ``A`` is symmetric. m = 3 is
-    :func:`closed_three_walks` of a batch of one and forms no CSR product.
+    m = 2 is the degrees, m = 3 :func:`closed_three_walks` of a batch of
+    one; longer walks are dense int64 powers, whose n^3 multiply-adds are
+    held to :data:`MAX_PRODUCT_WORK` before any n x n array is made.
     """
     if m < 1:
         raise InputError(f"walk length must be >= 1, got {m}")
     if m == 1:  # a graph has no self-loop, so no closed 1-walk
         return np.zeros(g.n, dtype=np.int64)
+    if m == 2:
+        return np.diff(g.indptr).astype(np.int64)
     if m == 3:
         return closed_three_walks([g])
-    powers = [adjacency_csr(g)]  # powers[k - 1] is A^k
-    while len(powers) < (m + 1) // 2:
-        powers.append(_checked_matmul(powers[-1], powers[0]))
-    half, other = powers[m // 2 - 1], powers[(m + 1) // 2 - 1]
+    if g.n ** 3 > MAX_PRODUCT_WORK:
+        raise CapacityError(f"dense walk power needs {g.n ** 3} multiply-adds "
+                            f"(n^3); the limit is {MAX_PRODUCT_WORK}")
+    a = _dense_adjacency(g.indptr, g.indices, np.int64)
+    half = a  # A^k, up to k = floor(m/2)
+    for _ in range(m // 2 - 1):
+        half = _checked_matmul(half, a)
+    other = _checked_matmul(half, a) if m % 2 else half
     # The row sums are the diagonal of half @ other, under the same bound.
     _check_product_bound(half, other)
-    return np.asarray(half.multiply(other).sum(axis=1), dtype=np.int64)
+    return (half * other).sum(axis=1)
 
 
 def _halved(closed3: np.ndarray) -> np.ndarray:

@@ -53,6 +53,14 @@ def write_edge_list(g: Graph, path) -> None:
     atomic_write_text(path, format_edge_list(g))
 
 
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """The n x n int64 adjacency matrix, set edge by edge."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1
+    return a
+
+
 def neighbours(g: Graph, v: int) -> list[int]:
     """The neighbours of v: its slice of the graph's CSR arrays."""
     return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()

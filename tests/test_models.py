@@ -10,9 +10,9 @@ from walklab.models import (FAMILIES, MAX_HIDDEN_DIM, MAX_LAYERS, AggregationTer
                             GraphOperators, ModelSpec, apply_term, backward,
                             build_model, diag_power, forward, power, self_loop_adjacency,
                             spec_from_model_name)
-from walklab.walks import adjacency_csr, diag_closed_walks
+from walklab.walks import diag_closed_walks
 
-from oracles import complete_graph, neighbours, path_graph, relabel
+from oracles import complete_graph, dense_adjacency, neighbours, path_graph, relabel
 
 
 def identity_readout_model(terms, n_features=1, degree_normalize=False):
@@ -171,7 +171,7 @@ class TestForward:
         set_gates(m, 1.0)
         g = path_graph(4)
         out = forward(m, GraphOperators([g]), np.ones((4, 1))[None])[0]
-        a = adjacency_csr(g).toarray()
+        a = dense_adjacency(g)
         expected = a @ (a @ np.ones((4, 1)))
         assert np.array_equal(out, expected)
 

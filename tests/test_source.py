@@ -59,17 +59,35 @@ def _import_time_imports(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _scipy_imports(nodes):
+    """The (line, module) of every import of scipy among ``nodes``."""
+    found = []
+    for node in nodes:
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+            alias.name for alias in node.names]
+        found += [(node.lineno, name) for name in names if name.split(".")[0] == "scipy"]
+    return found
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_scipy_is_imported_on_first_use(path):
     # loading scipy.sparse takes about half of a bare CLI start-up, and
     # wl, demo-wl-gap and gen never build a sparse matrix
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    for node in _import_time_imports(tree):
-        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
-            alias.name for alias in node.names]
-        found += [(node.lineno, name) for name in names if name.split(".")[0] == "scipy"]
+    found = _scipy_imports(_import_time_imports(tree))
     assert not found, f"{path.name}: scipy imported at module level (line, module): {found}"
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES
+                                  if path.name not in ("graphs.py", "models.py")],
+                         ids=lambda path: path.name)
+def test_scipy_only_in_graphs_and_models(path):
+    # the BFS of graphs and the float operators of models are the only
+    # sparse matrices; every exact count is numpy alone
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _scipy_imports(node for node in ast.walk(tree)
+                           if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not found, f"{path.name}: scipy imported (line, module): {found}"
 
 
 def _tracing():

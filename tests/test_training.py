@@ -397,6 +397,14 @@ class TestBatchedBuild:
                 prepare_items(graphs, [np.ones((g.n, 1)) for g in graphs], [0.0] * len(graphs),
                               terms=FAMILIES["L1"])
 
+    def test_longer_walks_refuse_graphs_past_the_dense_limit(self):
+        # n^3 <= MAX_PRODUCT_WORK: 310 nodes are counted, 311 refused
+        terms = (diag_power(5),)
+        items = prepare_items([oracles.path_graph(310)], [np.ones((310, 1))], [0.0], terms=terms)
+        assert _closed_walks(items[0], 5).tolist() == [0.0] * 310
+        with pytest.raises(CapacityError, match="dense walk power"):
+            prepare_items([oracles.path_graph(311)], [np.ones((311, 1))], [0.0], terms=terms)
+
     def test_union_overflow_bound_falls_back_to_each_graph(self):
         # the overflow bound of a walk product grows with the node count:
         # closed 39-walks of K4 fit alone but not on a union of 40 copies,

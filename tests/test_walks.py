@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from walklab.errors import (CapacityError, CountOverflowError, InputError,
                             InvariantViolation)
 from walklab.graphs import (RUN_SIZE, cycle_graph, degrees, disjoint_union, erdos_renyi,
                             from_edge_list)
-from walklab.walks import (adjacency_csr, diag_closed_walks, four_cycle_count,
-                           triangle_counts_per_node, triangle_total)
+from walklab.walks import (diag_closed_walks, four_cycle_count, triangle_counts_per_node,
+                           triangle_total)
 
 from oracles import (complete_graph, count_simple_cycles_brute, count_walks_recursive,
-                     four_cycles_by_codegree, path_graph, relabel, triangles_at_node_brute,
-                     triangles_per_node_by_intersection)
+                     dense_adjacency, four_cycles_by_codegree, path_graph, relabel,
+                     triangles_at_node_brute, triangles_per_node_by_intersection)
 
 
 def sparse_er(n, avg_degree, seed):
@@ -41,17 +42,43 @@ class TestClosedWalks:
         assert diag_closed_walks(path_graph(3), 2).tolist() == [1, 2, 1]
         assert diag_closed_walks(path_graph(3), 4).tolist() == [2, 4, 2]
 
-    def test_closed_one_walks_build_no_scipy_object(self):
-        # a graph has no self-loop, so no closed 1-walk: int64 zeros, read
-        # without scipy (whose sparse.eye_array is newer than the oldest
-        # scipy the package supports)
+    def test_closed_walks_build_no_scipy_object(self):
+        # a graph has no self-loop, so no closed 1-walk: int64 zeros; closed
+        # 2-walks are the degrees, and longer ones dense numpy powers, all
+        # counted without scipy
         code = ("import sys; from walklab.graphs import from_edge_list; "
                 "from walklab.walks import diag_closed_walks; "
-                "d = diag_closed_walks(from_edge_list(3, [(0, 1), (1, 2)]), 1); "
-                "print(d.dtype, d.tolist(), 'scipy' in sys.modules)")
+                "g = from_edge_list(3, [(0, 1), (1, 2)]); "
+                "[print(m, d.dtype, *d.tolist()) for m in (1, 2, 4, 5) "
+                "for d in [diag_closed_walks(g, m)]]; print('scipy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["int64", "[0,", "0,", "0]", "False"]
+        assert proc.stdout.splitlines() == [
+            "1 int64 0 0 0", "2 int64 1 2 1", "4 int64 2 4 2", "5 int64 0 0 0", "False"]
+
+    def test_dense_power_guard(self, monkeypatch):
+        # a longer walk takes n^3 multiply-adds a power: counted exactly at
+        # MAX_PRODUCT_WORK, refused one below it
+        g = erdos_renyi(12, 0.4, 5)
+        for m in (4, 5):
+            monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", g.n ** 3)
+            assert np.array_equal(diag_closed_walks(g, m),
+                                  np.diagonal(np.linalg.matrix_power(dense_adjacency(g), m)))
+            monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", g.n ** 3 - 1)
+            with pytest.raises(CapacityError, match=f"dense walk power needs {g.n ** 3} "):
+                diag_closed_walks(g, m)
+
+    def test_dense_power_guard_runs_before_the_array(self):
+        # a 10**5-node path would need a 10**10-entry A: refused first
+        g = path_graph(10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="dense walk power"):
+                diag_closed_walks(g, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_agrees_with_materialised_power(self):
         rng = np.random.default_rng(17)
@@ -59,7 +86,7 @@ class TestClosedWalks:
             n = int(rng.integers(2, 12))
             g = erdos_renyi(n, float(rng.uniform(0.1, 0.8)), int(rng.integers(1 << 30)))
             m = int(rng.integers(1, 8))
-            a = adjacency_csr(g).toarray()
+            a = dense_adjacency(g)
             assert np.array_equal(diag_closed_walks(g, m),
                                   np.diagonal(np.linalg.matrix_power(a, m)))
 
@@ -109,7 +136,7 @@ class TestClosedWalks:
 
 def _dense_closed_three_walks(g):
     # product-independent oracle: the diagonal of the dense A @ A @ A
-    a = adjacency_csr(g).toarray()
+    a = dense_adjacency(g)
     return np.diag(a @ a @ a)
 
 
@@ -242,7 +269,7 @@ class TestInvariants:
     def test_four_cycle_remainder_negative_on_a_dense_square(self, monkeypatch):
         # a square 2 * I makes trace(A^4) 16 where C4's 8 walks along its
         # edges and 16 over its 2-paths already need 24
-        a = adjacency_csr(cycle_graph(4)).toarray().astype(np.float32)
+        a = dense_adjacency(cycle_graph(4)).astype(np.float32)
         monkeypatch.setattr(walks, "_dense_square",
                             lambda indptr, indices: (a, 2 * np.eye(4, dtype=np.float32)))
         with pytest.raises(InvariantViolation, match="remainder -8 is not a nonnegative multiple"):

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from walklab import wl
 from walklab.errors import CapacityError, InputError
 from walklab.graphs import cycle_graph, degrees, disjoint_union, erdos_renyi, from_edge_list
-from walklab.walks import adjacency_csr, triangle_counts_per_node
+from walklab.walks import triangle_counts_per_node
 from walklab.wl import (CANONICAL_MAX_NODES, EAGER_ROUNDS, PairReport, Verdict, _distinguish,
                         _Layout, _leaf_orders, _neighbour_lists, _ranks, _stable_partition,
                         augmented_distinguish, canonical_form, cantor_pair, compare_pair,
                         is_isomorphic_small, lex_min_adjacency, wl_distinguish, wl_refine)
 
-from oracles import (caterpillar, complete_graph, cubic_graphs_on_8_nodes, fingerprint_by_tuples,
-                     is_isomorphic_by_search, neighbours, path_graph, random_cubic,
-                     refine_by_tuples, relabel)
+from oracles import (caterpillar, complete_graph, cubic_graphs_on_8_nodes, dense_adjacency,
+                     fingerprint_by_tuples, is_isomorphic_by_search, neighbours, path_graph,
+                     random_cubic, refine_by_tuples, relabel)
 
 
 def refine_with_own_label_slot(g, initial):
@@ -580,7 +580,7 @@ class TestLeafSearch:
             classes.setdefault(canonical_form(g), []).append(g)
         assert len(classes) == 156  # unlabelled graphs on 6 nodes
         for members in classes.values():
-            first, last = (lex_min_adjacency(adjacency_csr(g).toarray())
+            first, last = (lex_min_adjacency(dense_adjacency(g))
                            for g in (members[0], members[-1]))
             assert first == last
 
