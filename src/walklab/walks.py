@@ -61,8 +61,8 @@ def _check_product_bound(a: np.ndarray, b: np.ndarray) -> None:
 def _check_work(work: int) -> None:
     if work > MAX_PRODUCT_WORK:
         raise CapacityError(
-            f"sparse walk product needs {work} multiply-adds (sum_v d_v^2 "
-            f"for A @ A); the limit is {MAX_PRODUCT_WORK}"
+            f"wedge pass needs {work} multiply-adds (sum_v d_v^2); the limit "
+            f"is {MAX_PRODUCT_WORK}"
         )
 
 
@@ -137,7 +137,7 @@ def _sorted_wedges(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         pos = np.repeat(np.arange(lo + 1 + first, hi + 1 + first, dtype=np.int32) - starts[lo:hi],
                         runs)
         pos += np.arange(last - first, dtype=np.int32)
-        np.add(indices[pos], np.repeat(np.multiply(indices[lo:hi], n, dtype=keys.dtype), runs),
+        np.add(indices.take(pos), np.repeat(np.multiply(indices[lo:hi], n, dtype=keys.dtype), runs),
                out=keys[first:last])
     keys.sort()
     return keys

@@ -27,13 +27,17 @@ and Traces (McKay and Piperno 2014, arXiv 1301.1493), covers small graphs.
 
 :func:`compare_pair` answers the plain, the triangle-augmented and the
 exact question with one refinement layout of the union. A verdict needs
-only the stable partition of the union, not the rounds or the colour
-names, so it runs at most :data:`EAGER_ROUNDS` rounds and, if the
-partition is still splitting, finishes it by "process the smaller half"
-refinement (Cardon and Crochemore 1982; Paige and Tarjan 1987) in
-O((n + m) log n), which is optimal for colour refinement (Berkholz,
-Bonsma and Grohe 2017, arXiv 1509.08251). One more round must then split
-nothing. Halves whose label histograms already differ are not refined.
+neither the rounds nor the colour names, and it needs the stable
+partition of the union only when the halves tie. It stops at the first
+partition, from the initial labels on, in which some class holds
+different numbers of nodes of the two graphs: the stable partition
+refines it, so that class holds an uneven stable class. Vectorised rounds
+run while each adds at least :data:`MIN_ROUND_GAIN` of the union's nodes
+as classes; a partition still splitting then is finished by "process the
+smaller half" refinement (Cardon and Crochemore 1982; Paige and Tarjan
+1987) in O((n + m) log n), which is optimal for colour refinement
+(Berkholz, Bonsma and Grohe 2017, arXiv 1509.08251), and checked after
+each new class. A partition it leaves even must survive one more round.
 The plain run starts from degrees. If its halves differ, so do the
 augmented ones and the graphs are not isomorphic, and nothing more is
 computed. Otherwise the augmented run starts from (plain stable colour,
@@ -50,7 +54,6 @@ both verdicts tie.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -140,56 +143,53 @@ def _ranks(labels: list) -> list[int]:
     return [rank[lab] for lab in labels]
 
 
-def _refine(layout: _Layout, colors: list[int],
-            max_rounds: int | None = None) -> tuple[list[int], int | None]:
-    """Refinement rounds from colours 0..k-1: (final colours, rounds).
+def _round(layout: _Layout, colors) -> tuple[list[int], int]:
+    """One round from colours 0..k-1, a list or an int array: the new
+    colours 0..k'-1 and k'.
 
     A node's signature is the bytes of its own colour and its sorted
     neighbour colours as big-endian int64; for nonnegative colours these
     sort exactly like the tuples of the textbook step, a shorter prefix
     first, and a new colour is the rank of its signature. A round is one
     gather, one sort and one byte copy over the whole layout plus O(n)
-    Python work, and holds O(n + m) memory.
+    Python work, and holds O(n + m) memory. The signature holds the own
+    colour, so the new partition refines the old one and an unchanged
+    class count means the same partition."""
+    entries = layout.offset + np.asarray(colors, dtype=np.int64)[layout.src]
+    entries.sort()
+    data = np.subtract(entries, layout.offset, out=np.empty(entries.size, ">i8")).tobytes()
+    signatures = list(map(data.__getitem__, layout.spans))
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    return list(map(rank.__getitem__, signatures)), len(rank)
 
-    Without ``max_rounds``, rounds run until the partition is stable, and
-    a round that would take the work past :data:`MAX_REFINE_WORK` raises
-    :class:`CapacityError`. With it, at most that many rounds run, and the
-    rounds are None when the last of them still split a class.
-    """
+
+def _refine(layout: _Layout, colors: list[int]) -> tuple[list[int], int]:
+    """Textbook rounds from colours 0..k-1 until the partition is stable:
+    (final colours, rounds). A round that would take the work past
+    :data:`MAX_REFINE_WORK` raises :class:`CapacityError`."""
     k = max(colors) + 1
-    buf = np.empty(layout.src.size, dtype=">i8")
-    for rounds in range(1, (len(layout.spans) if max_rounds is None else max_rounds) + 1):
-        if max_rounds is None and rounds * buf.size > MAX_REFINE_WORK:
+    for rounds in range(1, len(layout.spans) + 1):
+        if rounds * layout.src.size > MAX_REFINE_WORK:
             raise CapacityError(
                 f"refinement of {len(layout.spans)} nodes is still splitting after "
-                f"{rounds - 1} rounds over {buf.size} entries; the limit is "
+                f"{rounds - 1} rounds over {layout.src.size} entries; the limit is "
                 f"{MAX_REFINE_WORK} entry-rounds")
-        entries = layout.offset + np.array(colors, dtype=np.int64)[layout.src]
-        entries.sort()
-        data = np.subtract(entries, layout.offset, out=buf).tobytes()
-        signatures = list(map(data.__getitem__, layout.spans))
-        rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = list(map(rank.__getitem__, signatures))
-        # the signature holds the own colour, so the new partition refines
-        # the old one and an unchanged class count means the same partition
-        if len(rank) == k:
+        new, count = _round(layout, colors)
+        if count == k:
             return new, rounds
-        colors, k = new, len(rank)
-    if max_rounds is None:
-        raise InvariantViolation("refinement did not stabilise within n rounds")
-    return colors, None
+        colors, k = new, count
+    raise InvariantViolation("refinement did not stabilise within n rounds")
 
 
-def _split_smaller_halves(nbrs: list[list[int]], colors: list[int],
-                          before: list[int] | None) -> list[int]:
+def _split_smaller_halves(nbrs: list[list[int]], colors: list[int], before: list[int],
+                          n1: int) -> list[int]:
     """The coarsest stable partition that refines ``colors``, by "process
     the smaller half" refinement (Cardon and Crochemore 1982; Paige and
     Tarjan 1987), as colours 0..k-1.
 
-    ``before``, when given, is the colouring one round before ``colors``,
-    with respect to each class of which ``colors`` is therefore stable:
-    each such class starts with a queue entry for every part of it but its
-    largest. Without it every class starts with one.
+    ``before`` is the colouring one round before ``colors``, with respect
+    to each class of which ``colors`` is therefore stable: each such class
+    starts with a queue entry for every part of it but its largest.
 
     A splitter class counts its edges into every node it reaches; each
     class it touches splits by that count, untouched nodes counting 0. The
@@ -201,19 +201,22 @@ def _split_smaller_halves(nbrs: list[list[int]], colors: list[int],
     the class it left, so each node is in a processed splitter O(log n)
     times and the work is O((n + m) log n), where a round-based refinement
     of a path takes n/2 rounds over every node.
+
+    Every class of ``colors`` holds as many of the first ``n1`` nodes as
+    of the rest, and the split stops at the first new class that does not,
+    returning the partition it has reached. The class a new one leaves
+    stays even exactly when the new one is, so only new classes are
+    counted.
     """
     colors = list(colors)
     members: list[set[int]] = [set() for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         members[c].add(v)
-    if before is None:
-        queue = list(range(len(members)))  # nothing is known stable at the start
-    else:
-        parts: dict[int, list[int]] = {}
-        for c, cell in enumerate(members):
-            parts.setdefault(before[next(iter(cell))], []).append(c)
-        queue = [c for split in parts.values()
-                 for c in sorted(split, key=lambda part: len(members[part]))[:-1]]
+    parts: dict[int, list[int]] = {}
+    for c, cell in enumerate(members):
+        parts.setdefault(before[next(iter(cell))], []).append(c)
+    queue = [c for split in parts.values()
+             for c in sorted(split, key=lambda part: len(members[part]))[:-1]]
     while queue:
         counts: dict[int, int] = {}
         for v in members[queue.pop()]:
@@ -249,43 +252,76 @@ def _split_smaller_halves(nbrs: list[list[int]], colors: list[int],
                 for v in part:
                     colors[v] = new
                 members.append(set(part))
+                if 2 * sum(map(n1.__gt__, part)) != len(part):
+                    return colors
     return colors
 
 
-# Vectorised rounds a verdict runs before it switches to smaller-half
-# refinement. A round costs O(n + m) numpy work, a node in a smaller-half
-# splitter a few Python operations, so rounds win while they split much at
-# once and lose on long chains of small splits. Measured on a shared
-# 2-core x86-64 host: a pair of 10**5-node random graphs of average degree
-# 10 is stable after 3 rounds, and its plain and augmented verdicts took
-# 8.1 s and 396 MB with no rounds, 6.2 s after 2 rounds and 2.3-2.5 s and
-# 287 MB after 3 or 4. The plain partition of a spine-100 caterpillar pair
-# (50 textbook rounds, 5.1 ms) took 0.76 ms with no rounds and 1.09 ms
-# after 4.
-EAGER_ROUNDS = 4
+# Share of the union's nodes by which a verdict's vectorised round must
+# raise the number of colour classes for another round to run; at most
+# 1 / MIN_ROUND_GAIN rounds continue. A round costs O(n + m) numpy work, a
+# node in a smaller-half splitter a few Python operations, so rounds win
+# while they split much at once and lose on long chains of small splits.
+# Class counts per round: a 240-400-node caterpillar pair gains 2 classes a
+# round (3, 5, 7, ...) and a 3 000-node path pair 1, so both hand over after
+# the first round; ER(4000) of average degree 10 and a relabelled copy go
+# 24 -> about 3970 -> 4000 and are stable after the third; the augmented
+# run of a tied pair of 170-node cubic graphs goes 2, 3, 4, 6, 13 and hands
+# over after the first. On a shared 2-core x86-64 host, 1/8 and 1/16 hand a
+# pair of 10**5-node random graphs of average degree 10 (90 482 -> 99 994
+# classes) over one round early, which nearly doubles its time; 1/256 and
+# below let caterpillar rounds run on, 3-4 times slower on wl-pairs'
+# caterpillars; 1/32 to 1/128 time alike.
+MIN_ROUND_GAIN = 1 / 32
 
 
-def _stable_partition(layout: _Layout, colors: list[int]) -> list[int]:
+def _uneven(colors: np.ndarray, sign: np.ndarray) -> bool:
+    """Whether some colour class holds different numbers of nodes of the
+    two graphs: ``sign`` is +1 on the first graph's nodes and -1 on the
+    second's."""
+    return bool(np.bincount(colors, weights=sign).any())
+
+
+def _stable_partition(layout: _Layout, colors: list[int], n1: int) -> tuple[list[int], bool]:
     """The coarsest stable partition of the layout's nodes that refines
-    ``colors``: the partition textbook rounds reach, with colours 0..k-1
+    ``colors``, or a coarser one that already tells the layout's two
+    graphs apart: its first ``n1`` nodes and the rest. Colours are 0..k-1,
     whose names, unlike those of :func:`_refine`, depend on node ids.
 
-    Up to :data:`EAGER_ROUNDS` vectorised rounds run first; a partition
-    still splitting after them is finished by smaller-half refinement
-    from the split of the last round, whose result must survive one more
-    round unsplit."""
-    before = None
-    if EAGER_ROUNDS:
-        before, rounds = _refine(layout, colors, EAGER_ROUNDS - 1)
-        if rounds is not None:
-            return before
-        colors, rounds = _refine(layout, before, 1)
-        if rounds is not None:
-            return colors
-    colors = _split_smaller_halves(layout.neighbour_lists(), colors, before)
-    if _refine(layout, colors, 1)[1] is None:
+    Refinement stops at the first partition in which a class holds
+    different numbers of nodes of the two graphs; that partition comes
+    back with True, the stable one with False. The stop is exact: the
+    stable partition refines every partition on the way and both graphs
+    share the colour names, so an uneven class holds an uneven stable
+    class.
+
+    Vectorised rounds run while each raises the class count by at least
+    :data:`MIN_ROUND_GAIN` of the nodes; a partition still splitting then
+    is finished by smaller-half refinement from the split of the last
+    round, whose result must survive one more round unsplit."""
+    n = len(colors)
+    sign = np.repeat([1.0, -1.0], [n1, n - n1])
+    current = np.array(colors)
+    if _uneven(current, sign):
+        return colors, True
+    k = int(current.max()) + 1
+    while True:
+        new, count = _round(layout, current)
+        if count == k:
+            return new, False
+        current = np.array(new)
+        if _uneven(current, sign):
+            return new, True
+        if count - k < MIN_ROUND_GAIN * n:
+            break
+        colors, k = new, count
+    colors = _split_smaller_halves(layout.neighbour_lists(), new, colors, n1)
+    current = np.array(colors)
+    if _uneven(current, sign):
+        return colors, True
+    if _round(layout, current)[1] != int(current.max()) + 1:
         raise InvariantViolation("smaller-half refinement left a partition that a round splits")
-    return colors
+    return colors, False
 
 
 def wl_refine(g: Graph, initial_labels=None) -> Coloring:
@@ -305,25 +341,12 @@ def wl_refine(g: Graph, initial_labels=None) -> Coloring:
     return Coloring(colors=tuple(colors), rounds=rounds)
 
 
-def _halves(colors: list[int], n1: int) -> Verdict:
-    """Compare the colour histograms of the first n1 nodes and the rest.
-
-    Once the halves' histograms differ at some round they differ at the
-    stable round too, and the union cannot stop before that round, since
-    a round that splits no class only renames colours. So different node
-    counts or initial label histograms show up on their own."""
-    if Counter(colors[:n1]) == Counter(colors[n1:]):
-        return Verdict.INDISTINGUISHABLE
-    return Verdict.DISTINGUISHABLE
-
-
 def _verdict(layout: _Layout, colors: list[int], n1: int) -> tuple[Verdict, list[int]]:
-    """The halves' verdict, with the stable partition that refines
-    ``colors``. Refinement only splits classes, so halves whose histograms
-    already differ stay apart, and then ``colors`` come back unrefined."""
-    if _halves(colors, n1) is Verdict.INDISTINGUISHABLE:
-        colors = _stable_partition(layout, colors)
-    return _halves(colors, n1), colors
+    """The halves' verdict from ``colors``, with the partition the
+    refinement stopped at: the stable one that refines ``colors`` when the
+    verdict is INDISTINGUISHABLE."""
+    colors, uneven = _stable_partition(layout, colors, n1)
+    return Verdict.DISTINGUISHABLE if uneven else Verdict.INDISTINGUISHABLE, colors
 
 
 def _distinguish(g1: Graph, g2: Graph, labels1: list[int], labels2: list[int]) -> Verdict:

@@ -174,7 +174,7 @@ COUNT_FAILURES = {
     # non-ASCII digits are not edge-list integers.
     "underscore-id": _bad_edge_list("12 1\n1_0 2\n", "line 2: bad edge line '1_0 2'"),
     "non-ascii-digit": _bad_edge_list("3 1\n0 \u0661\n", "line 2: bad edge line '0 \u0661'"),
-    "product-work-guard": (lambda d: (_star(d), "error: sparse walk product"), 2),
+    "product-work-guard": (lambda d: (_star(d), "error: wedge pass needs"), 2),
     "node-limit": (lambda d: ([_write(d, "huge.txt", "10000000000 1\n0 1\n")],
                               f"graphs support n <= {MAX_NODES}"), 2),
     "not-utf8": (lambda d: _not_utf8_args(d, "g.txt", "3 1\n0 1\n# "), 1),
@@ -279,7 +279,7 @@ class TestWl:
         monkeypatch.setattr(walks, "MAX_PRODUCT_WORK", 10)
         cc = disjoint_union(cycle_graph(3), cycle_graph(3))
         row = (lambda d: ([_graph_file(d, cycle_graph(6), "c6.txt"), _graph_file(d, cc, "cc.txt")],
-                          "error: sparse walk product"), 2)
+                          "error: wedge pass needs"), 2)
         _assert_fails("wl", row, tmp_path, capsys)
 
     def test_refinement_guard(self, tmp_path, capsys, monkeypatch):
@@ -296,7 +296,7 @@ class TestWl:
 
     def test_unstable_smaller_half_result_is_an_invariant_violation(self, tmp_path, capsys,
                                                                     monkeypatch):
-        monkeypatch.setattr(wl, "_split_smaller_halves", lambda nbrs, colors, before: colors)
+        monkeypatch.setattr(wl, "_split_smaller_halves", lambda nbrs, colors, before, n1: colors)
         paths = [_graph_file(tmp_path, caterpillar(30), name) for name in ("a.txt", "b.txt")]
         assert main(["wl", *paths, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err

@@ -126,3 +126,63 @@ def test_traced_operator_hook_returns_the_items():
     for item, row in zip(items, rows):
         assert item.ops.shape == (1, row.graph.n)
         assert list(row.layer0) == list(terms)
+
+
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
+
+
+def _walklab_aliases(tree):
+    """The names a test module binds to walklab modules: alias -> module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "walklab":
+            aliases.update({alias.asname or alias.name: f"walklab.{alias.name}"
+                            for alias in node.names})
+        elif isinstance(node, ast.Import):
+            aliases.update({alias.asname: alias.name for alias in node.names
+                            if alias.asname and alias.name.startswith("walklab.")})
+    return aliases
+
+
+def _patched(tree):
+    """(module, name, line) of every ``setattr(module, "NAME", ...)`` and
+    ``setattr("walklab.module.NAME", ...)`` call in a test module; a name
+    taken from ``for name in ("A", "B")`` counts as each of them."""
+    aliases = _walklab_aliases(tree)
+
+    def visit(node, loops):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                and isinstance(node.iter, (ast.Tuple, ast.List)) \
+                and all(isinstance(e, ast.Constant) for e in node.iter.elts):
+            loops = {**loops, node.target.id: [e.value for e in node.iter.elts]}
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setattr" \
+                and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and str(first.value).startswith("walklab."):
+                module, _, name = first.value.rpartition(".")
+                yield module, name, node.lineno
+            elif isinstance(first, ast.Name) and first.id in aliases and len(node.args) > 1:
+                second = node.args[1]
+                names = ([second.value] if isinstance(second, ast.Constant)
+                         else loops.get(getattr(second, "id", None), [None]))
+                for name in names:
+                    yield aliases[first.id], name, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, loops)
+
+    yield from visit(tree, {})
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
+def test_patched_names_are_read(path):
+    # patching a name the module no longer reads changes nothing, so the
+    # test that does it silently stops testing what it says
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = []
+    for module, name, line in _patched(tree):
+        source = ROOT / "src" / Path(*module.split(".")).with_suffix(".py")
+        loads = {node.id for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if name not in loads:
+            unread.append((line, module, name))
+    assert not unread, f"{path.name}: patched name(s) the module never reads: {unread}"

@@ -11,7 +11,7 @@ from walklab import wl
 from walklab.errors import CapacityError, InputError
 from walklab.graphs import cycle_graph, degrees, disjoint_union, erdos_renyi, from_edge_list
 from walklab.walks import triangle_counts_per_node
-from walklab.wl import (CANONICAL_MAX_NODES, EAGER_ROUNDS, PairReport, Verdict, _distinguish,
+from walklab.wl import (CANONICAL_MAX_NODES, MIN_ROUND_GAIN, PairReport, Verdict, _distinguish,
                         _Layout, _leaf_orders, _neighbour_lists, _ranks, _stable_partition,
                         augmented_distinguish, canonical_form, cantor_pair, compare_pair,
                         is_isomorphic_small, lex_min_adjacency, wl_distinguish, wl_refine)
@@ -182,21 +182,32 @@ class TestRefineMatchesReference:
                 c = wl_refine(g, labels)
                 assert (c.colors, c.rounds) == (tuple(colors), len(tables)), (g.n, kind)
 
-    @pytest.mark.parametrize("eager_rounds", [EAGER_ROUNDS, 0, 1])
-    def test_stable_partitions_match(self, monkeypatch, eager_rounds):
-        monkeypatch.setattr(wl, "EAGER_ROUNDS", eager_rounds)
+    # the default; rounds to the end, since every round that splits gains
+    # at least 0; and smaller-half refinement right after round 1, since no
+    # round gains n classes
+    GAINS = [MIN_ROUND_GAIN, 0, 1]
+
+    @pytest.mark.parametrize("min_gain", GAINS)
+    def test_stable_partitions_match(self, monkeypatch, min_gain):
+        monkeypatch.setattr(wl, "MIN_ROUND_GAIN", min_gain)
+        # a graph next to itself never fills a class unevenly, so the
+        # union is refined to its stable partition
         rng = np.random.default_rng(41)
         for g in self._corpus():
             nbrs = [neighbours(g, v) for v in range(g.n)]
+            nbrs += [[u + g.n for u in ns] for ns in nbrs]
             for kind, labels in _label_kinds(g, rng).items():
-                colors = _stable_partition(_Layout.of(g), _ranks(labels))
-                assert _classes(colors) == _classes(refine_by_tuples(nbrs, labels)[0]), (g.n, kind)
+                colors, uneven = _stable_partition(_Layout.of(g, g), _ranks(labels * 2), g.n)
+                assert not uneven
+                want = refine_by_tuples(nbrs, labels * 2)[0]
+                assert _classes(colors) == _classes(want), (g.n, kind)
 
-    @pytest.mark.parametrize("eager_rounds", [EAGER_ROUNDS, 0, 1])
-    def test_fingerprint_verdicts_match(self, monkeypatch, eager_rounds):
-        # with no or one eager round, every tied pair of the corpus goes on
-        # to smaller-half refinement
-        monkeypatch.setattr(wl, "EAGER_ROUNDS", eager_rounds)
+    @pytest.mark.parametrize("min_gain", GAINS)
+    def test_fingerprint_verdicts_match(self, monkeypatch, min_gain):
+        # with a handover right after round 1, every tied pair of the
+        # corpus that round 1 leaves splitting goes on to smaller-half
+        # refinement
+        monkeypatch.setattr(wl, "MIN_ROUND_GAIN", min_gain)
         rng = np.random.default_rng(42)
         verdicts = set()
         for g in self._corpus():
@@ -214,9 +225,9 @@ class TestRefineMatchesReference:
                     verdicts.add(same)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("eager_rounds", [EAGER_ROUNDS, 0, 1])
-    def test_verdicts_match_across_node_counts(self, monkeypatch, eager_rounds):
-        monkeypatch.setattr(wl, "EAGER_ROUNDS", eager_rounds)
+    @pytest.mark.parametrize("min_gain", GAINS)
+    def test_verdicts_match_across_node_counts(self, monkeypatch, min_gain):
+        monkeypatch.setattr(wl, "MIN_ROUND_GAIN", min_gain)
         graphs = [from_edge_list(n, []) for n in (1, 2, 3, 6)]  # no edges
         graphs += [path_graph(n) for n in (2, 3, 4, 6)]
         # isolated nodes next to edges
@@ -338,9 +349,9 @@ class TestComparePair:
     def test_benchmark_like_pairs_on_both_sides_of_the_switch(self, monkeypatch):
         calls = []
 
-        def spy(nbrs, colors, before):
+        def spy(nbrs, colors, before, n1):
             calls.append(len(colors))
-            return split(nbrs, colors, before)
+            return split(nbrs, colors, before, n1)
 
         split = wl._split_smaller_halves
         monkeypatch.setattr(wl, "_split_smaller_halves", spy)
@@ -366,7 +377,7 @@ class TestComparePair:
             real = getattr(wl, name)
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for name in ("_refine", "_split_smaller_halves"):
+        for name in ("_round", "_split_smaller_halves"):
             monkeypatch.setattr(wl, name, counted(name))
         rng = np.random.default_rng(54)
         cat = caterpillar(40)
@@ -404,7 +415,14 @@ class TestComparePair:
             nbrs = ([neighbours(g, v) for v in range(g.n)]
                     + [[u + g.n for u in neighbours(other, v)] for v in range(other.n)])
             want = refine_by_tuples(nbrs, _augmented_labels(g) + _augmented_labels(other))[0]
-            assert _classes(partitions[-1]) == _classes(want)
+            if augmented is Verdict.INDISTINGUISHABLE:
+                assert _classes(partitions[-1]) == _classes(want)
+                continue
+            # the run stops at the first class the two graphs fill unevenly,
+            # a partition that the stable one refines
+            got = _classes(partitions[-1])
+            assert any(2 * sum(v < g.n for v in cell) != len(cell) for cell in got)
+            assert all(any(cell <= coarse for coarse in got) for cell in _classes(want))
 
     def test_canonical_search_only_when_both_runs_tie(self, monkeypatch):
         def no_search(g1, g2):
@@ -416,6 +434,76 @@ class TestComparePair:
         assert compare_pair(c6, cc).isomorphic is False
         with pytest.raises(AssertionError, match="canonical search ran"):
             compare_pair(c6, relabel(c6, [1, 2, 3, 4, 5, 0]))
+
+
+def _swapped(rng, g):
+    """g after one degree-preserving double-edge swap: edges a-b and c-d
+    become a-d and c-b."""
+    edges = [tuple(e) for e in g.edges()]
+    present = set(edges)
+    while True:
+        i, j = (int(x) for x in rng.choice(len(edges), 2, replace=False))
+        (a, b), (c, d) = edges[i], edges[j][::rng.choice([1, -1])]
+        if len({a, b, c, d}) == 4 and (min(a, d), max(a, d)) not in present \
+                and (min(b, c), max(b, c)) not in present:
+            edges[i], edges[j] = (a, d), (c, b)
+            return from_edge_list(g.n, edges)
+
+
+class TestEarlyStop:
+    """Verdicts that stop at the first class the two graphs fill unevenly."""
+
+    @staticmethod
+    def _tied_swap(rng, g):
+        """A relabelled swap of g with g's triangle histogram, so that
+        neither the degree nor the triangle histograms tell them apart."""
+        triangles = Counter(triangle_counts_per_node(g).tolist())
+        while True:
+            h = _swapped(rng, g)
+            if Counter(triangle_counts_per_node(h).tolist()) == triangles:
+                return relabel(h, [int(x) for x in rng.permutation(g.n)])
+
+    def test_swapped_pairs_match_the_fingerprints(self, monkeypatch):
+        rounds, splits = [], []
+        real_round, real_split = wl._round, wl._split_smaller_halves
+
+        def counted_round(layout, colors):
+            rounds.append(1)
+            return real_round(layout, colors)
+
+        def counted_split(nbrs, colors, before, n1):
+            splits.append(n1)
+            return real_split(nbrs, colors, before, n1)
+
+        monkeypatch.setattr(wl, "_round", counted_round)
+        monkeypatch.setattr(wl, "_split_smaller_halves", counted_split)
+        rng = np.random.default_rng(64)
+        pairs = [(erdos_renyi(n, 4 / n, seed), "er") for n in (20, 30, 45, 60) for seed in range(3)]
+        pairs += [(random_cubic(rng, n), "cubic") for n in (12, 20, 30, 40) for _ in range(3)]
+        cubic = set()
+        for g, kind in pairs:
+            h = self._tied_swap(rng, g)
+            rounds.clear()
+            splits.clear()
+            report = compare_pair(g, h)
+            plain = fingerprint_by_tuples(g, degrees(g)) == fingerprint_by_tuples(h, degrees(h))
+            seeds = _augmented_labels(g), _augmented_labels(h)
+            augmented = fingerprint_by_tuples(g, seeds[0]) == fingerprint_by_tuples(h, seeds[1])
+            assert (report.wl is Verdict.INDISTINGUISHABLE) == plain, (kind, g.n)
+            assert (report.augmented is Verdict.INDISTINGUISHABLE) == augmented, (kind, g.n)
+            if kind == "er":
+                # the rounds tell the swap apart before the partition is
+                # stable, so smaller-half refinement never starts
+                nbrs = ([neighbours(g, v) for v in range(g.n)]
+                        + [[u + g.n for u in neighbours(h, v)] for v in range(h.n)])
+                stable_rounds = len(refine_by_tuples(nbrs, degrees(g) + degrees(h))[1])
+                assert report.wl is Verdict.DISTINGUISHABLE and splits == []
+                assert len(rounds) < stable_rounds
+            else:
+                cubic.add((report.augmented, bool(splits)))
+        # some tied cubic pairs are told apart inside smaller-half refinement
+        assert (Verdict.DISTINGUISHABLE, True) in cubic
+        assert Verdict.INDISTINGUISHABLE in {verdict for verdict, _ in cubic}
 
 
 @st.composite
